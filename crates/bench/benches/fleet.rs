@@ -1,4 +1,4 @@
-//! Microbenchmarks of the fleet runtime: the cost of one lockstep frame
+//! Microbenchmarks of the fleet runtime: the cost of one frame-major frame
 //! across 10⁴ systems (with and without the observability plane), the
 //! steady-state fast path against the full per-frame machinery,
 //! frame-batched journal flushing against the per-event write path,

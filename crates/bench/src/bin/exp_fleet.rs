@@ -1,5 +1,5 @@
 //! Experiment: fleet-scale simulation throughput — 10³/10⁴/10⁵
-//! independent avionics systems advanced in lockstep frames with
+//! independent avionics systems, each shard run to completion, with
 //! streaming SP1–SP4 verification, sampled frame-batched journaling, and
 //! the allocation-free steady-state fast path.
 //!
@@ -16,7 +16,7 @@
 //! 2. **Thread scaling** — the 10⁴ fleet at 1/2/4/8 workers, reporting
 //!    parallel efficiency against the single-threaded run. The host's
 //!    core count is recorded in the artifact: on a single-core container
-//!    the extra workers only add barrier overhead and the honest
+//!    the extra workers only add thread overhead and the honest
 //!    efficiency numbers show exactly that.
 //! 3. **Observability overhead** — the 10⁴ fleet with everything off
 //!    (no rings, no journal sampling) versus the sweep-1 fully
@@ -135,7 +135,7 @@ struct CaseResult {
 }
 
 impl CaseResult {
-    /// Throughput over the lockstep frame loop only; journal drain and
+    /// Throughput over the frame loop only; journal drain and
     /// aggregation are reported separately rather than deflating this.
     fn frames_per_sec(&self) -> f64 {
         self.report.total_frames as f64 / self.timings.frame_loop_secs.max(1e-9)
@@ -149,8 +149,8 @@ fn run_case(spec: &Arc<ReconfigSpec>, config: FleetConfig) -> CaseResult {
 }
 
 /// Measures heap allocations per steady-state frame: a quiet 256-system
-/// fleet, warmed past any initial settling, advanced 64 more lockstep
-/// frames under the counting allocator.
+/// fleet, warmed past any initial settling, advanced 64 more
+/// frame-major frames under the counting allocator.
 fn measure_allocs_per_frame(spec: &Arc<ReconfigSpec>) -> f64 {
     let systems = 256usize;
     let mut fleet = Fleet::new(

@@ -431,7 +431,7 @@ mod tests {
             "scram.retarget",
             "system.stable.commit",
             "system.env.submit",
-            "fleet.barrier",
+            "fleet.shard",
             "fleet.journal.send",
             "obs.writer.drain",
         ];

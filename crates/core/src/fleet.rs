@@ -1,23 +1,25 @@
-//! Fleet-scale simulation: advance 10⁵+ independent [`System`]s in
-//! lockstep frames on a work-stealing pool.
+//! Fleet-scale simulation: advance 10⁵+ independent [`System`]s on a
+//! work-stealing pool, each shard run to completion.
 //!
 //! The paper verifies *one* three-processor fail-stop system. This
 //! module is the population-scale counterpart: a [`Fleet`] constructs N
 //! independent systems from a seeded scenario distribution (one
 //! [`workload::random_scenario`] per system, seeds derived from a master
 //! seed by a splitmix-style mix), partitions them into cache-friendly
-//! contiguous [shards](FleetConfig::shards), and advances every shard
-//! through the same frame before any shard starts the next — a lockstep
-//! barrier, so "frame f of the fleet" is a well-defined global cut.
+//! contiguous [shards](FleetConfig::shards), and runs each shard to
+//! completion: a cell advances through the whole horizon before the
+//! next cell of its shard starts. Cells never interact, so no frame
+//! needs a fleet-wide cut.
 //!
 //! # Execution model
 //!
-//! Each worker thread pulls shard indices for the current frame from a
-//! [`crossbeam::deque::Injector`] (the same work-stealing pattern as
-//! `ModelChecker`'s parallel walk); a [`std::sync::Barrier`] separates
-//! frames. Within a shard, each cell applies its scenario stimuli and
-//! calls [`System::advance_frame`] — the allocation-free steady-state
-//! fast path when eligible, the full frame otherwise.
+//! Every shard is pushed once into a [`crossbeam::deque::Injector`]
+//! (the same work-stealing pattern as `ModelChecker`'s parallel walk);
+//! a worker that steals a shard owns it until it finishes — no
+//! barriers, no shard locks. The serial path drains the same queue on
+//! the caller's thread. Within a shard, each cell applies its scenario
+//! stimuli and calls [`System::advance_frame`] — the allocation-free
+//! steady-state fast path when eligible, the full frame otherwise.
 //!
 //! # Streaming verification
 //!
@@ -36,7 +38,7 @@
 //! The fleet's hot-path metrics ([`FleetMetrics`]: frame counters,
 //! reconfiguration-latency and restricted-ratio histograms,
 //! defense/violation counters) live **per shard**. Exactly one worker
-//! owns a shard between two barrier waits, so per-frame bumps are plain
+//! owns a shard for its whole run, so per-frame bumps are plain
 //! unsynchronized increments — no shared registry, no lock traffic.
 //! Aggregation merges shard locals in shard order (and counters and
 //! log₂ histograms merge commutatively), so the merged snapshot is
@@ -64,8 +66,9 @@
 //! [`BackgroundJournalWriter`] thread, which encodes with the compact
 //! binary codec ([`obs::codec`](crate::obs::codec)). Backpressure
 //! blocks the producer (lossless, bounded memory — see
-//! [`obs::writer`](crate::obs::writer)). `arfs-trace fleet decode`
-//! converts the binary journal back to JSON-Lines interchange form.
+//! [`obs::writer`](crate::obs::writer)) while the writer drains, so
+//! shards need no bounded skew. `arfs-trace fleet decode` converts the
+//! binary journal back to JSON-Lines interchange form.
 //!
 //! # Determinism
 //!
@@ -81,7 +84,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::assure::{InvariantOracle, OracleProfile};
@@ -198,7 +201,7 @@ pub struct FleetViolation {
 /// the denominator.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetTimings {
-    /// Lockstep frame loop only (what throughput gauges divide by).
+    /// Frame loop only (what throughput gauges divide by).
     pub frame_loop_secs: f64,
     /// Draining and joining the background journal writer.
     pub journal_finish_secs: f64,
@@ -407,22 +410,26 @@ impl StreamVerifier {
         }
     }
 
-    /// Replays `[prev_normal?, window..., end]` through the checkers.
-    fn close_window(&mut self, end: &SysState) {
+    /// Drains `[prev_normal?, window..., end?]` into a miniature trace
+    /// numbered from zero, plus the real frame of each of its states.
+    fn take_window(&mut self, end: Option<&SysState>) -> (SysTrace, Vec<u64>) {
         let mut states: Vec<SysState> = Vec::with_capacity(self.window.len() + 2);
-        if let Some(prev) = &self.prev_normal {
-            states.push(prev.clone());
-        }
+        states.extend(self.prev_normal.clone());
         states.append(&mut self.window);
-        states.push(end.clone());
+        states.extend(end.cloned());
 
-        let real_frames: Vec<u64> = states.iter().map(|s| s.frame).collect();
+        let real_frames = states.iter().map(|s| s.frame).collect();
         let mut mini = SysTrace::new();
         for (i, mut state) in states.into_iter().enumerate() {
             state.frame = i as u64;
             mini.push(state);
         }
+        (mini, real_frames)
+    }
 
+    /// Replays `[prev_normal?, window..., end]` through the checkers.
+    fn close_window(&mut self, end: &SysState) {
+        let (mini, real_frames) = self.take_window(Some(end));
         let reconfigs = mini.get_reconfigs();
         self.reconfigs += reconfigs.len() as u64;
         for r in &reconfigs {
@@ -451,17 +458,7 @@ impl StreamVerifier {
         if self.window.is_empty() {
             return;
         }
-        let mut states: Vec<SysState> = Vec::new();
-        if let Some(prev) = &self.prev_normal {
-            states.push(prev.clone());
-        }
-        states.append(&mut self.window);
-        let real_frames: Vec<u64> = states.iter().map(|s| s.frame).collect();
-        let mut mini = SysTrace::new();
-        for (i, mut state) in states.into_iter().enumerate() {
-            state.frame = i as u64;
-            mini.push(state);
-        }
+        let (mini, real_frames) = self.take_window(None);
         for v in self.oracle.check_open(&mini) {
             self.violations.push(Self::map_frames(v, &real_frames));
         }
@@ -568,13 +565,8 @@ impl Cell {
         }
 
         // Fold this frame's deltas into the shard-local metrics — plain
-        // increments; the worker owns the shard until the next barrier.
-        metrics.reconfigs += self.verifier.reconfigs - self.reconfigs_seen;
-        self.reconfigs_seen = self.verifier.reconfigs;
-        for &latency in &self.verifier.latencies[self.latency_cursor..] {
-            metrics.reconfig_latency_cycles.record(latency);
-        }
-        self.latency_cursor = self.verifier.latencies.len();
+        // increments; the worker owns the shard for its whole run.
+        self.drain_verifier(metrics);
         let defenses = self.system.defense_events();
         metrics.defense_events += defenses - self.defense_seen;
         self.defense_seen = defenses;
@@ -590,6 +582,17 @@ impl Cell {
                 journal.ship(id, seed);
             }
         }
+    }
+
+    /// Folds the verifier's reconfigurations and latencies since the
+    /// last drain into `metrics`.
+    fn drain_verifier(&mut self, metrics: &mut FleetMetrics) {
+        metrics.reconfigs += self.verifier.reconfigs - self.reconfigs_seen;
+        self.reconfigs_seen = self.verifier.reconfigs;
+        for &latency in &self.verifier.latencies[self.latency_cursor..] {
+            metrics.reconfig_latency_cycles.record(latency);
+        }
+        self.latency_cursor = self.verifier.latencies.len();
     }
 
     fn schedule_lines(&self) -> Vec<String> {
@@ -614,11 +617,26 @@ struct Shard {
     metrics: FleetMetrics,
 }
 
+impl Shard {
+    /// Advances each cell through the whole horizon, one cell at a time.
+    fn run(&mut self, horizon: u64) {
+        // Failpoint: shard start. Counted for coverage; Panic models a
+        // worker dying mid-run (surfaces through the scope join).
+        arfs_assure::fp!("fleet.shard");
+        let Shard { cells, metrics } = self;
+        for cell in cells {
+            for frame in 0..horizon {
+                cell.advance(frame, metrics);
+            }
+        }
+    }
+}
+
 /// The fleet runtime. See the [module documentation](self).
 pub struct Fleet {
     spec: Arc<ReconfigSpec>,
     config: FleetConfig,
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Shard>,
     writer: Option<BackgroundJournalWriter>,
 }
 
@@ -706,7 +724,7 @@ impl Fleet {
         Ok(Fleet {
             spec,
             config,
-            shards: shards.into_iter().map(Mutex::new).collect(),
+            shards,
             writer,
         })
     }
@@ -718,11 +736,11 @@ impl Fleet {
 
     /// Advances every cell of every shard through one frame, serially.
     ///
-    /// Exposed for benchmarking one lockstep frame; [`run`](Fleet::run)
-    /// is the normal entry point.
+    /// A frame-major stepper for timing one frame of the whole fleet;
+    /// [`run`](Fleet::run) is the normal entry point. Stepping frames
+    /// `0..horizon` here yields the same cell states as `run`.
     pub fn advance_frame(&mut self, frame: u64) {
         for shard in &mut self.shards {
-            let shard = shard.get_mut().expect("no poisoned shards");
             let Shard { cells, metrics } = shard;
             for cell in cells {
                 cell.advance(frame, metrics);
@@ -752,17 +770,8 @@ impl Fleet {
     ///
     /// As [`Fleet::run`].
     pub fn run_timed(&mut self) -> io::Result<(FleetReport, FleetTimings)> {
-        let horizon = self.config.horizon;
-        let threads = self.config.threads.min(self.shards.len()).max(1);
-
         let started = Instant::now();
-        if threads <= 1 {
-            for frame in 0..horizon {
-                self.advance_frame(frame);
-            }
-        } else {
-            self.run_parallel(horizon, threads);
-        }
+        self.run_shards();
         let frame_loop_secs = started.elapsed().as_secs_f64();
 
         let started = Instant::now();
@@ -783,52 +792,32 @@ impl Fleet {
         ))
     }
 
-    /// The lockstep work-stealing loop: every worker synchronizes on a
-    /// barrier per frame, the leader refills the injector with shard
-    /// indices, and workers drain it — a shard is the steal unit, a
-    /// frame is the barrier unit.
-    fn run_parallel(&mut self, horizon: u64, threads: usize) {
+    /// The work-stealing loop: every shard is queued once, and each
+    /// worker steals whole shards and runs them to completion. With one
+    /// thread the caller's thread drains the queue itself.
+    fn run_shards(&mut self) {
         use crossbeam::deque::{Injector, Steal};
 
-        let shards = &self.shards;
-        let injector: Injector<usize> = Injector::new();
-        let barrier = Barrier::new(threads);
-
+        let horizon = self.config.horizon;
+        let threads = self.config.threads.min(self.shards.len()).max(1);
+        let injector = Injector::new();
+        for shard in &mut self.shards {
+            injector.push(shard);
+        }
+        let drain = || loop {
+            match injector.steal() {
+                Steal::Success(shard) => shard.run(horizon),
+                Steal::Empty => break,
+                Steal::Retry => {}
+            }
+        };
+        if threads <= 1 {
+            drain();
+            return;
+        }
         crossbeam::scope(|scope| {
             for _ in 0..threads {
-                let (injector, barrier) = (&injector, &barrier);
-                scope.spawn(move |_| {
-                    for frame in 0..horizon {
-                        // Failpoint: lockstep barrier entry. Counted for
-                        // coverage; Panic models a worker dying at the
-                        // frame cut (surfaces through the scope join).
-                        arfs_assure::fp!("fleet.barrier");
-                        if barrier.wait().is_leader() {
-                            for index in 0..shards.len() {
-                                injector.push(index);
-                            }
-                        }
-                        // All workers see the refilled queue...
-                        barrier.wait();
-                        loop {
-                            match injector.steal() {
-                                Steal::Success(index) => {
-                                    let mut shard =
-                                        shards[index].lock().expect("no poisoned shards");
-                                    let Shard { cells, metrics } = &mut *shard;
-                                    for cell in cells {
-                                        cell.advance(frame, metrics);
-                                    }
-                                }
-                                Steal::Empty => break,
-                                Steal::Retry => continue,
-                            }
-                        }
-                        // ...and nobody starts frame+1 until every shard
-                        // has finished this frame.
-                        barrier.wait();
-                    }
-                });
+                scope.spawn(|_| drain());
             }
         })
         .expect("fleet worker panicked");
@@ -845,7 +834,6 @@ impl Fleet {
     /// becomes visible to the caller.
     fn finish_journal(&mut self) -> io::Result<BTreeMap<u64, SystemJournal>> {
         for shard in &mut self.shards {
-            let shard = shard.get_mut().expect("no poisoned shards");
             for cell in &mut shard.cells {
                 if let Some(mut journal) = cell.journal.take() {
                     journal.ship(cell.id as u64, cell.seed);
@@ -869,7 +857,6 @@ impl Fleet {
         let mut merged = FleetMetrics::default();
         let mut cells: Vec<&mut Cell> = Vec::new();
         for shard in &mut self.shards {
-            let shard = shard.get_mut().expect("no poisoned shards");
             merged.merge(&shard.metrics);
             cells.extend(shard.cells.iter_mut());
         }
@@ -885,12 +872,7 @@ impl Fleet {
             cell.verifier.finish();
             // `finish` can close an open window: fold the post-horizon
             // deltas the per-frame drain never saw.
-            merged.reconfigs += cell.verifier.reconfigs - cell.reconfigs_seen;
-            cell.reconfigs_seen = cell.verifier.reconfigs;
-            for &latency in &cell.verifier.latencies[cell.latency_cursor..] {
-                merged.reconfig_latency_cycles.record(latency);
-            }
-            cell.latency_cursor = cell.verifier.latencies.len();
+            cell.drain_verifier(&mut merged);
 
             fast_frames += cell.fast_frames;
             full_frames += cell.full_frames;
@@ -984,6 +966,10 @@ impl Fleet {
             };
         let decoded = legend.decode_ring(ring);
         let causal_chain = TriageBundle::causal_chain(&decoded, frame, &property, &detail);
+        // A journaled cell also times its SCRAM decisions; wall-clock
+        // histograms (`*_ns`) would make the report differ run to run.
+        let mut metrics = cell.system.metrics_snapshot();
+        metrics.histograms.retain(|name, _| !name.ends_with("_ns"));
         Some(TriageBundle {
             system: cell.id,
             seed: cell.seed,
@@ -995,7 +981,7 @@ impl Fleet {
             schedule: cell.schedule_lines(),
             ring: decoded,
             causal_chain,
-            metrics: cell.system.metrics_snapshot(),
+            metrics,
         })
     }
 }
@@ -1248,26 +1234,34 @@ mod tests {
 
     #[test]
     fn report_is_shard_and_thread_invariant() {
+        // Nothing may depend on a fleet-wide frame cut: stepping every
+        // cell frame by frame must give the same report and journal as
+        // running each shard to completion, for any sharding, serially
+        // or in parallel.
         let spec = Arc::new(small_spec());
         let base = FleetConfig {
             systems: 24,
-            horizon: 80,
-            journal_sample: 6,
+            shards: 1,
+            horizon: 100,
+            journal_sample: 3,
+            journal_flush_frames: 5,
+            chaos: Some(ChaosProfile::for_spec(&spec, 60)),
             ..FleetConfig::default()
         };
-        let reference = Fleet::new(
-            Arc::clone(&spec),
-            FleetConfig {
-                shards: 1,
-                threads: 1,
-                ..base.clone()
-            },
-        )
-        .unwrap()
-        .run()
-        .expect("journal writer is healthy");
+        let mut stepped = Fleet::new(Arc::clone(&spec), base.clone()).unwrap();
+        for frame in 0..base.horizon {
+            stepped.advance_frame(frame);
+        }
+        let sections = stepped.finish_journal().expect("journal writer is healthy");
+        let reference = stepped.aggregate(sections);
+        assert!(reference.reconfigs > 0 && reference.journal_events > 0);
+        assert!(
+            reference.bundles.iter().any(|b| b.system % 3 == 0),
+            "a journaled cell must yield a bundle"
+        );
         let reference_json = serde_json::to_string(&reference).unwrap();
-        for (shards, threads) in [(3usize, 1usize), (5, 2), (24, 3)] {
+
+        for (shards, threads) in [(1usize, 1usize), (3, 1), (5, 2), (24, 3)] {
             let report = Fleet::new(
                 Arc::clone(&spec),
                 FleetConfig {
@@ -1282,6 +1276,10 @@ mod tests {
             assert_eq!(
                 serde_json::to_string(&report).unwrap(),
                 reference_json,
+                "shards={shards} threads={threads}"
+            );
+            assert_eq!(
+                report.journal, reference.journal,
                 "shards={shards} threads={threads}"
             );
         }

@@ -62,8 +62,8 @@
 //!   analogue of the paper's mechanically checked proofs).
 //! - [`obs`] — frame-scoped observability: the structured event journal
 //!   (JSON Lines) and the metrics registry every run reports through.
-//! - [`fleet`] — fleet-scale simulation: 10⁵+ independent systems
-//!   advanced in lockstep frames on a work-stealing pool, with
+//! - [`fleet`] — fleet-scale simulation: 10⁵+ independent systems on a
+//!   work-stealing pool that runs each shard to completion, with
 //!   allocation-free steady-state frames, streaming SP1–SP4
 //!   verification, and sampled frame-batched journaling.
 //! - [`sfta`] — system fault-tolerant actions: the synchrony-window view

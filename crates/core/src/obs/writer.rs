@@ -1,8 +1,8 @@
 //! Background journal writer: serialization off the frame loop.
 //!
 //! Even batched, journal serialization used to run *on* the frame loop
-//! — every sampled cell paid `to_json_line` for every event between two
-//! barrier waits. The fleet now clones the frame's raw
+//! — every sampled cell paid `to_json_line` for every event inside its
+//! frame. The fleet now clones the frame's raw
 //! [`JournalEvent`]s (cheap: a frame produces a handful) into a
 //! [`JournalBatch`] and hands them to a dedicated writer thread over a
 //! **bounded** channel; the writer encodes them with the binary codec

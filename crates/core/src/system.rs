@@ -1238,15 +1238,12 @@ impl System {
         let env = self.environment.current().clone();
 
         // --- SCRAM decision. ---
-        let decision_started = std::time::Instant::now();
+        let decision_started = self.obs_enabled.then(std::time::Instant::now);
         let decision = self.scram.step_chaos(frame, &env, &faulted_apps);
-        if self.obs_enabled {
+        if let Some(started) = decision_started {
             self.metrics.observe(
                 "scram.decision_ns",
-                decision_started
-                    .elapsed()
-                    .as_nanos()
-                    .min(u128::from(u64::MAX)) as u64,
+                started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             );
         }
         self.record_scram_events(frame, &decision);

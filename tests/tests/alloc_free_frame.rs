@@ -7,10 +7,12 @@
 //! runtime's throughput depends on. The flight-recorder ring rides the
 //! same contract: its storage is preallocated at build time and a
 //! steady frame only coalesces the in-place `fast-frames` run, so the
-//! guarantee is proven both with the ring off and with it on.
+//! guarantee is proven both with the ring off and with it on. The
+//! counter is per thread, so the test harness's other threads cannot
+//! leak allocations into a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use arfs_avionics::avionics_spec;
@@ -22,11 +24,32 @@ use arfs_core::system::System;
 /// test is "no new heap traffic per frame").
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per-thread, so heap
+    /// traffic on the test harness's other threads (parallel tests,
+    /// output capture) never lands in a measured window. `const`
+    /// initialisation and a `Drop`-free `Cell` keep the counter itself
+    /// allocation-free, which a global allocator requires.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_alloc() {
+    // `try_with` fails only during thread teardown, after the
+    // measured windows have closed.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// This thread's allocation count so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, so the caller's `GlobalAlloc` contract carries over; the
+// counter beside it never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { SystemAlloc.alloc(layout) }
     }
 
@@ -35,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -62,11 +85,11 @@ fn steady_state_frame_allocates_nothing() {
         "warmed-up quiet system must be on the fast path"
     );
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..100 {
         assert!(system.advance_frame(), "steady frames must stay fast");
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -97,14 +120,14 @@ fn disabled_failpoints_are_zero_cost() {
     let mut plan = FailpointPlan::new();
     plan.push("system.stable.commit", 1, FpAction::Err);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..1_000 {
         let _campaign = arfs_assure::install(&plan);
         assert!(arfs_assure::hit("system.stable.commit").is_none());
         assert!(arfs_assure::hit_counts().is_empty());
         arfs_assure::reset_hits();
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -132,11 +155,11 @@ fn steady_state_frame_allocates_nothing_with_the_flight_ring_on() {
     );
 
     let ring_len_before = system.flight_ring().expect("ring enabled").len();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..100 {
         assert!(system.advance_frame(), "steady frames must stay fast");
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
