@@ -1,23 +1,10 @@
 //! The unified invariant oracle and the failpoint campaign surface.
 //!
-//! Before this module existed the repository had three semi-duplicated
-//! checker paths: the model checker combined
-//! [`properties::check_all`] with the open-reconfiguration rule by
-//! hand, the streaming [`StreamVerifier`](crate::fleet::StreamVerifier)
-//! combined `check_all` with protocol conformance by hand, and the
-//! batch [`verify`](crate::verify) / soak experiments each picked their
-//! own mix of `check_all` / `check_extended`. Any new invariant had to
-//! be wired into every path separately — and the chaos-defense
-//! invariants never were.
-//!
-//! [`InvariantOracle`] replaces those paths with one entry point:
-//! [`check`](InvariantOracle::check) evaluates a [`SysTrace`] against
-//! the profile's check set and returns every violation. The profiles
-//! reproduce the historical check sets exactly (so recorded
-//! counterexample artifacts replay with the same primary violation) and
-//! the [`Soak`](OracleProfile::Soak) profile extends them with the TCC
-//! static obligations and the chaos-defense livelock bound that
-//! previously lived nowhere.
+//! [`InvariantOracle`] is the one entry point for trace verification:
+//! [`check`](InvariantOracle::check) folds the profile's property
+//! monitors over a [`SysTrace`] and returns every violation. The
+//! [`Soak`](OracleProfile::Soak) profile adds the TCC static obligations
+//! and the chaos-defense livelock bound.
 //!
 //! The module also owns the deterministic-simulation campaign surface:
 //! [`dst_menu`] is the static map from substrate decision points
@@ -38,24 +25,16 @@ use crate::spec::ReconfigSpec;
 use crate::trace::SysTrace;
 
 /// Which check set [`InvariantOracle::check`] evaluates.
-///
-/// Each profile reproduces one of the historical checker paths; the
-/// violations for a given trace are identical to what that path
-/// produced before unification (plus, for [`Soak`](Self::Soak), the
-/// invariants that were previously unchecked).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum OracleProfile {
     /// SP1–SP4 plus the open-reconfiguration rule: the model checker's
     /// per-schedule verdict (an exhaustive walk cannot use the
     /// responsiveness run-length rule — its schedules end abruptly).
     Exhaustive,
-    /// SP1–SP4 plus protocol conformance on a closed restricted window:
-    /// the streaming verifier's verdict when a window closes.
-    /// Responsiveness and open-reconfiguration are evaluated
-    /// incrementally by the stream itself.
-    StreamWindow,
-    /// SP1–SP4 plus all three extension checks: the batch
-    /// [`verify`](crate::verify) pipeline's full-trace verdict.
+    /// SP1–SP4 plus all three extension checks
+    /// ([`properties::check_extended`]): the batch
+    /// [`verify`](crate::verify) pipeline's full-trace verdict, and the
+    /// fleet's streaming one.
     Extended,
     /// Everything in [`Extended`](Self::Extended), plus the cached TCC
     /// static obligations and the chaos-defense livelock bound. The
@@ -64,16 +43,27 @@ pub enum OracleProfile {
     Soak,
 }
 
-/// The chaos-defense livelock bound: a defended system may spend at most
-/// this fraction of its (sufficiently long) run in restricted mode.
-/// Above it, the retry/backoff/quarantine defenses are thrashing —
-/// formally live, practically unavailable.
-pub const RESTRICTED_RATIO_LIVELOCK_BOUND: f64 = 0.6;
-
-/// Minimum trace length (frames) before the livelock ratio is judged.
-/// Shorter traces are dominated by a single reconfiguration window and
-/// the ratio is meaningless.
-pub const LIVELOCK_MIN_FRAMES: usize = 20;
+impl OracleProfile {
+    /// The profile's checks, in report order.
+    fn checks(self) -> &'static [PropertyId] {
+        use PropertyId::*;
+        match self {
+            OracleProfile::Exhaustive => &[Sp1, Sp2, Sp3, Sp4, OpenReconfiguration],
+            OracleProfile::Extended => properties::EXTENDED,
+            OracleProfile::Soak => &[
+                Sp1,
+                Sp2,
+                Sp3,
+                Sp4,
+                OpenReconfiguration,
+                Responsiveness,
+                ProtocolConformance,
+                TccObligation,
+                DefenseLivelock,
+            ],
+        }
+    }
+}
 
 /// The single entry point for trace verification. See the
 /// [module documentation](self).
@@ -110,44 +100,22 @@ impl InvariantOracle {
     /// Evaluates the profile's full check set over `trace`, returning
     /// every violation found.
     pub fn check(&self, trace: &SysTrace) -> Vec<PropertyViolation> {
-        let spec = &*self.spec;
-        let mut out = properties::check_all(trace, spec).violations;
-        match self.profile {
-            OracleProfile::Exhaustive => {
-                out.extend(properties::check_open_reconfiguration(trace, spec));
-            }
-            OracleProfile::StreamWindow => {
-                out.extend(properties::check_protocol_conformance(trace, spec));
-            }
-            OracleProfile::Extended => {
-                out.extend(properties::check_open_reconfiguration(trace, spec));
-                out.extend(properties::check_responsiveness(trace, spec));
-                out.extend(properties::check_protocol_conformance(trace, spec));
-            }
-            OracleProfile::Soak => {
-                out.extend(properties::check_open_reconfiguration(trace, spec));
-                out.extend(properties::check_responsiveness(trace, spec));
-                out.extend(properties::check_protocol_conformance(trace, spec));
-                out.extend(self.static_violations().iter().cloned());
-                out.extend(check_defense_livelock(trace));
-            }
-        }
-        out
+        self.report(trace).violations
     }
 
     /// Like [`check`](Self::check), but wrapped in a [`PropertyReport`]
     /// with the reconfiguration count filled in.
     pub fn report(&self, trace: &SysTrace) -> PropertyReport {
-        PropertyReport {
-            violations: self.check(trace),
-            reconfigs_checked: trace.get_reconfigs().len(),
+        let checks = self.profile.checks();
+        let mut report = properties::check_trace(trace, &self.spec, checks);
+        if checks.contains(&PropertyId::TccObligation) {
+            // The static obligations have no trace monitor; they report
+            // in their place in the check list.
+            let violations = &mut report.violations;
+            violations.extend_from_slice(self.static_violations());
+            violations.sort_by_key(|v| checks.iter().position(|&c| c == v.property));
         }
-    }
-
-    /// Evaluates only the open-reconfiguration rule — the streaming
-    /// verifier's end-of-horizon check on a still-open window.
-    pub fn check_open(&self, trace: &SysTrace) -> Vec<PropertyViolation> {
-        properties::check_open_reconfiguration(trace, &self.spec)
+        report
     }
 
     /// The spec's TCC static-obligation failures, as violations.
@@ -173,30 +141,6 @@ impl InvariantOracle {
                 })
                 .collect()
         })
-    }
-}
-
-/// The chaos-defense livelock invariant: over a sufficiently long trace,
-/// the fraction of frames spent in restricted mode must stay at or
-/// below [`RESTRICTED_RATIO_LIVELOCK_BOUND`].
-pub fn check_defense_livelock(trace: &SysTrace) -> Vec<PropertyViolation> {
-    let total = trace.len();
-    if total < LIVELOCK_MIN_FRAMES {
-        return Vec::new();
-    }
-    let restricted = trace.states().filter(|s| s.any_reconfiguring()).count();
-    let ratio = restricted as f64 / total as f64;
-    if ratio > RESTRICTED_RATIO_LIVELOCK_BOUND {
-        vec![PropertyViolation {
-            property: PropertyId::DefenseLivelock,
-            reconfig: None,
-            frame: None,
-            detail: format!(
-                "{restricted}/{total} frames restricted (ratio {ratio:.3} > bound {RESTRICTED_RATIO_LIVELOCK_BOUND})"
-            ),
-        }]
-    } else {
-        Vec::new()
     }
 }
 
@@ -237,7 +181,7 @@ pub fn dst_menu() -> Vec<(&'static str, Vec<FpAction>)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::{AppDecl, Configuration, FunctionalSpec};
     use crate::system::System;
@@ -292,7 +236,6 @@ mod tests {
         let (spec, trace) = run_clean_trace();
         for profile in [
             OracleProfile::Exhaustive,
-            OracleProfile::StreamWindow,
             OracleProfile::Extended,
             OracleProfile::Soak,
         ] {
@@ -302,32 +245,58 @@ mod tests {
         }
     }
 
-    #[test]
-    fn profiles_reproduce_the_historical_check_sets() {
-        let (spec, trace) = run_clean_trace();
-        let s = &*spec;
-
-        let exhaustive = InvariantOracle::new(Arc::clone(&spec), OracleProfile::Exhaustive);
-        let mut legacy = properties::check_all(&trace, s).violations;
-        legacy.extend(properties::check_open_reconfiguration(&trace, s));
-        assert_eq!(exhaustive.check(&trace), legacy);
-
-        let extended = InvariantOracle::new(Arc::clone(&spec), OracleProfile::Extended);
-        assert_eq!(
-            extended.check(&trace),
-            properties::check_extended(&trace, s).violations
-        );
-        assert_eq!(
-            extended.report(&trace).reconfigs_checked,
-            properties::check_extended(&trace, s).reconfigs_checked
-        );
+    /// Two applications and three configurations, so that every
+    /// `ScramMutation` has something to get wrong.
+    pub(crate) fn two_app_spec() -> ReconfigSpec {
+        let both = |id: &str, spec: &str| {
+            Configuration::new(id)
+                .assign("a", spec)
+                .assign("b", spec)
+                .place("a", ProcessorId::new(0))
+                .place("b", ProcessorId::new(1))
+        };
+        let mut builder = ReconfigSpec::builder()
+            .frame_len(Ticks::new(100))
+            .env_factor("power", ["good", "bad"])
+            .app(
+                AppDecl::new("a")
+                    .spec(FunctionalSpec::new("full"))
+                    .spec(FunctionalSpec::new("deg")),
+            )
+            .app(
+                AppDecl::new("b")
+                    .spec(FunctionalSpec::new("full"))
+                    .spec(FunctionalSpec::new("deg")),
+            )
+            .config(both("full", "full"))
+            .config(both("safe", "deg").safe())
+            .config(
+                Configuration::new("min")
+                    .assign("a", "deg")
+                    .assign("b", "off")
+                    .place("a", ProcessorId::new(0))
+                    .safe(),
+            );
+        for (from, to) in [("full", "safe"), ("full", "min"), ("safe", "min")] {
+            builder =
+                builder
+                    .transition(from, to, Ticks::new(500))
+                    .transition(to, from, Ticks::new(500));
+        }
+        builder
+            .choose_when("power", "bad", "safe")
+            .choose_when("power", "good", "full")
+            .initial_config("full")
+            .initial_env([("power", "good")])
+            .min_dwell_frames(2)
+            .build()
+            .unwrap()
     }
 
-    #[test]
-    fn soak_profile_surfaces_tcc_failures() {
-        // A spec with a coverage gap: no transition out of `full` when
-        // power goes bad... build one lacking the full->safe transition.
-        let broken = ReconfigSpec::builder()
+    /// A spec whose `full -> safe` transition is missing: TCC obligations
+    /// fail.
+    fn broken_spec() -> ReconfigSpec {
+        ReconfigSpec::builder()
             .frame_len(Ticks::new(100))
             .env_factor("power", ["good", "bad"])
             .app(
@@ -352,7 +321,156 @@ mod tests {
             .initial_config("full")
             .initial_env([("power", "good")])
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn profiles_report_exact_violations_on_mutated_traces() {
+        use crate::scram::ScramMutation;
+        const OPEN: &str = "OPEN-RECONFIG @frame 3: reconfiguration open since frame 3 has run 2700t, exceeding every declared bound (max 500t)";
+        const LIVELOCK: &str =
+            "DEFENSE-LIVELOCK: 27/30 frames restricted (ratio 0.900 > bound 0.6)";
+        // Per case: the mutant, its stimuli, the reconfigurations it
+        // completes, the Extended profile's violations in report order,
+        // and what Soak adds after them. Exhaustive reports the Extended
+        // list without responsiveness and protocol conformance.
+        type Lines = &'static [&'static str];
+        type Case = (
+            ReconfigSpec,
+            ScramMutation,
+            &'static [(u64, &'static str)],
+            usize,
+            Lines,
+            Lines,
+        );
+        let cases: [Case; 7] = [
+            (
+                two_app_spec(),
+                ScramMutation::WrongTarget,
+                &[(5, "bad")],
+                4,
+                &[
+                    "SP2 [R 5..8]: `min` is not choose(`full`, env(c)) for any cycle c in the reconfiguration",
+                    "SP2 [R 11..14]: `full` is not choose(`min`, env(c)) for any cycle c in the reconfiguration",
+                    "SP2 [R 17..20]: `min` is not choose(`full`, env(c)) for any cycle c in the reconfiguration",
+                    "SP2 [R 23..26]: `full` is not choose(`min`, env(c)) for any cycle c in the reconfiguration",
+                ],
+                &[],
+            ),
+            (
+                two_app_spec(),
+                ScramMutation::ExtraDelayFrames(3),
+                &[(5, "bad"), (15, "good")],
+                2,
+                &[
+                    "SP3 [R 5..11]: reconfiguration took 700t but T(`full`, `safe`) = 500t",
+                    "SP3 [R 15..21]: reconfiguration took 700t but T(`safe`, `full`) = 500t",
+                ],
+                &[],
+            ),
+            (
+                two_app_spec(),
+                ScramMutation::SkipInitPhase,
+                &[(5, "bad"), (15, "good")],
+                2,
+                &[
+                    "SP4 [R 5..7] @frame 7: application `a`'s precondition for `full` does not hold at end_c",
+                    "SP4 [R 5..7] @frame 7: application `b`'s precondition for `full` does not hold at end_c",
+                    "SP4 [R 15..17] @frame 17: application `a`'s precondition for `full` does not hold at end_c",
+                    "SP4 [R 15..17] @frame 17: application `b`'s precondition for `full` does not hold at end_c",
+                ],
+                &[],
+            ),
+            (
+                two_app_spec(),
+                ScramMutation::SkipHaltPhase,
+                &[(5, "bad"), (15, "good")],
+                2,
+                &[
+                    "PROTOCOL-CONFORMANCE [R 5..8]: application `a` has no halt stage with an established postcondition",
+                    "PROTOCOL-CONFORMANCE [R 5..8]: application `b` has no halt stage with an established postcondition",
+                    "PROTOCOL-CONFORMANCE [R 15..18]: application `a` has no halt stage with an established postcondition",
+                    "PROTOCOL-CONFORMANCE [R 15..18]: application `b` has no halt stage with an established postcondition",
+                ],
+                &[],
+            ),
+            (
+                two_app_spec(),
+                ScramMutation::LeaveAppRunning(crate::AppId::new("b")),
+                &[(5, "bad"), (15, "good")],
+                2,
+                &[
+                    "SP1 [R 5..8] @frame 6: application `b` is `normal` strictly inside the reconfiguration",
+                    "SP1 [R 5..8] @frame 7: application `b` is `normal` strictly inside the reconfiguration",
+                    "SP1 [R 15..18] @frame 16: application `b` is `normal` strictly inside the reconfiguration",
+                    "SP1 [R 15..18] @frame 17: application `b` is `normal` strictly inside the reconfiguration",
+                    "SP4 [R 5..8] @frame 8: application `b`'s precondition for `full` does not hold at end_c",
+                    "PROTOCOL-CONFORMANCE [R 5..8]: application `b` has no halt stage with an established postcondition",
+                    "PROTOCOL-CONFORMANCE [R 5..8]: application `b` never received a prepare command",
+                    "PROTOCOL-CONFORMANCE [R 15..18]: application `b` has no halt stage with an established postcondition",
+                    "PROTOCOL-CONFORMANCE [R 15..18]: application `b` never received a prepare command",
+                ],
+                &[],
+            ),
+            (
+                two_app_spec(),
+                ScramMutation::ExtraDelayFrames(40),
+                &[(3, "bad")],
+                0,
+                &[OPEN],
+                &[LIVELOCK],
+            ),
+            (
+                broken_spec(),
+                ScramMutation::ExtraDelayFrames(40),
+                &[(3, "bad")],
+                0,
+                &[OPEN],
+                &[
+                    "TCC-OBLIGATION: obligation `covering_txns` unproved: 1 uncovered (configuration, environment) pair(s); first: from `full` under {power=bad}: chosen target `safe` has no declared transition from `full`",
+                    "TCC-OBLIGATION: obligation `safe_reachable` unproved: no safe configuration reachable from: full",
+                    LIVELOCK,
+                ],
+            ),
+        ];
+        for (spec, mutation, stimuli, reconfigs, extended, soak_extra) in cases {
+            let spec = Arc::new(spec);
+            let mut system = System::builder_arc(Arc::clone(&spec))
+                .mutation(mutation.clone())
+                .build()
+                .unwrap();
+            for frame in 0..30 {
+                if let Some((_, value)) = stimuli.iter().find(|(f, _)| *f == frame) {
+                    system.set_env("power", value).unwrap();
+                }
+                system.run_frame();
+            }
+            let exhaustive: Vec<&str> = extended
+                .iter()
+                .copied()
+                .filter(|v| !v.starts_with("RESPONSIVENESS") && !v.starts_with("PROTOCOL"))
+                .collect();
+            let soak: Vec<&str> = extended.iter().chain(soak_extra).copied().collect();
+            for (profile, expected) in [
+                (OracleProfile::Exhaustive, exhaustive),
+                (OracleProfile::Extended, extended.to_vec()),
+                (OracleProfile::Soak, soak),
+            ] {
+                let report =
+                    InvariantOracle::new(Arc::clone(&spec), profile).report(system.trace());
+                let got: Vec<String> = report.violations.iter().map(ToString::to_string).collect();
+                assert_eq!(got, expected, "{mutation:?} under {profile:?}");
+                assert_eq!(
+                    report.reconfigs_checked, reconfigs,
+                    "{mutation:?} under {profile:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn soak_profile_surfaces_tcc_failures() {
+        let broken = broken_spec();
         let oracle = InvariantOracle::new(Arc::new(broken), OracleProfile::Soak);
         let statics = oracle.static_violations();
         assert!(!statics.is_empty());
@@ -370,7 +488,10 @@ mod tests {
     #[test]
     fn livelock_bound_flags_thrashing_traces() {
         let (spec, trace) = run_clean_trace();
-        assert!(check_defense_livelock(&trace).is_empty());
+        let livelock = |trace: &SysTrace| {
+            properties::check_trace(trace, &spec, &[PropertyId::DefenseLivelock]).violations
+        };
+        assert!(livelock(&trace).is_empty());
 
         // Synthesize a trace that is restricted for 80% of its frames.
         use crate::app::ConfigStatus;
@@ -403,7 +524,7 @@ mod tests {
                 apps,
             });
         }
-        let vs = check_defense_livelock(&thrash);
+        let vs = livelock(&thrash);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].property, PropertyId::DefenseLivelock);
         let oracle = InvariantOracle::new(spec, OracleProfile::Soak);

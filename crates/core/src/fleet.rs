@@ -24,14 +24,13 @@
 //! # Streaming verification
 //!
 //! Traces are **not** recorded (memory would grow with
-//! `systems × horizon`). Instead a per-system [`StreamVerifier`] watches
-//! each frame: steady fast frames only bump counters; around every
-//! reconfiguration it buffers the restricted window (forcing full
-//! frames while the window is open), then replays the window through the
-//! real [`properties`] checkers on a miniature trace and maps frame
-//! numbers back. Violations carry the offending system's seed and
-//! stimulus schedule, so any report line replays through the existing
-//! flight-recorder tooling.
+//! `systems × horizon`). Instead a per-system [`StreamVerifier`] feeds
+//! each frame to the same [`properties`] monitors the batch checkers
+//! fold over a trace: steady fast frames only reset a counter; while a
+//! reconfiguration is open the cell runs full frames so the monitors
+//! see every restricted state. Violations carry the offending system's
+//! seed and stimulus schedule, so any report line replays through the
+//! existing flight-recorder tooling.
 //!
 //! # Sharded metrics
 //!
@@ -87,7 +86,6 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::assure::{InvariantOracle, OracleProfile};
 use crate::chaos::{ChaosProfile, FaultPlan};
 use crate::obs::codec;
 use crate::obs::triage::trigger;
@@ -96,12 +94,12 @@ use crate::obs::{
     BackgroundJournalWriter, FleetMetrics, FleetMetricsSnapshot, FlightRing, JournalBatch,
     JournalBytes, JournalEvent, MetricsRegistry, RingLegend, SystemJournal, TriageBundle,
 };
-use crate::properties::{self, PropertyViolation};
+use crate::properties::{self, Monitors, PropertyViolation};
 use crate::scenario::{ScenarioAction, ScenarioEvent};
 use crate::scram::ScramMutation;
 use crate::spec::ReconfigSpec;
 use crate::system::System;
-use crate::trace::{SysState, SysTrace};
+use crate::trace::SysState;
 use crate::workload::{self, WorkloadConfig};
 use crate::SystemError;
 
@@ -298,38 +296,21 @@ impl FleetReport {
 }
 
 /// Streams one system's frames past the SP1–SP4 (and extension)
-/// checkers without retaining its trace.
+/// checkers without retaining its trace: the property monitors of the
+/// `Extended` oracle profile, fed live.
 ///
 /// Steady fast frames cannot change the verified state (the fast path's
-/// eligibility proof covers exactly the checkers' premises), so they
-/// only bump counters. Around a reconfiguration the verifier asks the
-/// fleet to force full frames ([`needs_full_state`]
-/// (StreamVerifier::needs_full_state)), buffers the restricted window
-/// plus one all-normal state on each side, replays that miniature trace
-/// through the unified [`InvariantOracle`] (profile
-/// [`OracleProfile::StreamWindow`]: SP1–SP4 plus protocol
-/// conformance), and maps reported frames back to the system's own
-/// numbering. Responsiveness is checked incrementally (the same
-/// run-length rule as [`properties::check_responsiveness`]); a window
-/// still open at the horizon goes through
-/// [`InvariantOracle::check_open`].
+/// eligibility proof covers exactly the checkers' premises). While a
+/// reconfiguration interval is open the verifier asks the fleet to force
+/// full frames ([`needs_full_state`](StreamVerifier::needs_full_state))
+/// so every restricted state is observed.
 #[derive(Debug)]
 pub struct StreamVerifier {
     spec: Arc<ReconfigSpec>,
-    /// The unified oracle the closed windows replay through
-    /// ([`OracleProfile::StreamWindow`]).
-    oracle: InvariantOracle,
-    /// Last all-normal full state seen (stays valid across fast frames:
-    /// they can change neither configuration nor environment).
-    prev_normal: Option<SysState>,
-    /// Restricted states of the currently open window, in real frames.
-    window: Vec<SysState>,
+    monitors: Monitors,
     /// Completed-reconfiguration latencies, in cycles.
     latencies: Vec<u64>,
     reconfigs: u64,
-    restricted_frames: u64,
-    mismatch_run: u64,
-    mismatch_reported: bool,
     violations: Vec<PropertyViolation>,
 }
 
@@ -337,131 +318,41 @@ impl StreamVerifier {
     /// Creates a verifier for one system running under `spec`.
     pub fn new(spec: Arc<ReconfigSpec>) -> Self {
         StreamVerifier {
-            oracle: InvariantOracle::new(Arc::clone(&spec), OracleProfile::StreamWindow),
+            monitors: Monitors::new(&spec, properties::EXTENDED),
             spec,
-            prev_normal: None,
-            window: Vec::new(),
             latencies: Vec::new(),
             reconfigs: 0,
-            restricted_frames: 0,
-            mismatch_run: 0,
-            mismatch_reported: false,
             violations: Vec::new(),
         }
     }
 
-    /// `true` while a restricted window is open: the next frame must be
-    /// a full frame so its state can be observed.
+    /// `true` while a reconfiguration interval is open: the next frame
+    /// must be a full frame so its state can be observed.
     pub fn needs_full_state(&self) -> bool {
-        !self.window.is_empty()
+        self.monitors.open().is_some()
     }
 
     /// Observes a steady fast frame (no state recorded; eligibility
     /// proved the frame changed nothing the checkers look at).
     pub fn observe_fast(&mut self) {
-        debug_assert!(self.window.is_empty(), "fast frame inside open window");
-        // The fast path requires the choice function to endorse the
-        // current configuration, so any responsiveness mismatch run ends.
-        self.mismatch_run = 0;
-        self.mismatch_reported = false;
+        self.monitors.observe_steady();
     }
 
     /// Observes a full frame's recorded state.
     pub fn observe_full(&mut self, state: &SysState) {
-        // Incremental responsiveness — the same rule as
-        // `check_responsiveness`, evaluated online.
-        let steady = state.all_normal();
-        let wants_move = steady
-            && self
-                .spec
-                .choose(&state.svclvl, &state.env)
-                .is_some_and(|t| *t != state.svclvl);
-        if wants_move {
-            self.mismatch_run += 1;
-            if self.mismatch_run > self.spec.min_dwell_frames() + 1 && !self.mismatch_reported {
-                self.violations.push(PropertyViolation {
-                    property: properties::PropertyId::Responsiveness,
-                    reconfig: None,
-                    frame: Some(state.frame),
-                    detail: format!(
-                        "choice function has selected `{}` over `{}` for {} frames with no reconfiguration started",
-                        self.spec.choose(&state.svclvl, &state.env).expect("checked above"),
-                        state.svclvl,
-                        self.mismatch_run,
-                    ),
-                });
-                self.mismatch_reported = true;
-            }
-        } else {
-            self.mismatch_run = 0;
-            self.mismatch_reported = false;
-        }
-
-        if state.any_reconfiguring() {
-            self.restricted_frames += 1;
-            self.window.push(state.clone());
-        } else if self.window.is_empty() {
-            self.prev_normal = Some(state.clone());
-        } else {
-            // Window closes on this all-normal state: replay it through
-            // the real checkers as a miniature trace.
-            self.close_window(state);
-            self.prev_normal = Some(state.clone());
-        }
-    }
-
-    /// Drains `[prev_normal?, window..., end?]` into a miniature trace
-    /// numbered from zero, plus the real frame of each of its states.
-    fn take_window(&mut self, end: Option<&SysState>) -> (SysTrace, Vec<u64>) {
-        let mut states: Vec<SysState> = Vec::with_capacity(self.window.len() + 2);
-        states.extend(self.prev_normal.clone());
-        states.append(&mut self.window);
-        states.extend(end.cloned());
-
-        let real_frames = states.iter().map(|s| s.frame).collect();
-        let mut mini = SysTrace::new();
-        for (i, mut state) in states.into_iter().enumerate() {
-            state.frame = i as u64;
-            mini.push(state);
-        }
-        (mini, real_frames)
-    }
-
-    /// Replays `[prev_normal?, window..., end]` through the checkers.
-    fn close_window(&mut self, end: &SysState) {
-        let (mini, real_frames) = self.take_window(Some(end));
-        let reconfigs = mini.get_reconfigs();
-        self.reconfigs += reconfigs.len() as u64;
-        for r in &reconfigs {
+        if let Some(r) = self
+            .monitors
+            .observe(&self.spec, state, &mut self.violations)
+        {
+            self.reconfigs += 1;
             self.latencies.push(r.cycles());
         }
-
-        for v in self.oracle.check(&mini) {
-            self.violations.push(Self::map_frames(v, &real_frames));
-        }
     }
 
-    /// Maps a violation's mini-trace frame numbers back to real frames.
-    fn map_frames(mut v: PropertyViolation, real_frames: &[u64]) -> PropertyViolation {
-        let real = |mini: u64| real_frames.get(mini as usize).copied().unwrap_or(mini);
-        v.frame = v.frame.map(real);
-        v.reconfig = v.reconfig.map(|r| crate::trace::Reconfiguration {
-            start_c: real(r.start_c),
-            end_c: real(r.end_c),
-        });
-        v
-    }
-
-    /// Finishes verification at the end of the horizon; a window still
-    /// open is judged by the open-reconfiguration rule.
+    /// Finishes verification at the end of the horizon; an interval
+    /// still open is judged by the open-reconfiguration rule.
     pub fn finish(&mut self) {
-        if self.window.is_empty() {
-            return;
-        }
-        let (mini, real_frames) = self.take_window(None);
-        for v in self.oracle.check_open(&mini) {
-            self.violations.push(Self::map_frames(v, &real_frames));
-        }
+        self.monitors.finish(&self.spec, &mut self.violations);
     }
 }
 
@@ -478,7 +369,6 @@ struct Cell {
     full_frames: u64,
     /// Drain cursors: how much of the verifier/system state has already
     /// been folded into the shard-local metrics.
-    reconfigs_seen: u64,
     latency_cursor: usize,
     defense_seen: u64,
     /// Journal batching state, present only on sampled cells.
@@ -566,7 +456,12 @@ impl Cell {
 
         // Fold this frame's deltas into the shard-local metrics — plain
         // increments; the worker owns the shard for its whole run.
-        self.drain_verifier(metrics);
+        // One latency per completed reconfiguration.
+        for &latency in &self.verifier.latencies[self.latency_cursor..] {
+            metrics.reconfigs += 1;
+            metrics.reconfig_latency_cycles.record(latency);
+        }
+        self.latency_cursor = self.verifier.latencies.len();
         let defenses = self.system.defense_events();
         metrics.defense_events += defenses - self.defense_seen;
         self.defense_seen = defenses;
@@ -582,17 +477,6 @@ impl Cell {
                 journal.ship(id, seed);
             }
         }
-    }
-
-    /// Folds the verifier's reconfigurations and latencies since the
-    /// last drain into `metrics`.
-    fn drain_verifier(&mut self, metrics: &mut FleetMetrics) {
-        metrics.reconfigs += self.verifier.reconfigs - self.reconfigs_seen;
-        self.reconfigs_seen = self.verifier.reconfigs;
-        for &latency in &self.verifier.latencies[self.latency_cursor..] {
-            metrics.reconfig_latency_cycles.record(latency);
-        }
-        self.latency_cursor = self.verifier.latencies.len();
     }
 
     fn schedule_lines(&self) -> Vec<String> {
@@ -714,7 +598,6 @@ impl Fleet {
                 next_event: 0,
                 fast_frames: 0,
                 full_frames: 0,
-                reconfigs_seen: 0,
                 latency_cursor: 0,
                 defense_seen: 0,
                 journal,
@@ -870,17 +753,13 @@ impl Fleet {
 
         for cell in cells {
             cell.verifier.finish();
-            // `finish` can close an open window: fold the post-horizon
-            // deltas the per-frame drain never saw.
-            cell.drain_verifier(&mut merged);
 
             fast_frames += cell.fast_frames;
             full_frames += cell.full_frames;
-            restricted += cell.verifier.restricted_frames;
+            let cell_restricted = cell.verifier.monitors.restricted_frames();
+            restricted += cell_restricted;
             // Restricted-frame ratio in basis points, per system.
-            if let Some(bp) =
-                (cell.verifier.restricted_frames * 10_000).checked_div(self.config.horizon)
-            {
+            if let Some(bp) = (cell_restricted * 10_000).checked_div(self.config.horizon) {
                 merged.restricted_frame_bp.record(bp);
             }
 
@@ -1191,7 +1070,7 @@ mod tests {
             recorded.trace().get_reconfigs().len()
         );
         assert_eq!(
-            verifier.restricted_frames,
+            verifier.monitors.restricted_frames(),
             recorded.trace().restricted_frames()
         );
         let batch_latencies: Vec<u64> = recorded
@@ -1285,62 +1164,157 @@ mod tests {
         }
     }
 
+    /// A violation as the stream≡batch comparison sees it.
+    type Key = (String, Option<u64>, Option<(u64, u64)>, String);
+
+    fn key(v: &PropertyViolation) -> Key {
+        (
+            v.property.to_string(),
+            v.frame,
+            v.reconfig.map(|r| (r.start_c, r.end_c)),
+            v.detail.clone(),
+        )
+    }
+
+    /// Rebuilds system `id` of a fleet from its seed alone (scenario,
+    /// fault plan, mutation) and runs it with its trace recorded.
+    fn replay(spec: &Arc<ReconfigSpec>, config: &FleetConfig, id: usize) -> System {
+        let seed = mix_seed(config.seed, id as u64);
+        let mut builder = System::builder_arc(Arc::clone(spec));
+        if let Some(profile) = &config.chaos {
+            builder = builder.fault_plan(FaultPlan::random(mix_seed(seed, 1), profile));
+        }
+        if let Some((target, mutation)) = &config.mutate_system {
+            if *target == id {
+                builder = builder.mutation(mutation.clone());
+            }
+        }
+        let mut system = builder.build().unwrap();
+        let workload_config = config.workload.clone().expect("default has workload");
+        let mut events = workload::random_scenario(spec, &workload_config, seed)
+            .events()
+            .to_vec();
+        events.sort_by_key(|e| e.frame);
+        let mut next = 0;
+        for frame in 0..config.horizon {
+            while let Some(event) = events.get(next).filter(|e| e.frame == frame) {
+                match &event.action {
+                    ScenarioAction::SetEnv { factor, value } => {
+                        let _ = system.set_env(factor, value);
+                    }
+                    ScenarioAction::FailProcessor(p) => system.fail_processor(*p),
+                }
+                next += 1;
+            }
+            system.run_frame();
+        }
+        system
+    }
+
     #[test]
     fn chaos_fleet_violations_replay_through_batch_checkers() {
-        // Chaos faults can genuinely break reconfigurations; the point of
-        // carrying `(seed, schedule)` in every FleetViolation is that the
-        // offending system replays exactly. Rebuild each reported system
-        // from its seed alone and assert the batch checkers on its full
-        // recorded trace report the same property.
-        let spec = Arc::new(small_spec());
-        let profile = ChaosProfile::for_spec(&spec, 60);
-        let config = FleetConfig {
-            systems: 12,
-            horizon: 100,
-            chaos: Some(profile.clone()),
-            ..FleetConfig::default()
-        };
-        let report = Fleet::new(Arc::clone(&spec), config.clone())
-            .unwrap()
-            .run()
-            .expect("journal writer is healthy");
-
-        for v in &report.violations {
-            let mut system = System::builder_arc(Arc::clone(&spec))
-                .fault_plan(FaultPlan::random(mix_seed(v.seed, 1), &profile))
-                .build()
-                .unwrap();
-            let workload_config = config.workload.clone().expect("default has workload");
-            let mut events = workload::random_scenario(&spec, &workload_config, v.seed)
-                .events()
-                .to_vec();
-            events.sort_by_key(|e| e.frame);
-            let mut next = 0;
-            for frame in 0..config.horizon {
-                while let Some(event) = events.get(next) {
-                    if event.frame != frame {
-                        break;
-                    }
-                    match &event.action {
-                        ScenarioAction::SetEnv { factor, value } => {
-                            let _ = system.set_env(factor, value);
-                        }
-                        ScenarioAction::FailProcessor(p) => system.fail_processor(*p),
-                    }
-                    next += 1;
-                }
-                system.run_frame();
+        // Chaos faults and seeded protocol defects genuinely break
+        // reconfigurations; the point of carrying `(seed, schedule)` in
+        // every FleetViolation is that the offending system replays
+        // exactly. Rebuild every system from its seed alone: the batch
+        // checkers on its full recorded trace must report exactly what
+        // the stream reported, frame numbers and details included.
+        for spec in [small_spec(), crate::assure::tests::two_app_spec()] {
+            let spec = Arc::new(spec);
+            let base = FleetConfig {
+                systems: 12,
+                horizon: 100,
+                ..FleetConfig::default()
+            };
+            let mut configs = vec![FleetConfig {
+                chaos: Some(ChaosProfile::for_spec(&spec, 60)),
+                ..base.clone()
+            }];
+            for mutation in [
+                ScramMutation::WrongTarget,
+                ScramMutation::ExtraDelayFrames(12),
+                ScramMutation::SkipInitPhase,
+                ScramMutation::SkipHaltPhase,
+                ScramMutation::LeaveAppRunning(spec.apps()[0].id().clone()),
+            ] {
+                configs.push(FleetConfig {
+                    mutate_system: Some((5, mutation)),
+                    ..base.clone()
+                });
             }
-            let batch = properties::check_extended(system.trace(), &spec);
-            assert!(
-                batch
-                    .violations
-                    .iter()
-                    .any(|b| b.property.to_string() == v.property),
-                "streamed violation {v:?} did not replay; batch said {:?}",
-                batch.violations
-            );
+            for config in configs {
+                let report = Fleet::new(Arc::clone(&spec), config.clone())
+                    .unwrap()
+                    .run()
+                    .expect("journal writer is healthy");
+                if config.mutate_system.is_some() && spec.apps().len() > 1 {
+                    assert!(
+                        report.violations.iter().any(|v| v.system == 5),
+                        "{:?} went unnoticed",
+                        config.mutate_system
+                    );
+                }
+                for id in 0..config.systems {
+                    let mut streamed: Vec<Key> = report
+                        .violations
+                        .iter()
+                        .filter(|v| v.system == id)
+                        .map(|v| (v.property.clone(), v.frame, v.reconfig, v.detail.clone()))
+                        .collect();
+                    let system = replay(&spec, &config, id);
+                    let batch = properties::check_extended(system.trace(), &spec);
+                    let mut batch: Vec<Key> = batch.violations.iter().map(key).collect();
+                    streamed.sort();
+                    batch.sort();
+                    assert_eq!(
+                        streamed,
+                        batch,
+                        "system {id} under {:?}, chaos {}",
+                        config.mutate_system,
+                        config.chaos.is_some()
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    fn forged_open_reconfiguration_reports_real_frames() {
+        // 40 all-normal frames, then halted to the horizon: the stream
+        // and the batch checkers both date the open reconfiguration at
+        // frame 40.
+        let spec = Arc::new(small_spec());
+        let mut system = System::builder_arc(Arc::clone(&spec)).build().unwrap();
+        system.run_frame();
+        let steady = system.trace().states().last().unwrap().clone();
+        let mut trace = SysTrace::new();
+        let mut verifier = StreamVerifier::new(Arc::clone(&spec));
+        for frame in 0..100u64 {
+            let mut state = steady.clone();
+            state.frame = frame;
+            if frame >= 40 {
+                for rec in state.apps.values_mut() {
+                    rec.reconf_st = crate::trace::ReconfSt::Halted;
+                }
+            }
+            verifier.observe_full(&state);
+            trace.push(state);
+        }
+        verifier.finish();
+        let streamed: Vec<Key> = verifier.violations.iter().map(key).collect();
+        let batch: Vec<Key> = properties::check_extended(&trace, &spec)
+            .violations
+            .iter()
+            .map(key)
+            .collect();
+        assert_eq!(streamed, batch);
+        assert_eq!(streamed.len(), 1);
+        assert_eq!(streamed[0].1, Some(40));
+        assert!(
+            streamed[0].3.contains("open since frame 40"),
+            "{}",
+            streamed[0].3
+        );
     }
 
     #[test]

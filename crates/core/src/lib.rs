@@ -7,8 +7,8 @@
 //!
 //! # The idea
 //!
-//! Schlichting & Schneider's fault-tolerant actions (see [`arfs_fta`])
-//! mask the effects of fail-stop processor failures by restarting
+//! Schlichting & Schneider's fault-tolerant actions (see the `arfs-fta`
+//! crate) mask the effects of fail-stop processor failures by restarting
 //! interrupted actions on spare processors. Masking every anticipated
 //! failure requires carrying spare hardware for the worst case. The DSN
 //! 2005 paper observes that a system which can *reconfigure* — move every
@@ -39,11 +39,12 @@
 //! - [`trace`] — the `sys_trace` model: per-frame system states and
 //!   reconfiguration extraction (`get_reconfigs`).
 //! - [`properties`] — executable checkers for the four formal properties
-//!   **SP1–SP4** of Table 2, with precise violation diagnostics.
+//!   **SP1–SP4** of Table 2 and the extension checks, each written once
+//!   as an online monitor, with precise violation diagnostics.
 //! - [`assure`] — the unified [`InvariantOracle`](assure::InvariantOracle)
-//!   every verification path (model checker, streaming verifier, batch
-//!   verify, chaos soak, DST campaigns) calls for its verdict, plus the
-//!   failpoint campaign menu for deterministic-simulation testing.
+//!   the trace verification paths (model checker, batch verify, chaos
+//!   soak, DST campaigns) call for their verdict, plus the failpoint
+//!   campaign menu for deterministic-simulation testing.
 //! - [`analysis`] — the static obligations the PVS type system generated
 //!   in the paper: transition coverage (`covering_txns`, Figure 2), safe-
 //!   configuration reachability, transition-graph cycle detection, the

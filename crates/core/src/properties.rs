@@ -23,11 +23,20 @@
 //! [`crate::model`] evaluates them on exhaustively enumerated traces).
 //! The checkers are deliberately paranoid: each violation pinpoints the
 //! reconfiguration, frame, and application involved.
+//!
+//! Each property, and each extension check, is implemented once, as an
+//! online monitor over a trace's states (`Monitors`): the batch checks
+//! fold the monitors over a recorded trace, and the fleet's
+//! [`StreamVerifier`](crate::fleet::StreamVerifier) feeds them live.
 
 use std::fmt;
 
+use crate::app::ConfigStatus;
 use crate::spec::ReconfigSpec;
-use crate::trace::{Reconfiguration, SysTrace};
+use crate::trace::{
+    AppFrameRecord, Cut, IntervalCut, ReconfSt, Reconfiguration, SysState, SysTrace,
+};
+use crate::ConfigId;
 
 /// Which property a violation belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -146,311 +155,429 @@ impl fmt::Display for PropertyReport {
     }
 }
 
-/// Checks SP1 over every completed reconfiguration in the trace.
-pub fn check_sp1(trace: &SysTrace, _spec: &ReconfigSpec) -> Vec<PropertyViolation> {
-    let mut out = Vec::new();
-    for r in trace.get_reconfigs() {
-        let start = trace.state(r.start_c).expect("reconfig within trace");
-        let end = trace.state(r.end_c).expect("reconfig within trace");
+/// Table 2's four properties plus the three extension checks, in report
+/// order.
+pub(crate) const EXTENDED: &[PropertyId] = &[
+    PropertyId::Sp1,
+    PropertyId::Sp2,
+    PropertyId::Sp3,
+    PropertyId::Sp4,
+    PropertyId::OpenReconfiguration,
+    PropertyId::Responsiveness,
+    PropertyId::ProtocolConformance,
+];
 
-        if !start
-            .apps
-            .values()
-            .any(|a| a.reconf_st == crate::trace::ReconfSt::Interrupted)
-        {
-            out.push(PropertyViolation {
-                property: PropertyId::Sp1,
-                reconfig: Some(r),
-                frame: Some(r.start_c),
-                detail: "no application is `interrupted` at start_c".into(),
-            });
-        }
-        if r.start_c > 0 {
-            let before = trace.state(r.start_c - 1).expect("previous frame recorded");
-            for (app, rec) in &before.apps {
-                if !rec.reconf_st.is_normal() {
-                    out.push(PropertyViolation {
-                        property: PropertyId::Sp1,
-                        reconfig: Some(r),
-                        frame: Some(r.start_c - 1),
-                        detail: format!(
-                            "application `{app}` is not `normal` the cycle before start_c"
-                        ),
-                    });
-                }
-            }
-        }
-        for (app, rec) in &end.apps {
-            if !rec.reconf_st.is_normal() {
-                out.push(PropertyViolation {
-                    property: PropertyId::Sp1,
-                    reconfig: Some(r),
-                    frame: Some(r.end_c),
-                    detail: format!("application `{app}` is not `normal` at end_c"),
-                });
-            }
-        }
-        for c in (r.start_c + 1)..r.end_c {
-            let state = trace.state(c).expect("frame within reconfig");
-            for (app, rec) in &state.apps {
-                if rec.reconf_st.is_normal() {
-                    out.push(PropertyViolation {
-                        property: PropertyId::Sp1,
-                        reconfig: Some(r),
-                        frame: Some(c),
-                        detail: format!(
-                            "application `{app}` is `normal` strictly inside the reconfiguration"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
+/// The chaos-defense livelock bound: a defended system may spend at most
+/// this fraction of its (sufficiently long) run in restricted mode.
+/// Above it, the retry/backoff/quarantine defenses are thrashing —
+/// formally live, practically unavailable.
+const RESTRICTED_RATIO_LIVELOCK_BOUND: f64 = 0.6;
 
-/// Checks SP2 over every completed reconfiguration in the trace.
-pub fn check_sp2(trace: &SysTrace, spec: &ReconfigSpec) -> Vec<PropertyViolation> {
-    let mut out = Vec::new();
-    for r in trace.get_reconfigs() {
-        let start = trace.state(r.start_c).expect("reconfig within trace");
-        let end = trace.state(r.end_c).expect("reconfig within trace");
-        let witnessed = (r.start_c..=r.end_c).any(|c| {
-            let env = &trace.state(c).expect("frame within reconfig").env;
-            spec.choose(&start.svclvl, env) == Some(&end.svclvl)
-        });
-        if !witnessed {
-            out.push(PropertyViolation {
-                property: PropertyId::Sp2,
-                reconfig: Some(r),
-                frame: None,
-                detail: format!(
-                    "`{}` is not choose(`{}`, env(c)) for any cycle c in the reconfiguration",
-                    end.svclvl, start.svclvl
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Checks SP3 over every completed reconfiguration in the trace.
-pub fn check_sp3(trace: &SysTrace, spec: &ReconfigSpec) -> Vec<PropertyViolation> {
-    let mut out = Vec::new();
-    let cycle_time = spec.frame_len();
-    for r in trace.get_reconfigs() {
-        let start = trace.state(r.start_c).expect("reconfig within trace");
-        let end = trace.state(r.end_c).expect("reconfig within trace");
-        let elapsed = cycle_time * r.cycles();
-        match spec.transitions().bound(&start.svclvl, &end.svclvl) {
-            None => out.push(PropertyViolation {
-                property: PropertyId::Sp3,
-                reconfig: Some(r),
-                frame: None,
-                detail: format!(
-                    "transition `{}` -> `{}` is not in the static transition table",
-                    start.svclvl, end.svclvl
-                ),
-            }),
-            Some(bound) if elapsed > bound => out.push(PropertyViolation {
-                property: PropertyId::Sp3,
-                reconfig: Some(r),
-                frame: None,
-                detail: format!(
-                    "reconfiguration took {elapsed} but T(`{}`, `{}`) = {bound}",
-                    start.svclvl, end.svclvl
-                ),
-            }),
-            Some(_) => {}
-        }
-    }
-    out
-}
-
-/// Checks SP4 over every completed reconfiguration in the trace.
-pub fn check_sp4(trace: &SysTrace, _spec: &ReconfigSpec) -> Vec<PropertyViolation> {
-    let mut out = Vec::new();
-    for r in trace.get_reconfigs() {
-        let end = trace.state(r.end_c).expect("reconfig within trace");
-        for (app, rec) in &end.apps {
-            match rec.pre_ok {
-                Some(true) => {}
-                Some(false) => out.push(PropertyViolation {
-                    property: PropertyId::Sp4,
-                    reconfig: Some(r),
-                    frame: Some(r.end_c),
-                    detail: format!(
-                        "application `{app}`'s precondition for `{}` does not hold at end_c",
-                        rec.spec
-                    ),
-                }),
-                None => out.push(PropertyViolation {
-                    property: PropertyId::Sp4,
-                    reconfig: Some(r),
-                    frame: Some(r.end_c),
-                    detail: format!(
-                        "no precondition evidence recorded for application `{app}` at end_c"
-                    ),
-                }),
-            }
-        }
-    }
-    out
-}
+/// Minimum trace length (frames) before the livelock ratio is judged.
+/// Shorter traces are dominated by a single reconfiguration window and
+/// the ratio is meaningless.
+const LIVELOCK_MIN_FRAMES: usize = 20;
 
 /// Checks all four Table 2 properties.
 pub fn check_all(trace: &SysTrace, spec: &ReconfigSpec) -> PropertyReport {
-    let mut violations = Vec::new();
-    violations.extend(check_sp1(trace, spec));
-    violations.extend(check_sp2(trace, spec));
-    violations.extend(check_sp3(trace, spec));
-    violations.extend(check_sp4(trace, spec));
-    PropertyReport {
-        violations,
-        reconfigs_checked: trace.get_reconfigs().len(),
-    }
-}
-
-/// Extension check: a reconfiguration still open at the end of the trace
-/// must not already have exceeded the largest declared transition bound.
-pub fn check_open_reconfiguration(trace: &SysTrace, spec: &ReconfigSpec) -> Vec<PropertyViolation> {
-    let Some(start) = trace.open_reconfiguration() else {
-        return Vec::new();
-    };
-    let last = trace.len() as u64 - 1;
-    let elapsed = spec.frame_len() * (last - start + 1);
-    let max_bound = spec
-        .transitions()
-        .iter()
-        .map(|(_, _, b)| b)
-        .max()
-        .unwrap_or(arfs_rtos::Ticks::ZERO);
-    if elapsed > max_bound {
-        vec![PropertyViolation {
-            property: PropertyId::OpenReconfiguration,
-            reconfig: None,
-            frame: Some(start),
-            detail: format!(
-                "reconfiguration open since frame {start} has run {elapsed}, exceeding every declared bound (max {max_bound})"
-            ),
-        }]
-    } else {
-        Vec::new()
-    }
-}
-
-/// Extension check (from the §5.3 liveness discussion): whenever the
-/// choice function selects a different configuration and the system is in
-/// steady state, a reconfiguration must begin within the dwell guard
-/// plus one frame.
-pub fn check_responsiveness(trace: &SysTrace, spec: &ReconfigSpec) -> Vec<PropertyViolation> {
-    let mut out = Vec::new();
-    let allowance = spec.min_dwell_frames() + 1;
-    let mut mismatch_run: u64 = 0;
-    let mut reported = false;
-    for state in trace.states() {
-        let steady = state.all_normal();
-        let wants_move = steady
-            && spec
-                .choose(&state.svclvl, &state.env)
-                .is_some_and(|t| *t != state.svclvl);
-        if wants_move {
-            mismatch_run += 1;
-            if mismatch_run > allowance && !reported {
-                out.push(PropertyViolation {
-                    property: PropertyId::Responsiveness,
-                    reconfig: None,
-                    frame: Some(state.frame),
-                    detail: format!(
-                        "choice function has selected `{}` over `{}` for {mismatch_run} frames with no reconfiguration started",
-                        spec.choose(&state.svclvl, &state.env).expect("checked above"),
-                        state.svclvl
-                    ),
-                });
-                reported = true; // report once per continuous run
-            }
-        } else {
-            mismatch_run = 0;
-            reported = false;
-        }
-    }
-    out
-}
-
-/// Extension check: Table 1 protocol conformance.
-///
-/// SP1–SP4 constrain the *observable* shape of a reconfiguration; they do
-/// not require that the halt/prepare/initialize stages actually ran.
-/// This check does: within every completed reconfiguration, each
-/// application must (a) receive a halt command and establish its
-/// postcondition (`post_ok = true` on some frame), and (b) receive a
-/// prepare or combined prepare-initialize command before its
-/// initialization. A kernel that skips the halt phase (the
-/// [`ScramMutation::SkipHaltPhase`](crate::scram::ScramMutation)
-/// defect) passes SP1–SP4 but fails here.
-pub fn check_protocol_conformance(
-    trace: &SysTrace,
-    _spec: &ReconfigSpec,
-) -> Vec<PropertyViolation> {
-    use crate::app::ConfigStatus;
-    let mut out = Vec::new();
-    for r in trace.get_reconfigs() {
-        let end = trace.state(r.end_c).expect("reconfig within trace");
-        for app in end.apps.keys() {
-            let mut halted_ok = false;
-            let mut prepared = false;
-            let mut was_lost = false;
-            for c in r.start_c..=r.end_c {
-                let rec = &trace.state(c).expect("within reconfig").apps[app];
-                was_lost |= rec.lost;
-                match rec.commanded {
-                    ConfigStatus::Halt if rec.post_ok == Some(true) => halted_ok = true,
-                    ConfigStatus::Prepare | ConfigStatus::PrepareInitialize => prepared = true,
-                    _ => {}
-                }
-            }
-            if was_lost {
-                // An application lost to a processor failure halts by
-                // fail-stop semantics: it cannot answer stage signals,
-                // and its clean halt is exactly what the substrate
-                // guarantees (§5.1). Conformance is not required of it.
-                continue;
-            }
-            if !halted_ok {
-                out.push(PropertyViolation {
-                    property: PropertyId::ProtocolConformance,
-                    reconfig: Some(r),
-                    frame: None,
-                    detail: format!(
-                        "application `{app}` has no halt stage with an established postcondition"
-                    ),
-                });
-            }
-            if !prepared {
-                out.push(PropertyViolation {
-                    property: PropertyId::ProtocolConformance,
-                    reconfig: Some(r),
-                    frame: None,
-                    detail: format!("application `{app}` never received a prepare command"),
-                });
-            }
-        }
-    }
-    out
+    check_trace(trace, spec, &EXTENDED[..4])
 }
 
 /// Checks everything: the four Table 2 properties plus the three
 /// extension checks.
 pub fn check_extended(trace: &SysTrace, spec: &ReconfigSpec) -> PropertyReport {
-    let mut report = check_all(trace, spec);
-    report
-        .violations
-        .extend(check_open_reconfiguration(trace, spec));
-    report.violations.extend(check_responsiveness(trace, spec));
-    report
-        .violations
-        .extend(check_protocol_conformance(trace, spec));
-    report
+    check_trace(trace, spec, EXTENDED)
+}
+
+/// Checks `checks` over a whole trace: a fold of their [`Monitors`] over
+/// its states, reported property-major in the order of `checks`.
+pub(crate) fn check_trace(
+    trace: &SysTrace,
+    spec: &ReconfigSpec,
+    checks: &[PropertyId],
+) -> PropertyReport {
+    let mut monitors = Monitors::new(spec, checks);
+    let mut violations = Vec::new();
+    let reconfigs_checked = trace
+        .states()
+        .filter(|state| monitors.observe(spec, state, &mut violations).is_some())
+        .count();
+    monitors.finish(spec, &mut violations);
+    violations.sort_by_key(|v| checks.iter().position(|&c| c == v.property));
+    PropertyReport {
+        violations,
+        reconfigs_checked,
+    }
+}
+
+/// A check list as online monitors over one trace, fed one state at a
+/// time: the single implementation of every trace property, behind the
+/// batch checks, the fleet's stream verifier and the model checker.
+///
+/// A monitor reports a violation once its verdict is final: SP1–SP4 and
+/// protocol conformance when an interval closes, responsiveness at its
+/// frame, open-reconfiguration and the livelock bound at
+/// [`finish`](Self::finish). Monitor state is fixed in size and
+/// allocated up front, so a violation-free frame allocates nothing.
+#[derive(Debug)]
+pub(crate) struct Monitors {
+    cut: IntervalCut,
+    /// The configuration the open interval started from.
+    origin: Origin,
+    last_frame: u64,
+    frames: u64,
+    restricted: u64,
+    monitors: Vec<Monitor>,
+}
+
+impl Monitors {
+    /// Monitors for `checks` under `spec`. [`PropertyId::TccObligation`]
+    /// is a property of the spec, not of a trace, and has none.
+    pub fn new(spec: &ReconfigSpec, checks: &[PropertyId]) -> Self {
+        let monitor = |check| {
+            Some(match check {
+                PropertyId::Sp1 => Monitor::Sp1(Vec::new()),
+                PropertyId::Sp2 => Monitor::Sp2(vec![false; spec.configs().len()]),
+                PropertyId::Sp3 => Monitor::Sp3,
+                PropertyId::Sp4 => Monitor::Sp4,
+                PropertyId::OpenReconfiguration => Monitor::OpenReconfiguration,
+                PropertyId::Responsiveness => Monitor::Responsiveness(0),
+                PropertyId::ProtocolConformance => {
+                    Monitor::ProtocolConformance(Vec::with_capacity(spec.apps().len()))
+                }
+                PropertyId::DefenseLivelock => Monitor::DefenseLivelock,
+                PropertyId::TccObligation => return None,
+            })
+        };
+        Monitors {
+            cut: IntervalCut::default(),
+            origin: Origin::Declared(0),
+            last_frame: 0,
+            frames: 0,
+            restricted: 0,
+            monitors: checks.iter().filter_map(|&check| monitor(check)).collect(),
+        }
+    }
+
+    /// Observes the next state of the trace, appending the violations it
+    /// settles to `out`. Returns the reconfiguration it completes, if any.
+    pub fn observe(
+        &mut self,
+        spec: &ReconfigSpec,
+        state: &SysState,
+        out: &mut Vec<PropertyViolation>,
+    ) -> Option<Reconfiguration> {
+        let cut = self.cut.step(state);
+        self.frames += 1;
+        self.last_frame = state.frame;
+        if cut == Cut::Start {
+            self.origin = Origin::of(spec, &state.svclvl);
+        }
+        if matches!(cut, Cut::Start | Cut::Inside) {
+            self.restricted += 1;
+        }
+        let from = self.origin.id(spec);
+        for monitor in &mut self.monitors {
+            monitor.observe(spec, cut, from, state, out);
+        }
+        match cut {
+            Cut::End(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// Observes a steady frame whose state was not recorded: every
+    /// application normal and the choice function endorsing the current
+    /// configuration (the fleet's fast-path eligibility). It ends any
+    /// responsiveness run and changes nothing else a monitor looks at.
+    pub fn observe_steady(&mut self) {
+        debug_assert!(self.open().is_none(), "steady frame in an open interval");
+        self.frames += 1;
+        for monitor in &mut self.monitors {
+            if let Monitor::Responsiveness(run) = monitor {
+                *run = 0;
+            }
+        }
+    }
+
+    /// Ends the trace, appending the verdicts that need its end to `out`.
+    pub fn finish(&mut self, spec: &ReconfigSpec, out: &mut Vec<PropertyViolation>) {
+        let open = self.cut.open();
+        for monitor in &mut self.monitors {
+            match monitor {
+                // An interval still open has completed nothing.
+                Monitor::Sp1(pending) => pending.clear(),
+                // A reconfiguration still open at the end of the trace must
+                // not already have exceeded the largest declared bound.
+                Monitor::OpenReconfiguration => {
+                    let Some(start) = open else { continue };
+                    let elapsed = spec.frame_len() * (self.last_frame - start + 1);
+                    let bounds = spec.transitions().iter().map(|(_, _, b)| b);
+                    let max_bound = bounds.max().unwrap_or(arfs_rtos::Ticks::ZERO);
+                    if elapsed > max_bound {
+                        let detail = format!(
+                            "reconfiguration open since frame {start} has run {elapsed}, exceeding every declared bound (max {max_bound})"
+                        );
+                        flag(
+                            out,
+                            PropertyId::OpenReconfiguration,
+                            None,
+                            Some(start),
+                            detail,
+                        );
+                    }
+                }
+                // Over a sufficiently long trace, the share of restricted
+                // frames must stay at or below the livelock bound.
+                Monitor::DefenseLivelock => {
+                    let (restricted, total) = (self.restricted, self.frames);
+                    let ratio = restricted as f64 / total as f64;
+                    if total >= LIVELOCK_MIN_FRAMES as u64
+                        && ratio > RESTRICTED_RATIO_LIVELOCK_BOUND
+                    {
+                        let detail = format!(
+                            "{restricted}/{total} frames restricted (ratio {ratio:.3} > bound {RESTRICTED_RATIO_LIVELOCK_BOUND})"
+                        );
+                        flag(out, PropertyId::DefenseLivelock, None, None, detail);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The start cycle of the interval still open, if any.
+    pub fn open(&self) -> Option<u64> {
+        self.cut.open()
+    }
+
+    /// Frames observed with some application not normal.
+    pub fn restricted_frames(&self) -> u64 {
+        self.restricted
+    }
+}
+
+/// The configuration an interval starts from: its index in the spec's
+/// declaration order, or — only in a forged trace — the name of one the
+/// spec does not declare.
+#[derive(Debug)]
+enum Origin {
+    Declared(usize),
+    Undeclared(ConfigId),
+}
+
+impl Origin {
+    fn of(spec: &ReconfigSpec, id: &ConfigId) -> Self {
+        config_index(spec, id).map_or_else(|| Origin::Undeclared(id.clone()), Origin::Declared)
+    }
+
+    fn id<'a>(&'a self, spec: &'a ReconfigSpec) -> &'a ConfigId {
+        match self {
+            Origin::Declared(i) => spec.configs()[*i].id(),
+            Origin::Undeclared(id) => id,
+        }
+    }
+}
+
+fn config_index(spec: &ReconfigSpec, id: &ConfigId) -> Option<usize> {
+    spec.configs().iter().position(|c| c.id() == id)
+}
+
+/// Appends one violation to `out`.
+fn flag(
+    out: &mut Vec<PropertyViolation>,
+    property: PropertyId,
+    reconfig: Option<Reconfiguration>,
+    frame: Option<u64>,
+    detail: String,
+) {
+    out.push(PropertyViolation {
+        property,
+        reconfig,
+        frame,
+        detail,
+    });
+}
+
+/// The Table 1 stages one application went through in an interval.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stages {
+    halted: bool,
+    prepared: bool,
+    lost: bool,
+}
+
+/// One property's monitor and its state.
+#[derive(Debug)]
+enum Monitor {
+    /// SP1 violations of the open interval, reported if it completes.
+    Sp1(Vec<PropertyViolation>),
+    /// The configurations `choose(start, env(c))` has named so far in
+    /// the open interval, by declaration index.
+    Sp2(Vec<bool>),
+    Sp3,
+    Sp4,
+    OpenReconfiguration,
+    /// The current run of steady frames in which the choice function
+    /// selects another configuration.
+    Responsiveness(u64),
+    /// Per application, in record order (every state of a trace records
+    /// the same applications), the stages seen in the open interval.
+    ProtocolConformance(Vec<Stages>),
+    DefenseLivelock,
+}
+
+impl Monitor {
+    fn observe(
+        &mut self,
+        spec: &ReconfigSpec,
+        cut: Cut,
+        from: &ConfigId,
+        state: &SysState,
+        out: &mut Vec<PropertyViolation>,
+    ) {
+        let to = &state.svclvl;
+        match (self, cut) {
+            // SP1's other conjuncts — every application normal the cycle
+            // before start_c and at end_c — hold by construction of the
+            // interval cut.
+            (Monitor::Sp1(pending), Cut::Start) => {
+                let interrupted = |a: &AppFrameRecord| a.reconf_st == ReconfSt::Interrupted;
+                if !state.apps.values().any(interrupted) {
+                    let detail = "no application is `interrupted` at start_c".to_owned();
+                    flag(pending, PropertyId::Sp1, None, Some(state.frame), detail);
+                }
+            }
+            (Monitor::Sp1(pending), Cut::Inside) => {
+                for (app, _) in state.apps.iter().filter(|(_, a)| a.reconf_st.is_normal()) {
+                    let detail = format!(
+                        "application `{app}` is `normal` strictly inside the reconfiguration"
+                    );
+                    flag(pending, PropertyId::Sp1, None, Some(state.frame), detail);
+                }
+            }
+            (Monitor::Sp1(pending), Cut::End(r)) => {
+                out.extend(pending.drain(..).map(|v| PropertyViolation {
+                    reconfig: Some(r),
+                    ..v
+                }));
+            }
+            (Monitor::Sp2(chosen), cut) if cut != Cut::Steady => {
+                if cut == Cut::Start {
+                    chosen.fill(false);
+                }
+                if let Some(i) = spec
+                    .choose(from, &state.env)
+                    .and_then(|t| config_index(spec, t))
+                {
+                    chosen[i] = true;
+                }
+                let Cut::End(r) = cut else { return };
+                if !config_index(spec, to).is_some_and(|i| chosen[i]) {
+                    let detail = format!(
+                        "`{to}` is not choose(`{from}`, env(c)) for any cycle c in the reconfiguration"
+                    );
+                    flag(out, PropertyId::Sp2, Some(r), None, detail);
+                }
+            }
+            (Monitor::Sp3, Cut::End(r)) => {
+                let elapsed = spec.frame_len() * r.cycles();
+                let detail = match spec.transitions().bound(from, to) {
+                    None => {
+                        format!(
+                            "transition `{from}` -> `{to}` is not in the static transition table"
+                        )
+                    }
+                    Some(bound) if elapsed > bound => {
+                        format!("reconfiguration took {elapsed} but T(`{from}`, `{to}`) = {bound}")
+                    }
+                    Some(_) => return,
+                };
+                flag(out, PropertyId::Sp3, Some(r), None, detail);
+            }
+            (Monitor::Sp4, Cut::End(r)) => {
+                for (app, rec) in &state.apps {
+                    let detail = match rec.pre_ok {
+                        Some(true) => continue,
+                        Some(false) => format!(
+                            "application `{app}`'s precondition for `{}` does not hold at end_c",
+                            rec.spec
+                        ),
+                        None => format!(
+                            "no precondition evidence recorded for application `{app}` at end_c"
+                        ),
+                    };
+                    flag(out, PropertyId::Sp4, Some(r), Some(r.end_c), detail);
+                }
+            }
+            // From the §5.3 liveness discussion: whenever the choice
+            // function selects a different configuration in steady state,
+            // a reconfiguration must begin within the dwell guard plus one
+            // frame. Reported once per continuous run.
+            (Monitor::Responsiveness(run), cut) => {
+                let steady = matches!(cut, Cut::Steady | Cut::End(_));
+                let wanted = steady.then(|| spec.choose(to, &state.env)).flatten();
+                let Some(target) = wanted.filter(|&t| t != to) else {
+                    *run = 0;
+                    return;
+                };
+                *run += 1;
+                if *run == spec.min_dwell_frames() + 2 {
+                    let detail = format!(
+                        "choice function has selected `{target}` over `{to}` for {run} frames with no reconfiguration started"
+                    );
+                    flag(
+                        out,
+                        PropertyId::Responsiveness,
+                        None,
+                        Some(state.frame),
+                        detail,
+                    );
+                }
+            }
+            // SP1–SP4 constrain the *observable* shape of a
+            // reconfiguration, not that the Table 1 stages ran. Within
+            // every completed reconfiguration each application must
+            // receive a halt command and establish its postcondition, and
+            // receive a prepare (or combined prepare-initialize) command.
+            // A kernel that skips the halt phase
+            // (`ScramMutation::SkipHaltPhase`) passes SP1–SP4 but fails
+            // here.
+            (Monitor::ProtocolConformance(apps), cut) if cut != Cut::Steady => {
+                if cut == Cut::Start {
+                    apps.clear();
+                    apps.resize(state.apps.len(), Stages::default());
+                }
+                for (stages, rec) in apps.iter_mut().zip(state.apps.values()) {
+                    stages.lost |= rec.lost;
+                    match rec.commanded {
+                        ConfigStatus::Halt => stages.halted |= rec.post_ok == Some(true),
+                        ConfigStatus::Prepare | ConfigStatus::PrepareInitialize => {
+                            stages.prepared = true;
+                        }
+                        _ => {}
+                    }
+                }
+                let Cut::End(r) = cut else { return };
+                // An application lost to a processor failure halts by
+                // fail-stop semantics: it cannot answer stage signals, and
+                // its clean halt is exactly what the substrate guarantees
+                // (§5.1). Conformance is not required of it.
+                for (stages, app) in apps.iter().zip(state.apps.keys()).filter(|(s, _)| !s.lost) {
+                    let halt = "has no halt stage with an established postcondition";
+                    let missing = [
+                        (stages.halted, halt),
+                        (stages.prepared, "never received a prepare command"),
+                    ];
+                    for (_, what) in missing.into_iter().filter(|(seen, _)| !seen) {
+                        let detail = format!("application `{app}` {what}");
+                        flag(out, PropertyId::ProtocolConformance, Some(r), None, detail);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]
@@ -585,7 +712,8 @@ mod tests {
             .push("full", "bad", ReconfSt::Halted, "full", None) // no Interrupted
             .push("full", "bad", ReconfSt::Prepared, "full", None)
             .push("safe", "bad", ReconfSt::Normal, "deg", Some(true));
-        let vs = check_sp1(&tb.trace, &s);
+        let report = check_all(&tb.trace, &s);
+        let vs = report.of(PropertyId::Sp1);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].detail.contains("interrupted"));
         assert!(vs[0].to_string().contains("SP1"));
@@ -604,7 +732,8 @@ mod tests {
         // the first has no normal-inside problem but its end state is
         // normal, so get_reconfigs sees [1,2] and [3,4]. The second lacks
         // an Interrupted start. Either way SP1 flags the defect.
-        let vs = check_sp1(&tb.trace, &s);
+        let report = check_all(&tb.trace, &s);
+        let vs = report.of(PropertyId::Sp1);
         assert!(!vs.is_empty());
     }
 
@@ -653,7 +782,8 @@ mod tests {
             .push("full", "bad", ReconfSt::Halted, "full", None)
             .push("full", "bad", ReconfSt::Prepared, "full", None)
             .push("wrong", "bad", ReconfSt::Normal, "other", Some(true));
-        let vs = check_sp2(&tb.trace, &s3);
+        let report = check_all(&tb.trace, &s3);
+        let vs = report.of(PropertyId::Sp2);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].detail.contains("wrong"));
         let _ = s;
@@ -670,7 +800,7 @@ mod tests {
             .push("full", "good", ReconfSt::Halted, "full", None) // env recovered
             .push("full", "good", ReconfSt::Prepared, "full", None)
             .push("safe", "good", ReconfSt::Normal, "deg", Some(true));
-        assert!(check_sp2(&tb.trace, &s).is_empty());
+        assert!(check_all(&tb.trace, &s).of(PropertyId::Sp2).is_empty());
     }
 
     #[test]
@@ -684,7 +814,8 @@ mod tests {
         }
         tb.push("safe", "bad", ReconfSt::Normal, "deg", Some(true));
         // start=1, end=7 -> 7 cycles * 100 = 700 > 500.
-        let vs = check_sp3(&tb.trace, &s);
+        let report = check_all(&tb.trace, &s);
+        let vs = report.of(PropertyId::Sp3);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].detail.contains("700t"));
         assert!(vs[0].detail.contains("500t"));
@@ -720,7 +851,8 @@ mod tests {
             .build()
             .unwrap();
         let t = good_trace();
-        let vs = check_sp3(&t, &s3);
+        let report = check_all(&t, &s3);
+        let vs = report.of(PropertyId::Sp3);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].detail.contains("not in the static transition table"));
     }
@@ -733,7 +865,8 @@ mod tests {
             .push("full", "bad", ReconfSt::Interrupted, "full", None)
             .push("full", "bad", ReconfSt::Halted, "full", None)
             .push("safe", "bad", ReconfSt::Normal, "deg", Some(false));
-        let vs = check_sp4(&tb.trace, &s);
+        let report = check_all(&tb.trace, &s);
+        let vs = report.of(PropertyId::Sp4);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].detail.contains("does not hold"));
 
@@ -741,7 +874,8 @@ mod tests {
         tb.push("full", "good", ReconfSt::Normal, "full", None)
             .push("full", "bad", ReconfSt::Interrupted, "full", None)
             .push("safe", "bad", ReconfSt::Normal, "deg", None);
-        let vs = check_sp4(&tb.trace, &s);
+        let report = check_all(&tb.trace, &s);
+        let vs = report.of(PropertyId::Sp4);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].detail.contains("no precondition evidence"));
     }
@@ -756,7 +890,8 @@ mod tests {
             tb.push("full", "bad", ReconfSt::Halted, "full", None);
         }
         // Open since frame 1, now frame 7: 7 cycles = 700 > 500.
-        let vs = check_open_reconfiguration(&tb.trace, &s);
+        let report = check_extended(&tb.trace, &s);
+        let vs = report.of(PropertyId::OpenReconfiguration);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].property, PropertyId::OpenReconfiguration);
 
@@ -764,7 +899,9 @@ mod tests {
         let mut tb = TB::new();
         tb.push("full", "good", ReconfSt::Normal, "full", None)
             .push("full", "bad", ReconfSt::Interrupted, "full", None);
-        assert!(check_open_reconfiguration(&tb.trace, &s).is_empty());
+        assert!(check_extended(&tb.trace, &s)
+            .of(PropertyId::OpenReconfiguration)
+            .is_empty());
     }
 
     #[test]
@@ -775,7 +912,8 @@ mod tests {
         for _ in 0..4 {
             tb.push("full", "bad", ReconfSt::Normal, "full", None);
         }
-        let vs = check_responsiveness(&tb.trace, &s);
+        let report = check_extended(&tb.trace, &s);
+        let vs = report.of(PropertyId::Responsiveness);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].property, PropertyId::Responsiveness);
         assert!(vs[0].detail.contains("safe"));
@@ -785,7 +923,34 @@ mod tests {
     fn responsiveness_tolerates_trigger_followed_by_reconfig() {
         let s = spec();
         let t = good_trace();
-        assert!(check_responsiveness(&t, &s).is_empty());
+        assert!(check_extended(&t, &s)
+            .of(PropertyId::Responsiveness)
+            .is_empty());
+    }
+
+    #[test]
+    fn steady_frames_end_a_responsiveness_run() {
+        // Dwell 0 allows one mismatched frame; an unrecorded steady frame
+        // between two of them starts the run afresh.
+        let s = spec();
+        let mut tb = TB::new();
+        tb.push("full", "bad", ReconfSt::Normal, "full", None).push(
+            "full",
+            "bad",
+            ReconfSt::Normal,
+            "full",
+            None,
+        );
+        let states = tb.trace.states_vec();
+        let mut monitors = Monitors::new(&s, EXTENDED);
+        let mut out = Vec::new();
+        monitors.observe(&s, &states[0], &mut out);
+        monitors.observe_steady();
+        monitors.observe(&s, &states[1], &mut out);
+        monitors.finish(&s, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        // Back to back, the same two frames exhaust the allowance.
+        assert_eq!(check_extended(&tb.trace, &s).violations.len(), 1);
     }
 
     #[test]
@@ -819,7 +984,8 @@ mod tests {
         // SP1-SP4 are satisfied...
         assert!(check_all(&sneaky, &s).is_ok());
         // ...but conformance is not.
-        let vs = check_protocol_conformance(&sneaky, &s);
+        let report = check_extended(&sneaky, &s);
+        let vs = report.of(PropertyId::ProtocolConformance);
         assert_eq!(vs.len(), 2);
         assert!(vs[0].detail.contains("halt stage"));
         assert!(vs[1].detail.contains("prepare"));
@@ -844,7 +1010,9 @@ mod tests {
         for st in states {
             trace.push(st);
         }
-        assert!(check_protocol_conformance(&trace, &s).is_empty());
+        assert!(check_extended(&trace, &s)
+            .of(PropertyId::ProtocolConformance)
+            .is_empty());
     }
 
     #[test]

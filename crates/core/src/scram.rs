@@ -149,7 +149,7 @@ pub enum ScramMutation {
     /// commanding halt. SP1–SP4 cannot see this defect (the window
     /// boundaries, choice, timing, and preconditions all remain
     /// plausible); it is caught by the Table 1 **protocol conformance**
-    /// check ([`crate::properties::check_protocol_conformance`]), which
+    /// check ([`crate::properties::PropertyId::ProtocolConformance`]), which
     /// requires postcondition evidence from a halt stage in every
     /// reconfiguration.
     SkipHaltPhase,

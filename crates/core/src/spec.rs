@@ -374,16 +374,19 @@ impl TransitionTable {
 
     /// Returns `true` if the transition is in the statically defined set.
     pub fn allowed(&self, from: &ConfigId, to: &ConfigId) -> bool {
-        from == to || self.bounds.contains_key(&(from.clone(), to.clone()))
+        self.bound(from, to).is_some()
     }
 
     /// The time bound `T(from, to)`, or `None` if the transition is not
-    /// declared. `T(c, c)` is zero by definition.
+    /// declared. `T(c, c)` is zero by definition. Allocation-free: the
+    /// stream verifier looks bounds up on its hot path.
     pub fn bound(&self, from: &ConfigId, to: &ConfigId) -> Option<Ticks> {
         if from == to {
             return Some(Ticks::ZERO);
         }
-        self.bounds.get(&(from.clone(), to.clone())).copied()
+        self.iter()
+            .find(|&(f, t, _)| f == from && t == to)
+            .map(|(_, _, b)| b)
     }
 
     /// Configurations directly reachable from `from` (excluding `from`).

@@ -2350,7 +2350,8 @@ mod tests {
         let table2 = properties::check_all(system.trace(), system.spec());
         assert!(table2.is_ok(), "{table2}");
         // ...the protocol-conformance extension can.
-        let conformance = properties::check_protocol_conformance(system.trace(), system.spec());
+        let report = properties::check_extended(system.trace(), system.spec());
+        let conformance = report.of(properties::PropertyId::ProtocolConformance);
         assert!(!conformance.is_empty());
         assert!(conformance.iter().any(|v| v.detail.contains("halt stage")));
     }

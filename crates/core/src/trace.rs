@@ -128,6 +128,56 @@ impl Reconfiguration {
     }
 }
 
+/// Where one state falls among the reconfiguration intervals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cut {
+    /// All applications normal, no interval open.
+    Steady,
+    /// The interval's first restricted state: `start_c`.
+    Start,
+    /// A restricted state after `start_c`.
+    Inside,
+    /// The first all-normal state after `start_c`: `end_c`.
+    End(Reconfiguration),
+}
+
+/// Interval cutting, one state at a time: the single definition of
+/// `start_c`/`end_c`, shared by [`SysTrace::get_reconfigs`] and the
+/// property monitors ([`crate::properties::Monitors`]). An interval
+/// starts at the first state with some application not normal and ends
+/// at the next state with all normal, so the states before `start_c`
+/// and at `end_c` are all-normal by construction.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IntervalCut {
+    start: Option<u64>,
+}
+
+impl IntervalCut {
+    /// Classifies the next state of the trace and advances the cut.
+    pub fn step(&mut self, state: &SysState) -> Cut {
+        match (self.start, state.all_normal()) {
+            (None, true) => Cut::Steady,
+            (None, false) => {
+                self.start = Some(state.frame);
+                Cut::Start
+            }
+            (Some(_), false) => Cut::Inside,
+            (Some(start_c), true) => {
+                self.start = None;
+                Cut::End(Reconfiguration {
+                    start_c,
+                    end_c: state.frame,
+                })
+            }
+        }
+    }
+
+    /// The start cycle of the interval still open, if any.
+    pub fn open(&self) -> Option<u64> {
+        self.start
+    }
+}
+
 /// A recorded system trace.
 ///
 /// States are held in a [`CowLog`] so that [`SysTrace::fork`] shares
@@ -201,36 +251,24 @@ impl SysTrace {
     /// returned here; see
     /// [`SysTrace::open_reconfiguration`].
     pub fn get_reconfigs(&self) -> Vec<Reconfiguration> {
-        let mut out = Vec::new();
-        let mut start: Option<u64> = None;
-        for state in &self.states {
-            match (start, state.any_reconfiguring()) {
-                (None, true) => start = Some(state.frame),
-                (Some(s), false) => {
-                    out.push(Reconfiguration {
-                        start_c: s,
-                        end_c: state.frame,
-                    });
-                    start = None;
-                }
-                _ => {}
-            }
-        }
-        out
+        let mut cut = IntervalCut::default();
+        self.states
+            .iter()
+            .filter_map(|state| match cut.step(state) {
+                Cut::End(r) => Some(r),
+                _ => None,
+            })
+            .collect()
     }
 
     /// The start cycle of a reconfiguration still in progress at the end
     /// of the trace, if any.
     pub fn open_reconfiguration(&self) -> Option<u64> {
-        let mut start: Option<u64> = None;
+        let mut cut = IntervalCut::default();
         for state in &self.states {
-            match (start, state.any_reconfiguring()) {
-                (None, true) => start = Some(state.frame),
-                (Some(_), false) => start = None,
-                _ => {}
-            }
+            cut.step(state);
         }
-        start
+        cut.open()
     }
 
     /// Frames in which the system's service was restricted (some

@@ -10,13 +10,20 @@
 //! guarantee is proven both with the ring off and with it on. The
 //! counter is per thread, so the test harness's other threads cannot
 //! leak allocations into a measured window.
+//!
+//! The fleet's streaming verifier rides a similar contract on a
+//! reconfiguring system: observing a frame allocates nothing, except
+//! that recording a completed reconfiguration's latency may grow its
+//! list.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use arfs_avionics::avionics_spec;
+use arfs_core::fleet::StreamVerifier;
 use arfs_core::obs::RingCode;
+use arfs_core::properties;
 use arfs_core::system::System;
 
 /// Wraps the system allocator, counting every allocation and
@@ -177,4 +184,81 @@ fn steady_state_frame_allocates_nothing_with_the_flight_ring_on() {
     );
     let newest = ring.iter().last().expect("ring is nonempty");
     assert_eq!(newest.code, RingCode::FastFrames);
+}
+
+#[test]
+fn stream_verifier_allocates_only_to_record_a_latency() {
+    let spec = Arc::new(avionics_spec().expect("avionics spec builds"));
+    let stimuli = [(10, "one"), (40, "battery"), (70, "both"), (100, "one")];
+
+    // Record a reconfiguring run the way the fleet drives it: full
+    // frames while an interval is open, the fast path otherwise. `None`
+    // marks a fast frame.
+    let mut system = System::builder_arc(Arc::clone(&spec))
+        .observability(false)
+        .build()
+        .expect("system builds");
+    system.set_trace_recording(false);
+    let mut driver = StreamVerifier::new(Arc::clone(&spec));
+    let mut frames = Vec::new();
+    for frame in 0..130 {
+        if let Some((_, value)) = stimuli.iter().find(|(f, _)| *f == frame) {
+            system.set_env("electrical", value).expect("declared value");
+        }
+        let state = if driver.needs_full_state() {
+            system.run_frame();
+            system.last_state().cloned()
+        } else if system.advance_frame() {
+            None
+        } else {
+            system.last_state().cloned()
+        };
+        match &state {
+            Some(state) => driver.observe_full(state),
+            None => driver.observe_fast(),
+        }
+        frames.push(state);
+    }
+
+    // The same run with its trace recorded is violation-free.
+    let mut recorded = System::builder_arc(Arc::clone(&spec))
+        .build()
+        .expect("system builds");
+    for frame in 0..130 {
+        if let Some((_, value)) = stimuli.iter().find(|(f, _)| *f == frame) {
+            recorded
+                .set_env("electrical", value)
+                .expect("declared value");
+        }
+        recorded.run_frame();
+    }
+    let batch = properties::check_extended(recorded.trace(), recorded.spec());
+    assert!(batch.is_ok(), "{batch}");
+    assert_eq!(batch.reconfigs_checked, stimuli.len());
+
+    let mut verifier = StreamVerifier::new(Arc::clone(&spec));
+    let mut closing_frames = 0;
+    for (frame, state) in frames.iter().enumerate() {
+        let open_before = verifier.needs_full_state();
+        let before = allocs();
+        match state {
+            Some(state) => verifier.observe_full(state),
+            None => verifier.observe_fast(),
+        }
+        let allocations = allocs() - before;
+        if open_before && !verifier.needs_full_state() {
+            closing_frames += 1;
+            assert!(
+                allocations <= 1,
+                "closing frame {frame} made {allocations} allocations"
+            );
+        } else {
+            assert_eq!(allocations, 0, "frame {frame} touched the heap");
+        }
+    }
+    assert_eq!(closing_frames, stimuli.len());
+    assert!(
+        frames.iter().any(Option::is_none),
+        "steady stretches run fast"
+    );
 }

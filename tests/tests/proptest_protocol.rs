@@ -87,7 +87,8 @@ proptest! {
         let report = properties::check_all(system.trace(), system.spec());
         prop_assert!(report.is_ok(), "{}", report);
         // No reconfiguration may be stuck open past its bound either.
-        let open = properties::check_open_reconfiguration(system.trace(), system.spec());
+        let extended = properties::check_extended(system.trace(), system.spec());
+        let open = extended.of(properties::PropertyId::OpenReconfiguration);
         prop_assert!(open.is_empty(), "{:?}", open);
     }
 
