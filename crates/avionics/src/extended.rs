@@ -659,17 +659,17 @@ mod tests {
 
     #[test]
     fn radio_failure_in_dl_full_reports_software_fault_until_reconfigured() {
-        use arfs_core::system::SystemEvent;
         let mut uav = ExtendedUavSystem::new().unwrap();
         uav.run_frames(5);
         uav.set_radio(RadioState::Failed);
         uav.run_frames(12);
         // Before the reconfiguration turned it off, the datalink reported
         // transmit failures.
-        assert!(uav.system().events().iter().any(|e| matches!(
-            e,
-            SystemEvent::AppStageError { app, .. } if *app == AppId::new("datalink")
-        )));
+        assert!(uav.system().journal().of_kind("stage-error").any(|e| e
+            .payload
+            .get("app")
+            .and_then(|v| v.as_str())
+            == Some("datalink")));
     }
 
     #[test]

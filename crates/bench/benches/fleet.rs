@@ -1,19 +1,15 @@
 //! Microbenchmarks of the fleet runtime: the cost of one frame-major frame
 //! across 10⁴ systems (with and without the observability plane), the
 //! steady-state fast path against the full per-frame machinery,
-//! frame-batched journal flushing against the per-event write path,
 //! flight-ring writes, and the binary journal codec against JSON-Lines.
 
-use std::io::Write;
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use arfs_avionics::avionics_spec;
 use arfs_core::fleet::{Fleet, FleetConfig};
-use arfs_core::obs::{
-    codec, BatchedJournalWriter, FlightRing, JournalEvent, RingCode, RingEvent, Subsystem,
-};
+use arfs_core::obs::{codec, FlightRing, JournalEvent, RingCode, RingEvent, Subsystem};
 use arfs_core::system::System;
 
 fn bench_fleet_frame(c: &mut Criterion) {
@@ -89,53 +85,6 @@ fn bench_fleet_frame(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_journal_batching(c: &mut Criterion) {
-    let mut group = c.benchmark_group("journal");
-    group.sample_size(20);
-
-    let events: Vec<JournalEvent> = (0..64u64)
-        .map(|frame| JournalEvent {
-            frame,
-            subsystem: Subsystem::System,
-            kind: "frame-complete".into(),
-            payload: serde_json::json!({"frame": frame}),
-        })
-        .collect();
-
-    group.bench_function("journal_per_event", |b| {
-        // One small write + flush per event — the pre-batching path.
-        b.iter(|| {
-            let mut file = std::fs::File::create(
-                std::env::temp_dir().join("arfs_bench_journal_per_event.jsonl"),
-            )
-            .unwrap();
-            for event in &events {
-                file.write_all(event.to_json_line().as_bytes()).unwrap();
-                file.write_all(b"\n").unwrap();
-                file.flush().unwrap();
-            }
-        });
-    });
-
-    group.bench_function("journal_batched_vs_per_event", |b| {
-        // The same 64 events through a BatchedJournalWriter flushing
-        // every 16 frames: 4 syscall batches instead of 64.
-        b.iter(|| {
-            let file = std::fs::File::create(
-                std::env::temp_dir().join("arfs_bench_journal_batched.jsonl"),
-            )
-            .unwrap();
-            let mut writer = BatchedJournalWriter::new(file, 16);
-            for event in &events {
-                writer.append(event);
-                writer.frame_complete().unwrap();
-            }
-            writer.into_inner().unwrap();
-        });
-    });
-    group.finish();
-}
-
 fn bench_observability_plane(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs");
 
@@ -200,10 +149,5 @@ fn bench_observability_plane(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_fleet_frame,
-    bench_journal_batching,
-    bench_observability_plane
-);
+criterion_group!(benches, bench_fleet_frame, bench_observability_plane);
 criterion_main!(benches);

@@ -60,8 +60,9 @@
 //! blinds you. The [`journal_sample`](FleetConfig::journal_sample) knob
 //! journals 1-in-K systems with full fidelity (those cells keep
 //! observability on and never take the fast path). Serialization runs
-//! **off** the frame loop: each sampled cell clones its frame's events
-//! into a batch and ships it over a bounded channel to a
+//! **off** the frame loop: each sampled cell moves its frame's events
+//! out of its system's journal into a batch and ships it over a
+//! bounded channel to a
 //! [`BackgroundJournalWriter`] thread, which encodes with the compact
 //! binary codec ([`obs::codec`](crate::obs::codec)). Backpressure
 //! blocks the producer (lossless, bounded memory — see
@@ -375,14 +376,13 @@ struct Cell {
     journal: Option<CellJournal>,
 }
 
-/// A sampled cell's link to the background journal writer: events are
-/// cloned into `batch` on the frame loop (cheap — a frame produces a
-/// handful) and shipped every `flush_every` frames; serialization
-/// happens on the writer thread.
+/// A sampled cell's link to the background journal writer: each frame's
+/// events are moved out of the system's journal into `batch` (a frame
+/// produces a handful) and shipped every `flush_every` frames;
+/// serialization happens on the writer thread.
 struct CellJournal {
     tx: std::sync::mpsc::SyncSender<JournalBatch>,
     batch: Vec<JournalEvent>,
-    cursor: usize,
     frames_since_send: u64,
     flush_every: u64,
     /// Set when a send found the writer gone (its thread panicked or
@@ -467,9 +467,7 @@ impl Cell {
         self.defense_seen = defenses;
 
         if let Some(journal) = &mut self.journal {
-            let events = self.system.journal().events();
-            journal.batch.extend_from_slice(&events[journal.cursor..]);
-            journal.cursor = events.len();
+            journal.batch.extend(self.system.drain_journal());
             journal.frames_since_send += 1;
             if journal.frames_since_send >= journal.flush_every {
                 journal.frames_since_send = 0;
@@ -580,7 +578,6 @@ impl Fleet {
                 (Some(writer), true) => Some(CellJournal {
                     tx: writer.sender(),
                     batch: Vec::new(),
-                    cursor: 0,
                     frames_since_send: 0,
                     flush_every: config.journal_flush_frames.max(1),
                     disconnected: false,

@@ -30,6 +30,7 @@ use crate::chaos::FaultPlan;
 use crate::model::Schedule;
 use crate::properties::{PropertyId, PropertyViolation};
 
+use super::event::CAUSAL_KINDS;
 use super::journal::Journal;
 
 /// One delta-debugging attempt on the failing schedule.
@@ -103,24 +104,6 @@ pub struct CausalLink {
     /// Human-readable detail.
     pub detail: String,
 }
-
-/// The journal kinds that participate in a causal chain, in the order
-/// the protocol produces them.
-const CAUSAL_KINDS: [&str; 13] = [
-    "env-changed",
-    "fault-signal",
-    "trigger-accepted",
-    "retargeted",
-    "dwell-suppressed",
-    "phase-entered",
-    "completed",
-    "torn-write",
-    "bus-silenced",
-    "clock-jitter",
-    "commit-retry",
-    "quarantined",
-    "safe-fallback",
-];
 
 /// A packaged counterexample: schedule, shrink lineage, replayed
 /// journal, per-frame verdicts, and causal chain. See the [module

@@ -233,6 +233,12 @@ impl Journal {
         &self.events
     }
 
+    /// Removes every event, oldest first, keeping the journal's
+    /// capacity for the events that follow.
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, JournalEvent> {
+        self.events.drain(..)
+    }
+
     /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()

@@ -48,7 +48,8 @@ impl Histogram {
 ///
 /// Names are dotted paths (`"scram.triggers"`,
 /// `"reconfig.latency_cycles"`); the registry imposes no schema beyond
-/// that convention.
+/// that convention. A name is allocated once, on its first update;
+/// later updates of the same counter or gauge never touch the heap.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
@@ -69,7 +70,12 @@ impl MetricsRegistry {
 
     /// Increments a counter by `delta`.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Reads a counter (0 if never touched).
@@ -79,7 +85,12 @@ impl MetricsRegistry {
 
     /// Sets a gauge to the given value.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
+        match self.gauges.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                self.gauges.insert(name.to_owned(), value);
+            }
+        }
     }
 
     /// Reads a gauge, if it was ever set.
@@ -89,11 +100,17 @@ impl MetricsRegistry {
 
     /// Records one histogram sample.
     pub fn observe(&mut self, name: &str, sample: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .samples
-            .push(sample);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.samples.push(sample),
+            None => {
+                self.histograms.insert(
+                    name.to_owned(),
+                    Histogram {
+                        samples: vec![sample],
+                    },
+                );
+            }
+        }
     }
 
     /// Folds another registry into this one: counters add, histogram

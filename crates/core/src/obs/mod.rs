@@ -1,11 +1,16 @@
-//! Frame-scoped observability: the structured event journal and the
-//! metrics registry.
+//! Frame-scoped observability: one event model, encoded as a
+//! structured journal, a flight-recorder ring and metrics.
 //!
 //! The paper's Figure 1 argument is about *signal flow* — failure
 //! signals into the SCRAM, reconfiguration signals out to the
 //! applications, status signals back — yet a running [`System`] is
 //! otherwise a black box. This module makes the flow first-class:
 //!
+//! - `event` — the single source. [`System`] describes each
+//!   occurrence of a frame once, as a typed `Event` with borrowed
+//!   names, and records it through one `emit`. The journal line, the
+//!   ring record and the metrics counter below are each one `match` on
+//!   that value, and `kind` is the one name vocabulary they share.
 //! - [`journal`] — an append-only, frame-scoped event journal. Every
 //!   auditable occurrence (a SCRAM decision, a protocol phase entry, a
 //!   stable-storage commit, a bus membership change, a deadline miss, a
@@ -36,29 +41,29 @@
 //!   schedule + metrics + causal chain) a fleet emits when a streaming
 //!   verifier violation or chaos defense fires.
 //!
-//! [`System`](crate::system::System) threads both through every layer:
-//! it owns a [`Journal`] and a [`MetricsRegistry`], records into them as
-//! each frame executes, and exposes them via
-//! [`System::journal`](crate::system::System::journal) and
-//! [`System::metrics`](crate::system::System::metrics). Observability is
-//! on by default and can be disabled for hot exhaustive-exploration
-//! loops with
-//! [`SystemBuilder::observability`](crate::system::SystemBuilder::observability).
+//! [`System`] exposes the sinks via
+//! [`System::journal`](crate::system::System::journal),
+//! [`System::metrics`](crate::system::System::metrics) and
+//! [`System::flight_ring`](crate::system::System::flight_ring). The
+//! journal and metrics are on by default and can be disabled for hot
+//! exhaustive-exploration loops with
+//! [`SystemBuilder::observability`](crate::system::SystemBuilder::observability);
+//! the ring records whenever one was allocated.
 //!
 //! [`System`]: crate::system::System
 
-pub mod batch;
 pub mod codec;
 pub mod counterexample;
+mod event;
 pub mod journal;
 pub mod metrics;
 pub mod ring;
 pub mod triage;
 pub mod writer;
 
-pub use batch::{BatchedJournalWriter, JournalEncoding};
 pub use codec::{BinaryJournalReader, BinaryRecord, JournalBytes};
 pub use counterexample::{CausalLink, Counterexample, FrameVerdict, ShrinkAction, ShrinkStep};
+pub(crate) use event::{Event, Recorder};
 pub use journal::{Journal, JournalDiff, JournalEvent, JournalSummary, Subsystem};
 pub use metrics::{
     FleetMetrics, FleetMetricsSnapshot, HistogramSummary, Log2Bucket, Log2Histogram,

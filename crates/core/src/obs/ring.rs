@@ -29,6 +29,7 @@
 //! quiet stretch of 10⁵ fast frames costs one slot and the interesting
 //! events around a reconfiguration survive arbitrarily long runs.
 
+use super::event::kind;
 use crate::spec::ReconfigSpec;
 
 /// The kind of a compact ring event, with the meaning of its `(a, b)`
@@ -94,28 +95,28 @@ pub enum RingCode {
 }
 
 impl RingCode {
-    /// The stable kebab-case name, aligned with the journal's kind
-    /// vocabulary where the two overlap.
+    /// The stable kebab-case name, from the one kind vocabulary the
+    /// journal uses too.
     pub fn as_str(self) -> &'static str {
         match self {
-            RingCode::FastFrames => "fast-frames",
-            RingCode::FullFrames => "full-frames",
-            RingCode::EnvChanged => "env-changed",
-            RingCode::ProcessorFailed => "fault-injected",
-            RingCode::TriggerAccepted => "trigger-accepted",
-            RingCode::PhaseEntered => "phase-entered",
-            RingCode::Retargeted => "retargeted",
-            RingCode::Completed => "completed",
-            RingCode::DwellSuppressed => "dwell-suppressed",
-            RingCode::CommitRetry => "commit-retry",
-            RingCode::SafeFallback => "safe-fallback",
-            RingCode::TornWrite => "torn-write",
-            RingCode::BusSilenced => "bus-silenced",
-            RingCode::ClockJitter => "clock-jitter",
-            RingCode::Quarantined => "quarantined",
-            RingCode::DeadlineMiss => "deadline-miss",
-            RingCode::StageError => "stage-error",
-            RingCode::AppLost => "app-lost",
+            RingCode::FastFrames => kind::FAST_FRAMES,
+            RingCode::FullFrames => kind::FULL_FRAMES,
+            RingCode::EnvChanged => kind::ENV_CHANGED,
+            RingCode::ProcessorFailed => kind::FAULT_INJECTED,
+            RingCode::TriggerAccepted => kind::TRIGGER_ACCEPTED,
+            RingCode::PhaseEntered => kind::PHASE_ENTERED,
+            RingCode::Retargeted => kind::RETARGETED,
+            RingCode::Completed => kind::COMPLETED,
+            RingCode::DwellSuppressed => kind::DWELL_SUPPRESSED,
+            RingCode::CommitRetry => kind::COMMIT_RETRY,
+            RingCode::SafeFallback => kind::SAFE_FALLBACK,
+            RingCode::TornWrite => kind::TORN_WRITE,
+            RingCode::BusSilenced => kind::BUS_SILENCED,
+            RingCode::ClockJitter => kind::CLOCK_JITTER,
+            RingCode::Quarantined => kind::QUARANTINED,
+            RingCode::DeadlineMiss => kind::DEADLINE_MISS,
+            RingCode::StageError => kind::STAGE_ERROR,
+            RingCode::AppLost => kind::APP_LOST,
         }
     }
 }

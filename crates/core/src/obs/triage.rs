@@ -14,6 +14,7 @@
 //! ([`CausalLink`](super::counterexample::CausalLink), PR 4).
 
 use super::counterexample::CausalLink;
+use super::event::CAUSAL_KINDS;
 use super::metrics::MetricsSnapshot;
 use super::ring::DecodedRingEvent;
 
@@ -25,25 +26,6 @@ pub mod trigger {
     /// without a property violation.
     pub const CHAOS_DEFENSE: &str = "chaos-defense";
 }
-
-/// The ring-event kinds that participate in a bundle's causal chain —
-/// the flight-recorder analogue of the counterexample module's causal
-/// journal kinds.
-const CAUSAL_RING_KINDS: [&str; 13] = [
-    "env-changed",
-    "fault-injected",
-    "trigger-accepted",
-    "retargeted",
-    "dwell-suppressed",
-    "phase-entered",
-    "completed",
-    "torn-write",
-    "bus-silenced",
-    "clock-jitter",
-    "commit-retry",
-    "safe-fallback",
-    "quarantined",
-];
 
 /// One system's full triage evidence. Deterministic: bundles are built
 /// at fleet aggregation in ascending system id, from state that is
@@ -89,7 +71,7 @@ impl TriageBundle {
     ) -> Vec<CausalLink> {
         let mut chain: Vec<CausalLink> = ring
             .iter()
-            .filter(|e| CAUSAL_RING_KINDS.contains(&e.kind.as_str()))
+            .filter(|e| CAUSAL_KINDS.contains(&e.kind.as_str()))
             .filter(|e| frame.is_none_or(|f| e.frame <= f))
             .map(|e| CausalLink {
                 frame: e.frame,

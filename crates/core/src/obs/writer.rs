@@ -2,8 +2,8 @@
 //!
 //! Even batched, journal serialization used to run *on* the frame loop
 //! — every sampled cell paid `to_json_line` for every event inside its
-//! frame. The fleet now clones the frame's raw
-//! [`JournalEvent`]s (cheap: a frame produces a handful) into a
+//! frame. The fleet now moves the frame's raw [`JournalEvent`]s out of
+//! the system's journal (a frame produces a handful) into a
 //! [`JournalBatch`] and hands them to a dedicated writer thread over a
 //! **bounded** channel; the writer encodes them with the binary codec
 //! ([`super::codec`]) into one per-system section buffer.
@@ -38,7 +38,7 @@ use std::io;
 use std::sync::mpsc::{self, SyncSender};
 use std::thread::JoinHandle;
 
-use super::batch::BatchedJournalWriter;
+use super::codec;
 use super::journal::JournalEvent;
 
 /// Default bound on in-flight batches (see the module documentation's
@@ -81,8 +81,7 @@ impl BackgroundJournalWriter {
         let handle = std::thread::Builder::new()
             .name("arfs-journal-writer".to_owned())
             .spawn(move || {
-                let mut sections: BTreeMap<u64, (u64, BatchedJournalWriter<Vec<u8>>)> =
-                    BTreeMap::new();
+                let mut sections: BTreeMap<u64, SystemJournal> = BTreeMap::new();
                 for batch in rx {
                     // Failpoint: Err injects a sink failure, Panic crashes
                     // the writer thread mid-drain — both must surface as a
@@ -94,29 +93,19 @@ impl BackgroundJournalWriter {
                             ));
                         }
                     });
-                    let (_, writer) = sections.entry(batch.system).or_insert_with(|| {
-                        (batch.seed, BatchedJournalWriter::new_binary(Vec::new(), 1))
-                    });
+                    let section = sections
+                        .entry(batch.system)
+                        .or_insert_with(|| SystemJournal {
+                            seed: batch.seed,
+                            bytes: Vec::new(),
+                            events: 0,
+                        });
                     for event in &batch.events {
-                        writer.append(event);
+                        codec::encode_event(&mut section.bytes, event);
                     }
-                    writer.frame_complete()?;
+                    section.events += batch.events.len() as u64;
                 }
-                sections
-                    .into_iter()
-                    .map(|(system, (seed, writer))| {
-                        let events = writer.lines_written();
-                        let bytes = writer.into_inner()?;
-                        Ok((
-                            system,
-                            SystemJournal {
-                                seed,
-                                bytes,
-                                events,
-                            },
-                        ))
-                    })
-                    .collect()
+                Ok(sections)
             })
             .expect("spawn journal writer thread");
         BackgroundJournalWriter {

@@ -34,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use arfs_failstop::{CowLog, ProcessorId, ProcessorPool, SharedStableStorage, StableSnapshot};
+use arfs_failstop::{ProcessorId, ProcessorPool, SharedStableStorage, StableSnapshot};
 use arfs_rtos::{Ticks, VirtualClock};
 use arfs_ttbus::{Message, NodeId, TtBus};
 
@@ -46,7 +46,7 @@ use crate::chaos::{ChaosDefense, ChaosState, FaultKind, FaultPlan};
 use crate::environment::Environment;
 use crate::lint::assembly::{Assembly, ENV_NODE, PROC_NODE_BASE, SCRAM_NODE};
 use crate::obs::{
-    FlightRing, Journal, MetricsRegistry, MetricsSnapshot, RingCode, RingEvent, Subsystem,
+    Event, FlightRing, Journal, JournalEvent, MetricsRegistry, MetricsSnapshot, Recorder,
 };
 use crate::scram::{
     FrameDecision, MidReconfigPolicy, Scram, ScramEvent, ScramMutation, StagePolicy, SyncPolicy,
@@ -55,75 +55,6 @@ use crate::snapshot::ForkSnapshot;
 use crate::spec::{dependency_order, ReconfigSpec};
 use crate::trace::{AppFrameRecord, SysState, SysTrace};
 use crate::{AppId, ConfigId, SystemError};
-
-/// An auditable system-level event (the arrows of Figure 1, plus health
-/// conditions).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SystemEvent {
-    /// An environment factor changed value.
-    EnvChanged {
-        /// Frame of the change.
-        frame: u64,
-        /// The factor.
-        factor: String,
-        /// The new value.
-        value: String,
-    },
-    /// A signal crossed an architecture edge.
-    SignalSent {
-        /// Frame of the signal.
-        frame: u64,
-        /// Originating element (`"environment"`, `"scram"`, an app id, a
-        /// processor).
-        from: String,
-        /// Receiving element.
-        to: String,
-        /// Signal kind (`"fault"`, `"reconfig"`, `"status"`).
-        topic: String,
-        /// Payload summary.
-        detail: String,
-    },
-    /// An application's stage reported an error.
-    AppStageError {
-        /// Frame of the error.
-        frame: u64,
-        /// The application.
-        app: AppId,
-        /// The stage that failed (`"normal"`, `"halt"`, ...).
-        stage: String,
-        /// The reported error.
-        error: String,
-    },
-    /// An application overran its declared compute budget — a software
-    /// timing failure.
-    DeadlineMiss {
-        /// Frame of the overrun.
-        frame: u64,
-        /// The application.
-        app: AppId,
-        /// Ticks consumed.
-        consumed: Ticks,
-        /// Declared budget.
-        budget: Ticks,
-    },
-    /// An application could not run because its host processor has
-    /// failed.
-    AppLost {
-        /// Frame of the loss.
-        frame: u64,
-        /// The application.
-        app: AppId,
-        /// The failed host.
-        processor: ProcessorId,
-    },
-    /// A processor was observed failed by the membership service.
-    ProcessorDown {
-        /// Frame of the observation.
-        frame: u64,
-        /// The processor.
-        processor: ProcessorId,
-    },
-}
 
 /// Builder for [`System`].
 pub struct SystemBuilder {
@@ -309,6 +240,7 @@ impl SystemBuilder {
             .map(|a| (a.id().clone(), SharedStableStorage::new()))
             .collect();
 
+        let obs = Recorder::new(Arc::clone(&spec), self.observability, self.ring_capacity);
         Ok(System {
             clock: VirtualClock::new(spec.frame_len()),
             spec,
@@ -321,19 +253,9 @@ impl SystemBuilder {
             scram,
             monitors: self.monitors,
             trace: SysTrace::new(),
-            events: CowLog::new(),
             pending_env: Vec::new(),
             pending_failures: Vec::new(),
-            journal: Journal::new(),
-            metrics: MetricsRegistry::new(),
-            obs_enabled: self.observability,
-            ring: if self.ring_capacity > 0 {
-                Some(FlightRing::new(self.ring_capacity))
-            } else {
-                None
-            },
-            ring_reconfig_started: None,
-            defense_events: 0,
+            obs,
             pool_events_cursor: 0,
             membership_cursor: 0,
             reconfig_started_at: None,
@@ -373,33 +295,20 @@ pub struct System {
     scram: Scram,
     monitors: Vec<Box<dyn crate::environment::EnvMonitor>>,
     trace: SysTrace,
-    events: CowLog<SystemEvent>,
     pending_env: Vec<(String, String)>,
     pending_failures: Vec<ProcessorId>,
-    journal: Journal,
-    metrics: MetricsRegistry,
-    obs_enabled: bool,
-    /// The optional flight-recorder ring: always-on compact event
-    /// capture, written with zero allocations even on the fast path
-    /// (unlike the journal it never disqualifies fast-path
-    /// eligibility).
-    ring: Option<FlightRing>,
-    /// Trigger frame tracked for the ring's `Completed` latency
-    /// argument. Deliberately separate from
-    /// [`reconfig_started_at`](System::reconfig_started_at), which is
-    /// obs-gated and feeds the busy-state fingerprint — the ring must
-    /// not perturb model-checker dedup.
-    ring_reconfig_started: Option<u64>,
-    /// Always-on count of chaos-defense activations (commit retries,
-    /// safe fallbacks, quarantines) — the fleet's triage trigger for
-    /// systems that defended successfully without violating a property.
-    defense_events: u64,
+    /// Where every [`Event`] goes: the journal and metrics (while
+    /// observability is on), the optional flight ring (always; it never
+    /// disqualifies the fast path), and the chaos-defense count.
+    obs: Recorder,
     /// Tail cursor into the processor pool's audit log.
     pool_events_cursor: usize,
     /// Tail cursor into the bus's membership-change log.
     membership_cursor: usize,
-    /// Trigger frame of the in-flight reconfiguration, for the latency
-    /// histogram.
+    /// Trigger frame of the in-flight reconfiguration: the start of the
+    /// latency a completion reports and of the window offset the
+    /// busy-state fingerprint hashes. Kept whether or not anything is
+    /// recording.
     reconfig_started_at: Option<u64>,
     /// The substrate fault-injection plan and its live state (silence
     /// windows, quarantine streaks).
@@ -466,12 +375,12 @@ impl System {
     /// journaling on systems rebuilt for a replay, and debugging
     /// sessions can use it to journal only the frames under suspicion.
     pub fn set_observability(&mut self, enabled: bool) {
-        self.obs_enabled = enabled;
+        self.obs.enabled = enabled;
     }
 
     /// Whether the observability layer is currently recording.
     pub fn observability(&self) -> bool {
-        self.obs_enabled
+        self.obs.enabled
     }
 
     /// The specification the system runs under.
@@ -526,86 +435,39 @@ impl System {
         &self.chaos
     }
 
-    /// The cumulative system event log, collected into a fresh vector.
-    pub fn events(&self) -> Vec<SystemEvent> {
-        self.events.to_vec()
-    }
-
-    /// Number of system events recorded so far.
-    pub fn events_len(&self) -> usize {
-        self.events.len()
-    }
-
     /// The structured observability journal (empty when observability
     /// was disabled at build time).
     pub fn journal(&self) -> &Journal {
-        &self.journal
+        &self.obs.journal
+    }
+
+    /// Moves the journal's events out, oldest first, leaving it empty:
+    /// a journaling fleet cell ships each frame's events this way
+    /// instead of keeping the whole horizon in the system.
+    pub(crate) fn drain_journal(&mut self) -> impl Iterator<Item = JournalEvent> + '_ {
+        self.obs.journal.drain()
     }
 
     /// The run's metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.obs.metrics
     }
 
     /// A serializable snapshot of the run's metrics.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.obs.metrics.snapshot()
     }
 
     /// The flight-recorder ring, when one was enabled at build time.
     pub fn flight_ring(&self) -> Option<&FlightRing> {
-        self.ring.as_ref()
+        self.obs.ring.as_ref()
     }
 
     /// Total chaos-defense activations (commit retries, safe fallbacks,
     /// quarantines) since construction. Always counted, independent of
     /// observability.
     pub fn defense_events(&self) -> u64 {
-        self.defense_events
-    }
-
-    /// Records a compact ring event if the ring is enabled. No-op and
-    /// allocation-free otherwise.
-    #[inline]
-    fn ring_push(&mut self, frame: u64, code: RingCode, a: u32, b: u32) {
-        if let Some(ring) = &mut self.ring {
-            ring.push(RingEvent { frame, code, a, b });
-        }
-    }
-
-    /// Index of a configuration in the spec's declaration order (the
-    /// ring legend's vocabulary); `u32::MAX` when unknown.
-    fn cfg_index(&self, id: &ConfigId) -> u32 {
-        self.spec
-            .configs()
-            .iter()
-            .position(|c| c.id() == id)
-            .map_or(u32::MAX, |i| i as u32)
-    }
-
-    /// Index of an application in the spec's declaration order.
-    fn app_index_of(&self, id: &AppId) -> u32 {
-        self.spec
-            .apps()
-            .iter()
-            .position(|a| a.id() == id)
-            .map_or(u32::MAX, |i| i as u32)
-    }
-
-    /// Indices of an environment factor and one of its domain values.
-    fn env_index_of(&self, factor: &str, value: &str) -> (u32, u32) {
-        let factors = self.spec.env_model().factors();
-        match factors.iter().position(|f| f.name() == factor) {
-            Some(fi) => {
-                let vi = factors[fi]
-                    .domain()
-                    .iter()
-                    .position(|v| v == value)
-                    .map_or(u32::MAX, |i| i as u32);
-                (fi as u32, vi)
-            }
-            None => (u32::MAX, u32::MAX),
-        }
+        self.obs.defense_events
     }
 
     /// A consistent snapshot of an application's stable-storage region.
@@ -748,9 +610,10 @@ impl System {
     /// prefixes instead of replaying every schedule from frame 0.
     ///
     /// Independence does **not** mean deep copies. Every append-only
-    /// history — the trace, the system/SCRAM event logs, the bus
-    /// delivery and membership logs, the pool audit log — is a
-    /// [`CowLog`] whose sealed past is shared behind `Arc`s (which is
+    /// history — the trace, the SCRAM event log, the bus delivery and
+    /// membership logs, the pool audit log — is a
+    /// [`CowLog`](arfs_failstop::CowLog) whose sealed past is shared
+    /// behind `Arc`s (which is
     /// why forking takes `&mut self`: the open tails are sealed into
     /// shared segments), and stable-storage regions share their
     /// committed store copy-on-write. The cost of a fork is therefore
@@ -776,15 +639,9 @@ impl System {
             scram: self.scram.fork(),
             monitors: self.monitors.fork_snapshot(),
             trace: self.trace.fork(),
-            events: self.events.fork(),
             pending_env: self.pending_env.clone(),
             pending_failures: self.pending_failures.clone(),
-            journal: self.journal.clone(),
-            metrics: self.metrics.clone(),
-            obs_enabled: self.obs_enabled,
-            ring: self.ring.clone(),
-            ring_reconfig_started: self.ring_reconfig_started,
-            defense_events: self.defense_events,
+            obs: self.obs.clone(),
             pool_events_cursor: self.pool_events_cursor,
             membership_cursor: self.membership_cursor,
             reconfig_started_at: self.reconfig_started_at,
@@ -892,7 +749,7 @@ impl System {
     /// See [`advance_frame`](System::advance_frame) for the conditions.
     fn steady_fast_eligible(&self) -> bool {
         let frame = self.clock.frame();
-        !self.obs_enabled
+        !self.obs.enabled
             && !self.trace_recording
             && self.apps_auto_null
             && self.monitors.is_empty()
@@ -916,15 +773,12 @@ impl System {
     /// The steady-state frame body: every app runs its normal stage
     /// against the cached plan and commits. Allocates only on the first
     /// fast frame after a full frame (plan construction) or on an
-    /// anomaly (event logging).
+    /// anomaly (a stage error's message).
     fn run_steady_frame(&mut self) {
         let frame = self.clock.frame();
-        // Flight-recorder bump: coalesced run-length update, in-place,
-        // zero allocations (the alloc-free contract of this path is
-        // proven ring-enabled by tests/alloc_free_frame.rs).
-        if let Some(ring) = &mut self.ring {
-            ring.bump_run(frame, RingCode::FastFrames);
-        }
+        // Coalesced into the ring's current run in place: zero
+        // allocations (proven ring-enabled by tests/alloc_free_frame.rs).
+        self.obs.emit(frame, &Event::FastFrame);
         if self.fast_plan.is_none() {
             let mut plan = Vec::with_capacity(self.app_order.len());
             for app_id in &self.app_order {
@@ -966,32 +820,26 @@ impl System {
                 stable.commit();
                 (result, consumed)
             });
-            if let Err(error) = result {
-                let app_id = self.apps[slot.app_index].id().clone();
-                let a = self.app_index_of(&app_id);
-                self.ring_push(frame, RingCode::StageError, a, 0);
-                self.events.push(SystemEvent::AppStageError {
+            let app = self.apps[slot.app_index].id();
+            if let Err(error) = &result {
+                self.obs.emit(
                     frame,
-                    app: app_id,
-                    stage: "normal".into(),
-                    error,
-                });
+                    &Event::StageError {
+                        app,
+                        stage: "normal",
+                        error,
+                    },
+                );
             }
             if slot.budget > Ticks::ZERO && consumed > slot.budget {
-                let app_id = self.apps[slot.app_index].id().clone();
-                let a = self.app_index_of(&app_id);
-                self.ring_push(
+                self.obs.emit(
                     frame,
-                    RingCode::DeadlineMiss,
-                    a,
-                    consumed.raw().min(u64::from(u32::MAX)) as u32,
+                    &Event::DeadlineMiss {
+                        app,
+                        consumed,
+                        budget: slot.budget,
+                    },
                 );
-                self.events.push(SystemEvent::DeadlineMiss {
-                    frame,
-                    app: app_id,
-                    consumed,
-                    budget: slot.budget,
-                });
             }
         }
         self.fast_plan = Some(plan);
@@ -1008,20 +856,12 @@ impl System {
     /// decision for it.
     pub fn run_frame(&mut self) -> FrameDecision {
         let frame = self.clock.frame();
-
-        if let Some(ring) = &mut self.ring {
-            ring.bump_run(frame, RingCode::FullFrames);
-        }
-
-        if self.obs_enabled {
-            self.journal.record(
-                frame,
-                Subsystem::System,
-                "frame-start",
-                serde_json::json!({"config": self.scram.current_config().to_string()}),
-            );
-            self.metrics.incr("frames");
-        }
+        self.obs.emit(
+            frame,
+            &Event::FrameStart {
+                config: self.scram.current_config(),
+            },
+        );
 
         // --- Virtual monitoring applications sample their components
         // (§6.3); their updates join the frame's environment changes. ---
@@ -1032,91 +872,40 @@ impl System {
         }
 
         // --- Pending hardware failures take effect. ---
-        for p in std::mem::take(&mut self.pending_failures) {
-            if self.pool.is_alive(p) {
-                let _ = self.pool.fail(p);
-                self.ring_push(frame, RingCode::ProcessorFailed, p.raw(), 0);
-                self.events.push(SystemEvent::ProcessorDown {
-                    frame,
-                    processor: p,
-                });
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::Failstop,
-                        "fault-injected",
-                        serde_json::json!({"processor": p.raw() as u64}),
-                    );
-                    self.metrics.incr("failstop.fault_injections");
-                }
+        for processor in std::mem::take(&mut self.pending_failures) {
+            if self.pool.is_alive(processor) {
+                let _ = self.pool.fail(processor);
+                self.obs.emit(frame, &Event::FaultInjected { processor });
             }
         }
 
         // --- Scheduled substrate faults strike (the chaos plan). ---
         let mut faulted_apps: BTreeSet<AppId> = BTreeSet::new();
         let mut jitter: BTreeMap<AppId, Ticks> = BTreeMap::new();
-        let struck: Vec<FaultKind> = self
-            .chaos
-            .plan
-            .events_at(frame)
-            .map(|e| e.kind.clone())
-            .collect();
-        for kind in struck {
-            match &kind {
+        for fault in self.chaos.plan.events_at(frame) {
+            let event = match &fault.kind {
                 FaultKind::CommitFault { app } => {
                     faulted_apps.insert(app.clone());
-                    let a = self.app_index_of(app);
-                    self.ring_push(frame, RingCode::TornWrite, a, 0);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Failstop,
-                            "torn-write",
-                            serde_json::json!({"app": app.to_string()}),
-                        );
+                    Event::TornWrite {
+                        app,
+                        scheduled: true,
                     }
                 }
                 FaultKind::BusSilence { processor, frames } => {
                     let until = frame + frames;
                     let entry = self.chaos.silenced_until.entry(*processor).or_insert(until);
                     *entry = (*entry).max(until);
-                    let (p, n) = (processor.raw(), (*frames).min(u64::from(u32::MAX)) as u32);
-                    self.ring_push(frame, RingCode::BusSilenced, p, n);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Bus,
-                            "bus-silenced",
-                            serde_json::json!({
-                                "processor": processor.raw() as u64,
-                                "frames": *frames,
-                            }),
-                        );
+                    Event::BusSilenced {
+                        processor: *processor,
+                        frames: *frames,
                     }
                 }
                 FaultKind::ClockJitter { app, ticks } => {
-                    let slot = jitter.entry(app.clone()).or_insert(Ticks::ZERO);
-                    *slot += Ticks::new(*ticks);
-                    let a = self.app_index_of(app);
-                    self.ring_push(
-                        frame,
-                        RingCode::ClockJitter,
-                        a,
-                        (*ticks).min(u64::from(u32::MAX)) as u32,
-                    );
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Rtos,
-                            "clock-jitter",
-                            serde_json::json!({"app": app.to_string(), "ticks": *ticks}),
-                        );
-                    }
+                    *jitter.entry(app.clone()).or_insert(Ticks::ZERO) += Ticks::new(*ticks);
+                    Event::ClockJitter { app, ticks: *ticks }
                 }
-            }
-            if self.obs_enabled {
-                self.metrics.incr("chaos.faults_injected");
-            }
+            };
+            self.obs.emit(frame, &event);
         }
 
         // Failpoint: an injected torn stable-storage write, equivalent to
@@ -1130,8 +919,7 @@ impl System {
             ) {
                 if let Some(app) = self.app_order.first() {
                     faulted_apps.insert(app.clone());
-                    let a = self.app_index_of(app);
-                    self.ring_push(frame, RingCode::TornWrite, a, 0);
+                    self.obs.emit(frame, &Event::TornWrite { app, scheduled: false });
                 }
             }
         });
@@ -1146,32 +934,16 @@ impl System {
             if self.chaos.is_silenced(p, frame) {
                 let streak = self.chaos.silent_streak.entry(p).or_insert(0);
                 *streak += 1;
-                let streak = *streak;
-                if streak >= self.chaos.defense.quarantine_window_frames {
+                let silent_frames = *streak;
+                if silent_frames >= self.chaos.defense.quarantine_window_frames {
                     let _ = self.pool.fail(p);
-                    self.events.push(SystemEvent::ProcessorDown {
+                    self.obs.emit(
                         frame,
-                        processor: p,
-                    });
-                    self.defense_events += 1;
-                    self.ring_push(
-                        frame,
-                        RingCode::Quarantined,
-                        p.raw(),
-                        streak.min(u64::from(u32::MAX)) as u32,
+                        &Event::Quarantined {
+                            processor: p,
+                            silent_frames,
+                        },
                     );
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Failstop,
-                            "quarantined",
-                            serde_json::json!({
-                                "processor": p.raw() as u64,
-                                "silent_frames": streak,
-                            }),
-                        );
-                        self.metrics.incr("chaos.quarantines");
-                    }
                     self.chaos.silent_streak.remove(&p);
                     self.chaos.silenced_until.remove(&p);
                 }
@@ -1193,65 +965,53 @@ impl System {
         // sample for this frame). ---
         for (factor, value) in std::mem::take(&mut self.pending_env) {
             if self.environment.set(frame, &factor, &value) == Ok(true) {
-                self.events.push(SystemEvent::EnvChanged {
-                    frame,
-                    factor: factor.clone(),
-                    value: value.clone(),
-                });
-                let (fi, vi) = self.env_index_of(&factor, &value);
-                self.ring_push(frame, RingCode::EnvChanged, fi, vi);
+                let (factor, value) = (factor.as_str(), value.as_str());
+                self.obs.emit(frame, &Event::EnvChanged { factor, value });
                 // Fault signal: environment monitor -> SCRAM over the bus.
                 // Failpoint: counted for coverage (the SCRAM reads the
                 // environment directly, so a lost modeled signal is
                 // property-benign); Panic models a monitor crash.
                 arfs_assure::fp!("system.env.submit");
                 let payload = format!("{factor}={value}");
-                let _ = self.bus.submit(
-                    ENV_NODE,
-                    Message::new("fault", payload.clone().into_bytes()),
-                );
-                self.events.push(SystemEvent::SignalSent {
-                    frame,
-                    from: "environment".into(),
-                    to: "scram".into(),
-                    topic: "fault".into(),
-                    detail: payload.clone(),
-                });
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::Env,
-                        "env-changed",
-                        serde_json::json!({"factor": factor, "value": value}),
-                    );
-                    self.journal.record(
-                        frame,
-                        Subsystem::Env,
-                        "fault-signal",
-                        serde_json::json!({"from": "environment", "to": "scram", "detail": payload}),
-                    );
-                    self.metrics.incr("signals.fault");
-                }
+                let _ = self
+                    .bus
+                    .submit(ENV_NODE, Message::new("fault", payload.into_bytes()));
+                self.obs.emit(frame, &Event::FaultSignal { factor, value });
             }
         }
         self.bus.mark_present(ENV_NODE);
         let env = self.environment.current().clone();
 
         // --- SCRAM decision. ---
-        let decision_started = self.obs_enabled.then(std::time::Instant::now);
+        let decision_started = self.obs.enabled.then(std::time::Instant::now);
         let decision = self.scram.step_chaos(frame, &env, &faulted_apps);
         if let Some(started) = decision_started {
-            self.metrics.observe(
+            self.obs.metrics.observe(
                 "scram.decision_ns",
                 started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
             );
         }
-        self.record_scram_events(frame, &decision);
+        for event in &decision.events {
+            // The reconfiguration clock: trigger frame to completion
+            // frame, for the latency and the busy-state fingerprint.
+            let cycles = match event {
+                ScramEvent::TriggerAccepted { .. } => {
+                    self.reconfig_started_at = Some(frame);
+                    None
+                }
+                ScramEvent::Completed { .. } => self
+                    .reconfig_started_at
+                    .take()
+                    .map(|start| frame - start + 1),
+                _ => None,
+            };
+            self.obs.emit(frame, &Event::Scram { event, cycles });
+        }
 
         // --- Reconfiguration signals: SCRAM -> each application, via the
         // configuration_status variable in stable storage and the bus. ---
-        for (app_id, command) in &decision.commands {
-            let region = self.regions.get(app_id).expect("region per app");
+        for (app, command) in &decision.commands {
+            let region = self.regions.get(app).expect("region per app");
             region.write(|s| {
                 s.stage_str(CONFIG_STATUS_KEY, command.status.as_str());
                 match &command.target {
@@ -1261,47 +1021,20 @@ impl System {
                 s.commit();
             });
             if command.status != ConfigStatus::Normal {
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::System,
-                        "stable-commit",
-                        serde_json::json!({
-                            "app": app_id.to_string(),
-                            "status": command.status.as_str(),
-                            "target": match &command.target {
-                                Some(t) => serde_json::Value::Str(t.to_string()),
-                                None => serde_json::Value::Null,
-                            },
-                        }),
-                    );
-                    self.metrics.incr("stable.commits");
-                }
-                let payload = format!("{app_id}:{}", command.status);
-                let _ = self.bus.submit(
-                    SCRAM_NODE,
-                    Message::new("reconfig", payload.clone().into_bytes()),
-                );
-                self.events.push(SystemEvent::SignalSent {
+                let status = command.status;
+                self.obs.emit(
                     frame,
-                    from: "scram".into(),
-                    to: app_id.to_string(),
-                    topic: "reconfig".into(),
-                    detail: payload.clone(),
-                });
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::System,
-                        "reconfig-signal",
-                        serde_json::json!({
-                            "from": "scram",
-                            "to": app_id.to_string(),
-                            "detail": payload,
-                        }),
-                    );
-                    self.metrics.incr("signals.reconfig");
-                }
+                    &Event::StableCommit {
+                        app,
+                        status,
+                        target: command.target.as_ref(),
+                    },
+                );
+                let payload = format!("{app}:{status}");
+                let _ = self
+                    .bus
+                    .submit(SCRAM_NODE, Message::new("reconfig", payload.into_bytes()));
+                self.obs.emit(frame, &Event::ReconfigSignal { app, status });
             }
         }
         self.bus.mark_present(SCRAM_NODE);
@@ -1338,31 +1071,14 @@ impl System {
 
             // An application on a failed processor cannot run its stage.
             let placed = placement_config.placement_for(&app_id);
-            let host_alive = placed.map(|p| self.pool.is_alive(p)).unwrap_or(true);
-            if !host_alive {
-                self.events.push(SystemEvent::AppLost {
+            if let Some(processor) = placed.filter(|p| !self.pool.is_alive(*p)) {
+                self.obs.emit(
                     frame,
-                    app: app_id.clone(),
-                    processor: placed.expect("checked above"),
-                });
-                let a = self.app_index_of(&app_id);
-                self.ring_push(
-                    frame,
-                    RingCode::AppLost,
-                    a,
-                    placed.expect("checked above").raw(),
+                    &Event::AppLost {
+                        app: &app_id,
+                        processor,
+                    },
                 );
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::App,
-                        "app-lost",
-                        serde_json::json!({
-                            "app": app_id.to_string(),
-                            "processor": placed.expect("checked above").raw() as u64,
-                        }),
-                    );
-                }
                 let app = &self.apps[app_index];
                 post_ok.insert(app_id.clone(), None);
                 pre_ok.insert(app_id.clone(), None);
@@ -1439,65 +1155,25 @@ impl System {
                 None => consumed,
             };
 
-            if let Err(error) = result {
-                let a = self.app_index_of(&app_id);
-                self.ring_push(frame, RingCode::StageError, a, 0);
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::App,
-                        "stage-error",
-                        serde_json::json!({
-                            "app": app_id.to_string(),
-                            "stage": stage,
-                            "error": error.clone(),
-                        }),
-                    );
-                    self.metrics.incr("app.stage_errors");
-                }
-                self.events.push(SystemEvent::AppStageError {
+            if let Err(error) = &result {
+                self.obs.emit(
                     frame,
-                    app: app_id.clone(),
-                    stage: stage.into(),
-                    error,
-                });
+                    &Event::StageError {
+                        app: &app_id,
+                        stage,
+                        error,
+                    },
+                );
             }
             if budget > Ticks::ZERO && consumed > budget {
-                self.events.push(SystemEvent::DeadlineMiss {
+                self.obs.emit(
                     frame,
-                    app: app_id.clone(),
-                    consumed,
-                    budget,
-                });
-                let a = self.app_index_of(&app_id);
-                self.ring_push(
-                    frame,
-                    RingCode::DeadlineMiss,
-                    a,
-                    consumed.raw().min(u64::from(u32::MAX)) as u32,
+                    &Event::DeadlineMiss {
+                        app: &app_id,
+                        consumed,
+                        budget,
+                    },
                 );
-                if self.obs_enabled {
-                    // The executive's health-monitor view of the same
-                    // overrun (the paper's "timing monitor" trigger
-                    // source).
-                    let health = arfs_rtos::HealthEvent {
-                        frame,
-                        partition: app_id.to_string(),
-                        kind: arfs_rtos::HealthKind::DeadlineMiss { consumed, budget },
-                    };
-                    self.journal.record(
-                        frame,
-                        Subsystem::Rtos,
-                        health.kind.code(),
-                        serde_json::json!({
-                            "app": app_id.to_string(),
-                            "consumed": consumed.raw(),
-                            "budget": budget.raw(),
-                            "detail": health.to_string(),
-                        }),
-                    );
-                    self.metrics.incr("rtos.deadline_misses");
-                }
             }
 
             // Predicate evidence for the trace (Table 1's Predicate
@@ -1526,27 +1202,14 @@ impl System {
                 let payload = format!("{app_id}:{}:done", command.status);
                 let _ = self
                     .bus
-                    .submit(node, Message::new("status", payload.clone().into_bytes()));
-                self.events.push(SystemEvent::SignalSent {
+                    .submit(node, Message::new("status", payload.into_bytes()));
+                self.obs.emit(
                     frame,
-                    from: app_id.to_string(),
-                    to: "scram".into(),
-                    topic: "status".into(),
-                    detail: payload.clone(),
-                });
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::App,
-                        "status-signal",
-                        serde_json::json!({
-                            "from": app_id.to_string(),
-                            "to": "scram",
-                            "detail": payload,
-                        }),
-                    );
-                    self.metrics.incr("signals.status");
-                }
+                    &Event::StatusSignal {
+                        app: &app_id,
+                        status: command.status,
+                    },
+                );
             }
         }
 
@@ -1614,34 +1277,16 @@ impl System {
         // --- One bus round per frame. ---
         let round = self.bus.run_round();
 
-        if self.obs_enabled {
-            self.metrics.add("bus.deliveries", round.delivered as u64);
-
+        if self.obs.enabled {
             // Tail the substrate audit logs into the journal. The
             // cursor-based iterators skip already-seen history without
             // rescanning (or copying) the shared COW segments.
             for change in self.bus.membership_changes_from(self.membership_cursor) {
-                self.journal.record(
-                    frame,
-                    Subsystem::Bus,
-                    "membership-changed",
-                    serde_json::json!({
-                        "round": change.round,
-                        "node": change.node.to_string(),
-                        "present": change.present,
-                    }),
-                );
-                self.metrics.incr("bus.membership_changes");
+                self.obs.emit(frame, &Event::MembershipChanged(change));
             }
             self.membership_cursor = self.bus.membership_len();
-
             for event in self.pool.events_since(self.pool_events_cursor) {
-                self.journal.push(crate::obs::JournalEvent {
-                    frame,
-                    subsystem: Subsystem::Failstop,
-                    kind: event.kind().to_owned(),
-                    payload: serde_json::Value::Str(format!("{event:?}")),
-                });
+                self.obs.emit(frame, &Event::PoolAudit(&event));
             }
             self.pool_events_cursor = self.pool.events_len();
 
@@ -1649,18 +1294,18 @@ impl System {
                 .commands
                 .values()
                 .any(|c| c.status != ConfigStatus::Normal);
-            self.journal.record(
+            self.obs.emit(
                 frame,
-                Subsystem::System,
-                "frame-end",
-                serde_json::json!({
-                    "config": decision.svclvl.to_string(),
-                    "restricted": restricted,
-                }),
+                &Event::FrameEnd {
+                    config: &decision.svclvl,
+                    restricted,
+                },
             );
+            let metrics = &mut self.obs.metrics;
+            metrics.add("bus.deliveries", round.delivered as u64);
             let frames = self.trace.len() as f64;
             if frames > 0.0 {
-                self.metrics.set_gauge(
+                metrics.set_gauge(
                     "frames.restricted_ratio",
                     self.trace.restricted_frames() as f64 / frames,
                 );
@@ -1673,181 +1318,6 @@ impl System {
         self.fast_plan = None;
         decision
     }
-
-    /// Mirrors the SCRAM's per-frame events into the flight ring (always)
-    /// and the journal + metrics (when observability is on). The ring's
-    /// reconfiguration clock (`ring_reconfig_started`) is maintained here
-    /// unconditionally — the obs-gated `reconfig_started_at` twin feeds
-    /// the busy-state fingerprint and must keep its exact legacy
-    /// behavior.
-    fn record_scram_events(&mut self, frame: u64, decision: &FrameDecision) {
-        for event in &decision.events {
-            match event {
-                ScramEvent::TriggerAccepted {
-                    env,
-                    from,
-                    target,
-                    interrupted,
-                    ..
-                } => {
-                    let (f, t) = (self.cfg_index(from), self.cfg_index(target));
-                    self.ring_push(frame, RingCode::TriggerAccepted, f, t);
-                    self.ring_reconfig_started = Some(frame);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "trigger-accepted",
-                            serde_json::json!({
-                                "env": env.to_string(),
-                                "from": from.to_string(),
-                                "target": target.to_string(),
-                                "interrupted": interrupted
-                                    .iter()
-                                    .map(|a| serde_json::Value::Str(a.to_string()))
-                                    .collect::<Vec<_>>(),
-                            }),
-                        );
-                        self.metrics.incr("scram.triggers");
-                        self.reconfig_started_at = Some(frame);
-                    }
-                }
-                ScramEvent::PhaseEntered { phase, target, .. } => {
-                    let t = self.cfg_index(target);
-                    self.ring_push(frame, RingCode::PhaseEntered, phase.index(), t);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "phase-entered",
-                            serde_json::json!({
-                                "phase": phase.to_string(),
-                                "target": target.to_string(),
-                            }),
-                        );
-                    }
-                }
-                ScramEvent::Retargeted {
-                    old_target,
-                    new_target,
-                    ..
-                } => {
-                    let (o, n) = (self.cfg_index(old_target), self.cfg_index(new_target));
-                    self.ring_push(frame, RingCode::Retargeted, o, n);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "retargeted",
-                            serde_json::json!({
-                                "old_target": old_target.to_string(),
-                                "new_target": new_target.to_string(),
-                            }),
-                        );
-                        self.metrics.incr("scram.retargets");
-                    }
-                }
-                ScramEvent::Completed { config, .. } => {
-                    let ring_cycles = self
-                        .ring_reconfig_started
-                        .take()
-                        .map(|start| frame - start + 1);
-                    let c = self.cfg_index(config);
-                    self.ring_push(
-                        frame,
-                        RingCode::Completed,
-                        c,
-                        ring_cycles.unwrap_or(0).min(u64::from(u32::MAX)) as u32,
-                    );
-                    if self.obs_enabled {
-                        let cycles = self
-                            .reconfig_started_at
-                            .take()
-                            .map(|start| frame - start + 1);
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "completed",
-                            serde_json::json!({
-                                "config": config.to_string(),
-                                "cycles": match cycles {
-                                    Some(c) => serde_json::Value::U64(c),
-                                    None => serde_json::Value::Null,
-                                },
-                            }),
-                        );
-                        self.metrics.incr("scram.completions");
-                        if let Some(c) = cycles {
-                            self.metrics.observe("reconfig.latency_cycles", c);
-                        }
-                    }
-                }
-                ScramEvent::DwellSuppressed { until, .. } => {
-                    self.ring_push(
-                        frame,
-                        RingCode::DwellSuppressed,
-                        (*until).min(u64::from(u32::MAX)) as u32,
-                        0,
-                    );
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "dwell-suppressed",
-                            serde_json::json!({"until": *until}),
-                        );
-                        self.metrics.incr("scram.dwell_suppressed");
-                    }
-                }
-                ScramEvent::CommitRetry {
-                    target,
-                    used,
-                    budget,
-                    ..
-                } => {
-                    self.defense_events += 1;
-                    self.ring_push(
-                        frame,
-                        RingCode::CommitRetry,
-                        (*used).min(u64::from(u32::MAX)) as u32,
-                        (*budget).min(u64::from(u32::MAX)) as u32,
-                    );
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "commit-retry",
-                            serde_json::json!({
-                                "target": target.to_string(),
-                                "used": *used,
-                                "budget": *budget,
-                            }),
-                        );
-                        self.metrics.incr("chaos.commit_retries");
-                    }
-                }
-                ScramEvent::SafeFallback {
-                    abandoned, safe, ..
-                } => {
-                    self.defense_events += 1;
-                    let (a, s) = (self.cfg_index(abandoned), self.cfg_index(safe));
-                    self.ring_push(frame, RingCode::SafeFallback, a, s);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "safe-fallback",
-                            serde_json::json!({
-                                "abandoned": abandoned.to_string(),
-                                "safe": safe.to_string(),
-                            }),
-                        );
-                        self.metrics.incr("chaos.safe_fallbacks");
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1858,6 +1328,15 @@ mod tests {
     use crate::spec::{AppDecl, Configuration, FunctionalSpec};
     use crate::trace::ReconfSt;
     use crate::SpecId;
+
+    /// Whether the journal holds a `kind` event whose payload field
+    /// `key` is the string `value`.
+    fn journaled(system: &System, kind: &str, key: &str, value: &str) -> bool {
+        system
+            .journal()
+            .of_kind(kind)
+            .any(|e| e.payload.get(key).and_then(|v| v.as_str()) == Some(value))
+    }
 
     fn spec() -> ReconfigSpec {
         ReconfigSpec::builder()
@@ -2002,17 +1481,10 @@ mod tests {
         assert!(topics.contains(&"fault"));
         assert!(topics.contains(&"reconfig"));
         assert!(topics.contains(&"status"));
-        // And the event log mirrors the Figure 1 edges.
-        assert!(system.events().iter().any(|e| matches!(
-            e,
-            SystemEvent::SignalSent { from, to, topic, .. }
-                if from == "environment" && to == "scram" && topic == "fault"
-        )));
-        assert!(system.events().iter().any(|e| matches!(
-            e,
-            SystemEvent::SignalSent { from, topic, .. }
-                if from == "scram" && topic == "reconfig"
-        )));
+        // And the journal mirrors the Figure 1 edges.
+        assert!(journaled(&system, "fault-signal", "from", "environment"));
+        assert!(journaled(&system, "fault-signal", "to", "scram"));
+        assert!(journaled(&system, "reconfig-signal", "from", "scram"));
     }
 
     #[test]
@@ -2093,6 +1565,7 @@ mod tests {
     fn observability_can_be_disabled() {
         let mut system = System::builder(spec())
             .observability(false)
+            .flight_recorder(64)
             .build()
             .unwrap();
         system.run_frames(2);
@@ -2100,9 +1573,12 @@ mod tests {
         system.run_frames(6);
         assert!(system.journal().is_empty());
         assert_eq!(system.metrics().counter("frames"), 0);
-        // The trace and legacy event log are unaffected.
+        // The trace and the flight ring are unaffected.
         assert_eq!(system.trace().len(), 8);
-        assert!(!system.events().is_empty());
+        let ring = system.flight_ring().unwrap();
+        assert!(ring
+            .iter()
+            .any(|e| e.code == crate::obs::RingCode::TriggerAccepted));
     }
 
     #[test]
@@ -2222,14 +1698,11 @@ mod tests {
         system.run_frames(2);
         system.fail_processor(ProcessorId::new(1)); // autopilot's host
         system.run_frames(2);
-        assert!(system.events().iter().any(|e| matches!(
-            e,
-            SystemEvent::ProcessorDown { processor, .. } if *processor == ProcessorId::new(1)
-        )));
-        assert!(system.events().iter().any(|e| matches!(
-            e,
-            SystemEvent::AppLost { app, .. } if *app == AppId::new("autopilot")
-        )));
+        assert!(system
+            .journal()
+            .of_kind("fault-injected")
+            .any(|e| e.payload.get("processor") == Some(&serde_json::Value::U64(1))));
+        assert!(journaled(&system, "app-lost", "app", "autopilot"));
     }
 
     #[test]
@@ -2371,11 +1844,8 @@ mod tests {
             .unwrap();
         system.run_frames(12);
         assert_eq!(system.current_config(), &ConfigId::new("reduced"));
-        // The monitor's change produced a fault signal on the bus.
-        assert!(system.events().iter().any(|e| matches!(
-            e,
-            SystemEvent::SignalSent { topic, .. } if topic == "fault"
-        )));
+        // The monitor's change produced a fault signal.
+        assert_eq!(system.journal().of_kind("fault-signal").count(), 1);
         let report = properties::check_extended(system.trace(), system.spec());
         assert!(report.is_ok(), "{report}");
     }
@@ -2438,18 +1908,14 @@ mod tests {
             .build()
             .unwrap();
         system.run_frames(2);
-        assert!(!system
-            .events()
-            .iter()
-            .any(|e| matches!(e, SystemEvent::DeadlineMiss { .. })));
+        assert_eq!(system.journal().of_kind("deadline-miss").count(), 0);
         system.set_env("power", "low").unwrap();
         system.run_frames(6);
         // The halt stage blew the frame budget.
-        assert!(system.events().iter().any(|e| matches!(
-            e,
-            SystemEvent::DeadlineMiss { app, consumed, .. }
-                if *app == AppId::new("fcs") && *consumed == Ticks::new(5000)
-        )));
+        assert!(system.journal().of_kind("deadline-miss").any(|e| {
+            e.payload.get("app").and_then(|v| v.as_str()) == Some("fcs")
+                && e.payload.get("consumed") == Some(&serde_json::Value::U64(5000))
+        }));
     }
 
     #[test]
@@ -2547,15 +2013,9 @@ mod tests {
         assert_eq!(journal.of_kind("bus-silenced").count(), 1);
         assert_eq!(journal.of_kind("quarantined").count(), 1);
         assert_eq!(system.metrics().counter("chaos.quarantines"), 1);
-        assert!(system.events().iter().any(|e| matches!(
-            e,
-            SystemEvent::ProcessorDown { processor, .. } if *processor == ProcessorId::new(1)
-        )));
+        assert_eq!(system.journal().of_kind("processor-failed").count(), 1);
         // The quarantined host's application is lost thereafter.
-        assert!(system.events().iter().any(|e| matches!(
-            e,
-            SystemEvent::AppLost { app, .. } if *app == AppId::new("autopilot")
-        )));
+        assert!(journaled(&system, "app-lost", "app", "autopilot"));
     }
 
     #[test]
@@ -2596,11 +2056,12 @@ mod tests {
 
         assert_eq!(system.journal().of_kind("clock-jitter").count(), 1);
         assert_eq!(system.metrics().counter("rtos.deadline_misses"), 1);
-        assert!(system.events().iter().any(|e| matches!(
-            e,
-            SystemEvent::DeadlineMiss { frame, app, .. }
-                if *frame == 1 && *app == AppId::new("fcs")
-        )));
+        let miss = system.journal().of_kind("deadline-miss").next().unwrap();
+        assert_eq!(miss.frame, 1);
+        assert_eq!(
+            miss.payload.get("app").and_then(|v| v.as_str()),
+            Some("fcs")
+        );
     }
 
     #[test]
@@ -2611,9 +2072,6 @@ mod tests {
             .build()
             .unwrap();
         system.run_frames(1);
-        assert!(system.events().iter().any(|e| matches!(
-            e,
-            SystemEvent::DeadlineMiss { app, .. } if *app == AppId::new("fcs")
-        )));
+        assert!(journaled(&system, "deadline-miss", "app", "fcs"));
     }
 }

@@ -262,3 +262,27 @@ fn stream_verifier_allocates_only_to_record_a_latency() {
         "steady stretches run fast"
     );
 }
+
+#[test]
+fn metrics_registry_allocates_a_name_only_once() {
+    let mut metrics = arfs_core::obs::MetricsRegistry::new();
+    metrics.add("bus.deliveries", 1);
+    metrics.incr("frames");
+    metrics.set_gauge("frames.restricted_ratio", 0.0);
+
+    let before = allocs();
+    for i in 0..100u32 {
+        metrics.add("bus.deliveries", 3);
+        metrics.incr("frames");
+        metrics.set_gauge("frames.restricted_ratio", f64::from(i) / 100.0);
+    }
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "updating existing metrics must not touch the heap ({} allocations)",
+        after - before
+    );
+    assert_eq!(metrics.counter("bus.deliveries"), 301);
+    assert_eq!(metrics.counter("frames"), 101);
+}

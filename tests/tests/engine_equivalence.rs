@@ -291,3 +291,52 @@ fn forked_systems_diverge_independently() {
     let child_prefix: Vec<_> = child.trace().states().take(3).cloned().collect();
     assert_eq!(parent_prefix, child_prefix);
 }
+
+/// The exploration counts of a report: what the walk ran, elided,
+/// merged and simulated, plus its failures.
+fn exploration(report: &arfs_core::model::ModelCheckReport) -> (usize, usize, usize, u64, String) {
+    (
+        report.cases_run,
+        report.cases_elided,
+        report.cases_merged,
+        report.frames_simulated,
+        format!("{:?}", report.failures),
+    )
+}
+
+/// Runs `mc` with observability off and on and asserts the two walks
+/// explore identically; returns the shared counts.
+fn assert_observability_blind(mc: ModelChecker, label: &str) -> (usize, usize, usize, u64, String) {
+    let dark = exploration(&mc.clone().with_observability(false).run());
+    let lit = exploration(&mc.with_observability(true).run());
+    assert_eq!(dark, lit, "{label}: observability changed the exploration");
+    dark
+}
+
+#[test]
+fn model_checking_does_not_depend_on_the_observability_knob() {
+    // Busy-state fingerprints hash the offset into the reconfiguration
+    // window; the clock behind it must tick the same whether or not the
+    // system journals.
+    let extended = arfs_avionics::extended::extended_uav_spec().expect("valid spec");
+    let (run, elided, merged, _, failures) = assert_observability_blind(
+        ModelChecker::new(extended.clone(), 20, 2).with_por(),
+        "extended POR h20 e2",
+    );
+    assert_eq!((run, elided, merged), (211, 392, 196));
+    assert_eq!(failures, "[]");
+
+    let avionics = arfs_avionics::avionics_spec().expect("valid spec");
+    for spec in [avionics, extended] {
+        for (slug, mutation) in arfs_avionics::known_bad_mutations() {
+            let (_, _, _, _, failures) = assert_observability_blind(
+                ModelChecker::new(spec.clone(), 24, 2)
+                    .with_por()
+                    .with_mutation(mutation)
+                    .with_flight_recorder(false),
+                &format!("{slug} POR h24 e2"),
+            );
+            assert_ne!(failures, "[]", "{slug}: the mutant must be caught");
+        }
+    }
+}

@@ -5,7 +5,6 @@
 
 use arfs_core::prelude::*;
 use arfs_core::properties;
-use arfs_core::system::SystemEvent;
 use arfs_failstop::{FaultPlan, PairOutcome, Program, SelfCheckingPair};
 use arfs_fta::{Fta, FtaExecutor, FtaOutcome};
 
@@ -58,14 +57,13 @@ fn processor_failure_triggers_failover_reconfiguration() {
     // The membership-derived environment factor flipped and the SCRAM
     // moved the system to simplex.
     assert_eq!(system.current_config(), &ConfigId::new("simplex"));
-    assert!(system.events().iter().any(|e| matches!(
-        e,
-        SystemEvent::ProcessorDown { processor, .. } if *processor == ProcessorId::new(1)
-    )));
-    assert!(system.events().iter().any(|e| matches!(
-        e,
-        SystemEvent::AppLost { app, .. } if *app == AppId::new("primary")
-    )));
+    let journal = system.journal();
+    assert!(journal
+        .of_kind("fault-injected")
+        .any(|e| e.payload.get("processor") == Some(&serde_json::Value::U64(1))));
+    assert!(journal
+        .of_kind("app-lost")
+        .any(|e| e.payload.get("app").and_then(|v| v.as_str()) == Some("primary")));
     let report = properties::check_extended(system.trace(), system.spec());
     assert!(report.is_ok(), "{report}");
     // The primary is off in the new configuration.
@@ -201,9 +199,9 @@ fn application_stage_errors_surface_as_health_events() {
         .unwrap();
     system.run_frames(6);
     let errors = system
-        .events()
-        .iter()
-        .filter(|e| matches!(e, SystemEvent::AppStageError { app, .. } if *app == AppId::new("primary")))
+        .journal()
+        .of_kind("stage-error")
+        .filter(|e| e.payload.get("app").and_then(|v| v.as_str()) == Some("primary"))
         .count();
     assert_eq!(errors, 2);
 }

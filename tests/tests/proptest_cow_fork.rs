@@ -1,6 +1,6 @@
 //! Copy-on-write fork isolation: a fork taken at any point — including
 //! mid-reconfiguration, when the SCRAM's in-flight record, partial
-//! trace, and half-filled event logs are all live — must behave exactly
+//! trace, and half-filled bus and SCRAM logs are all live — must behave exactly
 //! like a system rebuilt from scratch and driven down the same
 //! schedule. If any mutable state leaked through the `Arc`-shared COW
 //! layer (a sealed segment mutated in place, a stable-storage region
@@ -19,7 +19,7 @@ type Stimulus = (u64, usize);
 
 /// Runs a fresh avionics system (observability on) through `schedule`
 /// up to `horizon`, returning its journal as JSON lines, its trace,
-/// and its event log debug rendering — three independent byte-level
+/// and its bus log debug rendering — three independent byte-level
 /// views of the behavior.
 fn replay_from_scratch(schedule: &[Stimulus], horizon: u64) -> (String, SysTrace, String) {
     let spec = arfs_avionics::avionics_spec().unwrap();
@@ -45,7 +45,7 @@ fn fingerprints(system: &System) -> (String, SysTrace, String) {
     (
         system.journal().to_json_lines(),
         system.trace().clone(),
-        format!("{:?}", system.events()),
+        format!("{:?}", system.bus().log()),
     )
 }
 
@@ -92,18 +92,18 @@ proptest! {
         }
 
         // Each side must be byte-identical to a system that never
-        // forked at all: same journal JSON, same trace, same events.
+        // forked at all: same journal JSON, same trace, same bus log.
         let (pj, pt, pe) = fingerprints(&parent);
         let (oj, ot, oe) = replay_from_scratch(&parent_schedule, horizon);
         prop_assert_eq!(pj, oj, "parent journal diverged from deep replay");
         prop_assert_eq!(pt, ot, "parent trace diverged from deep replay");
-        prop_assert_eq!(pe, oe, "parent events diverged from deep replay");
+        prop_assert_eq!(pe, oe, "parent bus log diverged from deep replay");
 
         let (cj, ct, ce) = fingerprints(&child);
         let (oj, ot, oe) = replay_from_scratch(&child_schedule, horizon);
         prop_assert_eq!(cj, oj, "child journal diverged from deep replay");
         prop_assert_eq!(ct, ot, "child trace diverged from deep replay");
-        prop_assert_eq!(ce, oe, "child events diverged from deep replay");
+        prop_assert_eq!(ce, oe, "child bus log diverged from deep replay");
     }
 
     /// Stacked forks: fork the fork, diverge all three, and check the

@@ -81,7 +81,7 @@ proptest! {
             b.run_frame();
         }
         prop_assert_eq!(a.trace(), b.trace());
-        prop_assert_eq!(a.events(), b.events());
+        prop_assert_eq!(a.journal(), b.journal());
     }
 }
 
