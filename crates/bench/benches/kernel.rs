@@ -47,7 +47,7 @@ fn bench_system_frame(c: &mut Criterion) {
 
     group.bench_function("null_app_frame", |b| {
         let mut system = System::builder(avionics_spec().unwrap()).build().unwrap();
-        b.iter(|| black_box(system.run_frame()));
+        b.iter(|| black_box(system.run_frame().frame));
     });
 
     group.bench_function("avionics_frame", |b| {

@@ -19,9 +19,10 @@
 //!    the extra workers only add thread overhead and the honest
 //!    efficiency numbers show exactly that.
 //! 3. **Observability overhead** — the 10⁴ fleet with everything off
-//!    (no rings, no journal sampling) versus the sweep-1 fully
-//!    instrumented run. Full observability must cost **under 10%**
-//!    fleet throughput; the gate fails the run (exit 3) otherwise.
+//!    (no rings, no journal sampling) versus fully instrumented, in
+//!    five interleaved off/on pairs. The median per-pair overhead must
+//!    stay **under 10%** of fleet throughput, give or take the pairs'
+//!    interquartile range; the gate fails the run (exit 3) otherwise.
 //! 4. **Forced-violation triage** — one system of the 10⁴ fleet is
 //!    seeded with a skip-Init SCRAM defect; the streaming verifier
 //!    must flag it and its flight ring must drain into a
@@ -34,26 +35,25 @@
 //!    path's contract is **zero**; the measured number is recorded and
 //!    gated.
 //!
-//! The harness gates on its own previous artifact
-//! (`results/BENCH_fleet.json`): if the 10⁴ fleet's frames/sec drops
-//! more than 25% against the recorded run, or the allocation probe stops
-//! reading zero, the run fails. A missing or unparsable previous
-//! artifact just records a fresh baseline.
+//! The 10⁴ fleet's frames/sec is compared with the previous artifact
+//! (`results/BENCH_fleet.json`) and the ratio is printed and recorded,
+//! but it decides nothing: that artifact may come from another host. A
+//! nonzero allocation probe fails the run.
 //!
 //! Usage: `exp_fleet [--smoke]` — `--smoke` drops the 10⁵ case and
 //! trims the thread sweep (the CI entry point).
 //!
 //! Exit codes: `0` clean, `1` an unexpected property violation, a
 //! missing forced-violation bundle, or a non-zero allocation count,
-//! `3` a throughput regression against the previous artifact or an
-//! observability overhead above 10%.
+//! `3` a median observability overhead above 10% by more than its
+//! interquartile range.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use arfs_avionics::avionics_spec;
-use arfs_bench::{banner, verdict, write_json, TextTable};
+use arfs_bench::{banner, median_iqr, verdict, write_json, TextTable};
 use arfs_core::fleet::{Fleet, FleetConfig, FleetReport, FleetTimings};
 use arfs_core::scram::ScramMutation;
 use arfs_core::spec::ReconfigSpec;
@@ -83,19 +83,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The case whose throughput is gated against the previous artifact.
+/// The case whose throughput is compared with the previous artifact.
 const REGRESSION_CASE: &str = "fleet_10k";
-
-/// How much the gated throughput may drop versus its previous recording
-/// before the run fails with exit code 3.
-const REGRESSION_TOLERANCE: f64 = 1.25;
 
 const MASTER_SEED: u64 = 0xF1EE7;
 
 /// Full observability (rings + sampled journaling + metrics) may cost at
-/// most this fraction of obs-off fleet throughput before the overhead
-/// gate fails the run with exit code 3.
+/// most this median fraction of obs-off fleet throughput, beyond the
+/// measured interquartile range, before the overhead gate fails the run
+/// with exit code 3.
 const OBS_OVERHEAD_BUDGET: f64 = 0.10;
+
+/// Interleaved obs-off/obs-on pairs behind the overhead gate.
+const OBS_PAIRS: usize = 5;
 
 /// The system seeded with the SCRAM defect in the forced-violation
 /// triage sweep (arbitrary mid-fleet id; determinism pins its seed).
@@ -333,44 +333,56 @@ fn main() {
     }
 
     // --- Sweep 3: observability overhead at 10⁴ systems. ---
-    // A dedicated back-to-back pair rather than reusing the sweep-1
-    // number: the two runs must see the same allocator and cache state
-    // for the delta to be an observability cost and not noise.
+    // Interleaved off/on pairs: each pair sees the same host phase, so
+    // its ratio is an observability cost and not drift, and the gate
+    // compares the median pair against the budget with the pairs'
+    // interquartile range as the noise band.
     banner("observability overhead (10^4 systems)");
     let threads = cores.clamp(1, 4);
-    let off = run_case(
-        &spec,
-        FleetConfig {
-            journal_sample: 0,
-            ring_capacity: 0,
-            ..fleet_config(10_000, threads)
-        },
-    );
-    let on = run_case(&spec, fleet_config(10_000, threads));
-    all_clean &= off.report.is_clean() && on.report.is_clean();
-    let fps_off = off.frames_per_sec();
-    let fps_on = on.frames_per_sec();
-    let overhead = 1.0 - fps_on / fps_off.max(1e-9);
-    let obs_ok = fps_on >= fps_off * (1.0 - OBS_OVERHEAD_BUDGET);
-    println!(
-        "obs off: {fps_off:.0} frames/s | obs on (rings + journal + metrics): {fps_on:.0} \
-         frames/s | overhead {:.1}%",
-        100.0 * overhead
-    );
+    let mut pairs = Vec::new();
+    for _ in 0..OBS_PAIRS {
+        let off = run_case(
+            &spec,
+            FleetConfig {
+                journal_sample: 0,
+                ring_capacity: 0,
+                ..fleet_config(10_000, threads)
+            },
+        );
+        let on = run_case(&spec, fleet_config(10_000, threads));
+        all_clean &= off.report.is_clean() && on.report.is_clean();
+        pairs.push((off.frames_per_sec(), on.frames_per_sec()));
+    }
+    let overheads: Vec<f64> = pairs
+        .iter()
+        .map(|(off, on)| 1.0 - on / off.max(1e-9))
+        .collect();
+    let (overhead, spread) = median_iqr(&overheads);
+    let obs_ok = overhead <= OBS_OVERHEAD_BUDGET + spread;
+    for (off, on) in &pairs {
+        println!(
+            "obs off: {off:.0} frames/s | obs on (rings + journal + metrics): {on:.0} frames/s"
+        );
+    }
     verdict(
         &format!(
-            "full observability costs {:.1}% fleet throughput (budget {:.0}%)",
+            "full observability costs {:.1}% fleet throughput, median of {OBS_PAIRS} pairs \
+             (budget {:.0}% + interquartile range {:.1}%)",
             100.0 * overhead,
-            100.0 * OBS_OVERHEAD_BUDGET
+            100.0 * OBS_OVERHEAD_BUDGET,
+            100.0 * spread
         ),
         obs_ok,
     );
     let obs = serde_json::json!({
         "systems": 10_000,
         "threads": threads,
-        "frames_per_sec_obs_off": fps_off,
-        "frames_per_sec_obs_on": fps_on,
+        "pairs": pairs.iter().map(|(off, on)| serde_json::json!({
+            "frames_per_sec_obs_off": off,
+            "frames_per_sec_obs_on": on,
+        })).collect::<Vec<_>>(),
         "overhead_fraction": overhead,
+        "overhead_iqr": spread,
         "budget_fraction": OBS_OVERHEAD_BUDGET,
         "within_budget": obs_ok,
     });
@@ -447,26 +459,21 @@ fn main() {
         all_clean,
     );
 
-    // --- Bench-regression gate against the previous artifact. ---
-    banner("bench-regression gate");
-    let mut bench_regressed = false;
-    if let Some(new_fps) = gated_frames_per_sec {
-        match prior
-            .as_ref()
-            .and_then(|p| prior_case_f64(p, REGRESSION_CASE, "frames_per_sec"))
-        {
-            Some(prev) => {
-                let ok = new_fps >= prev / REGRESSION_TOLERANCE;
-                verdict(
-                    &format!(
-                        "{REGRESSION_CASE} throughput {new_fps:.0} frames/s within 25% of recorded {prev:.0}"
-                    ),
-                    ok,
-                );
-                bench_regressed |= !ok;
-            }
-            None => println!("{REGRESSION_CASE}: no prior recording; baseline set"),
-        }
+    // --- Comparison with the previous artifact: printed and recorded,
+    // never an exit code (it may have been recorded on another host). ---
+    banner("previous-artifact comparison (informational)");
+    let prior_fps = prior
+        .as_ref()
+        .and_then(|p| prior_case_f64(p, REGRESSION_CASE, "frames_per_sec"));
+    let vs_prior = gated_frames_per_sec.zip(prior_fps).map(|(new_fps, prev)| {
+        println!(
+            "{REGRESSION_CASE}: {new_fps:.0} frames/s vs recorded {prev:.0} ({:.2}x)",
+            new_fps / prev
+        );
+        new_fps / prev
+    });
+    if vs_prior.is_none() {
+        println!("{REGRESSION_CASE}: no prior recording");
     }
 
     let path = write_json(
@@ -480,6 +487,7 @@ fn main() {
             "scaling": scaling,
             "obs": obs,
             "forced_triage": forced_json,
+            "fleet_10k_vs_prior": vs_prior,
         }),
     );
     println!("artifact: {}", path.display());
@@ -487,7 +495,7 @@ fn main() {
     if !all_clean || !alloc_free || !forced_ok {
         std::process::exit(1);
     }
-    if bench_regressed || !obs_ok {
+    if !obs_ok {
         std::process::exit(3);
     }
 }

@@ -30,62 +30,55 @@
 //! The harness also measures the substrate fork cost directly — the
 //! price the prefix-sharing walk pays at every branch point, on a
 //! system carrying 200 frames of history the way the checker builds
-//! them — and gates on its own previous artifact: if the fork cost or
-//! the headline case's POR wallclock regresses more than 25% against
-//! the numbers recorded in `results/BENCH_model_check.json` from the
-//! last run, the harness fails. A missing or unparsable previous
-//! artifact (first run, format drift) just records a fresh baseline.
+//! them — and compares it, and the headline case's POR wallclock, with
+//! the numbers recorded in `results/BENCH_model_check.json` by the last
+//! run. The ratios are printed and recorded but decide nothing: that
+//! artifact may come from another host.
+//!
+//! Small cases are timed in five interleaved rounds (walk, POR, seed)
+//! and report medians; larger cases run once.
 //!
 //! Usage: `exp_statespace [--smoke]` — `--smoke` runs only the small
 //! cross-checked cases plus the mutant sweep (the CI entry point).
 //!
 //! Exit codes: `0` all verdicts pass, `1` a verification or agreement
-//! check failed, `3` a wallclock regression: the walk lost to the seed
-//! engine on the `avionics_h14_e1` guard case, or the fork cost /
-//! headline POR time regressed >25% against the previous artifact.
+//! check failed, `3` a walk regression: on the `avionics_h14_e1` guard
+//! case the median walk lost to the median seed engine by more than the
+//! guard band plus the rounds' interquartile range.
 
 use std::time::Instant;
 
 use arfs_avionics::{known_bad_mutations, KNOWN_BAD_HORIZON};
-use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
+use arfs_bench::{banner, median_iqr, verdict, write_json, write_text, TextTable};
 use arfs_core::lint::IndependenceCertificate;
 use arfs_core::model::ModelChecker;
 use arfs_core::spec::ReconfigSpec;
 use arfs_core::system::System;
 
 /// The small case the walk must never lose to the seed engine on: a
-/// wallclock regression here fails the run with exit code 3.
+/// walk regression here fails the run with exit code 3.
 const GUARD_CASE: &str = "avionics_h14_e1";
 
-/// How badly the walk must lose on [`GUARD_CASE`] before the guard
-/// fires: both a ratio band and an absolute floor, because the case
-/// completes in ~0.5 ms and a raw `walk > seed` comparison flips on
-/// scheduler noise a few microseconds wide. The regression this guard
-/// exists for — the work-stealing pool setup dominating tiny spaces
-/// before the `SERIAL_CUTOVER` fast path — was a multiple-of-seed,
+/// How badly the median walk must lose on [`GUARD_CASE`] before the
+/// guard fires: a ratio band and an absolute floor, widened by the
+/// rounds' interquartile range, because the case completes in ~0.5 ms
+/// and a raw `walk > seed` comparison flips on scheduler noise a few
+/// microseconds wide. The regression this guard exists for — the
+/// work-stealing pool setup dominating tiny spaces before the
+/// `SERIAL_CUTOVER` fast path — was a multiple-of-seed,
 /// milliseconds-scale loss, comfortably past both thresholds.
 const GUARD_RATIO: f64 = 1.5;
 const GUARD_FLOOR_SECS: f64 = 500e-6;
 
-/// The case whose POR wallclock is gated against the previous artifact.
+/// The case whose POR wallclock is compared with the previous artifact.
 const REGRESSION_CASE: &str = "exhaustive_h30_e3_extended";
 
-/// How much a gated benchmark may grow over its previous recording
-/// before the run fails with exit code 3.
-const REGRESSION_TOLERANCE: f64 = 1.25;
-
-/// Times `f` best-of-`rounds` (small cases are noise-dominated; the
-/// minimum is the stable statistic).
-fn best_of<T>(rounds: u32, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        let value = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(value);
-    }
-    (out.expect("at least one round"), best)
+/// Times one run of `f`, appending the wall-clock seconds to `samples`.
+fn timed<T>(samples: &mut Vec<f64>, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let value = f();
+    samples.push(t0.elapsed().as_secs_f64());
+    value
 }
 
 /// The previous run's artifact, if one exists and still parses. Absent
@@ -257,19 +250,30 @@ fn main() {
         let mc = ModelChecker::new(case.spec.clone(), case.horizon, case.max_events);
         let total = mc.total_schedule_count();
 
-        // Small cases finish in microseconds; best-of-3 damps the noise
-        // (and the h14/e1 guard below depends on a stable number).
-        let rounds = if total < 1_000 { 3 } else { 1 };
-        let (parallel, walk_secs) = best_of(rounds, || mc.run_parallel(threads));
-        all_passed &= parallel.all_passed();
-
+        // Small cases finish in microseconds: five interleaved rounds
+        // of every engine give medians that share the host's phases
+        // (and the h14/e1 guard below compares those medians).
+        let rounds = if total < 1_000 { 5 } else { 1 };
         // The same space under certified partial-order reduction:
         // choice-equivalence merging + quiescent fingerprint dedup.
         let por_mc = ModelChecker::new(case.spec.clone(), case.horizon, case.max_events).with_por();
-        let (por, por_secs) = best_of(rounds, || por_mc.run_parallel(threads));
+        let (mut walk_t, mut por_t, mut seed_t) = (Vec::new(), Vec::new(), Vec::new());
+        let mut last = None;
+        for _ in 0..rounds {
+            let parallel = timed(&mut walk_t, || mc.run_parallel(threads));
+            let por = timed(&mut por_t, || por_mc.run_parallel(threads));
+            let reference = case
+                .run_reference
+                .then(|| timed(&mut seed_t, || mc.run_reference()));
+            last = Some((parallel, por, reference));
+        }
+        let (parallel, por, reference) = last.expect("at least one round");
+        let (walk_secs, walk_iqr) = median_iqr(&walk_t);
+        let (por_secs, _) = median_iqr(&por_t);
         if case.name == REGRESSION_CASE {
             headline_por_secs = Some(por_secs);
         }
+        all_passed &= parallel.all_passed();
         all_passed &= por.all_passed();
         engines_agree &= por.all_passed() == parallel.all_passed();
         engines_agree &= por.cases_run + por.cases_elided + por.cases_merged == total;
@@ -278,13 +282,14 @@ fn main() {
         // optimization of this PR — so its work is total × horizon
         // frames regardless of which engine stands in for it here.
         let seed_equiv_frames = (total as u64) * case.horizon;
-        let (seed_secs, speedup) = if case.run_reference {
-            let (reference, secs) = best_of(rounds, || mc.run_reference());
+        let (seed_secs, speedup) = if let Some(reference) = reference {
+            let (secs, seed_iqr) = median_iqr(&seed_t);
             engines_agree &= reference == parallel;
             engines_agree &= reference.all_passed() == por.all_passed();
+            let band = walk_iqr.max(seed_iqr);
             if case.name == GUARD_CASE
-                && walk_secs > secs * GUARD_RATIO
-                && walk_secs - secs > GUARD_FLOOR_SECS
+                && walk_secs > secs * GUARD_RATIO + band
+                && walk_secs - secs > GUARD_FLOOR_SECS + band
             {
                 guard_regressed = true;
             }
@@ -396,46 +401,33 @@ fn main() {
         all_caught,
     );
 
-    // --- Bench-regression gate against the previous artifact. ---
+    // --- Comparison with the previous artifact. ---
     // Two wallclock numbers the COW substrate is responsible for: the
     // per-branch fork cost, and the headline case's end-to-end POR
-    // time. Either growing past the tolerance versus the last recorded
-    // run fails with exit code 3; with no prior number this run just
-    // sets the baseline.
-    banner("bench-regression gate");
+    // time. Their ratios to the last recorded run are printed and
+    // recorded, never an exit code: the artifact may have been recorded
+    // on another host.
+    banner("previous-artifact comparison (informational)");
     let prior = prior_artifact();
     let fork_cost_ns = measure_fork_cost_ns();
     println!("substrate fork: {fork_cost_ns:.0} ns (200-frame history, observability off)");
-    let mut bench_regressed = false;
-    match prior.as_ref().and_then(|p| p.get("fork_cost_ns")?.as_f64()) {
-        Some(prev) => {
-            let ok = fork_cost_ns <= prev * REGRESSION_TOLERANCE;
-            verdict(
-                &format!("fork cost {fork_cost_ns:.0} ns within 25% of recorded {prev:.0} ns"),
-                ok,
-            );
-            bench_regressed |= !ok;
-        }
-        None => println!("fork cost: no prior recording; baseline set"),
-    }
-    if let Some(new_secs) = headline_por_secs {
-        match prior
-            .as_ref()
-            .and_then(|p| prior_case_f64(p, REGRESSION_CASE, "por_secs"))
-        {
-            Some(prev) => {
-                let ok = new_secs <= prev * REGRESSION_TOLERANCE;
-                verdict(
-                    &format!(
-                        "{REGRESSION_CASE} POR {new_secs:.3}s within 25% of recorded {prev:.3}s"
-                    ),
-                    ok,
-                );
-                bench_regressed |= !ok;
-            }
-            None => println!("{REGRESSION_CASE} POR: no prior recording; baseline set"),
-        }
-    }
+    let fork_vs_prior = prior
+        .as_ref()
+        .and_then(|p| p.get("fork_cost_ns")?.as_f64())
+        .map(|prev| {
+            println!("fork cost {fork_cost_ns:.0} ns vs recorded {prev:.0} ns");
+            fork_cost_ns / prev
+        });
+    let por_vs_prior = headline_por_secs
+        .zip(
+            prior
+                .as_ref()
+                .and_then(|p| prior_case_f64(p, REGRESSION_CASE, "por_secs")),
+        )
+        .map(|(new_secs, prev)| {
+            println!("{REGRESSION_CASE} POR {new_secs:.3}s vs recorded {prev:.3}s");
+            new_secs / prev
+        });
 
     let path = write_json(
         "BENCH_model_check.json",
@@ -444,6 +436,8 @@ fn main() {
             "smoke": smoke,
             "threads": threads,
             "fork_cost_ns": fork_cost_ns,
+            "fork_cost_vs_prior": fork_vs_prior,
+            "headline_por_vs_prior": por_vs_prior,
             "certificates": certificates,
             "cases": artifacts,
             "mutants": mutants,
@@ -454,7 +448,7 @@ fn main() {
     if !(all_passed && engines_agree && all_caught) {
         std::process::exit(1);
     }
-    if guard_regressed || bench_regressed {
+    if guard_regressed {
         std::process::exit(3);
     }
 }

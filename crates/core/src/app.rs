@@ -20,13 +20,13 @@
 //! storage": the [`ConfigStatus`] variable written under
 //! [`CONFIG_STATUS_KEY`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
 use arfs_failstop::{StableSnapshot, StableStorage};
 
 use crate::environment::EnvState;
+use crate::snapshot::Fnv;
 use crate::{AppId, SpecId};
 
 /// The stable-storage key under which the SCRAM writes each application's
@@ -121,10 +121,15 @@ impl FromStr for ConfigStatus {
 ///
 /// This is the "shared state through the processors' stable storage" the
 /// architecture uses for inter-application communication: application
-/// `a` reads the values application `b` committed *last* frame.
+/// `a` reads the values application `b` committed *last* frame, even
+/// when `b` runs before `a` in the same frame.
+///
+/// Snapshots share the committed maps they view, so installing one is a
+/// pointer bump; the board keeps them in a reused vector sorted by
+/// application id.
 #[derive(Debug, Clone, Default)]
 pub struct Blackboard {
-    snapshots: BTreeMap<AppId, StableSnapshot>,
+    snapshots: Vec<(AppId, StableSnapshot)>,
 }
 
 impl Blackboard {
@@ -135,12 +140,18 @@ impl Blackboard {
 
     /// Installs the frame-start snapshot for an application.
     pub fn insert(&mut self, app: AppId, snapshot: StableSnapshot) {
-        self.snapshots.insert(app, snapshot);
+        match self.snapshots.binary_search_by(|(id, _)| id.cmp(&app)) {
+            Ok(at) => self.snapshots[at].1 = snapshot,
+            Err(at) => self.snapshots.insert(at, (app, snapshot)),
+        }
     }
 
     /// The frame-start snapshot of an application's stable state.
     pub fn app(&self, id: &AppId) -> Option<&StableSnapshot> {
-        self.snapshots.get(id)
+        self.snapshots
+            .binary_search_by(|(app, _)| app.cmp(id))
+            .ok()
+            .map(|at| &self.snapshots[at].1)
     }
 
     /// Number of applications on the board.
@@ -151,6 +162,13 @@ impl Blackboard {
     /// Returns `true` if no snapshots are installed.
     pub fn is_empty(&self) -> bool {
         self.snapshots.is_empty()
+    }
+
+    /// Drops every snapshot, keeping the vector's capacity: a board
+    /// emptied before the frame-end commit leaves each committed map
+    /// unshared, so the commit updates it in place.
+    pub(crate) fn clear(&mut self) {
+        self.snapshots.clear();
     }
 }
 
@@ -359,21 +377,15 @@ impl ReconfigurableApp for NullApp {
     fn state_digest(&self) -> Option<u64> {
         // FNV-1a over every behavior-relevant field: spec, halt flag,
         // prepare target, and work counter.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.spec.as_str().as_bytes());
-        eat(&[u8::from(self.halted)]);
+        let mut h = Fnv::new();
+        h.write(self.spec.as_str().as_bytes());
+        h.write(&[u8::from(self.halted)]);
         match &self.prepared_for {
-            Some(t) => eat(t.as_str().as_bytes()),
-            None => eat(&[0xff]),
+            Some(t) => h.write(t.as_str().as_bytes()),
+            None => h.write(&[0xff]),
         }
-        eat(&self.frames_run.to_le_bytes());
-        Some(h)
+        h.write(&self.frames_run.to_le_bytes());
+        Some(h.finish())
     }
 
     fn clone_box(&self) -> Box<dyn ReconfigurableApp> {

@@ -15,6 +15,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+use serde::{Content, DeError};
 
 use crate::SpecError;
 
@@ -120,9 +123,7 @@ impl EnvModel {
             let mut next = Vec::with_capacity(states.len() * factor.domain.len());
             for state in &states {
                 for value in &factor.domain {
-                    let mut s = state.clone();
-                    s.values.insert(factor.name.clone(), value.clone());
-                    next.push(s);
+                    next.push(state.with(factor.name.clone(), value.clone()));
                 }
             }
             states = next;
@@ -143,7 +144,7 @@ impl EnvModel {
             let Some(first) = factor.domain.first() else {
                 return; // unconstructible: EnvModel::new rejects empty domains
             };
-            state.values.insert(factor.name.clone(), first.clone());
+            state.set(factor.name.clone(), first.clone());
         }
         let mut idx = vec![0usize; self.factors.len()];
         loop {
@@ -162,8 +163,7 @@ impl EnvModel {
                 if wrapped {
                     idx[pos] = 0;
                 }
-                state
-                    .values
+                Arc::make_mut(&mut state.values)
                     .get_mut(&factor.name)
                     .expect("factor seeded above")
                     .clone_from(&factor.domain[idx[pos]]);
@@ -208,21 +208,45 @@ impl EnvModel {
 }
 
 /// A complete assignment of values to environment factors.
-#[derive(
-    Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default, serde::Serialize, serde::Deserialize,
-)]
+///
+/// The assignment is shared copy-on-write: cloning a state — once per
+/// frame for the kernel, the applications and the trace — is a pointer
+/// bump, and only a change to a shared state copies it.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct EnvState {
-    values: BTreeMap<String, String>,
+    values: Arc<BTreeMap<String, String>>,
+}
+
+impl serde::Serialize for EnvState {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![(
+            Content::Str("values".into()),
+            self.values.to_content(),
+        )])
+    }
+}
+
+impl serde::Deserialize for EnvState {
+    fn from_content(content: &Content) -> Result<Self, DeError> {
+        let values = content
+            .get("values")
+            .ok_or_else(|| DeError::custom("missing field `values` in EnvState"))?;
+        Ok(EnvState {
+            values: Arc::new(BTreeMap::from_content(values)?),
+        })
+    }
 }
 
 impl EnvState {
     /// Creates a state from `(factor, value)` pairs.
     pub fn new(pairs: impl IntoIterator<Item = (impl Into<String>, impl Into<String>)>) -> Self {
         EnvState {
-            values: pairs
-                .into_iter()
-                .map(|(k, v)| (k.into(), v.into()))
-                .collect(),
+            values: Arc::new(
+                pairs
+                    .into_iter()
+                    .map(|(k, v)| (k.into(), v.into()))
+                    .collect(),
+            ),
         }
     }
 
@@ -235,13 +259,13 @@ impl EnvState {
     #[must_use]
     pub fn with(&self, factor: impl Into<String>, value: impl Into<String>) -> Self {
         let mut s = self.clone();
-        s.values.insert(factor.into(), value.into());
+        s.set(factor, value);
         s
     }
 
     /// Sets a factor's value in place.
     pub fn set(&mut self, factor: impl Into<String>, value: impl Into<String>) {
-        self.values.insert(factor.into(), value.into());
+        Arc::make_mut(&mut self.values).insert(factor.into(), value.into());
     }
 
     /// Iterates over `(factor, value)` pairs in factor order.

@@ -1,22 +1,27 @@
 //! Identifier newtypes for applications, specifications, and
 //! configurations.
+//!
+//! Each identifier is a shared name (`Arc<str>`): cloning one — which
+//! every frame does for every application's command, record and
+//! specification — is a reference-count bump, not a string copy.
+//! Equality, ordering, hashing, `Debug` and the serialized form are
+//! those of the plain string.
 
 use std::fmt;
+use std::sync::Arc;
+
+use serde::{Content, DeError};
 
 macro_rules! string_id {
     ($(#[$meta:meta])* $name:ident) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash,
-            serde::Serialize, serde::Deserialize,
-        )]
-        #[serde(transparent)]
-        pub struct $name(String);
+        #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub struct $name(Arc<str>);
 
         impl $name {
             /// Creates an identifier from a name.
             pub fn new(name: impl Into<String>) -> Self {
-                $name(name.into())
+                $name(Arc::from(name.into()))
             }
 
             /// The identifier as a string slice.
@@ -33,13 +38,25 @@ macro_rules! string_id {
 
         impl From<&str> for $name {
             fn from(name: &str) -> Self {
-                $name(name.to_owned())
+                $name(Arc::from(name))
             }
         }
 
         impl From<String> for $name {
             fn from(name: String) -> Self {
-                $name(name)
+                $name::new(name)
+            }
+        }
+
+        impl serde::Serialize for $name {
+            fn to_content(&self) -> Content {
+                Content::Str(self.0.to_string())
+            }
+        }
+
+        impl serde::Deserialize for $name {
+            fn from_content(content: &Content) -> Result<Self, DeError> {
+                String::from_content(content).map($name::new)
             }
         }
 
@@ -79,7 +96,7 @@ impl SpecId {
 
     /// Returns `true` if this is the distinguished "off" specification.
     pub fn is_off(&self) -> bool {
-        self.0 == "off"
+        &*self.0 == "off"
     }
 }
 

@@ -44,6 +44,7 @@ use std::fmt;
 use parking_lot::Mutex;
 
 use crate::environment::EnvState;
+use crate::snapshot::Fnv;
 use crate::spec::ReconfigSpec;
 use crate::{AppId, ConfigId, SpecId};
 use arfs_failstop::ProcessorId;
@@ -563,26 +564,6 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.write(bytes);
     h.finish()
-}
-
-/// FNV-1a, the content hash behind the lint cache.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]

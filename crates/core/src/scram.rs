@@ -321,6 +321,10 @@ pub struct Scram {
     depths: BTreeMap<AppId, u64>,
     wave_count: u64,
     log: CowLog<ScramEvent>,
+    /// The latest frame's decision. Every step gives every application
+    /// an entry in both maps, so the next step refills them in place and
+    /// a frame without events allocates nothing.
+    decision: FrameDecision,
 }
 
 /// A read-only view of the in-flight reconfiguration protocol state,
@@ -360,6 +364,13 @@ impl Scram {
         let wave_count = depths.values().copied().max().unwrap_or(0) + 1;
         Scram {
             current: spec.initial_config().clone(),
+            decision: FrameDecision {
+                frame: 0,
+                commands: BTreeMap::new(),
+                reconf_st: BTreeMap::new(),
+                svclvl: spec.initial_config().clone(),
+                events: Vec::new(),
+            },
             state: KernelState::Steady { since: 0 },
             mid_policy: MidReconfigPolicy::default(),
             sync_policy: SyncPolicy::default(),
@@ -518,6 +529,7 @@ impl Scram {
             depths: self.depths.clone(),
             wave_count: self.wave_count,
             log: self.log.fork(),
+            decision: self.decision.clone(),
         }
     }
 
@@ -587,7 +599,7 @@ impl Scram {
     /// carries the commands the system must deliver to the applications
     /// *this* frame and the end-of-frame trace annotations.
     pub fn step(&mut self, frame: u64, env: &EnvState) -> FrameDecision {
-        self.step_chaos(frame, env, &BTreeSet::new())
+        self.step_chaos(frame, env, &BTreeSet::new()).clone()
     }
 
     /// [`step`](Scram::step) under substrate faults: `faulted` names
@@ -604,13 +616,18 @@ impl Scram {
     /// ([`ScramEvent::SafeFallback`]). Faults on steady or stall
     /// frames disturb no protocol state and are absorbed silently —
     /// the torn application data is the surrounding system's problem.
+    ///
+    /// The kernel keeps the returned decision and refills it in place
+    /// next step, so a steady frame allocates nothing;
+    /// [`step`](Scram::step) returns an owned copy instead.
     pub fn step_chaos(
         &mut self,
         frame: u64,
         env: &EnvState,
         faulted: &BTreeSet<AppId>,
-    ) -> FrameDecision {
-        let mut events = Vec::new();
+    ) -> &FrameDecision {
+        let mut events = std::mem::take(&mut self.decision.events);
+        events.clear();
         let decision = match &mut self.state {
             KernelState::Steady { since } => {
                 let since = *since;
@@ -623,7 +640,7 @@ impl Scram {
                                 frame,
                                 until: dwell_until,
                             });
-                            self.steady_decision(frame, std::mem::take(&mut events))
+                            self.steady_decision(frame)
                         } else {
                             let target = self.mutated_target(&target);
                             let mut interrupted = self.interrupted_apps(&self.current, &target);
@@ -647,10 +664,8 @@ impl Scram {
                             // acceptance).
                             fp!("scram.trigger", action => {
                                 if matches!(action, arfs_assure::FpAction::Skip) {
-                                    let decision = self
-                                        .steady_decision(frame, std::mem::take(&mut events));
-                                    self.log.extend(decision.events.iter().cloned());
-                                    return decision;
+                                    let decision = self.steady_decision(frame);
+                                    return self.settle(decision, events);
                                 }
                             });
                             events.push(ScramEvent::TriggerAccepted {
@@ -677,8 +692,7 @@ impl Scram {
                             // Trigger frame: applications still hold their
                             // current (interrupted) state; commands stay
                             // Normal per Table 1 frame 0.
-                            let mut commands = BTreeMap::new();
-                            let mut reconf_st = BTreeMap::new();
+                            let (mut commands, mut reconf_st) = self.reuse_maps();
                             for app in self.spec.apps() {
                                 let id = app.id().clone();
                                 commands.insert(
@@ -704,22 +718,37 @@ impl Scram {
                             }
                         }
                     }
-                    _ => self.steady_decision(frame, std::mem::take(&mut events)),
+                    _ => self.steady_decision(frame),
                 }
             }
             KernelState::Reconfiguring(_) => {
                 self.reconfiguring_step(frame, env, faulted, &mut events)
             }
         };
-        let mut decision = decision;
-        decision.events.extend(events);
-        self.log.extend(decision.events.iter().cloned());
-        decision
+        self.settle(decision, events)
     }
 
-    fn steady_decision(&self, frame: u64, events: Vec<ScramEvent>) -> FrameDecision {
-        let mut commands = BTreeMap::new();
-        let mut reconf_st = BTreeMap::new();
+    /// Installs `decision` with this frame's `events` as the latest one
+    /// and logs the events.
+    fn settle(&mut self, mut decision: FrameDecision, events: Vec<ScramEvent>) -> &FrameDecision {
+        decision.events = events;
+        self.log.extend(decision.events.iter().cloned());
+        self.decision = decision;
+        &self.decision
+    }
+
+    /// The previous decision's per-application maps, to be refilled in
+    /// place: every step inserts every application, so the key set never
+    /// changes and no map node is reallocated.
+    fn reuse_maps(&mut self) -> (BTreeMap<AppId, AppCommand>, BTreeMap<AppId, ReconfSt>) {
+        (
+            std::mem::take(&mut self.decision.commands),
+            std::mem::take(&mut self.decision.reconf_st),
+        )
+    }
+
+    fn steady_decision(&mut self, frame: u64) -> FrameDecision {
+        let (mut commands, mut reconf_st) = self.reuse_maps();
         for app in self.spec.apps() {
             commands.insert(
                 app.id().clone(),
@@ -735,7 +764,7 @@ impl Scram {
             commands,
             reconf_st,
             svclvl: self.current.clone(),
-            events,
+            events: Vec::new(),
         }
     }
 
@@ -759,8 +788,7 @@ impl Scram {
                 r.backoff_left -= 1;
                 let phase = r.phase;
                 let svclvl = self.current.clone();
-                let mut commands = BTreeMap::new();
-                let mut reconf_st = BTreeMap::new();
+                let (mut commands, mut reconf_st) = self.reuse_maps();
                 for app in self.spec.apps() {
                     let id = app.id().clone();
                     if self.exempted(&id) {
@@ -879,8 +907,7 @@ impl Scram {
             next_announced = true;
         }
 
-        let mut commands = BTreeMap::new();
-        let mut reconf_st = BTreeMap::new();
+        let (mut commands, mut reconf_st) = self.reuse_maps();
         let mut completed = false;
 
         match phase {
@@ -1724,7 +1751,7 @@ mod tests {
             let e = if f == 1 { env("low") } else { env("good") };
             let da = a.step(f, &e);
             let db = b.step_chaos(f, &e, &BTreeSet::new());
-            assert_eq!(da, db, "frame {f}");
+            assert_eq!(&da, db, "frame {f}");
         }
         assert_eq!(a.log(), b.log());
     }
@@ -1787,7 +1814,9 @@ mod tests {
         scram.step(2, &env("low")); // halt
         scram.step(3, &env("low")); // prepare
                                     // Frame 4 would complete, but the init commit tears.
-        let d4 = scram.step_chaos(4, &env("low"), &fault(&["autopilot"]));
+        let d4 = scram
+            .step_chaos(4, &env("low"), &fault(&["autopilot"]))
+            .clone();
         assert!(scram.is_reconfiguring(), "completion must be voided");
         assert_eq!(d4.svclvl, ConfigId::new("full-service"));
         // The trace must not show a normal frame inside the window.

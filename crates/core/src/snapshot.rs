@@ -23,6 +23,36 @@
 use crate::app::ReconfigurableApp;
 use crate::environment::EnvMonitor;
 
+/// FNV-1a, the hash behind application state digests, system state
+/// fingerprints and the lint cache. It also hashes everything written
+/// to it through [`std::fmt::Write`], so `Debug` output hashes without
+/// first being formatted into a `String`.
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Captures an independent behavioral snapshot for a system fork. See
 /// the [module documentation](self) for the contract.
 pub trait ForkSnapshot {

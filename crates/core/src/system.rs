@@ -32,6 +32,7 @@
 //! `"down"` without any manual [`System::set_env`] call.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use arfs_failstop::{ProcessorId, ProcessorPool, SharedStableStorage, StableSnapshot};
@@ -51,10 +52,10 @@ use crate::obs::{
 use crate::scram::{
     FrameDecision, MidReconfigPolicy, Scram, ScramEvent, ScramMutation, StagePolicy, SyncPolicy,
 };
-use crate::snapshot::ForkSnapshot;
+use crate::snapshot::{Fnv, ForkSnapshot};
 use crate::spec::{dependency_order, ReconfigSpec};
 use crate::trace::{AppFrameRecord, SysState, SysTrace};
-use crate::{AppId, ConfigId, SystemError};
+use crate::{AppId, ConfigId, SpecId, SystemError};
 
 /// Builder for [`System`].
 pub struct SystemBuilder {
@@ -182,8 +183,8 @@ impl SystemBuilder {
         let mut apps = self.apps;
 
         // Auto-filled NullApps ignore their blackboard inputs, which is
-        // what licenses the steady-state fast path to skip building the
-        // per-frame blackboard of region snapshots.
+        // what licenses the steady-state fast path to hand them an empty
+        // board and commit each region right after its stage.
         let apps_auto_null = apps.is_empty();
         if apps.is_empty() {
             let initial = spec
@@ -231,13 +232,16 @@ impl SystemBuilder {
             None => scram,
         };
 
-        let order: Vec<AppId> = dependency_order(spec.apps())
-            .into_iter()
-            .map(|a| a.id().clone())
-            .collect();
-        let regions = apps
+        let mut slots: Vec<AppSlot> = apps
             .iter()
-            .map(|a| (a.id().clone(), SharedStableStorage::new()))
+            .enumerate()
+            .map(|(app, a)| AppSlot::new(&spec, a.id().clone(), app, a.current_spec()))
+            .collect();
+        slots.sort_by(|a, b| a.id.cmp(&b.id));
+        slots.dedup_by(|a, b| a.id == b.id);
+        let order = dependency_order(spec.apps())
+            .into_iter()
+            .map(|d| slot_index(&slots, d.id()).expect("registered app"))
             .collect();
 
         let obs = Recorder::new(Arc::clone(&spec), self.observability, self.ring_capacity);
@@ -245,8 +249,8 @@ impl SystemBuilder {
             clock: VirtualClock::new(spec.frame_len()),
             spec,
             apps,
-            app_order: order,
-            regions,
+            slots,
+            order,
             pool,
             bus,
             environment,
@@ -268,18 +272,65 @@ impl SystemBuilder {
             trace_recording: true,
             last_state: None,
             apps_auto_null,
-            fast_board: Blackboard::new(),
-            fast_plan: None,
+            board: Blackboard::new(),
         })
     }
 }
 
-/// One entry of the cached steady-state execution plan: which app runs,
-/// under what budget, against which stable-storage region.
-struct FastAppSlot {
-    app_index: usize,
-    budget: Ticks,
+/// One application's standing in the frame: its stable-storage region,
+/// the compute budget of its current specification, and the evidence a
+/// full frame gathers for its trace record. Slots live as long as the
+/// system, so a frame carries slot indices, not `AppId`-keyed maps.
+#[derive(Clone)]
+struct AppSlot {
+    id: AppId,
+    /// Index of the application in `System::apps`.
+    app: usize,
     region: SharedStableStorage,
+    /// The specification the application reported after its last stage.
+    spec: SpecId,
+    /// The declared compute budget of `spec`.
+    budget: Ticks,
+    /// Clock jitter injected into this frame.
+    jitter: Ticks,
+    post_ok: Option<bool>,
+    pre_ok: Option<bool>,
+    lost: bool,
+}
+
+impl AppSlot {
+    fn new(spec: &ReconfigSpec, id: AppId, app: usize, current: SpecId) -> Self {
+        AppSlot {
+            budget: AppSlot::budget_of(spec, &id, &current),
+            id,
+            app,
+            region: SharedStableStorage::new(),
+            spec: current,
+            jitter: Ticks::ZERO,
+            post_ok: None,
+            pre_ok: None,
+            lost: false,
+        }
+    }
+
+    fn budget_of(spec: &ReconfigSpec, app: &AppId, current: &SpecId) -> Ticks {
+        spec.app(app)
+            .and_then(|d| d.find_spec(current))
+            .map_or(Ticks::ZERO, |s| s.compute_ticks())
+    }
+
+    /// Records the specification the application reports now.
+    fn set_spec(&mut self, spec: &ReconfigSpec, current: SpecId) {
+        if current != self.spec {
+            self.budget = AppSlot::budget_of(spec, &self.id, &current);
+            self.spec = current;
+        }
+    }
+}
+
+/// The position of application `id` in id-ordered `slots`.
+fn slot_index(slots: &[AppSlot], id: &AppId) -> Option<usize> {
+    slots.binary_search_by(|s| s.id.cmp(id)).ok()
 }
 
 /// The running system; see the [module documentation](self).
@@ -287,8 +338,11 @@ pub struct System {
     spec: Arc<ReconfigSpec>,
     clock: VirtualClock,
     apps: Vec<Box<dyn ReconfigurableApp>>,
-    app_order: Vec<AppId>,
-    regions: BTreeMap<AppId, SharedStableStorage>,
+    /// One slot per application, in application-id order.
+    slots: Vec<AppSlot>,
+    /// The executive's static window order: slot indices in dependency
+    /// order.
+    order: Arc<[usize]>,
     pool: ProcessorPool,
     bus: TtBus,
     environment: Environment,
@@ -315,17 +369,16 @@ pub struct System {
     chaos: ChaosState,
     /// Whether executed frames append [`SysState`]s to the trace.
     trace_recording: bool,
-    /// The most recent frame's full state, kept when trace recording is
-    /// off so streaming verifiers can still inspect it.
+    /// The most recent full frame's state, kept (and rewritten in
+    /// place) when trace recording is off so streaming verifiers can
+    /// still inspect it.
     last_state: Option<SysState>,
     /// All applications are auto-filled [`NullApp`]s (they ignore their
     /// blackboard inputs), a precondition of the steady-state fast path.
     apps_auto_null: bool,
-    /// Persistent empty blackboard handed to apps on the fast path.
-    fast_board: Blackboard,
-    /// Cached steady-state execution plan; invalidated by every full
-    /// frame (a reconfiguration may have changed budgets or specs).
-    fast_plan: Option<Vec<FastAppSlot>>,
+    /// The frame-start blackboard: filled while a full frame's stages
+    /// run, empty otherwise.
+    board: Blackboard,
 }
 
 impl std::fmt::Debug for System {
@@ -333,7 +386,7 @@ impl std::fmt::Debug for System {
         f.debug_struct("System")
             .field("frame", &self.clock.frame())
             .field("config", self.scram.current_config())
-            .field("apps", &self.app_order)
+            .field("apps", &self.apps.len())
             .finish_non_exhaustive()
     }
 }
@@ -472,7 +525,7 @@ impl System {
 
     /// A consistent snapshot of an application's stable-storage region.
     pub fn app_stable(&self, id: &AppId) -> Option<StableSnapshot> {
-        self.regions.get(id).map(SharedStableStorage::snapshot)
+        slot_index(&self.slots, id).map(|at| self.slots[at].region.snapshot())
     }
 
     /// A canonical fingerprint of the system's behavioral state, or
@@ -526,7 +579,7 @@ impl System {
         if !self.monitors.is_empty()
             || !self.pending_env.is_empty()
             || !self.pending_failures.is_empty()
-            || !self.pool.failed_ids().is_empty()
+            || !self.pool.all_alive()
             || !self.chaos.silent_streak.is_empty()
             || self
                 .chaos
@@ -555,20 +608,14 @@ impl System {
             }
         };
 
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let eat = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv::new();
         for (factor, value) in self.environment.current().iter() {
-            eat(&mut h, factor.as_bytes());
-            eat(&mut h, value.as_bytes());
+            h.write(factor.as_bytes());
+            h.write(value.as_bytes());
         }
-        eat(&mut h, current.as_str().as_bytes());
-        eat(&mut h, &dwell_remaining.to_le_bytes());
-        if let Some(view) = &self.scram.busy_view() {
+        h.write(current.as_str().as_bytes());
+        h.write(&dwell_remaining.to_le_bytes());
+        if let Some(view) = &busy {
             // The protocol offset: where in the reconfiguration window
             // this frame sits. Together with the in-flight record it
             // pins the remaining restricted-frame pattern.
@@ -576,29 +623,30 @@ impl System {
                 .reconfig_started_at
                 .map(|started| frame - started)
                 .unwrap_or(0);
-            eat(&mut h, b"busy");
-            eat(&mut h, &offset.to_le_bytes());
-            eat(&mut h, view.source.as_str().as_bytes());
-            eat(&mut h, view.target.as_str().as_bytes());
-            eat(&mut h, format!("{:?}", view.phase).as_bytes());
-            eat(&mut h, &view.phase_progress.to_le_bytes());
-            eat(&mut h, &view.stall_left.to_le_bytes());
-            eat(&mut h, &view.retries_used.to_le_bytes());
-            eat(&mut h, &view.backoff_left.to_le_bytes());
-            eat(&mut h, &[u8::from(view.announced)]);
+            h.write(b"busy");
+            h.write(&offset.to_le_bytes());
+            h.write(view.source.as_str().as_bytes());
+            h.write(view.target.as_str().as_bytes());
+            write!(h, "{:?}", view.phase).expect("hashing cannot fail");
+            h.write(&view.phase_progress.to_le_bytes());
+            h.write(&view.stall_left.to_le_bytes());
+            h.write(&view.retries_used.to_le_bytes());
+            h.write(&view.backoff_left.to_le_bytes());
+            h.write(&[u8::from(view.announced)]);
         }
         for app in &self.apps {
-            eat(&mut h, app.id().as_str().as_bytes());
-            eat(&mut h, &app.state_digest()?.to_le_bytes());
+            h.write(app.id().as_str().as_bytes());
+            h.write(&app.state_digest()?.to_le_bytes());
         }
-        for (id, region) in &self.regions {
-            eat(&mut h, id.as_str().as_bytes());
-            for (key, value) in region.snapshot().iter() {
-                eat(&mut h, key.as_bytes());
-                eat(&mut h, format!("{value:?}").as_bytes());
+        for slot in &self.slots {
+            h.write(slot.id.as_str().as_bytes());
+            // The snapshot views the committed map in place.
+            for (key, value) in slot.region.snapshot().iter() {
+                h.write(key.as_bytes());
+                write!(h, "{value:?}").expect("hashing cannot fail");
             }
         }
-        Some(h)
+        Some(h.finish())
     }
 
     /// Forks the whole system at the current frame boundary.
@@ -627,12 +675,15 @@ impl System {
             spec: Arc::clone(&self.spec),
             clock: self.clock.fork(),
             apps: self.apps.fork_snapshot(),
-            app_order: self.app_order.clone(),
-            regions: self
-                .regions
+            slots: self
+                .slots
                 .iter()
-                .map(|(id, region)| (id.clone(), region.fork()))
+                .map(|slot| AppSlot {
+                    region: slot.region.fork(),
+                    ..slot.clone()
+                })
                 .collect(),
+            order: Arc::clone(&self.order),
             pool: self.pool.fork(),
             bus: self.bus.fork(),
             environment: self.environment.clone(),
@@ -649,8 +700,7 @@ impl System {
             trace_recording: self.trace_recording,
             last_state: self.last_state.clone(),
             apps_auto_null: self.apps_auto_null,
-            fast_board: Blackboard::new(),
-            fast_plan: None,
+            board: Blackboard::new(),
         }
     }
 
@@ -719,7 +769,9 @@ impl System {
     /// steady-state fast path (which proves the state is the previous
     /// full frame's state with only the frame number advanced).
     pub fn last_state(&self) -> Option<&SysState> {
-        self.last_state.as_ref()
+        self.last_state
+            .as_ref()
+            .filter(|state| state.frame + 1 == self.clock.frame())
     }
 
     /// Advances one frame, taking the allocation-free steady-state fast
@@ -735,7 +787,7 @@ impl System {
     /// endorses the current configuration (so the kernel step is the
     /// steady no-op). In that situation the frame reduces to: each app
     /// runs its normal stage and commits its region — which is what this
-    /// path executes, against a cached plan, with zero heap allocations.
+    /// path executes, over the per-app slots, with zero heap allocations.
     pub fn advance_frame(&mut self) -> bool {
         if self.steady_fast_eligible() {
             self.run_steady_frame();
@@ -771,61 +823,38 @@ impl System {
     }
 
     /// The steady-state frame body: every app runs its normal stage
-    /// against the cached plan and commits. Allocates only on the first
-    /// fast frame after a full frame (plan construction) or on an
-    /// anomaly (a stage error's message).
+    /// against its slot and commits. Allocates only on an anomaly (a
+    /// stage error's message).
     fn run_steady_frame(&mut self) {
         let frame = self.clock.frame();
         // Coalesced into the ring's current run in place: zero
         // allocations (proven ring-enabled by tests/alloc_free_frame.rs).
         self.obs.emit(frame, &Event::FastFrame);
-        if self.fast_plan.is_none() {
-            let mut plan = Vec::with_capacity(self.app_order.len());
-            for app_id in &self.app_order {
-                let app_index = self
-                    .apps
-                    .iter()
-                    .position(|a| a.id() == app_id)
-                    .expect("registered app");
-                let budget = self
-                    .spec
-                    .app(app_id)
-                    .and_then(|d| d.find_spec(&self.apps[app_index].current_spec()))
-                    .map(|s| s.compute_ticks())
-                    .unwrap_or(Ticks::ZERO);
-                let region = self.regions.get(app_id).expect("region per app").clone();
-                plan.push(FastAppSlot {
-                    app_index,
-                    budget,
-                    region,
-                });
-            }
-            self.fast_plan = Some(plan);
-        }
-        let plan = self.fast_plan.take().expect("just built");
-        for slot in &plan {
-            let app = &mut self.apps[slot.app_index];
+        for &at in self.order.iter() {
+            let slot = &self.slots[at];
+            let app = &mut self.apps[slot.app];
             let (result, consumed) = slot.region.write(|stable| {
                 let mut ctx = AppContext {
                     frame,
                     stable,
-                    inputs: &self.fast_board,
+                    inputs: &self.board,
                     env: self.environment.current(),
                     consumed: Ticks::ZERO,
                 };
                 let result = app.run_normal(&mut ctx);
                 let consumed = ctx.consumed;
-                // Frame-end stable-storage commit (§6.1), same as the
-                // full path; slot-retaining staging makes it alloc-free.
+                // Frame-end stable-storage commit (§6.1). Auto-filled
+                // apps never read the blackboard, so committing right
+                // after the stage cannot leak into another app's inputs;
+                // slot-retaining staging makes it alloc-free.
                 stable.commit();
                 (result, consumed)
             });
-            let app = self.apps[slot.app_index].id();
             if let Err(error) = &result {
                 self.obs.emit(
                     frame,
                     &Event::StageError {
-                        app,
+                        app: &slot.id,
                         stage: "normal",
                         error,
                     },
@@ -835,26 +864,19 @@ impl System {
                 self.obs.emit(
                     frame,
                     &Event::DeadlineMiss {
-                        app,
+                        app: &slot.id,
                         consumed,
                         budget: slot.budget,
                     },
                 );
             }
         }
-        self.fast_plan = Some(plan);
-        // The previous full frame's state no longer describes the
-        // current frame; dropping it is what lets `last_state` promise
-        // "the most recent full frame".
-        if self.last_state.is_some() {
-            self.last_state = None;
-        }
         self.clock.advance_frame();
     }
 
     /// Executes one synchronous real-time frame and returns the SCRAM's
     /// decision for it.
-    pub fn run_frame(&mut self) -> FrameDecision {
+    pub fn run_frame(&mut self) -> &FrameDecision {
         let frame = self.clock.frame();
         self.obs.emit(
             frame,
@@ -872,7 +894,7 @@ impl System {
         }
 
         // --- Pending hardware failures take effect. ---
-        for processor in std::mem::take(&mut self.pending_failures) {
+        for processor in self.pending_failures.drain(..) {
             if self.pool.is_alive(processor) {
                 let _ = self.pool.fail(processor);
                 self.obs.emit(frame, &Event::FaultInjected { processor });
@@ -881,7 +903,6 @@ impl System {
 
         // --- Scheduled substrate faults strike (the chaos plan). ---
         let mut faulted_apps: BTreeSet<AppId> = BTreeSet::new();
-        let mut jitter: BTreeMap<AppId, Ticks> = BTreeMap::new();
         for fault in self.chaos.plan.events_at(frame) {
             let event = match &fault.kind {
                 FaultKind::CommitFault { app } => {
@@ -901,7 +922,9 @@ impl System {
                     }
                 }
                 FaultKind::ClockJitter { app, ticks } => {
-                    *jitter.entry(app.clone()).or_insert(Ticks::ZERO) += Ticks::new(*ticks);
+                    if let Some(at) = slot_index(&self.slots, app) {
+                        self.slots[at].jitter += Ticks::new(*ticks);
+                    }
                     Event::ClockJitter { app, ticks: *ticks }
                 }
             };
@@ -917,26 +940,27 @@ impl System {
                 action,
                 arfs_assure::FpAction::Err | arfs_assure::FpAction::Skip
             ) {
-                if let Some(app) = self.app_order.first() {
+                if let Some(&first) = self.order.first() {
+                    let app = &self.slots[first].id;
                     faulted_apps.insert(app.clone());
                     self.obs.emit(frame, &Event::TornWrite { app, scheduled: false });
                 }
             }
         });
-
         // --- Membership: alive processors announce themselves; silent
         // processors flip their status factors. A chaos-silenced
         // processor skips its slot without halting; past the detection
         // window the defense converts it into an explicit fail-stop
         // quarantine (the membership-by-silence contract restored by
         // force). ---
-        for p in self.pool.alive_ids() {
+        let mut quarantined = Vec::new();
+        for p in self.pool.alive() {
             if self.chaos.is_silenced(p, frame) {
                 let streak = self.chaos.silent_streak.entry(p).or_insert(0);
                 *streak += 1;
                 let silent_frames = *streak;
                 if silent_frames >= self.chaos.defense.quarantine_window_frames {
-                    let _ = self.pool.fail(p);
+                    quarantined.push(p);
                     self.obs.emit(
                         frame,
                         &Event::Quarantined {
@@ -952,6 +976,9 @@ impl System {
             self.chaos.silent_streak.remove(&p);
             self.bus.mark_present(NodeId::new(PROC_NODE_BASE + p.raw()));
         }
+        for p in quarantined {
+            let _ = self.pool.fail(p);
+        }
         for p in self.pool.failed_ids() {
             let factor = format!("processor-{}", p.raw());
             if self.environment.model().factor(&factor).is_some()
@@ -963,7 +990,7 @@ impl System {
 
         // --- Pending environment changes take effect (the monitor's
         // sample for this frame). ---
-        for (factor, value) in std::mem::take(&mut self.pending_env) {
+        for (factor, value) in self.pending_env.drain(..) {
             if self.environment.set(frame, &factor, &value) == Ok(true) {
                 let (factor, value) = (factor.as_str(), value.as_str());
                 self.obs.emit(frame, &Event::EnvChanged { factor, value });
@@ -1009,19 +1036,27 @@ impl System {
         }
 
         // --- Reconfiguration signals: SCRAM -> each application, via the
-        // configuration_status variable in stable storage and the bus. ---
-        for (app, command) in &decision.commands {
-            let region = self.regions.get(app).expect("region per app");
-            region.write(|s| {
-                s.stage_str(CONFIG_STATUS_KEY, command.status.as_str());
-                match &command.target {
-                    Some(t) => s.stage_str(TARGET_SPEC_KEY, t.as_str()),
-                    None => s.stage_remove(TARGET_SPEC_KEY),
+        // configuration_status variable in stable storage and the bus.
+        // An unchanged variable is not re-staged; the commit still bumps
+        // the version. ---
+        for slot in &self.slots {
+            let command = &decision.commands[&slot.id];
+            let target = command.target.as_ref().map(SpecId::as_str);
+            slot.region.write(|s| {
+                if s.get_str(CONFIG_STATUS_KEY) != Some(command.status.as_str()) {
+                    s.stage_str(CONFIG_STATUS_KEY, command.status.as_str());
+                }
+                match target {
+                    Some(t) if s.get_str(TARGET_SPEC_KEY) != Some(t) => {
+                        s.stage_str(TARGET_SPEC_KEY, t);
+                    }
+                    None if s.contains(TARGET_SPEC_KEY) => s.stage_remove(TARGET_SPEC_KEY),
+                    _ => {}
                 }
                 s.commit();
             });
             if command.status != ConfigStatus::Normal {
-                let status = command.status;
+                let (app, status) = (&slot.id, command.status);
                 self.obs.emit(
                     frame,
                     &Event::StableCommit {
@@ -1039,127 +1074,95 @@ impl System {
         }
         self.bus.mark_present(SCRAM_NODE);
 
-        // --- Frame-start blackboard: last frame's committed state. ---
-        let mut board = Blackboard::new();
-        for (id, region) in &self.regions {
-            board.insert(id.clone(), region.snapshot());
+        // --- Frame-start blackboard: last frame's committed state,
+        // viewed in place. No stage commits before the frame-end pass
+        // below, so every app reads last frame's values (§6.2). ---
+        for slot in &self.slots {
+            self.board.insert(slot.id.clone(), slot.region.snapshot());
         }
 
         // --- Applications execute one unit of work each, in dependency
-        // order (the executive's static window order). ---
-        let placement_config = self
+        // order (the executive's static window order). On a completion
+        // frame the configuration is already the new one. ---
+        let config = self
             .spec
-            .config(self.scram.current_config())
-            .expect("validated config")
-            .clone();
-        let mut post_ok: BTreeMap<AppId, Option<bool>> = BTreeMap::new();
-        let mut pre_ok: BTreeMap<AppId, Option<bool>> = BTreeMap::new();
-        let mut spec_now: BTreeMap<AppId, crate::SpecId> = BTreeMap::new();
-        let mut lost: BTreeMap<AppId, bool> = BTreeMap::new();
-
-        for app_id in self.app_order.clone() {
-            let command = decision
-                .commands
-                .get(&app_id)
-                .expect("command per app")
-                .clone();
-            let app_index = self
-                .apps
-                .iter()
-                .position(|a| *a.id() == app_id)
-                .expect("registered app");
+            .config(&decision.svclvl)
+            .expect("validated config");
+        for &at in self.order.iter() {
+            let slot = &mut self.slots[at];
+            let command = &decision.commands[&slot.id];
+            let jitter = std::mem::take(&mut slot.jitter);
+            slot.post_ok = None;
+            slot.pre_ok = None;
+            slot.lost = false;
 
             // An application on a failed processor cannot run its stage.
-            let placed = placement_config.placement_for(&app_id);
+            let placed = config.placement_for(&slot.id);
             if let Some(processor) = placed.filter(|p| !self.pool.is_alive(*p)) {
                 self.obs.emit(
                     frame,
                     &Event::AppLost {
-                        app: &app_id,
+                        app: &slot.id,
                         processor,
                     },
                 );
-                let app = &self.apps[app_index];
-                post_ok.insert(app_id.clone(), None);
-                pre_ok.insert(app_id.clone(), None);
-                spec_now.insert(app_id.clone(), app.current_spec());
-                lost.insert(app_id.clone(), true);
+                slot.lost = true;
+                slot.set_spec(&self.spec, self.apps[slot.app].current_spec());
                 continue;
             }
 
-            let region = self.regions.get(&app_id).expect("region per app").clone();
             // Normal work is budgeted by the current specification's
             // declared compute; reconfiguration stages must fit within
             // the frame itself -- "each application meets prescribed time
             // bounds for each stage of the reconfiguration activity" (§3).
             let budget = if command.status == ConfigStatus::Normal {
-                let app = &self.apps[app_index];
-                self.spec
-                    .app(&app_id)
-                    .and_then(|d| d.find_spec(&app.current_spec()))
-                    .map(|s| s.compute_ticks())
-                    .unwrap_or(Ticks::ZERO)
+                slot.budget
             } else {
                 self.spec.frame_len()
             };
-            let torn = faulted_apps.contains(&app_id);
-            let app = &mut self.apps[app_index];
-            let (result, consumed, stage) = region.write(|stable| {
+            let app = &mut self.apps[slot.app];
+            let (result, consumed, stage) = slot.region.write(|stable| {
                 let mut ctx = AppContext {
                     frame,
                     stable,
-                    inputs: &board,
+                    inputs: &self.board,
                     env: &env,
                     consumed: Ticks::ZERO,
                 };
+                let target = command.target.as_ref();
                 let (result, stage) = match command.status {
                     ConfigStatus::Normal => (app.run_normal(&mut ctx), "normal"),
                     ConfigStatus::Halt => (app.halt(&mut ctx), "halt"),
                     ConfigStatus::Prepare => {
-                        let target = command.target.clone().expect("prepare carries target");
-                        (app.prepare(&mut ctx, &target), "prepare")
+                        let target = target.expect("prepare carries target");
+                        (app.prepare(&mut ctx, target), "prepare")
                     }
                     ConfigStatus::Initialize => {
-                        let target = command.target.clone().expect("initialize carries target");
-                        (app.initialize(&mut ctx, &target), "initialize")
+                        let target = target.expect("initialize carries target");
+                        (app.initialize(&mut ctx, target), "initialize")
                     }
                     ConfigStatus::PrepareInitialize => {
                         // The compressed §6.3 path: both stages back to
                         // back, no intervening SCRAM signal.
-                        let target = command
-                            .target
-                            .clone()
-                            .expect("prepare-initialize carries target");
+                        let target = target.expect("prepare-initialize carries target");
                         let result = app
-                            .prepare(&mut ctx, &target)
-                            .and_then(|()| app.initialize(&mut ctx, &target));
+                            .prepare(&mut ctx, target)
+                            .and_then(|()| app.initialize(&mut ctx, target));
                         (result, "prepare-initialize")
                     }
                     ConfigStatus::Hold => (Ok(()), "hold"),
                 };
-                let consumed = ctx.consumed;
-                // Frame-end stable-storage commit (§6.1) — unless this
-                // frame's commit tears, in which case every staged write
-                // is discarded and the stage leaves no durable effect.
-                if torn {
-                    stable.discard();
-                } else {
-                    stable.commit();
-                }
-                (result, consumed, stage)
+                (result, ctx.consumed, stage)
             });
             // Injected clock jitter inflates the frame's consumed ticks
             // before the deadline check sees them.
-            let consumed = match jitter.get(&app_id) {
-                Some(extra) => consumed + *extra,
-                None => consumed,
-            };
+            let consumed = consumed + jitter;
 
             if let Err(error) = &result {
                 self.obs.emit(
                     frame,
                     &Event::StageError {
-                        app: &app_id,
+                        app: &slot.id,
                         stage,
                         error,
                     },
@@ -1169,7 +1172,7 @@ impl System {
                 self.obs.emit(
                     frame,
                     &Event::DeadlineMiss {
-                        app: &app_id,
+                        app: &slot.id,
                         consumed,
                         budget,
                     },
@@ -1178,38 +1181,52 @@ impl System {
 
             // Predicate evidence for the trace (Table 1's Predicate
             // column).
-            let app = &self.apps[app_index];
-            let this_post = match command.status {
-                ConfigStatus::Halt => Some(app.postcondition_established()),
-                _ => None,
-            };
-            let this_pre = match command.status {
-                ConfigStatus::Initialize | ConfigStatus::PrepareInitialize => {
-                    let target = command.target.as_ref().expect("initialize carries target");
-                    Some(app.precondition_established(target))
-                }
-                _ => None,
-            };
-            post_ok.insert(app_id.clone(), this_post);
-            pre_ok.insert(app_id.clone(), this_pre);
-            spec_now.insert(app_id.clone(), app.current_spec());
+            let app = &self.apps[slot.app];
+            if command.status == ConfigStatus::Halt {
+                slot.post_ok = Some(app.postcondition_established());
+            }
+            if let ConfigStatus::Initialize | ConfigStatus::PrepareInitialize = command.status {
+                let target = command.target.as_ref().expect("initialize carries target");
+                slot.pre_ok = Some(app.precondition_established(target));
+            }
+            slot.set_spec(&self.spec, app.current_spec());
 
             // Status signal: application -> SCRAM.
             if command.status != ConfigStatus::Normal && command.status != ConfigStatus::Hold {
                 let node = placed
                     .map(|p| NodeId::new(PROC_NODE_BASE + p.raw()))
                     .unwrap_or(SCRAM_NODE);
-                let payload = format!("{app_id}:{}:done", command.status);
+                let payload = format!("{}:{}:done", slot.id, command.status);
                 let _ = self
                     .bus
                     .submit(node, Message::new("status", payload.into_bytes()));
                 self.obs.emit(
                     frame,
                     &Event::StatusSignal {
-                        app: &app_id,
+                        app: &slot.id,
                         status: command.status,
                     },
                 );
+            }
+        }
+
+        // --- Frame-end stable-storage commit (§6.1), in window order,
+        // once the board has let go of the committed maps (so each
+        // commit updates its map in place). A torn commit discards every
+        // staged write and the stage leaves no durable effect; a lost
+        // application staged nothing and commits nothing. ---
+        self.board.clear();
+        for &at in self.order.iter() {
+            let slot = &self.slots[at];
+            if !slot.lost {
+                let torn = faulted_apps.contains(&slot.id);
+                slot.region.write(|s| {
+                    if torn {
+                        s.discard();
+                    } else {
+                        s.commit();
+                    }
+                });
             }
         }
 
@@ -1218,56 +1235,37 @@ impl System {
         let completed_now = decision
             .events
             .iter()
-            .any(|e| matches!(e, crate::scram::ScramEvent::Completed { .. }));
+            .any(|e| matches!(e, ScramEvent::Completed { .. }));
         if completed_now {
-            let new_config = self
-                .spec
-                .config(&decision.svclvl)
-                .expect("validated config");
-            for app in &self.apps {
-                let assigned = new_config.spec_for(app.id()).expect("validated assignment");
-                pre_ok.insert(
-                    app.id().clone(),
-                    Some(app.precondition_established(assigned)),
-                );
+            for slot in &mut self.slots {
+                let assigned = config.spec_for(&slot.id).expect("validated assignment");
+                slot.pre_ok = Some(self.apps[slot.app].precondition_established(assigned));
             }
         }
 
-        // --- Record the end-of-frame system state. ---
-        let mut apps = BTreeMap::new();
-        for app_id in &self.app_order {
-            let command = decision.commands.get(app_id).expect("command per app");
-            apps.insert(
-                app_id.clone(),
-                AppFrameRecord {
-                    reconf_st: decision.reconf_st[app_id],
-                    spec: spec_now
-                        .get(app_id)
-                        .cloned()
-                        .expect("spec recorded per app"),
-                    commanded: command.status,
-                    post_ok: post_ok
-                        .get(app_id)
-                        .copied()
-                        .flatten()
-                        .map(Some)
-                        .unwrap_or(None),
-                    pre_ok: pre_ok
-                        .get(app_id)
-                        .copied()
-                        .flatten()
-                        .map(Some)
-                        .unwrap_or(None),
-                    lost: lost.get(app_id).copied().unwrap_or(false),
-                },
-            );
-        }
-        let state = SysState {
+        // --- Record the end-of-frame system state. With trace recording
+        // off, the previous record is rewritten in place. ---
+        let mut state = self.last_state.take().unwrap_or_else(|| SysState {
             frame,
             svclvl: decision.svclvl.clone(),
             env: env.clone(),
-            apps,
-        };
+            apps: BTreeMap::new(),
+        });
+        state.frame = frame;
+        state.svclvl.clone_from(&decision.svclvl);
+        state.env = env;
+        for slot in &self.slots {
+            let record = AppFrameRecord {
+                reconf_st: decision.reconf_st[&slot.id],
+                spec: slot.spec.clone(),
+                commanded: decision.commands[&slot.id].status,
+                post_ok: slot.post_ok,
+                pre_ok: slot.pre_ok,
+                lost: slot.lost,
+            };
+            // An existing entry keeps its key: no allocation.
+            state.apps.insert(slot.id.clone(), record);
+        }
         if self.trace_recording {
             self.trace.push(state);
         } else {
@@ -1313,9 +1311,6 @@ impl System {
         }
 
         self.clock.advance_frame();
-        // A full frame may have changed configurations, budgets, or app
-        // specs; the steady-state plan is rebuilt on the next fast frame.
-        self.fast_plan = None;
         decision
     }
 }

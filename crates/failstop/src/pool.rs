@@ -137,11 +137,15 @@ impl ProcessorPool {
 
     /// Ids of processors currently running.
     pub fn alive_ids(&self) -> Vec<ProcessorId> {
+        self.alive().collect()
+    }
+
+    /// Ids of running processors, in id order, without collecting them.
+    pub fn alive(&self) -> impl Iterator<Item = ProcessorId> + '_ {
         self.processors
             .values()
             .filter(|p| p.is_running())
             .map(Processor::id)
-            .collect()
     }
 
     /// Ids of processors that have failed.

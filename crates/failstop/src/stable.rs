@@ -157,9 +157,14 @@ enum StagedSlot {
 /// See the [crate documentation](crate) for the semantics. A store is a
 /// flat, ordered key-value namespace; higher layers (the RTOS, the SCRAM
 /// kernel, applications) impose their own key conventions on top.
+///
+/// The committed map is shared copy-on-write with the
+/// [`StableSnapshot`]s taken of it: a snapshot is a pointer bump, and a
+/// commit copies the map only while a snapshot of the old state is
+/// still alive.
 #[derive(Debug, Clone, Default)]
 pub struct StableStorage {
-    committed: BTreeMap<String, StableValue>,
+    committed: Arc<BTreeMap<String, StableValue>>,
     staged: BTreeMap<String, StagedSlot>,
     version: Version,
 }
@@ -306,7 +311,8 @@ impl StableStorage {
     /// Staging slots are reset in place rather than drained, and a write
     /// to a key that already exists in the committed map moves the value
     /// without touching the key — so re-committing the same working set
-    /// every frame performs no heap allocation.
+    /// every frame performs no heap allocation, provided no snapshot of
+    /// the previous commit is still held.
     pub fn commit(&mut self) -> Version {
         // Failpoint: an `Err`/`Skip` here is a torn write at the device
         // — every staged write is discarded and the version stays put,
@@ -324,14 +330,17 @@ impl StableStorage {
             match std::mem::replace(slot, StagedSlot::Clean) {
                 StagedSlot::Clean => {}
                 StagedSlot::Write(v) => {
-                    if let Some(dst) = self.committed.get_mut(key) {
+                    let committed = Arc::make_mut(&mut self.committed);
+                    if let Some(dst) = committed.get_mut(key) {
                         *dst = v;
                     } else {
-                        self.committed.insert(key.clone(), v);
+                        committed.insert(key.clone(), v);
                     }
                 }
                 StagedSlot::Remove => {
-                    self.committed.remove(key);
+                    if self.committed.contains_key(key) {
+                        Arc::make_mut(&mut self.committed).remove(key);
+                    }
                 }
             }
         }
@@ -362,22 +371,23 @@ impl StableStorage {
         self.commit()
     }
 
-    /// Takes an immutable snapshot of the committed state.
+    /// Takes an immutable snapshot of the committed state: a pointer
+    /// bump, not a copy.
     ///
     /// Snapshots are how surviving processors poll the state of a failed
     /// one.
     pub fn snapshot(&self) -> StableSnapshot {
         StableSnapshot {
-            committed: self.committed.clone(),
+            committed: Arc::clone(&self.committed),
             version: self.version,
         }
     }
 }
 
-/// An immutable copy of committed stable state at a particular version.
+/// An immutable view of committed stable state at a particular version.
 #[derive(Debug, Clone, Default)]
 pub struct StableSnapshot {
-    committed: BTreeMap<String, StableValue>,
+    committed: Arc<BTreeMap<String, StableValue>>,
     version: Version,
 }
 

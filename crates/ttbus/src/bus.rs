@@ -1,6 +1,7 @@
 //! The bus runtime: rounds, broadcast delivery, and membership.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use arfs_assure::fp;
 use arfs_failstop::CowLog;
@@ -90,8 +91,10 @@ pub struct RoundReport {
     pub round: u64,
     /// Per-node membership: `true` if the node transmitted in at least
     /// one of its slots this round. Silent nodes are presumed failed —
-    /// the bus's activity-monitor failure detection.
-    pub membership: BTreeMap<NodeId, bool>,
+    /// the bus's activity-monitor failure detection. Shared with the
+    /// bus, which rewrites it in place next round once the report is
+    /// dropped.
+    pub membership: Arc<BTreeMap<NodeId, bool>>,
     /// Number of messages delivered this round.
     pub delivered: usize,
 }
@@ -126,6 +129,8 @@ pub struct TtBus {
     /// Membership as observed at the end of the previous round; `None`
     /// for a node never yet observed transmitting.
     last_membership: BTreeMap<NodeId, bool>,
+    /// The latest round's membership (see [`RoundReport::membership`]).
+    membership: Arc<BTreeMap<NodeId, bool>>,
     membership_log: CowLog<MembershipChange>,
     /// The two replicated physical channels of a time-triggered bus.
     /// Communication succeeds while at least one is operational.
@@ -145,6 +150,7 @@ impl TtBus {
             present: nodes.iter().map(|&n| (n, false)).collect(),
             log_from: None,
             last_membership: BTreeMap::new(),
+            membership: Arc::new(nodes.iter().map(|&n| (n, false)).collect()),
             membership_log: CowLog::new(),
             channel_failed: [false, false],
         }
@@ -227,6 +233,7 @@ impl TtBus {
             present: self.present.clone(),
             log_from: self.log_from,
             last_membership: self.last_membership.clone(),
+            membership: Arc::clone(&self.membership),
             membership_log: self.membership_log.fork(),
             channel_failed: self.channel_failed,
         }
@@ -279,8 +286,8 @@ impl TtBus {
     /// this round's. A node that has never transmitted is not reported
     /// absent — silence before first contact is indistinguishable from
     /// not having started yet.
-    fn observe_membership(&mut self, round: u64, membership: &BTreeMap<NodeId, bool>) {
-        for (&node, &present) in membership {
+    fn observe_membership(&mut self, round: u64) {
+        for (&node, &present) in self.membership.iter() {
             let changed = match self.last_membership.get(&node) {
                 Some(&prev) => prev != present,
                 None => present,
@@ -338,27 +345,30 @@ impl TtBus {
     /// inbox before the round ends.
     pub fn run_round(&mut self) -> RoundReport {
         let round = self.round;
-        let mut transmitted: BTreeMap<NodeId, bool> =
-            self.schedule.nodes().iter().map(|&n| (n, false)).collect();
+        let operational = self.is_operational();
+        let transmitted = Arc::make_mut(&mut self.membership);
+        for flag in transmitted.values_mut() {
+            *flag = false;
+        }
         let mut deliveries: Vec<Delivery> = Vec::new();
 
         // Both replicated channels down: nothing can be transmitted this
         // round. Queued messages are retained (they were never sent), and
         // every node appears absent — a total communication blackout.
-        if !self.is_operational() {
-            self.observe_membership(round, &transmitted);
+        if !operational {
+            self.observe_membership(round);
             for flag in self.present.values_mut() {
                 *flag = false;
             }
             self.round += 1;
             return RoundReport {
                 round,
-                membership: transmitted,
+                membership: Arc::clone(&self.membership),
                 delivered: 0,
             };
         }
 
-        for slot in self.schedule.slots().to_vec() {
+        for slot in self.schedule.slots() {
             let owner = slot.owner;
             if !self.present.get(&owner).copied().unwrap_or(false) {
                 continue; // silent slot: owner presumed failed
@@ -396,7 +406,7 @@ impl TtBus {
         // One shared record per delivery; every node's inbox and the
         // audit log are views (cursors) into it.
         self.delivered.extend(deliveries);
-        self.observe_membership(round, &transmitted);
+        self.observe_membership(round);
 
         // Presence is per-round: it must be re-asserted each frame.
         for flag in self.present.values_mut() {
@@ -405,7 +415,7 @@ impl TtBus {
         self.round += 1;
         RoundReport {
             round,
-            membership: transmitted,
+            membership: Arc::clone(&self.membership),
             delivered,
         }
     }

@@ -1,4 +1,5 @@
-//! Proves the steady-state fast path is allocation-free.
+//! Proves the steady-state fast path and the quiet full frame are
+//! allocation-free.
 //!
 //! This test binary installs a counting `#[global_allocator]` (every
 //! other test binary is unaffected) and asserts that once a
@@ -15,6 +16,11 @@
 //! reconfiguring system: observing a frame allocates nothing, except
 //! that recording a completed reconfiguration's latency may grow its
 //! list.
+//!
+//! The full frame (`System::run_frame`) is pinned too: once warm, a
+//! quiet full frame with observability and trace recording off
+//! allocates nothing, for the avionics and the extended UAV specs, and
+//! so does the model checker's state fingerprint, steady or busy.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -285,4 +291,65 @@ fn metrics_registry_allocates_a_name_only_once() {
     );
     assert_eq!(metrics.counter("bus.deliveries"), 301);
     assert_eq!(metrics.counter("frames"), 101);
+}
+
+/// A journal-off, trace-off system of auto-filled applications, warmed
+/// up past its initial frames.
+fn quiet_system(spec: arfs_core::spec::ReconfigSpec) -> System {
+    let mut system = System::builder_arc(Arc::new(spec))
+        .observability(false)
+        .build()
+        .expect("system builds");
+    system.set_trace_recording(false);
+    for _ in 0..16 {
+        system.run_frame();
+    }
+    assert!(
+        !system.scram().is_reconfiguring(),
+        "warmed-up system is steady"
+    );
+    system
+}
+
+/// Allocations made by 100 quiet full frames (`run_frame`, never the
+/// fast path) of `spec`.
+fn quiet_full_frame_allocs(spec: arfs_core::spec::ReconfigSpec) -> u64 {
+    let mut system = quiet_system(spec);
+    let before = allocs();
+    for _ in 0..100 {
+        system.run_frame();
+    }
+    let after = allocs();
+    assert!(system.last_state().is_some(), "full frames record state");
+    after - before
+}
+
+#[test]
+fn quiet_full_frame_allocates_nothing() {
+    // Shared-name ids, slot-indexed frame state, a blackboard of
+    // in-place snapshots and reused SCRAM, bus and state records leave
+    // nothing to allocate in a frame where nothing changes.
+    assert_eq!(quiet_full_frame_allocs(avionics_spec().unwrap()), 0);
+    let extended = arfs_avionics::extended::extended_uav_spec().unwrap();
+    assert_eq!(quiet_full_frame_allocs(extended), 0);
+}
+
+#[test]
+fn state_fingerprint_allocates_nothing() {
+    let mut system = quiet_system(arfs_avionics::extended::extended_uav_spec().unwrap());
+    let before = allocs();
+    let steady = system.state_fingerprint();
+    assert_eq!(allocs() - before, 0, "steady fingerprint touched the heap");
+    assert!(steady.is_some(), "a quiet system fingerprints");
+
+    // Mid-reconfiguration, the fingerprint also hashes the protocol
+    // phase (through its `Debug` form) and the staged protocol values.
+    system.set_env("electrical", "one").expect("declared value");
+    system.run_frame();
+    system.run_frame();
+    assert!(system.scram().is_reconfiguring());
+    let before = allocs();
+    let busy = system.state_fingerprint();
+    assert_eq!(allocs() - before, 0, "busy fingerprint touched the heap");
+    assert!(busy.is_some() && busy != steady);
 }

@@ -118,6 +118,33 @@ fn blackboard_carries_autopilot_commands_to_fcs() {
     assert!(av.aircraft_state().bank_deg > 1.0);
 }
 
+/// The blackboard's one-frame lag (§6.2): an application reads what its
+/// producers committed *last* frame, even when the producer runs before
+/// it in the same frame. In the extended spec the datalink (dependency
+/// wave 1) publishes a fresh `seq` every full-rate frame and the
+/// recorder (wave 2) counts each new `seq` it sees, so the recorder must
+/// trail the datalink by exactly one record; a board that leaked
+/// same-frame commits would let it catch up.
+#[test]
+fn blackboard_inputs_lag_their_producer_by_one_frame() {
+    let mut uav = arfs_avionics::extended::ExtendedUavSystem::new().unwrap();
+    for frame in 0..12u64 {
+        uav.run_frame();
+        let system = uav.system();
+        let seq = system
+            .app_stable(&AppId::new("datalink"))
+            .unwrap()
+            .get_u64("seq");
+        let records = system
+            .app_stable(&AppId::new("recorder"))
+            .unwrap()
+            .get_u64("records");
+        assert_eq!(seq, Some(frame + 1), "datalink publishes every frame");
+        let expected = (frame > 0).then_some(frame);
+        assert_eq!(records, expected, "recorder saw frame {frame}'s own seq");
+    }
+}
+
 #[test]
 fn pilot_inputs_reach_surfaces_when_autopilot_off() {
     let mut av = AvionicsSystem::new().unwrap();
