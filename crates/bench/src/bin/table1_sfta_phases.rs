@@ -10,7 +10,7 @@
 use arfs_avionics::AvionicsSystem;
 use arfs_bench::{banner, verdict, write_json, TextTable};
 use arfs_core::app::ConfigStatus;
-use arfs_core::scram::{MidReconfigPolicy, ScramEvent, SyncPolicy};
+use arfs_core::scram::{MidReconfigPolicy, SyncPolicy};
 use arfs_core::AppId;
 
 fn main() {
@@ -120,19 +120,15 @@ fn main() {
         end.svclvl.as_str() == "reduced-service",
     );
 
-    // The SCRAM's own event log shows the same phases.
-    let phases: Vec<String> = av
+    // The journal's SCRAM events show the same phases.
+    let phases: Vec<&str> = av
         .system()
-        .scram()
-        .log()
-        .iter()
-        .filter_map(|e| match e {
-            ScramEvent::PhaseEntered { phase, .. } => Some(phase.to_string()),
-            _ => None,
-        })
+        .journal()
+        .of_kind("phase-entered")
+        .filter_map(|e| e.payload.get("phase").and_then(|p| p.as_str()))
         .collect();
     verdict(
-        "SCRAM event log shows halt -> prepare -> initialize",
+        "journaled SCRAM events show halt -> prepare -> initialize",
         phases == ["halt", "prepare", "initialize"],
     );
 

@@ -351,6 +351,15 @@ impl ChaosState {
             .get(&processor)
             .is_some_and(|&until| frame < until)
     }
+
+    /// Whether the bus-silence watchdog is idle at `frame`: no
+    /// processor is silenced at or after it and no silent streak is
+    /// counting. An expired window lingers in
+    /// [`silenced_until`](ChaosState::silenced_until) until a quarantine
+    /// clears it, but affects no frame, so it does not count.
+    pub fn quiet_at(&self, frame: u64) -> bool {
+        self.silent_streak.is_empty() && self.silenced_until.values().all(|&until| until <= frame)
+    }
 }
 
 #[cfg(test)]

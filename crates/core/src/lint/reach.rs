@@ -60,10 +60,8 @@ impl ReachAnalysis {
         let mut naive_edges: BTreeSet<(ConfigId, ConfigId)> = BTreeSet::new();
         spec.env_model().for_each_state(|env| {
             for config in spec.configs() {
-                if let Some(target) = spec.choose(config.id(), env) {
-                    if target != config.id() {
-                        naive_edges.insert((config.id().clone(), target.clone()));
-                    }
+                if let Some(target) = spec.wanted_change(config.id(), env) {
+                    naive_edges.insert((config.id().clone(), target.clone()));
                 }
             }
         });

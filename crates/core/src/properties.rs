@@ -516,8 +516,8 @@ impl Monitor {
             // frame. Reported once per continuous run.
             (Monitor::Responsiveness(run), cut) => {
                 let steady = matches!(cut, Cut::Steady | Cut::End(_));
-                let wanted = steady.then(|| spec.choose(to, &state.env)).flatten();
-                let Some(target) = wanted.filter(|&t| t != to) else {
+                let wanted = steady.then(|| spec.wanted_change(to, &state.env));
+                let Some(target) = wanted.flatten() else {
                     *run = 0;
                     return;
                 };

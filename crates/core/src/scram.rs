@@ -23,13 +23,32 @@
 //! that "the functional aspects of the SCRAM will remain constant ...
 //! this simplifies subsequent verification, since the SCRAM need only be
 //! verified once".
+//!
+//! # The decision core
+//!
+//! Every decision the kernel makes is one of three side-effect-free
+//! functions, which [`Scram`] only sequences and stores:
+//!
+//! - **choice** — [`ReconfigSpec::wanted_change`]: the configuration the
+//!   choice function wants to move to, `None` when it endorses the
+//!   current one (also asked by the fast path, the fingerprint, the
+//!   responsiveness monitor and lint reachability);
+//! - **the phase transition** — [`InFlight::step`]: phase, progress,
+//!   stall, announcement, retry, backoff and safe fallback of an
+//!   in-flight reconfiguration, returning the next record (or
+//!   completion) and the frame's events;
+//! - **the Table 1 row** — [`table1_row`]: one application's command
+//!   and end-of-frame `reconf_st` for a [`FrameKind`].
+//!
+//! Their bounded domains are small enough to enumerate, so the kernel
+//! obligations in `tests/tests/kernel_obligations.rs` check each of
+//! them over every input in its bounds (bounded proofs by enumeration).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
 use arfs_assure::fp;
-use arfs_failstop::CowLog;
 
 use crate::app::ConfigStatus;
 use crate::chaos::ChaosDefense;
@@ -274,23 +293,403 @@ pub struct FrameDecision {
     pub events: Vec<ScramEvent>,
 }
 
-#[derive(Debug, Clone)]
-struct InFlight {
-    source: ConfigId,
-    target: ConfigId,
-    phase: Phase,
+/// An in-flight reconfiguration: the protocol record [`InFlight::step`]
+/// advances one frame at a time.
+///
+/// Together with the frames elapsed since the trigger, these fields
+/// determine every future `PhaseEntered`/completion event and every
+/// remaining restricted frame of the reconfiguration: two kernels with
+/// equal records at the same protocol offset behave identically under
+/// identical future inputs, which is what the busy-state fingerprint
+/// relies on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InFlight {
+    /// The configuration being reconfigured away from.
+    pub source: ConfigId,
+    /// The target configuration.
+    pub target: ConfigId,
+    /// The protocol phase currently executing.
+    pub phase: Phase,
     /// Frames already spent in the current phase.
-    phase_progress: u64,
+    pub phase_progress: u64,
     /// Remaining stall frames (mutation only).
-    stall_left: u64,
+    pub stall_left: u64,
     /// Retry-budget frames consumed by substrate faults so far.
-    retries_used: u64,
+    pub retries_used: u64,
     /// Remaining backoff Hold frames before the next stage attempt.
-    backoff_left: u64,
+    pub backoff_left: u64,
     /// Whether the current phase instance has already pushed its
     /// `PhaseEntered` event — retried frames keep `phase_progress` at
     /// its pre-fault value, and must not announce the phase again.
-    announced: bool,
+    pub announced: bool,
+}
+
+/// The static parameters of the phase transition, fixed when the
+/// kernel is built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Protocol {
+    /// Each phase's length: the longest bound any application declares
+    /// for that stage ([`ReconfigSpec::phase_frames`]).
+    pub phase_frames: StageBounds,
+    /// Dependency waves: one more than the deepest dependency depth.
+    pub wave_count: u64,
+    /// How initialize windows are staged across dependency waves.
+    pub sync: SyncPolicy,
+    /// Whether prepare and initialize share one frame.
+    pub stage: StagePolicy,
+    /// Retry budget and backoff for voided frames.
+    pub defense: ChaosDefense,
+    /// Where an exhausted retry budget falls back to.
+    pub safe: ConfigId,
+    /// Complete after prepare without ever initializing
+    /// ([`ScramMutation::SkipInitPhase`]).
+    pub skip_init: bool,
+}
+
+impl Protocol {
+    /// Frames of the initialize phase: one init window per dependency
+    /// wave under [`SyncPolicy::PhaseChecked`].
+    pub fn init_len(&self) -> u64 {
+        match self.sync {
+            SyncPolicy::Simultaneous => self.phase_frames.init_frames,
+            SyncPolicy::PhaseChecked => self.phase_frames.init_frames * self.wave_count,
+        }
+    }
+
+    /// The initialize-phase frame at which an application at dependency
+    /// depth `depth` opens its init window.
+    pub fn init_start(&self, depth: u64) -> u64 {
+        match self.sync {
+            SyncPolicy::Simultaneous => 0,
+            SyncPolicy::PhaseChecked => depth * self.phase_frames.init_frames,
+        }
+    }
+
+    /// The number of frames one fault-free reconfiguration takes, from
+    /// trigger frame to completion frame inclusive.
+    pub fn protocol_frames(&self) -> u64 {
+        let after_halt = match self.stage {
+            StagePolicy::Signalled => self.phase_frames.prepare_frames + self.init_len(),
+            StagePolicy::CompressedPrepareInit => 1,
+        };
+        1 + self.phase_frames.halt_frames + after_halt
+    }
+}
+
+/// A stage frame's position in the protocol, as the Table 1 rows see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stage {
+    /// The phase the frame executes.
+    pub phase: Phase,
+    /// Frames already spent in the phase before this one.
+    pub progress: u64,
+    /// Prepare and initialize run back to back this frame
+    /// ([`StagePolicy::CompressedPrepareInit`]).
+    pub compressed: bool,
+}
+
+/// The kind of frame a Table 1 row is computed for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameKind {
+    /// No reconfiguration in flight.
+    Steady,
+    /// The trigger frame (Table 1 frame 0).
+    Trigger {
+        /// The transition interrupts the application.
+        interrupted: bool,
+    },
+    /// A backoff Hold frame after a voided frame in the phase.
+    Backoff(Phase),
+    /// A stage frame whose commits take effect.
+    Live {
+        /// Where the frame sits in the protocol.
+        stage: Stage,
+        /// The reconfiguration completes this frame.
+        completes: bool,
+    },
+    /// A stage frame voided by a torn commit: the stage ran, but its
+    /// outcome never took effect.
+    Voided(Stage),
+}
+
+/// The fixed inputs of one application's Table 1 row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AppRole {
+    /// The application's stage bounds. A kernel seeded with
+    /// [`ScramMutation::SkipHaltPhase`] gives every application a
+    /// zero-frame halt window, so none is ever commanded to halt.
+    pub bounds: StageBounds,
+    /// The initialize-phase frame its init window opens at
+    /// ([`Protocol::init_start`] of its dependency depth).
+    pub init_start: u64,
+    /// Left running through reconfigurations
+    /// ([`ScramMutation::LeaveAppRunning`]).
+    pub exempt: bool,
+}
+
+/// One application's Table 1 row for a frame: the configuration status
+/// it is commanded, whether the command carries its target
+/// specification, and its end-of-frame `reconf_st`.
+pub fn table1_row(kind: FrameKind, role: &AppRole) -> (ConfigStatus, bool, ReconfSt) {
+    use ConfigStatus as C;
+    use ReconfSt as R;
+    if role.exempt {
+        return (C::Normal, false, R::Normal);
+    }
+    let (stage, voided, completes) = match kind {
+        FrameKind::Steady => return (C::Normal, false, R::Normal),
+        FrameKind::Trigger { interrupted: true } => return (C::Normal, false, R::Interrupted),
+        FrameKind::Trigger { interrupted: false } => return (C::Normal, false, R::Normal),
+        FrameKind::Backoff(Phase::Halt | Phase::Prepare) => return (C::Hold, false, R::Halted),
+        FrameKind::Backoff(Phase::Init | Phase::Stall) => return (C::Hold, false, R::Prepared),
+        FrameKind::Live { stage, completes } => (stage, false, completes),
+        FrameKind::Voided(stage) => (stage, true, false),
+    };
+    let (phase, progress, b) = (stage.phase, stage.progress, role.bounds);
+    let init_started = progress >= role.init_start;
+    let status = match phase {
+        Phase::Halt if progress < b.halt_frames => C::Halt,
+        Phase::Prepare if stage.compressed => C::PrepareInitialize,
+        Phase::Prepare if progress < b.prepare_frames => C::Prepare,
+        Phase::Init if init_started && progress < role.init_start + b.init_frames => C::Initialize,
+        _ => C::Hold,
+    };
+    let st = match phase {
+        _ if completes => R::Normal,
+        // A voided frame keeps every application visibly restricted: a
+        // voided completion must not end the SP1 window.
+        Phase::Halt | Phase::Prepare if voided => R::Halted,
+        Phase::Init if voided => R::Initializing,
+        Phase::Prepare if progress + 1 >= b.prepare_frames => R::Prepared,
+        Phase::Halt | Phase::Prepare => R::Halted,
+        Phase::Init if init_started => R::Initializing,
+        Phase::Init | Phase::Stall => R::Prepared,
+    };
+    (status, matches!(phase, Phase::Prepare | Phase::Init), st)
+}
+
+/// What one frame of an in-flight reconfiguration did; see
+/// [`InFlight::step`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Step {
+    /// The frame's kind, for the Table 1 rows.
+    pub kind: FrameKind,
+    /// The target of this frame's stage: its commands carry this
+    /// configuration's specifications, and a completion moves to it.
+    pub target: ConfigId,
+    /// The record for the next frame, or `None` when the
+    /// reconfiguration completed.
+    pub next: Option<InFlight>,
+}
+
+impl InFlight {
+    /// The record of a reconfiguration accepted this frame: its halt
+    /// phase starts next frame. `stall_left` is the mutation-only stall
+    /// between prepare and initialize.
+    pub fn accepted(source: ConfigId, target: ConfigId, stall_left: u64) -> Self {
+        InFlight {
+            source,
+            target,
+            phase: Phase::Halt,
+            phase_progress: 0,
+            stall_left,
+            retries_used: 0,
+            backoff_left: 0,
+            announced: false,
+        }
+    }
+
+    /// The new target [`MidReconfigPolicy::ImmediateRetarget`] switches
+    /// to under `env`: the choice from the source, unless it is the
+    /// current target or the source itself. Going back to the source
+    /// would need a zero-bound self transition, so it is handled by
+    /// completing and re-triggering instead.
+    pub fn retarget<'s>(&self, spec: &'s ReconfigSpec, env: &EnvState) -> Option<&'s ConfigId> {
+        spec.wanted_change(&self.source, env)
+            .filter(|&t| *t != self.target)
+    }
+
+    /// One frame of the reconfiguration: the SCRAM phase transition.
+    ///
+    /// `retarget` is this frame's [`retarget`](InFlight::retarget)
+    /// under the active mid-reconfiguration policy, and `faulted` says
+    /// whether a torn commit voids the frame. The frame's events are
+    /// pushed onto `events`.
+    ///
+    /// A backoff frame only counts down. A live frame retargets if asked
+    /// (falling back to prepare once postconditions are established),
+    /// announces a fresh phase instance once, and advances the phase
+    /// position. A frame is atomic: a voided stage frame holds its
+    /// position and spends one frame of the retry budget, followed by
+    /// the clamped backoff; past the budget it abandons the target for
+    /// the safe configuration. Faults on stall frames void nothing.
+    pub fn step(
+        &self,
+        protocol: &Protocol,
+        frame: u64,
+        retarget: Option<&ConfigId>,
+        faulted: bool,
+        events: &mut Vec<ScramEvent>,
+    ) -> Step {
+        let mut next = self.clone();
+        if next.backoff_left > 0 {
+            // Backoff frames are dead frames: every application holds,
+            // the phase position is untouched, and (since Hold carries
+            // no protocol progress) a fault striking one costs nothing.
+            // A pending retarget is noticed on the next live frame.
+            next.backoff_left -= 1;
+            return Step {
+                kind: FrameKind::Backoff(next.phase),
+                target: next.target.clone(),
+                next: Some(next),
+            };
+        }
+        if let Some(new_target) = retarget {
+            // Failpoint: mid-flight retarget decision. Counted for
+            // coverage; Panic models a kernel crash at the retarget
+            // boundary (caught by the fail-stop harness).
+            fp!("scram.retarget");
+            let old_target = std::mem::replace(&mut next.target, new_target.clone());
+            events.push(ScramEvent::Retargeted {
+                frame,
+                old_target,
+                new_target: new_target.clone(),
+            });
+            if next.phase != Phase::Halt {
+                // Postconditions are already established; fall back to
+                // preparing for the new target.
+                next.phase = Phase::Prepare;
+                next.phase_progress = 0;
+                next.announced = false;
+                events.push(ScramEvent::PhaseEntered {
+                    frame,
+                    phase: Phase::Prepare,
+                    target: new_target.clone(),
+                });
+            }
+        }
+
+        let (phase, progress, target) = (next.phase, next.phase_progress, next.target.clone());
+        if progress == 0 && !next.announced {
+            // Failpoint: SFTA phase transition (Table 1 rows). Counted for
+            // coverage; Panic models a kernel crash at a phase boundary.
+            fp!("scram.phase");
+            events.push(ScramEvent::PhaseEntered {
+                frame,
+                phase,
+                target: target.clone(),
+            });
+            next.announced = true;
+        }
+
+        // The §6.3 compressed path: prepare and initialize run back to
+        // back this frame and the reconfiguration completes. Seeded
+        // defects (stall / skip-init) force the signalled protocol so
+        // they remain observable.
+        let compressed = phase == Phase::Prepare
+            && protocol.stage == StagePolicy::CompressedPrepareInit
+            && next.stall_left == 0
+            && !protocol.skip_init;
+        let mut completes = false;
+        match phase {
+            Phase::Halt => {
+                next.phase_progress += 1;
+                if next.phase_progress >= protocol.phase_frames.halt_frames {
+                    next.phase = Phase::Prepare;
+                    next.phase_progress = 0;
+                }
+            }
+            Phase::Prepare if compressed => completes = true,
+            Phase::Prepare => {
+                next.phase_progress += 1;
+                if next.phase_progress >= protocol.phase_frames.prepare_frames {
+                    next.phase_progress = 0;
+                    if next.stall_left > 0 {
+                        next.phase = Phase::Stall;
+                    } else if protocol.skip_init {
+                        completes = true;
+                    } else {
+                        next.phase = Phase::Init;
+                    }
+                }
+            }
+            Phase::Stall => {
+                next.stall_left = next.stall_left.saturating_sub(1);
+                if next.stall_left == 0 {
+                    next.phase = Phase::Init;
+                    next.phase_progress = 0;
+                }
+            }
+            Phase::Init => {
+                next.phase_progress += 1;
+                completes = next.phase_progress >= protocol.init_len();
+            }
+        }
+
+        let stage = Stage {
+            phase,
+            progress,
+            compressed,
+        };
+        if faulted && phase != Phase::Stall {
+            // The frame is atomic: its stage ran, but the torn commit
+            // voids the outcome. Hold the phase position and spend the
+            // retry budget.
+            next.phase = phase;
+            next.phase_progress = progress;
+            next.retries_used += 1;
+            let budget = protocol.defense.retry_budget_frames;
+            if next.retries_used > budget {
+                events.push(ScramEvent::SafeFallback {
+                    frame,
+                    abandoned: target.clone(),
+                    safe: protocol.safe.clone(),
+                });
+                // Postconditions established by a completed halt phase
+                // survive (earlier frames committed); anything later is
+                // redone for the safe target, mirroring the §5.3
+                // retarget fallback-to-prepare rule.
+                if phase != Phase::Halt {
+                    next.phase = Phase::Prepare;
+                }
+                next.phase_progress = 0;
+                next.retries_used = 0;
+                next.announced = false;
+                next.target = protocol.safe.clone();
+            } else {
+                events.push(ScramEvent::CommitRetry {
+                    frame,
+                    target: target.clone(),
+                    used: next.retries_used,
+                    budget,
+                });
+                // Clamped: a misconfigured backoff must not be able to
+                // stall the protocol past the Table 1 accounting (see
+                // `ChaosDefense::worst_case_stall_frames`).
+                next.backoff_left = protocol.defense.bounded_backoff_frames();
+            }
+            return Step {
+                kind: FrameKind::Voided(stage),
+                target,
+                next: Some(next),
+            };
+        }
+
+        if completes {
+            events.push(ScramEvent::Completed {
+                frame,
+                config: target.clone(),
+            });
+        } else if next.phase != phase {
+            // A fresh phase instance announces itself next frame.
+            next.announced = false;
+        }
+        Step {
+            kind: FrameKind::Live { stage, completes },
+            target,
+            next: (!completes).then_some(next),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -304,64 +703,43 @@ enum KernelState {
 /// See the [module documentation](self) for the protocol. Construct with
 /// [`Scram::new`], then call [`Scram::step`] exactly once per frame.
 /// The kernel owns no shared handles, so `Clone` is a full fork of the
-/// protocol state machine mid-flight (phase, progress, dwell origin,
-/// event log); the model checker relies on this to branch exploration
-/// at schedule prefixes.
+/// protocol state machine mid-flight (phase, progress, dwell origin);
+/// the model checker relies on this to branch exploration at schedule
+/// prefixes.
 #[derive(Debug, Clone)]
 pub struct Scram {
     spec: Arc<ReconfigSpec>,
     current: ConfigId,
     state: KernelState,
     mid_policy: MidReconfigPolicy,
-    sync_policy: SyncPolicy,
-    stage_policy: StagePolicy,
+    protocol: Protocol,
     mutation: Option<ScramMutation>,
-    defense: ChaosDefense,
-    phase_frames: StageBounds,
-    depths: BTreeMap<AppId, u64>,
-    wave_count: u64,
-    log: CowLog<ScramEvent>,
+    /// Each application's Table 1 row inputs.
+    roles: Vec<(AppId, AppRole)>,
     /// The latest frame's decision. Every step gives every application
     /// an entry in both maps, so the next step refills them in place and
     /// a frame without events allocates nothing.
     decision: FrameDecision,
 }
 
-/// A read-only view of the in-flight reconfiguration protocol state,
-/// for mid-reconfiguration ("busy") state fingerprinting.
-///
-/// Together with the frames elapsed since the trigger, these fields
-/// determine every future `PhaseEntered`/`WaveCompleted`/completion
-/// event and every remaining restricted frame of the reconfiguration:
-/// two kernels with equal busy views at the same protocol offset
-/// behave identically under identical future inputs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BusyView<'a> {
-    /// The configuration being reconfigured away from.
-    pub source: &'a ConfigId,
-    /// The target configuration.
-    pub target: &'a ConfigId,
-    /// The protocol phase currently executing.
-    pub phase: Phase,
-    /// Frames already spent in the current phase.
-    pub phase_progress: u64,
-    /// Remaining stall frames (mutation only).
-    pub stall_left: u64,
-    /// Retry-budget frames consumed by substrate faults so far.
-    pub retries_used: u64,
-    /// Remaining backoff Hold frames before the next stage attempt.
-    pub backoff_left: u64,
-    /// Whether the current phase instance already announced itself.
-    pub announced: bool,
-}
-
 impl Scram {
     /// Creates a kernel in the specification's initial configuration with
     /// default policies.
     pub fn new(spec: Arc<ReconfigSpec>) -> Self {
-        let phase_frames = spec.phase_frames();
         let depths = dependency_depths(spec.apps());
-        let wave_count = depths.values().copied().max().unwrap_or(0) + 1;
+        let protocol = Protocol {
+            phase_frames: spec.phase_frames(),
+            wave_count: depths.values().copied().max().unwrap_or(0) + 1,
+            sync: SyncPolicy::default(),
+            stage: StagePolicy::default(),
+            defense: ChaosDefense::default(),
+            safe: spec
+                .safe_configs()
+                .first()
+                .map(|c| (*c).clone())
+                .expect("validated specs declare a safe configuration"),
+            skip_init: false,
+        };
         Scram {
             current: spec.initial_config().clone(),
             decision: FrameDecision {
@@ -373,16 +751,37 @@ impl Scram {
             },
             state: KernelState::Steady { since: 0 },
             mid_policy: MidReconfigPolicy::default(),
-            sync_policy: SyncPolicy::default(),
-            stage_policy: StagePolicy::default(),
+            protocol,
             mutation: None,
-            defense: ChaosDefense::default(),
-            phase_frames,
-            depths,
-            wave_count,
+            roles: Vec::new(),
             spec,
-            log: CowLog::new(),
         }
+        .with_roles()
+    }
+
+    /// Recomputes every application's row inputs from the spec, the sync
+    /// policy and the mutation.
+    fn with_roles(mut self) -> Self {
+        // Only phase-checked init windows open by dependency depth.
+        let depths = (self.protocol.sync == SyncPolicy::PhaseChecked)
+            .then(|| dependency_depths(self.spec.apps()));
+        let skip_halt = matches!(self.mutation, Some(ScramMutation::SkipHaltPhase));
+        self.roles.clear();
+        for app in self.spec.apps() {
+            let id = app.id();
+            let mut bounds = app.bounds();
+            if skip_halt {
+                bounds.halt_frames = 0;
+            }
+            let depth = depths.as_ref().map_or(0, |depths| depths[id]);
+            let role = AppRole {
+                bounds,
+                init_start: self.protocol.init_start(depth),
+                exempt: matches!(&self.mutation, Some(ScramMutation::LeaveAppRunning(a)) if a == id),
+            };
+            self.roles.push((id.clone(), role));
+        }
+        self
     }
 
     /// Sets the mid-reconfiguration trigger policy.
@@ -395,8 +794,8 @@ impl Scram {
     /// Sets the dependency synchronization policy.
     #[must_use]
     pub fn with_sync_policy(mut self, policy: SyncPolicy) -> Self {
-        self.sync_policy = policy;
-        self
+        self.protocol.sync = policy;
+        self.with_roles()
     }
 
     /// Sets the stage-signalling policy.
@@ -409,10 +808,10 @@ impl Scram {
     /// combinations panic, because a compressed stage cannot be split
     /// across frames or waves.
     #[must_use]
-    pub fn with_stage_policy(self, policy: StagePolicy) -> Self {
+    pub fn with_stage_policy(mut self, policy: StagePolicy) -> Self {
         if policy == StagePolicy::CompressedPrepareInit {
             assert_eq!(
-                self.sync_policy,
+                self.protocol.sync,
                 SyncPolicy::Simultaneous,
                 "compressed stages require simultaneous synchronization"
             );
@@ -424,10 +823,8 @@ impl Scram {
                 "compressed stages require one-frame prepare/initialize bounds"
             );
         }
-        Scram {
-            stage_policy: policy,
-            ..self
-        }
+        self.protocol.stage = policy;
+        self
     }
 
     /// Seeds a protocol defect for verification experiments. Production
@@ -435,8 +832,9 @@ impl Scram {
     /// shown to catch real violations.
     #[must_use]
     pub fn with_mutation(mut self, mutation: ScramMutation) -> Self {
+        self.protocol.skip_init = mutation == ScramMutation::SkipInitPhase;
         self.mutation = Some(mutation);
-        self
+        self.with_roles()
     }
 
     /// Tunes the substrate-fault defenses (retry budget and backoff).
@@ -444,7 +842,7 @@ impl Scram {
     /// stepped without faults behave identically under every setting.
     #[must_use]
     pub fn with_chaos_defense(mut self, defense: ChaosDefense) -> Self {
-        self.defense = defense;
+        self.protocol.defense = defense;
         self
     }
 
@@ -469,88 +867,39 @@ impl Scram {
         self.mutation.is_some()
     }
 
-    /// Frames of minimum dwell still suppressing triggers at `frame`,
-    /// or `None` while a reconfiguration is in flight.
+    /// Frames of minimum dwell left at `frame` when the kernel is steady
+    /// and the choice function endorses the current configuration under
+    /// `env`, so that this frame's step is the steady no-op; `None`
+    /// otherwise.
     ///
-    /// This — not the absolute steady-since frame — is the dwell
-    /// component of the model checker's canonical state fingerprint:
-    /// two steady kernels with the same remaining dwell accept the same
-    /// future triggers, regardless of *when* they became steady.
-    pub fn steady_dwell_remaining(&self, frame: u64) -> Option<u64> {
-        match &self.state {
-            KernelState::Steady { since } => {
+    /// The remaining dwell — not the absolute steady-since frame — is
+    /// the dwell component of the model checker's canonical state
+    /// fingerprint: two such kernels with the same remaining dwell
+    /// accept the same future triggers, regardless of *when* they became
+    /// steady.
+    pub fn settled_dwell(&self, frame: u64, env: &EnvState) -> Option<u64> {
+        match self.state {
+            KernelState::Steady { since }
+                if self.spec.wanted_change(&self.current, env).is_none() =>
+            {
                 Some((since + self.spec.min_dwell_frames()).saturating_sub(frame))
             }
-            KernelState::Reconfiguring(_) => None,
+            _ => None,
         }
     }
 
-    /// The cumulative event log, collected into a fresh vector.
-    pub fn log(&self) -> Vec<ScramEvent> {
-        self.log.to_vec()
-    }
-
-    /// Number of events logged so far.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
-    /// The in-flight protocol state, or `None` while steady. See
-    /// [`BusyView`].
-    pub fn busy_view(&self) -> Option<BusyView<'_>> {
+    /// The in-flight protocol record, or `None` while steady.
+    pub fn busy_view(&self) -> Option<&InFlight> {
         match &self.state {
             KernelState::Steady { .. } => None,
-            KernelState::Reconfiguring(inflight) => Some(BusyView {
-                source: &inflight.source,
-                target: &inflight.target,
-                phase: inflight.phase,
-                phase_progress: inflight.phase_progress,
-                stall_left: inflight.stall_left,
-                retries_used: inflight.retries_used,
-                backoff_left: inflight.backoff_left,
-                announced: inflight.announced,
-            }),
-        }
-    }
-
-    /// Forks the kernel: protocol state is duplicated, the event log's
-    /// history is sealed and shared (never copied) with the fork.
-    pub fn fork(&mut self) -> Scram {
-        Scram {
-            spec: Arc::clone(&self.spec),
-            current: self.current.clone(),
-            state: self.state.clone(),
-            mid_policy: self.mid_policy,
-            sync_policy: self.sync_policy,
-            stage_policy: self.stage_policy,
-            mutation: self.mutation.clone(),
-            defense: self.defense,
-            phase_frames: self.phase_frames,
-            depths: self.depths.clone(),
-            wave_count: self.wave_count,
-            log: self.log.fork(),
-            decision: self.decision.clone(),
+            KernelState::Reconfiguring(inflight) => Some(inflight),
         }
     }
 
     /// The number of frames one complete reconfiguration takes under the
     /// active policies, from trigger frame to completion frame inclusive.
     pub fn protocol_frames(&self) -> u64 {
-        match self.stage_policy {
-            StagePolicy::Signalled => {
-                1 + self.phase_frames.halt_frames
-                    + self.phase_frames.prepare_frames
-                    + self.init_phase_len()
-            }
-            StagePolicy::CompressedPrepareInit => 1 + self.phase_frames.halt_frames + 1,
-        }
-    }
-
-    fn init_phase_len(&self) -> u64 {
-        match self.sync_policy {
-            SyncPolicy::Simultaneous => self.phase_frames.init_frames,
-            SyncPolicy::PhaseChecked => self.phase_frames.init_frames * self.wave_count,
-        }
+        self.protocol.protocol_frames()
     }
 
     fn interrupted_apps(&self, from: &ConfigId, to: &ConfigId) -> Vec<AppId> {
@@ -562,15 +911,6 @@ impl Scram {
             .filter(|a| from_cfg.spec_for(a.id()) != to_cfg.spec_for(a.id()))
             .map(|a| a.id().clone())
             .collect()
-    }
-
-    fn target_spec_for(&self, target: &ConfigId, app: &AppId) -> SpecId {
-        self.spec
-            .config(target)
-            .expect("validated config")
-            .spec_for(app)
-            .expect("validated assignment")
-            .clone()
     }
 
     fn mutated_target(&self, chosen: &ConfigId) -> ConfigId {
@@ -586,10 +926,6 @@ impl Scram {
             }
         }
         chosen.clone()
-    }
-
-    fn exempted(&self, app: &AppId) -> bool {
-        matches!(&self.mutation, Some(ScramMutation::LeaveAppRunning(a)) if a == app)
     }
 
     /// Advances the kernel by one frame.
@@ -628,571 +964,111 @@ impl Scram {
     ) -> &FrameDecision {
         let mut events = std::mem::take(&mut self.decision.events);
         events.clear();
-        let decision = match &mut self.state {
-            KernelState::Steady { since } => {
-                let since = *since;
-                let chosen = self.spec.choose(&self.current, env).cloned();
-                match chosen {
-                    Some(target) if target != self.current => {
-                        let dwell_until = since + self.spec.min_dwell_frames();
-                        if frame < dwell_until {
-                            events.push(ScramEvent::DwellSuppressed {
-                                frame,
-                                until: dwell_until,
-                            });
-                            self.steady_decision(frame)
-                        } else {
-                            let target = self.mutated_target(&target);
-                            let mut interrupted = self.interrupted_apps(&self.current, &target);
-                            if interrupted.is_empty() {
-                                // A placement-only transition (identical
-                                // assignments, different processors)
-                                // interrupts every application: they all
-                                // must stop to migrate.
-                                interrupted =
-                                    self.spec.apps().iter().map(|a| a.id().clone()).collect();
-                            }
-                            if matches!(self.mutation, Some(ScramMutation::PanicOnTrigger)) {
-                                panic!("SCRAM aborted on trigger acceptance (PanicOnTrigger)");
-                            }
-                            // Failpoint: trigger acceptance is the kernel's
-                            // point of no return into the SFTA protocol.
-                            // Skip defers the trigger by one frame — the
-                            // environment change persists, so the kernel
-                            // re-chooses next frame (a delayed failure
-                            // signal, defended by SP4's bound starting at
-                            // acceptance).
-                            fp!("scram.trigger", action => {
-                                if matches!(action, arfs_assure::FpAction::Skip) {
-                                    let decision = self.steady_decision(frame);
-                                    return self.settle(decision, events);
-                                }
-                            });
-                            events.push(ScramEvent::TriggerAccepted {
-                                frame,
-                                env: env.clone(),
-                                from: self.current.clone(),
-                                target: target.clone(),
-                                interrupted: interrupted.clone(),
-                            });
-                            let stall = match self.mutation {
-                                Some(ScramMutation::ExtraDelayFrames(n)) => n,
-                                _ => 0,
-                            };
-                            self.state = KernelState::Reconfiguring(InFlight {
-                                source: self.current.clone(),
-                                target,
-                                phase: Phase::Halt,
-                                phase_progress: 0,
-                                stall_left: stall,
-                                retries_used: 0,
-                                backoff_left: 0,
-                                announced: false,
-                            });
-                            // Trigger frame: applications still hold their
-                            // current (interrupted) state; commands stay
-                            // Normal per Table 1 frame 0.
-                            let (mut commands, mut reconf_st) = self.reuse_maps();
-                            for app in self.spec.apps() {
-                                let id = app.id().clone();
-                                commands.insert(
-                                    id.clone(),
-                                    AppCommand {
-                                        status: ConfigStatus::Normal,
-                                        target: None,
-                                    },
-                                );
-                                let st = if interrupted.contains(&id) && !self.exempted(&id) {
-                                    ReconfSt::Interrupted
-                                } else {
-                                    ReconfSt::Normal
-                                };
-                                reconf_st.insert(id, st);
-                            }
-                            FrameDecision {
-                                frame,
-                                commands,
-                                reconf_st,
-                                svclvl: self.current.clone(),
-                                events: Vec::new(),
-                            }
-                        }
+        let since = match &self.state {
+            KernelState::Steady { since } => *since,
+            KernelState::Reconfiguring(inflight) => {
+                let retarget = match self.mid_policy {
+                    MidReconfigPolicy::ImmediateRetarget => inflight.retarget(&self.spec, env),
+                    MidReconfigPolicy::BufferUntilComplete => None,
+                };
+                let faulted = self
+                    .roles
+                    .iter()
+                    .any(|(id, role)| !role.exempt && faulted.contains(id));
+                let step = inflight.step(&self.protocol, frame, retarget, faulted, &mut events);
+                self.state = match step.next {
+                    Some(next) => KernelState::Reconfiguring(next),
+                    None => {
+                        self.current = step.target.clone();
+                        KernelState::Steady { since: frame + 1 }
                     }
-                    _ => self.steady_decision(frame),
-                }
-            }
-            KernelState::Reconfiguring(_) => {
-                self.reconfiguring_step(frame, env, faulted, &mut events)
+                };
+                return self.settle(frame, events, |_| step.kind, Some(&step.target));
             }
         };
-        self.settle(decision, events)
-    }
-
-    /// Installs `decision` with this frame's `events` as the latest one
-    /// and logs the events.
-    fn settle(&mut self, mut decision: FrameDecision, events: Vec<ScramEvent>) -> &FrameDecision {
-        decision.events = events;
-        self.log.extend(decision.events.iter().cloned());
-        self.decision = decision;
-        &self.decision
-    }
-
-    /// The previous decision's per-application maps, to be refilled in
-    /// place: every step inserts every application, so the key set never
-    /// changes and no map node is reallocated.
-    fn reuse_maps(&mut self) -> (BTreeMap<AppId, AppCommand>, BTreeMap<AppId, ReconfSt>) {
-        (
-            std::mem::take(&mut self.decision.commands),
-            std::mem::take(&mut self.decision.reconf_st),
-        )
-    }
-
-    fn steady_decision(&mut self, frame: u64) -> FrameDecision {
-        let (mut commands, mut reconf_st) = self.reuse_maps();
-        for app in self.spec.apps() {
-            commands.insert(
-                app.id().clone(),
-                AppCommand {
-                    status: ConfigStatus::Normal,
-                    target: None,
-                },
-            );
-            reconf_st.insert(app.id().clone(), ReconfSt::Normal);
+        let Some(chosen) = self.spec.wanted_change(&self.current, env) else {
+            return self.settle(frame, events, |_| FrameKind::Steady, None);
+        };
+        let dwell_until = since + self.spec.min_dwell_frames();
+        if frame < dwell_until {
+            events.push(ScramEvent::DwellSuppressed {
+                frame,
+                until: dwell_until,
+            });
+            return self.settle(frame, events, |_| FrameKind::Steady, None);
         }
-        FrameDecision {
+        let target = self.mutated_target(chosen);
+        let mut interrupted = self.interrupted_apps(&self.current, &target);
+        if interrupted.is_empty() {
+            // A placement-only transition (identical assignments,
+            // different processors) interrupts every application: they
+            // all must stop to migrate.
+            interrupted = self.roles.iter().map(|(id, _)| id.clone()).collect();
+        }
+        if matches!(self.mutation, Some(ScramMutation::PanicOnTrigger)) {
+            panic!("SCRAM aborted on trigger acceptance (PanicOnTrigger)");
+        }
+        // Failpoint: trigger acceptance is the kernel's point of no
+        // return into the SFTA protocol. Skip defers the trigger by one
+        // frame — the environment change persists, so the kernel
+        // re-chooses next frame (a delayed failure signal, defended by
+        // SP4's bound starting at acceptance).
+        fp!("scram.trigger", action => {
+            if matches!(action, arfs_assure::FpAction::Skip) {
+                return self.settle(frame, events, |_| FrameKind::Steady, None);
+            }
+        });
+        events.push(ScramEvent::TriggerAccepted {
             frame,
-            commands,
-            reconf_st,
-            svclvl: self.current.clone(),
-            events: Vec::new(),
-        }
+            env: env.clone(),
+            from: self.current.clone(),
+            target: target.clone(),
+            interrupted: interrupted.clone(),
+        });
+        let stall = match self.mutation {
+            Some(ScramMutation::ExtraDelayFrames(n)) => n,
+            _ => 0,
+        };
+        self.state =
+            KernelState::Reconfiguring(InFlight::accepted(self.current.clone(), target, stall));
+        // Trigger frame: applications still hold their current
+        // (interrupted) state; commands stay Normal per Table 1 frame 0.
+        let kind = |id: &AppId| FrameKind::Trigger {
+            interrupted: interrupted.contains(id),
+        };
+        self.settle(frame, events, kind, None)
     }
 
-    fn reconfiguring_step(
+    /// Installs this frame's decision: each application's Table 1 row
+    /// for the frame `kind` gives it, refilled into the previous
+    /// decision's maps in place (the key set never changes, so no map
+    /// node is reallocated), with target specifications from `target`.
+    fn settle(
         &mut self,
         frame: u64,
-        env: &EnvState,
-        faulted: &BTreeSet<AppId>,
-        events: &mut Vec<ScramEvent>,
-    ) -> FrameDecision {
-        // Backoff frames are dead frames: every application holds, the
-        // phase position is untouched, and (since Hold carries no
-        // protocol progress) a fault striking one costs nothing. A
-        // pending retarget is noticed on the next live frame — the
-        // choice function is recomputed from `env` every frame.
-        {
-            let KernelState::Reconfiguring(r) = &mut self.state else {
-                unreachable!("caller checked state")
-            };
-            if r.backoff_left > 0 {
-                r.backoff_left -= 1;
-                let phase = r.phase;
-                let svclvl = self.current.clone();
-                let (mut commands, mut reconf_st) = self.reuse_maps();
-                for app in self.spec.apps() {
-                    let id = app.id().clone();
-                    if self.exempted(&id) {
-                        commands.insert(
-                            id.clone(),
-                            AppCommand {
-                                status: ConfigStatus::Normal,
-                                target: None,
-                            },
-                        );
-                        reconf_st.insert(id, ReconfSt::Normal);
-                        continue;
-                    }
-                    commands.insert(
-                        id.clone(),
-                        AppCommand {
-                            status: ConfigStatus::Hold,
-                            target: None,
-                        },
-                    );
-                    let st = match phase {
-                        Phase::Halt | Phase::Prepare => ReconfSt::Halted,
-                        Phase::Init | Phase::Stall => ReconfSt::Prepared,
-                    };
-                    reconf_st.insert(id, st);
-                }
-                return FrameDecision {
-                    frame,
-                    commands,
-                    reconf_st,
-                    svclvl,
-                    events: Vec::new(),
-                };
-            }
-        }
-
-        // Mid-reconfiguration trigger handling.
-        if self.mid_policy == MidReconfigPolicy::ImmediateRetarget {
-            let (source, target, phase) = {
-                let KernelState::Reconfiguring(r) = &self.state else {
-                    unreachable!("caller checked state")
-                };
-                (r.source.clone(), r.target.clone(), r.phase)
-            };
-            if let Some(new_target) = self.spec.choose(&source, env).cloned() {
-                // Retarget only to a genuinely different, non-source
-                // configuration: retargeting "back to where we came from"
-                // would require a zero-bound self transition and is
-                // handled by completing and re-triggering instead.
-                if new_target != target && new_target != source {
-                    // Failpoint: mid-flight retarget decision. Counted for
-                    // coverage; Panic models a kernel crash at the retarget
-                    // boundary (caught by the fail-stop harness).
-                    fp!("scram.retarget");
-                    let KernelState::Reconfiguring(r) = &mut self.state else {
-                        unreachable!("caller checked state")
-                    };
-                    events.push(ScramEvent::Retargeted {
-                        frame,
-                        old_target: r.target.clone(),
-                        new_target: new_target.clone(),
-                    });
-                    r.target = new_target;
-                    if r.phase != Phase::Halt {
-                        // Postconditions are already established; fall
-                        // back to preparing for the new target.
-                        r.phase = Phase::Prepare;
-                        r.phase_progress = 0;
-                        r.announced = false;
-                        events.push(ScramEvent::PhaseEntered {
-                            frame,
-                            phase: Phase::Prepare,
-                            target: r.target.clone(),
-                        });
-                    }
-                    let _ = phase;
-                }
-            }
-        }
-
-        let (target, phase, progress, announced, retries_used) = {
-            let KernelState::Reconfiguring(r) = &self.state else {
-                unreachable!("caller checked state")
-            };
-            (
-                r.target.clone(),
-                r.phase,
-                r.phase_progress,
-                r.announced,
-                r.retries_used,
-            )
-        };
-        let (mut next_phase, mut next_progress, mut next_stall) = {
-            let KernelState::Reconfiguring(r) = &self.state else {
-                unreachable!("caller checked state")
-            };
-            (r.phase, r.phase_progress, r.stall_left)
-        };
-        let mut next_target = target.clone();
-        let mut next_retries = retries_used;
-        let mut next_backoff = 0u64;
-        let mut next_announced = announced;
-
-        if progress == 0 && !announced {
-            // Announce once per phase instance: a retried frame keeps
-            // `progress` at its pre-fault value, and must not announce
-            // the phase a second time.
-            // Failpoint: SFTA phase transition (Table 1 rows). Counted for
-            // coverage; Panic models a kernel crash at a phase boundary.
-            fp!("scram.phase");
-            events.push(ScramEvent::PhaseEntered {
-                frame,
-                phase,
-                target: target.clone(),
+        events: Vec<ScramEvent>,
+        kind: impl Fn(&AppId) -> FrameKind,
+        target: Option<&ConfigId>,
+    ) -> &FrameDecision {
+        let target = target.map(|t| self.spec.config(t).expect("validated config"));
+        let decision = &mut self.decision;
+        for (id, role) in &self.roles {
+            let (status, carries_target, st) = table1_row(kind(id), role);
+            let target = carries_target.then(|| {
+                target
+                    .and_then(|config| config.spec_for(id))
+                    .expect("validated assignment")
+                    .clone()
             });
-            next_announced = true;
+            decision
+                .commands
+                .insert(id.clone(), AppCommand { status, target });
+            decision.reconf_st.insert(id.clone(), st);
         }
-
-        let (mut commands, mut reconf_st) = self.reuse_maps();
-        let mut completed = false;
-
-        match phase {
-            Phase::Halt => {
-                let skip_halt = matches!(self.mutation, Some(ScramMutation::SkipHaltPhase));
-                for app in self.spec.apps() {
-                    let id = app.id().clone();
-                    if self.exempted(&id) {
-                        commands.insert(
-                            id.clone(),
-                            AppCommand {
-                                status: ConfigStatus::Normal,
-                                target: None,
-                            },
-                        );
-                        reconf_st.insert(id, ReconfSt::Normal);
-                        continue;
-                    }
-                    let status = if skip_halt {
-                        // Defect: hold without ever commanding halt.
-                        ConfigStatus::Hold
-                    } else if progress < app.bounds().halt_frames {
-                        ConfigStatus::Halt
-                    } else {
-                        ConfigStatus::Hold
-                    };
-                    commands.insert(
-                        id.clone(),
-                        AppCommand {
-                            status,
-                            target: None,
-                        },
-                    );
-                    reconf_st.insert(id, ReconfSt::Halted);
-                }
-                next_progress = progress + 1;
-                if next_progress >= self.phase_frames.halt_frames {
-                    next_phase = Phase::Prepare;
-                    next_progress = 0;
-                }
-            }
-            Phase::Prepare => {
-                // The §6.3 compressed path: prepare and initialize run
-                // back to back this frame and the reconfiguration
-                // completes. Seeded defects (stall / skip-init) force the
-                // signalled protocol so they remain observable.
-                let compressed = self.stage_policy == StagePolicy::CompressedPrepareInit
-                    && next_stall == 0
-                    && !matches!(self.mutation, Some(ScramMutation::SkipInitPhase));
-                for app in self.spec.apps() {
-                    let id = app.id().clone();
-                    if self.exempted(&id) {
-                        commands.insert(
-                            id.clone(),
-                            AppCommand {
-                                status: ConfigStatus::Normal,
-                                target: None,
-                            },
-                        );
-                        reconf_st.insert(id, ReconfSt::Normal);
-                        continue;
-                    }
-                    let spec_target = self.target_spec_for(&target, &id);
-                    let status = if compressed {
-                        ConfigStatus::PrepareInitialize
-                    } else if progress < app.bounds().prepare_frames {
-                        ConfigStatus::Prepare
-                    } else {
-                        ConfigStatus::Hold
-                    };
-                    commands.insert(
-                        id.clone(),
-                        AppCommand {
-                            status,
-                            target: Some(spec_target),
-                        },
-                    );
-                    let st = if compressed {
-                        ReconfSt::Normal
-                    } else if progress + 1 >= app.bounds().prepare_frames {
-                        ReconfSt::Prepared
-                    } else {
-                        ReconfSt::Halted
-                    };
-                    reconf_st.insert(id, st);
-                }
-                if compressed {
-                    completed = true;
-                } else {
-                    next_progress = progress + 1;
-                    if next_progress >= self.phase_frames.prepare_frames {
-                        if next_stall > 0 {
-                            next_phase = Phase::Stall;
-                        } else if matches!(self.mutation, Some(ScramMutation::SkipInitPhase)) {
-                            completed = true;
-                            for app in self.spec.apps() {
-                                reconf_st.insert(app.id().clone(), ReconfSt::Normal);
-                            }
-                        } else {
-                            next_phase = Phase::Init;
-                        }
-                        next_progress = 0;
-                    }
-                }
-            }
-            Phase::Stall => {
-                for app in self.spec.apps() {
-                    let id = app.id().clone();
-                    if self.exempted(&id) {
-                        commands.insert(
-                            id.clone(),
-                            AppCommand {
-                                status: ConfigStatus::Normal,
-                                target: None,
-                            },
-                        );
-                        reconf_st.insert(id, ReconfSt::Normal);
-                        continue;
-                    }
-                    commands.insert(
-                        id.clone(),
-                        AppCommand {
-                            status: ConfigStatus::Hold,
-                            target: None,
-                        },
-                    );
-                    reconf_st.insert(id, ReconfSt::Prepared);
-                }
-                next_stall -= 1;
-                if next_stall == 0 {
-                    next_phase = Phase::Init;
-                    next_progress = 0;
-                }
-            }
-            Phase::Init => {
-                let init_len = self.init_phase_len();
-                let per_app_init = self.phase_frames.init_frames;
-                let last_frame_of_phase = progress + 1 >= init_len;
-                for app in self.spec.apps() {
-                    let id = app.id().clone();
-                    if self.exempted(&id) {
-                        commands.insert(
-                            id.clone(),
-                            AppCommand {
-                                status: ConfigStatus::Normal,
-                                target: None,
-                            },
-                        );
-                        reconf_st.insert(id, ReconfSt::Normal);
-                        continue;
-                    }
-                    let wave = match self.sync_policy {
-                        SyncPolicy::Simultaneous => 0,
-                        SyncPolicy::PhaseChecked => self.depths.get(&id).copied().unwrap_or(0),
-                    };
-                    let wave_start = wave * per_app_init;
-                    let spec_target = self.target_spec_for(&target, &id);
-                    let in_window =
-                        progress >= wave_start && progress < wave_start + app.bounds().init_frames;
-                    let status = if in_window {
-                        ConfigStatus::Initialize
-                    } else {
-                        ConfigStatus::Hold
-                    };
-                    commands.insert(
-                        id.clone(),
-                        AppCommand {
-                            status,
-                            target: Some(spec_target),
-                        },
-                    );
-                    let st = if last_frame_of_phase {
-                        ReconfSt::Normal
-                    } else if progress >= wave_start {
-                        ReconfSt::Initializing
-                    } else {
-                        ReconfSt::Prepared
-                    };
-                    reconf_st.insert(id, st);
-                }
-                next_progress = progress + 1;
-                if last_frame_of_phase {
-                    completed = true;
-                }
-            }
-        }
-
-        let fault_hit = phase != Phase::Stall
-            && self
-                .spec
-                .apps()
-                .iter()
-                .any(|a| faulted.contains(a.id()) && !self.exempted(a.id()));
-        if fault_hit {
-            // The frame is atomic: its stage ran, but the torn commit
-            // voids the outcome. Hold the phase position, keep every
-            // application visibly restricted (a voided completion must
-            // not end the SP1 window), and spend the retry budget.
-            completed = false;
-            next_phase = phase;
-            next_progress = progress;
-            for app in self.spec.apps() {
-                let id = app.id().clone();
-                if self.exempted(&id) {
-                    continue;
-                }
-                let st = match phase {
-                    Phase::Halt | Phase::Prepare => ReconfSt::Halted,
-                    Phase::Init => ReconfSt::Initializing,
-                    Phase::Stall => ReconfSt::Prepared,
-                };
-                reconf_st.insert(id, st);
-            }
-            next_retries = retries_used + 1;
-            if next_retries > self.defense.retry_budget_frames {
-                let safe = self
-                    .spec
-                    .safe_configs()
-                    .first()
-                    .map(|c| (*c).clone())
-                    .expect("validated specs declare a safe configuration");
-                events.push(ScramEvent::SafeFallback {
-                    frame,
-                    abandoned: target.clone(),
-                    safe: safe.clone(),
-                });
-                // Postconditions established by a completed halt phase
-                // survive (earlier frames committed); anything later is
-                // redone for the safe target, mirroring the §5.3
-                // retarget fallback-to-prepare rule.
-                next_phase = if phase == Phase::Halt {
-                    Phase::Halt
-                } else {
-                    Phase::Prepare
-                };
-                next_progress = 0;
-                next_retries = 0;
-                next_announced = false;
-                next_target = safe;
-            } else {
-                events.push(ScramEvent::CommitRetry {
-                    frame,
-                    target: target.clone(),
-                    used: next_retries,
-                    budget: self.defense.retry_budget_frames,
-                });
-                // Clamped: a misconfigured backoff must not be able to
-                // stall the protocol past the Table 1 accounting (see
-                // `ChaosDefense::worst_case_stall_frames`).
-                next_backoff = self.defense.bounded_backoff_frames();
-            }
-        }
-
-        let svclvl = if completed {
-            self.current = target.clone();
-            self.state = KernelState::Steady { since: frame + 1 };
-            events.push(ScramEvent::Completed {
-                frame,
-                config: target.clone(),
-            });
-            target
-        } else {
-            if next_phase != phase {
-                // A fresh phase instance announces itself next frame.
-                next_announced = false;
-            }
-            if let KernelState::Reconfiguring(r) = &mut self.state {
-                r.phase = next_phase;
-                r.phase_progress = next_progress;
-                r.stall_left = next_stall;
-                r.target = next_target;
-                r.retries_used = next_retries;
-                r.backoff_left = next_backoff;
-                r.announced = next_announced;
-            }
-            self.current.clone()
-        };
-
-        FrameDecision {
-            frame,
-            commands,
-            reconf_st,
-            svclvl,
-            events: Vec::new(),
-        }
+        decision.frame = frame;
+        decision.svclvl.clone_from(&self.current);
+        decision.events = events;
+        &self.decision
     }
 }
 
@@ -1455,16 +1331,16 @@ mod tests {
     fn immediate_retarget_switches_target_during_prepare() {
         let mut scram =
             Scram::new(two_app_spec(0)).with_mid_policy(MidReconfigPolicy::ImmediateRetarget);
-        scram.step(0, &env("good"));
-        scram.step(1, &env("low")); // trigger -> reduced
-        scram.step(2, &env("low")); // halt
-        scram.step(3, &env("critical")); // prepare; retarget to minimal, prepare restarts
-        let events: Vec<_> = scram.log().to_vec();
-        assert!(events
+        let mut log = Vec::new();
+        step(&mut scram, &mut log, 0, &env("good"), &[]);
+        step(&mut scram, &mut log, 1, &env("low"), &[]); // trigger -> reduced
+        step(&mut scram, &mut log, 2, &env("low"), &[]); // halt
+        step(&mut scram, &mut log, 3, &env("critical"), &[]); // prepare; retarget to minimal, prepare restarts
+        assert!(log
             .iter()
             .any(|e| matches!(e, ScramEvent::Retargeted { new_target, .. } if *new_target == ConfigId::new("minimal"))));
         // Prepare for minimal, then init.
-        let d4 = scram.step(4, &env("critical"));
+        let d4 = step(&mut scram, &mut log, 4, &env("critical"), &[]);
         assert!(matches!(
             d4.commands[&AppId::new("fcs")].status,
             ConfigStatus::Initialize
@@ -1576,15 +1452,16 @@ mod tests {
     #[test]
     fn skip_init_mutation_completes_without_initialize() {
         let mut scram = Scram::new(two_app_spec(0)).with_mutation(ScramMutation::SkipInitPhase);
-        scram.step(0, &env("good"));
-        scram.step(1, &env("low"));
-        scram.step(2, &env("low")); // halt
-        let d3 = scram.step(3, &env("low")); // prepare; completes here
+        let mut log = Vec::new();
+        step(&mut scram, &mut log, 0, &env("good"), &[]);
+        step(&mut scram, &mut log, 1, &env("low"), &[]);
+        step(&mut scram, &mut log, 2, &env("low"), &[]); // halt
+        let d3 = step(&mut scram, &mut log, 3, &env("low"), &[]); // prepare; completes here
         assert_eq!(d3.svclvl, ConfigId::new("reduced"));
         assert!(d3.reconf_st.values().all(|s| s.is_normal()));
         assert!(!scram.is_reconfiguring());
         // No Initialize command was ever issued.
-        assert!(!scram.log().iter().any(|e| matches!(
+        assert!(!log.iter().any(|e| matches!(
             e,
             ScramEvent::PhaseEntered {
                 phase: Phase::Init,
@@ -1612,12 +1489,12 @@ mod tests {
     #[test]
     fn event_log_accumulates_in_order() {
         let mut scram = Scram::new(two_app_spec(0));
-        scram.step(0, &env("good"));
+        let mut log = Vec::new();
+        step(&mut scram, &mut log, 0, &env("good"), &[]);
         for f in 1..=4 {
-            scram.step(f, &env("low"));
+            step(&mut scram, &mut log, f, &env("low"), &[]);
         }
-        let kinds: Vec<&'static str> = scram
-            .log()
+        let kinds: Vec<&'static str> = log
             .iter()
             .map(|e| match e {
                 ScramEvent::TriggerAccepted { .. } => "trigger",
@@ -1743,17 +1620,34 @@ mod tests {
         names.iter().map(|n| AppId::new(*n)).collect()
     }
 
+    /// Steps the kernel with the `faulted` applications' commits torn,
+    /// appending the frame's events to `log`.
+    fn step(
+        scram: &mut Scram,
+        log: &mut Vec<ScramEvent>,
+        frame: u64,
+        env: &EnvState,
+        faulted: &[&str],
+    ) -> FrameDecision {
+        let decision = scram.step_chaos(frame, env, &fault(faulted)).clone();
+        log.extend(decision.events.iter().cloned());
+        decision
+    }
+
     #[test]
     fn step_chaos_with_empty_fault_set_is_plain_step() {
         let mut a = Scram::new(two_app_spec(0));
         let mut b = Scram::new(two_app_spec(0));
+        let (mut log_a, mut log_b) = (Vec::new(), Vec::new());
         for f in 0..=5 {
             let e = if f == 1 { env("low") } else { env("good") };
             let da = a.step(f, &e);
+            log_a.extend(da.events.iter().cloned());
             let db = b.step_chaos(f, &e, &BTreeSet::new());
+            log_b.extend(db.events.iter().cloned());
             assert_eq!(&da, db, "frame {f}");
         }
-        assert_eq!(a.log(), b.log());
+        assert_eq!(log_a, log_b);
     }
 
     #[test]
@@ -1763,13 +1657,14 @@ mod tests {
             retry_backoff_frames: 0,
             quarantine_window_frames: 3,
         });
-        scram.step(0, &env("good"));
-        scram.step(1, &env("low")); // trigger -> reduced
-                                    // Frame 2's halt commit tears: the stage is retried.
-        let d2 = scram.step_chaos(2, &env("low"), &fault(&["fcs"]));
+        let mut log = Vec::new();
+        step(&mut scram, &mut log, 0, &env("good"), &[]);
+        step(&mut scram, &mut log, 1, &env("low"), &[]); // trigger -> reduced
+                                                         // Frame 2's halt commit tears: the stage is retried.
+        let d2 = step(&mut scram, &mut log, 2, &env("low"), &["fcs"]);
         assert!(d2.commands.values().all(|c| c.status == ConfigStatus::Halt));
         assert!(d2.reconf_st.values().all(|s| *s == ReconfSt::Halted));
-        assert!(scram.log().iter().any(|e| matches!(
+        assert!(log.iter().any(|e| matches!(
             e,
             ScramEvent::CommitRetry {
                 used: 1,
@@ -1779,15 +1674,14 @@ mod tests {
         )));
         // The halt stage re-runs, then prepare/init as usual: the
         // protocol completes one frame late, on the chosen target.
-        let d3 = scram.step(3, &env("low"));
+        let d3 = step(&mut scram, &mut log, 3, &env("low"), &[]);
         assert!(d3.commands.values().all(|c| c.status == ConfigStatus::Halt));
-        scram.step(4, &env("low")); // prepare
-        let d5 = scram.step(5, &env("low")); // init completes
+        step(&mut scram, &mut log, 4, &env("low"), &[]); // prepare
+        let d5 = step(&mut scram, &mut log, 5, &env("low"), &[]); // init completes
         assert_eq!(d5.svclvl, ConfigId::new("reduced"));
         assert!(!scram.is_reconfiguring());
         // Exactly one PhaseEntered per phase instance despite the retry.
-        let halts = scram
-            .log()
+        let halts = log
             .iter()
             .filter(|e| {
                 matches!(
@@ -1800,8 +1694,7 @@ mod tests {
             })
             .count();
         assert_eq!(halts, 1);
-        assert!(!scram
-            .log()
+        assert!(!log
             .iter()
             .any(|e| matches!(e, ScramEvent::SafeFallback { .. })));
     }
@@ -1809,24 +1702,22 @@ mod tests {
     #[test]
     fn voided_completion_frame_keeps_the_window_restricted() {
         let mut scram = Scram::new(two_app_spec(0));
-        scram.step(0, &env("good"));
-        scram.step(1, &env("low"));
-        scram.step(2, &env("low")); // halt
-        scram.step(3, &env("low")); // prepare
-                                    // Frame 4 would complete, but the init commit tears.
-        let d4 = scram
-            .step_chaos(4, &env("low"), &fault(&["autopilot"]))
-            .clone();
+        let mut log = Vec::new();
+        step(&mut scram, &mut log, 0, &env("good"), &[]);
+        step(&mut scram, &mut log, 1, &env("low"), &[]);
+        step(&mut scram, &mut log, 2, &env("low"), &[]); // halt
+        step(&mut scram, &mut log, 3, &env("low"), &[]); // prepare
+                                                         // Frame 4 would complete, but the init commit tears.
+        let d4 = step(&mut scram, &mut log, 4, &env("low"), &["autopilot"]);
         assert!(scram.is_reconfiguring(), "completion must be voided");
         assert_eq!(d4.svclvl, ConfigId::new("full-service"));
         // The trace must not show a normal frame inside the window.
         assert!(d4.reconf_st.values().all(|s| *s == ReconfSt::Initializing));
-        assert!(!scram
-            .log()
+        assert!(!log
             .iter()
             .any(|e| matches!(e, ScramEvent::Completed { .. })));
         // The retried init completes next frame.
-        let d5 = scram.step(5, &env("low"));
+        let d5 = step(&mut scram, &mut log, 5, &env("low"), &[]);
         assert_eq!(d5.svclvl, ConfigId::new("reduced"));
         assert!(!scram.is_reconfiguring());
     }
@@ -1838,20 +1729,21 @@ mod tests {
             retry_backoff_frames: 0,
             quarantine_window_frames: 3,
         });
-        scram.step(0, &env("good"));
-        scram.step(1, &env("low")); // trigger -> reduced
-                                    // Budget 0: the first torn frame abandons "reduced" for the
-                                    // safe configuration "minimal".
-        scram.step_chaos(2, &env("low"), &fault(&["fcs"]));
-        assert!(scram.log().iter().any(|e| matches!(
+        let mut log = Vec::new();
+        step(&mut scram, &mut log, 0, &env("good"), &[]);
+        step(&mut scram, &mut log, 1, &env("low"), &[]); // trigger -> reduced
+                                                         // Budget 0: the first torn frame abandons "reduced" for the
+                                                         // safe configuration "minimal".
+        step(&mut scram, &mut log, 2, &env("low"), &["fcs"]);
+        assert!(log.iter().any(|e| matches!(
             e,
             ScramEvent::SafeFallback { abandoned, safe, .. }
                 if *abandoned == ConfigId::new("reduced") && *safe == ConfigId::new("minimal")
         )));
         // Halt restarts for the safe target, then prepare and init.
-        scram.step(3, &env("low"));
-        scram.step(4, &env("low"));
-        let d5 = scram.step(5, &env("low"));
+        step(&mut scram, &mut log, 3, &env("low"), &[]);
+        step(&mut scram, &mut log, 4, &env("low"), &[]);
+        let d5 = step(&mut scram, &mut log, 5, &env("low"), &[]);
         assert_eq!(d5.svclvl, ConfigId::new("minimal"));
         assert_eq!(scram.current_config(), &ConfigId::new("minimal"));
         // The choice function wanted "reduced": SP2 will see this.
@@ -1935,17 +1827,18 @@ mod tests {
     #[test]
     fn steady_frame_faults_do_not_disturb_the_kernel() {
         let mut scram = Scram::new(two_app_spec(0));
-        let d = scram.step_chaos(0, &env("good"), &fault(&["fcs", "autopilot"]));
+        let mut log = Vec::new();
+        let d = step(&mut scram, &mut log, 0, &env("good"), &["fcs", "autopilot"]);
         assert!(d
             .commands
             .values()
             .all(|c| c.status == ConfigStatus::Normal));
         assert!(!scram.is_reconfiguring());
-        assert!(scram.log().is_empty());
+        assert!(log.is_empty());
         // A later fault-free reconfiguration runs the normal protocol.
-        scram.step(1, &env("low"));
+        step(&mut scram, &mut log, 1, &env("low"), &[]);
         for f in 2..=4 {
-            scram.step(f, &env("low"));
+            step(&mut scram, &mut log, f, &env("low"), &[]);
         }
         assert_eq!(scram.current_config(), &ConfigId::new("reduced"));
     }
@@ -1954,15 +1847,15 @@ mod tests {
     fn fault_on_exempted_app_costs_no_budget() {
         let mut scram = Scram::new(two_app_spec(0))
             .with_mutation(ScramMutation::LeaveAppRunning(AppId::new("autopilot")));
-        scram.step(0, &env("good"));
-        scram.step(1, &env("low"));
+        let mut log = Vec::new();
+        step(&mut scram, &mut log, 0, &env("good"), &[]);
+        step(&mut scram, &mut log, 1, &env("low"), &[]);
         // Only the exempted app faults: the protocol proceeds.
-        scram.step_chaos(2, &env("low"), &fault(&["autopilot"]));
-        scram.step(3, &env("low"));
-        let d4 = scram.step(4, &env("low"));
+        step(&mut scram, &mut log, 2, &env("low"), &["autopilot"]);
+        step(&mut scram, &mut log, 3, &env("low"), &[]);
+        let d4 = step(&mut scram, &mut log, 4, &env("low"), &[]);
         assert_eq!(d4.svclvl, ConfigId::new("reduced"));
-        assert!(!scram
-            .log()
+        assert!(!log
             .iter()
             .any(|e| matches!(e, ScramEvent::CommitRetry { .. })));
     }

@@ -563,6 +563,15 @@ impl ReconfigSpec {
         self.choose.choose(current, env)
     }
 
+    /// The configuration the choice function wants to move to from
+    /// `current` under `env`: the chosen target when it differs from
+    /// `current`, `None` when the choice endorses `current` or no rule
+    /// matches. This is the one definition of a pending trigger.
+    pub fn wanted_change(&self, current: &ConfigId, env: &EnvState) -> Option<&ConfigId> {
+        self.choose(current, env)
+            .filter(|&target| target != current)
+    }
+
     /// The environment model.
     pub fn env_model(&self) -> &EnvModel {
         &self.env

@@ -266,8 +266,7 @@ impl SystemBuilder {
             chaos: ChaosState {
                 plan: self.fault_plan,
                 defense: self.chaos_defense,
-                silenced_until: BTreeMap::new(),
-                silent_streak: BTreeMap::new(),
+                ..ChaosState::default()
             },
             trace_recording: true,
             last_state: None,
@@ -463,7 +462,7 @@ impl System {
         &self.trace
     }
 
-    /// The SCRAM kernel (for event-log inspection).
+    /// The SCRAM kernel (its configuration and protocol state).
     pub fn scram(&self) -> &Scram {
         &self.scram
     }
@@ -544,8 +543,8 @@ impl System {
     ///
     /// The hash covers the environment, the current configuration, the
     /// *remaining* dwell (not the absolute steady-since frame — see
-    /// [`Scram::steady_dwell_remaining`]), and each application's
-    /// digest plus committed stable-storage region.
+    /// [`Scram::settled_dwell`]), and each application's digest plus
+    /// committed stable-storage region.
     pub fn quiescent_fingerprint(&self) -> Option<u64> {
         if self.scram.is_reconfiguring() {
             return None;
@@ -559,7 +558,7 @@ impl System {
     /// This widens [`System::quiescent_fingerprint`] to "busy" states:
     /// when a reconfiguration is in flight, the hash additionally
     /// covers the SCRAM's in-flight protocol record
-    /// ([`BusyView`](crate::scram::BusyView):
+    /// ([`InFlight`](crate::scram::InFlight):
     /// source and target configuration, phase, phase progress, stall /
     /// retry / backoff counters, announcement flag) and the offset into
     /// the reconfiguration window (`frame - trigger frame`). Those
@@ -576,17 +575,13 @@ impl System {
     /// trigger still disqualifies a *steady* kernel.
     pub fn state_fingerprint(&self) -> Option<u64> {
         let frame = self.clock.frame();
+        let plan = &self.chaos.plan;
         if !self.monitors.is_empty()
             || !self.pending_env.is_empty()
             || !self.pending_failures.is_empty()
             || !self.pool.all_alive()
-            || !self.chaos.silent_streak.is_empty()
-            || self
-                .chaos
-                .silenced_until
-                .values()
-                .any(|&until| until > frame)
-            || (!self.chaos.plan.is_empty() && self.chaos.plan.last_frame() >= frame)
+            || !self.chaos.quiet_at(frame)
+            || (!plan.is_empty() && plan.last_frame() >= frame)
         {
             return None;
         }
@@ -594,18 +589,10 @@ impl System {
         let busy = self.scram.busy_view();
         let dwell_remaining = match busy {
             Some(_) => 0,
-            None => {
-                let remaining = self
-                    .scram
-                    .steady_dwell_remaining(frame)
-                    .expect("steady kernel has a dwell");
-                if let Some(target) = self.spec.choose(current, self.environment.current()) {
-                    if target != current {
-                        return None; // trigger pending, not quiescent
-                    }
-                }
-                remaining
-            }
+            // A steady kernel with a trigger pending is not quiescent.
+            None => self
+                .scram
+                .settled_dwell(frame, self.environment.current())?,
         };
 
         let mut h = Fnv::new();
@@ -615,7 +602,7 @@ impl System {
         }
         h.write(current.as_str().as_bytes());
         h.write(&dwell_remaining.to_le_bytes());
-        if let Some(view) = &busy {
+        if let Some(view) = busy {
             // The protocol offset: where in the reconfiguration window
             // this frame sits. Together with the in-flight record it
             // pins the remaining restricted-frame pattern.
@@ -658,8 +645,8 @@ impl System {
     /// prefixes instead of replaying every schedule from frame 0.
     ///
     /// Independence does **not** mean deep copies. Every append-only
-    /// history — the trace, the SCRAM event log, the bus delivery and
-    /// membership logs, the pool audit log — is a
+    /// history — the trace, the bus delivery and membership logs, the
+    /// pool audit log — is a
     /// [`CowLog`](arfs_failstop::CowLog) whose sealed past is shared
     /// behind `Arc`s (which is
     /// why forking takes `&mut self`: the open tails are sealed into
@@ -687,7 +674,7 @@ impl System {
             pool: self.pool.fork(),
             bus: self.bus.fork(),
             environment: self.environment.clone(),
-            scram: self.scram.fork(),
+            scram: self.scram.clone(),
             monitors: self.monitors.fork_snapshot(),
             trace: self.trace.fork(),
             pending_env: self.pending_env.clone(),
@@ -782,8 +769,9 @@ impl System {
     /// could change observable state: observability and trace recording
     /// are off, all applications are auto-filled [`NullApp`]s (so the
     /// blackboard is never read), no monitors, no pending inputs, every
-    /// processor is alive, no chaos fault strikes this frame, the SCRAM
-    /// is steady with no injected mutation, and the choice function
+    /// processor is alive, no chaos fault strikes this frame and no bus
+    /// silence is running ([`ChaosState::quiet_at`]), the SCRAM is
+    /// steady with no injected mutation, and the choice function
     /// endorses the current configuration (so the kernel step is the
     /// steady no-op). In that situation the frame reduces to: each app
     /// runs its normal stage and commits its region — which is what this
@@ -807,19 +795,14 @@ impl System {
             && self.monitors.is_empty()
             && self.pending_env.is_empty()
             && self.pending_failures.is_empty()
-            && !self.scram.is_reconfiguring()
             && !self.scram.has_mutation()
-            && self.chaos.silenced_until.is_empty()
-            && self.chaos.silent_streak.is_empty()
+            && self.chaos.quiet_at(frame)
             && self.chaos.plan.events_at(frame).next().is_none()
             && self.pool.all_alive()
-            && match self
-                .spec
-                .choose(self.scram.current_config(), self.environment.current())
-            {
-                None => true,
-                Some(target) => target == self.scram.current_config(),
-            }
+            && self
+                .scram
+                .settled_dwell(frame, self.environment.current())
+                .is_some()
     }
 
     /// The steady-state frame body: every app runs its normal stage

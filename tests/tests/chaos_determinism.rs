@@ -266,3 +266,61 @@ fn fork_divergence_does_not_leak_chaos_effects() {
     assert_eq!(parent.journal().of_kind("quarantined").count(), 1);
     assert_eq!(parent.current_config().to_string(), "solo");
 }
+
+/// A bus silence shorter than the quarantine window ends without a
+/// quarantine, and the cell must then take the steady-state fast path
+/// again: its expired silence window no longer affects any frame. The
+/// fast drive ([`System::advance_frame`]) must end in the same state as
+/// the full one ([`System::run_frame`]).
+#[test]
+fn fast_path_resumes_after_a_short_bus_silence() {
+    let spec = arfs_avionics::avionics_spec().unwrap();
+    let build = || {
+        let mut plan = FaultPlan::new();
+        plan.push(
+            5,
+            FaultKind::BusSilence {
+                processor: ProcessorId::new(0),
+                frames: 2,
+            },
+        );
+        let mut system = System::builder(spec.clone())
+            .observability(false)
+            .fault_plan(plan)
+            .build()
+            .unwrap();
+        system.set_trace_recording(false);
+        system
+    };
+    let (mut fast, mut full) = (build(), build());
+    assert!(
+        2 < full.chaos().defense.quarantine_window_frames,
+        "the silence must end before a quarantine"
+    );
+    let mut fast_after_silence = 0;
+    for frame in 0..40 {
+        if fast.advance_frame() && frame >= 10 {
+            fast_after_silence += 1;
+        }
+        full.run_frame();
+    }
+    assert_eq!(fast.defense_events(), 0, "no quarantine");
+    assert_eq!(
+        fast_after_silence, 30,
+        "every steady frame after the silence takes the fast path"
+    );
+
+    assert!(full.state_fingerprint().is_some());
+    assert_eq!(fast.state_fingerprint(), full.state_fingerprint());
+    assert_eq!(fast.current_config(), full.current_config());
+    for app in spec.apps() {
+        let committed = |system: &System| {
+            let snapshot = system.app_stable(app.id()).expect("declared app");
+            snapshot
+                .iter()
+                .map(|(key, value)| (key.to_owned(), value.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(committed(&fast), committed(&full), "app {}", app.id());
+    }
+}
