@@ -135,7 +135,7 @@ fn bench_observability_plane(c: &mut Criterion) {
     });
 
     group.bench_function("encode_binary_vs_json_lines", |b| {
-        // The fleet writer's wire format: length-prefixed records, no
+        // The fleet journal's wire format: length-prefixed records, no
         // textual framing of frame/subsystem/kind.
         b.iter(|| {
             let mut out = Vec::new();

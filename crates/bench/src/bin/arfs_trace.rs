@@ -14,7 +14,7 @@
 //! Journals come in two encodings, sniffed by file magic: the JSON-Lines
 //! interchange form written by `Journal::to_json_lines` (optionally with
 //! `{"system":N,"seed":N}` section headers between per-system runs) and
-//! the length-prefixed binary form the fleet's background writer emits
+//! the length-prefixed binary form the fleet's sampled cells encode
 //! (`arfs_core::obs::codec`). `summarize`, `grep`, and the `fleet`
 //! subcommands *stream* either encoding record by record — a 10⁵-system
 //! journal is never materialized in memory. Counterexample artifacts are

@@ -14,7 +14,7 @@
 //! artifact before the run fails.
 //!
 //! A second section drives the fleet runtime under an armed
-//! `fleet.journal.send` drop, covering the fleet-layer sites the
+//! `fleet.journal.append` drop, covering the fleet-layer sites the
 //! single-system section cannot reach.
 //!
 //! Usage: `exp_dst [--smoke]` — `--smoke` shrinks the seed count for
@@ -339,10 +339,10 @@ fn main() {
     );
 
     // --- Section 2: fleet-layer sites under an armed journal drop. ---
-    banner("fleet pathway: journal-batch drop is observability-only");
+    banner("fleet pathway: journal-append drop is observability-only");
     let mut fleet_plan = FailpointPlan::new();
-    fleet_plan.push("fleet.journal.send", 1, FpAction::Skip);
-    fleet_plan.push("fleet.journal.send", 3, FpAction::Skip);
+    fleet_plan.push("fleet.journal.append", 1, FpAction::Skip);
+    fleet_plan.push("fleet.journal.append", 3, FpAction::Skip);
     let fleet_clean = {
         let _campaign = arfs_assure::install(&fleet_plan);
         let mut fleet = Fleet::new(
@@ -352,19 +352,18 @@ fn main() {
                 threads: 2,
                 horizon: 40,
                 journal_sample: 4,
-                journal_flush_frames: 8,
                 ..FleetConfig::default()
             },
         )
         .expect("validated spec builds");
-        let report = fleet.run().expect("journal writer is healthy");
+        let report = fleet.run().expect("an in-memory journal never fails");
         for (site, count) in arfs_assure::hit_counts() {
             *hits.entry(site).or_insert(0) += count;
         }
         report.is_clean()
     };
     verdict(
-        "fleet report clean with journal batches dropped mid-run",
+        "fleet report clean with journal frames dropped mid-run",
         fleet_clean,
     );
 

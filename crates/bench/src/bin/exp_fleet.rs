@@ -1,6 +1,6 @@
 //! Experiment: fleet-scale simulation throughput — 10³/10⁴/10⁵
 //! independent avionics systems, each shard run to completion, with
-//! streaming SP1–SP4 verification, sampled frame-batched journaling, and
+//! streaming SP1–SP4 verification, sampled per-cell journaling, and
 //! the allocation-free steady-state fast path.
 //!
 //! Five sweeps:
@@ -11,7 +11,7 @@
 //!    verdict. Every violation would carry its seed and schedule for
 //!    replay; a clean fleet is the expected outcome. Throughput divides
 //!    by the **frame-loop** seconds only ([`Fleet::run_timed`]); the
-//!    journal-writer drain and aggregation get their own columns in the
+//!    journal assembly and aggregation get their own columns in the
 //!    artifact instead of silently deflating frames/sec.
 //! 2. **Thread scaling** — the 10⁴ fleet at 1/2/4/8 workers, reporting
 //!    parallel efficiency against the single-threaded run. The host's
@@ -135,7 +135,7 @@ struct CaseResult {
 }
 
 impl CaseResult {
-    /// Throughput over the frame loop only; journal drain and
+    /// Throughput over the frame loop only; journal assembly and
     /// aggregation are reported separately rather than deflating this.
     fn frames_per_sec(&self) -> f64 {
         self.report.total_frames as f64 / self.timings.frame_loop_secs.max(1e-9)
@@ -144,7 +144,7 @@ impl CaseResult {
 
 fn run_case(spec: &Arc<ReconfigSpec>, config: FleetConfig) -> CaseResult {
     let mut fleet = Fleet::new(Arc::clone(spec), config).expect("fleet builds");
-    let (report, timings) = fleet.run_timed().expect("journal writer is healthy");
+    let (report, timings) = fleet.run_timed().expect("an in-memory journal never fails");
     CaseResult { report, timings }
 }
 
@@ -201,7 +201,7 @@ fn main() {
         Fleet::new(Arc::clone(&spec), config)
             .expect("fleet builds")
             .run()
-            .expect("journal writer is healthy");
+            .expect("an in-memory journal never fails");
         println!("warm-up: 10k systems x 8 frames (untimed)");
     }
 

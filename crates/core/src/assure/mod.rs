@@ -174,9 +174,9 @@ pub fn dst_menu() -> Vec<(&'static str, Vec<FpAction>)> {
         // persists, so the kernel re-chooses next frame and SP4's clock
         // starts at the (later) acceptance.
         ("scram.trigger", vec![FpAction::Skip]),
-        // A dropped journal batch is observability loss, never a safety
-        // violation.
-        ("fleet.journal.send", vec![FpAction::Skip]),
+        // A dropped frame of journal events is observability loss, never
+        // a safety violation.
+        ("fleet.journal.append", vec![FpAction::Skip]),
     ]
 }
 
@@ -553,8 +553,7 @@ pub(crate) mod tests {
             "system.stable.commit",
             "system.env.submit",
             "fleet.shard",
-            "fleet.journal.send",
-            "obs.writer.drain",
+            "fleet.journal.append",
         ];
         for (site, actions) in dst_menu() {
             assert!(planted.contains(&site), "unknown site `{site}` in menu");

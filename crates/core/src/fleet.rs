@@ -54,35 +54,28 @@
 //! snapshot into a [`TriageBundle`] on the report; `arfs-trace fleet
 //! triage` renders it.
 //!
-//! # Journal sampling, binary encoding, and the background writer
+//! # Journal sampling and binary encoding
 //!
 //! Journaling every system at fleet scale is ruinous; journaling none
 //! blinds you. The [`journal_sample`](FleetConfig::journal_sample) knob
 //! journals 1-in-K systems with full fidelity (those cells keep
-//! observability on and never take the fast path). Serialization runs
-//! **off** the frame loop: each sampled cell moves its frame's events
-//! out of its system's journal into a batch and ships it over a
-//! bounded channel to a
-//! [`BackgroundJournalWriter`] thread, which encodes with the compact
-//! binary codec ([`obs::codec`](crate::obs::codec)). Backpressure
-//! blocks the producer (lossless, bounded memory — see
-//! [`obs::writer`](crate::obs::writer)) while the writer drains, so
-//! shards need no bounded skew. `arfs-trace fleet decode` converts the
-//! binary journal back to JSON-Lines interchange form.
+//! observability on and never take the fast path). Each sampled cell
+//! owns its journal section: after every frame it drains its system's
+//! journal straight into the section with the compact binary codec
+//! ([`obs::codec`](crate::obs::codec)). The final assembly concatenates
+//! the sections in system-id order. `arfs-trace fleet decode` converts
+//! the binary journal back to JSON-Lines interchange form.
 //!
 //! # Determinism
 //!
 //! A fleet run is a pure function of its config: systems are seeded
-//! deterministically, cells never share mutable state, and aggregation
-//! iterates cells in global system-id order. Journal batches interleave
-//! arbitrarily on the writer channel, but the writer demultiplexes per
-//! system and assembly concatenates sections in ascending system id.
-//! The aggregate [`FleetReport`] and journal are therefore
-//! byte-identical across thread counts *and* shard counts; wall-clock
-//! timing lives outside the report (see [`FleetTimings`] and
+//! deterministically, cells never share mutable state (each writes its
+//! own journal section), and aggregation iterates cells in global
+//! system-id order. The aggregate [`FleetReport`] and journal are
+//! therefore byte-identical across thread counts *and* shard counts;
+//! wall-clock timing lives outside the report (see [`FleetTimings`] and
 //! [`FleetReport::rollup_metrics`]).
 
-use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
@@ -90,10 +83,9 @@ use std::time::Instant;
 use crate::chaos::{ChaosProfile, FaultPlan};
 use crate::obs::codec;
 use crate::obs::triage::trigger;
-use crate::obs::writer::DEFAULT_CHANNEL_CAPACITY;
 use crate::obs::{
-    BackgroundJournalWriter, FleetMetrics, FleetMetricsSnapshot, FlightRing, JournalBatch,
-    JournalBytes, JournalEvent, MetricsRegistry, RingLegend, SystemJournal, TriageBundle,
+    FleetMetrics, FleetMetricsSnapshot, FlightRing, JournalBytes, MetricsRegistry, RingLegend,
+    TriageBundle,
 };
 use crate::properties::{self, Monitors, PropertyViolation};
 use crate::scenario::{ScenarioAction, ScenarioEvent};
@@ -136,9 +128,6 @@ pub struct FleetConfig {
     pub horizon: u64,
     /// Journal 1-in-K systems (`0` disables journaling entirely).
     pub journal_sample: usize,
-    /// Ship each journaling cell's batched events to the background
-    /// writer every K frames.
-    pub journal_flush_frames: u64,
     /// Per-cell flight-recorder capacity in events (`0` disables the
     /// rings — and with them, triage bundles).
     pub ring_capacity: usize,
@@ -161,7 +150,6 @@ impl Default for FleetConfig {
             seed: 0xA2F5,
             horizon: 120,
             journal_sample: 0,
-            journal_flush_frames: 16,
             ring_capacity: 256,
             mutate_system: None,
             workload: Some(WorkloadConfig::default()),
@@ -195,17 +183,17 @@ pub struct FleetViolation {
 /// Where a fleet run's wall clock went. Kept outside [`FleetReport`] so
 /// the report stays deterministic; [`FleetReport::rollup_metrics`]
 /// consumes it for honest throughput attribution — frames/sec is
-/// computed from the frame loop alone, with journal-writer drain and
+/// computed from the frame loop alone, with journal assembly and
 /// aggregation time reported separately instead of silently inflating
 /// the denominator.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetTimings {
     /// Frame loop only (what throughput gauges divide by).
     pub frame_loop_secs: f64,
-    /// Draining and joining the background journal writer.
+    /// Concatenating the sampled cells' journal sections.
     pub journal_finish_secs: f64,
     /// Deterministic aggregation (verifier finish, metrics merge,
-    /// bundle and journal assembly).
+    /// bundles).
     pub aggregate_secs: f64,
 }
 
@@ -247,8 +235,8 @@ pub struct FleetReport {
     /// restricted-ratio histograms, defense/violation counters).
     pub metrics: FleetMetricsSnapshot,
     /// Aggregate binary journal of the sampled systems: file magic, then
-    /// per system (in id order) one header record and its events in
-    /// recording order. Empty when sampling is off.
+    /// per sampled system (in id order) one header record and its events
+    /// in recording order. Empty when sampling is off.
     pub journal: JournalBytes,
     /// Event and header records in the aggregate journal.
     pub journal_events: u64,
@@ -266,9 +254,9 @@ impl FleetReport {
     /// Timing lives here, outside the report, so that the report itself
     /// stays byte-identical across runs — the determinism tests compare
     /// serialized reports directly. Throughput gauges divide by the
-    /// **frame loop** time only; writer-drain and aggregation seconds
-    /// get their own gauges so that journal cost is attributed, never
-    /// hidden inside frames/sec.
+    /// **frame loop** time only; journal-assembly and aggregation
+    /// seconds get their own gauges so that journal cost is attributed,
+    /// never hidden inside frames/sec.
     pub fn rollup_metrics(&self, timings: &FleetTimings, cores: usize) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
         registry.add("fleet.systems", self.systems as u64);
@@ -372,51 +360,17 @@ struct Cell {
     /// been folded into the shard-local metrics.
     latency_cursor: usize,
     defense_seen: u64,
-    /// Journal batching state, present only on sampled cells.
-    journal: Option<CellJournal>,
+    /// The encoded journal section, present only on sampled cells.
+    journal: Option<Section>,
 }
 
-/// A sampled cell's link to the background journal writer: each frame's
-/// events are moved out of the system's journal into `batch` (a frame
-/// produces a handful) and shipped every `flush_every` frames;
-/// serialization happens on the writer thread.
-struct CellJournal {
-    tx: std::sync::mpsc::SyncSender<JournalBatch>,
-    batch: Vec<JournalEvent>,
-    frames_since_send: u64,
-    flush_every: u64,
-    /// Set when a send found the writer gone (its thread panicked or
-    /// hit a sink error and dropped the receiver). Journaling stops for
-    /// this cell; the root cause surfaces as the [`Fleet::run`] error
-    /// when [`Fleet::finish_journal`] joins the writer.
-    disconnected: bool,
-}
-
-impl CellJournal {
-    fn ship(&mut self, system: u64, seed: u64) {
-        if self.batch.is_empty() || self.disconnected {
-            self.batch.clear();
-            return;
-        }
-        // Failpoint: Skip drops the batch on the floor — lost journal
-        // data is an observability loss, never a safety violation.
-        arfs_assure::fp!("fleet.journal.send", action => {
-            if matches!(action, arfs_assure::FpAction::Skip) {
-                self.batch.clear();
-                return;
-            }
-        });
-        let sent = self.tx.send(JournalBatch {
-            system,
-            seed,
-            events: std::mem::take(&mut self.batch),
-        });
-        // A disconnect means the writer thread is dead. Don't panic the
-        // frame loop (that would tear down every worker mid-frame):
-        // finish the horizon without journaling and let the join report
-        // why the writer died.
-        self.disconnected = sent.is_err();
-    }
+/// A sampled cell's share of the fleet journal: its events as
+/// binary-codec records (no magic, no section header), in recording
+/// order.
+#[derive(Default)]
+struct Section {
+    bytes: Vec<u8>,
+    events: u64,
 }
 
 impl Cell {
@@ -466,13 +420,18 @@ impl Cell {
         metrics.defense_events += defenses - self.defense_seen;
         self.defense_seen = defenses;
 
-        if let Some(journal) = &mut self.journal {
-            journal.batch.extend(self.system.drain_journal());
-            journal.frames_since_send += 1;
-            if journal.frames_since_send >= journal.flush_every {
-                journal.frames_since_send = 0;
-                let (id, seed) = (self.id as u64, self.seed);
-                journal.ship(id, seed);
+        if let Some(section) = &mut self.journal {
+            let events = self.system.drain_journal();
+            // Failpoint: Skip drops this frame's events — lost journal
+            // data is an observability loss, never a safety violation.
+            arfs_assure::fp!("fleet.journal.append", action => {
+                if matches!(action, arfs_assure::FpAction::Skip) {
+                    return;
+                }
+            });
+            for event in events {
+                codec::encode_event(&mut section.bytes, &event);
+                section.events += 1;
             }
         }
     }
@@ -519,7 +478,6 @@ pub struct Fleet {
     spec: Arc<ReconfigSpec>,
     config: FleetConfig,
     shards: Vec<Shard>,
-    writer: Option<BackgroundJournalWriter>,
 }
 
 impl Fleet {
@@ -543,9 +501,6 @@ impl Fleet {
                 metrics: FleetMetrics::default(),
             })
             .collect();
-
-        let writer = (config.journal_sample > 0)
-            .then(|| BackgroundJournalWriter::spawn(DEFAULT_CHANNEL_CAPACITY));
 
         for id in 0..config.systems {
             let seed = mix_seed(config.seed, id as u64);
@@ -574,17 +529,6 @@ impl Fleet {
                 None => Vec::new(),
             };
 
-            let journal = match (&writer, sampled) {
-                (Some(writer), true) => Some(CellJournal {
-                    tx: writer.sender(),
-                    batch: Vec::new(),
-                    frames_since_send: 0,
-                    flush_every: config.journal_flush_frames.max(1),
-                    disconnected: false,
-                }),
-                _ => None,
-            };
-
             let shard = id * shard_count / config.systems.max(1);
             shards[shard].cells.push(Cell {
                 id,
@@ -597,7 +541,7 @@ impl Fleet {
                 full_frames: 0,
                 latency_cursor: 0,
                 defense_seen: 0,
-                journal,
+                journal: sampled.then(Section::default),
             });
         }
 
@@ -605,7 +549,6 @@ impl Fleet {
             spec,
             config,
             shards,
-            writer,
         })
     }
 
@@ -632,18 +575,15 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Returns the background journal writer's failure — a sink I/O
-    /// error or a writer-thread panic — discovered when the writer is
-    /// joined at the end of the horizon. The frame loop itself never
-    /// fails: cells that lose their writer finish the horizon
-    /// unjournaled, and the root cause is reported here instead of
-    /// panicking a worker mid-frame.
+    /// Currently always returns `Ok`: every journal section is an
+    /// in-memory buffer its cell writes itself. The `io::Result` leaves
+    /// room for a fallible journal sink.
     pub fn run(&mut self) -> io::Result<FleetReport> {
         Ok(self.run_timed()?.0)
     }
 
     /// Runs the whole horizon, returning the deterministic report plus
-    /// the wall-clock attribution (frame loop vs. journal drain vs.
+    /// the wall-clock attribution (frame loop vs. journal assembly vs.
     /// aggregation) for [`FleetReport::rollup_metrics`].
     ///
     /// # Errors
@@ -655,11 +595,11 @@ impl Fleet {
         let frame_loop_secs = started.elapsed().as_secs_f64();
 
         let started = Instant::now();
-        let sections = self.finish_journal()?;
+        let (journal, journal_events) = self.finish_journal();
         let journal_finish_secs = started.elapsed().as_secs_f64();
 
         let started = Instant::now();
-        let report = self.aggregate(sections);
+        let report = self.aggregate(journal, journal_events);
         let aggregate_secs = started.elapsed().as_secs_f64();
 
         Ok((
@@ -703,33 +643,34 @@ impl Fleet {
         .expect("fleet worker panicked");
     }
 
-    /// Ships every sampled cell's tail batch, drops all producer
-    /// senders, and joins the background writer for its per-system
-    /// sections.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the writer thread's sink error, or its panic mapped
-    /// to an [`io::Error`] — the one place a background journal failure
-    /// becomes visible to the caller.
-    fn finish_journal(&mut self) -> io::Result<BTreeMap<u64, SystemJournal>> {
-        for shard in &mut self.shards {
-            for cell in &mut shard.cells {
-                if let Some(mut journal) = cell.journal.take() {
-                    journal.ship(cell.id as u64, cell.seed);
-                    // Dropping `journal` drops this cell's sender.
-                }
+    /// Assembles the aggregate journal: the file magic, then each
+    /// sampled cell's header and section in system-id order. Returns the
+    /// bytes and their record count (headers included); empty when
+    /// sampling is off.
+    fn finish_journal(&self) -> (JournalBytes, u64) {
+        let mut sampled: Vec<(&Cell, &Section)> = self
+            .shards
+            .iter()
+            .flat_map(|shard| &shard.cells)
+            .filter_map(|cell| Some((cell, cell.journal.as_ref()?)))
+            .collect();
+        sampled.sort_by_key(|(cell, _)| cell.id);
+        let mut bytes = Vec::new();
+        let mut records = 0u64;
+        if !sampled.is_empty() {
+            codec::encode_magic(&mut bytes);
+            for (cell, section) in sampled {
+                codec::encode_system_header(&mut bytes, cell.id as u64, cell.seed);
+                bytes.extend_from_slice(&section.bytes);
+                records += section.events + 1;
             }
         }
-        match self.writer.take() {
-            Some(writer) => writer.finish(),
-            None => Ok(BTreeMap::new()),
-        }
+        (JournalBytes(bytes), records)
     }
 
     /// Folds per-cell results into the deterministic report, iterating
     /// cells in global system-id order regardless of sharding.
-    fn aggregate(&mut self, sections: BTreeMap<u64, SystemJournal>) -> FleetReport {
+    fn aggregate(&mut self, journal: JournalBytes, journal_events: u64) -> FleetReport {
         let legend = RingLegend::for_spec(&self.spec);
 
         // Merge the shard-local metrics in shard order (commutative, so
@@ -783,17 +724,6 @@ impl Fleet {
             }
         }
 
-        let mut journal = Vec::new();
-        let mut journal_events = 0u64;
-        if !sections.is_empty() {
-            codec::encode_magic(&mut journal);
-            for (system, section) in &sections {
-                codec::encode_system_header(&mut journal, *system, section.seed);
-                journal.extend_from_slice(&section.bytes);
-                journal_events += section.events + 1;
-            }
-        }
-
         let reconfigs = merged.reconfigs;
         FleetReport {
             systems: self.config.systems,
@@ -806,7 +736,7 @@ impl Fleet {
             violations,
             bundles,
             metrics: merged.snapshot(),
-            journal: JournalBytes(journal),
+            journal,
             journal_events,
         }
     }
@@ -868,7 +798,9 @@ mod tests {
     use crate::app::NullApp;
     use crate::obs::{BinaryJournalReader, BinaryRecord};
     use crate::prelude::*;
+    use crate::system::SystemBuilder;
     use arfs_rtos::Ticks;
+    use std::collections::BTreeMap;
 
     fn small_spec() -> ReconfigSpec {
         ReconfigSpec::builder()
@@ -919,7 +851,7 @@ mod tests {
             },
         )
         .unwrap();
-        let report = fleet.run().expect("journal writer is healthy");
+        let report = fleet.run().expect("an in-memory journal never fails");
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.total_frames, 8 * 40);
         assert_eq!(report.reconfigs, 0);
@@ -944,7 +876,7 @@ mod tests {
             },
         )
         .unwrap();
-        let report = fleet.run().expect("journal writer is healthy");
+        let report = fleet.run().expect("an in-memory journal never fails");
         assert!(report.is_clean(), "{:?}", report.violations);
         assert!(report.reconfigs > 0, "workload should trigger reconfigs");
         assert!(
@@ -1000,7 +932,7 @@ mod tests {
             },
         )
         .unwrap();
-        let report = fleet.run().expect("journal writer is healthy");
+        let report = fleet.run().expect("an in-memory journal never fails");
         assert!(
             report.violations.iter().any(|v| v.system == 5),
             "mutated system must violate; got {:?}",
@@ -1120,7 +1052,6 @@ mod tests {
             shards: 1,
             horizon: 100,
             journal_sample: 3,
-            journal_flush_frames: 5,
             chaos: Some(ChaosProfile::for_spec(&spec, 60)),
             ..FleetConfig::default()
         };
@@ -1128,8 +1059,8 @@ mod tests {
         for frame in 0..base.horizon {
             stepped.advance_frame(frame);
         }
-        let sections = stepped.finish_journal().expect("journal writer is healthy");
-        let reference = stepped.aggregate(sections);
+        let (journal, journal_events) = stepped.finish_journal();
+        let reference = stepped.aggregate(journal, journal_events);
         assert!(reference.reconfigs > 0 && reference.journal_events > 0);
         assert!(
             reference.bundles.iter().any(|b| b.system % 3 == 0),
@@ -1148,7 +1079,7 @@ mod tests {
             )
             .unwrap()
             .run()
-            .expect("journal writer is healthy");
+            .expect("an in-memory journal never fails");
             assert_eq!(
                 serde_json::to_string(&report).unwrap(),
                 reference_json,
@@ -1174,10 +1105,17 @@ mod tests {
     }
 
     /// Rebuilds system `id` of a fleet from its seed alone (scenario,
-    /// fault plan, mutation) and runs it with its trace recorded.
-    fn replay(spec: &Arc<ReconfigSpec>, config: &FleetConfig, id: usize) -> System {
+    /// fault plan, mutation) and drives it through the horizon with
+    /// `step`, applying its stimuli as the fleet does.
+    fn drive_alone(
+        spec: &Arc<ReconfigSpec>,
+        config: &FleetConfig,
+        id: usize,
+        builder: SystemBuilder,
+        step: impl Fn(&mut System),
+    ) -> System {
         let seed = mix_seed(config.seed, id as u64);
-        let mut builder = System::builder_arc(Arc::clone(spec));
+        let mut builder = builder;
         if let Some(profile) = &config.chaos {
             builder = builder.fault_plan(FaultPlan::random(mix_seed(seed, 1), profile));
         }
@@ -1203,9 +1141,68 @@ mod tests {
                 }
                 next += 1;
             }
-            system.run_frame();
+            step(&mut system);
         }
         system
+    }
+
+    /// Replays system `id` with its trace recorded.
+    fn replay(spec: &Arc<ReconfigSpec>, config: &FleetConfig, id: usize) -> System {
+        let builder = System::builder_arc(Arc::clone(spec));
+        drive_alone(spec, config, id, builder, |system| {
+            system.run_frame();
+        })
+    }
+
+    #[test]
+    fn fleet_journal_sections_equal_standalone_journals() {
+        // Each sampled cell encodes its own section. Decoded, the
+        // section must be exactly the journal the same system keeps when
+        // it runs alone, event for event.
+        for spec in [small_spec(), crate::assure::tests::two_app_spec()] {
+            let spec = Arc::new(spec);
+            let config = FleetConfig {
+                systems: 24,
+                threads: 2,
+                horizon: 100,
+                journal_sample: 3,
+                chaos: Some(ChaosProfile::for_spec(&spec, 60)),
+                ..FleetConfig::default()
+            };
+            let report = Fleet::new(Arc::clone(&spec), config.clone())
+                .unwrap()
+                .run()
+                .expect("an in-memory journal never fails");
+
+            let mut sections: BTreeMap<usize, Vec<JournalEvent>> = BTreeMap::new();
+            let mut current = None;
+            for record in BinaryJournalReader::new(report.journal.as_slice()) {
+                match record.expect("aggregate journal decodes") {
+                    BinaryRecord::System { system, seed } => {
+                        let id = system as usize;
+                        assert_eq!(seed, mix_seed(config.seed, system));
+                        assert!(sections.insert(id, Vec::new()).is_none());
+                        current = Some(id);
+                    }
+                    BinaryRecord::Event(event) => {
+                        let id = current.expect("events follow a section header");
+                        sections.get_mut(&id).unwrap().push(event);
+                    }
+                }
+            }
+            let sampled: Vec<usize> = (0..config.systems).step_by(3).collect();
+            assert_eq!(sections.keys().copied().collect::<Vec<_>>(), sampled);
+
+            for (id, section) in sections {
+                let builder =
+                    System::builder_arc(Arc::clone(&spec)).flight_recorder(config.ring_capacity);
+                let alone = drive_alone(&spec, &config, id, builder, |system| {
+                    system.advance_frame();
+                });
+                assert!(!section.is_empty(), "system {id}");
+                assert_eq!(section, alone.journal().events(), "system {id}");
+            }
+        }
     }
 
     #[test]
@@ -1243,7 +1240,7 @@ mod tests {
                 let report = Fleet::new(Arc::clone(&spec), config.clone())
                     .unwrap()
                     .run()
-                    .expect("journal writer is healthy");
+                    .expect("an in-memory journal never fails");
                 if config.mutate_system.is_some() && spec.apps().len() > 1 {
                     assert!(
                         report.violations.iter().any(|v| v.system == 5),

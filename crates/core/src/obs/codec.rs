@@ -4,7 +4,8 @@
 //! that wants text can get it via `arfs-trace fleet decode` — but at
 //! fleet scale the per-event `to_json_line` cost on the frame loop and
 //! the ~3× size blow-up of textual framing are measurable. This module
-//! defines the wire format the fleet's background journal writer emits:
+//! defines the wire format the fleet's sampled cells encode their journal
+//! sections in:
 //!
 //! ```text
 //! journal   := MAGIC record*

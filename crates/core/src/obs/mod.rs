@@ -33,10 +33,9 @@
 //!   steady-state fast path with zero allocations, decoded via a
 //!   spec-derived [`RingLegend`].
 //! - [`codec`] — the length-prefixed binary journal encoding the fleet
-//!   emits (JSON-Lines stays the interchange format; `arfs-trace fleet
+//!   emits: each sampled fleet cell encodes its own section after every
+//!   frame (JSON-Lines stays the interchange format; `arfs-trace fleet
 //!   decode` converts back).
-//! - [`writer`] — the background journal writer thread with a bounded
-//!   channel and a documented lossless backpressure policy.
 //! - [`triage`] — the [`TriageBundle`] evidence package (ring + seed +
 //!   schedule + metrics + causal chain) a fleet emits when a streaming
 //!   verifier violation or chaos defense fires.
@@ -59,7 +58,6 @@ pub mod journal;
 pub mod metrics;
 pub mod ring;
 pub mod triage;
-pub mod writer;
 
 pub use codec::{BinaryJournalReader, BinaryRecord, JournalBytes};
 pub use counterexample::{CausalLink, Counterexample, FrameVerdict, ShrinkAction, ShrinkStep};
@@ -71,4 +69,3 @@ pub use metrics::{
 };
 pub use ring::{DecodedRingEvent, FlightRing, RingCode, RingEvent, RingLegend};
 pub use triage::TriageBundle;
-pub use writer::{BackgroundJournalWriter, JournalBatch, SystemJournal};

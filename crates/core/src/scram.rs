@@ -557,15 +557,10 @@ impl InFlight {
             });
             if next.phase != Phase::Halt {
                 // Postconditions are already established; fall back to
-                // preparing for the new target.
+                // preparing for the new target, announced below.
                 next.phase = Phase::Prepare;
                 next.phase_progress = 0;
                 next.announced = false;
-                events.push(ScramEvent::PhaseEntered {
-                    frame,
-                    phase: Phase::Prepare,
-                    target: new_target.clone(),
-                });
             }
         }
 

@@ -641,3 +641,51 @@ fn retries_add_at_most_worst_case_stall_frames() {
         );
     }
 }
+
+/// Bounded proof by enumeration: a frame announces at most one phase.
+/// In particular a retarget that falls back to prepare announces it
+/// once. Over every protocol, every record of its domain (backoff
+/// pending or not), retargeted or not, and both fault outcomes.
+#[test]
+fn a_frame_announces_at_most_one_phase() {
+    let elsewhere = ConfigId::new("elsewhere");
+    let mut events = Vec::new();
+    for protocol in protocols() {
+        for record in records(&protocol, true) {
+            for retarget in [None, Some(&elsewhere)] {
+                for faulted in [false, true] {
+                    events.clear();
+                    record.step(&protocol, 0, retarget, faulted, &mut events);
+                    let announced = events
+                        .iter()
+                        .filter(|e| matches!(e, ScramEvent::PhaseEntered { .. }))
+                        .count();
+                    assert!(
+                        announced <= 1,
+                        "{protocol:?} {record:?} retarget={retarget:?} faulted={faulted}: {events:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Bounded proof by enumeration: a voided initialize frame keeps every
+/// non-exempt application `Initializing`, including those whose wave's
+/// init window has not opened yet, whatever the phase position. Over
+/// every frame kind and every role.
+#[test]
+fn voided_initialize_frames_report_initializing() {
+    for kind in all_kinds() {
+        let FrameKind::Voided(stage) = kind else {
+            continue;
+        };
+        if stage.phase != Phase::Init {
+            continue;
+        }
+        for role in all_roles().into_iter().filter(|r| !r.exempt) {
+            let (_, _, st) = table1_row(kind, &role);
+            assert_eq!(st, ReconfSt::Initializing, "{kind:?} {role:?}");
+        }
+    }
+}
