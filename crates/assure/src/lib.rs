@@ -74,7 +74,7 @@ pub enum FpAction {
     /// (ticks, frames, or rounds).
     Delay(u64),
     /// The thread panics at the site — the fail-stop half of the model,
-    /// used to prove background-thread deaths surface as errors.
+    /// used to model a fleet worker dying mid-shard at `fleet.shard`.
     Panic,
 }
 

@@ -32,16 +32,16 @@
 //! seed and stimulus schedule, so any report line replays through the
 //! existing flight-recorder tooling.
 //!
-//! # Sharded metrics
+//! # Metrics
 //!
-//! The fleet's hot-path metrics ([`FleetMetrics`]: frame counters,
-//! reconfiguration-latency and restricted-ratio histograms,
-//! defense/violation counters) live **per shard**. Exactly one worker
-//! owns a shard for its whole run, so per-frame bumps are plain
-//! unsynchronized increments — no shared registry, no lock traffic.
-//! Aggregation merges shard locals in shard order (and counters and
-//! log₂ histograms merge commutatively), so the merged snapshot is
-//! byte-identical across thread counts.
+//! The frame loop keeps no metrics of its own. Each cell already holds
+//! the facts a report needs — its fast/full frame counts, its
+//! verifier's reconfiguration latencies and violations, its system's
+//! defense count — and aggregation folds them, in system-id order, into
+//! the report's one [`MetricsRegistry`]: the `fleet.*` counters and the
+//! log₂ `fleet.reconfig_latency_cycles` and `fleet.restricted_frame_bp`
+//! histograms. The id order alone makes the snapshot byte-identical
+//! across thread and shard counts.
 //!
 //! # Flight recorders and triage bundles
 //!
@@ -84,8 +84,7 @@ use crate::chaos::{ChaosProfile, FaultPlan};
 use crate::obs::codec;
 use crate::obs::triage::trigger;
 use crate::obs::{
-    FleetMetrics, FleetMetricsSnapshot, FlightRing, JournalBytes, MetricsRegistry, RingLegend,
-    TriageBundle,
+    FlightRing, JournalBytes, MetricsRegistry, MetricsSnapshot, RingLegend, TriageBundle,
 };
 use crate::properties::{self, Monitors, PropertyViolation};
 use crate::scenario::{ScenarioAction, ScenarioEvent};
@@ -192,8 +191,7 @@ pub struct FleetTimings {
     pub frame_loop_secs: f64,
     /// Concatenating the sampled cells' journal sections.
     pub journal_finish_secs: f64,
-    /// Deterministic aggregation (verifier finish, metrics merge,
-    /// bundles).
+    /// Deterministic aggregation (verifier finish, metrics, bundles).
     pub aggregate_secs: f64,
 }
 
@@ -231,9 +229,9 @@ pub struct FleetReport {
     /// streaming verifier fired (or, absent violations, whose chaos
     /// defenses fired), in system-id order.
     pub bundles: Vec<TriageBundle>,
-    /// Merged shard-local fleet metrics (frame counters, latency and
+    /// Fleet metrics folded from the cells (frame counters, latency and
     /// restricted-ratio histograms, defense/violation counters).
-    pub metrics: FleetMetricsSnapshot,
+    pub metrics: MetricsSnapshot,
     /// Aggregate binary journal of the sampled systems: file magic, then
     /// per sampled system (in id order) one header record and its events
     /// in recording order. Empty when sampling is off.
@@ -293,14 +291,27 @@ impl FleetReport {
 /// reconfiguration interval is open the verifier asks the fleet to force
 /// full frames ([`needs_full_state`](StreamVerifier::needs_full_state))
 /// so every restricted state is observed.
-#[derive(Debug)]
 pub struct StreamVerifier {
     spec: Arc<ReconfigSpec>,
     monitors: Monitors,
-    /// Completed-reconfiguration latencies, in cycles.
+    /// Completed-reconfiguration latencies, in cycles; one per
+    /// reconfiguration.
     latencies: Vec<u64>,
-    reconfigs: u64,
     violations: Vec<PropertyViolation>,
+}
+
+/// The derived form plus a top-level `reconfigs` (the length of
+/// `latencies`), which perfbench's traced replica reads from this form.
+impl std::fmt::Debug for StreamVerifier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StreamVerifier")
+            .field("spec", &self.spec)
+            .field("monitors", &self.monitors)
+            .field("latencies", &self.latencies)
+            .field("reconfigs", &self.latencies.len())
+            .field("violations", &self.violations)
+            .finish()
+    }
 }
 
 impl StreamVerifier {
@@ -310,7 +321,6 @@ impl StreamVerifier {
             monitors: Monitors::new(&spec, properties::EXTENDED),
             spec,
             latencies: Vec::new(),
-            reconfigs: 0,
             violations: Vec::new(),
         }
     }
@@ -333,7 +343,6 @@ impl StreamVerifier {
             .monitors
             .observe(&self.spec, state, &mut self.violations)
         {
-            self.reconfigs += 1;
             self.latencies.push(r.cycles());
         }
     }
@@ -356,10 +365,6 @@ struct Cell {
     next_event: usize,
     fast_frames: u64,
     full_frames: u64,
-    /// Drain cursors: how much of the verifier/system state has already
-    /// been folded into the shard-local metrics.
-    latency_cursor: usize,
-    defense_seen: u64,
     /// The encoded journal section, present only on sampled cells.
     journal: Option<Section>,
 }
@@ -374,7 +379,7 @@ struct Section {
 }
 
 impl Cell {
-    fn advance(&mut self, frame: u64, metrics: &mut FleetMetrics) {
+    fn advance(&mut self, frame: u64) {
         while let Some(event) = self.events.get(self.next_event) {
             if event.frame != frame {
                 break;
@@ -394,31 +399,16 @@ impl Cell {
             // restricted window; force the full path.
             self.system.run_frame();
             self.full_frames += 1;
-            metrics.frames_full += 1;
             let state = self.system.last_state().expect("full frame records state");
             self.verifier.observe_full(state);
         } else if self.system.advance_frame() {
             self.fast_frames += 1;
-            metrics.frames_fast += 1;
             self.verifier.observe_fast();
         } else {
             self.full_frames += 1;
-            metrics.frames_full += 1;
             let state = self.system.last_state().expect("full frame records state");
             self.verifier.observe_full(state);
         }
-
-        // Fold this frame's deltas into the shard-local metrics — plain
-        // increments; the worker owns the shard for its whole run.
-        // One latency per completed reconfiguration.
-        for &latency in &self.verifier.latencies[self.latency_cursor..] {
-            metrics.reconfigs += 1;
-            metrics.reconfig_latency_cycles.record(latency);
-        }
-        self.latency_cursor = self.verifier.latencies.len();
-        let defenses = self.system.defense_events();
-        metrics.defense_events += defenses - self.defense_seen;
-        self.defense_seen = defenses;
 
         if let Some(section) = &mut self.journal {
             let events = self.system.drain_journal();
@@ -451,11 +441,9 @@ impl Cell {
     }
 }
 
-/// A contiguous slice of the fleet's cells, the unit of work stealing —
-/// and the home of the lock-free metrics locals.
+/// A contiguous slice of the fleet's cells, the unit of work stealing.
 struct Shard {
     cells: Vec<Cell>,
-    metrics: FleetMetrics,
 }
 
 impl Shard {
@@ -464,10 +452,9 @@ impl Shard {
         // Failpoint: shard start. Counted for coverage; Panic models a
         // worker dying mid-run (surfaces through the scope join).
         arfs_assure::fp!("fleet.shard");
-        let Shard { cells, metrics } = self;
-        for cell in cells {
+        for cell in &mut self.cells {
             for frame in 0..horizon {
-                cell.advance(frame, metrics);
+                cell.advance(frame);
             }
         }
     }
@@ -496,10 +483,7 @@ impl Fleet {
         let shard_count = shard_count.min(config.systems.max(1));
 
         let mut shards: Vec<Shard> = (0..shard_count)
-            .map(|_| Shard {
-                cells: Vec::new(),
-                metrics: FleetMetrics::default(),
-            })
+            .map(|_| Shard { cells: Vec::new() })
             .collect();
 
         for id in 0..config.systems {
@@ -539,8 +523,6 @@ impl Fleet {
                 next_event: 0,
                 fast_frames: 0,
                 full_frames: 0,
-                latency_cursor: 0,
-                defense_seen: 0,
                 journal: sampled.then(Section::default),
             });
         }
@@ -563,11 +545,8 @@ impl Fleet {
     /// [`run`](Fleet::run) is the normal entry point. Stepping frames
     /// `0..horizon` here yields the same cell states as `run`.
     pub fn advance_frame(&mut self, frame: u64) {
-        for shard in &mut self.shards {
-            let Shard { cells, metrics } = shard;
-            for cell in cells {
-                cell.advance(frame, metrics);
-            }
+        for cell in self.shards.iter_mut().flat_map(|shard| &mut shard.cells) {
+            cell.advance(frame);
         }
     }
 
@@ -673,18 +652,18 @@ impl Fleet {
     fn aggregate(&mut self, journal: JournalBytes, journal_events: u64) -> FleetReport {
         let legend = RingLegend::for_spec(&self.spec);
 
-        // Merge the shard-local metrics in shard order (commutative, so
-        // the order is cosmetic — determinism does not depend on it).
-        let mut merged = FleetMetrics::default();
-        let mut cells: Vec<&mut Cell> = Vec::new();
-        for shard in &mut self.shards {
-            merged.merge(&shard.metrics);
-            cells.extend(shard.cells.iter_mut());
-        }
+        let mut cells: Vec<&mut Cell> = self
+            .shards
+            .iter_mut()
+            .flat_map(|shard| shard.cells.iter_mut())
+            .collect();
         cells.sort_by_key(|c| c.id);
 
+        let mut metrics = MetricsRegistry::new();
         let mut fast_frames = 0u64;
         let mut full_frames = 0u64;
+        let mut reconfigs = 0u64;
+        let mut defenses = 0u64;
         let mut restricted = 0u64;
         let mut violations = Vec::new();
         let mut bundles: Vec<TriageBundle> = Vec::new();
@@ -694,17 +673,21 @@ impl Fleet {
 
             fast_frames += cell.fast_frames;
             full_frames += cell.full_frames;
+            reconfigs += cell.verifier.latencies.len() as u64;
+            for &latency in &cell.verifier.latencies {
+                metrics.observe("fleet.reconfig_latency_cycles", latency);
+            }
+            defenses += cell.system.defense_events();
             let cell_restricted = cell.verifier.monitors.restricted_frames();
             restricted += cell_restricted;
             // Restricted-frame ratio in basis points, per system.
             if let Some(bp) = (cell_restricted * 10_000).checked_div(self.config.horizon) {
-                merged.restricted_frame_bp.record(bp);
+                metrics.observe("fleet.restricted_frame_bp", bp);
             }
 
             if !cell.verifier.violations.is_empty() {
                 let schedule = cell.schedule_lines();
                 for v in &cell.verifier.violations {
-                    merged.violations += 1;
                     violations.push(FleetViolation {
                         system: cell.id,
                         seed: cell.seed,
@@ -724,7 +707,11 @@ impl Fleet {
             }
         }
 
-        let reconfigs = merged.reconfigs;
+        metrics.add("fleet.frames_fast", fast_frames);
+        metrics.add("fleet.frames_full", full_frames);
+        metrics.add("fleet.reconfigs", reconfigs);
+        metrics.add("fleet.defense_events", defenses);
+        metrics.add("fleet.violations", violations.len() as u64);
         FleetReport {
             systems: self.config.systems,
             horizon: self.config.horizon,
@@ -735,7 +722,7 @@ impl Fleet {
             restricted_frames: restricted,
             violations,
             bundles,
-            metrics: merged.snapshot(),
+            metrics: metrics.snapshot(),
             journal,
             journal_events,
         }
@@ -885,19 +872,9 @@ mod tests {
         );
         assert!(report.full_frames > 0, "reconfigs force full frames");
         assert!(report.journal_events > 0, "sampled systems journal");
-        // The shard-local metrics agree with the per-cell counters.
         assert_eq!(
-            report.metrics.counters["fleet.frames_fast"],
-            report.fast_frames
-        );
-        assert_eq!(
-            report.metrics.counters["fleet.frames_full"],
-            report.full_frames
-        );
-        assert_eq!(report.metrics.counters["fleet.reconfigs"], report.reconfigs);
-        assert!(
-            report.metrics.histograms["fleet.reconfig_latency_cycles"].count > 0,
-            "completed reconfigs record latencies"
+            report.metrics.histograms["fleet.reconfig_latency_cycles"].count, report.reconfigs,
+            "one latency per completed reconfiguration"
         );
         // The binary journal decodes: headers in ascending id order,
         // total record count matching the report.
@@ -995,7 +972,7 @@ mod tests {
         assert!(batch.is_ok(), "{batch}");
         assert!(verifier.violations.is_empty(), "{:?}", verifier.violations);
         assert_eq!(
-            verifier.reconfigs as usize,
+            verifier.latencies.len(),
             recorded.trace().get_reconfigs().len()
         );
         assert_eq!(

@@ -66,7 +66,7 @@
 //! - [`fleet`] — fleet-scale simulation: 10⁵+ independent systems on a
 //!   work-stealing pool that runs each shard to completion, with
 //!   allocation-free steady-state frames, streaming SP1–SP4
-//!   verification, and sampled frame-batched journaling.
+//!   verification, and sampled binary journaling.
 //! - [`sfta`] — system fault-tolerant actions: the synchrony-window view
 //!   of application FTAs (§5.2).
 //!

@@ -10,51 +10,19 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A set of raw samples; summarized on snapshot.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Histogram {
-    samples: Vec<u64>,
-}
-
-impl Histogram {
-    fn summarize(&self) -> HistogramSummary {
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let count = sorted.len();
-        let percentile = |p: f64| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            let rank = ((p / 100.0) * (count as f64 - 1.0)).round() as usize;
-            sorted[rank.min(count - 1)]
-        };
-        HistogramSummary {
-            count,
-            min: sorted.first().copied().unwrap_or(0),
-            max: sorted.last().copied().unwrap_or(0),
-            mean: if count == 0 {
-                0.0
-            } else {
-                sorted.iter().sum::<u64>() as f64 / count as f64
-            },
-            p50: percentile(50.0),
-            p90: percentile(90.0),
-            p99: percentile(99.0),
-        }
-    }
-}
-
-/// Mutable registry of named counters, gauges, and histograms.
+/// Mutable registry of named counters, gauges, and log₂ histograms.
 ///
 /// Names are dotted paths (`"scram.triggers"`,
 /// `"reconfig.latency_cycles"`); the registry imposes no schema beyond
 /// that convention. A name is allocated once, on its first update;
-/// later updates of the same counter or gauge never touch the heap.
+/// later updates of the same counter, gauge or histogram never touch
+/// the heap, and a histogram's memory is fixed however many samples it
+/// records.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: BTreeMap<String, Log2Histogram>,
 }
 
 impl MetricsRegistry {
@@ -98,38 +66,15 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Records one histogram sample.
+    /// Records one histogram sample into its log₂ bucket.
     pub fn observe(&mut self, name: &str, sample: u64) {
         match self.histograms.get_mut(name) {
-            Some(h) => h.samples.push(sample),
+            Some(h) => h.record(sample),
             None => {
-                self.histograms.insert(
-                    name.to_owned(),
-                    Histogram {
-                        samples: vec![sample],
-                    },
-                );
+                let mut h = Log2Histogram::new();
+                h.record(sample);
+                self.histograms.insert(name.to_owned(), h);
             }
-        }
-    }
-
-    /// Folds another registry into this one: counters add, histogram
-    /// samples concatenate, and gauges overwrite (last writer wins).
-    /// This is how per-worker registries from a parallel model-check
-    /// walk combine into one run-level registry.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, delta) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += delta;
-        }
-        for (name, value) in &other.gauges {
-            self.gauges.insert(name.clone(), *value);
-        }
-        for (name, h) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .samples
-                .extend_from_slice(&h.samples);
         }
     }
 
@@ -141,29 +86,10 @@ impl MetricsRegistry {
             histograms: self
                 .histograms
                 .iter()
-                .map(|(name, h)| (name.clone(), h.summarize()))
+                .map(|(name, h)| (name.clone(), h.snapshot()))
                 .collect(),
         }
     }
-}
-
-/// Five-number-ish summary of one histogram.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct HistogramSummary {
-    /// Number of samples observed.
-    pub count: usize,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-    /// Arithmetic mean (0 when empty).
-    pub mean: f64,
-    /// Median (nearest-rank).
-    pub p50: u64,
-    /// 90th percentile (nearest-rank).
-    pub p90: u64,
-    /// 99th percentile (nearest-rank).
-    pub p99: u64,
 }
 
 /// Immutable, serializable view of a registry at one instant.
@@ -173,25 +99,25 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram summaries by name.
-    pub histograms: BTreeMap<String, HistogramSummary>,
+    /// Log₂ histogram snapshots by name.
+    pub histograms: BTreeMap<String, Log2HistogramSnapshot>,
 }
 
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "counters:")?;
         for (name, v) in &self.counters {
-            writeln!(f, "  {name:<28} {v}")?;
+            writeln!(f, "  {name:<32} {v}")?;
         }
         writeln!(f, "gauges:")?;
         for (name, v) in &self.gauges {
-            writeln!(f, "  {name:<28} {v:.4}")?;
+            writeln!(f, "  {name:<32} {v:.4}")?;
         }
         writeln!(f, "histograms:")?;
         for (name, h) in &self.histograms {
             writeln!(
                 f,
-                "  {name:<28} n={} min={} p50={} p90={} p99={} max={} mean={:.2}",
+                "  {name:<32} n={} min={} p50<={} p90<={} p99<={} max={} mean={:.2}",
                 h.count, h.min, h.p50, h.p90, h.p99, h.max, h.mean
             )?;
         }
@@ -200,18 +126,15 @@ impl fmt::Display for MetricsSnapshot {
 }
 
 /// Number of log₂ buckets: bucket 0 holds the sample `0`, bucket `k`
-/// (1..=64) holds samples with bit length `k`, i.e. the half-open range
-/// `[2^(k-1), 2^k)`.
+/// (1..=64) holds samples with bit length `k`, i.e. the inclusive range
+/// `[2^(k-1), 2^k - 1]`.
 const LOG2_BUCKETS: usize = 65;
 
 /// A fixed-bucket log₂ histogram: 65 plain `u64` buckets plus exact
-/// count/sum/min/max. Unlike the raw-sample [`MetricsRegistry`]
-/// histograms (which keep every sample and allocate per observation),
-/// a `Log2Histogram` is fixed-size, allocation-free to record into, and
-/// its [`merge`](Log2Histogram::merge) is a commutative, associative
-/// bucket-wise add — which is what makes the fleet's per-shard metrics
-/// deterministic regardless of how shards are distributed over worker
-/// threads.
+/// count/sum/min/max. It is fixed-size and allocation-free to record
+/// into, so a [`MetricsRegistry`] histogram's memory does not grow with
+/// the run. Percentiles are bucket upper bounds (clamped to the max);
+/// count, sum, min, max and mean stay exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: [u64; LOG2_BUCKETS],
@@ -244,8 +167,7 @@ impl Log2Histogram {
         (u64::BITS - sample.leading_zeros()) as usize
     }
 
-    /// The half-open sample range `[lo, hi]` (inclusive) covered by a
-    /// bucket index.
+    /// The inclusive sample range `[lo, hi]` covered by a bucket index.
     pub fn bucket_bounds(index: usize) -> (u64, u64) {
         match index {
             0 => (0, 0),
@@ -266,19 +188,6 @@ impl Log2Histogram {
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Folds another histogram into this one. Commutative and
-    /// associative, so any merge order over any shard partition yields
-    /// the same result as single-threaded recording.
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Nearest-rank percentile estimate: the upper bound of the bucket
@@ -381,98 +290,6 @@ impl Log2HistogramSnapshot {
     }
 }
 
-/// Per-shard fleet metrics: plain counters plus fixed-bucket log₂
-/// histograms, all fixed-size and allocation-free to bump on the frame
-/// path. Each fleet shard owns one; a worker thread owns a shard for
-/// the duration of a frame, so every bump is a plain unsynchronized
-/// store — no shared locks, no atomics. At aggregation the shard locals
-/// [`merge`](FleetMetrics::merge) in shard order; since counter adds
-/// and histogram merges are commutative and associative, the merged
-/// result is byte-identical across thread counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetMetrics {
-    /// Frames taken through the allocation-free steady-state fast path.
-    pub frames_fast: u64,
-    /// Frames that ran the full frame loop.
-    pub frames_full: u64,
-    /// Completed reconfigurations.
-    pub reconfigs: u64,
-    /// Chaos-defense activations (commit retries, safe fallbacks,
-    /// quarantines).
-    pub defense_events: u64,
-    /// Streaming SP1–SP4 / protocol violations.
-    pub violations: u64,
-    /// Reconfiguration latency in frame cycles.
-    pub reconfig_latency_cycles: Log2Histogram,
-    /// Per-system restricted-frame share in basis points.
-    pub restricted_frame_bp: Log2Histogram,
-}
-
-impl FleetMetrics {
-    /// Folds another shard's metrics into this one (commutative,
-    /// associative).
-    pub fn merge(&mut self, other: &FleetMetrics) {
-        self.frames_fast += other.frames_fast;
-        self.frames_full += other.frames_full;
-        self.reconfigs += other.reconfigs;
-        self.defense_events += other.defense_events;
-        self.violations += other.violations;
-        self.reconfig_latency_cycles
-            .merge(&other.reconfig_latency_cycles);
-        self.restricted_frame_bp.merge(&other.restricted_frame_bp);
-    }
-
-    /// Freezes into the serializable snapshot carried by fleet reports.
-    pub fn snapshot(&self) -> FleetMetricsSnapshot {
-        let mut counters = BTreeMap::new();
-        counters.insert("fleet.frames_fast".to_owned(), self.frames_fast);
-        counters.insert("fleet.frames_full".to_owned(), self.frames_full);
-        counters.insert("fleet.reconfigs".to_owned(), self.reconfigs);
-        counters.insert("fleet.defense_events".to_owned(), self.defense_events);
-        counters.insert("fleet.violations".to_owned(), self.violations);
-        let mut histograms = BTreeMap::new();
-        histograms.insert(
-            "fleet.reconfig_latency_cycles".to_owned(),
-            self.reconfig_latency_cycles.snapshot(),
-        );
-        histograms.insert(
-            "fleet.restricted_frame_bp".to_owned(),
-            self.restricted_frame_bp.snapshot(),
-        );
-        FleetMetricsSnapshot {
-            counters,
-            histograms,
-        }
-    }
-}
-
-/// Serializable view of merged [`FleetMetrics`].
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct FleetMetricsSnapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Log₂ histogram snapshots by name.
-    pub histograms: BTreeMap<String, Log2HistogramSnapshot>,
-}
-
-impl fmt::Display for FleetMetricsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "counters:")?;
-        for (name, v) in &self.counters {
-            writeln!(f, "  {name:<32} {v}")?;
-        }
-        writeln!(f, "histograms:")?;
-        for (name, h) in &self.histograms {
-            writeln!(
-                f,
-                "  {name:<32} n={} min={} p50<={} p90<={} p99<={} max={} mean={:.2}",
-                h.count, h.min, h.p50, h.p90, h.p99, h.max, h.mean
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,19 +325,10 @@ mod tests {
         assert_eq!(h.count, 5);
         assert_eq!(h.min, 1);
         assert_eq!(h.max, 9);
-        assert_eq!(h.p50, 5);
+        // 5 lands in the [4, 7] bucket; the median reports its bound.
+        assert_eq!(h.p50, 7);
         assert!((h.mean - 5.0).abs() < 1e-9);
         assert!(h.p90 >= h.p50 && h.p99 >= h.p90);
-    }
-
-    #[test]
-    fn empty_histogram_summarizes_to_zeroes() {
-        let h = Histogram::default().summarize();
-        assert_eq!(h.count, 0);
-        assert_eq!(h.min, 0);
-        assert_eq!(h.max, 0);
-        assert_eq!(h.mean, 0.0);
-        assert_eq!(h.p99, 0);
     }
 
     #[test]
@@ -560,29 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn log2_merge_equals_single_threaded_recording() {
-        let samples = [0u64, 1, 1, 3, 7, 120, 4096, u64::MAX, 17, 90];
-        let mut single = Log2Histogram::new();
-        for &s in &samples {
-            single.record(s);
-        }
-        let mut left = Log2Histogram::new();
-        let mut right = Log2Histogram::new();
-        for (i, &s) in samples.iter().enumerate() {
-            if i % 2 == 0 {
-                left.record(s);
-            } else {
-                right.record(s);
-            }
-        }
-        let mut merged = Log2Histogram::new();
-        merged.merge(&right);
-        merged.merge(&left);
-        assert_eq!(merged, single);
-        assert_eq!(merged.snapshot(), single.snapshot());
-    }
-
-    #[test]
     fn log2_snapshot_round_trips_bucket_boundaries() {
         let mut h = Log2Histogram::new();
         for s in [0u64, 1, 2, 3, 1000, 1 << 40] {
@@ -610,40 +395,5 @@ mod tests {
         assert_eq!(snap.mean, 0.0);
         assert!(snap.buckets.is_empty());
         assert_eq!(snap.to_histogram(), Log2Histogram::new());
-    }
-
-    #[test]
-    fn fleet_metrics_merge_is_commutative() {
-        let mut lat_a = Log2Histogram::new();
-        lat_a.record(5);
-        let a = FleetMetrics {
-            frames_fast: 10,
-            reconfigs: 2,
-            reconfig_latency_cycles: lat_a,
-            ..FleetMetrics::default()
-        };
-        let mut lat_b = Log2Histogram::new();
-        lat_b.record(9);
-        let mut bp_b = Log2Histogram::new();
-        bp_b.record(400);
-        let b = FleetMetrics {
-            frames_full: 3,
-            defense_events: 1,
-            reconfig_latency_cycles: lat_b,
-            restricted_frame_bp: bp_b,
-            ..FleetMetrics::default()
-        };
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        let snap = ab.snapshot();
-        assert_eq!(snap.counters["fleet.frames_fast"], 10);
-        assert_eq!(snap.counters["fleet.defense_events"], 1);
-        assert_eq!(snap.histograms["fleet.reconfig_latency_cycles"].count, 2);
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: FleetMetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
     }
 }

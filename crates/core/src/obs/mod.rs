@@ -20,9 +20,11 @@
 //!   [`Journal::to_json_lines`]/[`Journal::from_json_lines`], summarize
 //!   ([`Journal::summary`]), and diff ([`Journal::diff`]); the
 //!   `arfs-trace` CLI in `arfs-bench` drives all three from the shell.
-//! - [`metrics`] — a registry of counters, gauges, and histograms
-//!   (reconfiguration latency in cycles, SCRAM decision time,
-//!   restricted-frame ratio) snapshot-able per run as a JSON artifact.
+//! - [`metrics`] — the one metrics type: a registry of counters,
+//!   gauges, and fixed-size log₂ histograms (reconfiguration latency in
+//!   cycles, SCRAM decision time, restricted-frame ratio) snapshot-able
+//!   as a JSON artifact. A system, a model-check report, a fleet report
+//!   and a triage bundle all carry the same [`MetricsSnapshot`].
 //! - [`counterexample`] — the model checker's flight-recorder artifact:
 //!   a failing schedule delta-debugged to a 1-minimal form, replayed
 //!   with observability on, and packaged with its journal, per-frame
@@ -64,8 +66,7 @@ pub use counterexample::{CausalLink, Counterexample, FrameVerdict, ShrinkAction,
 pub(crate) use event::{Event, Recorder};
 pub use journal::{Journal, JournalDiff, JournalEvent, JournalSummary, Subsystem};
 pub use metrics::{
-    FleetMetrics, FleetMetricsSnapshot, HistogramSummary, Log2Bucket, Log2Histogram,
-    Log2HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
+    Log2Bucket, Log2Histogram, Log2HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use ring::{DecodedRingEvent, FlightRing, RingCode, RingEvent, RingLegend};
 pub use triage::TriageBundle;

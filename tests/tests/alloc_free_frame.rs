@@ -275,12 +275,14 @@ fn metrics_registry_allocates_a_name_only_once() {
     metrics.add("bus.deliveries", 1);
     metrics.incr("frames");
     metrics.set_gauge("frames.restricted_ratio", 0.0);
+    metrics.observe("reconfig.latency_cycles", 4);
 
     let before = allocs();
     for i in 0..100u32 {
         metrics.add("bus.deliveries", 3);
         metrics.incr("frames");
         metrics.set_gauge("frames.restricted_ratio", f64::from(i) / 100.0);
+        metrics.observe("reconfig.latency_cycles", u64::from(i));
     }
     let after = allocs();
     assert_eq!(
@@ -291,6 +293,10 @@ fn metrics_registry_allocates_a_name_only_once() {
     );
     assert_eq!(metrics.counter("bus.deliveries"), 301);
     assert_eq!(metrics.counter("frames"), 101);
+    assert_eq!(
+        metrics.snapshot().histograms["reconfig.latency_cycles"].count,
+        101
+    );
 }
 
 /// A journal-off, trace-off system of auto-filled applications, warmed

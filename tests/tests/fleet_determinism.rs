@@ -28,7 +28,7 @@ fn run(shards: usize, threads: usize, chaos: bool) -> FleetReport {
     Fleet::new(spec, config)
         .expect("fleet builds")
         .run()
-        .expect("journal writer is healthy")
+        .expect("an in-memory journal never fails")
 }
 
 const FLEET_SEED: u64 = 0xF1EE7;

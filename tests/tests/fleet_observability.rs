@@ -108,7 +108,7 @@ fn forced_violation_yields_a_bundle_covering_the_violation_window() {
     let report = Fleet::new(spec, config)
         .expect("fleet builds")
         .run()
-        .expect("journal writer is healthy");
+        .expect("an in-memory journal never fails");
 
     assert!(
         report.violations.iter().any(|v| v.system == mutated),
@@ -154,7 +154,7 @@ fn merged_metrics_are_byte_identical_across_thread_counts() {
         let report = Fleet::new(spec, config)
             .expect("fleet builds")
             .run()
-            .expect("journal writer is healthy");
+            .expect("an in-memory journal never fails");
         serde_json::to_string(&report.metrics).expect("metrics serialize")
     };
     let reference = run(3, 1);

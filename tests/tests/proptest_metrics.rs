@@ -1,76 +1,45 @@
-//! Sharded-metrics merge properties.
+//! Log₂ histogram properties.
 //!
-//! The fleet's frame loop bumps shard-local [`FleetMetrics`] with plain
-//! unsynchronized stores and merges them once at aggregation. That is
-//! only sound if the merge is a faithful reduction: any partition of an
-//! event stream over any number of shards, merged in any order, must
-//! equal single-threaded recording. These properties pin that algebra —
-//! plus the serde round-trip of the histogram snapshot with its bucket
-//! boundaries — so a future "optimization" of the merge can't silently
-//! skew fleet telemetry.
+//! Every histogram a run reports — a system's, a model check's, a
+//! fleet's — is a [`MetricsRegistry`] log₂ histogram. A fleet folds its
+//! cells' samples in system-id order at aggregation, so its snapshot is
+//! deterministic only if recording is order-blind: any permutation of a
+//! sample stream, observed through a registry, must snapshot exactly
+//! like direct recording. These properties pin that, plus the serde
+//! round-trip of the snapshot with its bucket boundaries, so a future
+//! "optimization" of the histogram can't silently skew telemetry.
 
-use arfs_core::obs::{FleetMetrics, Log2Histogram, Log2HistogramSnapshot};
+use arfs_core::obs::{Log2Histogram, Log2HistogramSnapshot, MetricsRegistry};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Replays `samples` into shard-local histograms according to the
-/// random `assignment` (sample i goes to shard `assignment[i] % shards`)
-/// and merges the shards in order.
-fn sharded_merge(samples: &[u64], assignment: &[usize], shards: usize) -> Log2Histogram {
-    let mut locals = vec![Log2Histogram::new(); shards];
-    for (i, &sample) in samples.iter().enumerate() {
-        locals[assignment[i % assignment.len().max(1)] % shards].record(sample);
-    }
-    let mut merged = Log2Histogram::new();
-    for local in &locals {
-        merged.merge(local);
-    }
-    merged
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Shard-local recording + in-order merge equals single-threaded
-    /// recording, for random streams, partitions, and shard counts.
+    /// Observing a random permutation of a stream through the registry
+    /// snapshots exactly like recording the stream in order.
     #[test]
-    fn sharded_histogram_merge_equals_single_threaded_recording(
+    fn registry_histogram_equals_single_threaded_recording(
         samples in proptest::collection::vec(0u64..1 << 20, 1..200),
-        assignment in proptest::collection::vec(0usize..16, 1..64),
-        shards in 1usize..9,
+        keys in proptest::collection::vec(0usize..1 << 16, 1..64),
     ) {
         let mut single = Log2Histogram::new();
         for &sample in &samples {
             single.record(sample);
         }
-        let merged = sharded_merge(&samples, &assignment, shards);
-        prop_assert_eq!(merged, single);
-        prop_assert_eq!(merged.snapshot(), single.snapshot());
-    }
-
-    /// Merge order is irrelevant: folding B into A equals folding A
-    /// into B, and merging with an empty histogram is the identity.
-    #[test]
-    fn histogram_merge_is_commutative_with_identity(
-        a in proptest::collection::vec(0u64..1 << 30, 0..64),
-        b in proptest::collection::vec(0u64..1 << 30, 0..64),
-    ) {
-        let record = |samples: &[u64]| {
-            let mut h = Log2Histogram::new();
-            for &s in samples {
-                h.record(s);
-            }
-            h
-        };
-        let (ha, hb) = (record(&a), record(&b));
-        let mut ab = ha;
-        ab.merge(&hb);
-        let mut ba = hb;
-        ba.merge(&ha);
-        prop_assert_eq!(ab, ba);
-        let mut with_empty = ha;
-        with_empty.merge(&Log2Histogram::new());
-        prop_assert_eq!(with_empty, ha);
+        let mut permuted: Vec<(usize, u64)> = samples
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (keys[i % keys.len()] ^ i, s))
+            .collect();
+        permuted.sort_unstable();
+        let mut registry = MetricsRegistry::new();
+        for &(_, sample) in &permuted {
+            registry.observe("latency", sample);
+        }
+        let snapshot = registry.snapshot();
+        prop_assert_eq!(&snapshot.histograms["latency"], &single.snapshot());
+        prop_assert_eq!(snapshot.histograms["latency"].to_histogram(), single);
     }
 
     /// The snapshot's non-empty buckets carry their boundaries through
@@ -93,35 +62,5 @@ proptest! {
         let back = Log2HistogramSnapshot::from_content(&value).unwrap();
         prop_assert_eq!(&back, &snapshot);
         prop_assert_eq!(back.to_histogram(), h);
-    }
-
-    /// The full shard-metrics struct reduces faithfully too: counters
-    /// add, histograms merge, across a random shard partition.
-    #[test]
-    fn fleet_metrics_merge_equals_single_threaded_recording(
-        events in proptest::collection::vec((0usize..8, 0u64..10_000), 1..128),
-        shards in 1usize..9,
-    ) {
-        let mut single = FleetMetrics::default();
-        let mut locals = vec![FleetMetrics::default(); shards];
-        for (i, &(kind, value)) in events.iter().enumerate() {
-            for m in [&mut single, &mut locals[i % shards]] {
-                match kind {
-                    0 => m.frames_fast += 1,
-                    1 => m.frames_full += 1,
-                    2 => m.reconfigs += 1,
-                    3 => m.defense_events += 1,
-                    4 => m.violations += 1,
-                    5 | 6 => m.reconfig_latency_cycles.record(value),
-                    _ => m.restricted_frame_bp.record(value),
-                }
-            }
-        }
-        let mut merged = FleetMetrics::default();
-        for local in &locals {
-            merged.merge(local);
-        }
-        prop_assert_eq!(merged, single);
-        prop_assert_eq!(merged.snapshot(), single.snapshot());
     }
 }
