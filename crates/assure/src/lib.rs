@@ -304,7 +304,7 @@ mod stubs {
     /// Stub reset: no counters exist.
     pub fn reset_hits() {}
 
-    /// Stub hit: never fires. Real sites never call this — the [`fp!`]
+    /// Stub hit: never fires. Real sites never call this — the [`fp!`](crate::fp!)
     /// macro compiles to nothing without the consumer's feature — but
     /// generic harness code may.
     pub fn hit(_site: &str) -> Option<FpAction> {

@@ -282,7 +282,7 @@ pub trait ReconfigurableApp: Send {
     /// produce identical traces under identical inputs. Implementations
     /// backed by an external simulated plant (a shared world model) may
     /// share that plant between forks — the checker itself only forks
-    /// [`NullApp`](crate::app::NullApp)-backed systems, which are fully
+    /// [`NullApp`]-backed systems, which are fully
     /// independent.
     fn clone_box(&self) -> Box<dyn ReconfigurableApp>;
 }

@@ -225,9 +225,9 @@ pub struct FleetReport {
     pub restricted_frames: u64,
     /// All property violations, in system-id order.
     pub violations: Vec<FleetViolation>,
-    /// Triage bundles for the first [`MAX_TRIAGE_BUNDLES`] systems whose
-    /// streaming verifier fired (or, absent violations, whose chaos
-    /// defenses fired), in system-id order.
+    /// Triage bundles for the first eight (`MAX_TRIAGE_BUNDLES`) systems
+    /// whose streaming verifier fired (or, absent violations, whose
+    /// chaos defenses fired), in system-id order.
     pub bundles: Vec<TriageBundle>,
     /// Fleet metrics folded from the cells (frame counters, latency and
     /// restricted-ratio histograms, defense/violation counters).

@@ -7,15 +7,15 @@
 //!
 //! # The idea
 //!
-//! Schlichting & Schneider's fault-tolerant actions (see the `arfs-fta`
-//! crate) mask the effects of fail-stop processor failures by restarting
-//! interrupted actions on spare processors. Masking every anticipated
-//! failure requires carrying spare hardware for the worst case. The DSN
-//! 2005 paper observes that a system which can *reconfigure* — move every
-//! application to a (possibly degraded) functional specification chosen
-//! from a statically verified reconfiguration specification — can tolerate
-//! the same faults with far less hardware, and that the reconfiguration
-//! machinery itself can be assured by proof.
+//! Schlichting & Schneider's fault-tolerant actions mask the effects of
+//! fail-stop processor failures by restarting interrupted actions on
+//! spare processors. Masking every anticipated failure requires carrying
+//! spare hardware for the worst case. The DSN 2005 paper observes that a
+//! system which can *reconfigure* — move every application to a
+//! (possibly degraded) functional specification chosen from a statically
+//! verified reconfiguration specification — can tolerate the same faults
+//! with far less hardware, and that the reconfiguration machinery itself
+//! can be assured by proof.
 //!
 //! # What is here
 //!

@@ -2,7 +2,7 @@
 //! specifications and assembled systems.
 //!
 //! The paper's assurance argument is *static*: PVS "automatically
-//! generate[s] all of the proof obligations required to verify that a
+//! generate\[s\] all of the proof obligations required to verify that a
 //! system instance is compliant with the desired properties" (§6.4). This
 //! module is the executable analogue, generalized from the original flat
 //! obligation list into a pass framework:

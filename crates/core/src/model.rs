@@ -40,7 +40,7 @@
 //!
 //! [`ModelChecker::with_por`] layers two further reductions on top of
 //! no-op elision, both justified by the static
-//! [`IndependenceCertificate`](crate::lint::IndependenceCertificate)
+//! [`IndependenceCertificate`]
 //! (see [`crate::lint::independence`]):
 //!
 //! - **Choice-equivalence merging** — the kernel consumes the

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use arfs_failstop::{PoolEvent, ProcessorId};
-use arfs_rtos::{HealthEvent, HealthKind, Ticks};
+use arfs_rtos::Ticks;
 use arfs_ttbus::MembershipChange;
 use serde_json::{json, Value};
 
@@ -382,13 +382,12 @@ impl Event<'_> {
                 consumed,
                 budget,
             } => {
-                // The executive's health-monitor view of the overrun
-                // (the paper's "timing monitor" trigger source).
-                let health = HealthEvent {
-                    frame,
-                    partition: app.to_string(),
-                    kind: HealthKind::DeadlineMiss { consumed, budget },
-                };
+                // The health monitor's view of the overrun (the paper's
+                // "failure of software to meet its timing constraints"
+                // trigger source).
+                let detail = format!(
+                    "frame {frame}: partition `{app}` missed its deadline ({consumed} > {budget})"
+                );
                 (
                     S::Rtos,
                     kind::DEADLINE_MISS,
@@ -396,7 +395,7 @@ impl Event<'_> {
                         "app": app.to_string(),
                         "consumed": consumed.raw(),
                         "budget": budget.raw(),
-                        "detail": health.to_string(),
+                        "detail": detail,
                     }),
                 )
             }

@@ -11,7 +11,7 @@
 //! metrics snapshot — into a [`TriageBundle`] on the report, and
 //! `arfs-trace fleet triage` renders it with the same causal-marker
 //! timeline the model checker's counterexamples use
-//! ([`CausalLink`](super::counterexample::CausalLink), PR 4).
+//! ([`CausalLink`], PR 4).
 
 use super::counterexample::CausalLink;
 use super::event::CAUSAL_KINDS;

@@ -18,10 +18,13 @@
 //! - the **trace recorder**, producing the [`SysTrace`] the property
 //!   checkers consume.
 //!
-//! Each call to [`System::run_frame`] executes one synchronous real-time
-//! frame: environment sampling, SCRAM decision, signal delivery through
+//! `System` is the frame-synchronous executive of §6.1. Each call to
+//! [`System::run_frame`] executes one synchronous real-time frame:
+//! environment sampling, SCRAM decision, signal delivery through
 //! stable-storage variables and the bus, one unit of work per
-//! application, frame-end stable-storage commits, and trace recording.
+//! application in a fixed window order and within its budget (an overrun
+//! is a `deadline-miss` health event), frame-end stable-storage commits,
+//! and trace recording.
 //!
 //! # Processor-status environment factors
 //!
@@ -330,6 +333,35 @@ impl AppSlot {
 /// The position of application `id` in id-ordered `slots`.
 fn slot_index(slots: &[AppSlot], id: &AppId) -> Option<usize> {
     slots.binary_search_by(|s| s.id.cmp(id)).ok()
+}
+
+/// Reports one application stage: its error, if it failed, then the
+/// §6.1 budget rule — a stage that consumed more than a non-zero budget
+/// missed its deadline. Both frame paths call it; it adds no allocation
+/// of its own.
+#[inline]
+fn report_stage(
+    obs: &mut Recorder,
+    frame: u64,
+    app: &AppId,
+    stage: &str,
+    result: &Result<(), String>,
+    consumed: Ticks,
+    budget: Ticks,
+) {
+    if let Err(error) = result {
+        obs.emit(frame, &Event::StageError { app, stage, error });
+    }
+    if budget > Ticks::ZERO && consumed > budget {
+        obs.emit(
+            frame,
+            &Event::DeadlineMiss {
+                app,
+                consumed,
+                budget,
+            },
+        );
+    }
 }
 
 /// The running system; see the [module documentation](self).
@@ -656,7 +688,7 @@ impl System {
     /// accumulated. Bounded live state (clock, queues, pending inputs,
     /// chaos ledger, environment) is cloned; the boxed applications and
     /// monitors are duplicated through the explicit
-    /// [`ForkSnapshot`](crate::snapshot::ForkSnapshot) protocol.
+    /// [`ForkSnapshot`] protocol.
     pub fn fork(&mut self) -> System {
         System {
             spec: Arc::clone(&self.spec),
@@ -762,8 +794,9 @@ impl System {
     }
 
     /// Advances one frame, taking the allocation-free steady-state fast
-    /// path when it is provably equivalent to [`run_frame`]
-    /// (`System::run_frame`). Returns `true` when the fast path ran.
+    /// path when it is provably equivalent to
+    /// [`run_frame`](System::run_frame). Returns `true` when the fast
+    /// path ran.
     ///
     /// The fast path is sound only when nothing the full frame does
     /// could change observable state: observability and trace recording
@@ -833,26 +866,15 @@ impl System {
                 stable.commit();
                 (result, consumed)
             });
-            if let Err(error) = &result {
-                self.obs.emit(
-                    frame,
-                    &Event::StageError {
-                        app: &slot.id,
-                        stage: "normal",
-                        error,
-                    },
-                );
-            }
-            if slot.budget > Ticks::ZERO && consumed > slot.budget {
-                self.obs.emit(
-                    frame,
-                    &Event::DeadlineMiss {
-                        app: &slot.id,
-                        consumed,
-                        budget: slot.budget,
-                    },
-                );
-            }
+            report_stage(
+                &mut self.obs,
+                frame,
+                &slot.id,
+                "normal",
+                &result,
+                consumed,
+                slot.budget,
+            );
         }
         self.clock.advance_frame();
     }
@@ -1141,26 +1163,15 @@ impl System {
             // before the deadline check sees them.
             let consumed = consumed + jitter;
 
-            if let Err(error) = &result {
-                self.obs.emit(
-                    frame,
-                    &Event::StageError {
-                        app: &slot.id,
-                        stage,
-                        error,
-                    },
-                );
-            }
-            if budget > Ticks::ZERO && consumed > budget {
-                self.obs.emit(
-                    frame,
-                    &Event::DeadlineMiss {
-                        app: &slot.id,
-                        consumed,
-                        budget,
-                    },
-                );
-            }
+            report_stage(
+                &mut self.obs,
+                frame,
+                &slot.id,
+                stage,
+                &result,
+                consumed,
+                budget,
+            );
 
             // Predicate evidence for the trace (Table 1's Predicate
             // column).

@@ -4,7 +4,7 @@
 //! The model checker explores *every* schedule up to a small bound; the
 //! workload generator complements it with *long* random schedules that a
 //! bounded exhaustive search cannot reach. Every generated
-//! [`Scenario`](crate::scenario::Scenario) is fully determined by its
+//! [`Scenario`] is fully determined by its
 //! seed, so a failing soak case is a one-line reproduction.
 
 use rand::rngs::StdRng;

@@ -487,6 +487,53 @@ mod tests {
     }
 
     #[test]
+    fn repeated_spare_failures_walk_the_pool_then_exhaust() {
+        use crate::{FaultPlan, Program};
+
+        let mut pool = ProcessorPool::with_processors(4);
+        pool.assign("job", ProcessorId::new(0)).unwrap();
+        // Every processor fails on its first instruction.
+        for raw in 0..4 {
+            pool.processor_mut(ProcessorId::new(raw))
+                .unwrap()
+                .set_fault_plan(FaultPlan::at_instructions([1]));
+        }
+        let mut program = Program::new("job");
+        program.push("work", |ctx| {
+            ctx.stable.stage_bool("done", true);
+            Ok(())
+        });
+        let mut hosts = vec![pool.assignment("job").unwrap()];
+        let mut exhausted = None;
+        // Bounded: a pool of four has at most three spares to offer.
+        for _ in 0..pool.len() {
+            let host = *hosts.last().unwrap();
+            let run = pool.processor_mut(host).unwrap().try_run(&program);
+            assert_eq!(run, Err(FailStopError::Halted(host)));
+            pool.fail(host).unwrap();
+            match pool.restart_on_spare("job") {
+                Ok(spare) => hosts.push(spare),
+                Err(e) => {
+                    exhausted = Some(e);
+                    break;
+                }
+            }
+        }
+        assert_eq!(exhausted, Some(FailStopError::NoSpare));
+        assert_eq!(hosts, (0..4).map(ProcessorId::new).collect::<Vec<_>>());
+        // All four processors burned; the task is stranded on the last.
+        assert_eq!(pool.failed_ids().len(), 4);
+        assert_eq!(pool.assignment("job"), Some(ProcessorId::new(3)));
+        assert_eq!(
+            pool.events().last(),
+            Some(&PoolEvent::RestartExhausted {
+                task: "job".into(),
+                from: ProcessorId::new(3),
+            })
+        );
+    }
+
+    #[test]
     fn stable_state_survives_failure_and_is_pollable() {
         use crate::processor::Program;
         let mut pool = ProcessorPool::with_processors(1);

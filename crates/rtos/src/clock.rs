@@ -202,6 +202,23 @@ mod tests {
         assert_eq!(c.ticks_to_frames(Ticks::new(101)), 2);
     }
 
+    /// `ticks_to_frames` is the ceiling inverse of `frames_to_ticks`,
+    /// swept over a grid of frame lengths and frame counts.
+    #[test]
+    fn clock_conversions_are_consistent() {
+        for frame_len in [1, 2, 3, 7, 64, 100, 499] {
+            let clock = VirtualClock::new(Ticks::new(frame_len));
+            for frames in (0..40).chain([500, 999]) {
+                let ticks = clock.frames_to_ticks(frames);
+                assert_eq!(clock.ticks_to_frames(ticks), frames);
+                if frames > 0 {
+                    // One tick more needs one more frame.
+                    assert_eq!(clock.ticks_to_frames(ticks + Ticks::new(1)), frames + 1);
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "frame length must be positive")]
     fn zero_frame_length_panics() {

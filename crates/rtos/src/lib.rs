@@ -1,4 +1,4 @@
-//! A frame-synchronous real-time executive (ARINC 653-style).
+//! Virtual time for frame-synchronous systems.
 //!
 //! The formal model of *Strunk, Knight & Aiello (DSN 2005)* assumes (§6.1):
 //!
@@ -9,124 +9,27 @@
 //! - each application completes one unit of work per frame and commits
 //!   results to stable storage at the end of each frame.
 //!
-//! This crate provides the executive that realizes those assumptions: a
-//! [`VirtualClock`] measuring time in [`Ticks`] and frames, a static
-//! [`FrameSchedule`] of partition time windows (in the spirit of ARINC
-//! 653 partitioning), and an [`Executive`] that runs [`Partition`]s each
-//! frame, enforces their budgets, and reports [`HealthEvent`]s —
-//! deadline misses being one of the reconfiguration trigger sources the
-//! paper lists ("the failure of software to meet its timing
-//! constraints").
+//! This crate provides the time base those assumptions need: durations
+//! in [`Ticks`] and one [`VirtualClock`] that counts fixed-length frames
+//! every application observes together. The frame-synchronous executive
+//! itself — window order, per-application budgets, deadline-miss health
+//! events and the frame-end commit — is `arfs_core::system::System`.
 //!
 //! # Example
 //!
 //! ```
-//! use arfs_rtos::{Executive, FrameContext, FrameSchedule, Partition, Ticks, WorkReport};
+//! use arfs_rtos::{Ticks, VirtualClock};
 //!
-//! struct Blinker(u64);
-//! impl Partition for Blinker {
-//!     fn name(&self) -> &str {
-//!         "blinker"
-//!     }
-//!     fn run_frame(&mut self, _ctx: &FrameContext) -> WorkReport {
-//!         self.0 += 1;
-//!         WorkReport::ok(Ticks::new(10))
-//!     }
-//! }
-//!
-//! let schedule = FrameSchedule::builder(Ticks::new(100))
-//!     .window("blinker", Ticks::new(20))
-//!     .build()?;
-//! let mut exec = Executive::new(schedule);
-//! exec.add_partition(Box::new(Blinker(0)))?;
-//! let report = exec.run_frame();
-//! assert_eq!(report.frame, 0);
-//! assert!(report.health.is_empty());
-//! # Ok::<(), arfs_rtos::RtosError>(())
+//! let mut clock = VirtualClock::new(Ticks::new(100));
+//! assert_eq!(clock.advance_frame(), 1);
+//! assert_eq!(clock.now(), Ticks::new(100));
+//! // A 250-tick bound needs three whole frames.
+//! assert_eq!(clock.ticks_to_frames(Ticks::new(250)), 3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod clock;
-mod executive;
-mod schedule;
 
 pub use clock::{Ticks, VirtualClock};
-pub use executive::{
-    Executive, FrameContext, FrameReport, HealthEvent, HealthKind, Partition, WorkReport,
-};
-pub use schedule::{FrameSchedule, FrameScheduleBuilder, MajorSchedule, Window};
-
-use std::error::Error;
-use std::fmt;
-
-/// Errors arising from executive configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RtosError {
-    /// The sum of window budgets exceeds the frame length.
-    Overcommitted {
-        /// Sum of all window budgets.
-        total_budget: Ticks,
-        /// Frame length.
-        frame_len: Ticks,
-    },
-    /// A partition was added that no schedule window names.
-    UnknownPartition(String),
-    /// Two windows (or two partitions) share a name.
-    DuplicatePartition(String),
-    /// The schedule has no windows.
-    EmptySchedule,
-    /// Minor frames of a major schedule disagree on the frame length.
-    MixedFrameLength {
-        /// Frame length of the first minor.
-        expected: Ticks,
-        /// The disagreeing length.
-        found: Ticks,
-    },
-}
-
-impl fmt::Display for RtosError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RtosError::Overcommitted {
-                total_budget,
-                frame_len,
-            } => write!(
-                f,
-                "window budgets total {total_budget} but the frame is only {frame_len}"
-            ),
-            RtosError::UnknownPartition(name) => {
-                write!(f, "partition `{name}` has no matching schedule window")
-            }
-            RtosError::DuplicatePartition(name) => {
-                write!(f, "duplicate partition or window name `{name}`")
-            }
-            RtosError::EmptySchedule => write!(f, "frame schedule has no windows"),
-            RtosError::MixedFrameLength { expected, found } => write!(
-                f,
-                "minor frames disagree on frame length ({expected} vs {found}); all applications share one frame length"
-            ),
-        }
-    }
-}
-
-impl Error for RtosError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn error_messages() {
-        let e = RtosError::Overcommitted {
-            total_budget: Ticks::new(120),
-            frame_len: Ticks::new(100),
-        };
-        assert!(e.to_string().contains("120"));
-        assert!(RtosError::UnknownPartition("x".into())
-            .to_string()
-            .contains("`x`"));
-        assert!(RtosError::EmptySchedule.to_string().contains("no windows"));
-    }
-}

@@ -266,8 +266,9 @@ impl TtBus {
     }
 
     /// Number of membership transitions recorded so far — the cursor
-    /// position for [`membership_changes_from`]
-    /// (TtBus::membership_changes_from) tailers.
+    /// position for
+    /// [`membership_changes_from`](TtBus::membership_changes_from)
+    /// tailers.
     pub fn membership_len(&self) -> usize {
         self.membership_log.len()
     }

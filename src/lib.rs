@@ -10,9 +10,7 @@
 //! - [`failstop`] ([`arfs_failstop`]) — simulated fail-stop processors
 //!   with volatile and stable storage;
 //! - [`ttbus`] ([`arfs_ttbus`]) — the time-triggered data bus;
-//! - [`rtos`] ([`arfs_rtos`]) — the frame-synchronous executive;
-//! - [`fta`] ([`arfs_fta`]) — Schlichting & Schneider fault-tolerant
-//!   actions, including the paper's reconfiguration recovery protocol;
+//! - [`rtos`] ([`arfs_rtos`]) — virtual time: ticks and the frame clock;
 //! - [`avionics`] ([`arfs_avionics`]) — the §7 example instantiation.
 //!
 //! See the `examples/` directory for runnable walkthroughs and
@@ -42,6 +40,5 @@
 pub use arfs_avionics as avionics;
 pub use arfs_core as core;
 pub use arfs_failstop as failstop;
-pub use arfs_fta as fta;
 pub use arfs_rtos as rtos;
 pub use arfs_ttbus as ttbus;

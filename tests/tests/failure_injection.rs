@@ -6,7 +6,6 @@
 use arfs_core::prelude::*;
 use arfs_core::properties;
 use arfs_failstop::{FaultPlan, PairOutcome, Program, SelfCheckingPair};
-use arfs_fta::{Fta, FtaExecutor, FtaOutcome};
 
 fn proc_spec() -> ReconfigSpec {
     ReconfigSpec::builder()
@@ -110,33 +109,6 @@ fn self_checking_pair_masks_value_faults_as_fail_stop() {
     assert!(matches!(outcome, PairOutcome::Divergence(_)), "{outcome:?}");
     // Fail-stop semantics held: the corrupt instruction left no trace.
     assert_eq!(pair.stable().get_u64("x"), Some(10));
-}
-
-#[test]
-fn fta_survives_repeated_spare_failures_then_reports_exhaustion() {
-    let mut pool = arfs_failstop::ProcessorPool::with_processors(4);
-    pool.assign("job", arfs_failstop::ProcessorId::new(0))
-        .unwrap();
-    // Every processor fails on its first instruction.
-    for i in 0..4 {
-        pool.processor_mut(arfs_failstop::ProcessorId::new(i))
-            .unwrap()
-            .set_fault_plan(FaultPlan::at_instructions([1]));
-    }
-    let mut program = Program::new("job");
-    program.push("work", |ctx| {
-        ctx.stable.stage_bool("done", true);
-        Ok(())
-    });
-    let fta = Fta::new("job", program);
-    let mut exec = FtaExecutor::new();
-    let outcome = exec.execute(&mut pool, "job", &fta);
-    assert!(
-        matches!(outcome, FtaOutcome::Unrecoverable { ref reason } if reason.contains("no spare")),
-        "{outcome:?}"
-    );
-    // All four processors burned.
-    assert_eq!(pool.failed_ids().len(), 4);
 }
 
 #[derive(Clone)]

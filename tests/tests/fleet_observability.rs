@@ -1,7 +1,8 @@
 //! The fleet observability plane, end to end: the binary journal codec
 //! against its JSON-Lines interchange form on a golden fixture, triage
-//! bundles for forced violations, and the byte-identity of merged
-//! shard-local metrics across thread counts.
+//! bundles for forced violations, and the byte-identity of the fleet
+//! metrics (folded from the cells at aggregation) across shard and
+//! thread counts.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -141,8 +142,9 @@ fn forced_violation_yields_a_bundle_covering_the_violation_window() {
     assert_eq!(&back, bundle);
 }
 
-/// Merged shard-local metrics are part of the serialized report, so
-/// this pins them byte-identical across shard and thread counts.
+/// The fleet metrics, folded from the cells in system-id order at
+/// aggregation, are part of the serialized report, so this pins them
+/// byte-identical across shard and thread counts.
 #[test]
 fn merged_metrics_are_byte_identical_across_thread_counts() {
     let run = |shards: usize, threads: usize| {
