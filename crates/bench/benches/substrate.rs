@@ -1,9 +1,9 @@
-//! Microbenchmarks of the platform substrates: stable storage, the
-//! time-triggered bus, and fail-stop program execution.
+//! Microbenchmarks of the platform substrates: stable storage and the
+//! time-triggered bus.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use arfs_failstop::{Processor, ProcessorId, ProcessorPool, Program, StableStorage};
+use arfs_failstop::StableStorage;
 use arfs_ttbus::{BusSchedule, Message, NodeId, TtBus};
 
 fn bench_stable_commit(c: &mut Criterion) {
@@ -49,36 +49,5 @@ fn bench_bus_round(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_processor(c: &mut Criterion) {
-    let mut group = c.benchmark_group("failstop");
-    group.bench_function("run_4_instruction_program", |b| {
-        let mut cpu = Processor::new(ProcessorId::new(0));
-        let mut program = Program::new("bench");
-        for i in 0..4 {
-            let key = format!("k{i}");
-            program.push(format!("step{i}"), move |ctx| {
-                let v = ctx.stable.get_u64(&key).unwrap_or(0);
-                ctx.stable.stage_u64(key.clone(), v + 1);
-                Ok(())
-            });
-        }
-        b.iter(|| black_box(cpu.run(&program)));
-    });
-    group.bench_function("pool_restart_on_spare", |b| {
-        b.iter(|| {
-            let mut pool = ProcessorPool::with_processors(3);
-            pool.assign("task", ProcessorId::new(0)).unwrap();
-            pool.fail(ProcessorId::new(0)).unwrap();
-            black_box(pool.restart_on_spare("task").unwrap())
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_stable_commit,
-    bench_bus_round,
-    bench_processor
-);
+criterion_group!(benches, bench_stable_commit, bench_bus_round);
 criterion_main!(benches);

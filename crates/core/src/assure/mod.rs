@@ -543,7 +543,6 @@ pub(crate) mod tests {
             "failstop.stable.stage",
             "failstop.stable.commit",
             "failstop.pool.fail",
-            "failstop.pool.restart",
             "ttbus.bus.deliver",
             "ttbus.bus.drain",
             "rtos.clock.advance",

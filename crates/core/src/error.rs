@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use arfs_failstop::ProcessorId;
+
 use crate::{AppId, ConfigId, SpecId};
 
 /// Errors detected while building or validating a reconfiguration
@@ -161,8 +163,8 @@ pub enum SystemError {
     UnregisteredApp(AppId),
     /// An environment update was rejected.
     Env(SpecError),
-    /// The underlying executive rejected the configuration.
-    Rtos(String),
+    /// A processor failure named a processor the platform does not have.
+    UnknownProcessor(ProcessorId),
     /// The bus rejected a message or schedule.
     Bus(String),
 }
@@ -177,7 +179,9 @@ impl fmt::Display for SystemError {
                 write!(f, "application `{a}` was declared but never registered")
             }
             SystemError::Env(e) => write!(f, "environment update rejected: {e}"),
-            SystemError::Rtos(e) => write!(f, "executive error: {e}"),
+            SystemError::UnknownProcessor(p) => {
+                write!(f, "processor {p} is not part of the platform")
+            }
             SystemError::Bus(e) => write!(f, "bus error: {e}"),
         }
     }

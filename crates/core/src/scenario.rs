@@ -141,7 +141,9 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns [`SystemError::Env`] if an event names an unknown factor
-    /// or value for the system's specification.
+    /// or value for the system's specification, and
+    /// [`SystemError::UnknownProcessor`] if it fails a processor the
+    /// platform does not have.
     pub fn run(&self, system: &mut System) -> Result<(), SystemError> {
         let start = system.frame();
         let mut events: Vec<&ScenarioEvent> = self.events.iter().collect();
@@ -157,7 +159,12 @@ impl Scenario {
                     ScenarioAction::SetEnv { factor, value } => {
                         system.set_env(factor, value)?;
                     }
-                    ScenarioAction::FailProcessor(id) => system.fail_processor(*id),
+                    ScenarioAction::FailProcessor(id) => {
+                        if !system.pool().contains(*id) {
+                            return Err(SystemError::UnknownProcessor(*id));
+                        }
+                        system.fail_processor(*id);
+                    }
                 }
             }
             system.run_frame();
@@ -275,6 +282,46 @@ mod tests {
     fn invalid_event_surfaces_an_error() {
         let scenario = Scenario::new("bogus", 5).set_env(1, "power", "purple");
         assert!(scenario.run_on_spec(&spec()).is_err());
+    }
+
+    #[test]
+    fn failing_a_processor_outside_the_platform_is_an_error() {
+        // The same shape as `spec()`, with the safe configuration on a
+        // second processor: the platform is P0 and P1.
+        let spec = ReconfigSpec::builder()
+            .frame_len(Ticks::new(100))
+            .env_factor("power", ["good", "bad"])
+            .app(
+                AppDecl::new("a")
+                    .spec(FunctionalSpec::new("f"))
+                    .spec(FunctionalSpec::new("d")),
+            )
+            .config(
+                Configuration::new("full")
+                    .assign("a", "f")
+                    .place("a", ProcessorId::new(0)),
+            )
+            .config(
+                Configuration::new("safe")
+                    .assign("a", "d")
+                    .place("a", ProcessorId::new(1))
+                    .safe(),
+            )
+            .transition("full", "safe", Ticks::new(800))
+            .transition("safe", "full", Ticks::new(800))
+            .choose_when("power", "bad", "safe")
+            .choose_when("power", "good", "full")
+            .initial_config("full")
+            .initial_env([("power", "good")])
+            .build()
+            .unwrap();
+        let on_platform = Scenario::new("p1", 6).fail_processor(2, ProcessorId::new(1));
+        assert!(on_platform.run_on_spec(&spec).is_ok());
+        let off_platform = Scenario::new("p9", 6).fail_processor(2, ProcessorId::new(9));
+        assert_eq!(
+            off_platform.run_on_spec(&spec).err(),
+            Some(SystemError::UnknownProcessor(ProcessorId::new(9)))
+        );
     }
 
     #[test]

@@ -33,6 +33,25 @@
 //! named `processor-<n>` (domain `{"up", "down"}`): when the bus
 //! membership service observes processor `n` silent, the factor flips to
 //! `"down"` without any manual [`System::set_env`] call.
+//!
+//! # Fail-stop axioms
+//!
+//! A processor failure ([`System::fail_processor`], or a chaos
+//! quarantine) takes effect at the start of a frame and is permanent.
+//! An application whose placement in the frame's configuration is a
+//! failed processor is *lost* for that frame (the trace marks it), and
+//! `System` keeps the two fail-stop axioms for it:
+//!
+//! 1. It stages and commits nothing of its own: none of its stages runs,
+//!    so it emits no stage or status report, and its region takes no
+//!    frame-end commit. The SCRAM's signal pass is the one exception: it
+//!    writes the SCRAM-owned `configuration_status` and `target_spec`
+//!    keys into every region, lost ones included (§6.2).
+//! 2. Its committed stable state is kept unchanged while it is lost, and
+//!    it is the state the application resumes from once a configuration
+//!    places it on a live processor. The application object itself is
+//!    kept too; since none of its stages runs, its in-memory fields stay
+//!    as they were at its last committed frame.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -218,7 +237,7 @@ impl SystemBuilder {
         let assembly = Assembly::derive(&spec)?;
         let mut pool = ProcessorPool::new();
         for &p in &assembly.platform {
-            pool.add(arfs_failstop::Processor::new(p));
+            pool.add(p);
         }
         let mut bus = TtBus::new(assembly.bus);
         bus.enable_log();

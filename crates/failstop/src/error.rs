@@ -5,25 +5,11 @@ use std::fmt;
 
 use crate::ProcessorId;
 
-/// Errors arising from operations on a fail-stop processor.
+/// Errors arising from operations on the fail-stop substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailStopError {
-    /// The processor has already failed; fail-stop semantics forbid any
-    /// further execution on it.
-    Halted(ProcessorId),
-    /// No spare processor is available to restart a computation.
-    NoSpare,
     /// The requested processor does not exist in the pool.
     UnknownProcessor(ProcessorId),
-    /// A program step reported an application-level failure.
-    StepFailed {
-        /// Name of the program whose step failed.
-        program: String,
-        /// Name of the failing step.
-        step: String,
-        /// Human-readable reason.
-        reason: String,
-    },
     /// A storage operation failed.
     Storage(StorageError),
 }
@@ -31,14 +17,7 @@ pub enum FailStopError {
 impl fmt::Display for FailStopError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FailStopError::Halted(p) => write!(f, "processor {p} has halted (fail-stop)"),
-            FailStopError::NoSpare => write!(f, "no spare processor available"),
             FailStopError::UnknownProcessor(p) => write!(f, "unknown processor {p}"),
-            FailStopError::StepFailed {
-                program,
-                step,
-                reason,
-            } => write!(f, "step `{step}` of program `{program}` failed: {reason}"),
             FailStopError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }
@@ -90,14 +69,8 @@ mod tests {
 
     #[test]
     fn display_messages_are_lowercase_and_informative() {
-        let e = FailStopError::Halted(ProcessorId::new(2));
-        assert_eq!(e.to_string(), "processor P2 has halted (fail-stop)");
-        let e = FailStopError::StepFailed {
-            program: "p".into(),
-            step: "s".into(),
-            reason: "boom".into(),
-        };
-        assert!(e.to_string().contains("boom"));
+        let e = FailStopError::UnknownProcessor(ProcessorId::new(2));
+        assert_eq!(e.to_string(), "unknown processor P2");
         let e = FailStopError::from(StorageError::TransactionClosed);
         assert!(e.to_string().contains("transaction"));
     }

@@ -1,52 +1,54 @@
-//! Simulated fail-stop processors with volatile and stable storage.
+//! The fail-stop substrate: stable storage and processor status.
 //!
 //! This crate is the hardware substrate for the ARFS workspace, a
 //! reproduction of *Strunk, Knight & Aiello, "Assured Reconfiguration of
-//! Fail-Stop Systems" (DSN 2005)*. It implements the processor model of
-//! Schlichting & Schneider ("Fail-stop processors: an approach to designing
-//! fault-tolerant computing systems", ACM TOCS 1983) that the paper builds
-//! on:
+//! Fail-Stop Systems" (DSN 2005)*. The paper builds on the fail-stop
+//! processors of Schlichting & Schneider ("Fail-stop processors: an
+//! approach to designing fault-tolerant computing systems", ACM TOCS
+//! 1983), which obey two axioms:
 //!
-//! - A [`Processor`] consists of one or more processing units, volatile
-//!   storage, and stable storage.
-//! - A fail-stop failure halts the processor **at the end of the last
-//!   instruction that completed successfully**; no erroneous writes are
-//!   ever visible.
-//! - On failure, the contents of [`VolatileStorage`] are lost, but the
-//!   contents of [`StableStorage`] are preserved and remain readable by
-//!   other processors (other processors "poll its stable storage to find
-//!   out what state it was in when it failed").
+//! - a failed processor halts and writes nothing more, and its volatile
+//!   state is lost;
+//! - its [`StableStorage`] is kept: committed state survives the
+//!   failure and stays readable by other processors, while writes staged
+//!   but not yet committed are discarded.
 //!
-//! The crate also provides:
+//! The crate provides what the running system is built on:
 //!
-//! - [`SelfCheckingPair`], the classic realization of a fail-stop
-//!   processor from two less-dependable lanes that execute duplicated
-//!   computations and halt on divergence;
-//! - [`FaultPlan`] / fault injection, so higher layers can script
-//!   processor failures deterministically or randomly;
-//! - [`ProcessorPool`], spare management and restart-on-another-processor
-//!   as required by fault-tolerant actions.
+//! - [`StableStorage`] with atomic commits, shared as
+//!   [`SharedStableStorage`] and read through immutable
+//!   [`StableSnapshot`]s;
+//! - [`ProcessorPool`], the platform's processors and whether each has
+//!   failed, with an audit log of [`PoolEvent`]s;
+//! - [`CowLog`], the append-only log whose sealed history forks share.
+//!
+//! The executive in `arfs-core` enforces the axioms for the applications
+//! it runs: an application whose processor has failed runs no stage, so
+//! it stages and commits nothing, and its committed region is what it
+//! resumes from.
 //!
 //! # Example
 //!
 //! ```
-//! use arfs_failstop::{Processor, ProcessorId, Program, StepOutcome};
+//! use arfs_failstop::{ProcessorId, ProcessorPool, SharedStableStorage};
 //!
-//! let mut cpu = Processor::new(ProcessorId::new(0));
-//! let mut program = Program::new("increment");
-//! program.push("load", |ctx| {
-//!     let v = ctx.stable.get_u64("counter").unwrap_or(0);
-//!     ctx.volatile.set_u64("tmp", v + 1);
-//!     Ok(())
+//! let p0 = ProcessorId::new(0);
+//! let mut pool = ProcessorPool::new();
+//! pool.add(p0);
+//! let region = SharedStableStorage::new();
+//! region.write(|s| {
+//!     s.stage_u64("counter", 1);
+//!     s.commit();
 //! });
-//! program.push("store", |ctx| {
-//!     let v = ctx.volatile.get_u64("tmp").expect("tmp set by load");
-//!     ctx.stable.stage_u64("counter", v);
-//!     Ok(())
-//! });
-//! let outcome = cpu.run(&mut program);
-//! assert_eq!(outcome, StepOutcome::Completed);
-//! assert_eq!(cpu.stable().get_u64("counter"), Some(1));
+//!
+//! // The processor fails with a write staged but not committed.
+//! region.write(|s| s.stage_u64("counter", 2));
+//! pool.fail(p0).unwrap();
+//! assert!(!pool.is_alive(p0));
+//! region.write(|s| s.discard());
+//!
+//! // The committed state is what survives.
+//! assert_eq!(region.snapshot().get_u64("counter"), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,25 +56,17 @@
 
 pub mod cow;
 mod error;
-mod fault;
-mod pair;
 mod pool;
-mod processor;
 mod stable;
-mod volatile;
 
 pub use cow::CowLog;
 pub use error::{FailStopError, StorageError};
-pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use pair::{LaneDivergence, PairOutcome, SelfCheckingPair};
 pub use pool::{PoolEvent, ProcessorPool};
-pub use processor::{ExecContext, Processor, ProcessorStatus, Program, StepOutcome};
 pub use stable::{SharedStableStorage, StableSnapshot, StableStorage, StableValue, Version};
-pub use volatile::VolatileStorage;
 
 use std::fmt;
 
-/// Identifier of a (simulated) fail-stop processor.
+/// Identifier of a fail-stop processor.
 ///
 /// `ProcessorId`s are dense small integers assigned by the platform
 /// configuration; the static application-to-processor mapping in the
@@ -123,10 +117,8 @@ mod tests {
     #[test]
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Processor>();
         assert_send_sync::<StableStorage>();
-        assert_send_sync::<VolatileStorage>();
+        assert_send_sync::<SharedStableStorage>();
         assert_send_sync::<ProcessorPool>();
-        assert_send_sync::<FaultPlan>();
     }
 }

@@ -1,87 +1,10 @@
-//! Property-based tests of fail-stop semantics: concurrency safety of
-//! shared stable storage and determinism of failure behavior.
+//! Tests of shared stable storage: concurrency safety, batch atomicity
+//! under concurrent reads, and the tagged-value API.
 
 use std::sync::Arc;
 use std::thread;
 
-use arfs_failstop::{
-    FaultPlan, PairOutcome, Processor, ProcessorId, Program, SelfCheckingPair, SharedStableStorage,
-    StableValue,
-};
-use proptest::prelude::*;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Identical processors with identical programs and fault plans
-    /// behave identically — fail-stop failures are deterministic, which
-    /// is what makes failure scenarios reproducible experiments.
-    #[test]
-    fn processor_behavior_is_deterministic(
-        fail_at in proptest::collection::btree_set(1u64..20, 0..3),
-        runs in 1usize..5,
-    ) {
-        let make = || {
-            let mut cpu = Processor::new(ProcessorId::new(0));
-            cpu.set_fault_plan(FaultPlan::at_instructions(fail_at.iter().copied()));
-            cpu
-        };
-        let mut program = Program::new("walk");
-        for i in 0..4u64 {
-            program.push(format!("s{i}"), move |ctx| {
-                let v = ctx.stable.get_u64("acc").unwrap_or(0);
-                ctx.stable.stage_u64("acc", v + i + 1);
-                Ok(())
-            });
-        }
-        let mut a = make();
-        let mut b = make();
-        for _ in 0..runs {
-            prop_assert_eq!(a.run(&program), b.run(&program));
-        }
-        prop_assert_eq!(a.stable().get_u64("acc"), b.stable().get_u64("acc"));
-        prop_assert_eq!(a.status(), b.status());
-        prop_assert_eq!(a.instructions_executed(), b.instructions_executed());
-    }
-
-    /// A self-checking pair given the same corruption plan halts at the
-    /// same instruction with the same visible state as its twin.
-    #[test]
-    fn pair_divergence_is_deterministic(corrupt_at in 1u64..10) {
-        let make = || {
-            let mut pair = SelfCheckingPair::new(ProcessorId::new(0));
-            let mut plan = FaultPlan::none();
-            plan.add_lane_corruption(corrupt_at);
-            pair.set_fault_plan(plan);
-            pair
-        };
-        let mut program = Program::new("tick");
-        program.push("inc", |ctx| {
-            let v = ctx.stable.get_u64("n").unwrap_or(0);
-            ctx.stable.stage_u64("n", v + 1);
-            Ok(())
-        });
-        let mut a = make();
-        let mut b = make();
-        for _ in 0..12 {
-            let ra = a.run(&program);
-            let rb = b.run(&program);
-            prop_assert_eq!(&ra, &rb);
-            if matches!(ra, PairOutcome::Divergence(_)) {
-                break;
-            }
-        }
-        prop_assert_eq!(a.is_halted(), b.is_halted());
-        prop_assert_eq!(a.stable().get_u64("n"), b.stable().get_u64("n"));
-        // The corrupted instruction never left a trace: exactly the
-        // instructions before it committed (none at all if it was the
-        // first).
-        if a.is_halted() {
-            let expected = if corrupt_at == 1 { None } else { Some(corrupt_at - 1) };
-            prop_assert_eq!(a.stable().get_u64("n"), expected);
-        }
-    }
-}
+use arfs_failstop::{SharedStableStorage, StableValue};
 
 /// Concurrent writers through `SharedStableStorage` never lose or tear a
 /// committed batch: with per-writer key spaces, every committed value is

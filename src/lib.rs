@@ -7,8 +7,8 @@
 //! - [`core`] ([`arfs_core`]) — the paper's contribution: the SCRAM
 //!   kernel, reconfiguration specifications, the SP1–SP4 property
 //!   checkers, static obligation analysis, and the bounded model checker;
-//! - [`failstop`] ([`arfs_failstop`]) — simulated fail-stop processors
-//!   with volatile and stable storage;
+//! - [`failstop`] ([`arfs_failstop`]) — the fail-stop substrate: stable
+//!   storage and processor status;
 //! - [`ttbus`] ([`arfs_ttbus`]) — the time-triggered data bus;
 //! - [`rtos`] ([`arfs_rtos`]) — virtual time: ticks and the frame clock;
 //! - [`avionics`] ([`arfs_avionics`]) — the §7 example instantiation.

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use arfs_failstop::{FaultPlan, Processor, ProcessorId, Program, StableStorage, StepOutcome};
+use arfs_failstop::StableStorage;
 use proptest::prelude::*;
 
 /// An abstract stable-storage operation.
@@ -87,95 +87,5 @@ proptest! {
                 prop_assert_eq!(snapshot.get_u64(k), Some(*v));
             }
         }
-    }
-
-    /// A fail-stop failure at ANY instruction leaves the stable state
-    /// equal to some commit-boundary prefix of the program — never a
-    /// partial batch.
-    #[test]
-    fn failure_lands_on_a_commit_boundary(fail_at in 1u64..=7) {
-        // Program: three batches of two staged writes, committing after
-        // each batch. Batch i writes (a=i, b=i).
-        let mut program = Program::new("batched");
-        for batch in 1u64..=3 {
-            program.push(format!("stage-a{batch}"), move |ctx| {
-                ctx.stable.stage_u64("a", batch);
-                Ok(())
-            });
-            program.push(format!("stage-b-commit{batch}"), move |ctx| {
-                ctx.stable.stage_u64("b", batch);
-                ctx.stable.commit();
-                Ok(())
-            });
-        }
-        let mut cpu = Processor::new(ProcessorId::new(0));
-        cpu.set_fault_plan(FaultPlan::at_instructions([fail_at]));
-        let outcome = cpu.run(&program);
-        if fail_at <= 6 {
-            let failed = matches!(outcome, StepOutcome::FailStop { .. });
-            prop_assert!(failed);
-        } else {
-            prop_assert_eq!(outcome, StepOutcome::Completed);
-        }
-        let snap = cpu.stable();
-        let a = snap.get_u64("a");
-        let b = snap.get_u64("b");
-        // Atomicity: a and b always agree (whole batches only).
-        prop_assert_eq!(a, b, "partial batch visible: a={:?} b={:?}", a, b);
-        // And the visible batch is exactly the last committed one.
-        let completed_batches = (fail_at - 1) / 2;
-        let expected = if completed_batches == 0 { None } else { Some(completed_batches.min(3)) };
-        prop_assert_eq!(a, expected);
-    }
-
-    /// Replaying a program on a spare from the failed processor's stable
-    /// snapshot always converges to the same final state as an
-    /// uninterrupted run (the S&S recovery argument).
-    #[test]
-    fn restart_from_stable_state_is_idempotent(fail_at in 1u64..=4) {
-        fn idempotent_program() -> Program {
-            // Idempotent: recompute from committed state, then commit.
-            let mut p = Program::new("sum");
-            p.push("compute", |ctx| {
-                let total = ctx.stable.get_u64("total").unwrap_or(0);
-                ctx.volatile.set_u64("next", total + 10);
-                Ok(())
-            });
-            p.push("store", |ctx| {
-                let v = ctx.volatile.get_u64("next").ok_or("lost")?;
-                ctx.stable.stage_u64("total", v);
-                Ok(())
-            });
-            p
-        }
-
-        // Reference: run twice with no failures.
-        let mut reference = Processor::new(ProcessorId::new(9));
-        reference.run(&idempotent_program());
-        reference.run(&idempotent_program());
-        let expected = reference.stable().get_u64("total");
-
-        // Faulty run: failure somewhere in the two runs, then recovery on
-        // a spare that imports the stable snapshot and reruns from the
-        // interrupted action.
-        let mut cpu = Processor::new(ProcessorId::new(0));
-        cpu.set_fault_plan(FaultPlan::at_instructions([fail_at]));
-        let mut completed_runs = 0;
-        for _ in 0..2 {
-            if cpu.run(&idempotent_program()) == StepOutcome::Completed {
-                completed_runs += 1;
-            } else {
-                break;
-            }
-        }
-        let mut spare = Processor::with_stable(ProcessorId::new(1), {
-            let handle = arfs_failstop::SharedStableStorage::new();
-            handle.write(|s| s.import_snapshot(&cpu.stable()));
-            handle
-        });
-        for _ in completed_runs..2 {
-            prop_assert_eq!(spare.run(&idempotent_program()), StepOutcome::Completed);
-        }
-        prop_assert_eq!(spare.stable().get_u64("total"), expected);
     }
 }
