@@ -389,15 +389,16 @@ where
     }
 }
 
-/// The live environment: current state plus a frame-stamped history.
+/// The live environment: a model and its current state.
 ///
-/// The history is the `env : valid_env_trace` component of the PVS
-/// `sys_trace` type; property SP2 quantifies over it.
+/// It keeps no history. The `env : valid_env_trace` component of the PVS
+/// `sys_trace` type is the per-frame `env` that every recorded
+/// [`SysState`](crate::trace::SysState) carries; property SP2 reads it
+/// there.
 #[derive(Debug, Clone)]
 pub struct Environment {
     model: EnvModel,
     current: EnvState,
-    history: Vec<(u64, EnvState)>,
 }
 
 impl Environment {
@@ -411,7 +412,6 @@ impl Environment {
         model.validate(&initial)?;
         Ok(Environment {
             model,
-            history: vec![(0, initial.clone())],
             current: initial,
         })
     }
@@ -426,15 +426,15 @@ impl Environment {
         &self.current
     }
 
-    /// Applies a change to one factor at the given frame, returning
-    /// `true` if the value actually changed (a redundant sample returns
-    /// `false` and leaves the history untouched).
+    /// Applies a change to one factor, returning `true` if the value
+    /// actually changed (a redundant sample returns `false` and leaves
+    /// the state untouched).
     ///
     /// # Errors
     ///
     /// Returns a [`SpecError`] if the factor is unknown or the value is
     /// outside its domain.
-    pub fn set(&mut self, frame: u64, factor: &str, value: &str) -> Result<bool, SpecError> {
+    pub fn set(&mut self, factor: &str, value: &str) -> Result<bool, SpecError> {
         let f = self
             .model
             .factor(factor)
@@ -447,29 +447,10 @@ impl Environment {
         }
         if self.current.get(factor) != Some(value) {
             self.current.set(factor, value);
-            self.history.push((frame, self.current.clone()));
             Ok(true)
         } else {
             Ok(false)
         }
-    }
-
-    /// The state in effect at the given frame.
-    pub fn at_frame(&self, frame: u64) -> &EnvState {
-        let mut state = &self.history[0].1;
-        for (f, s) in &self.history {
-            if *f <= frame {
-                state = s;
-            } else {
-                break;
-            }
-        }
-        state
-    }
-
-    /// The frame-stamped change history, oldest first.
-    pub fn history(&self) -> &[(u64, EnvState)] {
-        &self.history
     }
 }
 
@@ -572,26 +553,13 @@ mod tests {
     }
 
     #[test]
-    fn environment_tracks_history_by_frame() {
+    fn redundant_set_reports_no_change() {
         let initial = EnvState::new([("electrical", "both"), ("weather", "clear")]);
-        let mut env = Environment::new(power_model(), initial).unwrap();
-        env.set(5, "electrical", "one").unwrap();
-        env.set(9, "electrical", "battery").unwrap();
-        assert_eq!(env.at_frame(0).get("electrical"), Some("both"));
-        assert_eq!(env.at_frame(4).get("electrical"), Some("both"));
-        assert_eq!(env.at_frame(5).get("electrical"), Some("one"));
-        assert_eq!(env.at_frame(8).get("electrical"), Some("one"));
-        assert_eq!(env.at_frame(100).get("electrical"), Some("battery"));
-        assert_eq!(env.history().len(), 3);
-        assert_eq!(env.current().get("electrical"), Some("battery"));
-    }
-
-    #[test]
-    fn redundant_set_does_not_grow_history() {
-        let initial = EnvState::new([("electrical", "both"), ("weather", "clear")]);
-        let mut env = Environment::new(power_model(), initial).unwrap();
-        env.set(3, "electrical", "both").unwrap();
-        assert_eq!(env.history().len(), 1);
+        let mut env = Environment::new(power_model(), initial.clone()).unwrap();
+        assert_eq!(env.set("electrical", "both"), Ok(false));
+        assert_eq!(env.current(), &initial);
+        assert_eq!(env.set("electrical", "one"), Ok(true));
+        assert_eq!(env.current().get("electrical"), Some("one"));
     }
 
     #[test]
@@ -599,11 +567,11 @@ mod tests {
         let initial = EnvState::new([("electrical", "both"), ("weather", "clear")]);
         let mut env = Environment::new(power_model(), initial).unwrap();
         assert!(matches!(
-            env.set(1, "fuel", "low"),
+            env.set("fuel", "low"),
             Err(SpecError::UnknownEnvFactor(_))
         ));
         assert!(matches!(
-            env.set(1, "weather", "hail"),
+            env.set("weather", "hail"),
             Err(SpecError::InvalidEnvValue { .. })
         ));
     }

@@ -31,7 +31,7 @@
 //! - **No-op elision** — an event that sets a factor to the value it
 //!   already holds at that point in the prefix leaves the environment,
 //!   and therefore the trace, untouched ([`Environment::set`] returns
-//!   `Ok(false)` and records nothing), so the subtree under it explores
+//!   `Ok(false)` and changes nothing), so the subtree under it explores
 //!   traces identical to ones reached without the event. Those subtrees
 //!   are skipped — a sound symmetry reduction — and counted in
 //!   [`ModelCheckReport::cases_elided`].

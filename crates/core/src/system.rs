@@ -695,19 +695,18 @@ impl System {
     /// bounded model checker share the simulation of common schedule
     /// prefixes instead of replaying every schedule from frame 0.
     ///
-    /// Independence does **not** mean deep copies. Every append-only
-    /// history — the trace, the bus delivery and membership logs, the
-    /// pool audit log — is a
-    /// [`CowLog`](arfs_failstop::CowLog) whose sealed past is shared
-    /// behind `Arc`s (which is
-    /// why forking takes `&mut self`: the open tails are sealed into
-    /// shared segments), and stable-storage regions share their
-    /// committed store copy-on-write. The cost of a fork is therefore
-    /// O(components + prior forks), independent of how much history has
-    /// accumulated. Bounded live state (clock, queues, pending inputs,
-    /// chaos ledger, environment) is cloned; the boxed applications and
-    /// monitors are duplicated through the explicit
-    /// [`ForkSnapshot`] protocol.
+    /// Independence does **not** mean deep copies. Every log — the
+    /// trace, the bus delivery log (what the audit log and unread
+    /// inboxes still hold), the bus membership log, the pool audit log —
+    /// is a [`CowLog`](arfs_failstop::CowLog) whose sealed past is
+    /// shared behind `Arc`s (which is why forking takes `&mut self`: the
+    /// open tails are sealed into shared segments), and stable-storage
+    /// regions share their committed store copy-on-write. The cost of a
+    /// fork is therefore O(components + prior forks), independent of
+    /// how much history has accumulated. Bounded live state (clock,
+    /// queues, pending inputs, chaos ledger, the environment's current
+    /// state) is cloned; the boxed applications and monitors are
+    /// duplicated through the explicit [`ForkSnapshot`] protocol.
     pub fn fork(&mut self) -> System {
         System {
             spec: Arc::clone(&self.spec),
@@ -779,19 +778,27 @@ impl System {
         }
     }
 
-    /// Enables or disables trace recording.
+    /// Enables or disables trace recording, and the bus audit log with
+    /// it.
     ///
     /// With recording off, executed frames do not append [`SysState`]s to
     /// the trace; the most recent full frame's state is kept in
-    /// [`last_state`](System::last_state) instead. Fleet-scale callers
-    /// turn this off so memory stays flat over millions of frames and
-    /// run their property checks on a streaming window.
+    /// [`last_state`](System::last_state) instead. The bus audit log is
+    /// off too ([`TtBus::log`] is empty), so the bus releases each
+    /// round's deliveries once every node has read them. Fleet-scale
+    /// callers turn this off so memory stays flat over millions of
+    /// frames and run their property checks on a streaming window.
     ///
     /// Must be configured before the first frame runs and left alone
     /// thereafter: the trace requires contiguous frames from 0, so
     /// re-enabling recording mid-run would corrupt it.
     pub fn set_trace_recording(&mut self, enabled: bool) {
         self.trace_recording = enabled;
+        if enabled {
+            self.bus.enable_log();
+        } else {
+            self.bus.disable_log();
+        }
     }
 
     /// Whether executed frames are appended to the trace.
@@ -1015,7 +1022,7 @@ impl System {
         // --- Pending environment changes take effect (the monitor's
         // sample for this frame). ---
         for (factor, value) in self.pending_env.drain(..) {
-            if self.environment.set(frame, &factor, &value) == Ok(true) {
+            if self.environment.set(&factor, &value) == Ok(true) {
                 let (factor, value) = (factor.as_str(), value.as_str());
                 self.obs.emit(frame, &Event::EnvChanged { factor, value });
                 // Fault signal: environment monitor -> SCRAM over the bus.
@@ -1287,6 +1294,11 @@ impl System {
 
         // --- One bus round per frame. ---
         let round = self.bus.run_round();
+        // The nodes act on their signals within the frame (the SCRAM
+        // and the applications read the environment and stable storage
+        // directly), so every inbox is read once the round is done.
+        // Unless the audit log holds them, the deliveries are released.
+        self.bus.mark_all_read();
 
         if self.obs.enabled {
             // Tail the substrate audit logs into the journal. The

@@ -10,7 +10,10 @@
 //! * [`CowLog`] — an append-only log whose history is held in sealed,
 //!   immutable, `Arc`-shared segments. Forking seals the open tail and
 //!   shares every segment; both sides keep appending into private
-//!   tails, so no copy of existing entries ever happens.
+//!   tails, so no copy of existing entries ever happens. A reader that
+//!   no longer needs old entries releases them with
+//!   [`CowLog::release_before`]; indices stay logical, so cursors held
+//!   across a release stay valid.
 //!
 //! The companion copy-on-write *map* state (stable-storage regions)
 //! lives in [`crate::stable::SharedStableStorage`], which shares the
@@ -31,13 +34,19 @@ use std::sync::Arc;
 /// `clone()` (as opposed to `fork`) shares the sealed segments but
 /// deep-copies the open tail; it exists so containing types can keep
 /// deriving `Clone`, and is exactly as independent as a fork.
+///
+/// [`CowLog::release_before`] drops a prefix this handle no longer
+/// needs. Indices are logical: [`len`](CowLog::len) still counts every
+/// entry ever appended, and iteration and [`get`](CowLog::get) see only
+/// the retained ones.
 #[derive(Debug, Clone)]
 pub struct CowLog<T> {
     /// Sealed, immutable history segments, oldest first, paired with
-    /// the index of their first entry.
+    /// the logical index of their first entry.
     segments: Vec<(usize, Arc<Vec<T>>)>,
-    /// Total entries across all sealed segments.
-    sealed_len: usize,
+    /// Logical index of the open tail's first entry: every entry ever
+    /// sealed or released before it.
+    tail_start: usize,
     /// The open tail only this handle appends to.
     tail: Vec<T>,
 }
@@ -46,7 +55,7 @@ impl<T> Default for CowLog<T> {
     fn default() -> Self {
         CowLog {
             segments: Vec::new(),
-            sealed_len: 0,
+            tail_start: 0,
             tail: Vec::new(),
         }
     }
@@ -68,24 +77,28 @@ impl<T> CowLog<T> {
         self.tail.extend(iter);
     }
 
-    /// Total number of entries (sealed + tail).
+    /// Total number of entries ever appended, released ones included:
+    /// the logical index the next entry will take.
     pub fn len(&self) -> usize {
-        self.sealed_len + self.tail.len()
+        self.tail_start + self.tail.len()
     }
 
-    /// Returns `true` if the log holds no entries.
+    /// Returns `true` if no entry was ever appended.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Returns the entry at `index`, if present.
+    /// Returns the entry at `index`, if present and not released.
     pub fn get(&self, index: usize) -> Option<&T> {
-        if index >= self.sealed_len {
-            return self.tail.get(index - self.sealed_len);
+        if index >= self.tail_start {
+            return self.tail.get(index - self.tail_start);
         }
         // Binary search over segment start offsets: `partition_point`
         // finds the first segment starting *after* the index.
-        let seg = self.segments.partition_point(|(start, _)| *start <= index) - 1;
+        let seg = self
+            .segments
+            .partition_point(|(start, _)| *start <= index)
+            .checked_sub(1)?;
         let (start, segment) = &self.segments[seg];
         segment.get(index - start)
     }
@@ -97,7 +110,7 @@ impl<T> CowLog<T> {
             .or_else(|| self.segments.last().and_then(|(_, segment)| segment.last()))
     }
 
-    /// Iterates every entry, oldest first.
+    /// Iterates every retained entry, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.segments
             .iter()
@@ -107,7 +120,8 @@ impl<T> CowLog<T> {
 
     /// Iterates entries starting at index `start` (the cursor-tailing
     /// access pattern: "everything since I last looked"). Segments
-    /// wholly before the cursor are skipped without being scanned.
+    /// wholly before the cursor are skipped without being scanned; a
+    /// cursor below a release starts at the first retained entry.
     pub fn iter_from(&self, start: usize) -> impl Iterator<Item = &T> {
         let first = self
             .segments
@@ -126,8 +140,25 @@ impl<T> CowLog<T> {
                 };
                 segment[skip..].iter()
             });
-        let tail_skip = start.saturating_sub(self.sealed_len);
+        let tail_skip = start.saturating_sub(self.tail_start);
         sealed.chain(self.tail.iter().skip(tail_skip))
+    }
+
+    /// Releases every entry below logical index `index` that this
+    /// handle can free without copying: sealed segments that end at or
+    /// before `index` are dropped, and so is the tail's prefix below
+    /// it. A segment straddling `index` is kept whole. Indices stay
+    /// logical, so [`len`](CowLog::len) and cursors held by readers are
+    /// unchanged. A fork taken earlier keeps its own history through
+    /// its `Arc`s. Releasing twice, or past `len`, is safe.
+    pub fn release_before(&mut self, index: usize) {
+        let dropped = self
+            .segments
+            .partition_point(|(start, segment)| start + segment.len() <= index);
+        self.segments.drain(..dropped);
+        let in_tail = index.saturating_sub(self.tail_start).min(self.tail.len());
+        self.tail.drain(..in_tail);
+        self.tail_start += in_tail;
     }
 
     /// Forks the log: seals the open tail into a shared immutable
@@ -137,7 +168,7 @@ impl<T> CowLog<T> {
         self.seal();
         CowLog {
             segments: self.segments.clone(),
-            sealed_len: self.sealed_len,
+            tail_start: self.tail_start,
             tail: Vec::new(),
         }
     }
@@ -149,20 +180,21 @@ impl<T> CowLog<T> {
         }
         let segment = Arc::new(std::mem::take(&mut self.tail));
         let sealed = segment.len();
-        self.segments.push((self.sealed_len, segment));
-        self.sealed_len += sealed;
+        self.segments.push((self.tail_start, segment));
+        self.tail_start += sealed;
     }
 }
 
 impl<T: Clone> CowLog<T> {
-    /// Collects every entry into a fresh contiguous vector.
+    /// Collects every retained entry into a fresh contiguous vector.
     pub fn to_vec(&self) -> Vec<T> {
         self.iter().cloned().collect()
     }
 }
 
-/// Serializes as a plain sequence, exactly like `Vec<T>`, so a type
-/// that swaps a `Vec` field for a `CowLog` keeps its wire format.
+/// Serializes the retained entries as a plain sequence, exactly like
+/// `Vec<T>`, so a type that swaps a `Vec` field for a `CowLog` keeps its
+/// wire format.
 impl<T: serde::Serialize> serde::Serialize for CowLog<T> {
     fn to_content(&self) -> serde::Content {
         serde::Content::Seq(self.iter().map(serde::Serialize::to_content).collect())
@@ -173,7 +205,7 @@ impl<T: serde::Deserialize> serde::Deserialize for CowLog<T> {
     fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
         Vec::<T>::from_content(content).map(|tail| CowLog {
             segments: Vec::new(),
-            sealed_len: 0,
+            tail_start: 0,
             tail,
         })
     }
@@ -191,7 +223,7 @@ impl<T> FromIterator<T> for CowLog<T> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         CowLog {
             segments: Vec::new(),
-            sealed_len: 0,
+            tail_start: 0,
             tail: iter.into_iter().collect(),
         }
     }
@@ -293,6 +325,74 @@ mod tests {
         assert_eq!(a, b); // ...same contents
         let c: CowLog<u32> = (0..6).collect();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn release_keeps_len_and_cursors() {
+        let mut log = CowLog::new();
+        log.extend(0..3);
+        let _ = log.fork();
+        log.extend(3..6);
+        let _ = log.fork();
+        log.extend(6..8);
+        let cursor = 7;
+        log.release_before(4);
+        assert_eq!(log.len(), 8);
+        // The straddling segment [3, 6) is kept whole; [0, 3) is gone.
+        assert_eq!(log.to_vec(), (3..8).collect::<Vec<u32>>());
+        assert_eq!(log.get(2), None);
+        assert_eq!(log.get(3), Some(&3));
+        assert_eq!(log.get(7), Some(&7));
+        assert_eq!(log.iter_from(cursor).copied().collect::<Vec<_>>(), vec![7]);
+        log.push(8);
+        assert_eq!(log.get(8), Some(&8));
+        assert_eq!(log.len(), 9);
+    }
+
+    #[test]
+    fn iter_from_below_the_cut_starts_at_the_cut() {
+        let mut log: CowLog<u32> = (0..6).collect();
+        log.release_before(4);
+        assert_eq!(log.len(), 6);
+        for cursor in 0..=4 {
+            assert_eq!(
+                log.iter_from(cursor).copied().collect::<Vec<_>>(),
+                vec![4, 5],
+                "cursor {cursor}"
+            );
+        }
+        assert_eq!(log.iter_from(5).copied().collect::<Vec<_>>(), vec![5]);
+    }
+
+    #[test]
+    fn fork_taken_before_release_keeps_its_history() {
+        let mut parent: CowLog<u32> = (0..4).collect();
+        let child = parent.fork();
+        parent.push(4);
+        let segment = Arc::clone(&parent.segments[0].1);
+        parent.release_before(parent.len());
+        assert!(parent.segments.is_empty());
+        assert_eq!(parent.iter().count(), 0);
+        assert_eq!(parent.len(), 5);
+        assert_eq!(child.to_vec(), vec![0, 1, 2, 3]);
+        // The child still shares the sealed segment by pointer.
+        assert!(Arc::ptr_eq(&child.segments[0].1, &segment));
+    }
+
+    #[test]
+    fn release_twice_or_past_len_is_safe() {
+        let mut log: CowLog<u32> = (0..3).collect();
+        log.release_before(2);
+        log.release_before(2);
+        log.release_before(1);
+        assert_eq!(log.to_vec(), vec![2]);
+        log.release_before(100);
+        assert_eq!(log.len(), 3);
+        assert!(log.iter().next().is_none());
+        assert_eq!(log.last(), None);
+        log.push(3);
+        assert_eq!(log.get(3), Some(&3));
+        assert_eq!(log.to_vec(), vec![3]);
     }
 
     #[test]

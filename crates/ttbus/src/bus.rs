@@ -105,19 +105,27 @@ pub struct RoundReport {
 /// one [`run_round`](TtBus::run_round) to one real-time frame. The bus
 /// holds no shared mutable state, so a [`fork`](TtBus::fork) diverges
 /// independently: outboxes, inboxes, membership observations, and logs
-/// are all private to each side. The (append-only) transmission and
-/// membership logs are [`CowLog`]s, so forking shares their history by
-/// pointer instead of copying it.
+/// are all private to each side. The transmission and membership logs
+/// are [`CowLog`]s, so forking shares their history by pointer instead
+/// of copying it.
+///
+/// The bus keeps a delivery only while some reader can still see it:
+/// a node whose inbox cursor has not passed it, or the audit log while
+/// it is enabled. Deliveries behind the slowest reader are released,
+/// so a bus whose nodes keep reading and whose audit log is off holds
+/// memory bounded by one round's traffic, whatever the round count.
 #[derive(Debug, Clone)]
 pub struct TtBus {
     schedule: BusSchedule,
     round: u64,
     outboxes: BTreeMap<NodeId, VecDeque<Message>>,
-    /// Every delivery ever made, in order, stored exactly once. Each
-    /// node's logical inbox is the suffix of this log past its drain
-    /// cursor — the broadcast medium delivers every transmission to
-    /// every node, so per-node copies would multiply both memory and
-    /// fork cost by the node count.
+    /// The deliveries some reader can still see, in order, each stored
+    /// once. Each node's logical inbox is the suffix of this log past
+    /// its drain cursor — the broadcast medium delivers every
+    /// transmission to every node, so per-node copies would multiply
+    /// both memory and fork cost by the node count. Entries behind the
+    /// slowest reader are released; a delivery keeps its logical index
+    /// after that, so cursors stay valid.
     delivered: CowLog<Delivery>,
     /// Per-node drain positions into `delivered`.
     inbox_cursors: BTreeMap<NodeId, usize>,
@@ -215,6 +223,14 @@ impl TtBus {
         if self.log_from.is_none() {
             self.log_from = Some(self.delivered.len());
         }
+    }
+
+    /// Disables the transmission audit log and forgets what it held:
+    /// [`log`](TtBus::log) is empty afterwards, and deliveries every
+    /// node has already read are released.
+    pub fn disable_log(&mut self) {
+        self.log_from = None;
+        self.release_read();
     }
 
     /// Forks the bus mid-round-sequence: the fork carries the same
@@ -440,7 +456,34 @@ impl TtBus {
         };
         let start = *cursor;
         *cursor = self.delivered.len();
-        self.delivered.iter_from(start).cloned().collect()
+        let inbox = self.delivered.iter_from(start).cloned().collect();
+        self.release_read();
+        inbox
+    }
+
+    /// Marks every node's inbox read without returning it, for a host
+    /// whose nodes read their signals elsewhere. Allocates nothing; the
+    /// deliveries become releasable unless the audit log still holds
+    /// them.
+    pub fn mark_all_read(&mut self) {
+        let end = self.delivered.len();
+        for cursor in self.inbox_cursors.values_mut() {
+            *cursor = end;
+        }
+        self.release_read();
+    }
+
+    /// Releases every delivery behind the slowest reader: the minimum
+    /// of the inbox cursors and, while the audit log is on, its start.
+    fn release_read(&mut self) {
+        let slowest = self
+            .inbox_cursors
+            .values()
+            .copied()
+            .chain(self.log_from)
+            .min()
+            .unwrap_or(self.delivered.len());
+        self.delivered.release_before(slowest);
     }
 
     /// Peeks at a node's inbox without draining it.
@@ -759,6 +802,44 @@ mod tests {
         // Cursor tailing sees only the post-fork entries.
         let tail: Vec<_> = child.membership_changes_from(2).collect();
         assert!(tail.iter().all(|c| c.round == 1));
+    }
+
+    #[test]
+    fn undrained_reader_keeps_its_inbox_whole() {
+        let mut bus = two_node_bus();
+        for round in 0..4u8 {
+            bus.submit(n(0), Message::new("m", vec![round])).unwrap();
+            bus.run_round();
+            // n(0) reads every round; n(1) never does.
+            assert_eq!(bus.drain_inbox(n(0)).len(), 1);
+        }
+        let inbox = bus.inbox(n(1));
+        let payloads: Vec<u8> = inbox.iter().map(|d| d.message.payload()[0]).collect();
+        assert_eq!(payloads, vec![0, 1, 2, 3]);
+        // Once the slow reader catches up, nothing is left to keep.
+        assert_eq!(bus.drain_inbox(n(1)).len(), 4);
+        assert_eq!(bus.delivered.iter().count(), 0);
+    }
+
+    #[test]
+    fn read_deliveries_are_released_unless_logged() {
+        let mut bus = two_node_bus();
+        bus.enable_log();
+        bus.submit(n(0), Message::new("a", Vec::new())).unwrap();
+        bus.run_round();
+        bus.mark_all_read();
+        assert!(bus.inbox(n(1)).is_empty());
+        // The audit log is a reader too: it keeps what it logged.
+        assert_eq!(bus.log_len(), 1);
+        assert_eq!(bus.delivered.iter().count(), 1);
+        bus.disable_log();
+        assert!(bus.log().is_empty());
+        assert_eq!(bus.delivered.iter().count(), 0);
+        bus.submit(n(0), Message::new("b", Vec::new())).unwrap();
+        bus.run_round();
+        assert_eq!(bus.inbox(n(1))[0].message.topic(), "b");
+        bus.mark_all_read();
+        assert_eq!(bus.delivered.iter().count(), 0);
     }
 
     #[test]
