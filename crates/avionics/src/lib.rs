@@ -69,7 +69,8 @@ pub use electrical::{ElectricalSystem, PowerSource};
 pub use fcs::FlightControl;
 pub use sensors::{SensorReadings, SensorSuite};
 pub use spec::{
-    avionics_spec, known_bad_mutations, negative_control_spec, reach_negative_dead_config_spec,
-    reach_negative_trap_spec, AP_ALT_HOLD, AP_PRIMARY, FCS_DIRECT, FCS_PRIMARY, KNOWN_BAD_HORIZON,
+    avionics_spec, known_bad_mutations, negative_control_spec, quarantine_spec,
+    reach_negative_dead_config_spec, reach_negative_trap_spec, three_level_spec, AP_ALT_HOLD,
+    AP_PRIMARY, FCS_DIRECT, FCS_PRIMARY, KNOWN_BAD_HORIZON,
 };
 pub use system::{AvionicsSystem, SharedWorld, SimWorld};

@@ -193,6 +193,95 @@ pub fn known_bad_mutations() -> Vec<(&'static str, ScramMutation)> {
     ]
 }
 
+/// Three service levels of one application on one processor: `full`,
+/// `mid` and the safe `safe`, chosen by `power` = `good`, `degraded`,
+/// `bad`, with every transition allowed at 600 ticks. The choice
+/// function can point at `mid` while a safe-state fallback lands in
+/// `safe`, which SP2 distinguishes, so a fallback is observable. The
+/// `power` domain is deliberately not in alphabetical order, so an
+/// engine sorting failures by name instead of by enumeration order is
+/// caught. The chaos soak, the DST campaigns and the chaos and
+/// engine-equivalence tests share this spec; the chaos shape uses a
+/// dwell of 1 frame, DST one of 2.
+pub fn three_level_spec(min_dwell_frames: u64) -> ReconfigSpec {
+    let mut b = ReconfigSpec::builder()
+        .frame_len(Ticks::new(100))
+        .env_factor("power", ["good", "degraded", "bad"])
+        .app(
+            AppDecl::new("a")
+                .spec(FunctionalSpec::new("full"))
+                .spec(FunctionalSpec::new("reduced"))
+                .spec(FunctionalSpec::new("minimal")),
+        )
+        .min_dwell_frames(min_dwell_frames);
+    let configs = [("full", "full"), ("mid", "reduced"), ("safe", "minimal")];
+    for (i, (name, spec)) in configs.iter().enumerate() {
+        let mut config = Configuration::new(*name)
+            .assign("a", *spec)
+            .place("a", ProcessorId::new(0));
+        if i == configs.len() - 1 {
+            config = config.safe();
+        }
+        b = b.config(config);
+    }
+    for (from, _) in &configs {
+        for (to, _) in &configs {
+            if from != to {
+                b = b.transition(*from, *to, Ticks::new(600));
+            }
+        }
+    }
+    b.choose_when("power", "good", "full")
+        .choose_when("power", "degraded", "mid")
+        .choose_when("power", "bad", "safe")
+        .initial_config("full")
+        .initial_env([("power", "good")])
+        .build()
+        .expect("three-level spec is structurally valid")
+}
+
+/// Two processors and a `processor-1` status factor: `fcs` on P0 and
+/// `autopilot` on P1 in `full-service`, `fcs` alone in the safe `solo`.
+/// A bus-silence quarantine of P1 flows through membership into the
+/// reconfiguration to `solo`. The chaos soak and the chaos tests share
+/// this spec.
+pub fn quarantine_spec() -> ReconfigSpec {
+    ReconfigSpec::builder()
+        .frame_len(Ticks::new(100))
+        .env_factor("processor-1", ["up", "down"])
+        .app(
+            AppDecl::new("fcs")
+                .spec(FunctionalSpec::new("full"))
+                .spec(FunctionalSpec::new("direct")),
+        )
+        .app(
+            AppDecl::new("autopilot")
+                .spec(FunctionalSpec::new("full"))
+                .spec(FunctionalSpec::new("off2")),
+        )
+        .config(
+            Configuration::new("full-service")
+                .assign("fcs", "full")
+                .assign("autopilot", "full")
+                .place("fcs", ProcessorId::new(0))
+                .place("autopilot", ProcessorId::new(1)),
+        )
+        .config(
+            Configuration::new("solo")
+                .assign("fcs", "direct")
+                .assign("autopilot", "off")
+                .place("fcs", ProcessorId::new(0))
+                .safe(),
+        )
+        .transition("full-service", "solo", Ticks::new(800))
+        .choose_when("processor-1", "down", "solo")
+        .choose_when("processor-1", "up", "full-service")
+        .initial_config("full-service")
+        .initial_env([("processor-1", "up")])
+        .build()
+        .expect("quarantine spec is structurally valid")
+}
+
 fn build_spec(skip_transition: Option<(&str, &str)>) -> Result<ReconfigSpec, SpecError> {
     let frame = Ticks::new(100); // 1 tick = 1 ms; 10 Hz frames.
     let mut b = ReconfigSpec::builder()

@@ -25,15 +25,15 @@
 
 use std::sync::Arc;
 
+use arfs_avionics::{quarantine_spec, three_level_spec};
 use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
 use arfs_core::assure::{InvariantOracle, OracleProfile};
 use arfs_core::chaos::{ChaosDefense, ChaosProfile, FaultKind, FaultPlan};
-use arfs_core::model::{ModelChecker, Schedule};
-use arfs_core::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
+use arfs_core::model::ModelChecker;
+use arfs_core::scenario::Scenario;
 use arfs_core::system::System;
 use arfs_core::AppId;
 use arfs_failstop::ProcessorId;
-use arfs_rtos::Ticks;
 
 /// How much a gated defense metric may grow over its previous recording
 /// before the run fails with exit code 3.
@@ -48,115 +48,6 @@ fn prior_artifact() -> Option<serde_json::Value> {
     serde_json::from_str(&text).ok()
 }
 
-/// Three service levels on one processor: the choice function can
-/// point at "mid" while the safe-state fallback lands in "safe", which
-/// SP2 distinguishes — the shape a fallback needs to be observable.
-fn three_level_spec() -> ReconfigSpec {
-    let mut b = ReconfigSpec::builder()
-        .frame_len(Ticks::new(100))
-        .env_factor("power", ["good", "degraded", "bad"])
-        .app(
-            AppDecl::new("a")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("reduced"))
-                .spec(FunctionalSpec::new("minimal")),
-        )
-        .min_dwell_frames(1);
-    let configs = [("full", "full"), ("mid", "reduced"), ("safe", "minimal")];
-    for (i, (name, spec)) in configs.iter().enumerate() {
-        let mut config = Configuration::new(*name)
-            .assign("a", *spec)
-            .place("a", ProcessorId::new(0));
-        if i == configs.len() - 1 {
-            config = config.safe();
-        }
-        b = b.config(config);
-    }
-    for (from, _) in &configs {
-        for (to, _) in &configs {
-            if from != to {
-                b = b.transition(*from, *to, Ticks::new(600));
-            }
-        }
-    }
-    b.choose_when("power", "good", "full")
-        .choose_when("power", "degraded", "mid")
-        .choose_when("power", "bad", "safe")
-        .initial_config("full")
-        .initial_env([("power", "good")])
-        .build()
-        .expect("three-level spec is structurally valid")
-}
-
-/// Two processors and a `processor-1` status factor: the quarantine's
-/// forced fail-stop flows through membership into a reconfiguration.
-fn quarantine_spec() -> ReconfigSpec {
-    ReconfigSpec::builder()
-        .frame_len(Ticks::new(100))
-        .env_factor("processor-1", ["up", "down"])
-        .app(
-            AppDecl::new("fcs")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("direct")),
-        )
-        .app(
-            AppDecl::new("autopilot")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("off2")),
-        )
-        .config(
-            Configuration::new("full-service")
-                .assign("fcs", "full")
-                .assign("autopilot", "full")
-                .place("fcs", ProcessorId::new(0))
-                .place("autopilot", ProcessorId::new(1)),
-        )
-        .config(
-            Configuration::new("solo")
-                .assign("fcs", "direct")
-                .assign("autopilot", "off")
-                .place("fcs", ProcessorId::new(0))
-                .safe(),
-        )
-        .transition("full-service", "solo", Ticks::new(800))
-        .choose_when("processor-1", "down", "solo")
-        .choose_when("processor-1", "up", "full-service")
-        .initial_config("full-service")
-        .initial_env([("processor-1", "up")])
-        .build()
-        .expect("quarantine spec is structurally valid")
-}
-
-/// Replays one schedule under a plan on a fresh system to the horizon.
-fn replay(
-    spec: &ReconfigSpec,
-    plan: &FaultPlan,
-    defense: ChaosDefense,
-    schedule: &Schedule,
-    horizon: u64,
-    observed: bool,
-) -> System {
-    let mut system = System::builder(spec.clone())
-        .fault_plan(plan.clone())
-        .chaos_defense(defense)
-        .observability(observed)
-        .build()
-        .expect("validated spec builds");
-    let mut events = schedule.0.iter().peekable();
-    for frame in 0..horizon {
-        while let Some((f, factor, value)) = events.peek() {
-            if *f == frame {
-                system.set_env(factor, value).expect("enumerated values");
-                events.next();
-            } else {
-                break;
-            }
-        }
-        system.run_frame();
-    }
-    system
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     banner(if smoke {
@@ -165,7 +56,7 @@ fn main() {
         "Experiment E8: substrate chaos soak"
     });
 
-    let spec = three_level_spec();
+    let spec = three_level_spec(1);
     let horizon = 12u64;
     let seeds = if smoke { 6u64 } else { 30u64 };
     let defense = ChaosDefense::default();
@@ -213,7 +104,13 @@ fn main() {
         let mut max_ratio = 0.0f64;
         let mut oracle_violations = 0usize;
         for schedule in mc.schedule_iter() {
-            let system = replay(&spec, &plan, defense, &schedule, horizon, true);
+            let builder = System::builder(spec.clone())
+                .chaos_defense(defense)
+                .observability(true);
+            let system = mc
+                .case(&schedule)
+                .run_with(builder)
+                .expect("enumerated values are valid");
             retries += system.journal().of_kind("commit-retry").count() as u64;
             fallbacks += system.journal().of_kind("safe-fallback").count() as u64;
             let trace = system.trace();
@@ -272,7 +169,14 @@ fn main() {
             frames: 4,
         },
     );
-    let qsystem = replay(&qspec, &qplan, defense, &Schedule(Vec::new()), 12, true);
+    let qsystem = Scenario::new("quarantine", 12)
+        .with_faults(qplan)
+        .run_with(
+            System::builder(qspec)
+                .chaos_defense(defense)
+                .observability(true),
+        )
+        .expect("validated spec builds");
     let quarantined = qsystem.journal().of_kind("quarantined").count() == 1;
     let landed_solo = qsystem.current_config().to_string() == "solo";
     // Exhaustive profile: the quarantine spec is deliberately one-way

@@ -4,14 +4,15 @@
 //! Every campaign is a pure function of its seed: the stimulus schedule,
 //! the substrate fault plan ([`FaultPlan::random`]), and the failpoint
 //! plan ([`FailpointPlan::random`] over [`arfs_core::assure::dst_menu`])
-//! are all drawn deterministically, the system replays them frame by
-//! frame, and the unified [`InvariantOracle`] (soak profile: SP1–SP4,
-//! the extension checks, TCC obligations, and the defense-livelock
-//! bound) judges the trace. The menu lists exactly the (site, action)
-//! pairs the defense layer claims to absorb, so **zero violations** is
-//! the pass condition — any violation is jointly shrunk to a 1-minimal
-//! (schedule, fault-plan, failpoint-plan) triple and recorded in the
-//! artifact before the run fails.
+//! are all drawn deterministically into one [`Scenario`], the system
+//! replays it through [`Scenario::run_with`], and the unified
+//! [`InvariantOracle`] (soak profile: SP1–SP4, the extension checks,
+//! TCC obligations, and the defense-livelock bound) judges the trace.
+//! The menu lists exactly the (site, action) pairs the defense layer
+//! claims to absorb, so **zero violations** is the pass condition — any
+//! violation is shrunk by [`Scenario::shrink`] to a 1-minimal case
+//! (stimuli, fault plan, failpoint plan) and recorded in the artifact
+//! before the run fails.
 //!
 //! A second section drives the fleet runtime under an armed
 //! `fleet.journal.append` drop, covering the fleet-layer sites the
@@ -27,15 +28,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use arfs_assure::{FailpointPlan, FpAction};
+use arfs_avionics::three_level_spec;
 use arfs_bench::{banner, verdict, write_json, TextTable};
 use arfs_core::assure::{dst_menu, InvariantOracle, OracleProfile};
 use arfs_core::chaos::{ChaosDefense, ChaosProfile, FaultPlan};
 use arfs_core::fleet::{Fleet, FleetConfig};
-use arfs_core::properties::PropertyViolation;
-use arfs_core::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
-use arfs_core::system::System;
-use arfs_failstop::ProcessorId;
-use arfs_rtos::Ticks;
+use arfs_core::scenario::Scenario;
+use arfs_core::spec::ReconfigSpec;
+use arfs_core::system::{System, SystemBuilder};
 use arfs_ttbus::{BusSchedule, Message, NodeId, TtBus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,46 +58,6 @@ const DST_DEFENSE: ChaosDefense = ChaosDefense {
     quarantine_window_frames: 3,
 };
 
-/// Three service levels on one processor (the chaos-soak shape): the
-/// richest single-app choice structure, cheap enough for hundreds of
-/// seeded replays.
-fn dst_spec() -> ReconfigSpec {
-    let mut b = ReconfigSpec::builder()
-        .frame_len(Ticks::new(100))
-        .env_factor("power", ["good", "degraded", "bad"])
-        .app(
-            AppDecl::new("a")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("reduced"))
-                .spec(FunctionalSpec::new("minimal")),
-        )
-        .min_dwell_frames(2);
-    let configs = [("full", "full"), ("mid", "reduced"), ("safe", "minimal")];
-    for (i, (name, spec)) in configs.iter().enumerate() {
-        let mut config = Configuration::new(*name)
-            .assign("a", *spec)
-            .place("a", ProcessorId::new(0));
-        if i == configs.len() - 1 {
-            config = config.safe();
-        }
-        b = b.config(config);
-    }
-    for (from, _) in &configs {
-        for (to, _) in &configs {
-            if from != to {
-                b = b.transition(*from, *to, Ticks::new(600));
-            }
-        }
-    }
-    b.choose_when("power", "good", "full")
-        .choose_when("power", "degraded", "mid")
-        .choose_when("power", "bad", "safe")
-        .initial_config("full")
-        .initial_env([("power", "good")])
-        .build()
-        .expect("dst spec is structurally valid")
-}
-
 fn mix_seed(master: u64, stream: u64) -> u64 {
     // splitmix-style finalizer: decorrelates the per-purpose streams.
     let mut z = master
@@ -113,126 +73,35 @@ fn mix_seed(master: u64, stream: u64) -> u64 {
 /// completes before the next trigger. The spacing keeps the campaign
 /// inside the defense envelope — deferred-trigger failpoints must not
 /// be able to stack onto dwell suppression.
-fn random_schedule(spec: &ReconfigSpec, seed: u64) -> Vec<(u64, String, String)> {
+fn random_schedule(spec: &ReconfigSpec, seed: u64) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed);
     let factors = spec.env_model().factors();
     let count = rng.gen_range(1..=3usize);
-    let mut events = Vec::new();
+    let mut case = Scenario::new("dst", HORIZON);
     let mut frame = 0u64;
     for _ in 0..count {
-        frame += 4 + rng.gen_range(0..3) as u64 + 8 * (!events.is_empty() as u64);
+        frame += 4 + rng.gen_range(0..3) as u64 + 8 * (!case.events().is_empty() as u64);
         if frame + 8 > HORIZON {
             break;
         }
         let factor = &factors[rng.gen_range(0..factors.len())];
         let domain: Vec<&str> = factor.domain().iter().map(|v| v.as_str()).collect();
         let value = domain[rng.gen_range(0..domain.len())];
-        events.push((frame, factor.name().to_owned(), value.to_owned()));
+        case = case.set_env(frame, factor.name(), value);
     }
-    events
+    case
 }
 
-/// Replays one (schedule, fault-plan, failpoint-plan) triple on a fresh
-/// system and returns the oracle's verdict. The failpoint campaign
-/// guard scopes the armed plan to exactly this run.
-fn run_case(
-    spec: &ReconfigSpec,
-    oracle: &InvariantOracle,
-    schedule: &[(u64, String, String)],
-    faults: &FaultPlan,
-    failpoints: &FailpointPlan,
-    hits: Option<&mut BTreeMap<String, u64>>,
-) -> Vec<PropertyViolation> {
-    let _campaign = arfs_assure::install(failpoints);
-    let mut system = System::builder(spec.clone())
-        .fault_plan(faults.clone())
-        .chaos_defense(DST_DEFENSE)
-        .build()
-        .expect("validated spec builds");
-    let mut events = schedule.iter().peekable();
-    for frame in 0..HORIZON {
-        while let Some((f, factor, value)) = events.peek() {
-            if *f == frame {
-                system.set_env(factor, value).expect("enumerated values");
-                events.next();
-            } else {
-                break;
-            }
-        }
-        system.run_frame();
-    }
-    if let Some(hits) = hits {
-        for (site, count) in arfs_assure::hit_counts() {
-            *hits.entry(site).or_insert(0) += count;
-        }
-    }
-    oracle.check(system.trace())
+/// A builder for one campaign system: the spec under the campaign's
+/// defense knobs.
+fn dst_builder(spec: &ReconfigSpec) -> SystemBuilder {
+    System::builder(spec.clone()).chaos_defense(DST_DEFENSE)
 }
 
-/// Greedy joint shrink to a 1-minimal triple: repeatedly drop single
-/// schedule events, fault events, and failpoint entries — keeping a
-/// removal whenever the violation survives — until no single removal
-/// preserves it.
-fn shrink_triple(
-    spec: &ReconfigSpec,
-    oracle: &InvariantOracle,
-    mut schedule: Vec<(u64, String, String)>,
-    mut faults: FaultPlan,
-    mut failpoints: FailpointPlan,
-) -> (Vec<(u64, String, String)>, FaultPlan, FailpointPlan, usize) {
-    let still_fails = |s: &[(u64, String, String)], f: &FaultPlan, p: &FailpointPlan| {
-        !run_case(spec, oracle, s, f, p, None).is_empty()
-    };
-    let mut steps = 0usize;
-    loop {
-        let mut shrunk = false;
-        let mut i = 0;
-        while i < schedule.len() {
-            let mut candidate = schedule.clone();
-            candidate.remove(i);
-            steps += 1;
-            if still_fails(&candidate, &faults, &failpoints) {
-                schedule = candidate;
-                shrunk = true;
-            } else {
-                i += 1;
-            }
-        }
-        let mut i = 0;
-        while i < faults.0.len() {
-            let mut candidate = faults.clone();
-            candidate.0.remove(i);
-            steps += 1;
-            if still_fails(&schedule, &candidate, &failpoints) {
-                faults = candidate;
-                shrunk = true;
-            } else {
-                i += 1;
-            }
-        }
-        let mut i = 0;
-        while i < failpoints.len() {
-            let candidate = failpoints.without(i);
-            steps += 1;
-            if still_fails(&schedule, &faults, &candidate) {
-                failpoints = candidate;
-                shrunk = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !shrunk {
-            return (schedule, faults, failpoints, steps);
-        }
-    }
-}
-
-fn schedule_string(schedule: &[(u64, String, String)]) -> String {
-    let parts: Vec<String> = schedule
-        .iter()
-        .map(|(f, factor, value)| format!("f{f} set-env {factor}={value}"))
-        .collect();
-    parts.join("; ")
+/// The stimuli as the artifact prints them: one line per event.
+fn schedule_line(case: &Scenario) -> String {
+    let lines: Vec<String> = case.events().iter().map(ToString::to_string).collect();
+    lines.join("; ")
 }
 
 fn main() {
@@ -251,7 +120,7 @@ fn main() {
         return;
     }
 
-    let spec = dst_spec();
+    let spec = three_level_spec(2);
     let seeds: u64 = if smoke { 16 } else { 96 };
     let oracle = InvariantOracle::new(Arc::new(spec.clone()), OracleProfile::Soak);
     let menu_owned = dst_menu();
@@ -272,44 +141,57 @@ fn main() {
         ..ChaosProfile::for_spec(&spec, HORIZON.saturating_sub(6))
     };
     for seed in 1..=seeds {
-        let schedule = random_schedule(&spec, mix_seed(seed, 0));
-        let faults = FaultPlan::random(mix_seed(seed, 1), &chaos_profile);
+        let stimuli = random_schedule(&spec, mix_seed(seed, 0))
+            .with_faults(FaultPlan::random(mix_seed(seed, 1), &chaos_profile));
         let failpoints = FailpointPlan::random(mix_seed(seed, 2), &menu, MAX_FAILPOINTS, HORIZON);
-        let violations = run_case(
-            &spec,
-            &oracle,
-            &schedule,
-            &faults,
-            &failpoints,
-            Some(&mut hits),
-        );
+        let violations = {
+            // The campaign stays armed past the run so its site hits
+            // can be counted.
+            let _campaign = arfs_assure::install(&failpoints);
+            let system = stimuli
+                .run_with(dst_builder(&spec))
+                .expect("generated stimuli are valid");
+            for (site, count) in arfs_assure::hit_counts() {
+                *hits.entry(site).or_insert(0) += count;
+            }
+            oracle.check(system.trace())
+        };
+        let case = stimuli.with_failpoints(failpoints);
         table.row([
             seed.to_string(),
-            schedule.len().to_string(),
-            faults.len().to_string(),
-            failpoints.len().to_string(),
+            case.events().len().to_string(),
+            case.faults().len().to_string(),
+            case.failpoints().len().to_string(),
             violations.len().to_string(),
         ]);
         let summary = serde_json::json!({
             "seed": seed,
-            "schedule": schedule_string(&schedule),
-            "fault_plan": faults.to_string(),
-            "failpoint_plan": failpoints.to_string(),
+            "schedule": schedule_line(&case),
+            "fault_plan": case.faults().to_string(),
+            "failpoint_plan": case.failpoints().to_string(),
             "violations": violations.len(),
         });
         if violations.is_empty() {
             campaigns.push(summary);
         } else {
-            let (min_schedule, min_faults, min_fps, steps) =
-                shrink_triple(&spec, &oracle, schedule, faults, failpoints);
-            let final_violations =
-                run_case(&spec, &oracle, &min_schedule, &min_faults, &min_fps, None);
+            let check = |case: &Scenario| {
+                let system = case
+                    .run_with(dst_builder(&spec))
+                    .expect("generated stimuli are valid");
+                oracle.check(system.trace())
+            };
+            let mut steps = 0usize;
+            let minimized = case.shrink(|_, candidate| {
+                steps += 1;
+                !check(candidate).is_empty()
+            });
+            let final_violations = check(&minimized);
             println!(
                 "seed {seed}: VIOLATION, shrunk in {steps} steps to \
                  schedule [{}] faults [{}] failpoints [{}]: {}",
-                schedule_string(&min_schedule),
-                min_faults,
-                min_fps,
+                schedule_line(&minimized),
+                minimized.faults(),
+                minimized.failpoints(),
                 final_violations
                     .first()
                     .map(|v| v.to_string())
@@ -318,9 +200,9 @@ fn main() {
             campaigns.push(serde_json::json!({
                 "summary": summary,
                 "minimized": {
-                    "schedule": schedule_string(&min_schedule),
-                    "fault_plan": min_faults.to_string(),
-                    "failpoint_plan": min_fps.to_string(),
+                    "schedule": schedule_line(&minimized),
+                    "fault_plan": minimized.faults().to_string(),
+                    "failpoint_plan": minimized.failpoints().to_string(),
                     "shrink_steps": steps,
                     "violations": final_violations
                         .iter()

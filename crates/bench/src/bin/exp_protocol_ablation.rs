@@ -18,6 +18,7 @@
 use arfs_bench::{banner, verdict, write_json, TextTable};
 use arfs_core::model::ModelChecker;
 use arfs_core::properties;
+use arfs_core::scenario::Scenario;
 use arfs_core::scram::{StagePolicy, SyncPolicy};
 use arfs_core::system::System;
 
@@ -110,16 +111,10 @@ fn main() {
     for frame in 1..=16u64 {
         for value in ["both", "one", "battery"] {
             let spec = arfs_avionics::avionics_spec().expect("valid spec");
-            let mut system = System::builder(spec)
-                .stage_policy(StagePolicy::CompressedPrepareInit)
-                .build()
-                .expect("builds");
-            for f in 0..26u64 {
-                if f == frame {
-                    system.set_env("electrical", value).expect("valid");
-                }
-                system.run_frame();
-            }
+            let system = Scenario::new("compressed", 26)
+                .set_env(frame, "electrical", value)
+                .run_with(System::builder(spec).stage_policy(StagePolicy::CompressedPrepareInit))
+                .expect("valid");
             let report = properties::check_all(system.trace(), system.spec());
             cases += 1;
             if !report.is_ok() {

@@ -87,7 +87,7 @@ use crate::obs::{
     FlightRing, JournalBytes, MetricsRegistry, MetricsSnapshot, RingLegend, TriageBundle,
 };
 use crate::properties::{self, Monitors, PropertyViolation};
-use crate::scenario::{ScenarioAction, ScenarioEvent};
+use crate::scenario::{Scenario, ScenarioEvent};
 use crate::scram::ScramMutation;
 use crate::spec::ReconfigSpec;
 use crate::system::System;
@@ -109,6 +109,22 @@ fn mix_seed(master: u64, index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// System `id`'s seed and case, derived from the master seed alone:
+/// the workload's stimuli and, under a chaos profile, a seeded fault
+/// plan. The case's horizon is the workload's; the fleet runs every
+/// system for [`FleetConfig::horizon`] frames.
+fn system_case(spec: &ReconfigSpec, config: &FleetConfig, id: usize) -> (u64, Scenario) {
+    let seed = mix_seed(config.seed, id as u64);
+    let mut case = match &config.workload {
+        Some(wl) => workload::random_scenario(spec, wl, seed),
+        None => Scenario::new("quiet", 1),
+    };
+    if let Some(profile) = &config.chaos {
+        case = case.with_faults(FaultPlan::random(mix_seed(seed, 1), profile));
+    }
+    (seed, case)
 }
 
 /// Configuration of one fleet run.
@@ -384,13 +400,8 @@ impl Cell {
             if event.frame != frame {
                 break;
             }
-            match &event.action {
-                ScenarioAction::SetEnv { factor, value } => {
-                    // The scenario generator only emits declared factors.
-                    let _ = self.system.set_env(factor, value);
-                }
-                ScenarioAction::FailProcessor(p) => self.system.fail_processor(*p),
-            }
+            // The scenario generator only emits declared factors.
+            let _ = event.apply(&mut self.system);
             self.next_event += 1;
         }
 
@@ -427,17 +438,7 @@ impl Cell {
     }
 
     fn schedule_lines(&self) -> Vec<String> {
-        self.events
-            .iter()
-            .map(|e| match &e.action {
-                ScenarioAction::SetEnv { factor, value } => {
-                    format!("f{} set-env {factor}={value}", e.frame)
-                }
-                ScenarioAction::FailProcessor(p) => {
-                    format!("f{} fail-processor {}", e.frame, p.raw())
-                }
-            })
-            .collect()
+        self.events.iter().map(ScenarioEvent::to_string).collect()
     }
 }
 
@@ -487,15 +488,13 @@ impl Fleet {
             .collect();
 
         for id in 0..config.systems {
-            let seed = mix_seed(config.seed, id as u64);
+            let (seed, case) = system_case(&spec, &config, id);
             let sampled = config.journal_sample > 0 && id % config.journal_sample == 0;
 
             let mut builder = System::builder_arc(Arc::clone(&spec))
                 .observability(sampled)
-                .flight_recorder(config.ring_capacity);
-            if let Some(profile) = &config.chaos {
-                builder = builder.fault_plan(FaultPlan::random(mix_seed(seed, 1), profile));
-            }
+                .flight_recorder(config.ring_capacity)
+                .fault_plan(case.faults().clone());
             if let Some((target, mutation)) = &config.mutate_system {
                 if *target == id {
                     builder = builder.mutation(mutation.clone());
@@ -504,14 +503,8 @@ impl Fleet {
             let mut system = builder.build()?;
             system.set_trace_recording(false);
 
-            let events = match &config.workload {
-                Some(wl) => {
-                    let mut events = workload::random_scenario(&spec, wl, seed).events().to_vec();
-                    events.sort_by_key(|e| e.frame);
-                    events
-                }
-                None => Vec::new(),
-            };
+            let mut events = case.events().to_vec();
+            events.sort_by_key(|e| e.frame);
 
             let shard = id * shard_count / config.systems.max(1);
             shards[shard].cells.push(Cell {
@@ -1091,32 +1084,20 @@ mod tests {
         builder: SystemBuilder,
         step: impl Fn(&mut System),
     ) -> System {
-        let seed = mix_seed(config.seed, id as u64);
-        let mut builder = builder;
-        if let Some(profile) = &config.chaos {
-            builder = builder.fault_plan(FaultPlan::random(mix_seed(seed, 1), profile));
-        }
+        let (_, case) = system_case(spec, config, id);
+        let mut builder = builder.fault_plan(case.faults().clone());
         if let Some((target, mutation)) = &config.mutate_system {
             if *target == id {
                 builder = builder.mutation(mutation.clone());
             }
         }
         let mut system = builder.build().unwrap();
-        let workload_config = config.workload.clone().expect("default has workload");
-        let mut events = workload::random_scenario(spec, &workload_config, seed)
-            .events()
-            .to_vec();
+        let mut events = case.events().to_vec();
         events.sort_by_key(|e| e.frame);
-        let mut next = 0;
+        let mut next = events.iter().peekable();
         for frame in 0..config.horizon {
-            while let Some(event) = events.get(next).filter(|e| e.frame == frame) {
-                match &event.action {
-                    ScenarioAction::SetEnv { factor, value } => {
-                        let _ = system.set_env(factor, value);
-                    }
-                    ScenarioAction::FailProcessor(p) => system.fail_processor(*p),
-                }
-                next += 1;
+            while let Some(event) = next.next_if(|e| e.frame == frame) {
+                let _ = event.apply(&mut system);
             }
             step(&mut system);
         }

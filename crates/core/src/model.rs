@@ -81,8 +81,9 @@
 //!
 //! When a run fails, the **counterexample flight recorder** (on by
 //! default, [`ModelChecker::with_flight_recorder`] to disable)
-//! delta-debugs the first failure in canonical order to a 1-minimal
-//! schedule, replays it with observability forced on, and attaches the
+//! shrinks the first failure in canonical order to a 1-minimal case
+//! with [`Scenario::shrink`], the shrinker every harness shares,
+//! replays it with observability forced on, and attaches the
 //! packaged [`Counterexample`] — schedules, shrink lineage, journal,
 //! per-frame verdicts, causal chain — to the report. The artifact is
 //! deterministic: serial and work-stealing runs produce byte-identical
@@ -101,11 +102,12 @@ use std::time::Instant;
 use crate::assure::{InvariantOracle, OracleProfile};
 use crate::chaos::{ChaosDefense, FaultPlan};
 use crate::lint::independence::IndependenceCertificate;
-use crate::obs::counterexample::{Counterexample, ShrinkAction, ShrinkStep};
+use crate::obs::counterexample::{Counterexample, ShrinkStep};
 use crate::obs::{MetricsRegistry, MetricsSnapshot};
 use crate::properties::PropertyViolation;
+use crate::scenario::{Scenario, ScenarioAction};
 use crate::spec::ReconfigSpec;
-use crate::system::System;
+use crate::system::{System, SystemBuilder};
 
 /// One enumerated schedule of environment changes: `(frame, factor,
 /// value)` triples applied in order.
@@ -793,35 +795,30 @@ impl ModelChecker {
             .collect()
     }
 
-    /// Builds one fresh system at frame 0 under the checker's policies.
-    /// `observed` forces the observability layer on (counterexample
-    /// replays); otherwise the checker-level knob decides, defaulting
-    /// to off for the hot exhaustive loop.
-    fn build_system_observed(&self, observed: bool) -> System {
-        self.build_system_with_plan(&self.fault_plan, observed)
-    }
-
-    /// Builds one fresh system under the checker's policies but an
-    /// explicit fault plan — the shrinker's oracle varies the plan
-    /// while everything else stays fixed.
-    fn build_system_with_plan(&self, plan: &FaultPlan, observed: bool) -> System {
+    /// A builder under the checker's policies and no fault plan (a
+    /// case installs its own). `observed` forces the observability
+    /// layer on (counterexample replays); otherwise the checker-level
+    /// knob decides, defaulting to off for the hot exhaustive loop.
+    fn builder(&self, observed: bool) -> SystemBuilder {
         let mut builder = System::builder_arc(Arc::clone(&self.spec))
             .mid_policy(self.mid_policy)
             .sync_policy(self.sync_policy)
             .stage_policy(self.stage_policy)
-            .fault_plan(plan.clone())
             .chaos_defense(self.chaos_defense)
             .observability(observed || self.observability);
         if let Some(mutation) = self.mutation.clone() {
             builder = builder.mutation(mutation);
         }
-        builder.build().expect("validated spec builds")
+        builder
     }
 
-    /// Builds one fresh system at frame 0 under the checker's policies
-    /// and observability knob.
+    /// Builds the walk's root system at frame 0 under the checker's
+    /// policies, installed fault plan and observability knob.
     fn build_system(&self) -> System {
-        self.build_system_observed(false)
+        self.builder(false)
+            .fault_plan(self.fault_plan.clone())
+            .build()
+            .expect("validated spec builds")
     }
 
     /// Processes one trie node: advances its system through the branch
@@ -1339,207 +1336,73 @@ impl ModelChecker {
         }
     }
 
-    /// Runs one schedule on a fresh system to the horizon and returns
-    /// the finished system. `observed` forces the observability layer
-    /// on — counterexample replays capture a journal even when the
-    /// exhaustive loop explores dark.
-    fn simulate(&self, schedule: &Schedule, observed: bool) -> System {
-        self.simulate_with(schedule, &self.fault_plan, observed)
-    }
-
-    /// Runs one schedule under an explicit fault plan on a fresh
-    /// system to the horizon and returns the finished system.
-    fn simulate_with(&self, schedule: &Schedule, plan: &FaultPlan, observed: bool) -> System {
-        let mut system = self.build_system_with_plan(plan, observed);
-        let mut events = schedule.0.iter().peekable();
-        for frame in 0..self.horizon {
-            while let Some((f, factor, value)) = events.peek() {
-                if *f == frame {
-                    system
-                        .set_env(factor, value)
-                        .expect("enumerated values are valid");
-                    events.next();
-                } else {
-                    break;
-                }
-            }
-            system.run_frame();
+    /// The case a schedule labels: its environment changes over the
+    /// checker's horizon, under the checker's installed fault plan.
+    pub fn case(&self, schedule: &Schedule) -> Scenario {
+        let mut case =
+            Scenario::new("model-check", self.horizon).with_faults(self.fault_plan.clone());
+        for (frame, factor, value) in &schedule.0 {
+            case = case.set_env(*frame, factor.clone(), value.clone());
         }
-        system
+        case
     }
 
-    /// Simulates one schedule from frame 0 (under the checker's
-    /// installed fault plan) and checks SP1–SP4 plus the
-    /// open-reconfiguration property on its trace. This is the oracle
-    /// both the reference engine and the delta-debugging shrinker call
-    /// per candidate.
+    /// Replays one case on a fresh system under the checker's policies
+    /// and returns the finished system. `observed` forces the
+    /// observability layer on: counterexample replays capture a journal
+    /// even when the exhaustive loop explores dark.
+    fn replay(&self, case: &Scenario, observed: bool) -> System {
+        case.run_with(self.builder(observed))
+            .expect("case stimuli are valid for the checker's spec")
+    }
+
+    /// Runs one case from frame 0 under the checker's policies and
+    /// checks SP1–SP4 plus the open-reconfiguration property on its
+    /// trace. The case's own fault and failpoint plans apply, not the
+    /// checker's. This is the oracle the reference engine and the
+    /// flight recorder's shrinker call per candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stimulus names a factor, value or processor the
+    /// checker's specification does not declare.
+    pub fn check_case(&self, case: &Scenario) -> Vec<PropertyViolation> {
+        collect_violations(&self.replay(case, false))
+    }
+
+    /// Checks one schedule: [`check_case`](ModelChecker::check_case) on
+    /// [`case`](ModelChecker::case)`(schedule)`.
     pub fn check_schedule(&self, schedule: &Schedule) -> Vec<PropertyViolation> {
-        collect_violations(&self.simulate(schedule, false))
+        self.check_case(&self.case(schedule))
     }
 
-    /// The chaos oracle: simulates one `(schedule, fault plan)` pair
-    /// from frame 0 and checks the properties on its trace. The joint
-    /// shrinker calls this per candidate; chaos harnesses use it to
-    /// probe plans other than the installed one.
-    pub fn check_pair(&self, schedule: &Schedule, plan: &FaultPlan) -> Vec<PropertyViolation> {
-        collect_violations(&self.simulate_with(schedule, plan, false))
-    }
-
-    /// Delta-debugs a failing `(schedule, fault plan)` pair to a
-    /// 1-minimal form, appending every attempt to `steps`. Four passes
-    /// alternate to a joint fixpoint:
-    ///
-    /// - **greedy event removal** — drop each schedule event in turn,
-    ///   keeping the candidate whenever the violation persists; at the
-    ///   pass's fixpoint removing *any* single event loses the
-    ///   violation (1-minimality);
-    /// - **event frame-left-shifting** — move each surviving event one
-    ///   frame earlier while the violation persists, pulling the
-    ///   failure as close to frame 0 as it will go;
-    /// - **greedy fault removal** — same discipline over the fault
-    ///   plan: every surviving fault is necessary;
-    /// - **fault frame-left-shifting** — each surviving fault moves as
-    ///   early (floor: frame 1) as the violation allows.
-    ///
-    /// Each kept candidate strictly decreases
-    /// `(event count + fault count, Σ frames)` lexicographically, so
-    /// the loop terminates; each kept candidate was re-checked and
-    /// still violates, so the result provably fails (soundness).
-    fn shrink(
-        &self,
-        schedule: &Schedule,
-        plan: &FaultPlan,
-        steps: &mut Vec<ShrinkStep>,
-    ) -> (Schedule, FaultPlan) {
-        let mut current = schedule.clone();
-        let mut faults = plan.clone();
-        loop {
-            let mut changed = false;
-            // Greedy event removal to fixpoint.
-            let mut i = 0;
-            while i < current.0.len() {
-                let mut candidate = current.clone();
-                candidate.0.remove(i);
-                let kept = !self.check_pair(&candidate, &faults).is_empty();
-                steps.push(ShrinkStep {
-                    action: ShrinkAction::RemoveEvent { index: i },
-                    candidate: candidate.clone(),
-                    candidate_faults: faults.clone(),
-                    kept,
-                });
-                if kept {
-                    current = candidate;
-                    changed = true;
-                    // The next event now sits at index i; retry it.
-                } else {
-                    i += 1;
-                }
-            }
-            // Left-shift each survivor while the violation persists.
-            // Frames stay strictly increasing: an event stops one frame
-            // after its predecessor (or at frame 1).
-            for i in 0..current.0.len() {
-                loop {
-                    let from_frame = current.0[i].0;
-                    let floor = if i == 0 { 1 } else { current.0[i - 1].0 + 1 };
-                    if from_frame <= floor {
-                        break;
-                    }
-                    let mut candidate = current.clone();
-                    candidate.0[i].0 = from_frame - 1;
-                    let kept = !self.check_pair(&candidate, &faults).is_empty();
-                    steps.push(ShrinkStep {
-                        action: ShrinkAction::ShiftLeft {
-                            index: i,
-                            from_frame,
-                            to_frame: from_frame - 1,
-                        },
-                        candidate: candidate.clone(),
-                        candidate_faults: faults.clone(),
-                        kept,
-                    });
-                    if !kept {
-                        break;
-                    }
-                    current = candidate;
-                    changed = true;
-                }
-            }
-            // Greedy fault removal to fixpoint.
-            let mut i = 0;
-            while i < faults.0.len() {
-                let mut candidate = faults.clone();
-                candidate.0.remove(i);
-                let kept = !self.check_pair(&current, &candidate).is_empty();
-                steps.push(ShrinkStep {
-                    action: ShrinkAction::RemoveFault { index: i },
-                    candidate: current.clone(),
-                    candidate_faults: candidate.clone(),
-                    kept,
-                });
-                if kept {
-                    faults = candidate;
-                    changed = true;
-                } else {
-                    i += 1;
-                }
-            }
-            // Left-shift each surviving fault while the violation
-            // persists. Faults are not ordered among themselves, so the
-            // floor is always frame 1; the plan is renormalized after
-            // the pass.
-            for i in 0..faults.0.len() {
-                loop {
-                    let from_frame = faults.0[i].frame;
-                    if from_frame <= 1 {
-                        break;
-                    }
-                    let mut candidate = faults.clone();
-                    candidate.0[i].frame = from_frame - 1;
-                    let kept = !self.check_pair(&current, &candidate).is_empty();
-                    steps.push(ShrinkStep {
-                        action: ShrinkAction::ShiftFaultLeft {
-                            index: i,
-                            from_frame,
-                            to_frame: from_frame - 1,
-                        },
-                        candidate: current.clone(),
-                        candidate_faults: candidate.clone(),
-                        kept,
-                    });
-                    if !kept {
-                        break;
-                    }
-                    faults = candidate;
-                    changed = true;
-                }
-            }
-            faults.normalize();
-            if !changed {
-                return (current, faults);
-            }
-        }
-    }
-
-    /// The flight recorder: shrinks a failure to 1-minimal form,
-    /// replays the minimal `(schedule, fault plan)` pair with
+    /// The flight recorder: shrinks a failure's case to 1-minimal form
+    /// (recording every attempt as a [`ShrinkStep`]), replays it with
     /// observability on, and packages schedules, plans, lineage,
     /// journal, per-frame verdicts, and causal chain into the
     /// [`Counterexample`] artifact.
     fn record_counterexample(&self, failure: &CaseFailure) -> Counterexample {
         let mut shrink_steps = Vec::new();
-        let (minimized, minimized_fault_plan) =
-            self.shrink(&failure.schedule, &self.fault_plan, &mut shrink_steps);
-        let system = self.simulate_with(&minimized, &minimized_fault_plan, true);
+        let minimized = self.case(&failure.schedule).shrink(|action, candidate| {
+            let kept = !self.check_case(candidate).is_empty();
+            shrink_steps.push(ShrinkStep {
+                action,
+                candidate: schedule_of(candidate),
+                candidate_faults: candidate.faults().clone(),
+                kept,
+            });
+            kept
+        });
+        let system = self.replay(&minimized, true);
         let violations = collect_violations(&system);
         let journal = system.journal().clone();
         let frame_verdicts = Counterexample::derive_frame_verdicts(&violations, self.horizon);
         let causal_chain = Counterexample::derive_causal_chain(&journal, &violations, self.horizon);
         Counterexample {
             schedule: failure.schedule.clone(),
-            minimized,
+            minimized: schedule_of(&minimized),
             fault_plan: self.fault_plan.clone(),
-            minimized_fault_plan,
+            minimized_fault_plan: minimized.faults().clone(),
             violations,
             shrink_steps,
             journal,
@@ -1547,6 +1410,22 @@ impl ModelChecker {
             causal_chain,
         }
     }
+}
+
+/// The schedule label of a model-checker case: its environment changes
+/// as `(frame, factor, value)` triples.
+fn schedule_of(case: &Scenario) -> Schedule {
+    Schedule(
+        case.events()
+            .iter()
+            .filter_map(|e| match &e.action {
+                ScenarioAction::SetEnv { factor, value } => {
+                    Some((e.frame, factor.clone(), value.clone()))
+                }
+                ScenarioAction::FailProcessor(_) => None,
+            })
+            .collect(),
+    )
 }
 
 /// Elapsed nanoseconds since `started`, clamped into `u64`.
@@ -2111,7 +1990,7 @@ mod tests {
             if mc.contains_noop(&schedule) {
                 continue;
             }
-            let system = mc.simulate(&schedule, true);
+            let system = mc.replay(&mc.case(&schedule), true);
             assert_eq!(
                 system.journal().of_kind("safe-fallback").count(),
                 0,
@@ -2143,17 +2022,24 @@ mod tests {
         assert_eq!(ce.minimized_fault_plan.len(), 1);
         // Joint 1-minimality: dropping the event or the fault each
         // loses the violation.
+        let minimized = mc
+            .case(&ce.minimized)
+            .with_faults(ce.minimized_fault_plan.clone());
         assert!(mc
-            .check_pair(&Schedule(Vec::new()), &ce.minimized_fault_plan)
+            .check_case(&minimized.clone().with_faults(FaultPlan::new()))
             .is_empty());
-        assert!(mc.check_pair(&ce.minimized, &FaultPlan::new()).is_empty());
-        assert!(!mc
-            .check_pair(&ce.minimized, &ce.minimized_fault_plan)
+        assert!(mc
+            .check_case(
+                &mc.case(&Schedule(Vec::new()))
+                    .with_faults(ce.minimized_fault_plan.clone())
+            )
             .is_empty());
+        assert!(!mc.check_case(&minimized).is_empty());
         // The shrink lineage records fault-side attempts too.
         assert!(ce.shrink_steps.iter().any(|s| matches!(
             s.action,
-            ShrinkAction::RemoveFault { .. } | ShrinkAction::ShiftFaultLeft { .. }
+            crate::obs::ShrinkAction::RemoveFault { .. }
+                | crate::obs::ShrinkAction::ShiftFaultLeft { .. }
         )));
         // The replayed journal carries the chaos causal kinds.
         assert!(ce.journal.of_kind("torn-write").count() >= 1);

@@ -80,6 +80,13 @@ pub enum ShrinkAction {
         /// Frame after the shift.
         to_frame: u64,
     },
+    /// Remove the failpoint entry at `index` from the current failpoint
+    /// plan (never recorded by the model checker, whose cases arm no
+    /// failpoints).
+    RemoveFailpoint {
+        /// Index of the removed entry in the pre-removal plan.
+        index: usize,
+    },
 }
 
 /// The properties violated at one frame of the replayed trace.

@@ -26,6 +26,7 @@ use crate::assure::{InvariantOracle, OracleProfile};
 use crate::lint::{obligations_from, Assembly, LintEngine, LintReport, LintTarget};
 use crate::model::{ModelCheckReport, ModelChecker};
 use crate::properties::PropertyId;
+use crate::scenario::Scenario;
 use crate::scram::ScramMutation;
 use crate::spec::ReconfigSpec;
 use crate::system::System;
@@ -260,18 +261,10 @@ fn mutation_caught(
     for frame in 1..=last_event_frame {
         for factor in spec.env_model().factors() {
             for value in factor.domain() {
-                let mut system = System::builder(spec.clone())
-                    .mutation(mutation.clone())
-                    .build()
-                    .expect("validated spec builds");
-                for f in 0..run_frames {
-                    if f == frame {
-                        system
-                            .set_env(factor.name(), value)
-                            .expect("enumerated values are valid");
-                    }
-                    system.run_frame();
-                }
+                let system = Scenario::new("mutation-screen", run_frames)
+                    .set_env(frame, factor.name(), value.clone())
+                    .run_with(System::builder(spec.clone()).mutation(mutation.clone()))
+                    .expect("enumerated values are valid");
                 let report = oracle.report(system.trace());
                 if !report.of(property).is_empty() {
                     return true;

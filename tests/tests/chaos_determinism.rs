@@ -5,111 +5,28 @@
 //! streaks it has accumulated — into the child so prefix-sharing replay
 //! over chaotic traces is sound.
 
+use arfs_avionics::{quarantine_spec, three_level_spec};
 use arfs_core::chaos::{ChaosProfile, FaultKind, FaultPlan};
 use arfs_core::model::ModelChecker;
-use arfs_core::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
+use arfs_core::scenario::Scenario;
+use arfs_core::spec::ReconfigSpec;
 use arfs_core::system::System;
 use arfs_failstop::ProcessorId;
-use arfs_rtos::Ticks;
-
-fn three_level_spec() -> ReconfigSpec {
-    let mut b = ReconfigSpec::builder()
-        .frame_len(Ticks::new(100))
-        .env_factor("power", ["good", "degraded", "bad"])
-        .app(
-            AppDecl::new("a")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("reduced"))
-                .spec(FunctionalSpec::new("minimal")),
-        )
-        .min_dwell_frames(1);
-    let configs = [("full", "full"), ("mid", "reduced"), ("safe", "minimal")];
-    for (i, (name, spec)) in configs.iter().enumerate() {
-        let mut config = Configuration::new(*name)
-            .assign("a", *spec)
-            .place("a", ProcessorId::new(0));
-        if i == configs.len() - 1 {
-            config = config.safe();
-        }
-        b = b.config(config);
-    }
-    for (from, _) in &configs {
-        for (to, _) in &configs {
-            if from != to {
-                b = b.transition(*from, *to, Ticks::new(600));
-            }
-        }
-    }
-    b.choose_when("power", "good", "full")
-        .choose_when("power", "degraded", "mid")
-        .choose_when("power", "bad", "safe")
-        .initial_config("full")
-        .initial_env([("power", "good")])
-        .build()
-        .expect("three-level spec is structurally valid")
-}
-
-/// Two processors plus a `processor-1` status factor, so a quarantine
-/// propagates through membership into a reconfiguration to `solo`.
-fn two_processor_spec() -> ReconfigSpec {
-    ReconfigSpec::builder()
-        .frame_len(Ticks::new(100))
-        .env_factor("processor-1", ["up", "down"])
-        .app(
-            AppDecl::new("fcs")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("direct")),
-        )
-        .app(
-            AppDecl::new("autopilot")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("off2")),
-        )
-        .config(
-            Configuration::new("full-service")
-                .assign("fcs", "full")
-                .assign("autopilot", "full")
-                .place("fcs", ProcessorId::new(0))
-                .place("autopilot", ProcessorId::new(1)),
-        )
-        .config(
-            Configuration::new("solo")
-                .assign("fcs", "direct")
-                .assign("autopilot", "off")
-                .place("fcs", ProcessorId::new(0))
-                .safe(),
-        )
-        .transition("full-service", "solo", Ticks::new(800))
-        .choose_when("processor-1", "down", "solo")
-        .choose_when("processor-1", "up", "full-service")
-        .initial_config("full-service")
-        .initial_env([("processor-1", "up")])
-        .build()
-        .expect("two-processor spec is structurally valid")
-}
 
 /// Runs one chaotic scenario to the horizon: degrade at frame 1,
 /// recover at frame 6, under whatever faults the plan injects.
 fn run_campaign(spec: &ReconfigSpec, plan: &FaultPlan) -> System {
-    let mut system = System::builder(spec.clone())
-        .fault_plan(plan.clone())
-        .observability(true)
-        .build()
-        .expect("validated spec builds");
-    for frame in 0..12 {
-        match frame {
-            1 => system.set_env("power", "degraded").expect("valid value"),
-            6 => system.set_env("power", "good").expect("valid value"),
-            _ => {}
-        }
-        system.run_frame();
-    }
-    system
+    Scenario::new("campaign", 12)
+        .set_env(1, "power", "degraded")
+        .set_env(6, "power", "good")
+        .with_faults(plan.clone())
+        .run_with(System::builder(spec.clone()).observability(true))
+        .expect("valid values")
 }
 
 #[test]
 fn same_seed_and_schedule_yield_byte_identical_journals() {
-    let spec = three_level_spec();
+    let spec = three_level_spec(1);
     let profile = ChaosProfile {
         bus_silence_permille: 0,
         commit_fault_permille: 300,
@@ -147,7 +64,7 @@ fn same_seed_and_schedule_yield_byte_identical_journals() {
 
 #[test]
 fn campaign_reports_are_deterministic_per_seed() {
-    let spec = three_level_spec();
+    let spec = three_level_spec(1);
     let profile = ChaosProfile {
         bus_silence_permille: 0,
         commit_fault_permille: 300,
@@ -170,7 +87,7 @@ fn fork_preserves_pending_chaos_state() {
     // the end of frame 3 — mid-silence, streak at 2, one frame short of
     // conviction — and both timelines must independently complete the
     // quarantine on the very next frame.
-    let spec = two_processor_spec();
+    let spec = quarantine_spec();
     let mut plan = FaultPlan::new();
     plan.push(
         2,
@@ -234,7 +151,7 @@ fn fork_divergence_does_not_leak_chaos_effects() {
     // is a chaos outcome: the child lives through the quarantine while
     // the parent is frozen at the fork point; the parent's membership
     // must be untouched when it resumes.
-    let spec = two_processor_spec();
+    let spec = quarantine_spec();
     let mut plan = FaultPlan::new();
     plan.push(
         2,

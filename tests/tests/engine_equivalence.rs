@@ -8,53 +8,10 @@
 //! schedule independently from frame 0; it is the executable
 //! specification the optimized engines are diffed against here.
 
+use arfs_avionics::three_level_spec;
 use arfs_core::model::ModelChecker;
 use arfs_core::scram::{MidReconfigPolicy, ScramMutation, StagePolicy, SyncPolicy};
-use arfs_core::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
 use arfs_core::system::System;
-use arfs_failstop::ProcessorId;
-use arfs_rtos::Ticks;
-
-/// A three-level spec whose factor domain is deliberately *not* in
-/// alphabetical order ("good" < "degraded" < "bad" by domain position),
-/// so any engine that sorted failures alphabetically instead of by the
-/// canonical enumeration key would be caught.
-fn three_level_spec() -> ReconfigSpec {
-    let mut b = ReconfigSpec::builder()
-        .frame_len(Ticks::new(100))
-        .env_factor("power", ["good", "degraded", "bad"])
-        .app(
-            AppDecl::new("a")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("reduced"))
-                .spec(FunctionalSpec::new("minimal")),
-        )
-        .min_dwell_frames(1);
-    let configs = [("full", "full"), ("mid", "reduced"), ("safe", "minimal")];
-    for (i, (name, spec)) in configs.iter().enumerate() {
-        let mut config = Configuration::new(*name)
-            .assign("a", *spec)
-            .place("a", ProcessorId::new(0));
-        if i == configs.len() - 1 {
-            config = config.safe();
-        }
-        b = b.config(config);
-    }
-    for (from, _) in &configs {
-        for (to, _) in &configs {
-            if from != to {
-                b = b.transition(*from, *to, Ticks::new(600));
-            }
-        }
-    }
-    b.choose_when("power", "good", "full")
-        .choose_when("power", "degraded", "mid")
-        .choose_when("power", "bad", "safe")
-        .initial_config("full")
-        .initial_env([("power", "good")])
-        .build()
-        .expect("three-level spec is structurally valid")
-}
 
 /// Asserts all three engines agree on the full verification outcome,
 /// and that the walk engines account for every schedule in the bounded
@@ -86,7 +43,7 @@ fn assert_engines_agree(mc: &ModelChecker, label: &str) {
 
 #[test]
 fn engines_agree_across_horizons_and_event_bounds() {
-    let spec = three_level_spec();
+    let spec = three_level_spec(1);
     for horizon in 7..=14 {
         for max_events in 1..=2 {
             let mc = ModelChecker::new(spec.clone(), horizon, max_events);
@@ -97,7 +54,7 @@ fn engines_agree_across_horizons_and_event_bounds() {
 
 #[test]
 fn engines_agree_under_every_policy_combination() {
-    let spec = three_level_spec();
+    let spec = three_level_spec(1);
     for mid in [
         MidReconfigPolicy::BufferUntilComplete,
         MidReconfigPolicy::ImmediateRetarget,
@@ -118,7 +75,7 @@ fn engines_agree_on_a_mutated_kernel() {
     // A broken protocol produces many failures; the engines must agree
     // on all of them, in order — not just on the happy path.
     let mc =
-        ModelChecker::new(three_level_spec(), 12, 2).with_mutation(ScramMutation::SkipInitPhase);
+        ModelChecker::new(three_level_spec(1), 12, 2).with_mutation(ScramMutation::SkipInitPhase);
     let reference = mc.run_reference();
     assert!(
         !reference.all_passed(),
@@ -187,7 +144,7 @@ fn assert_por_agrees(mc: ModelChecker, label: &str) {
 
 #[test]
 fn por_matches_the_reference_outcome_across_horizons_and_event_bounds() {
-    let spec = three_level_spec();
+    let spec = three_level_spec(1);
     for horizon in 7..=14 {
         for max_events in 1..=2 {
             assert_por_agrees(
@@ -200,7 +157,7 @@ fn por_matches_the_reference_outcome_across_horizons_and_event_bounds() {
 
 #[test]
 fn por_matches_the_reference_outcome_under_every_policy_combination() {
-    let spec = three_level_spec();
+    let spec = three_level_spec(1);
     for mid in [
         MidReconfigPolicy::BufferUntilComplete,
         MidReconfigPolicy::ImmediateRetarget,
@@ -220,7 +177,7 @@ fn por_matches_the_reference_outcome_under_every_policy_combination() {
 
 #[test]
 fn por_matches_the_reference_outcome_on_mutated_kernels() {
-    let spec = three_level_spec();
+    let spec = three_level_spec(1);
     for mutation in [
         ScramMutation::WrongTarget,
         ScramMutation::ExtraDelayFrames(3),
@@ -264,7 +221,7 @@ fn forked_systems_diverge_independently() {
     // The substrate guarantee the prefix-sharing walk rests on: a fork
     // is a full snapshot, so the parent's future and the child's future
     // are causally independent.
-    let spec = three_level_spec();
+    let spec = three_level_spec(1);
     let mut parent = System::builder(spec).build().expect("builds");
     for _ in 0..3 {
         parent.run_frame();

@@ -4,18 +4,24 @@
 //!
 //! Covered here: unarmed sites count hits without intervening, a
 //! skipped SCRAM trigger defers one frame without violating the
-//! properties, and a skipped fleet journal append loses one frame of
-//! journal evidence and nothing else.
+//! properties, a skipped fleet journal append loses one frame of
+//! journal evidence and nothing else, and the one shrinker
+//! ([`Scenario::shrink`]) reduces a failing case that needs an armed
+//! failpoint to a 1-minimal case that keeps it.
 
 #![cfg(feature = "failpoints")]
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use arfs_assure::{FailpointPlan, FpAction};
-use arfs_avionics::avionics_spec;
+use arfs_avionics::{avionics_spec, three_level_spec};
+use arfs_core::chaos::{ChaosDefense, FaultKind, FaultPlan};
 use arfs_core::fleet::{Fleet, FleetConfig};
+use arfs_core::model::ModelChecker;
 use arfs_core::obs::{BinaryJournalReader, BinaryRecord};
+use arfs_core::scenario::Scenario;
 use arfs_core::system::System;
+use arfs_core::AppId;
 
 /// The failpoint registry is process-global; campaigns must not
 /// overlap. Every test takes this lock for its whole body.
@@ -138,4 +144,84 @@ fn skipped_trigger_defers_one_frame_without_violating_properties() {
         violations.is_empty(),
         "a single deferred trigger is within the responsiveness allowance: {violations:?}"
     );
+}
+
+/// The oracle for the shrink tests: the model checker's exhaustive
+/// profile on the three-level spec with no commit retry budget, so one
+/// torn commit mid-reconfiguration falls back to the safe state.
+fn budget0_checker() -> ModelChecker {
+    ModelChecker::new(three_level_spec(1), 12, 1).with_chaos_defense(ChaosDefense {
+        retry_budget_frames: 0,
+        ..ChaosDefense::default()
+    })
+}
+
+/// `power=degraded` at frame 1 and the third `system.stable.commit`
+/// failing: the reconfiguration to `mid` tears and falls back to
+/// `safe`.
+fn torn_commit_case() -> Scenario {
+    let mut failpoints = FailpointPlan::new();
+    failpoints.push("system.stable.commit", 3, FpAction::Err);
+    Scenario::new("torn-commit", 12)
+        .set_env(1, "power", "degraded")
+        .with_failpoints(failpoints)
+}
+
+#[test]
+fn shrinker_keeps_the_armed_failpoint_and_drops_the_padding() {
+    let _slot = exclusive();
+    let mc = budget0_checker();
+    let needed = torn_commit_case();
+    let violations = mc.check_case(&needed);
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.to_string().starts_with("SP2 [R 1..5]")),
+        "{violations:?}"
+    );
+
+    // Padding: a no-op environment event, a one-tick jitter after the
+    // reconfiguration, and a failpoint entry on a hit never reached.
+    let mut faults = FaultPlan::new();
+    faults.push(
+        9,
+        FaultKind::ClockJitter {
+            app: AppId::new("a"),
+            ticks: 1,
+        },
+    );
+    let mut failpoints = needed.failpoints().clone();
+    failpoints.push("scram.trigger", 9, FpAction::Skip);
+    let padded = needed
+        .clone()
+        .set_env(8, "power", "degraded")
+        .with_faults(faults)
+        .with_failpoints(failpoints);
+    assert!(!mc.check_case(&padded).is_empty());
+
+    let minimized = padded.shrink(|_, candidate| !mc.check_case(candidate).is_empty());
+    assert_eq!(minimized, needed);
+
+    // 1-minimal: dropping the commit failure or the event passes (the
+    // case has no faults left to drop).
+    let without_failpoint = needed.clone().with_failpoints(FailpointPlan::new());
+    assert!(mc.check_case(&without_failpoint).is_empty());
+    let without_event =
+        Scenario::new("torn-commit", 12).with_failpoints(needed.failpoints().clone());
+    assert!(mc.check_case(&without_event).is_empty());
+}
+
+#[test]
+fn a_case_without_failpoints_runs_under_a_held_campaign() {
+    let _slot = exclusive();
+    let _campaign = arfs_assure::install(&FailpointPlan::new());
+    let case = torn_commit_case().with_failpoints(FailpointPlan::new());
+    let system = case
+        .run_with(System::builder(three_level_spec(1)))
+        .expect("the case is valid");
+    assert_eq!(system.trace().len(), 12);
+    // The held campaign counted the run's hits.
+    assert!(arfs_assure::hit_counts()
+        .iter()
+        .any(|(site, hits)| site == "system.stable.commit" && *hits > 0));
 }

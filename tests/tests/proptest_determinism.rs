@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use arfs_avionics::AvionicsSystem;
 use arfs_core::environment::EnvState;
+use arfs_core::scenario::Scenario;
 use arfs_core::scram::Scram;
-use arfs_core::system::System;
 use arfs_ttbus::{BusSchedule, Message, NodeId, TtBus};
 use proptest::prelude::*;
 
@@ -68,21 +68,14 @@ proptest! {
         events in proptest::collection::vec((1u64..25, 0usize..3), 0..4),
     ) {
         let spec = arfs_avionics::avionics_spec().unwrap();
-        let mut a = System::builder(spec.clone()).build().unwrap();
-        let mut b = System::builder(spec).build().unwrap();
         let domain = ["both", "one", "battery"];
         let mut sorted = events.clone();
         sorted.sort();
-        for frame in 0..32u64 {
-            for (f, v) in &sorted {
-                if *f == frame {
-                    a.set_env("electrical", domain[*v]).unwrap();
-                    b.set_env("electrical", domain[*v]).unwrap();
-                }
-            }
-            a.run_frame();
-            b.run_frame();
-        }
+        let case = sorted.iter().fold(Scenario::new("determinism", 32), |case, (f, v)| {
+            case.set_env(*f, "electrical", domain[*v])
+        });
+        let a = case.run_on_spec(&spec).unwrap();
+        let b = case.run_on_spec(&spec).unwrap();
         prop_assert_eq!(a.trace(), b.trace());
         prop_assert_eq!(a.journal(), b.journal());
     }

@@ -5,6 +5,7 @@
 
 use arfs_core::model::ModelChecker;
 use arfs_core::properties;
+use arfs_core::scenario::Scenario;
 use arfs_core::spec::{AppDecl, ChooseRule, Configuration, FunctionalSpec, ReconfigSpec};
 use arfs_core::system::System;
 use arfs_failstop::ProcessorId;
@@ -69,21 +70,10 @@ proptest! {
         dwell in 0u64..8,
         schedule in proptest::collection::vec((1u64..40, 0usize..5), 0..6),
     ) {
-        let spec = ladder_spec(n_apps, n_configs, dwell);
-        let mut system = System::builder(spec).build().expect("builds");
-        let mut events: Vec<(u64, usize)> = schedule
-            .into_iter()
-            .map(|(f, lvl)| (f, lvl % n_configs))
-            .collect();
-        events.sort_by_key(|(f, _)| *f);
-        let mut next = events.into_iter().peekable();
-        for frame in 0..90u64 {
-            while next.peek().is_some_and(|(f, _)| *f == frame) {
-                let (_, lvl) = next.next().expect("peeked");
-                system.set_env("level", &lvl.to_string()).expect("valid level");
-            }
-            system.run_frame();
-        }
+        let case = schedule.into_iter().fold(Scenario::new("ladder", 90), |case, (f, lvl)| {
+            case.set_env(f, "level", (lvl % n_configs).to_string())
+        });
+        let system = case.run_on_spec(&ladder_spec(n_apps, n_configs, dwell)).expect("valid level");
         let report = properties::check_all(system.trace(), system.spec());
         prop_assert!(report.is_ok(), "{}", report);
         // No reconfiguration may be stuck open past its bound either.
@@ -99,14 +89,10 @@ proptest! {
         n_apps in 1usize..4,
         trigger_frame in 1u64..20,
     ) {
-        let spec = ladder_spec(n_apps, 2, 0);
-        let mut system = System::builder(spec).build().expect("builds");
-        for frame in 0..(trigger_frame + 12) {
-            if frame == trigger_frame {
-                system.set_env("level", "1").expect("valid");
-            }
-            system.run_frame();
-        }
+        let system = Scenario::new("trigger", trigger_frame + 12)
+            .set_env(trigger_frame, "level", "1")
+            .run_on_spec(&ladder_spec(n_apps, 2, 0))
+            .expect("valid");
         let reconfigs = system.trace().get_reconfigs();
         prop_assert_eq!(reconfigs.len(), 1);
         // Default policy is Simultaneous with one-frame stages: trigger +
