@@ -9,6 +9,7 @@
 //! specification the optimized engines are diffed against here.
 
 use arfs_avionics::three_level_spec;
+use arfs_core::chaos::{ChaosProfile, FaultPlan};
 use arfs_core::model::ModelChecker;
 use arfs_core::scram::{MidReconfigPolicy, ScramMutation, StagePolicy, SyncPolicy};
 use arfs_core::system::System;
@@ -48,6 +49,28 @@ fn engines_agree_across_horizons_and_event_bounds() {
         for max_events in 1..=2 {
             let mc = ModelChecker::new(spec.clone(), horizon, max_events);
             assert_engines_agree(&mc, &format!("h{horizon} e{max_events}"));
+        }
+    }
+}
+
+#[test]
+fn engines_agree_under_seeded_chaos() {
+    // The chaos campaigns replay each schedule on its own, so this is
+    // where the prefix-sharing walk meets random fault plans: the
+    // campaigns' shape (h12, torn writes and jitter), and a denser one
+    // with two events.
+    let spec = three_level_spec(1);
+    for (commit_fault_permille, max_events) in [(80, 1), (300, 2)] {
+        let profile = ChaosProfile {
+            bus_silence_permille: 0,
+            commit_fault_permille,
+            clock_jitter_permille: 60,
+            ..ChaosProfile::for_spec(&spec, 8)
+        };
+        for seed in 1..=30 {
+            let mc = ModelChecker::new(spec.clone(), 12, max_events)
+                .with_fault_plan(FaultPlan::random(seed, &profile));
+            assert_engines_agree(&mc, &format!("chaos seed {seed} e{max_events}"));
         }
     }
 }
