@@ -94,14 +94,6 @@ fn bench_lint(c: &mut Criterion) {
             black_box(report)
         });
     });
-    group.bench_function("engine_parallel4_assembled", |b| {
-        b.iter(|| black_box(engine.run_parallel(&LintTarget::assembled(&spec, &assembly), 4)));
-    });
-    // The content-hash cache turns repeat verification of an unchanged
-    // spec into a hash + clone.
-    group.bench_function("engine_cached_assembled", |b| {
-        b.iter(|| black_box(engine.run_cached(&LintTarget::assembled(&spec, &assembly))));
-    });
     group.finish();
 }
 

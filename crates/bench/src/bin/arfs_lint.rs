@@ -191,11 +191,8 @@ fn parse_fixture(body: &str) -> Result<Loaded, String> {
 
 fn run(opts: &Options, loaded: &Loaded) -> LintReport {
     let engine = LintEngine::new();
-    let threads = std::thread::available_parallelism()
-        .map(Into::into)
-        .unwrap_or(4);
     if opts.spec_only {
-        return engine.run_parallel(&LintTarget::spec_only(&loaded.spec), threads);
+        return engine.run(&LintTarget::spec_only(&loaded.spec));
     }
     let derived;
     let assembly = match &loaded.assembly {
@@ -209,8 +206,8 @@ fn run(opts: &Options, loaded: &Loaded) -> LintReport {
         },
     };
     match assembly {
-        Some(a) => engine.run_parallel(&LintTarget::assembled(&loaded.spec, a), threads),
-        None => engine.run_parallel(&LintTarget::spec_only(&loaded.spec), threads),
+        Some(a) => engine.run(&LintTarget::assembled(&loaded.spec, a)),
+        None => engine.run(&LintTarget::spec_only(&loaded.spec)),
     }
 }
 

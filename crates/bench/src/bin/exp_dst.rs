@@ -25,7 +25,9 @@
 //!    seeded schedules at each of five intensities, extended oracle.
 //!
 //! Usage: `exp_dst [--smoke]` — `--smoke` shortens the failpoint and
-//! chaos seed lists; the workload soaks run at full size either way.
+//! chaos seed lists and leaves the committed `BENCH_dst.json` and
+//! `BENCH_chaos_soak.json` as they are; the workload soaks run at full
+//! size either way.
 //! Exits 1 on any violation, coverage gap or failed verdict; exits 3 if
 //! the chaos defense metrics grew more than 25% over the committed rows
 //! of the seeds the run covered.
@@ -349,9 +351,19 @@ fn failpoint_campaigns(smoke: bool) -> bool {
         "site_hits": hits,
         "all_ok": all_ok,
     });
-    let path = write_json("BENCH_dst.json", &artifact);
-    println!("\nartifact: {}", path.display());
+    write_full_run_artifact("BENCH_dst.json", &artifact, smoke);
     all_ok
+}
+
+/// Writes a section's artifact on a full run only: a smoke run covers
+/// fewer seeds, and the committed full-scale artifact holds the
+/// per-seed rows the next full run's soak-regression gate reads.
+fn write_full_run_artifact(name: &str, artifact: &Value, smoke: bool) {
+    if smoke {
+        println!("\nsmoke run: results/{name} left as committed");
+    } else {
+        println!("\nartifact: {}", write_json(name, artifact).display());
+    }
 }
 
 /// The committed chaos rows of seeds `1..=seeds` as (commit retries,
@@ -608,8 +620,7 @@ fn chaos_campaigns(smoke: bool) -> (bool, bool) {
         },
         "all_ok": all_ok,
     });
-    let path = write_json("BENCH_chaos_soak.json", &artifact);
-    println!("\nartifact: {}", path.display());
+    write_full_run_artifact("BENCH_chaos_soak.json", &artifact, smoke);
     if let Some(ce_path) = ce_path {
         println!("counterexample: {}", ce_path.display());
     }
@@ -673,7 +684,10 @@ fn random_soak() -> bool {
                     &format!("{stem}.journal.jsonl"),
                     &system.journal().to_json_lines(),
                 );
-                write_json(&format!("{stem}.metrics.json"), &system.metrics_snapshot());
+                write_json(
+                    &format!("{stem}.metrics.json"),
+                    &system.metrics_snapshot().without_wall_clock(),
+                );
             }
         }
         all_clean &= violations == 0;
@@ -764,7 +778,7 @@ fn availability_sweep() -> bool {
                 );
                 write_json(
                     "exp_availability_sweep.metrics.json",
-                    &system.metrics_snapshot(),
+                    &system.metrics_snapshot().without_wall_clock(),
                 );
             }
         }

@@ -77,7 +77,7 @@ fn main() {
                 );
                 write_json(
                     &format!("exp_midreconfig_{label}.metrics.json"),
-                    &system.metrics_snapshot(),
+                    &system.metrics_snapshot().without_wall_clock(),
                 );
             }
             table.row([

@@ -104,7 +104,7 @@ fn main() {
     let journal_path = write_text("fig1_architecture.journal.jsonl", &journal.to_json_lines());
     let metrics_path = write_json(
         "fig1_architecture.metrics.json",
-        &av.system().metrics_snapshot(),
+        &av.system().metrics_snapshot().without_wall_clock(),
     );
     let path = write_json(
         "fig1_architecture.json",

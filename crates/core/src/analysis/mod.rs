@@ -32,12 +32,11 @@ pub use crate::lint::{Obligation, ObligationReport, ObligationResult};
 /// Runs the complete obligation suite over a specification.
 ///
 /// This is a thin bridge over the lint engine: the specification is
-/// linted through [`LintEngine::run_cached`] (so repeated verification of
-/// an unchanged specification is incremental) and the error diagnostics
-/// are mapped onto the classic seven-obligation report by
+/// linted by [`LintEngine::run`] and the error diagnostics are mapped
+/// onto the classic seven-obligation report by
 /// [`crate::lint::obligations_from`].
 pub fn check_obligations(spec: &ReconfigSpec) -> ObligationReport {
-    let report = LintEngine::new().run_cached(&LintTarget::spec_only(spec));
+    let report = LintEngine::new().run(&LintTarget::spec_only(spec));
     crate::lint::obligations_from(spec, &report)
 }
 

@@ -36,7 +36,7 @@
 //!
 //! The frame loop keeps no metrics of its own. Each cell already holds
 //! the facts a report needs — its fast/full frame counts, its
-//! verifier's reconfiguration latencies and violations, its system's
+//! verifier's reconfiguration-latency histogram and violations, its system's
 //! defense count — and aggregation folds them, in system-id order, into
 //! the report's one [`MetricsRegistry`]: the `fleet.*` counters and the
 //! log₂ `fleet.reconfig_latency_cycles` and `fleet.restricted_frame_bp`
@@ -84,7 +84,8 @@ use crate::chaos::{ChaosProfile, FaultPlan};
 use crate::obs::codec;
 use crate::obs::triage::trigger;
 use crate::obs::{
-    FlightRing, JournalBytes, MetricsRegistry, MetricsSnapshot, RingLegend, TriageBundle,
+    FlightRing, JournalBytes, Log2Histogram, MetricsRegistry, MetricsSnapshot, RingLegend,
+    TriageBundle,
 };
 use crate::properties::{self, Monitors, PropertyViolation};
 use crate::scenario::{Scenario, ScenarioEvent};
@@ -310,13 +311,13 @@ impl FleetReport {
 pub struct StreamVerifier {
     spec: Arc<ReconfigSpec>,
     monitors: Monitors,
-    /// Completed-reconfiguration latencies, in cycles; one per
-    /// reconfiguration.
-    latencies: Vec<u64>,
+    /// Completed-reconfiguration latencies, in cycles: one sample per
+    /// reconfiguration, in fixed-size state however long the run.
+    latencies: Log2Histogram,
     violations: Vec<PropertyViolation>,
 }
 
-/// The derived form plus a top-level `reconfigs` (the length of
+/// The derived form plus a top-level `reconfigs` (the sample count of
 /// `latencies`), which perfbench's traced replica reads from this form.
 impl std::fmt::Debug for StreamVerifier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -324,7 +325,7 @@ impl std::fmt::Debug for StreamVerifier {
             .field("spec", &self.spec)
             .field("monitors", &self.monitors)
             .field("latencies", &self.latencies)
-            .field("reconfigs", &self.latencies.len())
+            .field("reconfigs", &self.latencies.count())
             .field("violations", &self.violations)
             .finish()
     }
@@ -336,7 +337,7 @@ impl StreamVerifier {
         StreamVerifier {
             monitors: Monitors::new(&spec, properties::EXTENDED),
             spec,
-            latencies: Vec::new(),
+            latencies: Log2Histogram::new(),
             violations: Vec::new(),
         }
     }
@@ -359,7 +360,7 @@ impl StreamVerifier {
             .monitors
             .observe(&self.spec, state, &mut self.violations)
         {
-            self.latencies.push(r.cycles());
+            self.latencies.record(r.cycles());
         }
     }
 
@@ -666,10 +667,8 @@ impl Fleet {
 
             fast_frames += cell.fast_frames;
             full_frames += cell.full_frames;
-            reconfigs += cell.verifier.latencies.len() as u64;
-            for &latency in &cell.verifier.latencies {
-                metrics.observe("fleet.reconfig_latency_cycles", latency);
-            }
+            reconfigs += cell.verifier.latencies.count();
+            metrics.merge_histogram("fleet.reconfig_latency_cycles", &cell.verifier.latencies);
             defenses += cell.system.defense_events();
             let cell_restricted = cell.verifier.monitors.restricted_frames();
             restricted += cell_restricted;
@@ -753,9 +752,8 @@ impl Fleet {
         let decoded = legend.decode_ring(ring);
         let causal_chain = TriageBundle::causal_chain(&decoded, frame, &property, &detail);
         // A journaled cell also times its SCRAM decisions; wall-clock
-        // histograms (`*_ns`) would make the report differ run to run.
-        let mut metrics = cell.system.metrics_snapshot();
-        metrics.histograms.retain(|name, _| !name.ends_with("_ns"));
+        // histograms would make the report differ run to run.
+        let metrics = cell.system.metrics_snapshot().without_wall_clock();
         Some(TriageBundle {
             system: cell.id,
             seed: cell.seed,
@@ -965,19 +963,17 @@ mod tests {
         assert!(batch.is_ok(), "{batch}");
         assert!(verifier.violations.is_empty(), "{:?}", verifier.violations);
         assert_eq!(
-            verifier.latencies.len(),
-            recorded.trace().get_reconfigs().len()
+            verifier.latencies.count(),
+            recorded.trace().get_reconfigs().len() as u64
         );
         assert_eq!(
             verifier.monitors.restricted_frames(),
             recorded.trace().restricted_frames()
         );
-        let batch_latencies: Vec<u64> = recorded
-            .trace()
-            .get_reconfigs()
-            .iter()
-            .map(|r| r.cycles())
-            .collect();
+        let mut batch_latencies = Log2Histogram::new();
+        for r in recorded.trace().get_reconfigs() {
+            batch_latencies.record(r.cycles());
+        }
         assert_eq!(verifier.latencies, batch_latencies);
     }
 

@@ -16,10 +16,11 @@
 //!   human message, and notes; the whole report serializes to JSON;
 //! - rendering mimics rustc: `error[ARFS-E001]: ...` with `-->` spans and
 //!   `note:` counterexamples;
-//! - [`LintEngine::run_parallel`] fans passes out across crossbeam
-//!   scoped threads and produces byte-identical output to the serial
-//!   [`LintEngine::run`]; [`LintEngine::run_cached`] memoizes reports by
-//!   a content hash of the target so re-verification is incremental.
+//! - [`LintEngine::run`] runs the passes in order on the caller's
+//!   thread. A whole suite takes well under a millisecond, so it has no
+//!   thread fan-out and no report cache; callers that ask repeatedly
+//!   (the [`InvariantOracle`](crate::assure::InvariantOracle)) keep
+//!   their own copy of the report.
 //!
 //! The legacy [`Obligation`]/[`ObligationReport`] types live here now
 //! (re-exported from [`crate::analysis`] for compatibility) and are
@@ -38,10 +39,7 @@ pub use obligations::{obligations_from, Obligation, ObligationReport, Obligation
 pub use passes::all_passes;
 pub use reach::{ReachAnalysis, ReachPass, WaveTimingPass};
 
-use std::collections::HashMap;
 use std::fmt;
-
-use parking_lot::Mutex;
 
 use crate::environment::EnvState;
 use crate::snapshot::Fnv;
@@ -342,9 +340,8 @@ impl<'a> LintTarget<'a> {
 
 /// One pluggable static-analysis pass.
 ///
-/// Passes must be deterministic pure functions of the target: the
-/// parallel runner relies on this to produce byte-identical reports
-/// regardless of scheduling.
+/// Passes must be deterministic pure functions of the target, so a
+/// report is a function of the target and the pass list alone.
 pub trait LintPass: Send + Sync {
     /// Short machine-friendly pass name (e.g. `coverage`).
     fn name(&self) -> &'static str;
@@ -434,8 +431,7 @@ impl fmt::Display for LintReport {
     }
 }
 
-/// The pass runner: owns an ordered pass list and executes it serially,
-/// in parallel, or through the content-hash cache.
+/// The pass runner: owns an ordered pass list and executes it in order.
 pub struct LintEngine {
     passes: Vec<Box<dyn LintPass>>,
 }
@@ -473,93 +469,10 @@ impl LintEngine {
         }
         report
     }
-
-    /// Runs the passes across `threads` crossbeam scoped threads.
-    ///
-    /// Passes are distributed round-robin and results are reassembled in
-    /// pass order, so the report is byte-identical to [`Self::run`].
-    pub fn run_parallel(&self, target: &LintTarget<'_>, threads: usize) -> LintReport {
-        let threads = threads.max(1).min(self.passes.len().max(1));
-        if threads <= 1 {
-            return self.run(target);
-        }
-        let mut indexed: Vec<(usize, Vec<Diagnostic>)> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let passes = &self.passes;
-                    scope.spawn(move |_| {
-                        let mut out = Vec::new();
-                        let mut i = t;
-                        while i < passes.len() {
-                            out.push((i, passes[i].run(target)));
-                            i += threads;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("lint pass panicked"))
-                .collect()
-        })
-        .expect("crossbeam scope");
-        indexed.sort_by_key(|(i, _)| *i);
-        LintReport {
-            diagnostics: indexed.into_iter().flat_map(|(_, d)| d).collect(),
-            passes: self.passes.iter().map(|p| p.name().to_owned()).collect(),
-        }
-    }
-
-    /// Runs through the global content-hash cache: if this target (by
-    /// canonical JSON serialization of spec + assembly + pass list) was
-    /// linted before, the cached report is returned without re-running
-    /// any pass. This is what makes repeated [`crate::verify::verify_spec`]
-    /// calls over an unchanged specification incremental.
-    pub fn run_cached(&self, target: &LintTarget<'_>) -> LintReport {
-        let key = self.cache_key(target);
-        if let Some(hit) = lint_cache().lock().get(&key) {
-            return hit.clone();
-        }
-        let report = self.run(target);
-        let mut cache = lint_cache().lock();
-        if cache.len() >= CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, report.clone());
-        report
-    }
-
-    fn cache_key(&self, target: &LintTarget<'_>) -> u64 {
-        let mut h = Fnv::new();
-        for pass in &self.passes {
-            h.write(pass.name().as_bytes());
-        }
-        h.write(
-            serde_json::to_string(target.spec)
-                .unwrap_or_default()
-                .as_bytes(),
-        );
-        if let Some(assembly) = target.assembly {
-            h.write(
-                serde_json::to_string(assembly)
-                    .unwrap_or_default()
-                    .as_bytes(),
-            );
-        }
-        h.finish()
-    }
 }
 
-const CACHE_CAP: usize = 64;
-
-fn lint_cache() -> &'static Mutex<HashMap<u64, LintReport>> {
-    static CACHE: std::sync::OnceLock<Mutex<HashMap<u64, LintReport>>> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// FNV-1a over a byte slice — the content hash behind the lint cache
-/// and the [`independence::IndependenceCertificate`] spec hash.
+/// FNV-1a over a byte slice — the content hash behind the
+/// [`independence::IndependenceCertificate`] spec hash.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.write(bytes);
@@ -605,34 +518,6 @@ mod tests {
             .min_dwell_frames(5)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn parallel_report_is_byte_identical_to_serial() {
-        let spec = clean_spec();
-        let assembly = Assembly::derive(&spec).unwrap();
-        let target = LintTarget::assembled(&spec, &assembly);
-        let engine = LintEngine::new();
-        let serial = engine.run(&target);
-        for threads in [2, 3, 8, 64] {
-            let parallel = engine.run_parallel(&target, threads);
-            assert_eq!(parallel, serial);
-            assert_eq!(
-                serde_json::to_string(&parallel).unwrap(),
-                serde_json::to_string(&serial).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn cached_run_matches_direct_run() {
-        let spec = clean_spec();
-        let target = LintTarget::spec_only(&spec);
-        let engine = LintEngine::new();
-        let direct = engine.run(&target);
-        assert_eq!(engine.run_cached(&target), direct);
-        // Second lookup hits the cache and still agrees.
-        assert_eq!(engine.run_cached(&target), direct);
     }
 
     #[test]

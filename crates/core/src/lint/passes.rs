@@ -31,8 +31,6 @@ use super::assembly::{Assembly, ENV_NODE, SCRAM_NODE};
 use super::{codes, Diagnostic, LintPass, LintTarget, Span};
 use crate::analysis::coverage::{self, GapReason};
 use crate::analysis::{resources, schedulability, timing};
-use crate::environment::EnvState;
-use crate::spec::ChooseRule;
 use crate::ConfigId;
 
 /// The full built-in pass catalog, in report order.
@@ -552,17 +550,6 @@ impl LintPass for PlacementPass {
     }
 }
 
-fn rule_matches(rule: &ChooseRule, current: &ConfigId, env: &EnvState) -> bool {
-    if let Some(from) = &rule.from {
-        if from != current {
-            return false;
-        }
-    }
-    rule.when
-        .iter()
-        .all(|(factor, value)| env.get(factor) == Some(value.as_str()))
-}
-
 /// `ARFS-W101` / `ARFS-W102` / `ARFS-W106`: dead configurations,
 /// never-taken transitions, and never-firing choice rules, all computed
 /// from one enumeration of the choice function's image.
@@ -586,7 +573,7 @@ impl LintPass for ChooseImagePass {
         spec.env_model().for_each_state(|env| {
             for config in spec.configs() {
                 for (i, rule) in rules.iter().enumerate() {
-                    if rule_matches(rule, config.id(), env) {
+                    if rule.matches(config.id(), env) {
                         used_rules.insert(i);
                         edges.insert((config.id().clone(), rule.target.clone()));
                         break;

@@ -51,13 +51,14 @@
 //!   with one under the class representative. The subtree is merged
 //!   into the representative's and counted in
 //!   [`ModelCheckReport::cases_merged`].
-//! - **Quiescent-state deduplication** — when the parent state at a
-//!   branch frame is *quiescent* (kernel steady, pending queues empty,
-//!   substrate healthy, chaos quiet), the child subtree's future is a
-//!   function of the parent's canonical fingerprint
-//!   ([`System::quiescent_fingerprint`]), the branch frame, the seeded
-//!   event, and the remaining event budget alone. A subtree whose
-//!   identity was already explored is merged instead of re-walked.
+//! - **State deduplication** — when the parent state at a branch frame
+//!   can be summarized (pending queues empty, substrate healthy, chaos
+//!   quiet; the kernel steady with no pending trigger, or mid-protocol),
+//!   the child subtree's future is a function of the parent's canonical
+//!   fingerprint ([`System::state_fingerprint`]), the branch frame, the
+//!   seeded event, and the remaining event budget alone. A subtree
+//!   whose identity was already explored is merged instead of
+//!   re-walked.
 //!
 //! The accounting invariant `cases_run + cases_elided + cases_merged =
 //! total_schedule_count` always holds. Reduction is *opt-in* because a
@@ -67,12 +68,19 @@
 //! spot-check a sample of claimed commutations against the live choice
 //! function as they are used.
 //!
-//! [`ModelChecker::run_parallel`] distributes subtrees over a
+//! # One node loop
+//!
+//! Every walk runs the same loop: pop a trie node, process it under
+//! `catch_unwind`, push its children. [`ModelChecker::run`] runs it on
+//! the caller's thread over a stack, in canonical pre-order;
+//! [`ModelChecker::run_parallel`] runs it in each worker of a
 //! work-stealing pool (each idle worker steals the oldest — largest —
-//! queued subtree), so uneven per-schedule cost no longer idles workers
-//! the way static chunking did; spaces smaller than
-//! [`SERIAL_CUTOVER`] schedules are walked on the caller's thread,
-//! where thread spin-up would cost more than it saves.
+//! queued subtree), so uneven per-schedule cost does not idle workers
+//! the way static chunking did. Spaces smaller than [`SERIAL_CUTOVER`]
+//! schedules are walked on the caller's thread, where thread spin-up
+//! would cost more than it saves. Either way a kernel panic is reported
+//! with the offending schedule named and the progress made before it
+//! ([`ParallelPanic`]).
 //! [`ModelChecker::run_reference`] keeps the seed replay-from-frame-0
 //! engine as the executable specification the optimized engines are
 //! tested against.
@@ -426,7 +434,7 @@ type SubtreeKey = (u64, u64, usize, usize, usize);
 
 /// Per-run state of the certified partial-order reduction: the
 /// certificate driving choice-equivalence merges, the visited-subtree
-/// set backing quiescent-state deduplication (shared across workers),
+/// set backing state deduplication (shared across workers),
 /// and the debug-build spot-check counter.
 struct PorRun {
     certificate: Arc<IndependenceCertificate>,
@@ -593,7 +601,7 @@ impl ModelChecker {
     /// [`IndependenceCertificate`] for this checker's spec and lets the
     /// walk engines merge subtrees the certificate proves
     /// verdict-equivalent to an explored representative
-    /// (choice-equivalence merging plus quiescent-state deduplication;
+    /// (choice-equivalence merging plus state deduplication;
     /// see the module docs). Merged subtrees are counted in
     /// [`ModelCheckReport::cases_merged`]; the accounting invariant
     /// `cases_run + cases_elided + cases_merged ==
@@ -812,13 +820,20 @@ impl ModelChecker {
         builder
     }
 
-    /// Builds the walk's root system at frame 0 under the checker's
-    /// policies, installed fault plan and observability knob.
-    fn build_system(&self) -> System {
-        self.builder(false)
+    /// The walk's root task: the empty schedule's system at frame 0
+    /// under the checker's policies, installed fault plan and
+    /// observability knob.
+    fn root_task(&self) -> NodeTask {
+        let system = self
+            .builder(false)
             .fault_plan(self.fault_plan.clone())
             .build()
-            .expect("validated spec builds")
+            .expect("validated spec builds");
+        NodeTask {
+            system,
+            events: Vec::new(),
+            depth: 0,
+        }
     }
 
     /// Processes one trie node: advances its system through the branch
@@ -827,18 +842,20 @@ impl ModelChecker {
     /// the properties on its trace. Returns the children in canonical
     /// sibling order. With `por` set, subtrees the certificate proves
     /// verdict-equivalent to an explored representative are merged
-    /// instead of forked.
+    /// instead of forked. The task keeps its event prefix, so a caller
+    /// that catches a panic here can still name the schedule.
     fn process_node(
         &self,
-        task: NodeTask,
+        task: &mut NodeTask,
         acc: &mut WalkAccum,
         por: Option<&PorRun>,
     ) -> Vec<NodeTask> {
         let NodeTask {
-            mut system,
+            system,
             events,
             depth,
         } = task;
+        let depth = *depth;
         let start_frame = system.frame();
         let last_event_frame = self.last_event_frame();
         let mut children = Vec::new();
@@ -907,7 +924,7 @@ impl ModelChecker {
                             }
                         }
                         if let (Some(fp), Some(run)) = (parent_fp, por) {
-                            // Quiescent parent: this fork's future is a
+                            // Fingerprinted parent: this fork's future is a
                             // function of (fingerprint, frame, event,
                             // budget). Walk each identity once.
                             let key = (fp, frame, fi, vi, remaining);
@@ -944,11 +961,11 @@ impl ModelChecker {
         acc.cases_run += 1;
 
         let check_started = Instant::now();
-        let violations = collect_violations(&system);
+        let violations = collect_violations(system);
         acc.check_ns += span_ns(check_started);
         if !violations.is_empty() {
             acc.failures.push(CaseFailure {
-                schedule: Schedule(events),
+                schedule: Schedule(events.clone()),
                 violations,
             });
         }
@@ -991,11 +1008,59 @@ impl ModelChecker {
         }
     }
 
-    fn walk(&self, task: NodeTask, acc: &mut WalkAccum, por: Option<&PorRun>) {
-        let children = self.process_node(task, acc, por);
-        for child in children {
-            self.walk(child, acc, por);
+    /// The node loop every walk engine runs: `pop` a task from `queue`,
+    /// process it under `catch_unwind`, `push` its children back.
+    /// Returns `Ok` once `pop` yields nothing, or the message naming
+    /// the offending schedule as soon as a node panics.
+    fn drain<Q>(
+        &self,
+        queue: &mut Q,
+        acc: &mut WalkAccum,
+        por: Option<&PorRun>,
+        pop: impl Fn(&mut Q, &mut WalkAccum) -> Option<NodeTask>,
+        push: impl Fn(&mut Q, Vec<NodeTask>),
+    ) -> Result<(), String> {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        while let Some(mut task) = pop(queue, acc) {
+            match catch_unwind(AssertUnwindSafe(|| self.process_node(&mut task, acc, por))) {
+                Ok(children) => push(queue, children),
+                Err(payload) => {
+                    let detail = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_owned())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_owned());
+                    return Err(format!(
+                        "model-check worker panicked on schedule `{}`: {detail}",
+                        Schedule(task.events)
+                    ));
+                }
+            }
         }
+        Ok(())
+    }
+
+    /// Turns the accumulators of a finished or aborted walk into its
+    /// outcome: the report, or — if a node panicked — a
+    /// [`ParallelPanic`] carrying the partial report. The flight
+    /// recorder is skipped after a panic: a kernel that panicked during
+    /// exploration would panic again during shrink replays.
+    fn conclude(
+        &self,
+        accums: Vec<WalkAccum>,
+        panicked: Option<String>,
+    ) -> Result<ModelCheckReport, Box<ParallelPanic>> {
+        let Some(msg) = panicked else {
+            return Ok(self.finish(accums, true));
+        };
+        let partial = self.finish(accums, false);
+        let message = format!(
+            "{msg} ({} cases checked, {} failures found before abort)",
+            partial.cases_run,
+            partial.failures.len()
+        );
+        Err(Box::new(ParallelPanic { message, partial }))
     }
 
     /// Merges per-worker accumulators into the final report: failures
@@ -1061,20 +1126,19 @@ impl ModelChecker {
         }
     }
 
-    /// Explores every schedule sequentially with the prefix-sharing
-    /// tree walk: each trie node is simulated exactly once, and no-op
-    /// events are elided. Failures come out in canonical enumeration
-    /// order.
+    /// Explores every schedule on the caller's thread with the
+    /// prefix-sharing tree walk: each trie node is simulated exactly
+    /// once, and no-op events are elided. Failures come out in
+    /// canonical enumeration order. The same as
+    /// [`run_parallel`](ModelChecker::run_parallel)`(1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel panics while simulating a schedule; the
+    /// message names the offending schedule and the progress made
+    /// before the abort.
     pub fn run(&self) -> ModelCheckReport {
-        let por = self.por.as_ref().map(|c| PorRun::new(Arc::clone(c)));
-        let mut acc = WalkAccum::default();
-        let root = NodeTask {
-            system: self.build_system(),
-            events: Vec::new(),
-            depth: 0,
-        };
-        self.walk(root, &mut acc, por.as_ref());
-        self.finish(vec![acc], true)
+        self.run_parallel(1)
     }
 
     /// Explores every schedule across `threads` workers with
@@ -1113,7 +1177,6 @@ impl ModelChecker {
     pub fn try_run_parallel(&self, threads: usize) -> Result<ModelCheckReport, Box<ParallelPanic>> {
         assert!(threads > 0, "need at least one thread");
         use crossbeam::deque::{Injector, Steal, Worker};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         use std::sync::atomic::{AtomicBool, AtomicUsize};
 
         let por_run = self.por.as_ref().map(|c| PorRun::new(Arc::clone(c)));
@@ -1127,11 +1190,7 @@ impl ModelChecker {
         }
 
         let injector: Injector<NodeTask> = Injector::new();
-        injector.push(NodeTask {
-            system: self.build_system(),
-            events: Vec::new(),
-            depth: 0,
-        });
+        injector.push(self.root_task());
         // Tasks queued or in flight anywhere; workers spin until zero.
         let pending = AtomicUsize::new(1);
         let abort = AtomicBool::new(false);
@@ -1143,71 +1202,48 @@ impl ModelChecker {
         let mut accums: Vec<WalkAccum> = Vec::new();
         crossbeam::scope(|scope| {
             let mut handles = Vec::new();
-            for (me, local) in locals.into_iter().enumerate() {
+            for (me, mut local) in locals.into_iter().enumerate() {
                 let (injector, stealers) = (&injector, &stealers);
                 let (pending, abort, panicked) = (&pending, &abort, &panicked);
                 handles.push(scope.spawn(move |_| {
-                    let mut acc = WalkAccum::default();
-                    loop {
+                    let pop = |local: &mut Worker<NodeTask>, acc: &mut WalkAccum| loop {
                         if abort.load(Ordering::Acquire) {
-                            break;
+                            return None;
                         }
                         // Own deque first (LIFO: depth-first, hot
                         // caches), then the injector, then steal the
                         // oldest — largest — subtree from a sibling.
-                        let mut task = local.pop();
-                        if task.is_none() {
-                            task = injector.steal().success();
+                        if let Some(task) = local.pop().or_else(|| injector.steal().success()) {
+                            return Some(task);
                         }
-                        if task.is_none() {
-                            for (i, stealer) in stealers.iter().enumerate() {
-                                if i == me {
-                                    continue;
-                                }
-                                if let Steal::Success(t) = stealer.steal() {
-                                    acc.steals += 1;
-                                    task = Some(t);
-                                    break;
-                                }
+                        for (i, stealer) in stealers.iter().enumerate() {
+                            if i == me {
+                                continue;
+                            }
+                            if let Steal::Success(task) = stealer.steal() {
+                                acc.steals += 1;
+                                return Some(task);
                             }
                         }
-                        let Some(task) = task else {
-                            if pending.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        let label = Schedule(task.events.clone());
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            self.process_node(task, &mut acc, por)
-                        })) {
-                            Ok(children) => {
-                                // Children become visible before this
-                                // task retires, so `pending` never dips
-                                // to zero while work remains.
-                                pending.fetch_add(children.len(), Ordering::AcqRel);
-                                for child in children {
-                                    local.push(child);
-                                }
-                                pending.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            Err(payload) => {
-                                let detail = payload
-                                    .downcast_ref::<&str>()
-                                    .map(|s| (*s).to_owned())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "non-string panic payload".to_owned());
-                                let mut slot = panicked.lock().expect("panic slot");
-                                if slot.is_none() {
-                                    *slot = Some(format!(
-                                        "model-check worker panicked on schedule `{label}`: {detail}"
-                                    ));
-                                }
-                                abort.store(true, Ordering::Release);
-                                break;
-                            }
+                        if pending.load(Ordering::Acquire) == 0 {
+                            return None;
                         }
+                        std::thread::yield_now();
+                    };
+                    let push = |local: &mut Worker<NodeTask>, children: Vec<NodeTask>| {
+                        // Children become visible before their parent
+                        // retires, so `pending` never dips to zero
+                        // while work remains.
+                        pending.fetch_add(children.len(), Ordering::AcqRel);
+                        for child in children {
+                            local.push(child);
+                        }
+                        pending.fetch_sub(1, Ordering::AcqRel);
+                    };
+                    let mut acc = WalkAccum::default();
+                    if let Err(msg) = self.drain(&mut local, &mut acc, por, pop, push) {
+                        panicked.lock().expect("panic slot").get_or_insert(msg);
+                        abort.store(true, Ordering::Release);
                     }
                     acc
                 }));
@@ -1218,73 +1254,37 @@ impl ModelChecker {
         })
         .expect("crossbeam scope");
 
-        if let Some(msg) = panicked.into_inner().expect("panic slot") {
-            // Skip the flight recorder: a kernel that panicked during
-            // exploration would panic again during shrink replays.
-            let partial = self.finish(accums, false);
-            let message = format!(
-                "{msg} ({} cases checked, {} failures found before abort)",
-                partial.cases_run,
-                partial.failures.len()
-            );
-            return Err(Box::new(ParallelPanic { message, partial }));
-        }
-        Ok(self.finish(accums, true))
+        self.conclude(accums, panicked.into_inner().expect("panic slot"))
     }
 
-    /// The parallel engine's small-space fast path: an exact pre-order
-    /// walk on the caller's thread that keeps `run_parallel`'s
-    /// contract — panics surface as [`ParallelPanic`] naming the
-    /// offending schedule with partial progress attached, and the
-    /// accumulator list is padded to `threads` entries so the
-    /// per-worker metric keys exist either way.
+    /// The walk on the caller's thread — [`run`](ModelChecker::run) and
+    /// the parallel engine's small-space fast path: an exact pre-order
+    /// walk that keeps `run_parallel`'s contract — panics surface as
+    /// [`ParallelPanic`] naming the offending schedule with partial
+    /// progress attached, and the accumulator list is padded to
+    /// `threads` entries so the per-worker metric keys exist either
+    /// way.
     fn run_serial_for(
         &self,
         threads: usize,
         por: Option<&PorRun>,
     ) -> Result<ModelCheckReport, Box<ParallelPanic>> {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
         let mut acc = WalkAccum::default();
-        let mut stack = vec![NodeTask {
-            system: self.build_system(),
-            events: Vec::new(),
-            depth: 0,
-        }];
-        let mut panicked: Option<String> = None;
-        while let Some(task) = stack.pop() {
-            let label = Schedule(task.events.clone());
-            match catch_unwind(AssertUnwindSafe(|| self.process_node(task, &mut acc, por))) {
-                Ok(children) => {
-                    // LIFO stack: reversed children keep the visit in
-                    // canonical pre-order.
-                    stack.extend(children.into_iter().rev());
-                }
-                Err(payload) => {
-                    let detail = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_owned())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_owned());
-                    panicked = Some(format!(
-                        "model-check worker panicked on schedule `{label}`: {detail}"
-                    ));
-                    break;
-                }
-            }
-        }
+        let mut stack = vec![self.root_task()];
+        let panicked = self
+            .drain(
+                &mut stack,
+                &mut acc,
+                por,
+                |stack, _| stack.pop(),
+                // LIFO stack: reversed children keep the visit in
+                // canonical pre-order.
+                |stack, children| stack.extend(children.into_iter().rev()),
+            )
+            .err();
         let mut accums = vec![acc];
         accums.resize_with(threads, WalkAccum::default);
-        if let Some(msg) = panicked {
-            let partial = self.finish(accums, false);
-            let message = format!(
-                "{msg} ({} cases checked, {} failures found before abort)",
-                partial.cases_run,
-                partial.failures.len()
-            );
-            return Err(Box::new(ParallelPanic { message, partial }));
-        }
-        Ok(self.finish(accums, true))
+        self.conclude(accums, panicked)
     }
 
     /// The seed engine: replays every schedule independently from frame

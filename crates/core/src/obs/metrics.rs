@@ -78,6 +78,20 @@ impl MetricsRegistry {
         }
     }
 
+    /// Folds a whole histogram into the named one, as if each of its
+    /// samples had been observed here. An empty histogram adds no name.
+    pub fn merge_histogram(&mut self, name: &str, other: &Log2Histogram) {
+        if other.count == 0 {
+            return;
+        }
+        match self.histograms.get_mut(name) {
+            Some(h) => h.merge(other),
+            None => {
+                self.histograms.insert(name.to_owned(), *other);
+            }
+        }
+    }
+
     /// Freezes the current state into a serializable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -101,6 +115,18 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Log₂ histogram snapshots by name.
     pub histograms: BTreeMap<String, Log2HistogramSnapshot>,
+}
+
+impl MetricsSnapshot {
+    /// The snapshot without its wall-clock histograms (names ending in
+    /// `_ns`): what is left depends on the run's inputs alone, so
+    /// committed artifacts and triage bundles are byte-identical run
+    /// to run.
+    #[must_use]
+    pub fn without_wall_clock(mut self) -> MetricsSnapshot {
+        self.histograms.retain(|name, _| !name.ends_with("_ns"));
+        self
+    }
 }
 
 impl fmt::Display for MetricsSnapshot {
@@ -188,6 +214,18 @@ impl Log2Histogram {
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Folds another histogram's samples into this one: the result is
+    /// the histogram that would have recorded both sample streams.
+    pub fn merge(&mut self, other: &Log2Histogram) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Nearest-rank percentile estimate: the upper bound of the bucket
@@ -384,6 +422,36 @@ mod tests {
                 Log2Histogram::bucket_bounds(Log2Histogram::bucket_of(bucket.lo))
             );
         }
+    }
+
+    #[test]
+    fn merged_histograms_equal_one_recording_of_both_streams() {
+        let (left, right) = ([0u64, 5, 9, 1 << 40], [3u64, 5, 700]);
+        let mut both = Log2Histogram::new();
+        let (mut a, mut b) = (Log2Histogram::new(), Log2Histogram::new());
+        for s in left {
+            a.record(s);
+            both.record(s);
+        }
+        for s in right {
+            b.record(s);
+            both.record(s);
+        }
+        a.merge(&b);
+        assert_eq!(a, both);
+        // Merging an empty histogram changes nothing, either way round.
+        let mut empty = Log2Histogram::new();
+        empty.merge(&both);
+        assert_eq!(empty, both);
+        both.merge(&Log2Histogram::new());
+        assert_eq!(empty, both);
+
+        let mut m = MetricsRegistry::new();
+        m.merge_histogram("lat", &Log2Histogram::new());
+        assert!(m.snapshot().histograms.is_empty());
+        m.observe("lat", 4);
+        m.merge_histogram("lat", &both);
+        assert_eq!(m.snapshot().histograms["lat"].count, both.count() + 1);
     }
 
     #[test]

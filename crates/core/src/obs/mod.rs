@@ -25,6 +25,11 @@
 //!   cycles, SCRAM decision time, restricted-frame ratio) snapshot-able
 //!   as a JSON artifact. A system, a model-check report, a fleet report
 //!   and a triage bundle all carry the same [`MetricsSnapshot`].
+//!   Histograms [merge](Log2Histogram::merge), so a fleet folds each
+//!   cell's latency histogram at aggregation; triage bundles and
+//!   committed artifacts keep
+//!   [`MetricsSnapshot::without_wall_clock`], so wall-clock `*_ns`
+//!   histograms never make them differ run to run.
 //! - [`counterexample`] — the model checker's flight-recorder artifact:
 //!   a failing schedule delta-debugged to a 1-minimal form, replayed
 //!   with observability on, and packaged with its journal, per-frame

@@ -452,7 +452,11 @@ impl ChooseRule {
         self
     }
 
-    fn matches(&self, current: &ConfigId, env: &EnvState) -> bool {
+    /// Whether the rule fires from `current` under `env`: its source
+    /// configuration (if any) is `current` and every constrained factor
+    /// holds its value. The one implementation of rule matching, shared
+    /// by [`ChooseTable`] and the lint passes.
+    pub(crate) fn matches(&self, current: &ConfigId, env: &EnvState) -> bool {
         if let Some(from) = &self.from {
             if from != current {
                 return false;

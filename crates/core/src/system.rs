@@ -578,52 +578,33 @@ impl System {
         slot_index(&self.slots, id).map(|at| self.slots[at].region.snapshot())
     }
 
-    /// A canonical fingerprint of the system's behavioral state, or
-    /// `None` if the system is not *quiescent* enough to summarize.
+    /// A canonical fingerprint of the system's behaviorally relevant
+    /// state — quiescent *or* mid-reconfiguration — or `None` if the
+    /// state cannot be summarized.
     ///
-    /// Two quiescent systems with equal fingerprints at the same frame
-    /// produce identical futures under identical future inputs; the
-    /// model checker's visited-state deduplication relies on exactly
-    /// this to merge converged schedule subtrees. Quiescence requires:
-    /// the SCRAM steady with no pending trigger (the choice function
-    /// endorses the current configuration), no queued environment
-    /// updates or processor failures, no live or future chaos faults,
-    /// every processor alive, no attached monitors (their hidden state
-    /// is not summarizable), and every application able to digest
-    /// itself ([`ReconfigurableApp::state_digest`]).
+    /// Two systems with equal fingerprints at the same frame — reached
+    /// by *different* event schedules — produce identical futures
+    /// under identical future inputs; the model checker's visited-state
+    /// deduplication relies on exactly this to merge converged schedule
+    /// subtrees. A fingerprint requires no queued environment updates
+    /// or processor failures, no live or future chaos faults, every
+    /// processor alive, no attached monitors (their hidden state is not
+    /// summarizable), and every application able to digest itself
+    /// ([`ReconfigurableApp::state_digest`]); a *steady* kernel must
+    /// also have no pending trigger (the choice function endorses the
+    /// current configuration).
     ///
     /// The hash covers the environment, the current configuration, the
     /// *remaining* dwell (not the absolute steady-since frame — see
     /// [`Scram::settled_dwell`]), and each application's digest plus
-    /// committed stable-storage region.
-    pub fn quiescent_fingerprint(&self) -> Option<u64> {
-        if self.scram.is_reconfiguring() {
-            return None;
-        }
-        self.state_fingerprint()
-    }
-
-    /// A canonical fingerprint of the system's behaviorally relevant
-    /// state — quiescent *or* mid-reconfiguration.
-    ///
-    /// This widens [`System::quiescent_fingerprint`] to "busy" states:
-    /// when a reconfiguration is in flight, the hash additionally
-    /// covers the SCRAM's in-flight protocol record
-    /// ([`InFlight`](crate::scram::InFlight):
-    /// source and target configuration, phase, phase progress, stall /
-    /// retry / backoff counters, announcement flag) and the offset into
-    /// the reconfiguration window (`frame - trigger frame`). Those
-    /// fields determine every future protocol decision and every
-    /// remaining restricted frame, so two busy systems with equal
-    /// fingerprints at the same frame — reached by *different* event
-    /// schedules — produce identical futures under identical future
-    /// inputs, and the model checker may merge their subtrees exactly
-    /// as it merges quiescent ones.
-    ///
-    /// The same preconditions as for quiescent fingerprints apply
-    /// (no monitors, no queued inputs, no failed processors, no live or
-    /// future chaos, digestible applications); a pending-but-unaccepted
-    /// trigger still disqualifies a *steady* kernel.
+    /// committed stable-storage region. When a reconfiguration is in
+    /// flight it also covers the SCRAM's in-flight protocol record
+    /// ([`InFlight`](crate::scram::InFlight): source and target
+    /// configuration, phase, phase progress, stall / retry / backoff
+    /// counters, announcement flag) and the offset into the
+    /// reconfiguration window (`frame - trigger frame`). Those fields
+    /// determine every future protocol decision and every remaining
+    /// restricted frame.
     pub fn state_fingerprint(&self) -> Option<u64> {
         let frame = self.clock.frame();
         let plan = &self.chaos.plan;

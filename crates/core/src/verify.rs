@@ -176,12 +176,11 @@ impl fmt::Display for VerificationReport {
 /// assert!(report.is_verified(), "{report}");
 /// ```
 pub fn verify_spec(spec: &ReconfigSpec, options: &VerifyOptions) -> VerificationReport {
-    // Lint the full assembly through the content-hash cache: repeated
-    // verification of an unchanged specification re-checks incrementally.
+    // Lint the full assembly, or the spec alone if it cannot be derived.
     let engine = LintEngine::new();
     let lint = match Assembly::derive(spec) {
-        Ok(assembly) => engine.run_cached(&LintTarget::assembled(spec, &assembly)),
-        Err(_) => engine.run_cached(&LintTarget::spec_only(spec)),
+        Ok(assembly) => engine.run(&LintTarget::assembled(spec, &assembly)),
+        Err(_) => engine.run(&LintTarget::spec_only(spec)),
     };
     let obligations = obligations_from(spec, &lint);
 

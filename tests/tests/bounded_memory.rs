@@ -12,13 +12,18 @@
 //! either be bounded or be released once nothing can read it. A log
 //! kept per frame or per change (say, 16 B per frame) would add
 //! hundreds of KiB over the 21,000 frames between the two samples.
+//! A second case holds a one-system `Fleet` stepped frame by frame to
+//! the same bound, so the stream verifier's per-cell state is covered
+//! too.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use arfs_avionics::avionics_spec;
+use arfs_core::fleet::{Fleet, FleetConfig};
 use arfs_core::system::System;
+use arfs_core::workload::WorkloadConfig;
 
 /// Wraps the system allocator, tracking the net bytes the current
 /// thread holds.
@@ -105,5 +110,50 @@ fn live_heap_does_not_grow_with_the_horizon() {
         "live heap grew by {growth} B between frames {EARLY} and {LATE} \
          ({} changes in between); at most {SLACK_BYTES} B is allowed",
         (LATE - EARLY) / 100
+    );
+}
+
+#[test]
+fn fleet_live_heap_does_not_grow_with_the_horizon() {
+    // One system stepped frame by frame the way `Fleet::run` steps it,
+    // under a workload that changes the environment every few frames:
+    // the stream verifier must fold each completed reconfiguration into
+    // fixed-size state rather than keep one entry per reconfiguration.
+    let spec = Arc::new(avionics_spec().expect("avionics spec builds"));
+    let config = FleetConfig {
+        systems: 1,
+        horizon: LATE,
+        workload: Some(WorkloadConfig {
+            horizon: LATE,
+            mean_gap: 8,
+            cooldown: 20,
+        }),
+        ..FleetConfig::default()
+    };
+    let mut fleet = Fleet::new(Arc::clone(&spec), config.clone()).expect("fleet builds");
+    let mut early = None;
+    for frame in 0..LATE {
+        if frame == EARLY {
+            early = Some(live_bytes());
+        }
+        fleet.advance_frame(frame);
+    }
+    let growth = live_bytes() - early.expect("baseline taken");
+    // The same inputs through `Fleet::run` count the reconfigurations.
+    let report = Fleet::new(spec, config)
+        .expect("fleet builds")
+        .run()
+        .expect("in-memory journal");
+
+    assert!(
+        report.reconfigs > 1_000,
+        "the workload must keep reconfiguring, got {}",
+        report.reconfigs
+    );
+    assert!(
+        growth <= SLACK_BYTES,
+        "fleet live heap grew by {growth} B between frames {EARLY} and {LATE} \
+         ({} reconfigurations in all); at most {SLACK_BYTES} B is allowed",
+        report.reconfigs
     );
 }

