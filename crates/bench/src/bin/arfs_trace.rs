@@ -256,23 +256,25 @@ fn explain(args: &[String]) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let ce = Counterexample::from_json_str(&text).map_err(|e| format!("`{path}`: {e}"))?;
 
+    let (case, minimized) = (&ce.case, &ce.minimized);
     let kept = ce.shrink_steps.iter().filter(|s| s.kept).count();
-    println!("original:  {}", ce.schedule);
+    println!("horizon:   {} frames", case.horizon());
+    println!("original:  {}", case.events_line());
     println!(
         "minimized: {}  ({} -> {} events; {} of {} shrink attempts kept)",
-        ce.minimized,
-        ce.schedule.0.len(),
-        ce.minimized.0.len(),
+        minimized.events_line(),
+        case.events().len(),
+        minimized.events().len(),
         kept,
         ce.shrink_steps.len(),
     );
-    if !ce.fault_plan.is_empty() {
-        println!("fault plan:           {}", ce.fault_plan);
+    if !case.faults().is_empty() {
+        println!("fault plan:           {}", case.faults());
         println!(
             "minimized fault plan: {}  ({} -> {} faults)",
-            ce.minimized_fault_plan,
-            ce.fault_plan.len(),
-            ce.minimized_fault_plan.len(),
+            minimized.faults(),
+            case.faults().len(),
+            minimized.faults().len(),
         );
     }
     println!("violations:");
@@ -450,11 +452,12 @@ fn fleet_triage(args: &[String]) -> Result<ExitCode, String> {
     if !bundle.detail.is_empty() {
         println!("detail:   {}", bundle.detail);
     }
-    if !bundle.schedule.is_empty() {
-        println!("\nstimulus schedule:");
-        for line in &bundle.schedule {
-            println!("  {line}");
-        }
+    println!("horizon:  {} frames", bundle.case.horizon());
+    if !bundle.case.events().is_empty() {
+        println!("stimuli:  {}", bundle.case.events_line());
+    }
+    if !bundle.case.faults().is_empty() {
+        println!("faults:   {}", bundle.case.faults());
     }
 
     println!("\nflight-recorder timeline (»: causal-chain link):");

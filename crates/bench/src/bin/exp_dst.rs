@@ -38,7 +38,7 @@ use std::sync::Arc;
 use arfs_assure::{FailpointPlan, FpAction};
 use arfs_avionics::extended::extended_uav_spec;
 use arfs_avionics::{avionics_spec, quarantine_spec, three_level_spec};
-use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
+use arfs_bench::{banner, verdict, write_full_run_artifact, write_json, write_text, TextTable};
 use arfs_core::assure::{dst_menu, InvariantOracle, OracleProfile};
 use arfs_core::chaos::{ChaosDefense, ChaosProfile, FaultKind, FaultPlan};
 use arfs_core::fleet::{Fleet, FleetConfig};
@@ -100,7 +100,7 @@ fn minimize(label: &str, case: &Scenario, builder: Build, oracle: &InvariantOrac
         !violations(candidate).is_empty()
     });
     let final_violations = violations(&minimized);
-    let (schedule, faults) = (schedule_line(&minimized), minimized.faults());
+    let (schedule, faults) = (minimized.events_line(), minimized.faults());
     let first = final_violations.first().map(ToString::to_string);
     println!(
         "{label}: VIOLATION, shrunk in {steps} steps to schedule [{schedule}] faults [{faults}] \
@@ -125,12 +125,6 @@ fn with_minimized(row: Value, minimized: Vec<Value>) -> Value {
     } else {
         serde_json::json!({ "summary": row, "minimized": minimized })
     }
-}
-
-/// The stimuli as the artifacts print them: one line per event.
-fn schedule_line(case: &Scenario) -> String {
-    let lines: Vec<String> = case.events().iter().map(ToString::to_string).collect();
-    lines.join("; ")
 }
 
 fn mix_seed(master: u64, stream: u64) -> u64 {
@@ -232,7 +226,7 @@ fn failpoint_campaigns(smoke: bool) -> bool {
         ]);
         let summary = serde_json::json!({
             "seed": seed,
-            "schedule": schedule_line(&case),
+            "schedule": case.events_line(),
             "fault_plan": case.faults().to_string(),
             "failpoint_plan": case.failpoints().to_string(),
             "violations": violations.len(),
@@ -266,6 +260,13 @@ fn failpoint_campaigns(smoke: bool) -> bool {
                 threads: 2,
                 horizon: 40,
                 journal_sample: 4,
+                // Stimuli up to the last frame: the check is that
+                // dropped journal frames leave the verdict alone.
+                workload: Some(WorkloadConfig {
+                    horizon: 40,
+                    cooldown: 0,
+                    ..WorkloadConfig::default()
+                }),
                 ..FleetConfig::default()
             },
         )
@@ -353,17 +354,6 @@ fn failpoint_campaigns(smoke: bool) -> bool {
     });
     write_full_run_artifact("BENCH_dst.json", &artifact, smoke);
     all_ok
-}
-
-/// Writes a section's artifact on a full run only: a smoke run covers
-/// fewer seeds, and the committed full-scale artifact holds the
-/// per-seed rows the next full run's soak-regression gate reads.
-fn write_full_run_artifact(name: &str, artifact: &Value, smoke: bool) {
-    if smoke {
-        println!("\nsmoke run: results/{name} left as committed");
-    } else {
-        println!("\nartifact: {}", write_json(name, artifact).display());
-    }
 }
 
 /// The committed chaos rows of seeds `1..=seeds` as (commit retries,
@@ -615,8 +605,8 @@ fn chaos_campaigns(smoke: bool) -> (bool, bool) {
         "budget0": {
             "failed_as_expected": budget0_failed,
             "engines_byte_identical": engines_agree,
-            "minimized_schedule": serial_ce.map(|ce| ce.minimized.to_string()),
-            "minimized_fault_plan": serial_ce.map(|ce| ce.minimized_fault_plan.to_string()),
+            "minimized_schedule": serial_ce.map(|ce| ce.minimized.events_line()),
+            "minimized_fault_plan": serial_ce.map(|ce| ce.minimized.faults().to_string()),
         },
         "all_ok": all_ok,
     });

@@ -57,6 +57,7 @@ use arfs_bench::{banner, median_iqr, verdict, write_json, TextTable};
 use arfs_core::fleet::{Fleet, FleetConfig, FleetReport, FleetTimings};
 use arfs_core::scram::ScramMutation;
 use arfs_core::spec::ReconfigSpec;
+use arfs_core::workload::WorkloadConfig;
 
 /// Counts every allocation and reallocation; the per-frame delta on a
 /// warmed-up quiet fleet is the number the fast path promises is zero.
@@ -196,6 +197,11 @@ fn main() {
     {
         let config = FleetConfig {
             horizon: 8,
+            workload: Some(WorkloadConfig {
+                horizon: 8,
+                cooldown: 0,
+                ..WorkloadConfig::default()
+            }),
             ..fleet_config(10_000, cores.clamp(1, 4))
         };
         Fleet::new(Arc::clone(&spec), config)

@@ -39,7 +39,11 @@
 //! and report medians; larger cases run once.
 //!
 //! Usage: `exp_statespace [--smoke]` — `--smoke` runs only the small
-//! cross-checked cases plus the mutant sweep (the CI entry point).
+//! cross-checked cases plus the mutant sweep (the CI entry point). A
+//! smoke run rewrites the deterministic certificates and counterexamples
+//! but leaves the committed full-run `BENCH_model_check.json` alone, so
+//! the tree stays clean and the next full run compares against
+//! full-run numbers.
 //!
 //! Exit codes: `0` all verdicts pass, `1` a verification or agreement
 //! check failed, `3` a walk regression: on the `avionics_h14_e1` guard
@@ -49,7 +53,9 @@
 use std::time::Instant;
 
 use arfs_avionics::{known_bad_mutations, KNOWN_BAD_HORIZON};
-use arfs_bench::{banner, median_iqr, verdict, write_json, write_text, TextTable};
+use arfs_bench::{
+    banner, median_iqr, verdict, write_full_run_artifact, write_json, write_text, TextTable,
+};
 use arfs_core::lint::IndependenceCertificate;
 use arfs_core::model::ModelChecker;
 use arfs_core::spec::ReconfigSpec;
@@ -372,7 +378,7 @@ fn main() {
             println!(
                 "{slug}: {} -> minimized `{}` ({} shrink steps, chain ends @{:?}) -> {}",
                 report.failures.len(),
-                ce.minimized,
+                ce.minimized.events_line(),
                 ce.shrink_steps.len(),
                 ce.violating_frame(),
                 path.display()
@@ -389,7 +395,7 @@ fn main() {
             "caught": caught,
             "failures": report.failures.len(),
             "shrink_steps": report.counterexample.as_ref().map(|ce| ce.shrink_steps.len()),
-            "minimized_events": report.counterexample.as_ref().map(|ce| ce.minimized.0.len()),
+            "minimized_events": report.counterexample.as_ref().map(|ce| ce.minimized.events().len()),
             "violating_frame": report.counterexample.as_ref().and_then(|ce| ce.violating_frame()),
             "counterexample_artifact": artifact,
             "check_secs": secs,
@@ -429,7 +435,7 @@ fn main() {
             new_secs / prev
         });
 
-    let path = write_json(
+    write_full_run_artifact(
         "BENCH_model_check.json",
         &serde_json::json!({
             "experiment": "exp_statespace",
@@ -442,8 +448,8 @@ fn main() {
             "cases": artifacts,
             "mutants": mutants,
         }),
+        smoke,
     );
-    println!("artifact: {}", path.display());
 
     if !(all_passed && engines_agree && all_caught) {
         std::process::exit(1);

@@ -96,6 +96,17 @@ pub fn write_json(name: &str, value: &impl serde::Serialize) -> PathBuf {
     path
 }
 
+/// Writes a JSON artifact with [`write_json`] on a full run only. A
+/// smoke run leaves the committed full-scale artifact, which the next
+/// full run's gates and comparisons read, and the tree as they were.
+pub fn write_full_run_artifact(name: &str, artifact: &impl serde::Serialize, smoke: bool) {
+    if smoke {
+        println!("\nsmoke run: results/{name} left as committed");
+    } else {
+        println!("\nartifact: {}", write_json(name, artifact).display());
+    }
+}
+
 /// Writes a plain-text artifact (e.g. a JSON-Lines journal) into
 /// [`results_dir`], returning its path.
 ///

@@ -167,6 +167,14 @@ pub enum SystemError {
     UnknownProcessor(ProcessorId),
     /// The bus rejected a message or schedule.
     Bus(String),
+    /// A fleet's workload generates cases over a different horizon
+    /// than the fleet runs.
+    HorizonMismatch {
+        /// The frames the fleet runs every system through.
+        fleet: u64,
+        /// The horizon of the workload's generated cases.
+        workload: u64,
+    },
 }
 
 impl fmt::Display for SystemError {
@@ -183,6 +191,12 @@ impl fmt::Display for SystemError {
                 write!(f, "processor {p} is not part of the platform")
             }
             SystemError::Bus(e) => write!(f, "bus error: {e}"),
+            SystemError::HorizonMismatch { fleet, workload } => {
+                write!(
+                    f,
+                    "fleet horizon {fleet} differs from its workload's {workload}"
+                )
+            }
         }
     }
 }

@@ -29,8 +29,11 @@
 //! fold over a trace: steady fast frames only reset a counter; while a
 //! reconfiguration is open the cell runs full frames so the monitors
 //! see every restricted state. Violations carry the offending system's
-//! seed and stimulus schedule, so any report line replays through the
-//! existing flight-recorder tooling.
+//! seed and case — its stimuli, chaos fault plan and the fleet's
+//! horizon — so any report line replays through
+//! [`Scenario::run_with`]. Cells keep no copy of their case:
+//! aggregation re-derives it from the seed for the cells a report
+//! names.
 //!
 //! # Metrics
 //!
@@ -50,7 +53,7 @@
 //! events on both the fast and the full path — allocation-free, so even
 //! the unsampled majority retains a recent-history window. When a
 //! [`StreamVerifier`] violation or a chaos defense fires, aggregation
-//! drains that ring plus the seed, stimulus schedule, and metrics
+//! drains that ring plus the seed, the cell's case, and a metrics
 //! snapshot into a [`TriageBundle`] on the report; `arfs-trace fleet
 //! triage` renders it.
 //!
@@ -114,13 +117,14 @@ fn mix_seed(master: u64, index: u64) -> u64 {
 
 /// System `id`'s seed and case, derived from the master seed alone:
 /// the workload's stimuli and, under a chaos profile, a seeded fault
-/// plan. The case's horizon is the workload's; the fleet runs every
-/// system for [`FleetConfig::horizon`] frames.
+/// plan, over the fleet's horizon ([`Fleet::new`] holds the workload's
+/// horizon to it). Aggregation calls it again for the cells a report
+/// names, so a cell keeps no copy of its case.
 fn system_case(spec: &ReconfigSpec, config: &FleetConfig, id: usize) -> (u64, Scenario) {
     let seed = mix_seed(config.seed, id as u64);
     let mut case = match &config.workload {
         Some(wl) => workload::random_scenario(spec, wl, seed),
-        None => Scenario::new("quiet", 1),
+        None => Scenario::new("quiet", config.horizon),
     };
     if let Some(profile) = &config.chaos {
         case = case.with_faults(FaultPlan::random(mix_seed(seed, 1), profile));
@@ -140,7 +144,8 @@ pub struct FleetConfig {
     pub threads: usize,
     /// Master seed; every per-system seed derives from it.
     pub seed: u64,
-    /// Frames to advance every system through.
+    /// Frames to advance every system through; a workload's
+    /// [`horizon`](WorkloadConfig::horizon) must equal it.
     pub horizon: u64,
     /// Journal 1-in-K systems (`0` disables journaling entirely).
     pub journal_sample: usize,
@@ -174,9 +179,8 @@ impl Default for FleetConfig {
     }
 }
 
-/// One aggregate-level violation, carrying everything needed to replay
-/// the offending system through the flight recorder: its seed and its
-/// full stimulus schedule.
+/// One aggregate-level violation, carrying the case that replays the
+/// offending system through [`Scenario::run_with`].
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FleetViolation {
     /// Global index of the offending system.
@@ -191,9 +195,9 @@ pub struct FleetViolation {
     pub reconfig: Option<(u64, u64)>,
     /// Human-readable description from the underlying checker.
     pub detail: String,
-    /// The system's stimulus schedule, one `"f<frame> <action>"` line
-    /// per event.
-    pub schedule: Vec<String>,
+    /// The system's case: its stimuli, its chaos fault plan and the
+    /// fleet's horizon, shared by all of the system's violations.
+    pub case: Arc<Scenario>,
 }
 
 /// Where a fleet run's wall clock went. Kept outside [`FleetReport`] so
@@ -437,10 +441,6 @@ impl Cell {
             }
         }
     }
-
-    fn schedule_lines(&self) -> Vec<String> {
-        self.events.iter().map(ScenarioEvent::to_string).collect()
-    }
 }
 
 /// A contiguous slice of the fleet's cells, the unit of work stealing.
@@ -474,9 +474,19 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Propagates any [`SystemError`] from system construction (a spec
-    /// that fails [`System::builder`] validation).
+    /// Returns [`SystemError::HorizonMismatch`] if the workload's
+    /// horizon is not the fleet's, and propagates any [`SystemError`]
+    /// from system construction (a spec that fails [`System::builder`]
+    /// validation).
     pub fn new(spec: Arc<ReconfigSpec>, config: FleetConfig) -> Result<Fleet, SystemError> {
+        if let Some(workload) = config.workload.as_ref() {
+            if workload.horizon != config.horizon {
+                return Err(SystemError::HorizonMismatch {
+                    fleet: config.horizon,
+                    workload: workload.horizon,
+                });
+            }
+        }
         let shard_count = if config.shards > 0 {
             config.shards
         } else {
@@ -678,7 +688,7 @@ impl Fleet {
             }
 
             if !cell.verifier.violations.is_empty() {
-                let schedule = cell.schedule_lines();
+                let case = Arc::new(system_case(&self.spec, &self.config, cell.id).1);
                 for v in &cell.verifier.violations {
                     violations.push(FleetViolation {
                         system: cell.id,
@@ -687,13 +697,14 @@ impl Fleet {
                         frame: v.frame,
                         reconfig: v.reconfig.map(|r| (r.start_c, r.end_c)),
                         detail: v.detail.clone(),
-                        schedule: schedule.clone(),
+                        case: Arc::clone(&case),
                     });
                 }
             }
 
             if bundles.len() < MAX_TRIAGE_BUNDLES {
-                if let Some(bundle) = Self::triage(cell, &legend) {
+                let case = || system_case(&self.spec, &self.config, cell.id).1;
+                if let Some(bundle) = Self::triage(cell, &legend, case) {
                     bundles.push(bundle);
                 }
             }
@@ -720,11 +731,15 @@ impl Fleet {
         }
     }
 
-    /// Drains one misbehaving cell's flight ring into a bundle. A
-    /// verifier violation wins; absent one, fired chaos defenses
-    /// qualify; a healthy cell (or one with rings disabled) yields
-    /// nothing.
-    fn triage(cell: &Cell, legend: &RingLegend) -> Option<TriageBundle> {
+    /// Drains one misbehaving cell's flight ring into a bundle with the
+    /// cell's case. A verifier violation wins; absent one, fired chaos
+    /// defenses qualify; a healthy cell (or one with rings disabled)
+    /// yields nothing.
+    fn triage(
+        cell: &Cell,
+        legend: &RingLegend,
+        case: impl FnOnce() -> Scenario,
+    ) -> Option<TriageBundle> {
         let ring: &FlightRing = cell.system.flight_ring()?;
         let (trigger, property, frame, reconfig, detail) =
             if let Some(v) = cell.verifier.violations.first() {
@@ -762,7 +777,7 @@ impl Fleet {
             frame,
             reconfig,
             detail,
-            schedule: cell.schedule_lines(),
+            case: case(),
             ring: decoded,
             causal_chain,
             metrics,
@@ -821,14 +836,26 @@ mod tests {
 
     #[test]
     fn quiet_fleet_is_all_fast_frames_and_clean() {
-        let mut fleet = Fleet::new(
-            Arc::new(small_spec()),
-            FleetConfig {
-                horizon: 40,
-                ..quiet_config(8)
-            },
-        )
-        .unwrap();
+        let spec = Arc::new(small_spec());
+        let config = FleetConfig {
+            horizon: 40,
+            ..quiet_config(8)
+        };
+        // One horizon per cell: a quiet case spans the fleet's, and a
+        // workload over any other is rejected.
+        assert_eq!(system_case(&spec, &config, 1).1.horizon(), 40);
+        let mismatched = FleetConfig {
+            horizon: 40,
+            ..FleetConfig::default()
+        };
+        assert_eq!(
+            Fleet::new(Arc::clone(&spec), mismatched).err(),
+            Some(SystemError::HorizonMismatch {
+                fleet: 40,
+                workload: 120
+            })
+        );
+        let mut fleet = Fleet::new(spec, config).unwrap();
         let report = fleet.run().expect("an in-memory journal never fails");
         assert!(report.is_clean(), "{:?}", report.violations);
         assert_eq!(report.total_frames, 8 * 40);
@@ -1016,7 +1043,6 @@ mod tests {
         let base = FleetConfig {
             systems: 24,
             shards: 1,
-            horizon: 100,
             journal_sample: 3,
             chaos: Some(ChaosProfile::for_spec(&spec, 60)),
             ..FleetConfig::default()
@@ -1118,7 +1144,6 @@ mod tests {
             let config = FleetConfig {
                 systems: 24,
                 threads: 2,
-                horizon: 100,
                 journal_sample: 3,
                 chaos: Some(ChaosProfile::for_spec(&spec, 60)),
                 ..FleetConfig::default()
@@ -1162,16 +1187,17 @@ mod tests {
     #[test]
     fn chaos_fleet_violations_replay_through_batch_checkers() {
         // Chaos faults and seeded protocol defects genuinely break
-        // reconfigurations; the point of carrying `(seed, schedule)` in
-        // every FleetViolation is that the offending system replays
-        // exactly. Rebuild every system from its seed alone: the batch
-        // checkers on its full recorded trace must report exactly what
-        // the stream reported, frame numbers and details included.
+        // reconfigurations; the point of carrying the case in every
+        // FleetViolation and bundle is that the system replays exactly.
+        // Rebuild every system from its seed alone: the batch checkers
+        // on its full recorded trace must report exactly what the
+        // stream reported, frame numbers and details included. A
+        // chaos-defense bundle replays from its case alone to the
+        // defense count it reports.
         for spec in [small_spec(), crate::assure::tests::two_app_spec()] {
             let spec = Arc::new(spec);
             let base = FleetConfig {
                 systems: 12,
-                horizon: 100,
                 ..FleetConfig::default()
             };
             let mut configs = vec![FleetConfig {
@@ -1201,6 +1227,20 @@ mod tests {
                         "{:?} went unnoticed",
                         config.mutate_system
                     );
+                }
+                for v in &report.violations {
+                    assert_eq!(*v.case, system_case(&spec, &config, v.system).1);
+                }
+                let defended = report
+                    .bundles
+                    .iter()
+                    .filter(|b| b.trigger == trigger::CHAOS_DEFENSE);
+                assert_eq!(config.chaos.is_some(), defended.clone().count() > 0);
+                for bundle in defended {
+                    let alone = System::builder_arc(Arc::clone(&spec));
+                    let fired = bundle.case.run_with(alone).unwrap().defense_events();
+                    let reported = format!("{fired} chaos defense(s) fired");
+                    assert!(bundle.detail.starts_with(&reported), "{}", bundle.detail);
                 }
                 for id in 0..config.systems {
                     let mut streamed: Vec<Key> = report

@@ -92,8 +92,9 @@
 //! shrinks the first failure in canonical order to a 1-minimal case
 //! with [`Scenario::shrink`], the shrinker every harness shares,
 //! replays it with observability forced on, and attaches the
-//! packaged [`Counterexample`] — schedules, shrink lineage, journal,
-//! per-frame verdicts, causal chain — to the report. The artifact is
+//! packaged [`Counterexample`] — the original and minimized cases,
+//! shrink lineage, journal, per-frame verdicts, causal chain — to the
+//! report. The artifact is
 //! deterministic: serial and work-stealing runs produce byte-identical
 //! JSON. Every engine also profiles itself: span totals for
 //! fork/advance/check/shrink and per-worker run/elide/steal counters
@@ -113,7 +114,7 @@ use crate::lint::independence::IndependenceCertificate;
 use crate::obs::counterexample::{Counterexample, ShrinkStep};
 use crate::obs::{MetricsRegistry, MetricsSnapshot};
 use crate::properties::PropertyViolation;
-use crate::scenario::{Scenario, ScenarioAction};
+use crate::scenario::Scenario;
 use crate::spec::ReconfigSpec;
 use crate::system::{System, SystemBuilder};
 
@@ -276,8 +277,8 @@ impl fmt::Display for ModelCheckReport {
                 writeln!(
                     f,
                     "  counterexample: `{}` minimized to `{}` ({} shrink steps)",
-                    ce.schedule,
-                    ce.minimized,
+                    ce.case.events_line(),
+                    ce.minimized.events_line(),
                     ce.shrink_steps.len()
                 )?;
             }
@@ -1107,7 +1108,7 @@ impl ModelChecker {
             let ce = total
                 .failures
                 .first()
-                .map(|failure| self.record_counterexample(failure));
+                .map(|failure| self.record_counterexample(self.case(&failure.schedule)));
             metrics.add("walk.span.shrink_ns", span_ns(shrink_started));
             ce
         } else {
@@ -1325,7 +1326,7 @@ impl ModelChecker {
     }
 
     fn run_case(&self, schedule: &Schedule) -> Option<CaseFailure> {
-        let violations = self.check_schedule(schedule);
+        let violations = self.check_case(&self.case(schedule));
         if violations.is_empty() {
             None
         } else {
@@ -1370,25 +1371,18 @@ impl ModelChecker {
         collect_violations(&self.replay(case, false))
     }
 
-    /// Checks one schedule: [`check_case`](ModelChecker::check_case) on
-    /// [`case`](ModelChecker::case)`(schedule)`.
-    pub fn check_schedule(&self, schedule: &Schedule) -> Vec<PropertyViolation> {
-        self.check_case(&self.case(schedule))
-    }
-
-    /// The flight recorder: shrinks a failure's case to 1-minimal form
+    /// The flight recorder: shrinks a failing case to 1-minimal form
     /// (recording every attempt as a [`ShrinkStep`]), replays it with
-    /// observability on, and packages schedules, plans, lineage,
-    /// journal, per-frame verdicts, and causal chain into the
-    /// [`Counterexample`] artifact.
-    fn record_counterexample(&self, failure: &CaseFailure) -> Counterexample {
+    /// observability on, and packages the original and minimized
+    /// cases, lineage, journal, per-frame verdicts, and causal chain
+    /// into the [`Counterexample`] artifact.
+    fn record_counterexample(&self, case: Scenario) -> Counterexample {
         let mut shrink_steps = Vec::new();
-        let minimized = self.case(&failure.schedule).shrink(|action, candidate| {
+        let minimized = case.shrink(|action, candidate| {
             let kept = !self.check_case(candidate).is_empty();
             shrink_steps.push(ShrinkStep {
                 action,
-                candidate: schedule_of(candidate),
-                candidate_faults: candidate.faults().clone(),
+                candidate: candidate.clone(),
                 kept,
             });
             kept
@@ -1399,10 +1393,8 @@ impl ModelChecker {
         let frame_verdicts = Counterexample::derive_frame_verdicts(&violations, self.horizon);
         let causal_chain = Counterexample::derive_causal_chain(&journal, &violations, self.horizon);
         Counterexample {
-            schedule: failure.schedule.clone(),
-            minimized: schedule_of(&minimized),
-            fault_plan: self.fault_plan.clone(),
-            minimized_fault_plan: minimized.faults().clone(),
+            case,
+            minimized,
             violations,
             shrink_steps,
             journal,
@@ -1410,22 +1402,6 @@ impl ModelChecker {
             causal_chain,
         }
     }
-}
-
-/// The schedule label of a model-checker case: its environment changes
-/// as `(frame, factor, value)` triples.
-fn schedule_of(case: &Scenario) -> Schedule {
-    Schedule(
-        case.events()
-            .iter()
-            .filter_map(|e| match &e.action {
-                ScenarioAction::SetEnv { factor, value } => {
-                    Some((e.frame, factor.clone(), value.clone()))
-                }
-                ScenarioAction::FailProcessor(_) => None,
-            })
-            .collect(),
-    )
 }
 
 /// Elapsed nanoseconds since `started`, clamped into `u64`.
@@ -1487,6 +1463,7 @@ fn checked_binomial(n: usize, k: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ScenarioAction;
     use crate::scram::ScramMutation;
     use crate::spec::{AppDecl, Configuration, FunctionalSpec};
     use arfs_failstop::ProcessorId;
@@ -1753,13 +1730,13 @@ mod tests {
         assert!(!report.all_passed());
         let ce = report.counterexample.as_ref().expect("recorder is on");
         // The artifact describes the first failure in canonical order...
-        assert_eq!(ce.schedule, report.failures[0].schedule);
+        assert_eq!(ce.case, mc.case(&report.failures[0].schedule));
         // ...shrunk no larger than the original and still failing.
-        assert!(ce.minimized.0.len() <= ce.schedule.0.len());
+        assert!(ce.minimized.events().len() <= ce.case.events().len());
         assert!(!ce.violations.is_empty());
         assert!(
-            !mc.check_schedule(&ce.minimized).is_empty(),
-            "minimized schedule must still violate"
+            !mc.check_case(&ce.minimized).is_empty(),
+            "minimized case must still violate"
         );
         // The replay journaled, and the chain ends at a violating frame.
         assert!(!ce.journal.events().is_empty());
@@ -1767,16 +1744,36 @@ mod tests {
         assert!(violating < mc.horizon());
         assert!(ce.frame_verdicts.len() as u64 == mc.horizon());
         assert!(!ce.frame_verdicts[violating as usize].violated.is_empty());
-        // 1-minimality: dropping any single event loses the violation.
-        for i in 0..ce.minimized.0.len() {
-            let mut cand = ce.minimized.clone();
-            cand.0.remove(i);
-            assert!(
-                mc.check_schedule(&cand).is_empty(),
-                "minimized schedule is not 1-minimal at index {i}"
-            );
-        }
-        assert!(report.to_string().contains("counterexample:"));
+        // 1-minimality: the minimized case is a fixpoint of the
+        // shrinker, so dropping any single event loses the violation.
+        let reshrunk = ce.minimized.shrink(|_, c| !mc.check_case(c).is_empty());
+        assert_eq!(reshrunk, ce.minimized);
+        assert!(report.to_string().contains(&format!(
+            "counterexample: `{}` minimized to `{}`",
+            ce.case.events_line(),
+            ce.minimized.events_line()
+        )));
+    }
+
+    #[test]
+    fn counterexample_keeps_a_processor_failure_and_replays_from_json() {
+        // Failing P1 drives the system into `solo`; with the Init phase
+        // skipped that reconfiguration violates SP4, so the failure is
+        // the case's one essential event.
+        let spec = crate::system::tests::processor_status_spec();
+        let mc = ModelChecker::new(spec, 12, 1).with_mutation(ScramMutation::SkipInitPhase);
+        let case = mc
+            .case(&Schedule(Vec::new()))
+            .fail_processor(3, ProcessorId::new(1));
+        let ce = mc.record_counterexample(case.clone());
+        assert_eq!(ce.case, case);
+        assert!(!ce.violations.is_empty());
+        let failure = ScenarioAction::FailProcessor(ProcessorId::new(1));
+        assert!(matches!(ce.minimized.events(), [e] if e.action == failure));
+        let back = Counterexample::from_json_str(&ce.to_json_pretty()).expect("round trip");
+        assert_eq!(back, ce);
+        assert_eq!(mc.check_case(&back.minimized), ce.violations);
+        assert!(!mc.check_case(&back.case).is_empty());
     }
 
     #[test]
@@ -2017,24 +2014,15 @@ mod tests {
         let report = mc.run();
         assert!(!report.all_passed());
         let ce = report.counterexample.as_ref().expect("recorder is on");
-        assert_eq!(ce.fault_plan, *mc.fault_plan());
-        assert_eq!(ce.minimized.0.len(), 1);
-        assert_eq!(ce.minimized_fault_plan.len(), 1);
-        // Joint 1-minimality: dropping the event or the fault each
-        // loses the violation.
-        let minimized = mc
-            .case(&ce.minimized)
-            .with_faults(ce.minimized_fault_plan.clone());
-        assert!(mc
-            .check_case(&minimized.clone().with_faults(FaultPlan::new()))
-            .is_empty());
-        assert!(mc
-            .check_case(
-                &mc.case(&Schedule(Vec::new()))
-                    .with_faults(ce.minimized_fault_plan.clone())
-            )
-            .is_empty());
-        assert!(!mc.check_case(&minimized).is_empty());
+        assert_eq!(ce.case.faults(), mc.fault_plan());
+        assert_eq!(ce.minimized.events().len(), 1);
+        assert_eq!(ce.minimized.faults().len(), 1);
+        // Joint 1-minimality: the case still fails and is a fixpoint of
+        // the shrinker, so dropping the event or the fault each loses
+        // the violation.
+        assert!(!mc.check_case(&ce.minimized).is_empty());
+        let reshrunk = ce.minimized.shrink(|_, c| !mc.check_case(c).is_empty());
+        assert_eq!(reshrunk, ce.minimized);
         // The shrink lineage records fault-side attempts too.
         assert!(ce.shrink_steps.iter().any(|s| matches!(
             s.action,

@@ -7,12 +7,13 @@
 //! schedule and nothing else. A [`Counterexample`] is the full story
 //! reconstructed after the fact:
 //!
-//! 1. the **original** failing schedule, exactly as enumerated;
-//! 2. the **minimized** schedule produced by delta-debugging (greedy
-//!    event removal to a 1-minimal event set, then frame-left-shifting),
-//!    with the complete [`ShrinkStep`] lineage so the reduction is
-//!    auditable;
-//! 3. a **journal** captured by replaying the minimized schedule with
+//! 1. the **original** failing case, exactly as enumerated, as the
+//!    [`Scenario`] that replays it (stimuli, fault plan, horizon);
+//! 2. the **minimized** case produced by [`Scenario::shrink`] (greedy
+//!    event and fault removal to a 1-minimal case, then
+//!    frame-left-shifting), with the complete [`ShrinkStep`] lineage so
+//!    the reduction is auditable;
+//! 3. a **journal** captured by replaying the minimized case with
 //!    observability *on* — the frame-by-frame record of how the SCRAM
 //!    walked into the violation;
 //! 4. **per-frame verdicts** locating each violated property on the
@@ -20,41 +21,38 @@
 //! 5. a derived **causal chain**: trigger event → fault signal → SCRAM
 //!    phase entries → the violating frame.
 //!
+//! Every case in the artifact is a [`Scenario`], so any of them replays
+//! through [`Scenario::run_with`] with no out-of-band horizon or parser.
 //! The artifact serializes as a single JSON object
 //! ([`Counterexample::to_json_pretty`]); `arfs-trace explain` renders
 //! it as an annotated timeline. Serialization is fully deterministic —
 //! no timestamps, no machine state — so identical runs (serial or
 //! work-stealing) produce byte-identical artifacts.
 
-use crate::chaos::FaultPlan;
-use crate::model::Schedule;
 use crate::properties::{PropertyId, PropertyViolation};
+use crate::scenario::Scenario;
 
 use super::event::CAUSAL_KINDS;
 use super::journal::Journal;
 
-/// One delta-debugging attempt on the failing schedule.
+/// One delta-debugging attempt on the failing case.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ShrinkStep {
     /// What was tried.
     pub action: ShrinkAction,
-    /// The candidate schedule the action produced.
-    pub candidate: Schedule,
-    /// The candidate fault plan the action produced (unchanged for
-    /// schedule-side actions; empty for pre-chaos artifacts).
-    #[serde(default)]
-    pub candidate_faults: FaultPlan,
+    /// The candidate case the action produced.
+    pub candidate: Scenario,
     /// Whether the violation persisted — `true` means the candidate
-    /// replaced the current schedule, `false` means it was discarded.
+    /// replaced the current case, `false` means it was discarded.
     pub kept: bool,
 }
 
 /// The kind of reduction a [`ShrinkStep`] attempted.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum ShrinkAction {
-    /// Remove the event at `index` from the current schedule.
+    /// Remove the event at `index` from the current case's stimuli.
     RemoveEvent {
-        /// Index of the removed event in the pre-removal schedule.
+        /// Index of the removed event in the pre-removal stimuli.
         index: usize,
     },
     /// Move the event at `index` one frame earlier.
@@ -112,31 +110,24 @@ pub struct CausalLink {
     pub detail: String,
 }
 
-/// A packaged counterexample: schedule, shrink lineage, replayed
-/// journal, per-frame verdicts, and causal chain. See the [module
-/// documentation](self).
+/// A packaged counterexample: the failing case, its shrink lineage,
+/// replayed journal, per-frame verdicts, and causal chain. See the
+/// [module documentation](self).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Counterexample {
-    /// The schedule the walk engine flagged, exactly as enumerated.
-    pub schedule: Schedule,
-    /// The 1-minimal schedule after delta-debugging: removing any
-    /// single event makes the violation disappear, and no event can
-    /// move to an earlier frame without losing it.
-    pub minimized: Schedule,
-    /// The fault plan the walk ran under, exactly as installed (empty
-    /// for pre-chaos campaigns).
-    #[serde(default)]
-    pub fault_plan: FaultPlan,
-    /// The 1-minimal fault plan after delta-debugging jointly with the
-    /// schedule: removing any single fault loses the violation.
-    #[serde(default)]
-    pub minimized_fault_plan: FaultPlan,
-    /// The violations the *minimized* schedule's replay produced.
+    /// The case the walk engine flagged, exactly as enumerated, under
+    /// the fault plan the walk ran with.
+    pub case: Scenario,
+    /// The 1-minimal case after [`Scenario::shrink`]: removing any
+    /// single event or fault makes the violation disappear, and no
+    /// event or fault can move to an earlier frame without losing it.
+    pub minimized: Scenario,
+    /// The violations the *minimized* case's replay produced.
     pub violations: Vec<PropertyViolation>,
     /// Every shrink attempt, in order — the reduction's audit trail.
     pub shrink_steps: Vec<ShrinkStep>,
-    /// The journal of the minimized schedule replayed with
-    /// observability on.
+    /// The journal of the minimized case replayed with observability
+    /// on.
     pub journal: Journal,
     /// Per-frame property verdicts over the replayed trace.
     pub frame_verdicts: Vec<FrameVerdict>,
@@ -344,33 +335,30 @@ mod tests {
             serde_json::json!({"target": "safe"}),
         );
         let violations = vec![violation(PropertyId::Sp4, Some(4), None)];
-        let mut fault_plan = FaultPlan::new();
-        fault_plan.push(
+        let mut faults = crate::chaos::FaultPlan::new();
+        faults.push(
             2,
             crate::chaos::FaultKind::CommitFault {
                 app: crate::AppId::new("worker"),
             },
         );
+        let minimized = Scenario::new("model-check", 6)
+            .set_env(1, "power", "bad")
+            .with_faults(faults);
+        let case = minimized.clone().set_env(3, "power", "good");
         let ce = Counterexample {
-            schedule: Schedule(vec![
-                (1, "power".into(), "bad".into()),
-                (3, "power".into(), "good".into()),
-            ]),
-            minimized: Schedule(vec![(1, "power".into(), "bad".into())]),
-            fault_plan: fault_plan.clone(),
-            minimized_fault_plan: fault_plan.clone(),
+            case,
+            minimized: minimized.clone(),
             violations: violations.clone(),
             shrink_steps: vec![
                 ShrinkStep {
                     action: ShrinkAction::RemoveEvent { index: 1 },
-                    candidate: Schedule(vec![(1, "power".into(), "bad".into())]),
-                    candidate_faults: fault_plan.clone(),
+                    candidate: minimized.clone(),
                     kept: true,
                 },
                 ShrinkStep {
                     action: ShrinkAction::RemoveFault { index: 0 },
-                    candidate: Schedule(vec![(1, "power".into(), "bad".into())]),
-                    candidate_faults: FaultPlan::new(),
+                    candidate: minimized.with_faults(crate::chaos::FaultPlan::new()),
                     kept: false,
                 },
             ],

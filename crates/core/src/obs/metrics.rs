@@ -118,12 +118,13 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The snapshot without its wall-clock histograms (names ending in
-    /// `_ns`): what is left depends on the run's inputs alone, so
-    /// committed artifacts and triage bundles are byte-identical run
-    /// to run.
+    /// The snapshot without its wall-clock counters and histograms
+    /// (names ending in `_ns`): what is left depends on the run's
+    /// inputs alone, so committed artifacts and triage bundles are
+    /// byte-identical run to run.
     #[must_use]
     pub fn without_wall_clock(mut self) -> MetricsSnapshot {
+        self.counters.retain(|name, _| !name.ends_with("_ns"));
         self.histograms.retain(|name, _| !name.ends_with("_ns"));
         self
     }
@@ -375,6 +376,8 @@ mod tests {
         m.incr("frames");
         m.set_gauge("ratio", 0.5);
         m.observe("lat", 4);
+        m.add("span.fork_ns", 1_234);
+        m.observe("decision_ns", 900);
         let snap = m.snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
@@ -383,6 +386,10 @@ mod tests {
         assert!(text.contains("frames"));
         assert!(text.contains("0.5000"));
         assert!(text.contains("n=1"));
+        // Wall-clock `*_ns` counters and histograms drop; the rest stay.
+        let kept = snap.without_wall_clock();
+        assert_eq!(kept.counters.keys().collect::<Vec<_>>(), ["frames"]);
+        assert_eq!(kept.histograms.keys().collect::<Vec<_>>(), ["lat"]);
     }
 
     #[test]

@@ -31,10 +31,12 @@
 //!   [`MetricsSnapshot::without_wall_clock`], so wall-clock `*_ns`
 //!   histograms never make them differ run to run.
 //! - [`counterexample`] — the model checker's flight-recorder artifact:
-//!   a failing schedule delta-debugged to a 1-minimal form, replayed
-//!   with observability on, and packaged with its journal, per-frame
-//!   verdicts, and derived causal chain. `arfs-trace explain` renders
-//!   it from the shell.
+//!   a failing case shrunk to a 1-minimal one, replayed with
+//!   observability on, and packaged with its journal, per-frame
+//!   verdicts, and derived causal chain. The original case, the
+//!   minimized one and every shrink candidate are
+//!   [`Scenario`](crate::scenario::Scenario)s, so each replays on its
+//!   own. `arfs-trace explain` renders it from the shell.
 //! - [`ring`] — per-system flight-recorder ring buffers: fixed-capacity,
 //!   heap-preallocated rings of compact 16-byte events written on the
 //!   steady-state fast path with zero allocations, decoded via a
@@ -44,8 +46,9 @@
 //!   frame (JSON-Lines stays the interchange format; `arfs-trace fleet
 //!   decode` converts back).
 //! - [`triage`] — the [`TriageBundle`] evidence package (ring + seed +
-//!   schedule + metrics + causal chain) a fleet emits when a streaming
-//!   verifier violation or chaos defense fires.
+//!   the replaying [`Scenario`](crate::scenario::Scenario) + metrics +
+//!   causal chain) a fleet emits when a streaming verifier violation or
+//!   chaos defense fires.
 //!
 //! [`System`] exposes the sinks via
 //! [`System::journal`](crate::system::System::journal),

@@ -1,22 +1,23 @@
 //! Triage bundles: the evidence package a fleet produces when a system
 //! misbehaves.
 //!
-//! The fleet keeps its throughput by journaling only 1-in-K systems —
-//! so for the unsampled majority, a streaming SP1–SP4 violation used to
-//! arrive with a seed and a schedule but nothing about *what the system
-//! was doing*. Every cell now carries a
-//! [`FlightRing`](super::ring::FlightRing); when a
+//! The fleet keeps its throughput by journaling only 1-in-K systems, so
+//! for the unsampled majority a streaming SP1–SP4 violation would
+//! arrive with nothing about *what the system was doing*. Every cell
+//! carries a [`FlightRing`](super::ring::FlightRing); when a
 //! `StreamVerifier` violation or a chaos defense fires, the fleet
-//! drains that ring — plus the seed, the stimulus schedule, and a
-//! metrics snapshot — into a [`TriageBundle`] on the report, and
+//! drains that ring — plus the seed, the [`Scenario`] that replays the
+//! system (stimuli, chaos fault plan, the fleet's horizon) and a
+//! metrics snapshot — into a [`TriageBundle`] on the report. The bundle
+//! replays from its case alone through [`Scenario::run_with`], and
 //! `arfs-trace fleet triage` renders it with the same causal-marker
-//! timeline the model checker's counterexamples use
-//! ([`CausalLink`], PR 4).
+//! timeline the model checker's counterexamples use ([`CausalLink`]).
 
 use super::counterexample::CausalLink;
 use super::event::CAUSAL_KINDS;
 use super::metrics::MetricsSnapshot;
 use super::ring::DecodedRingEvent;
+use crate::scenario::Scenario;
 
 /// What drained the ring into a bundle.
 pub mod trigger {
@@ -47,8 +48,9 @@ pub struct TriageBundle {
     pub reconfig: Option<(u64, u64)>,
     /// Human-readable violation / defense detail.
     pub detail: String,
-    /// The system's stimulus schedule, replayable form.
-    pub schedule: Vec<String>,
+    /// The system's case: its stimuli, its chaos fault plan and the
+    /// fleet's horizon.
+    pub case: Scenario,
     /// The decoded flight-recorder contents, oldest first.
     pub ring: Vec<DecodedRingEvent>,
     /// Causally relevant ring events up to the violation frame, plus a
@@ -169,7 +171,7 @@ mod tests {
             frame: Some(7),
             reconfig: Some((5, 9)),
             detail: "ended in safe-service, expected full-service".to_owned(),
-            schedule: vec!["f4 set-env power=bad".to_owned()],
+            case: Scenario::new("random-48879", 30).set_env(4, "power", "bad"),
             ring: ring.clone(),
             causal_chain: TriageBundle::causal_chain(&ring, Some(7), "SP2", "wrong target"),
             metrics: MetricsSnapshot::default(),

@@ -112,9 +112,9 @@ impl ScenarioEvent {
 }
 
 /// The one line format of a stimulus: `f{frame} set-env {factor}={value}`
-/// or `f{frame} fail-processor {n}`. Fleet violations and triage
-/// bundles carry their schedules in it, and DST artifacts print theirs
-/// with it.
+/// or `f{frame} fail-processor {n}`. [`Scenario::events_line`] joins a
+/// case's events in it, and every report, artifact and `arfs-trace`
+/// view that prints a case's stimuli goes through that method.
 impl fmt::Display for ScenarioEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.action {
@@ -211,6 +211,13 @@ impl Scenario {
     /// time; same-frame events apply in insertion order).
     pub fn events(&self) -> &[ScenarioEvent] {
         &self.events
+    }
+
+    /// The events in the one line format, joined by `; ` (empty for a
+    /// case without stimuli): how reports and artifacts print a case.
+    pub fn events_line(&self) -> String {
+        let lines: Vec<String> = self.events.iter().map(ToString::to_string).collect();
+        lines.join("; ")
     }
 
     /// The substrate fault plan [`run_with`](Scenario::run_with)
@@ -516,11 +523,11 @@ mod tests {
         let dst = Scenario::new("dst", 30)
             .set_env(5, "power", "bad")
             .set_env(18, "power", "degraded");
-        let lines: Vec<String> = dst.events().iter().map(ToString::to_string).collect();
         assert_eq!(
-            lines.join("; "),
+            dst.events_line(),
             "f5 set-env power=bad; f18 set-env power=degraded"
         );
+        assert_eq!(Scenario::new("quiet", 30).events_line(), "");
     }
 
     #[test]

@@ -1322,7 +1322,7 @@ impl System {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::properties;
     use crate::scram::ScramMutation;
@@ -1706,9 +1706,10 @@ mod tests {
         assert!(journaled(&system, "app-lost", "app", "autopilot"));
     }
 
-    #[test]
-    fn processor_status_env_factor_auto_updates() {
-        let spec = ReconfigSpec::builder()
+    /// Two applications on P0 and P1; failing P1 drives the derived
+    /// `processor-1` factor down and the system into the safe `solo`.
+    pub(crate) fn processor_status_spec() -> ReconfigSpec {
+        ReconfigSpec::builder()
             .frame_len(Ticks::new(100))
             .env_factor("processor-1", ["up", "down"])
             .app(
@@ -1741,8 +1742,12 @@ mod tests {
             .initial_config("full-service")
             .initial_env([("processor-1", "up")])
             .build()
-            .unwrap();
-        let mut system = System::builder(spec).build().unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn processor_status_env_factor_auto_updates() {
+        let mut system = System::builder(processor_status_spec()).build().unwrap();
         system.run_frames(2);
         system.fail_processor(ProcessorId::new(1));
         system.run_frames(8);

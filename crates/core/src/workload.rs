@@ -16,7 +16,8 @@ use crate::spec::ReconfigSpec;
 /// Configuration for the generator.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct WorkloadConfig {
-    /// Frames per generated scenario.
+    /// Frames per generated scenario; a fleet's workload must match
+    /// [`FleetConfig::horizon`](crate::fleet::FleetConfig::horizon).
     pub horizon: u64,
     /// Mean frames between environment changes (exponential-ish gaps).
     pub mean_gap: u64,

@@ -1,6 +1,6 @@
 //! The counterexample flight recorder, end to end on the avionics
 //! fixture set: every known-bad SCRAM mutation must yield a packaged
-//! [`Counterexample`] whose shrunk schedule is 1-minimal and still
+//! [`Counterexample`] whose shrunk case is 1-minimal and still
 //! failing, whose replayed journal reproduces the walk engine's verdict
 //! (tied back to the seed replay engine), and whose JSON artifact is
 //! byte-identical across the serial and work-stealing engines.
@@ -28,8 +28,11 @@ fn every_known_bad_mutant_yields_a_counterexample() {
         // The artifact's acceptance shape: shrunk schedule no larger
         // than the original, non-empty replayed journal, causal chain
         // ending at the violating frame.
-        assert_eq!(ce.schedule, report.failures[0].schedule, "{slug}");
-        assert!(ce.minimized.0.len() <= ce.schedule.0.len(), "{slug}");
+        assert_eq!(ce.case, mc.case(&report.failures[0].schedule), "{slug}");
+        assert!(
+            ce.minimized.events().len() <= ce.case.events().len(),
+            "{slug}"
+        );
         assert!(!ce.journal.events().is_empty(), "{slug}: journal empty");
         assert!(!ce.causal_chain.is_empty(), "{slug}: causal chain empty");
         let violating = ce
@@ -54,27 +57,26 @@ fn shrunk_schedules_are_one_minimal_and_still_failing() {
     for (slug, mutation) in known_bad_mutations() {
         let mc = checker_for(mutation);
         let ce = mc.run().counterexample.expect("counterexample");
-        // Soundness: the minimized schedule still violates.
+        // Soundness: the minimized case still violates.
         assert!(
-            !mc.check_schedule(&ce.minimized).is_empty(),
-            "{slug}: minimized schedule no longer fails"
+            !mc.check_case(&ce.minimized).is_empty(),
+            "{slug}: minimized case no longer fails"
         );
-        // 1-minimality: removing any single event loses the violation.
-        for i in 0..ce.minimized.0.len() {
-            let mut candidate = ce.minimized.clone();
-            candidate.0.remove(i);
-            assert!(
-                mc.check_schedule(&candidate).is_empty(),
-                "{slug}: still fails after removing event {i} — not 1-minimal"
-            );
-        }
+        // 1-minimality: the minimized case is a fixpoint of the
+        // shrinker, so removing any single event loses the violation.
+        assert_eq!(
+            ce.minimized
+                .shrink(|_, candidate| !mc.check_case(candidate).is_empty()),
+            ce.minimized,
+            "{slug}: not 1-minimal"
+        );
         // Every kept shrink step was re-checked; the lineage ends on the
-        // minimized schedule.
+        // minimized case.
         let last_kept = ce.shrink_steps.iter().rev().find(|s| s.kept);
         if let Some(step) = last_kept {
             assert_eq!(step.candidate, ce.minimized, "{slug}: lineage mismatch");
         } else {
-            assert_eq!(ce.minimized, ce.schedule, "{slug}: nothing kept");
+            assert_eq!(ce.minimized, ce.case, "{slug}: nothing kept");
         }
     }
 }
@@ -113,7 +115,7 @@ fn replayed_journals_reproduce_the_walk_engines_verdict() {
         assert_eq!(reference, walk, "{slug}: engines disagree");
         let failure = &walk.failures[0];
         assert_eq!(
-            mc.check_schedule(&failure.schedule),
+            mc.check_case(&mc.case(&failure.schedule)),
             failure.violations,
             "{slug}: replaying the recorded schedule changes the verdict"
         );
@@ -123,7 +125,7 @@ fn replayed_journals_reproduce_the_walk_engines_verdict() {
         let ce = walk.counterexample.expect("counterexample");
         assert_eq!(
             ce.violations,
-            mc.check_schedule(&ce.minimized),
+            mc.check_case(&ce.minimized),
             "{slug}: packaged violations drift from a fresh replay"
         );
     }

@@ -38,7 +38,6 @@ fn journaled_fleet() -> Fleet {
         FleetConfig {
             systems: 4,
             threads: 1,
-            horizon: 24,
             journal_sample: 1,
             ..FleetConfig::default()
         },

@@ -20,7 +20,6 @@ fn run(shards: usize, threads: usize, chaos: bool) -> FleetReport {
         shards,
         threads,
         seed: FLEET_SEED,
-        horizon: 60,
         journal_sample: 8,
         chaos: chaos.then(|| ChaosProfile::for_spec(&spec, 50)),
         ..FleetConfig::default()
@@ -38,7 +37,7 @@ fn parallel_run_is_byte_identical_to_serial() {
     for chaos in [false, true] {
         let serial = run(3, 1, chaos);
         let serial_json = serde_json::to_string(&serial).expect("report serializes");
-        assert!(serial.total_frames == 96 * 60);
+        assert!(serial.total_frames == 96 * 120);
         let defenses = serial.metrics.counters["fleet.defense_events"];
         assert_eq!(defenses > 0, chaos, "defenses fire exactly under chaos");
 

@@ -10,77 +10,54 @@
 //! its experiment or the refactor broke the protocol/checker contract
 //! the artifact pinned down. Unknown artifacts fail the suite loudly:
 //! whoever commits a new incident must add its replay fixture here.
+//!
+//! Every artifact holds the [`Scenario`]s that replay it (stimuli,
+//! fault plan, horizon), so a replay is `Scenario::run_with` on the
+//! fixture's builder plus the oracle.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use arfs_avionics::{avionics_spec, known_bad_mutations, KNOWN_BAD_HORIZON};
+use arfs_avionics::{avionics_spec, known_bad_mutations, three_level_spec};
 use arfs_core::assure::{InvariantOracle, OracleProfile};
-use arfs_core::chaos::{ChaosDefense, FaultPlan};
-use arfs_core::model::Schedule;
+use arfs_core::chaos::ChaosDefense;
 use arfs_core::obs::counterexample::Counterexample;
 use arfs_core::obs::triage::TriageBundle;
 use arfs_core::properties::PropertyViolation;
+use arfs_core::scenario::Scenario;
 use arfs_core::scram::ScramMutation;
-use arfs_core::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
+use arfs_core::spec::ReconfigSpec;
 use arfs_core::system::System;
-use arfs_failstop::ProcessorId;
-use arfs_rtos::Ticks;
 
 fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../results")
 }
 
-/// Everything a counterexample artifact does NOT carry: the spec it
-/// ran against, the seeded defect, the defense knobs, and the horizon.
-/// Keyed by artifact slug — the one piece of out-of-band knowledge the
-/// corpus needs.
+/// Everything an artifact's cases do NOT carry: the spec they ran
+/// against, the seeded defect and the defense knobs. Keyed by artifact
+/// slug — the one piece of out-of-band knowledge the corpus needs.
 struct Fixture {
     spec: ReconfigSpec,
     mutation: Option<ScramMutation>,
     defense: ChaosDefense,
-    horizon: u64,
 }
 
-/// The chaos soak's three-level spec (one app, three service levels on
-/// one processor), duplicated here so the replay corpus has no
-/// dependency on the bench crate.
-fn three_level_spec() -> ReconfigSpec {
-    let mut b = ReconfigSpec::builder()
-        .frame_len(Ticks::new(100))
-        .env_factor("power", ["good", "degraded", "bad"])
-        .app(
-            AppDecl::new("a")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("reduced"))
-                .spec(FunctionalSpec::new("minimal")),
-        )
-        .min_dwell_frames(1);
-    let configs = [("full", "full"), ("mid", "reduced"), ("safe", "minimal")];
-    for (i, (name, spec)) in configs.iter().enumerate() {
-        let mut config = Configuration::new(*name)
-            .assign("a", *spec)
-            .place("a", ProcessorId::new(0));
-        if i == configs.len() - 1 {
-            config = config.safe();
+impl Fixture {
+    /// Replays a case on a fresh system built per the fixture and
+    /// returns the exhaustive oracle's verdict — the same check set the
+    /// model checker that minted the artifact ran.
+    fn replay(&self, case: &Scenario) -> Vec<PropertyViolation> {
+        let mut builder = System::builder(self.spec.clone()).chaos_defense(self.defense);
+        if let Some(mutation) = self.mutation.clone() {
+            builder = builder.mutation(mutation);
         }
-        b = b.config(config);
+        let system = case
+            .run_with(builder)
+            .expect("artifact cases are valid for their fixture's spec");
+        InvariantOracle::new(Arc::new(self.spec.clone()), OracleProfile::Exhaustive)
+            .check(system.trace())
     }
-    for (from, _) in &configs {
-        for (to, _) in &configs {
-            if from != to {
-                b = b.transition(*from, *to, Ticks::new(600));
-            }
-        }
-    }
-    b.choose_when("power", "good", "full")
-        .choose_when("power", "degraded", "mid")
-        .choose_when("power", "bad", "safe")
-        .initial_config("full")
-        .initial_env([("power", "good")])
-        .build()
-        .expect("three-level spec is structurally valid")
 }
 
 fn fixture_for(slug: &str) -> Fixture {
@@ -91,53 +68,24 @@ fn fixture_for(slug: &str) -> Fixture {
             spec: avionics_spec().expect("avionics spec is structurally valid"),
             mutation: Some(mutation),
             defense: ChaosDefense::default(),
-            horizon: KNOWN_BAD_HORIZON,
         };
     }
     match slug {
         // exp_dst's chaos section, the budget-0 case: a commit fault the
         // defense cannot absorb because the retry budget is zeroed.
         "chaos_budget0" => Fixture {
-            spec: three_level_spec(),
+            spec: three_level_spec(1),
             mutation: None,
             defense: ChaosDefense {
                 retry_budget_frames: 0,
                 ..ChaosDefense::default()
             },
-            horizon: 12,
         },
         _ => panic!(
             "no replay fixture for `counterexample_{slug}.json` — a new incident artifact \
              was committed without extending the corpus in tests/tests/incident_replay.rs"
         ),
     }
-}
-
-/// Replays a schedule + fault plan on a fresh system built per the
-/// fixture and returns the exhaustive oracle's verdict — the same
-/// check set the model checker that minted the artifact ran.
-fn replay(fixture: &Fixture, schedule: &Schedule, faults: &FaultPlan) -> Vec<PropertyViolation> {
-    let mut builder = System::builder(fixture.spec.clone())
-        .fault_plan(faults.clone())
-        .chaos_defense(fixture.defense);
-    if let Some(mutation) = fixture.mutation.clone() {
-        builder = builder.mutation(mutation);
-    }
-    let mut system = builder.build().expect("fixture spec builds");
-    let mut events = schedule.0.iter().peekable();
-    for frame in 0..fixture.horizon {
-        while let Some((f, factor, value)) = events.peek() {
-            if *f == frame {
-                system.set_env(factor, value).expect("enumerated values");
-                events.next();
-            } else {
-                break;
-            }
-        }
-        system.run_frame();
-    }
-    let oracle = InvariantOracle::new(Arc::new(fixture.spec.clone()), OracleProfile::Exhaustive);
-    oracle.check(system.trace())
 }
 
 fn corpus() -> Vec<(String, PathBuf)> {
@@ -174,23 +122,18 @@ fn every_counterexample_artifact_replays_to_its_recorded_violations() {
         let fixture = fixture_for(&slug);
 
         // The artifact's violations were recorded against the
-        // minimized pair; the replay must reproduce them exactly.
-        let replayed = replay(
-            &fixture,
-            &artifact.minimized,
-            &artifact.minimized_fault_plan,
-        );
+        // minimized case; the replay must reproduce them exactly.
         assert_eq!(
-            replayed, artifact.violations,
+            fixture.replay(&artifact.minimized),
+            artifact.violations,
             "{slug}: minimized replay diverged from the recorded violations"
         );
 
-        // The original (pre-shrink) pair must still fail too — shrink
-        // lineage starts from a genuine failure.
-        let original = replay(&fixture, &artifact.schedule, &artifact.fault_plan);
+        // The original case must still fail too — shrink lineage starts
+        // from a genuine failure.
         assert!(
-            !original.is_empty(),
-            "{slug}: the original schedule no longer violates anything"
+            !fixture.replay(&artifact.case).is_empty(),
+            "{slug}: the original case no longer violates anything"
         );
     }
 }
@@ -202,22 +145,21 @@ fn minimized_counterexamples_are_one_minimal() {
         let artifact = Counterexample::from_json_str(&text)
             .unwrap_or_else(|e| panic!("{slug}: malformed artifact: {e}"));
         let fixture = fixture_for(&slug);
-        for i in 0..artifact.minimized.0.len() {
-            let mut candidate = artifact.minimized.clone();
-            candidate.0.remove(i);
-            assert!(
-                replay(&fixture, &candidate, &artifact.minimized_fault_plan).is_empty(),
-                "{slug}: dropping schedule event {i} still violates — not 1-minimal"
-            );
-        }
-        for i in 0..artifact.minimized_fault_plan.0.len() {
-            let mut candidate = artifact.minimized_fault_plan.clone();
-            candidate.0.remove(i);
-            assert!(
-                replay(&fixture, &artifact.minimized, &candidate).is_empty(),
-                "{slug}: dropping fault {i} still violates — not 1-minimal"
-            );
-        }
+        // A fixpoint of the shrinker: no single event or fault can be
+        // dropped (or moved earlier) without losing the violation.
+        let mut kept = Vec::new();
+        let reshrunk = artifact.minimized.shrink(|action, candidate| {
+            let fails = !fixture.replay(candidate).is_empty();
+            if fails {
+                kept.push(action);
+            }
+            fails
+        });
+        assert!(
+            kept.is_empty(),
+            "{slug}: not 1-minimal, {kept:?} still violates"
+        );
+        assert_eq!(reshrunk, artifact.minimized, "{slug}");
     }
 }
 
@@ -227,34 +169,15 @@ fn forced_triage_bundle_replays_to_its_recorded_violation() {
     let text = fs::read_to_string(&path).expect("triage_forced.json is committed");
     let bundle = TriageBundle::from_json(&text).expect("bundle parses");
 
-    // The bundle's schedule lines are the workload events the fleet
-    // applied to the mutated system, in `f<frame> set-env k=v` form.
-    let mut schedule = Vec::new();
-    for line in &bundle.schedule {
-        let (frame, rest) = line
-            .strip_prefix('f')
-            .and_then(|l| l.split_once(' '))
-            .unwrap_or_else(|| panic!("unparseable schedule line `{line}`"));
-        let (factor, value) = rest
-            .strip_prefix("set-env ")
-            .and_then(|kv| kv.split_once('='))
-            .unwrap_or_else(|| panic!("unparseable schedule line `{line}`"));
-        schedule.push((
-            frame.parse::<u64>().expect("frame number"),
-            factor.to_owned(),
-            value.to_owned(),
-        ));
-    }
-
     // exp_fleet's forced sweep: stock avionics spec, the seeded
-    // skip-Init defect, default defense, the fleet's default horizon.
+    // skip-Init defect, default defense; the bundle's case carries the
+    // stimuli and the fleet's horizon.
     let fixture = Fixture {
         spec: avionics_spec().expect("avionics spec is structurally valid"),
         mutation: Some(ScramMutation::SkipInitPhase),
         defense: ChaosDefense::default(),
-        horizon: 120,
     };
-    let replayed = replay(&fixture, &Schedule(schedule), &FaultPlan::new());
+    let replayed = fixture.replay(&bundle.case);
 
     let hit = replayed.iter().find(|v| {
         v.property.to_string() == bundle.property
