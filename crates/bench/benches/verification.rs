@@ -167,7 +167,7 @@ fn bench_model_check(c: &mut Criterion) {
     group.bench_function("schedules_h20_e2", |b| {
         let mc = ModelChecker::new(spec.clone(), 20, 2);
         b.iter(|| {
-            let schedules = mc.schedules();
+            let schedules: Vec<_> = mc.schedule_iter().collect();
             assert!(schedules.len() > 100);
             black_box(schedules)
         });

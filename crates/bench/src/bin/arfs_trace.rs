@@ -53,8 +53,8 @@ usage: arfs-trace <command> [args]
                                        causal chain highlighted
   fleet top <journal> [--limit N]      slowest-reconfiguring and most-restricted
                                        systems of a fleet journal
-  fleet triage <bundle.json>           render a fleet triage bundle: flight-ring
-                                       timeline with causal markers, metrics
+  fleet triage <bundle.json>           render a fleet triage bundle: its case,
+                                       flight-ring timeline with causal markers
   fleet overhead <a.json> <b.json>     compare two BENCH_fleet.json artifacts
                                        case by case
   fleet decode <journal>               re-emit a journal as JSON-Lines on stdout";
@@ -491,11 +491,6 @@ fn fleet_triage(args: &[String]) -> Result<ExitCode, String> {
         } else {
             println!("  @{} {} {}", link.frame, link.role, link.detail);
         }
-    }
-
-    if !bundle.metrics.counters.is_empty() || !bundle.metrics.histograms.is_empty() {
-        println!("\nmetrics at aggregation:");
-        print!("{}", bundle.metrics);
     }
 
     if bundle.ring.is_empty() {

@@ -41,7 +41,9 @@
 //! nonzero allocation probe fails the run.
 //!
 //! Usage: `exp_fleet [--smoke]` — `--smoke` drops the 10⁵ case and
-//! trims the thread sweep (the CI entry point).
+//! trims the thread sweep (the CI entry point), and leaves the committed
+//! full-run `results/BENCH_fleet.json` as it is, so the comparison
+//! always reads a full run and the tree stays clean.
 //!
 //! Exit codes: `0` clean, `1` an unexpected property violation, a
 //! missing forced-violation bundle, or a non-zero allocation count,
@@ -53,7 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use arfs_avionics::avionics_spec;
-use arfs_bench::{banner, median_iqr, verdict, write_json, TextTable};
+use arfs_bench::{banner, median_iqr, verdict, write_full_run_artifact, TextTable};
 use arfs_core::fleet::{Fleet, FleetConfig, FleetReport, FleetTimings};
 use arfs_core::scram::ScramMutation;
 use arfs_core::spec::ReconfigSpec;
@@ -482,7 +484,7 @@ fn main() {
         println!("{REGRESSION_CASE}: no prior recording");
     }
 
-    let path = write_json(
+    write_full_run_artifact(
         "BENCH_fleet.json",
         &serde_json::json!({
             "experiment": "exp_fleet",
@@ -495,8 +497,8 @@ fn main() {
             "forced_triage": forced_json,
             "fleet_10k_vs_prior": vs_prior,
         }),
+        smoke,
     );
-    println!("artifact: {}", path.display());
 
     if !all_clean || !alloc_free || !forced_ok {
         std::process::exit(1);

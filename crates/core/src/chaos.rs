@@ -108,9 +108,9 @@ impl fmt::Display for FaultEvent {
 
 /// A deterministic script of substrate faults, sorted by frame.
 ///
-/// A plan composes with an environment-change
-/// [`Schedule`](crate::model::Schedule): the model checker replays the
-/// same plan under every enumerated schedule, and
+/// A plan composes with a case's stimuli in one
+/// [`Scenario`](crate::scenario::Scenario): the model checker replays
+/// the same plan under every enumerated schedule, and
 /// [`System::fork`](crate::system::System::fork) carries pending chaos
 /// state into forks, so chaos campaigns inherit prefix-sharing replay
 /// unchanged.

@@ -406,7 +406,7 @@ impl Cell {
                 break;
             }
             // The scenario generator only emits declared factors.
-            let _ = event.apply(&mut self.system);
+            let _ = event.action.apply(&mut self.system);
             self.next_event += 1;
         }
 
@@ -766,9 +766,6 @@ impl Fleet {
             };
         let decoded = legend.decode_ring(ring);
         let causal_chain = TriageBundle::causal_chain(&decoded, frame, &property, &detail);
-        // A journaled cell also times its SCRAM decisions; wall-clock
-        // histograms would make the report differ run to run.
-        let metrics = cell.system.metrics_snapshot().without_wall_clock();
         Some(TriageBundle {
             system: cell.id,
             seed: cell.seed,
@@ -780,7 +777,6 @@ impl Fleet {
             case: case(),
             ring: decoded,
             causal_chain,
-            metrics,
         })
     }
 }
@@ -1119,7 +1115,7 @@ mod tests {
         let mut next = events.iter().peekable();
         for frame in 0..config.horizon {
             while let Some(event) = next.next_if(|e| e.frame == frame) {
-                let _ = event.apply(&mut system);
+                let _ = event.action.apply(&mut system);
             }
             step(&mut system);
         }

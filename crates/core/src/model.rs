@@ -8,7 +8,16 @@
 //! functionality, exactly the abstraction level of the PVS model), and
 //! checks the four properties on every resulting trace.
 //!
-//! # The schedule trie
+//! # The alphabet and the schedule trie
+//!
+//! The checker builds its per-frame stimulus alphabet once
+//! ([`ModelChecker::alphabet`]): one [`ScenarioAction`] per value of
+//! each environment factor, in factor declaration order, then domain
+//! order. A schedule is a sequence of `(frame, alphabet entry)` events
+//! with strictly increasing frames, and every case the checker names
+//! is the [`Scenario`] of those events over its horizon, under its
+//! fault plan. Enumeration, counting, the walk, the canonical sort and
+//! the reports all read that one list.
 //!
 //! Schedules form a trie: every prefix of an enumerated schedule is
 //! itself an enumerated schedule, so the set of schedules is exactly the
@@ -18,9 +27,8 @@
 //!
 //! - **Streaming enumeration** — [`ModelChecker::schedule_iter`] walks
 //!   the trie lazily in depth-first pre-order (the canonical enumeration
-//!   order) holding only the current path, O(depth) memory instead of
-//!   the O(total schedules) `Vec` the eager enumerator needs.
-//!   [`ModelChecker::schedules`] remains as a thin collect.
+//!   order) holding only the current path, O(depth) memory, and yields
+//!   each node's [`Scenario`].
 //! - **Prefix-sharing replay** — schedules sharing a prefix share the
 //!   simulation of that prefix. The tree walk runs each trie *node*
 //!   once: while advancing a node's own run toward the horizon it
@@ -114,35 +122,22 @@ use crate::lint::independence::IndependenceCertificate;
 use crate::obs::counterexample::{Counterexample, ShrinkStep};
 use crate::obs::{MetricsRegistry, MetricsSnapshot};
 use crate::properties::PropertyViolation;
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ScenarioAction};
 use crate::spec::ReconfigSpec;
 use crate::system::{System, SystemBuilder};
 
-/// One enumerated schedule of environment changes: `(frame, factor,
-/// value)` triples applied in order.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct Schedule(pub Vec<(u64, String, String)>);
+/// One event of a trie path: `(frame, alphabet index)`. A path's events
+/// compared lexicographically are its canonical enumeration-order key
+/// (a prefix sorts before its extensions — exactly pre-order).
+type PathEvent = (u64, usize);
 
-impl fmt::Display for Schedule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_empty() {
-            return write!(f, "(no events)");
-        }
-        for (i, (frame, factor, value)) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, "; ")?;
-            }
-            write!(f, "@{frame} {factor}:={value}")?;
-        }
-        Ok(())
-    }
-}
-
-/// A schedule whose trace violated at least one property.
+/// A case whose trace violated at least one property.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CaseFailure {
-    /// The offending schedule.
-    pub schedule: Schedule,
+    /// The offending case: its stimuli over the checker's horizon,
+    /// under the checker's fault plan. It replays through
+    /// [`ModelChecker::check_case`].
+    pub case: Scenario,
     /// The violations its trace produced.
     pub violations: Vec<PropertyViolation>,
 }
@@ -265,7 +260,7 @@ impl fmt::Display for ModelCheckReport {
             }
             writeln!(f, ":")?;
             for c in self.failures.iter().take(5) {
-                writeln!(f, "  {}:", c.schedule)?;
+                writeln!(f, "  `{}`:", c.case.events_line())?;
                 for v in &c.violations {
                     writeln!(f, "    {v}")?;
                 }
@@ -287,64 +282,50 @@ impl fmt::Display for ModelCheckReport {
     }
 }
 
-/// Lazy depth-first generator over the schedule trie, yielding schedules
-/// in the canonical enumeration order (pre-order: every prefix before
-/// its extensions, siblings by ascending `(frame, factor, value)`).
-/// Holds only the current path — O(depth) memory.
+/// Lazy depth-first generator over the schedule trie, yielding each
+/// node's case in the canonical enumeration order (pre-order: every
+/// prefix before its extensions, siblings by ascending frame, then
+/// alphabet order). Holds only the current path — O(depth) memory.
 #[derive(Debug, Clone)]
-pub struct ScheduleIter {
-    /// All candidate single events, sorted frame-major (then factor
-    /// order, then domain order) — the trie's alphabet.
-    single_events: Vec<(u64, String, String)>,
-    max_events: usize,
-    /// The current trie path as indices into `single_events`.
-    stack: Vec<usize>,
+pub struct ScheduleIter<'a> {
+    checker: &'a ModelChecker,
+    /// The current trie path.
+    path: Vec<PathEvent>,
     started: bool,
     done: bool,
 }
 
-impl ScheduleIter {
-    fn current(&self) -> Schedule {
-        Schedule(
-            self.stack
-                .iter()
-                .map(|&i| self.single_events[i].clone())
-                .collect(),
-        )
-    }
-}
-
-impl Iterator for ScheduleIter {
-    type Item = Schedule;
-
-    fn next(&mut self) -> Option<Schedule> {
+impl ScheduleIter<'_> {
+    /// Moves to the next trie node in pre-order and returns its path.
+    fn next_path(&mut self) -> Option<&[PathEvent]> {
         if self.done {
             return None;
         }
         if !self.started {
             self.started = true;
-            return Some(self.current()); // The root: the empty schedule.
+            return Some(&self.path); // The root: the empty schedule.
         }
-        // Descend to the first child: the first event at a frame after
-        // the current node's last event. Events are frame-sorted, so
-        // every index from that point on is a valid child.
-        if self.stack.len() < self.max_events {
-            let min_frame = self
-                .stack
-                .last()
-                .map(|&i| self.single_events[i].0 + 1)
-                .unwrap_or(1);
-            let from = self.single_events.partition_point(|e| e.0 < min_frame);
-            if from < self.single_events.len() {
-                self.stack.push(from);
-                return Some(self.current());
-            }
+        let last_frame = self.checker.last_event_frame();
+        let width = self.checker.alphabet.len();
+        // Descend to the first child: the first alphabet entry at the
+        // frame after the current node's last event.
+        let first_child_frame = self.path.last().map_or(1, |&(frame, _)| frame + 1);
+        if self.path.len() < self.checker.max_events && width > 0 && first_child_frame <= last_frame
+        {
+            self.path.push((first_child_frame, 0));
+            return Some(&self.path);
         }
-        // Backtrack to the nearest ancestor with a next sibling.
-        while let Some(top) = self.stack.pop() {
-            if top + 1 < self.single_events.len() {
-                self.stack.push(top + 1);
-                return Some(self.current());
+        // Backtrack to the nearest ancestor with a next sibling: the
+        // next entry at its frame, else the first entry a frame later.
+        while let Some((frame, index)) = self.path.pop() {
+            let sibling = if index + 1 < width {
+                Some((frame, index + 1))
+            } else {
+                (frame < last_frame).then_some((frame + 1, 0))
+            };
+            if let Some(sibling) = sibling {
+                self.path.push(sibling);
+                return Some(&self.path);
             }
         }
         self.done = true;
@@ -352,12 +333,21 @@ impl Iterator for ScheduleIter {
     }
 }
 
+impl Iterator for ScheduleIter<'_> {
+    type Item = Scenario;
+
+    fn next(&mut self) -> Option<Scenario> {
+        let checker = self.checker;
+        self.next_path().map(|path| checker.case_of(path))
+    }
+}
+
 /// One unit of work for the tree-walk engines: a trie node, carried as
 /// the forked system (positioned at the node's last event frame, event
-/// pending) plus the event prefix that identifies it.
+/// pending) plus the path that identifies it.
 struct NodeTask {
     system: System,
-    events: Vec<(u64, String, String)>,
+    events: Vec<PathEvent>,
     depth: usize,
 }
 
@@ -371,7 +361,8 @@ struct WalkAccum {
     cases_merged: usize,
     count_overflowed: bool,
     frames_simulated: u64,
-    failures: Vec<CaseFailure>,
+    /// Failures keyed by their trie path, the canonical sort key.
+    failures: Vec<(Vec<PathEvent>, CaseFailure)>,
     /// Nanoseconds spent forking child systems at branch frames.
     fork_ns: u64,
     /// Nanoseconds spent advancing systems frame by frame.
@@ -427,11 +418,11 @@ impl fmt::Display for ParallelPanic {
 pub const SERIAL_CUTOVER: usize = 256;
 
 /// Identity of one fork subtree for canonical-state deduplication:
-/// `(parent state fingerprint, branch frame, factor index, value
-/// index, events left)`. The fingerprint covers quiescent *and*
-/// mid-reconfiguration ("busy") parents — see
+/// `(parent state fingerprint, branch frame, alphabet index, events
+/// left)`. The fingerprint covers quiescent *and* mid-reconfiguration
+/// ("busy") parents — see
 /// [`System::state_fingerprint`].
-type SubtreeKey = (u64, u64, usize, usize, usize);
+type SubtreeKey = (u64, u64, usize, usize);
 
 /// Per-run state of the certified partial-order reduction: the
 /// certificate driving choice-equivalence merges, the visited-subtree
@@ -469,6 +460,8 @@ impl PorRun {
 #[derive(Debug, Clone)]
 pub struct ModelChecker {
     spec: Arc<ReconfigSpec>,
+    /// The per-frame stimulus alphabet (see the module docs).
+    alphabet: Vec<ScenarioAction>,
     horizon: u64,
     max_events: usize,
     mid_policy: crate::scram::MidReconfigPolicy,
@@ -520,8 +513,20 @@ impl ModelChecker {
     /// Panics if `horizon` is zero.
     pub fn new(spec: ReconfigSpec, horizon: u64, max_events: usize) -> Self {
         assert!(horizon > 0, "horizon must be positive");
+        let alphabet = spec
+            .env_model()
+            .factors()
+            .iter()
+            .flat_map(|factor| {
+                factor.domain().iter().map(|value| ScenarioAction::SetEnv {
+                    factor: factor.name().to_owned(),
+                    value: value.clone(),
+                })
+            })
+            .collect();
         ModelChecker {
             spec: Arc::new(spec),
+            alphabet,
             horizon,
             max_events,
             mid_policy: crate::scram::MidReconfigPolicy::default(),
@@ -649,6 +654,13 @@ impl ModelChecker {
         self.horizon
     }
 
+    /// The per-frame stimulus alphabet, in canonical order: each
+    /// environment factor's values, in factor declaration order, then
+    /// domain order. Every enumerated event is one entry at one frame.
+    pub fn alphabet(&self) -> &[ScenarioAction] {
+        &self.alphabet
+    }
+
     /// The last frame an event may land on: a triggered protocol
     /// (reconfig frames plus dwell) plus one steady frame must fit
     /// within the horizon. Zero means only the quiescent schedule is
@@ -656,31 +668,6 @@ impl ModelChecker {
     fn last_event_frame(&self) -> u64 {
         let protocol = self.spec.reconfig_frames() + self.spec.min_dwell_frames();
         self.horizon.saturating_sub(protocol + 1)
-    }
-
-    /// All candidate single events, frame-major (the trie alphabet and
-    /// the canonical sibling order).
-    fn single_events(&self) -> Vec<(u64, String, String)> {
-        let last_event_frame = self.last_event_frame();
-        let mut single_events = Vec::new();
-        for frame in 1..=last_event_frame {
-            for factor in self.spec.env_model().factors() {
-                for value in factor.domain() {
-                    single_events.push((frame, factor.name().to_owned(), value.clone()));
-                }
-            }
-        }
-        single_events
-    }
-
-    /// Distinct events available per frame (factors × domain values).
-    fn events_per_frame(&self) -> usize {
-        self.spec
-            .env_model()
-            .factors()
-            .iter()
-            .map(|f| f.domain().len())
-            .sum()
     }
 
     /// Number of schedules in the subtree rooted at a node whose last
@@ -698,7 +685,7 @@ impl ModelChecker {
         depth_left: usize,
     ) -> Result<usize, CountOverflow> {
         let frames_left = self.last_event_frame().saturating_sub(last_frame) as usize;
-        let e = self.events_per_frame();
+        let e = self.alphabet.len();
         let overflow = || CountOverflow {
             frames_left,
             events_per_frame: e,
@@ -755,53 +742,30 @@ impl ModelChecker {
         self.try_total_schedule_count().unwrap_or(usize::MAX)
     }
 
-    /// Streams every schedule lazily in canonical (depth-first
-    /// pre-order) enumeration order; O(depth) memory. The quiescent
-    /// (empty) schedule comes first; each schedule precedes its
-    /// extensions.
-    pub fn schedule_iter(&self) -> ScheduleIter {
+    /// Streams the case of every schedule lazily in canonical
+    /// (depth-first pre-order) enumeration order; O(depth) memory. The
+    /// quiescent (empty) case comes first; each case precedes its
+    /// extensions. Each case carries the checker's horizon and fault
+    /// plan; event frames strictly increase within a case and leave
+    /// enough tail for a triggered reconfiguration to complete within
+    /// the horizon, so a horizon too short for even one event plus its
+    /// protocol tail yields only the quiescent case.
+    pub fn schedule_iter(&self) -> ScheduleIter<'_> {
         ScheduleIter {
-            single_events: self.single_events(),
-            max_events: self.max_events,
-            stack: Vec::new(),
+            checker: self,
+            path: Vec::new(),
             started: false,
             done: false,
         }
     }
 
-    /// Enumerates every schedule eagerly (a thin collect over
-    /// [`schedule_iter`](ModelChecker::schedule_iter)): each event is a
-    /// `(frame, factor, value)` triple with frames strictly increasing
-    /// within a schedule; event frames leave enough tail for a triggered
-    /// reconfiguration to complete within the horizon. A horizon too
-    /// short for even one event plus its protocol tail yields only the
-    /// quiescent (empty) schedule.
-    pub fn schedules(&self) -> Vec<Schedule> {
-        self.schedule_iter().collect()
-    }
-
-    /// The canonical enumeration-order sort key of a schedule: events as
-    /// `(frame, factor index, domain index)` triples, compared
-    /// lexicographically (so a prefix sorts before its extensions —
-    /// exactly pre-order). Used to reassemble work-stealing results
-    /// deterministically.
-    fn schedule_key(&self, schedule: &Schedule) -> Vec<(u64, usize, usize)> {
-        let factors = self.spec.env_model().factors();
-        schedule
-            .0
-            .iter()
-            .map(|(frame, factor, value)| {
-                let fi = factors
-                    .iter()
-                    .position(|f| f.name() == factor)
-                    .unwrap_or(usize::MAX);
-                let vi = factors
-                    .get(fi)
-                    .and_then(|f| f.domain().iter().position(|v| v == value))
-                    .unwrap_or(usize::MAX);
-                (*frame, fi, vi)
-            })
-            .collect()
+    /// The case a trie path names: its events over the checker's
+    /// horizon, under the checker's installed fault plan.
+    fn case_of(&self, path: &[PathEvent]) -> Scenario {
+        path.iter().fold(
+            Scenario::new("model-check", self.horizon).with_faults(self.fault_plan.clone()),
+            |case, &(frame, index)| case.at(frame, self.alphabet[index].clone()),
+        )
     }
 
     /// A builder under the checker's policies and no fault plan (a
@@ -875,24 +839,13 @@ impl ModelChecker {
                 // schedules converging inside a reconfiguration window
                 // also merge.
                 let parent_fp = por.and_then(|_| system.state_fingerprint());
-                for (fi, factor) in self.spec.env_model().factors().iter().enumerate() {
-                    let current = system
-                        .environment()
-                        .current()
-                        .get(factor.name())
-                        .map(str::to_owned);
-                    let classes = por.and_then(|r| r.certificate.factor(factor.name()));
-                    // Choice-equivalence classes already represented at
-                    // this branch point, seeded by the held value:
-                    // staying inside its class is behaviorally inert.
-                    let mut covered: Vec<(usize, String)> = Vec::new();
-                    if let (Some(fc), Some(cur)) = (classes, current.as_deref()) {
-                        if let Some(class) = fc.class_of(cur) {
-                            covered.push((class, cur.to_owned()));
-                        }
-                    }
-                    for (vi, value) in factor.domain().iter().enumerate() {
-                        if current.as_deref() == Some(value.as_str()) {
+                // Choice-equivalence classes already forked at this
+                // branch point: `(factor, class, representative value)`.
+                let mut covered: Vec<(&str, usize, &str)> = Vec::new();
+                for (index, action) in self.alphabet.iter().enumerate() {
+                    if let ScenarioAction::SetEnv { factor, value } = action {
+                        let current = system.environment().current().get(factor);
+                        if current == Some(value.as_str()) {
                             // Setting a factor to its current value is a
                             // no-op: the subtree's traces all coincide
                             // with traces of schedules without this
@@ -901,55 +854,63 @@ impl ModelChecker {
                             acc.cases_elided += elided;
                             continue;
                         }
-                        if let Some(fc) = classes {
-                            if let Some(class) = fc.class_of(value) {
-                                if let Some((_, rep)) = covered.iter().find(|(c, _)| *c == class) {
-                                    // The certificate proves every choice
-                                    // outcome under this value equal to
-                                    // the representative's, so the
-                                    // subtrees share their verdicts.
-                                    let merged = self.subtree_count_recorded(frame, remaining, acc);
-                                    acc.cases_merged += merged;
-                                    if let Some(run) = por {
-                                        self.spot_check_commutation(
-                                            run,
-                                            system.environment().current(),
-                                            factor.name(),
-                                            value,
-                                            rep,
-                                        );
-                                    }
-                                    continue;
-                                }
-                                covered.push((class, value.clone()));
-                            }
-                        }
-                        if let (Some(fp), Some(run)) = (parent_fp, por) {
-                            // Fingerprinted parent: this fork's future is a
-                            // function of (fingerprint, frame, event,
-                            // budget). Walk each identity once.
-                            let key = (fp, frame, fi, vi, remaining);
-                            let claimed = run.visited.lock().expect("POR visited set").insert(key);
-                            if !claimed {
+                        let classes = por.and_then(|r| r.certificate.factor(factor));
+                        if let Some(class) = classes.and_then(|fc| fc.class_of(value)) {
+                            // The held value represents its own class:
+                            // staying inside it is behaviorally inert.
+                            let held = current.filter(|cur| {
+                                classes.and_then(|fc| fc.class_of(cur)) == Some(class)
+                            });
+                            let rep = held.or_else(|| {
+                                covered
+                                    .iter()
+                                    .find(|&&(f, c, _)| f == factor && c == class)
+                                    .map(|&(_, _, rep)| rep)
+                            });
+                            if let (Some(rep), Some(run)) = (rep, por) {
+                                // The certificate proves every choice
+                                // outcome under this value equal to the
+                                // representative's, so the subtrees
+                                // share their verdicts.
                                 let merged = self.subtree_count_recorded(frame, remaining, acc);
                                 acc.cases_merged += merged;
+                                self.spot_check_commutation(
+                                    run,
+                                    system.environment().current(),
+                                    factor,
+                                    value,
+                                    rep,
+                                );
                                 continue;
                             }
+                            covered.push((factor, class, value));
                         }
-                        let fork_started = Instant::now();
-                        let mut child = system.fork();
-                        acc.fork_ns += span_ns(fork_started);
-                        child
-                            .set_env(factor.name(), value)
-                            .expect("enumerated values are valid");
-                        let mut child_events = events.clone();
-                        child_events.push((frame, factor.name().to_owned(), value.clone()));
-                        children.push(NodeTask {
-                            system: child,
-                            events: child_events,
-                            depth: depth + 1,
-                        });
                     }
+                    if let (Some(fp), Some(run)) = (parent_fp, por) {
+                        // Fingerprinted parent: this fork's future is a
+                        // function of (fingerprint, frame, event,
+                        // budget). Walk each identity once.
+                        let key = (fp, frame, index, remaining);
+                        let claimed = run.visited.lock().expect("POR visited set").insert(key);
+                        if !claimed {
+                            let merged = self.subtree_count_recorded(frame, remaining, acc);
+                            acc.cases_merged += merged;
+                            continue;
+                        }
+                    }
+                    let fork_started = Instant::now();
+                    let mut child = system.fork();
+                    acc.fork_ns += span_ns(fork_started);
+                    action
+                        .apply(&mut child)
+                        .expect("alphabet actions are valid for the checker's spec");
+                    let mut child_events = events.clone();
+                    child_events.push((frame, index));
+                    children.push(NodeTask {
+                        system: child,
+                        events: child_events,
+                        depth: depth + 1,
+                    });
                 }
             }
         }
@@ -965,10 +926,9 @@ impl ModelChecker {
         let violations = collect_violations(system);
         acc.check_ns += span_ns(check_started);
         if !violations.is_empty() {
-            acc.failures.push(CaseFailure {
-                schedule: Schedule(events.clone()),
-                violations,
-            });
+            let case = self.case_of(events);
+            acc.failures
+                .push((events.clone(), CaseFailure { case, violations }));
         }
         children
     }
@@ -1034,7 +994,7 @@ impl ModelChecker {
                         .unwrap_or_else(|| "non-string panic payload".to_owned());
                     return Err(format!(
                         "model-check worker panicked on schedule `{}`: {detail}",
-                        Schedule(task.events)
+                        self.case_of(&task.events).events_line()
                     ));
                 }
             }
@@ -1091,9 +1051,8 @@ impl ModelChecker {
         // Work stealing scatters completion order; the canonical key
         // restores the deterministic enumeration order (a no-op for the
         // serial engines, which already walk in pre-order).
-        total
-            .failures
-            .sort_by_key(|f| self.schedule_key(&f.schedule));
+        total.failures.sort_by(|(a, _), (b, _)| a.cmp(b));
+        let failures: Vec<CaseFailure> = total.failures.into_iter().map(|(_, f)| f).collect();
 
         metrics.add("walk.cases_run", total.cases_run as u64);
         metrics.add("walk.cases_elided", total.cases_elided as u64);
@@ -1105,10 +1064,9 @@ impl ModelChecker {
 
         let counterexample = if record && self.flight_recorder {
             let shrink_started = Instant::now();
-            let ce = total
-                .failures
+            let ce = failures
                 .first()
-                .map(|failure| self.record_counterexample(self.case(&failure.schedule)));
+                .map(|failure| self.record_counterexample(failure.case.clone()));
             metrics.add("walk.span.shrink_ns", span_ns(shrink_started));
             ce
         } else {
@@ -1121,7 +1079,7 @@ impl ModelChecker {
             cases_merged: total.cases_merged,
             count_overflowed: total.count_overflowed,
             frames_simulated: total.frames_simulated,
-            failures: total.failures,
+            failures,
             counterexample,
             metrics: metrics.snapshot(),
         }
@@ -1296,56 +1254,41 @@ impl ModelChecker {
     /// the tree walk elides, so the reports agree exactly.
     pub fn run_reference(&self) -> ModelCheckReport {
         let mut acc = WalkAccum::default();
-        for schedule in self.schedule_iter() {
-            if self.contains_noop(&schedule) {
+        let mut paths = self.schedule_iter();
+        while let Some(path) = paths.next_path() {
+            let case = self.case_of(path);
+            if self.contains_noop(&case) {
                 acc.cases_elided += 1;
                 continue;
             }
             acc.cases_run += 1;
             acc.frames_simulated += self.horizon;
-            if let Some(failure) = self.run_case(&schedule) {
-                acc.failures.push(failure);
+            let violations = self.check_case(&case);
+            if !violations.is_empty() {
+                acc.failures
+                    .push((path.to_vec(), CaseFailure { case, violations }));
             }
         }
         self.finish(vec![acc], true)
     }
 
-    /// Whether any event in the schedule sets a factor to the value it
-    /// already holds at that point — the static mirror of the dynamic
-    /// elision check (valid because schedule events are the only
-    /// environment changes during model checking).
-    fn contains_noop(&self, schedule: &Schedule) -> bool {
+    /// Whether any environment change in `case` sets a factor to the
+    /// value it already holds at that point — the static mirror of the
+    /// walk's dynamic elision check, valid while the case's own events
+    /// are its only environment changes (as in every enumerated case).
+    /// Such a case replays the trace of the shorter case without that
+    /// event.
+    pub fn contains_noop(&self, case: &Scenario) -> bool {
         let mut env = self.spec.initial_env().clone();
-        for (_, factor, value) in &schedule.0 {
-            if env.get(factor) == Some(value.as_str()) {
-                return true;
+        for event in case.events() {
+            if let ScenarioAction::SetEnv { factor, value } = &event.action {
+                if env.get(factor) == Some(value.as_str()) {
+                    return true;
+                }
+                env.set(factor.clone(), value.clone());
             }
-            env.set(factor.clone(), value.clone());
         }
         false
-    }
-
-    fn run_case(&self, schedule: &Schedule) -> Option<CaseFailure> {
-        let violations = self.check_case(&self.case(schedule));
-        if violations.is_empty() {
-            None
-        } else {
-            Some(CaseFailure {
-                schedule: schedule.clone(),
-                violations,
-            })
-        }
-    }
-
-    /// The case a schedule labels: its environment changes over the
-    /// checker's horizon, under the checker's installed fault plan.
-    pub fn case(&self, schedule: &Schedule) -> Scenario {
-        let mut case =
-            Scenario::new("model-check", self.horizon).with_faults(self.fault_plan.clone());
-        for (frame, factor, value) in &schedule.0 {
-            case = case.set_env(*frame, factor.clone(), value.clone());
-        }
-        case
     }
 
     /// Replays one case on a fresh system under the checker's policies
@@ -1463,7 +1406,6 @@ fn checked_binomial(n: usize, k: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioAction;
     use crate::scram::ScramMutation;
     use crate::spec::{AppDecl, Configuration, FunctionalSpec};
     use arfs_failstop::ProcessorId;
@@ -1506,9 +1448,17 @@ mod tests {
         // protocol = 4 + 1 dwell; last event frame = 12 - 6 = 6.
         // 6 frames x 1 factor x 2 values = 12 single-event schedules + 1
         // empty.
-        let schedules = mc.schedules();
+        let schedules: Vec<Scenario> = mc.schedule_iter().collect();
         assert_eq!(schedules.len(), 13);
-        assert_eq!(schedules[0], Schedule(Vec::new()));
+        assert_eq!(schedules[0], Scenario::new("model-check", 12));
+        assert_eq!(
+            schedules[1],
+            Scenario::new("model-check", 12).set_env(1, "power", "good")
+        );
+        assert_eq!(
+            schedules[12],
+            Scenario::new("model-check", 12).set_env(6, "power", "bad")
+        );
         assert_eq!(mc.total_schedule_count(), 13);
         assert_eq!(mc.horizon(), 12);
     }
@@ -1562,46 +1512,53 @@ mod tests {
         for horizon in 1..=6 {
             let mc = ModelChecker::new(small_spec(), horizon, 1);
             assert_eq!(
-                mc.schedules(),
-                vec![Schedule(Vec::new())],
+                mc.schedule_iter().collect::<Vec<_>>(),
+                vec![Scenario::new("model-check", horizon)],
                 "horizon {horizon}"
             );
         }
         // The first horizon with tail room schedules events again.
         let mc = ModelChecker::new(small_spec(), 7, 1);
-        assert_eq!(mc.schedules().len(), 3);
+        assert_eq!(mc.schedule_iter().count(), 3);
     }
 
     #[test]
     fn two_event_schedules_have_increasing_frames() {
         let mc = ModelChecker::new(small_spec(), 12, 2);
-        for Schedule(events) in mc.schedules() {
-            for pair in events.windows(2) {
-                assert!(pair[0].0 < pair[1].0);
+        for case in mc.schedule_iter() {
+            for pair in case.events().windows(2) {
+                assert!(pair[0].frame < pair[1].frame);
             }
-            assert!(events.len() <= 2);
+            assert!(case.events().len() <= 2);
         }
     }
 
     #[test]
     fn streaming_enumeration_is_preorder_and_complete() {
         let mc = ModelChecker::new(small_spec(), 12, 2);
-        let schedules = mc.schedules();
+        let schedules: Vec<Scenario> = mc.schedule_iter().collect();
         // Analytic count: Σₖ C(6,k)·2^k = 1 + 12 + 60.
         assert_eq!(schedules.len(), 73);
         assert_eq!(mc.total_schedule_count(), 73);
         // Pre-order: every schedule's immediate prefix appears earlier.
         for (i, s) in schedules.iter().enumerate() {
-            if s.0.is_empty() {
+            let Some((_, prefix)) = s.events().split_last() else {
                 continue;
-            }
-            let prefix = Schedule(s.0[..s.0.len() - 1].to_vec());
-            let at = schedules.iter().position(|x| *x == prefix).unwrap();
-            assert!(at < i, "prefix of {s} enumerated after it");
+            };
+            let at = schedules.iter().position(|x| x.events() == prefix).unwrap();
+            assert!(
+                at < i,
+                "prefix of `{}` enumerated after it",
+                s.events_line()
+            );
         }
         // No duplicates.
         for (i, a) in schedules.iter().enumerate() {
-            assert!(!schedules[i + 1..].contains(a), "duplicate {a}");
+            assert!(
+                !schedules[i + 1..].contains(a),
+                "duplicate `{}`",
+                a.events_line()
+            );
         }
     }
 
@@ -1699,7 +1656,18 @@ mod tests {
         let mc = ModelChecker::new(small_spec(), 12, 1).with_mutation(ScramMutation::SkipInitPhase);
         let report = mc.run();
         assert!(!report.all_passed());
-        assert!(report.to_string().contains("violated"));
+        // Each failure is named by its case's stimuli in the one line
+        // format, never the old `@1 power:=bad` label.
+        let rendered = report.to_string();
+        assert!(rendered.contains("violated"), "{rendered}");
+        assert!(!rendered.contains(":="), "{rendered}");
+        assert!(rendered.contains("  `f1 set-env power=bad`:"), "{rendered}");
+        for failure in report.failures.iter().take(5) {
+            let [event] = failure.case.events() else {
+                panic!("one event per case at max_events 1");
+            };
+            assert!(rendered.contains(&format!("  `{event}`:")), "{rendered}");
+        }
     }
 
     #[test]
@@ -1720,7 +1688,7 @@ mod tests {
             message.contains("model-check worker panicked on schedule"),
             "{message}"
         );
-        assert!(message.contains("power:=bad"), "{message}");
+        assert!(message.contains("set-env power=bad"), "{message}");
     }
 
     #[test]
@@ -1730,7 +1698,7 @@ mod tests {
         assert!(!report.all_passed());
         let ce = report.counterexample.as_ref().expect("recorder is on");
         // The artifact describes the first failure in canonical order...
-        assert_eq!(ce.case, mc.case(&report.failures[0].schedule));
+        assert_eq!(ce.case, report.failures[0].case);
         // ...shrunk no larger than the original and still failing.
         assert!(ce.minimized.events().len() <= ce.case.events().len());
         assert!(!ce.violations.is_empty());
@@ -1762,9 +1730,8 @@ mod tests {
         // the case's one essential event.
         let spec = crate::system::tests::processor_status_spec();
         let mc = ModelChecker::new(spec, 12, 1).with_mutation(ScramMutation::SkipInitPhase);
-        let case = mc
-            .case(&Schedule(Vec::new()))
-            .fail_processor(3, ProcessorId::new(1));
+        let quiescent = mc.schedule_iter().next().expect("the empty case");
+        let case = quiescent.fail_processor(3, ProcessorId::new(1));
         let ce = mc.record_counterexample(case.clone());
         assert_eq!(ce.case, case);
         assert!(!ce.violations.is_empty());
@@ -1883,7 +1850,7 @@ mod tests {
             cases_run: 9,
             cases_elided: 8,
             failures: vec![CaseFailure {
-                schedule: Schedule(vec![(3, "power".into(), "bad".into())]),
+                case: Scenario::new("model-check", 12).set_env(3, "power", "bad"),
                 violations: Vec::new(),
             }],
             ..ModelCheckReport::default()
@@ -1895,7 +1862,7 @@ mod tests {
             ),
             "{rendered}"
         );
-        assert!(rendered.contains("@3 power:=bad"), "{rendered}");
+        assert!(rendered.contains("`f3 set-env power=bad`:"), "{rendered}");
         let merged = ModelCheckReport {
             cases_run: 5,
             cases_merged: 4,
@@ -1905,13 +1872,6 @@ mod tests {
             merged.to_string(),
             "SP1-SP4 hold on all 5 explored schedules (4 merged by partial-order reduction)"
         );
-    }
-
-    #[test]
-    fn schedule_display() {
-        assert_eq!(Schedule(Vec::new()).to_string(), "(no events)");
-        let s = Schedule(vec![(3, "power".into(), "bad".into())]);
-        assert_eq!(s.to_string(), "@3 power:=bad");
     }
 
     #[test]
@@ -1983,15 +1943,14 @@ mod tests {
         assert_eq!(report, mc.run_parallel(3));
 
         let mut retries = 0u64;
-        for schedule in mc.schedule_iter() {
-            if mc.contains_noop(&schedule) {
-                continue;
-            }
-            let system = mc.replay(&mc.case(&schedule), true);
+        for case in mc.schedule_iter().filter(|case| !mc.contains_noop(case)) {
+            assert_eq!(case.faults(), mc.fault_plan());
+            let system = mc.replay(&case, true);
             assert_eq!(
                 system.journal().of_kind("safe-fallback").count(),
                 0,
-                "schedule {schedule} fell back to the safe state"
+                "case `{}` fell back to the safe state",
+                case.events_line()
             );
             retries += system.journal().of_kind("commit-retry").count() as u64;
         }
@@ -2124,7 +2083,7 @@ mod tests {
             assert!(
                 full.failures.contains(failure),
                 "reduced run invented a failure: {}",
-                failure.schedule
+                failure.case.events_line()
             );
         }
         assert_eq!(por.cases_total(), plain.total_schedule_count());

@@ -3,8 +3,8 @@
 //!
 //! The exhaustive model checker deliberately explores with
 //! observability off — thousands of journals nobody reads — so a bare
-//! [`CaseFailure`](crate::model::CaseFailure) names the offending
-//! schedule and nothing else. A [`Counterexample`] is the full story
+//! [`CaseFailure`](crate::model::CaseFailure) holds the offending case
+//! and its violations, and nothing else. A [`Counterexample`] is the full story
 //! reconstructed after the fact:
 //!
 //! 1. the **original** failing case, exactly as enumerated, as the

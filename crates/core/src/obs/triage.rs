@@ -6,16 +6,15 @@
 //! arrive with nothing about *what the system was doing*. Every cell
 //! carries a [`FlightRing`](super::ring::FlightRing); when a
 //! `StreamVerifier` violation or a chaos defense fires, the fleet
-//! drains that ring — plus the seed, the [`Scenario`] that replays the
-//! system (stimuli, chaos fault plan, the fleet's horizon) and a
-//! metrics snapshot — into a [`TriageBundle`] on the report. The bundle
+//! drains that ring — plus the seed and the [`Scenario`] that replays
+//! the system (stimuli, chaos fault plan, the fleet's horizon) — into
+//! a [`TriageBundle`] on the report. The bundle
 //! replays from its case alone through [`Scenario::run_with`], and
 //! `arfs-trace fleet triage` renders it with the same causal-marker
 //! timeline the model checker's counterexamples use ([`CausalLink`]).
 
 use super::counterexample::CausalLink;
 use super::event::CAUSAL_KINDS;
-use super::metrics::MetricsSnapshot;
 use super::ring::DecodedRingEvent;
 use crate::scenario::Scenario;
 
@@ -57,8 +56,6 @@ pub struct TriageBundle {
     /// terminal `"violation"` link — the same shape `arfs-trace
     /// explain` renders for model-check counterexamples.
     pub causal_chain: Vec<CausalLink>,
-    /// The system's metrics at aggregation.
-    pub metrics: MetricsSnapshot,
 }
 
 impl TriageBundle {
@@ -174,7 +171,6 @@ mod tests {
             case: Scenario::new("random-48879", 30).set_env(4, "power", "bad"),
             ring: ring.clone(),
             causal_chain: TriageBundle::causal_chain(&ring, Some(7), "SP2", "wrong target"),
-            metrics: MetricsSnapshot::default(),
         };
         let json = bundle.to_json();
         let back = TriageBundle::from_json(&json).expect("parses");

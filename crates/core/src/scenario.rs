@@ -15,7 +15,7 @@
 //! It serializes to JSON, so the exact case behind any experiment
 //! artifact can be stored alongside it and replayed later.
 //! [`Scenario::run_with`] is the one way to build and drive a system
-//! through a case, [`ScenarioEvent::apply`] the one stimulus step, and
+//! through a case, [`ScenarioAction::apply`] the one stimulus step, and
 //! [`Scenario::shrink`] the one shrinker: it reduces a failing case to
 //! a 1-minimal one against any oracle.
 //!
@@ -86,10 +86,11 @@ pub struct ScenarioEvent {
     pub action: ScenarioAction,
 }
 
-impl ScenarioEvent {
+impl ScenarioAction {
     /// Applies the action to `system`; it takes effect in the system's
-    /// next frame. This is the one stimulus step: [`Scenario::run`] and
-    /// the fleet's per-cell cursor both call it.
+    /// next frame. This is the one stimulus step: [`Scenario::run`],
+    /// the fleet's per-cell cursor and the model checker's forks all
+    /// call it.
     ///
     /// # Errors
     ///
@@ -98,7 +99,7 @@ impl ScenarioEvent {
     /// [`SystemError::UnknownProcessor`] for a processor the platform
     /// does not have.
     pub fn apply(&self, system: &mut System) -> Result<(), SystemError> {
-        match &self.action {
+        match self {
             ScenarioAction::SetEnv { factor, value } => system.set_env(factor, value),
             ScenarioAction::FailProcessor(id) => {
                 if !system.pool().contains(*id) {
@@ -242,7 +243,7 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns the first error of [`ScenarioEvent::apply`].
+    /// Returns the first error of [`ScenarioAction::apply`].
     pub fn run(&self, system: &mut System) -> Result<(), SystemError> {
         let start = system.frame();
         let mut events: Vec<&ScenarioEvent> = self.events.iter().collect();
@@ -253,7 +254,7 @@ impl Scenario {
             .peekable();
         for frame in start..start + self.horizon {
             while let Some(event) = next.next_if(|e| e.frame == frame) {
-                event.apply(system)?;
+                event.action.apply(system)?;
             }
             system.run_frame();
         }

@@ -26,7 +26,7 @@ use crate::assure::{InvariantOracle, OracleProfile};
 use crate::lint::{obligations_from, Assembly, LintEngine, LintReport, LintTarget};
 use crate::model::{ModelCheckReport, ModelChecker};
 use crate::properties::PropertyId;
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, ScenarioEvent};
 use crate::scram::ScramMutation;
 use crate::spec::ReconfigSpec;
 use crate::system::System;
@@ -234,7 +234,7 @@ pub fn verify_spec(spec: &ReconfigSpec, options: &VerifyOptions) -> Verification
     }
 }
 
-/// Runs one mutated system over every single-event schedule and reports
+/// Runs one mutated system over every single-event case and reports
 /// whether the target property flagged at least one trace.
 fn mutation_caught(
     spec: &ReconfigSpec,
@@ -242,13 +242,29 @@ fn mutation_caught(
     property: PropertyId,
     horizon: u64,
 ) -> bool {
-    // A trigger must actually fire for the defect to surface; sweep every
-    // (frame, factor, value) single-event schedule like the model checker
-    // does.
-    let protocol = spec.reconfig_frames() + spec.min_dwell_frames();
-    let last_event_frame = horizon.saturating_sub(protocol + 1).max(1);
+    // A trigger must actually fire for the defect to surface: sweep the
+    // model checker's single-event cases (the empty case triggers
+    // nothing). A horizon too short for any event still screens every
+    // alphabet entry at frame 1.
+    let checker = ModelChecker::new(spec.clone(), horizon, 1);
+    let mut events: Vec<ScenarioEvent> = checker
+        .schedule_iter()
+        .skip(1)
+        .flat_map(|case| case.events().to_vec())
+        .collect();
+    if events.is_empty() {
+        events = checker
+            .alphabet()
+            .iter()
+            .map(|action| ScenarioEvent {
+                frame: 1,
+                action: action.clone(),
+            })
+            .collect();
+    }
     // Mutations need generous slack (ExtraDelayFrames stalls past the
-    // largest transition bound), so run well past the horizon.
+    // largest transition bound), so each case runs well past the
+    // horizon.
     let max_bound_frames = spec
         .transitions()
         .iter()
@@ -257,21 +273,13 @@ fn mutation_caught(
         .unwrap_or(0);
     let run_frames = horizon + max_bound_frames + spec.reconfig_frames() + 16;
     let oracle = InvariantOracle::new(std::sync::Arc::new(spec.clone()), OracleProfile::Extended);
-    for frame in 1..=last_event_frame {
-        for factor in spec.env_model().factors() {
-            for value in factor.domain() {
-                let system = Scenario::new("mutation-screen", run_frames)
-                    .set_env(frame, factor.name(), value.clone())
-                    .run_with(System::builder(spec.clone()).mutation(mutation.clone()))
-                    .expect("enumerated values are valid");
-                let report = oracle.report(system.trace());
-                if !report.of(property).is_empty() {
-                    return true;
-                }
-            }
-        }
-    }
-    false
+    events.into_iter().any(|event| {
+        let system = Scenario::new("mutation-screen", run_frames)
+            .at(event.frame, event.action)
+            .run_with(System::builder(spec.clone()).mutation(mutation.clone()))
+            .expect("alphabet actions are valid for the spec");
+        !oracle.report(system.trace()).of(property).is_empty()
+    })
 }
 
 #[cfg(test)]

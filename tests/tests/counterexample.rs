@@ -28,7 +28,7 @@ fn every_known_bad_mutant_yields_a_counterexample() {
         // The artifact's acceptance shape: shrunk schedule no larger
         // than the original, non-empty replayed journal, causal chain
         // ending at the violating frame.
-        assert_eq!(ce.case, mc.case(&report.failures[0].schedule), "{slug}");
+        assert_eq!(ce.case, report.failures[0].case, "{slug}");
         assert!(
             ce.minimized.events().len() <= ce.case.events().len(),
             "{slug}"
@@ -113,12 +113,14 @@ fn replayed_journals_reproduce_the_walk_engines_verdict() {
         let reference = mc.run_reference();
         let walk = mc.run();
         assert_eq!(reference, walk, "{slug}: engines disagree");
-        let failure = &walk.failures[0];
-        assert_eq!(
-            mc.check_case(&mc.case(&failure.schedule)),
-            failure.violations,
-            "{slug}: replaying the recorded schedule changes the verdict"
-        );
+        for failure in walk.failures.iter().chain(&reference.failures) {
+            assert_eq!(
+                mc.check_case(&failure.case),
+                failure.violations,
+                "{slug}: replaying `{}` changes the verdict",
+                failure.case.events_line()
+            );
+        }
         // The minimized replay's verdict (captured in the artifact) hits
         // the same frame-verdict shape as a fresh check of the
         // minimized schedule.

@@ -29,15 +29,11 @@ fn assert_engines_agree(mc: &ModelChecker, label: &str) {
         "{label}: explored + elided must cover the schedule space"
     );
     // Failure order is part of the contract, not just the set.
-    let seq_order: Vec<String> = walk
-        .failures
-        .iter()
-        .map(|f| f.schedule.to_string())
-        .collect();
+    let seq_order: Vec<String> = walk.failures.iter().map(|f| f.case.events_line()).collect();
     let par_order: Vec<String> = parallel
         .failures
         .iter()
-        .map(|f| f.schedule.to_string())
+        .map(|f| f.case.events_line())
         .collect();
     assert_eq!(seq_order, par_order, "{label}: failure order");
 }
@@ -130,7 +126,7 @@ fn assert_por_agrees(mc: ModelChecker, label: &str) {
         assert!(
             reference.failures.contains(f),
             "{label}: POR failure `{}` not found by the reference engine",
-            f.schedule
+            f.case.events_line()
         );
     }
     assert_eq!(
@@ -160,7 +156,7 @@ fn assert_por_agrees(mc: ModelChecker, label: &str) {
         assert!(
             reference.failures.contains(f),
             "{label}: parallel POR failure `{}` not found by the reference engine",
-            f.schedule
+            f.case.events_line()
         );
     }
 }

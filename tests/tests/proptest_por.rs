@@ -117,7 +117,7 @@ proptest! {
             prop_assert!(
                 reference.failures.contains(f),
                 "POR failure `{}` not found by the reference engine",
-                f.schedule
+                f.case.events_line()
             );
         }
         prop_assert_eq!(
