@@ -196,8 +196,8 @@ impl fmt::Display for FailpointPlan {
 #[cfg(feature = "failpoints")]
 mod registry {
     use super::{FailpointPlan, FpAction};
-    use parking_lot::{Mutex, MutexGuard};
     use std::collections::BTreeMap;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     #[derive(Default)]
     struct State {
@@ -210,6 +210,11 @@ mod registry {
     static STATE: Mutex<Option<State>> = Mutex::new(None);
     /// Serializes whole campaigns: tests and harnesses sharing the one
     /// process-global registry take turns instead of interleaving.
+    ///
+    /// Both locks are taken through `PoisonError::into_inner`. A `Panic`
+    /// action unwinds through a live [`CampaignGuard`] by design, which
+    /// poisons `CAMPAIGN`; the guard's drop still resets `STATE`, so the
+    /// registry stays consistent and the next campaign may proceed.
     static CAMPAIGN: Mutex<()> = Mutex::new(());
 
     /// Exclusive hold on the registry for one campaign; dropping it
@@ -220,13 +225,13 @@ mod registry {
 
     impl Drop for CampaignGuard {
         fn drop(&mut self) {
-            *STATE.lock() = None;
+            *STATE.lock().unwrap_or_else(PoisonError::into_inner) = None;
         }
     }
 
     /// Arms `plan` and returns the guard scoping the campaign.
     pub fn install(plan: &FailpointPlan) -> CampaignGuard {
-        let campaign = CAMPAIGN.lock();
+        let campaign = CAMPAIGN.lock().unwrap_or_else(PoisonError::into_inner);
         let mut armed: BTreeMap<String, Vec<(u64, FpAction)>> = BTreeMap::new();
         for entry in &plan.0 {
             armed
@@ -234,7 +239,7 @@ mod registry {
                 .or_default()
                 .push((entry.hit, entry.action));
         }
-        *STATE.lock() = Some(State {
+        *STATE.lock().unwrap_or_else(PoisonError::into_inner) = Some(State {
             hits: BTreeMap::new(),
             armed,
         });
@@ -246,7 +251,11 @@ mod registry {
     /// Resets hit counters (not the armed plan): call between replays
     /// of one campaign so hit ordinals stay run-relative.
     pub fn reset_hits() {
-        if let Some(state) = STATE.lock().as_mut() {
+        if let Some(state) = STATE
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_mut()
+        {
             state.hits.clear();
         }
     }
@@ -256,7 +265,7 @@ mod registry {
     /// sites never have to handle them.
     pub fn hit(site: &str) -> Option<FpAction> {
         let action = {
-            let mut guard = STATE.lock();
+            let mut guard = STATE.lock().unwrap_or_else(PoisonError::into_inner);
             let state = guard.as_mut()?;
             let count = state.hits.entry(site.to_owned()).or_insert(0);
             *count += 1;
@@ -278,6 +287,7 @@ mod registry {
     pub fn hit_counts() -> Vec<(String, u64)> {
         STATE
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .as_ref()
             .map(|s| s.hits.iter().map(|(k, v)| (k.clone(), *v)).collect())
             .unwrap_or_default()
@@ -455,5 +465,26 @@ mod tests {
         plan.push("t.panic", 1, FpAction::Panic);
         let _campaign = install(&plan);
         fp!("t.panic");
+    }
+
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn a_panicking_campaign_leaves_the_registry_usable() {
+        let mut plan = FailpointPlan::new();
+        plan.push("t.poison", 1, FpAction::Panic);
+        let unwound = std::panic::catch_unwind(|| {
+            let _campaign = install(&plan);
+            fp!("t.poison");
+        });
+        assert!(unwound.is_err(), "the armed `Panic` site must panic");
+
+        let mut plan = FailpointPlan::new();
+        plan.push("t.after", 2, FpAction::Err);
+        {
+            let _campaign = install(&plan);
+            assert_eq!(hit("t.after"), None);
+            assert_eq!(hit("t.after"), Some(FpAction::Err));
+        }
+        assert!(hit_counts().is_empty());
     }
 }

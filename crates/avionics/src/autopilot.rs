@@ -18,8 +18,7 @@
 
 use arfs_core::app::{AppContext, ReconfigurableApp};
 use arfs_core::{AppId, SpecId};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::dynamics::heading_error_deg;
 use crate::spec::AP_PRIMARY;
@@ -133,10 +132,10 @@ impl ReconfigurableApp for Autopilot {
         ctx.consume(arfs_rtos::Ticks::new(if is_primary { 35 } else { 12 }));
 
         let (readings, mode, want_engage) = {
-            let mut world = self.world.lock();
+            let mut world = self.world.lock().expect("plant");
             let state = world.aircraft.state();
             let readings = world.sensors.sample(&state);
-            let controls = self.controls.lock();
+            let controls = self.controls.lock().expect("autopilot controls");
             (readings, controls.mode, controls.engage)
         };
 
@@ -208,7 +207,7 @@ impl ReconfigurableApp for Autopilot {
         // afterwards.
         self.halted = true;
         self.engaged = false;
-        self.controls.lock().engage = false;
+        self.controls.lock().expect("autopilot controls").engage = false;
         Self::publish(ctx, false, 0.0, 0.0);
         Ok(())
     }
@@ -292,7 +291,7 @@ mod tests {
         let mut stable = StableStorage::new();
         for _ in 0..frames {
             let (engaged, elev, ail) = run_frame(ap, &mut stable);
-            let mut w = world.lock();
+            let mut w = world.lock().expect("plant");
             let surfaces = if engaged {
                 ControlSurfaces {
                     elevator: elev,
@@ -325,19 +324,19 @@ mod tests {
     fn altitude_hold_returns_to_captured_altitude() {
         let world = world_at(5000.0, 90.0);
         let controls: SharedApControls = Arc::default();
-        controls.lock().engage = true;
-        controls.lock().mode = AutopilotMode::AltitudeHold;
+        controls.lock().expect("autopilot controls").engage = true;
+        controls.lock().expect("autopilot controls").mode = AutopilotMode::AltitudeHold;
         let mut ap = Autopilot::new(world.clone(), controls);
         // Engage at 5000 ft, then disturb the aircraft downward.
         fly_closed_loop(&mut ap, &world, 5);
         {
-            let mut w = world.lock();
+            let mut w = world.lock().expect("plant");
             let mut st = w.aircraft.state();
             st.altitude_ft = 4800.0;
             w.aircraft = Aircraft::new(st, 0.1);
         }
         fly_closed_loop(&mut ap, &world, 1000);
-        let alt = world.lock().aircraft.state().altitude_ft;
+        let alt = world.lock().expect("plant").aircraft.state().altitude_ft;
         assert!((alt - 5000.0).abs() < 30.0, "altitude {alt}");
     }
 
@@ -345,11 +344,11 @@ mod tests {
     fn climb_to_reaches_target_altitude() {
         let world = world_at(4000.0, 0.0);
         let controls: SharedApControls = Arc::default();
-        controls.lock().engage = true;
-        controls.lock().mode = AutopilotMode::ClimbTo(4500.0);
+        controls.lock().expect("autopilot controls").engage = true;
+        controls.lock().expect("autopilot controls").mode = AutopilotMode::ClimbTo(4500.0);
         let mut ap = Autopilot::new(world.clone(), controls);
         fly_closed_loop(&mut ap, &world, 1200);
-        let alt = world.lock().aircraft.state().altitude_ft;
+        let alt = world.lock().expect("plant").aircraft.state().altitude_ft;
         assert!((alt - 4500.0).abs() < 40.0, "altitude {alt}");
     }
 
@@ -357,11 +356,11 @@ mod tests {
     fn turn_to_reaches_target_heading() {
         let world = world_at(5000.0, 10.0);
         let controls: SharedApControls = Arc::default();
-        controls.lock().engage = true;
-        controls.lock().mode = AutopilotMode::TurnTo(70.0);
+        controls.lock().expect("autopilot controls").engage = true;
+        controls.lock().expect("autopilot controls").mode = AutopilotMode::TurnTo(70.0);
         let mut ap = Autopilot::new(world.clone(), controls);
         fly_closed_loop(&mut ap, &world, 1500);
-        let h = world.lock().aircraft.state().heading_deg;
+        let h = world.lock().expect("plant").aircraft.state().heading_deg;
         assert!(
             heading_error_deg(h, 70.0).abs() < 5.0,
             "heading {h} (target 70)"
@@ -372,14 +371,14 @@ mod tests {
     fn degraded_spec_refuses_heading_services() {
         let world = world_at(5000.0, 0.0);
         let controls: SharedApControls = Arc::default();
-        controls.lock().engage = true;
-        controls.lock().mode = AutopilotMode::TurnTo(90.0);
+        controls.lock().expect("autopilot controls").engage = true;
+        controls.lock().expect("autopilot controls").mode = AutopilotMode::TurnTo(90.0);
         let mut ap = Autopilot::new(world.clone(), controls);
         ap.spec = SpecId::new(AP_ALT_HOLD);
         // Bank the aircraft so wings-leveling produces a (negative)
         // aileron command rather than a turn-toward-90 command.
         {
-            let mut w = world.lock();
+            let mut w = world.lock().expect("plant");
             let mut st = w.aircraft.state();
             st.bank_deg = 20.0;
             w.aircraft = Aircraft::new(st, 0.1);
@@ -394,7 +393,7 @@ mod tests {
     fn reconfiguration_interface_walks_protocol() {
         let world = world_at(5000.0, 0.0);
         let controls: SharedApControls = Arc::default();
-        controls.lock().engage = true;
+        controls.lock().expect("autopilot controls").engage = true;
         let mut ap = Autopilot::new(world.clone(), controls.clone());
         let mut stable = StableStorage::new();
         run_frame(&mut ap, &mut stable);
@@ -412,7 +411,7 @@ mod tests {
         ap.halt(&mut ctx).unwrap();
         assert!(ap.postcondition_established());
         assert!(
-            !controls.lock().engage,
+            !controls.lock().expect("autopilot controls").engage,
             "halt disengages the cockpit switch"
         );
 

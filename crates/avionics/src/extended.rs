@@ -18,9 +18,7 @@
 //! choice rules that combine factors ("comms-out" keeps full flight
 //! services but shuts the datalink down).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use arfs_core::app::{AppContext, ReconfigurableApp};
 use arfs_core::scram::{MidReconfigPolicy, SyncPolicy};
@@ -133,13 +131,13 @@ impl ReconfigurableApp for Datalink {
         if !full_rate && !ctx.frame.is_multiple_of(4) {
             return Ok(());
         }
-        if *self.radio.lock() == RadioState::Failed {
+        if *self.radio.lock().expect("radio") == RadioState::Failed {
             // Radio silent: nothing leaves the aircraft. Report the
             // condition so the health monitor sees a software-visible
             // fault.
             return Err("datalink radio failed; telemetry not transmitted".into());
         }
-        let state = self.world.lock().aircraft.state();
+        let state = self.world.lock().expect("plant").aircraft.state();
         self.sequence += 1;
         ctx.stable.stage_u64("seq", self.sequence);
         ctx.stable
@@ -455,11 +453,16 @@ impl ExtendedUavSystem {
             vec![
                 (
                     "electrical".to_string(),
-                    monitor_world.lock().electrical.env_value().to_string(),
+                    monitor_world
+                        .lock()
+                        .expect("plant")
+                        .electrical
+                        .env_value()
+                        .to_string(),
                 ),
                 (
                     "radio".to_string(),
-                    monitor_radio.lock().env_value().to_string(),
+                    monitor_radio.lock().expect("radio").env_value().to_string(),
                 ),
             ]
         });
@@ -494,7 +497,7 @@ impl ExtendedUavSystem {
 
     /// Engages the autopilot.
     pub fn engage_autopilot(&mut self) {
-        self.ap_controls.lock().engage = true;
+        self.ap_controls.lock().expect("autopilot controls").engage = true;
     }
 
     /// Fails alternator `1` or `2`.
@@ -503,7 +506,11 @@ impl ExtendedUavSystem {
     ///
     /// Panics if `which` is not `1` or `2`.
     pub fn fail_alternator(&mut self, which: u8) {
-        self.world.lock().electrical.fail_alternator(which);
+        self.world
+            .lock()
+            .expect("plant")
+            .electrical
+            .fail_alternator(which);
     }
 
     /// Repairs alternator `1` or `2`.
@@ -512,18 +519,22 @@ impl ExtendedUavSystem {
     ///
     /// Panics if `which` is not `1` or `2`.
     pub fn repair_alternator(&mut self, which: u8) {
-        self.world.lock().electrical.repair_alternator(which);
+        self.world
+            .lock()
+            .expect("plant")
+            .electrical
+            .repair_alternator(which);
     }
 
     /// Sets the radio state.
     pub fn set_radio(&mut self, state: RadioState) {
-        *self.radio.lock() = state;
+        *self.radio.lock().expect("radio") = state;
     }
 
     /// Runs one frame of the platform and the world.
     pub fn run_frame(&mut self) {
         self.system.run_frame();
-        let mut world = self.world.lock();
+        let mut world = self.world.lock().expect("plant");
         let dt = world.aircraft.dt_s();
         let surfaces = world.surfaces;
         world.aircraft.step(&surfaces);

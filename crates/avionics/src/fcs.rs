@@ -85,7 +85,7 @@ impl ReconfigurableApp for FlightControl {
                 0.55,
             )
         } else {
-            let pilot = self.world.lock().pilot;
+            let pilot = self.world.lock().expect("plant").pilot;
             (pilot.pitch, pilot.roll, pilot.throttle)
         };
 
@@ -99,7 +99,7 @@ impl ReconfigurableApp for FlightControl {
         let commanded = if is_primary {
             // Stability augmentation: low-pass the commands and protect
             // the bank envelope.
-            let bank = self.world.lock().aircraft.state().bank_deg;
+            let bank = self.world.lock().expect("plant").aircraft.state().bank_deg;
             let mut s = self.smoothed;
             s.elevator += (raw.elevator - s.elevator) * 0.5;
             s.aileron += (raw.aileron - s.aileron) * 0.5;
@@ -116,7 +116,7 @@ impl ReconfigurableApp for FlightControl {
         };
 
         self.smoothed = commanded;
-        self.world.lock().surfaces = commanded;
+        self.world.lock().expect("plant").surfaces = commanded;
         ctx.stable.stage_f64("elevator", commanded.elevator);
         ctx.stable.stage_f64("aileron", commanded.aileron);
         ctx.stable.stage_f64("throttle", commanded.throttle);
@@ -137,7 +137,7 @@ impl ReconfigurableApp for FlightControl {
         // configuration is known (§7.1).
         let centered = ControlSurfaces::centered();
         self.smoothed = centered;
-        self.world.lock().surfaces = centered;
+        self.world.lock().expect("plant").surfaces = centered;
         ctx.stable.stage_f64("elevator", 0.0);
         ctx.stable.stage_f64("aileron", 0.0);
         ctx.stable.stage_str("prepared_for", target.as_str());
@@ -150,7 +150,7 @@ impl ReconfigurableApp for FlightControl {
         // Surfaces must still be centered at entry.
         let centered = ControlSurfaces::centered();
         self.smoothed = centered;
-        self.world.lock().surfaces = centered;
+        self.world.lock().expect("plant").surfaces = centered;
         ctx.stable.stage_str("state", "running");
         Ok(())
     }
@@ -160,7 +160,9 @@ impl ReconfigurableApp for FlightControl {
     }
 
     fn precondition_established(&self, spec: &SpecId) -> bool {
-        !self.halted && self.spec == *spec && self.world.lock().surfaces.is_centered()
+        !self.halted
+            && self.spec == *spec
+            && self.world.lock().expect("plant").surfaces.is_centered()
     }
     fn clone_box(&self) -> Box<dyn ReconfigurableApp> {
         Box::new(self.clone())
@@ -178,8 +180,7 @@ mod tests {
     use arfs_core::app::Blackboard;
     use arfs_core::environment::EnvState;
     use arfs_failstop::StableStorage;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn world() -> SharedWorld {
         Arc::new(Mutex::new(SimWorld {
@@ -219,7 +220,7 @@ mod tests {
     #[test]
     fn direct_law_passes_pilot_input_through() {
         let w = world();
-        w.lock().pilot = PilotInput {
+        w.lock().expect("plant").pilot = PilotInput {
             pitch: 0.4,
             roll: -0.3,
             throttle: 0.8,
@@ -230,13 +231,13 @@ mod tests {
         assert_eq!(s.elevator, 0.4);
         assert_eq!(s.aileron, -0.3);
         assert_eq!(s.throttle, 0.8);
-        assert_eq!(w.lock().surfaces, s);
+        assert_eq!(w.lock().expect("plant").surfaces, s);
     }
 
     #[test]
     fn primary_law_smooths_step_inputs() {
         let w = world();
-        w.lock().pilot = PilotInput {
+        w.lock().expect("plant").pilot = PilotInput {
             pitch: 1.0,
             roll: 0.0,
             throttle: 0.5,
@@ -256,7 +257,7 @@ mod tests {
     fn primary_law_protects_bank_envelope() {
         let w = world();
         {
-            let mut guard = w.lock();
+            let mut guard = w.lock().expect("plant");
             let mut st = guard.aircraft.state();
             st.bank_deg = 35.0;
             guard.aircraft = Aircraft::new(st, 0.1);
@@ -278,7 +279,7 @@ mod tests {
     #[test]
     fn engaged_autopilot_commands_win_over_pilot() {
         let w = world();
-        w.lock().pilot = PilotInput {
+        w.lock().expect("plant").pilot = PilotInput {
             pitch: -1.0,
             roll: -1.0,
             throttle: 0.1,
@@ -294,7 +295,7 @@ mod tests {
     #[test]
     fn disengaged_autopilot_defers_to_pilot() {
         let w = world();
-        w.lock().pilot = PilotInput {
+        w.lock().expect("plant").pilot = PilotInput {
             pitch: 0.3,
             roll: 0.0,
             throttle: 0.5,
@@ -309,7 +310,7 @@ mod tests {
     #[test]
     fn reconfiguration_interface_centers_surfaces() {
         let w = world();
-        w.lock().pilot = PilotInput {
+        w.lock().expect("plant").pilot = PilotInput {
             pitch: 0.5,
             roll: 0.5,
             throttle: 0.5,
@@ -317,7 +318,7 @@ mod tests {
         let mut fcs = FlightControl::new(w.clone());
         fcs.spec = SpecId::new(FCS_DIRECT);
         frame(&mut fcs, &Blackboard::new());
-        assert!(!w.lock().surfaces.is_centered());
+        assert!(!w.lock().expect("plant").surfaces.is_centered());
 
         let mut stable = StableStorage::new();
         let board = Blackboard::new();
@@ -332,11 +333,11 @@ mod tests {
         fcs.halt(&mut ctx).unwrap();
         assert!(fcs.postcondition_established());
         // Halting alone does not center: prepare does.
-        assert!(!w.lock().surfaces.is_centered());
+        assert!(!w.lock().expect("plant").surfaces.is_centered());
 
         let target = SpecId::new(FCS_DIRECT);
         fcs.prepare(&mut ctx, &target).unwrap();
-        assert!(w.lock().surfaces.is_centered());
+        assert!(w.lock().expect("plant").surfaces.is_centered());
 
         fcs.initialize(&mut ctx, &target).unwrap();
         assert!(fcs.precondition_established(&target));
@@ -362,7 +363,7 @@ mod tests {
         fcs.prepare(&mut ctx, &target).unwrap();
         fcs.initialize(&mut ctx, &target).unwrap();
         // Someone deflects the surfaces after initialization...
-        w.lock().surfaces.elevator = 0.3;
+        w.lock().expect("plant").surfaces.elevator = 0.3;
         assert!(!fcs.precondition_established(&target));
     }
 }

@@ -1,9 +1,7 @@
 //! The assembled avionics system: applications, kernel, and the physical
 //! world, stepping together.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use arfs_core::scram::{MidReconfigPolicy, SyncPolicy};
 use arfs_core::system::System;
@@ -98,7 +96,12 @@ impl AvionicsSystem {
             arfs_core::environment::FnMonitor::new("electrical-monitor", move |_frame| {
                 vec![(
                     "electrical".to_string(),
-                    monitor_world.lock().electrical.env_value().to_string(),
+                    monitor_world
+                        .lock()
+                        .expect("plant")
+                        .electrical
+                        .env_value()
+                        .to_string(),
                 )]
             });
 
@@ -129,27 +132,27 @@ impl AvionicsSystem {
 
     /// The aircraft's current physical state.
     pub fn aircraft_state(&self) -> AircraftState {
-        self.world.lock().aircraft.state()
+        self.world.lock().expect("plant").aircraft.state()
     }
 
     /// Engages the autopilot (it captures the current altitude/heading).
     pub fn engage_autopilot(&mut self) {
-        self.ap_controls.lock().engage = true;
+        self.ap_controls.lock().expect("autopilot controls").engage = true;
     }
 
     /// Disengages the autopilot.
     pub fn disengage_autopilot(&mut self) {
-        self.ap_controls.lock().engage = false;
+        self.ap_controls.lock().expect("autopilot controls").engage = false;
     }
 
     /// Selects an autopilot service.
     pub fn set_autopilot_mode(&mut self, mode: AutopilotMode) {
-        self.ap_controls.lock().mode = mode;
+        self.ap_controls.lock().expect("autopilot controls").mode = mode;
     }
 
     /// Sets the pilot's stick-and-throttle input.
     pub fn set_pilot_input(&mut self, input: PilotInput) {
-        self.world.lock().pilot = input;
+        self.world.lock().expect("plant").pilot = input;
     }
 
     /// Fails alternator `1` or `2`. The electrical system's exported
@@ -159,7 +162,11 @@ impl AvionicsSystem {
     ///
     /// Panics if `which` is not `1` or `2`.
     pub fn fail_alternator(&mut self, which: u8) {
-        self.world.lock().electrical.fail_alternator(which);
+        self.world
+            .lock()
+            .expect("plant")
+            .electrical
+            .fail_alternator(which);
     }
 
     /// Repairs alternator `1` or `2`.
@@ -168,7 +175,11 @@ impl AvionicsSystem {
     ///
     /// Panics if `which` is not `1` or `2`.
     pub fn repair_alternator(&mut self, which: u8) {
-        self.world.lock().electrical.repair_alternator(which);
+        self.world
+            .lock()
+            .expect("plant")
+            .electrical
+            .repair_alternator(which);
     }
 
     /// Runs one frame: one platform frame (the registered electrical
@@ -178,7 +189,7 @@ impl AvionicsSystem {
         self.system.run_frame();
 
         // The world moves regardless of what the computers are doing.
-        let mut world = self.world.lock();
+        let mut world = self.world.lock().expect("plant");
         let dt = world.aircraft.dt_s();
         let surfaces = world.surfaces;
         world.aircraft.step(&surfaces);

@@ -30,7 +30,12 @@ fn main() {
             event.to_string(),
             av.system().current_config().to_string(),
             format!("{:.0}", av.aircraft_state().altitude_ft),
-            av.world().lock().electrical.env_value().to_string(),
+            av.world()
+                .lock()
+                .expect("plant")
+                .electrical
+                .env_value()
+                .to_string(),
         ]);
     };
 
@@ -131,7 +136,12 @@ fn main() {
 
     verdict(
         "battery partially drained by minimal-service segment",
-        av.world().lock().electrical.battery_charge() < 1.0,
+        av.world()
+            .lock()
+            .expect("plant")
+            .electrical
+            .battery_charge()
+            < 1.0,
     );
 
     let path = write_json(
@@ -140,7 +150,7 @@ fn main() {
             "reconfigurations": reconfigs,
             "final_config": av.system().current_config(),
             "final_altitude_ft": av.aircraft_state().altitude_ft,
-            "battery_charge": av.world().lock().electrical.battery_charge(),
+            "battery_charge": av.world().lock().expect("plant").electrical.battery_charge(),
             "properties_ok": report.is_ok(),
         }),
     );

@@ -57,7 +57,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use arfs_failstop::{ProcessorId, ProcessorPool, SharedStableStorage, StableSnapshot};
+use arfs_failstop::{ProcessorId, ProcessorPool, StableSnapshot, StableStorage};
 use arfs_rtos::{Ticks, VirtualClock};
 use arfs_ttbus::{Message, NodeId, TtBus};
 
@@ -307,7 +307,10 @@ struct AppSlot {
     id: AppId,
     /// Index of the application in `System::apps`.
     app: usize,
-    region: SharedStableStorage,
+    /// The application's stable-storage region. The slot is its only
+    /// writer; a fork shares it until either side's next write
+    /// (`Arc::make_mut`).
+    region: Arc<StableStorage>,
     /// The specification the application reported after its last stage.
     spec: SpecId,
     /// The declared compute budget of `spec`.
@@ -325,7 +328,7 @@ impl AppSlot {
             budget: AppSlot::budget_of(spec, &id, &current),
             id,
             app,
-            region: SharedStableStorage::new(),
+            region: Arc::default(),
             spec: current,
             jitter: Ticks::ZERO,
             post_ok: None,
@@ -681,26 +684,21 @@ impl System {
     /// inboxes still hold), the bus membership log, the pool audit log —
     /// is a [`CowLog`](arfs_failstop::CowLog) whose sealed past is
     /// shared behind `Arc`s (which is why forking takes `&mut self`: the
-    /// open tails are sealed into shared segments), and stable-storage
-    /// regions share their committed store copy-on-write. The cost of a
-    /// fork is therefore O(components + prior forks), independent of
-    /// how much history has accumulated. Bounded live state (clock,
-    /// queues, pending inputs, chaos ledger, the environment's current
-    /// state) is cloned; the boxed applications and monitors are
-    /// duplicated through the explicit [`ForkSnapshot`] protocol.
+    /// open tails are sealed into shared segments), and the slots are
+    /// cloned as they are: each stable-storage region is an `Arc` the
+    /// fork shares until either side's next write copies it
+    /// (`Arc::make_mut`). The cost of a fork is therefore
+    /// O(components + prior forks), independent of how much history has
+    /// accumulated. Bounded live state (clock, queues, pending inputs,
+    /// chaos ledger, the environment's current state) is cloned; the
+    /// boxed applications and monitors are duplicated through the
+    /// explicit [`ForkSnapshot`] protocol.
     pub fn fork(&mut self) -> System {
         System {
             spec: Arc::clone(&self.spec),
             clock: self.clock.fork(),
             apps: self.apps.fork_snapshot(),
-            slots: self
-                .slots
-                .iter()
-                .map(|slot| AppSlot {
-                    region: slot.region.fork(),
-                    ..slot.clone()
-                })
-                .collect(),
+            slots: self.slots.clone(),
             order: Arc::clone(&self.order),
             pool: self.pool.fork(),
             bus: self.bus.fork(),
@@ -854,32 +852,28 @@ impl System {
         // allocations (proven ring-enabled by tests/alloc_free_frame.rs).
         self.obs.emit(frame, &Event::FastFrame);
         for &at in self.order.iter() {
-            let slot = &self.slots[at];
+            let slot = &mut self.slots[at];
             let app = &mut self.apps[slot.app];
-            let (result, consumed) = slot.region.write(|stable| {
-                let mut ctx = AppContext {
-                    frame,
-                    stable,
-                    inputs: &self.board,
-                    env: self.environment.current(),
-                    consumed: Ticks::ZERO,
-                };
-                let result = app.run_normal(&mut ctx);
-                let consumed = ctx.consumed;
-                // Frame-end stable-storage commit (§6.1). Auto-filled
-                // apps never read the blackboard, so committing right
-                // after the stage cannot leak into another app's inputs;
-                // slot-retaining staging makes it alloc-free.
-                stable.commit();
-                (result, consumed)
-            });
+            let mut ctx = AppContext {
+                frame,
+                stable: Arc::make_mut(&mut slot.region),
+                inputs: &self.board,
+                env: self.environment.current(),
+                consumed: Ticks::ZERO,
+            };
+            let result = app.run_normal(&mut ctx);
+            // Frame-end stable-storage commit (§6.1). Auto-filled apps
+            // never read the blackboard, so committing right after the
+            // stage cannot leak into another app's inputs; slot-retaining
+            // staging makes it alloc-free.
+            ctx.stable.commit();
             report_stage(
                 &mut self.obs,
                 frame,
                 &slot.id,
                 "normal",
                 &result,
-                consumed,
+                ctx.consumed,
                 slot.budget,
             );
         }
@@ -1051,22 +1045,21 @@ impl System {
         // configuration_status variable in stable storage and the bus.
         // An unchanged variable is not re-staged; the commit still bumps
         // the version. ---
-        for slot in &self.slots {
+        for slot in &mut self.slots {
             let command = &decision.commands[&slot.id];
             let target = command.target.as_ref().map(SpecId::as_str);
-            slot.region.write(|s| {
-                if s.get_str(CONFIG_STATUS_KEY) != Some(command.status.as_str()) {
-                    s.stage_str(CONFIG_STATUS_KEY, command.status.as_str());
+            let s = Arc::make_mut(&mut slot.region);
+            if s.get_str(CONFIG_STATUS_KEY) != Some(command.status.as_str()) {
+                s.stage_str(CONFIG_STATUS_KEY, command.status.as_str());
+            }
+            match target {
+                Some(t) if s.get_str(TARGET_SPEC_KEY) != Some(t) => {
+                    s.stage_str(TARGET_SPEC_KEY, t);
                 }
-                match target {
-                    Some(t) if s.get_str(TARGET_SPEC_KEY) != Some(t) => {
-                        s.stage_str(TARGET_SPEC_KEY, t);
-                    }
-                    None if s.contains(TARGET_SPEC_KEY) => s.stage_remove(TARGET_SPEC_KEY),
-                    _ => {}
-                }
-                s.commit();
-            });
+                None if s.contains(TARGET_SPEC_KEY) => s.stage_remove(TARGET_SPEC_KEY),
+                _ => {}
+            }
+            s.commit();
             if command.status != ConfigStatus::Normal {
                 let (app, status) = (&slot.id, command.status);
                 self.obs.emit(
@@ -1133,42 +1126,39 @@ impl System {
                 self.spec.frame_len()
             };
             let app = &mut self.apps[slot.app];
-            let (result, consumed, stage) = slot.region.write(|stable| {
-                let mut ctx = AppContext {
-                    frame,
-                    stable,
-                    inputs: &self.board,
-                    env: &env,
-                    consumed: Ticks::ZERO,
-                };
-                let target = command.target.as_ref();
-                let (result, stage) = match command.status {
-                    ConfigStatus::Normal => (app.run_normal(&mut ctx), "normal"),
-                    ConfigStatus::Halt => (app.halt(&mut ctx), "halt"),
-                    ConfigStatus::Prepare => {
-                        let target = target.expect("prepare carries target");
-                        (app.prepare(&mut ctx, target), "prepare")
-                    }
-                    ConfigStatus::Initialize => {
-                        let target = target.expect("initialize carries target");
-                        (app.initialize(&mut ctx, target), "initialize")
-                    }
-                    ConfigStatus::PrepareInitialize => {
-                        // The compressed §6.3 path: both stages back to
-                        // back, no intervening SCRAM signal.
-                        let target = target.expect("prepare-initialize carries target");
-                        let result = app
-                            .prepare(&mut ctx, target)
-                            .and_then(|()| app.initialize(&mut ctx, target));
-                        (result, "prepare-initialize")
-                    }
-                    ConfigStatus::Hold => (Ok(()), "hold"),
-                };
-                (result, ctx.consumed, stage)
-            });
+            let mut ctx = AppContext {
+                frame,
+                stable: Arc::make_mut(&mut slot.region),
+                inputs: &self.board,
+                env: &env,
+                consumed: Ticks::ZERO,
+            };
+            let target = command.target.as_ref();
+            let (result, stage) = match command.status {
+                ConfigStatus::Normal => (app.run_normal(&mut ctx), "normal"),
+                ConfigStatus::Halt => (app.halt(&mut ctx), "halt"),
+                ConfigStatus::Prepare => {
+                    let target = target.expect("prepare carries target");
+                    (app.prepare(&mut ctx, target), "prepare")
+                }
+                ConfigStatus::Initialize => {
+                    let target = target.expect("initialize carries target");
+                    (app.initialize(&mut ctx, target), "initialize")
+                }
+                ConfigStatus::PrepareInitialize => {
+                    // The compressed §6.3 path: both stages back to
+                    // back, no intervening SCRAM signal.
+                    let target = target.expect("prepare-initialize carries target");
+                    let result = app
+                        .prepare(&mut ctx, target)
+                        .and_then(|()| app.initialize(&mut ctx, target));
+                    (result, "prepare-initialize")
+                }
+                ConfigStatus::Hold => (Ok(()), "hold"),
+            };
             // Injected clock jitter inflates the frame's consumed ticks
             // before the deadline check sees them.
-            let consumed = consumed + jitter;
+            let consumed = ctx.consumed + jitter;
 
             report_stage(
                 &mut self.obs,
@@ -1218,16 +1208,14 @@ impl System {
         // application staged nothing and commits nothing. ---
         self.board.clear();
         for &at in self.order.iter() {
-            let slot = &self.slots[at];
+            let slot = &mut self.slots[at];
             if !slot.lost {
-                let torn = faulted_apps.contains(&slot.id);
-                slot.region.write(|s| {
-                    if torn {
-                        s.discard();
-                    } else {
-                        s.commit();
-                    }
-                });
+                let region = Arc::make_mut(&mut slot.region);
+                if faulted_apps.contains(&slot.id) {
+                    region.discard();
+                } else {
+                    region.commit();
+                }
             }
         }
 
@@ -1398,6 +1386,30 @@ pub(crate) mod tests {
         assert!(system.app_stable(&AppId::new("ghost")).is_none());
         let dbg = format!("{system:?}");
         assert!(dbg.contains("full-service"));
+    }
+
+    #[test]
+    fn forked_regions_share_until_the_first_commit() {
+        let mut parent = System::builder(spec()).build().unwrap();
+        parent.run_frames(2);
+        let mut child = parent.fork();
+        for (mine, theirs) in parent.slots.iter().zip(&child.slots) {
+            assert!(Arc::ptr_eq(&mine.region, &theirs.region), "{}", mine.id);
+        }
+        // Different stimuli: only the parent loses processor 1, so its
+        // autopilot runs no stage and commits no work this frame.
+        parent.fail_processor(ProcessorId::new(1));
+        parent.run_frame();
+        child.run_frame();
+        for (mine, theirs) in parent.slots.iter().zip(&child.slots) {
+            assert!(!Arc::ptr_eq(&mine.region, &theirs.region), "{}", mine.id);
+        }
+        let autopilot = AppId::new("autopilot");
+        let mine = parent.app_stable(&autopilot).unwrap();
+        let theirs = child.app_stable(&autopilot).unwrap();
+        assert_eq!(mine.get_u64("frames_run"), Some(2));
+        assert_eq!(theirs.get_u64("frames_run"), Some(3));
+        assert_eq!(mine.version().raw() + 1, theirs.version().raw());
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   [`CowLog::release_before`]; indices stay logical, so cursors held
 //!   across a release stay valid.
 //!
-//! The companion copy-on-write *map* state (stable-storage regions)
-//! lives in [`crate::stable::SharedStableStorage`], which shares the
-//! committed store behind an `Arc` and clones it only on the first
-//! write after a fork (`Arc::make_mut`).
+//! The companion copy-on-write *map* state is the stable-storage
+//! region: its owner holds each [`StableStorage`](crate::StableStorage)
+//! behind an `Arc` and clones it only on the first write after a fork
+//! (`Arc::make_mut`).
 
 use std::sync::Arc;
 

@@ -22,28 +22,6 @@ impl fmt::Display for FailStopError {
 
 impl Error for FailStopError {}
 
-/// Errors arising from stable-storage operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StorageError {
-    /// A key was read with a type that does not match the stored bytes.
-    TypeMismatch {
-        /// The offending key.
-        key: String,
-    },
-}
-
-impl fmt::Display for StorageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StorageError::TypeMismatch { key } => {
-                write!(f, "value for key `{key}` has unexpected representation")
-            }
-        }
-    }
-}
-
-impl Error for StorageError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,10 +30,5 @@ mod tests {
     fn display_messages_are_lowercase_and_informative() {
         let e = FailStopError::UnknownProcessor(ProcessorId::new(2));
         assert_eq!(e.to_string(), "unknown processor P2");
-        let e = StorageError::TypeMismatch { key: "alt".into() };
-        assert_eq!(
-            e.to_string(),
-            "value for key `alt` has unexpected representation"
-        );
     }
 }

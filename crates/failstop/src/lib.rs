@@ -15,40 +15,41 @@
 //!
 //! The crate provides what the running system is built on:
 //!
-//! - [`StableStorage`] with atomic commits, shared as
-//!   [`SharedStableStorage`] and read through immutable
-//!   [`StableSnapshot`]s;
+//! - [`StableStorage`] with atomic commits, polled by other processors
+//!   through immutable [`StableSnapshot`]s;
 //! - [`ProcessorPool`], the platform's processors and whether each has
 //!   failed, with an audit log of [`PoolEvent`]s;
 //! - [`CowLog`], the append-only log whose sealed history forks share.
 //!
 //! The executive in `arfs-core` enforces the axioms for the applications
-//! it runs: an application whose processor has failed runs no stage, so
-//! it stages and commits nothing, and its committed region is what it
-//! resumes from.
+//! it runs. It owns each application's region, so a region has one
+//! writer and needs no lock. An application whose processor has failed
+//! runs no stage, so it stages and commits nothing, and its committed
+//! region is what it resumes from.
 //!
 //! # Example
 //!
 //! ```
-//! use arfs_failstop::{ProcessorId, ProcessorPool, SharedStableStorage};
+//! use arfs_failstop::{ProcessorId, ProcessorPool, StableStorage};
 //!
 //! let p0 = ProcessorId::new(0);
 //! let mut pool = ProcessorPool::new();
 //! pool.add(p0);
-//! let region = SharedStableStorage::new();
-//! region.write(|s| {
-//!     s.stage_u64("counter", 1);
-//!     s.commit();
-//! });
+//! let mut region = StableStorage::new();
+//! region.stage_u64("counter", 1);
+//! region.commit();
+//! // A peer polls the committed state through a snapshot.
+//! let polled = region.snapshot();
 //!
 //! // The processor fails with a write staged but not committed.
-//! region.write(|s| s.stage_u64("counter", 2));
+//! region.stage_u64("counter", 2);
 //! pool.fail(p0).unwrap();
 //! assert!(!pool.is_alive(p0));
-//! region.write(|s| s.discard());
+//! region.discard();
 //!
 //! // The committed state is what survives.
-//! assert_eq!(region.snapshot().get_u64("counter"), Some(1));
+//! assert_eq!(region.get_u64("counter"), Some(1));
+//! assert_eq!(polled.get_u64("counter"), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,9 +61,9 @@ mod pool;
 mod stable;
 
 pub use cow::CowLog;
-pub use error::{FailStopError, StorageError};
+pub use error::FailStopError;
 pub use pool::{PoolEvent, ProcessorPool};
-pub use stable::{SharedStableStorage, StableSnapshot, StableStorage, StableValue, Version};
+pub use stable::{StableSnapshot, StableStorage, StableValue, Version};
 
 use std::fmt;
 
@@ -118,7 +119,6 @@ mod tests {
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<StableStorage>();
-        assert_send_sync::<SharedStableStorage>();
         assert_send_sync::<ProcessorPool>();
     }
 }

@@ -8,8 +8,8 @@
 //!    runs. A fail-stop failure between commits discards every staged
 //!    write, so readers never observe a partially-updated state.
 //! 2. **Persistence across failures.** Committed state survives the
-//!    failure of its processor and can be polled by other processors via
-//!    [`SharedStableStorage`] or an immutable [`StableSnapshot`].
+//!    failure of its processor and can be polled by other processors
+//!    through an immutable [`StableSnapshot`].
 //!
 //! The reconfiguration protocol of the DSN 2005 paper leans on both: every
 //! application "commits results to stable storage at the end of each
@@ -21,9 +21,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use arfs_assure::fp;
-use parking_lot::RwLock;
-
-use crate::error::StorageError;
 
 /// Monotonically increasing commit version of a [`StableStorage`].
 #[derive(
@@ -61,18 +58,11 @@ impl fmt::Display for Version {
     }
 }
 
-/// A value held in stable storage.
-///
-/// Values are tagged so that typed reads can distinguish "absent" from
-/// "present with a different representation".
+/// A value held in stable storage, tagged with its representation.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum StableValue {
-    /// Raw bytes; the encoding is owned by the writer.
-    Bytes(Vec<u8>),
     /// Unsigned 64-bit integer.
     U64(u64),
-    /// Signed 64-bit integer.
-    I64(i64),
     /// IEEE-754 double.
     F64(f64),
     /// Boolean flag.
@@ -86,9 +76,7 @@ impl StableValue {
     /// useful in diagnostics.
     pub fn kind(&self) -> &'static str {
         match self {
-            StableValue::Bytes(_) => "bytes",
             StableValue::U64(_) => "u64",
-            StableValue::I64(_) => "i64",
             StableValue::F64(_) => "f64",
             StableValue::Bool(_) => "bool",
             StableValue::Str(_) => "str",
@@ -97,41 +85,22 @@ impl StableValue {
 }
 
 macro_rules! typed_accessors {
-    ($get:ident, $try_get:ident, $stage:ident, $variant:ident, $ty:ty, $as_ref:expr) => {
+    ($get:ident, $stage:ident, $variant:ident, $ty:ty) => {
         /// Reads a committed value of the given type.
         ///
-        /// Returns `None` if the key is absent **or** holds a value of a
-        /// different representation; use the `try_` variant to
-        /// distinguish the two cases.
+        /// Returns `None` if the key is absent or holds a value of a
+        /// different representation.
         pub fn $get(&self, key: &str) -> Option<$ty> {
             match self.committed.get(key) {
-                Some(StableValue::$variant(v)) => Some($as_ref(v)),
+                Some(StableValue::$variant(v)) => Some(*v),
                 _ => None,
-            }
-        }
-
-        /// Reads a committed value of the given type, reporting a
-        /// [`StorageError::TypeMismatch`] if the key holds a value of a
-        /// different representation.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`StorageError::TypeMismatch`] when the key exists but
-        /// was written with another representation.
-        pub fn $try_get(&self, key: &str) -> Result<Option<$ty>, StorageError> {
-            match self.committed.get(key) {
-                None => Ok(None),
-                Some(StableValue::$variant(v)) => Ok(Some($as_ref(v))),
-                Some(_) => Err(StorageError::TypeMismatch {
-                    key: key.to_owned(),
-                }),
             }
         }
 
         /// Stages a write of the given type; it becomes visible at the
         /// next [`commit`](StableStorage::commit).
         pub fn $stage(&mut self, key: impl AsRef<str> + Into<String>, value: $ty) {
-            self.put_slot(key, StagedSlot::Write(StableValue::$variant(value.into())));
+            self.put_slot(key, StagedSlot::Write(StableValue::$variant(value)));
         }
     };
 }
@@ -250,17 +219,9 @@ impl StableStorage {
         }
     }
 
-    typed_accessors!(get_u64, try_get_u64, stage_u64, U64, u64, |v: &u64| *v);
-    typed_accessors!(get_i64, try_get_i64, stage_i64, I64, i64, |v: &i64| *v);
-    typed_accessors!(get_f64, try_get_f64, stage_f64, F64, f64, |v: &f64| *v);
-    typed_accessors!(
-        get_bool,
-        try_get_bool,
-        stage_bool,
-        Bool,
-        bool,
-        |v: &bool| *v
-    );
+    typed_accessors!(get_u64, stage_u64, U64, u64);
+    typed_accessors!(get_f64, stage_f64, F64, f64);
+    typed_accessors!(get_bool, stage_bool, Bool, bool);
 
     /// Reads a committed string value.
     ///
@@ -275,26 +236,6 @@ impl StableStorage {
     /// Stages a string write.
     pub fn stage_str(&mut self, key: impl AsRef<str> + Into<String>, value: impl Into<String>) {
         self.put_slot(key, StagedSlot::Write(StableValue::Str(value.into())));
-    }
-
-    /// Reads committed raw bytes.
-    ///
-    /// Returns `None` if the key is absent or holds a non-bytes value.
-    pub fn get_bytes(&self, key: &str) -> Option<&[u8]> {
-        match self.committed.get(key) {
-            Some(StableValue::Bytes(b)) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Stages a raw-bytes write.
-    pub fn stage_bytes(&mut self, key: impl AsRef<str> + Into<String>, value: impl Into<Vec<u8>>) {
-        self.put_slot(key, StagedSlot::Write(StableValue::Bytes(value.into())));
-    }
-
-    /// Stages an arbitrary tagged value.
-    pub fn stage(&mut self, key: impl AsRef<str> + Into<String>, value: StableValue) {
-        self.put_slot(key, StagedSlot::Write(value));
     }
 
     /// Stages removal of a key.
@@ -357,18 +298,6 @@ impl StableStorage {
         for slot in self.staged.values_mut() {
             *slot = StagedSlot::Clean;
         }
-    }
-
-    /// Stages every key of a snapshot into this store and commits.
-    ///
-    /// This is the bulk state transfer a replacement processor performs
-    /// when it takes over a failed processor's work: poll the failed
-    /// store, import the snapshot, resume from the imported state.
-    pub fn import_snapshot(&mut self, snapshot: &StableSnapshot) -> Version {
-        for (key, value) in snapshot.iter() {
-            self.put_slot(key, StagedSlot::Write(value.clone()));
-        }
-        self.commit()
     }
 
     /// Takes an immutable snapshot of the committed state: a pointer
@@ -434,14 +363,6 @@ impl StableSnapshot {
         }
     }
 
-    /// Reads an `i64` value at snapshot time.
-    pub fn get_i64(&self, key: &str) -> Option<i64> {
-        match self.committed.get(key) {
-            Some(StableValue::I64(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Number of keys captured by this snapshot.
     pub fn len(&self) -> usize {
         self.committed.len()
@@ -455,88 +376,6 @@ impl StableSnapshot {
     /// Iterates over `(key, value)` pairs in sorted key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &StableValue)> {
         self.committed.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
-/// A handle to stable storage shareable across simulated processors.
-///
-/// The paper's architecture has other processors *poll the stable storage
-/// of a failed processor*, and the SCRAM exchanges reconfiguration
-/// variables with applications through stable storage. Both require shared
-/// read access, which this cheap-to-clone handle provides.
-///
-/// The store behind the lock is held in an `Arc`, making
-/// [`fork`](SharedStableStorage::fork) a pointer bump: the forked
-/// handle shares the data until the first write on either side, which
-/// clones it then (`Arc::make_mut`). The bounded model checker forks
-/// whole systems at every schedule branch point, so this copy-on-write
-/// step is what keeps a fork O(1) regardless of how much state the
-/// regions have accumulated.
-#[derive(Debug, Clone, Default)]
-pub struct SharedStableStorage {
-    inner: Arc<RwLock<Arc<StableStorage>>>,
-}
-
-impl SharedStableStorage {
-    /// Creates a new, empty shared store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f` with shared read access to the store.
-    pub fn read<R>(&self, f: impl FnOnce(&StableStorage) -> R) -> R {
-        f(&self.inner.read())
-    }
-
-    /// Runs `f` with exclusive write access to the store.
-    ///
-    /// If the store is still shared with a fork, the first write clones
-    /// it (copy-on-write); thereafter writes are in place.
-    pub fn write<R>(&self, f: impl FnOnce(&mut StableStorage) -> R) -> R {
-        f(Arc::make_mut(&mut self.inner.write()))
-    }
-
-    /// Takes a consistent snapshot (never sees a half-applied commit).
-    pub fn snapshot(&self) -> StableSnapshot {
-        self.inner.read().snapshot()
-    }
-
-    /// Forks the store into an independent handle.
-    ///
-    /// `clone()` on a [`SharedStableStorage`] shares the underlying
-    /// store (that is its purpose: one region, many readers). A fork,
-    /// by contrast, yields a handle whose future writes are invisible
-    /// to the original (and vice versa): both sides share the current
-    /// committed *and* staged state copy-on-write behind fresh locks,
-    /// so prefix-sharing exploration can diverge two system replicas
-    /// without write interference — at pointer-bump cost.
-    pub fn fork(&self) -> Self {
-        SharedStableStorage {
-            inner: Arc::new(RwLock::new(Arc::clone(&self.inner.read()))),
-        }
-    }
-
-    /// Convenience: stages a single value and commits immediately.
-    pub fn put(&self, key: impl AsRef<str> + Into<String>, value: StableValue) -> Version {
-        let mut guard = self.inner.write();
-        let store = Arc::make_mut(&mut guard);
-        store.stage(key, value);
-        store.commit()
-    }
-
-    /// Convenience: reads a committed `u64`.
-    pub fn get_u64(&self, key: &str) -> Option<u64> {
-        self.inner.read().get_u64(key)
-    }
-
-    /// Convenience: reads a committed string (cloned out of the lock).
-    pub fn get_string(&self, key: &str) -> Option<String> {
-        self.inner.read().get_str(key).map(str::to_owned)
-    }
-
-    /// Current commit version.
-    pub fn version(&self) -> Version {
-        self.inner.read().version()
     }
 }
 
@@ -605,38 +444,29 @@ mod tests {
     }
 
     #[test]
-    fn typed_get_distinguishes_absent_from_mismatch() {
-        let mut s = StableStorage::new();
-        s.stage_str("name", "fcs");
-        s.commit();
-        assert_eq!(s.get_u64("name"), None);
-        assert_eq!(s.try_get_u64("missing"), Ok(None));
-        assert_eq!(
-            s.try_get_u64("name"),
-            Err(StorageError::TypeMismatch { key: "name".into() })
-        );
-        assert_eq!(s.try_get_u64("missing").unwrap(), None);
-    }
-
-    #[test]
     fn all_typed_accessors_roundtrip() {
         let mut s = StableStorage::new();
         s.stage_u64("u", 42);
-        s.stage_i64("i", -42);
         s.stage_f64("f", 1.5);
         s.stage_bool("b", true);
         s.stage_str("s", "hello");
-        s.stage_bytes("raw", vec![1, 2, 3]);
         s.commit();
         assert_eq!(s.get_u64("u"), Some(42));
-        assert_eq!(s.get_i64("i"), Some(-42));
         assert_eq!(s.get_f64("f"), Some(1.5));
         assert_eq!(s.get_bool("b"), Some(true));
         assert_eq!(s.get_str("s"), Some("hello"));
-        assert_eq!(s.get_bytes("raw"), Some(&[1u8, 2, 3][..]));
-        assert_eq!(s.get("u"), Some(&StableValue::U64(42)));
-        assert_eq!(s.get("u").unwrap().kind(), "u64");
-        assert_eq!(s.get("s").unwrap().kind(), "str");
+        // A typed read of another representation is absent.
+        assert_eq!(s.get_u64("s"), None);
+        let tagged = [
+            ("u", StableValue::U64(42), "u64"),
+            ("f", StableValue::F64(1.5), "f64"),
+            ("b", StableValue::Bool(true), "bool"),
+            ("s", StableValue::Str("hello".into()), "str"),
+        ];
+        for (key, value, kind) in &tagged {
+            assert_eq!(s.get(key), Some(value));
+            assert_eq!(value.kind(), *kind);
+        }
     }
 
     #[test]
@@ -662,81 +492,6 @@ mod tests {
         s.commit();
         s.commit();
         assert_eq!(s.version().raw(), 2);
-    }
-
-    #[test]
-    fn shared_storage_put_and_poll() {
-        let shared = SharedStableStorage::new();
-        let peer = shared.clone();
-        shared.put("counter", StableValue::U64(7));
-        assert_eq!(peer.get_u64("counter"), Some(7));
-        let snap = peer.snapshot();
-        assert_eq!(snap.get_u64("counter"), Some(7));
-        assert_eq!(shared.version(), Version(1));
-    }
-
-    #[test]
-    fn shared_storage_write_closure_commits_atomically() {
-        let shared = SharedStableStorage::new();
-        shared.write(|s| {
-            s.stage_str("phase", "halt");
-            s.stage_u64("frame", 3);
-            s.commit()
-        });
-        assert_eq!(shared.get_string("phase").as_deref(), Some("halt"));
-        shared.read(|s| {
-            assert_eq!(s.get_u64("frame"), Some(3));
-        });
-    }
-
-    #[test]
-    fn import_snapshot_transfers_committed_state() {
-        let mut failed = StableStorage::new();
-        failed.stage_u64("altitude", 3000);
-        failed.stage_str("mode", "cruise");
-        failed.commit();
-        failed.stage_u64("altitude", 9999); // never committed: lost in failure
-        failed.discard();
-
-        let mut spare = StableStorage::new();
-        spare.stage_u64("own", 1);
-        spare.commit();
-        spare.import_snapshot(&failed.snapshot());
-        assert_eq!(spare.get_u64("altitude"), Some(3000));
-        assert_eq!(spare.get_str("mode"), Some("cruise"));
-        assert_eq!(spare.get_u64("own"), Some(1));
-        let keys: Vec<_> = failed
-            .snapshot()
-            .iter()
-            .map(|(k, _)| k.to_owned())
-            .collect();
-        assert_eq!(keys, vec!["altitude", "mode"]);
-    }
-
-    #[test]
-    fn forked_storage_is_copy_on_write_isolated() {
-        let parent = SharedStableStorage::new();
-        parent.put("x", StableValue::U64(1));
-        let child = parent.fork();
-        // Until either side writes, the committed store is literally
-        // shared memory.
-        assert!(Arc::ptr_eq(&parent.inner.read(), &child.inner.read()));
-        child.put("x", StableValue::U64(2));
-        parent.put("y", StableValue::U64(3));
-        assert_eq!(parent.get_u64("x"), Some(1));
-        assert_eq!(parent.get_u64("y"), Some(3));
-        assert_eq!(child.get_u64("x"), Some(2));
-        assert_eq!(child.get_u64("y"), None);
-        // Staged-but-uncommitted writes fork too.
-        let staged = SharedStableStorage::new();
-        staged.write(|s| s.stage_u64("pending", 9));
-        let fork = staged.fork();
-        staged.write(|s| s.discard());
-        fork.write(|s| {
-            s.commit();
-        });
-        assert_eq!(fork.get_u64("pending"), Some(9));
-        assert_eq!(staged.get_u64("pending"), None);
     }
 
     #[test]

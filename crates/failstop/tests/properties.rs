@@ -1,108 +1,36 @@
-//! Tests of shared stable storage: concurrency safety, batch atomicity
-//! under concurrent reads, and the tagged-value API.
+//! Tests of the tagged-value API of stable storage.
 
-use std::sync::Arc;
-use std::thread;
+use arfs_failstop::{StableStorage, StableValue};
 
-use arfs_failstop::{SharedStableStorage, StableValue};
-
-/// Concurrent writers through `SharedStableStorage` never lose or tear a
-/// committed batch: with per-writer key spaces, every committed value is
-/// the writer's last committed one.
-#[test]
-fn shared_storage_is_thread_safe_per_key() {
-    let shared = SharedStableStorage::new();
-    let writers = 8usize;
-    let iterations = 200u64;
-    let handles: Vec<_> = (0..writers)
-        .map(|w| {
-            let shared = shared.clone();
-            thread::spawn(move || {
-                for i in 1..=iterations {
-                    shared.write(|s| {
-                        s.stage_u64(format!("w{w}"), i);
-                        s.stage_u64(format!("w{w}-shadow"), i);
-                        s.commit();
-                    });
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let snap = shared.snapshot();
-    for w in 0..writers {
-        assert_eq!(snap.get_u64(&format!("w{w}")), Some(iterations));
-        // Batch atomicity held across threads: shadow always matches.
-        assert_eq!(snap.get_u64(&format!("w{w}-shadow")), Some(iterations));
-    }
-    // Version counts every commit exactly once.
-    assert_eq!(shared.version().raw(), writers as u64 * iterations);
-}
-
-/// Readers polling concurrently with writers always observe a consistent
-/// (non-torn) batch.
-#[test]
-fn snapshots_never_observe_torn_batches() {
-    let shared = SharedStableStorage::new();
-    shared.write(|s| {
-        s.stage_u64("a", 0);
-        s.stage_u64("b", 0);
-        s.commit();
-    });
-    let writer = {
-        let shared = shared.clone();
-        thread::spawn(move || {
-            for i in 1..=500u64 {
-                shared.write(|s| {
-                    s.stage_u64("a", i);
-                    s.stage_u64("b", i);
-                    s.commit();
-                });
-            }
-        })
-    };
-    let readers: Vec<_> = (0..4)
-        .map(|_| {
-            let shared = shared.clone();
-            thread::spawn(move || {
-                for _ in 0..500 {
-                    let snap = shared.snapshot();
-                    let a = snap.get_u64("a").unwrap();
-                    let b = snap.get_u64("b").unwrap();
-                    assert_eq!(a, b, "torn batch observed: a={a} b={b}");
-                }
-            })
-        })
-        .collect();
-    writer.join().unwrap();
-    for r in readers {
-        r.join().unwrap();
+/// Stages `value` under `key` with the typed stager for its variant.
+fn stage(storage: &mut StableStorage, key: &str, value: &StableValue) {
+    match value {
+        StableValue::U64(v) => storage.stage_u64(key, *v),
+        StableValue::F64(v) => storage.stage_f64(key, *v),
+        StableValue::Bool(v) => storage.stage_bool(key, *v),
+        StableValue::Str(v) => storage.stage_str(key, v.as_str()),
     }
 }
 
 /// The tagged-value API is total: every variant round-trips through a
-/// generic `stage`/`get` cycle.
+/// generic `stage`/`get` cycle, in the region and in its snapshot.
 #[test]
 fn stable_value_variants_roundtrip_generically() {
-    let shared = SharedStableStorage::new();
     let values = vec![
-        ("bytes", StableValue::Bytes(vec![1, 2, 3])),
         ("u64", StableValue::U64(7)),
-        ("i64", StableValue::I64(-7)),
         ("f64", StableValue::F64(2.5)),
         ("bool", StableValue::Bool(true)),
         ("str", StableValue::Str("x".into())),
     ];
+    let mut storage = StableStorage::new();
     for (k, v) in &values {
-        shared.put(*k, v.clone());
+        stage(&mut storage, k, v);
     }
-    let arc_count = Arc::strong_count(&Arc::new(()));
-    assert_eq!(arc_count, 1); // sanity for the helper import
-    shared.read(|s| {
-        for (k, v) in &values {
-            assert_eq!(s.get(k), Some(v));
-        }
-    });
+    storage.commit();
+    let snap = storage.snapshot();
+    for (k, v) in &values {
+        assert_eq!(storage.get(k), Some(v));
+        assert_eq!(snap.get(k), Some(v));
+        assert_eq!(v.kind(), *k);
+    }
 }

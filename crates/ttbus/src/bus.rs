@@ -140,9 +140,6 @@ pub struct TtBus {
     /// The latest round's membership (see [`RoundReport::membership`]).
     membership: Arc<BTreeMap<NodeId, bool>>,
     membership_log: CowLog<MembershipChange>,
-    /// The two replicated physical channels of a time-triggered bus.
-    /// Communication succeeds while at least one is operational.
-    channel_failed: [bool; 2],
 }
 
 impl TtBus {
@@ -160,50 +157,7 @@ impl TtBus {
             last_membership: BTreeMap::new(),
             membership: Arc::new(nodes.iter().map(|&n| (n, false)).collect()),
             membership_log: CowLog::new(),
-            channel_failed: [false, false],
         }
-    }
-
-    /// Fails one of the two replicated channels. The bus keeps operating
-    /// on the survivor — the "ultra-dependable" property the paper's
-    /// platform assumes comes from exactly this replication.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::NoSuchChannel`] for an index other than 0 or
-    /// 1.
-    pub fn fail_channel(&mut self, idx: u8) -> Result<(), BusError> {
-        let slot = self
-            .channel_failed
-            .get_mut(idx as usize)
-            .ok_or(BusError::NoSuchChannel(idx))?;
-        *slot = true;
-        Ok(())
-    }
-
-    /// Repairs a channel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BusError::NoSuchChannel`] for an index other than 0 or
-    /// 1.
-    pub fn repair_channel(&mut self, idx: u8) -> Result<(), BusError> {
-        let slot = self
-            .channel_failed
-            .get_mut(idx as usize)
-            .ok_or(BusError::NoSuchChannel(idx))?;
-        *slot = false;
-        Ok(())
-    }
-
-    /// Returns `true` while at least one channel is operational.
-    pub fn is_operational(&self) -> bool {
-        self.channel_failed.iter().any(|&failed| !failed)
-    }
-
-    /// Per-channel health, indexed 0 and 1.
-    pub fn channels_ok(&self) -> [bool; 2] {
-        [!self.channel_failed[0], !self.channel_failed[1]]
     }
 
     /// The static schedule the bus operates under.
@@ -251,7 +205,6 @@ impl TtBus {
             last_membership: self.last_membership.clone(),
             membership: Arc::clone(&self.membership),
             membership_log: self.membership_log.fork(),
-            channel_failed: self.channel_failed,
         }
     }
 
@@ -362,28 +315,11 @@ impl TtBus {
     /// inbox before the round ends.
     pub fn run_round(&mut self) -> RoundReport {
         let round = self.round;
-        let operational = self.is_operational();
         let transmitted = Arc::make_mut(&mut self.membership);
         for flag in transmitted.values_mut() {
             *flag = false;
         }
         let mut deliveries: Vec<Delivery> = Vec::new();
-
-        // Both replicated channels down: nothing can be transmitted this
-        // round. Queued messages are retained (they were never sent), and
-        // every node appears absent — a total communication blackout.
-        if !operational {
-            self.observe_membership(round);
-            for flag in self.present.values_mut() {
-                *flag = false;
-            }
-            self.round += 1;
-            return RoundReport {
-                round,
-                membership: Arc::clone(&self.membership),
-                delivered: 0,
-            };
-        }
 
         for slot in self.schedule.slots() {
             let owner = slot.owner;
@@ -401,8 +337,8 @@ impl TtBus {
                 budget -= message.len();
                 // Failpoint: a `Skip` here is an omission fault — the
                 // slot fired but this transmission never reached the
-                // replicated channels. Membership is untouched (the
-                // owner still transmitted its slot).
+                // medium. Membership is untouched (the owner still
+                // transmitted its slot).
                 fp!("ttbus.bus.deliver", action => {
                     if matches!(action, arfs_assure::FpAction::Skip) {
                         continue;
@@ -665,48 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn single_channel_failure_is_transparent() {
-        let mut bus = two_node_bus();
-        bus.fail_channel(0).unwrap();
-        assert!(bus.is_operational());
-        assert_eq!(bus.channels_ok(), [false, true]);
-        bus.submit(n(0), Message::new("fault", b"x".to_vec()))
-            .unwrap();
-        let report = bus.run_round();
-        assert_eq!(report.delivered, 1);
-        assert!(report.membership[&n(0)]);
-    }
-
-    #[test]
-    fn double_channel_failure_blacks_out_the_bus() {
-        let mut bus = two_node_bus();
-        bus.fail_channel(0).unwrap();
-        bus.fail_channel(1).unwrap();
-        assert!(!bus.is_operational());
-        bus.submit(n(0), Message::new("fault", b"x".to_vec()))
-            .unwrap();
-        bus.mark_present(n(1));
-        let report = bus.run_round();
-        assert_eq!(report.delivered, 0);
-        assert!(report.membership.values().all(|&present| !present));
-        // The message was never transmitted; it survives for later.
-        assert_eq!(bus.backlog_bytes(n(0)), 1);
-        // Repair restores service; the retained message goes out.
-        bus.repair_channel(1).unwrap();
-        bus.mark_present(n(0));
-        let report = bus.run_round();
-        assert_eq!(report.delivered, 1);
-        assert_eq!(bus.backlog_bytes(n(0)), 0);
-    }
-
-    #[test]
-    fn invalid_channel_index_rejected() {
-        let mut bus = two_node_bus();
-        assert_eq!(bus.fail_channel(2), Err(BusError::NoSuchChannel(2)));
-        assert_eq!(bus.repair_channel(9), Err(BusError::NoSuchChannel(9)));
-    }
-
-    #[test]
     fn membership_changes_record_joins_and_drops() {
         let mut bus = two_node_bus();
         // Round 0: only n(0) transmits. n(1) has never been seen, so its
@@ -749,26 +643,6 @@ mod tests {
             }
         );
         assert_eq!(bus.membership_changes().len(), 3);
-    }
-
-    #[test]
-    fn blackout_drops_previously_present_nodes() {
-        let mut bus = two_node_bus();
-        bus.mark_present(n(0));
-        bus.run_round();
-        bus.fail_channel(0).unwrap();
-        bus.fail_channel(1).unwrap();
-        bus.mark_present(n(0));
-        bus.run_round();
-        let last = *bus.membership_changes().last().unwrap();
-        assert_eq!(
-            last,
-            MembershipChange {
-                round: 1,
-                node: n(0),
-                present: false
-            }
-        );
     }
 
     #[test]

@@ -22,8 +22,6 @@ pub enum BusError {
     },
     /// A schedule was built with no slots at all.
     EmptySchedule,
-    /// A channel index outside the bus's replicated channel set.
-    NoSuchChannel(u8),
 }
 
 impl fmt::Display for BusError {
@@ -39,9 +37,6 @@ impl fmt::Display for BusError {
                 "payload of {payload} bytes from {node} exceeds its largest slot capacity of {capacity} bytes"
             ),
             BusError::EmptySchedule => write!(f, "bus schedule has no slots"),
-            BusError::NoSuchChannel(idx) => {
-                write!(f, "bus has no channel {idx} (channels are 0 and 1)")
-            }
         }
     }
 }

@@ -16,7 +16,7 @@ fn status(av: &AvionicsSystem, label: &str) {
         av.system().current_config(),
         s.altitude_ft,
         s.heading_deg,
-        av.world().lock().electrical.env_value(),
+        av.world().lock().expect("plant").electrical.env_value(),
     );
 }
 
@@ -72,7 +72,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(report.is_ok());
     println!(
         "battery remaining: {:.0}%",
-        av.world().lock().electrical.battery_charge() * 100.0
+        av.world()
+            .lock()
+            .expect("plant")
+            .electrical
+            .battery_charge()
+            * 100.0
     );
     Ok(())
 }

@@ -96,7 +96,11 @@ fn avionics_mission_is_bit_repeatable() {
         (
             av.system().trace().clone(),
             av.aircraft_state(),
-            av.world().lock().electrical.battery_charge(),
+            av.world()
+                .lock()
+                .expect("plant")
+                .electrical
+                .battery_charge(),
         )
     };
     let (trace_a, state_a, battery_a) = fly();
