@@ -1,7 +1,7 @@
 //! Microbenchmarks of the fleet runtime: the cost of one frame-major frame
 //! across 10⁴ systems (with and without the observability plane), the
 //! steady-state fast path against the full per-frame machinery,
-//! flight-ring writes, and the binary journal codec against JSON-Lines.
+//! flight-ring writes, and the JSON-Lines journal writer.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use arfs_avionics::avionics_spec;
 use arfs_core::fleet::{Fleet, FleetConfig};
-use arfs_core::obs::{codec, FlightRing, JournalEvent, RingCode, RingEvent, Subsystem};
+use arfs_core::obs::{FlightRing, JournalEvent, RingCode, RingEvent, Subsystem};
 use arfs_core::system::System;
 
 fn bench_fleet_frame(c: &mut Criterion) {
@@ -127,25 +127,13 @@ fn bench_observability_plane(c: &mut Criterion) {
         b.iter(|| {
             let mut out = String::new();
             for event in &events {
-                out.push_str(&event.to_json_line());
+                event.write_json_line(&mut out);
                 out.push('\n');
             }
             black_box(out.len())
         });
     });
 
-    group.bench_function("encode_binary_vs_json_lines", |b| {
-        // The fleet journal's wire format: length-prefixed records, no
-        // textual framing of frame/subsystem/kind.
-        b.iter(|| {
-            let mut out = Vec::new();
-            codec::encode_magic(&mut out);
-            for event in &events {
-                codec::encode_event(&mut out, event);
-            }
-            black_box(out.len())
-        });
-    });
     group.finish();
 }
 

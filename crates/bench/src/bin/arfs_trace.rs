@@ -5,19 +5,17 @@
 //! cargo run -p arfs-bench --bin arfs-trace -- grep results/run.jsonl --kind phase-entered
 //! cargo run -p arfs-bench --bin arfs-trace -- diff results/a.jsonl results/b.jsonl
 //! cargo run -p arfs-bench --bin arfs-trace -- explain results/counterexample_skip-init.json
-//! cargo run -p arfs-bench --bin arfs-trace -- fleet top results/exp_fleet.journal.bin
+//! cargo run -p arfs-bench --bin arfs-trace -- fleet top results/exp_fleet.journal.jsonl
 //! cargo run -p arfs-bench --bin arfs-trace -- fleet triage results/triage_forced.json
 //! cargo run -p arfs-bench --bin arfs-trace -- fleet overhead results/a.json results/b.json
-//! cargo run -p arfs-bench --bin arfs-trace -- fleet decode results/exp_fleet.journal.bin
 //! ```
 //!
-//! Journals come in two encodings, sniffed by file magic: the JSON-Lines
-//! interchange form written by `Journal::to_json_lines` (optionally with
-//! `{"system":N,"seed":N}` section headers between per-system runs) and
-//! the length-prefixed binary form the fleet's sampled cells encode
-//! (`arfs_core::obs::codec`). `summarize`, `grep`, and the `fleet`
-//! subcommands *stream* either encoding record by record — a 10⁵-system
-//! journal is never materialized in memory. Counterexample artifacts are
+//! Journals are JSON Lines, as `Journal::to_json_lines` writes them,
+//! optionally with `{"system":N,"seed":N}` section headers between
+//! per-system runs, as a fleet writes them. `summarize`, `grep`, and
+//! `fleet top` *stream* a journal line by line through
+//! `JournalLine::parse` — a 10⁵-system journal is never materialized in
+//! memory. Counterexample artifacts are
 //! the single-object JSON files the model checker's flight recorder
 //! attaches to failing `ModelCheckReport`s; triage bundles are the fleet
 //! analogue produced when a streaming verifier violation or chaos
@@ -33,16 +31,15 @@ use std::io::{BufRead, BufReader};
 use std::process::ExitCode;
 
 use arfs_bench::TextTable;
-use arfs_core::obs::codec::{self, BinaryJournalReader, BinaryRecord};
 use arfs_core::obs::{
-    Counterexample, Journal, JournalEvent, JournalSummary, Subsystem, TriageBundle,
+    Counterexample, Journal, JournalLine, JournalSummary, Subsystem, TriageBundle,
 };
 
 const USAGE: &str = "\
 usage: arfs-trace <command> [args]
 
   summarize <journal>                  event counts by kind/subsystem, frame range
-                                       (streams JSON-Lines or binary journals)
+                                       (streams the journal line by line)
   grep <journal> --kind KIND           print events of one kind (chaos campaigns emit
       [--subsystem SUBSYSTEM]          torn-write, bus-silenced, clock-jitter,
                                        commit-retry, quarantined, safe-fallback);
@@ -56,86 +53,20 @@ usage: arfs-trace <command> [args]
   fleet triage <bundle.json>           render a fleet triage bundle: its case,
                                        flight-ring timeline with causal markers
   fleet overhead <a.json> <b.json>     compare two BENCH_fleet.json artifacts
-                                       case by case
-  fleet decode <journal>               re-emit a journal as JSON-Lines on stdout";
+                                       case by case";
 
-/// One record of a fleet journal stream: a per-system section header or
-/// an event belonging to the most recent header.
-enum Record {
-    Header { system: u64, seed: u64 },
-    Event(JournalEvent),
-}
-
-/// Streams either journal encoding without materializing the file.
-enum RecordStream {
-    Binary(BinaryJournalReader<BufReader<File>>),
-    Lines {
-        reader: BufReader<File>,
-        line_no: usize,
-    },
-}
-
-/// Opens a journal, sniffing the encoding from the first bytes.
-fn open_stream(path: &str) -> Result<RecordStream, String> {
+/// Streams a journal line by line without materializing the file;
+/// blank lines are skipped.
+fn open_stream(path: &str) -> Result<impl Iterator<Item = Result<JournalLine, String>>, String> {
     let file = File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let mut reader = BufReader::new(file);
-    let prefix = reader
-        .fill_buf()
-        .map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    Ok(if codec::looks_binary(prefix) {
-        RecordStream::Binary(BinaryJournalReader::new(reader))
-    } else {
-        RecordStream::Lines { reader, line_no: 0 }
-    })
-}
-
-fn parse_line(line: &str, line_no: usize) -> Result<Record, String> {
-    if line.starts_with("{\"system\"") {
-        let value: serde_json::Value =
-            serde_json::from_str(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        if value.get("kind").is_none() {
-            let system = value
-                .get("system")
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("line {line_no}: header without a system id"))?;
-            let seed = value
-                .get("seed")
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("line {line_no}: header without a seed"))?;
-            return Ok(Record::Header { system, seed });
+    let lines = BufReader::new(file).lines().enumerate();
+    Ok(lines.filter_map(|(i, line)| match line {
+        Err(e) => Some(Err(format!("read error: {e}"))),
+        Ok(line) if line.trim().is_empty() => None,
+        Ok(line) => {
+            Some(JournalLine::parse(line.trim()).map_err(|e| format!("line {}: {e}", i + 1)))
         }
-    }
-    JournalEvent::from_json_line(line)
-        .map(Record::Event)
-        .map_err(|e| format!("line {line_no}: {e}"))
-}
-
-impl Iterator for RecordStream {
-    type Item = Result<Record, String>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            RecordStream::Binary(reader) => Some(match reader.next()? {
-                Ok(BinaryRecord::System { system, seed }) => Ok(Record::Header { system, seed }),
-                Ok(BinaryRecord::Event(event)) => Ok(Record::Event(event)),
-                Err(e) => Err(e),
-            }),
-            RecordStream::Lines { reader, line_no } => loop {
-                let mut line = String::new();
-                match reader.read_line(&mut line) {
-                    Ok(0) => return None,
-                    Ok(_) => {}
-                    Err(e) => return Some(Err(format!("read error: {e}"))),
-                }
-                *line_no += 1;
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                return Some(parse_line(trimmed, *line_no));
-            },
-        }
-    }
+    }))
 }
 
 fn load(path: &str) -> Result<Journal, String> {
@@ -159,8 +90,8 @@ fn summarize(args: &[String]) -> Result<ExitCode, String> {
     let mut sections = 0usize;
     for record in open_stream(path)? {
         match record.map_err(|e| format!("`{path}`: {e}"))? {
-            Record::Header { .. } => sections += 1,
-            Record::Event(event) => {
+            JournalLine::Header { .. } => sections += 1,
+            JournalLine::Event(event) => {
                 summary.events += 1;
                 summary.first_frame = Some(
                     summary
@@ -217,8 +148,8 @@ fn grep(args: &[String]) -> Result<ExitCode, String> {
     let mut current: Option<u64> = None;
     for record in open_stream(&path)? {
         match record.map_err(|e| format!("`{path}`: {e}"))? {
-            Record::Header { system, .. } => current = Some(system),
-            Record::Event(event) => {
+            JournalLine::Header { system, .. } => current = Some(system),
+            JournalLine::Event(event) => {
                 total += 1;
                 if event.kind != kind || subsystem.is_some_and(|s| s != event.subsystem) {
                     continue;
@@ -358,11 +289,11 @@ fn fleet_top(args: &[String]) -> Result<ExitCode, String> {
     let mut current: Option<u64> = None;
     for record in open_stream(&path)? {
         match record.map_err(|e| format!("`{path}`: {e}"))? {
-            Record::Header { system, seed } => {
+            JournalLine::Header { system, seed } => {
                 stats.entry(system).or_default().seed = seed;
                 current = Some(system);
             }
-            Record::Event(event) => {
+            JournalLine::Event(event) => {
                 let entry = stats.entry(current.unwrap_or(0)).or_default();
                 entry.events += 1;
                 match event.kind.as_str() {
@@ -563,35 +494,13 @@ fn fleet_overhead(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn fleet_decode(args: &[String]) -> Result<ExitCode, String> {
-    let [path] = args else {
-        return Err("fleet decode expects exactly one journal path".into());
-    };
-    for record in open_stream(path)? {
-        match record.map_err(|e| format!("`{path}`: {e}"))? {
-            Record::Header { system, seed } => {
-                println!(
-                    "{}",
-                    serde_json::to_string_infallible(&serde_json::json!({
-                        "system": system,
-                        "seed": seed,
-                    }))
-                );
-            }
-            Record::Event(event) => println!("{}", event.to_json_line()),
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn fleet(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
         Some("top") => fleet_top(&args[1..]),
         Some("triage") => fleet_triage(&args[1..]),
         Some("overhead") => fleet_overhead(&args[1..]),
-        Some("decode") => fleet_decode(&args[1..]),
         Some(other) => Err(format!("unknown fleet subcommand `{other}`")),
-        None => Err("fleet expects a subcommand: top, triage, overhead, decode".into()),
+        None => Err("fleet expects a subcommand: top, triage, overhead".into()),
     }
 }
 

@@ -27,8 +27,8 @@
 //!    seeded with a skip-Init SCRAM defect; the streaming verifier
 //!    must flag it and its flight ring must drain into a
 //!    `results/triage_forced.json` bundle that `arfs-trace fleet
-//!    triage` renders. The sampled binary journal of the sweep-1 10⁴
-//!    run lands next to it as `results/exp_fleet.journal.bin`.
+//!    triage` renders. The sampled JSON-Lines journal of the sweep-1
+//!    10⁴ run lands next to it as `results/exp_fleet.journal.jsonl`.
 //! 5. **Allocation probe** — this binary installs a counting global
 //!    allocator and measures heap allocations per steady-state frame on
 //!    a warmed-up quiet fleet *with flight rings enabled*. The fast
@@ -254,7 +254,7 @@ fn main() {
         let frames_per_sec = result.frames_per_sec();
         if name == REGRESSION_CASE {
             gated_frames_per_sec = Some(frames_per_sec);
-            gated_journal = Some(report.journal.as_slice().to_vec());
+            gated_journal = Some(report.journal.clone());
         }
         table.row([
             name.to_string(),
@@ -446,9 +446,9 @@ fn main() {
         "bundle": bundle_path.as_ref().map(|p| p.display().to_string()),
     });
 
-    // The sampled binary journal of the instrumented 10⁴ run, for
-    // `arfs-trace fleet top` / `summarize` / `decode` downstream.
-    let journal_path = arfs_bench::results_dir().join("exp_fleet.journal.bin");
+    // The sampled journal of the instrumented 10⁴ run, for
+    // `arfs-trace fleet top` / `summarize` / `grep` downstream.
+    let journal_path = arfs_bench::results_dir().join("exp_fleet.journal.jsonl");
     std::fs::write(&journal_path, gated_journal.expect("fleet_10k always runs"))
         .expect("results dir is writable");
     println!("sampled journal: {}", journal_path.display());

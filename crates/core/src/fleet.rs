@@ -53,21 +53,21 @@
 //! events on both the fast and the full path — allocation-free, so even
 //! the unsampled majority retains a recent-history window. When a
 //! [`StreamVerifier`] violation or a chaos defense fires, aggregation
-//! drains that ring plus the seed, the cell's case, and a metrics
-//! snapshot into a [`TriageBundle`] on the report; `arfs-trace fleet
-//! triage` renders it.
+//! drains that ring plus the seed and the cell's case into a
+//! [`TriageBundle`] on the report; `arfs-trace fleet triage` renders
+//! it.
 //!
-//! # Journal sampling and binary encoding
+//! # Journal sampling
 //!
 //! Journaling every system at fleet scale is ruinous; journaling none
 //! blinds you. The [`journal_sample`](FleetConfig::journal_sample) knob
 //! journals 1-in-K systems with full fidelity (those cells keep
 //! observability on and never take the fast path). Each sampled cell
-//! owns its journal section: after every frame it drains its system's
-//! journal straight into the section with the compact binary codec
-//! ([`obs::codec`](crate::obs::codec)). The final assembly concatenates
-//! the sections in system-id order. `arfs-trace fleet decode` converts
-//! the binary journal back to JSON-Lines interchange form.
+//! owns its journal section: a `{"system":N,"seed":N}` header line,
+//! then, after every frame, its system's drained events as JSON lines
+//! ([`JournalLine::write`]). The final assembly moves the sections, in
+//! system-id order, into one JSON-Lines text that every journal tool
+//! reads as it is.
 //!
 //! # Determinism
 //!
@@ -84,10 +84,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::chaos::{ChaosProfile, FaultPlan};
-use crate::obs::codec;
 use crate::obs::triage::trigger;
 use crate::obs::{
-    FlightRing, JournalBytes, Log2Histogram, MetricsRegistry, MetricsSnapshot, RingLegend,
+    FlightRing, JournalLine, Log2Histogram, MetricsRegistry, MetricsSnapshot, RingLegend,
     TriageBundle,
 };
 use crate::properties::{self, Monitors, PropertyViolation};
@@ -253,11 +252,11 @@ pub struct FleetReport {
     /// Fleet metrics folded from the cells (frame counters, latency and
     /// restricted-ratio histograms, defense/violation counters).
     pub metrics: MetricsSnapshot,
-    /// Aggregate binary journal of the sampled systems: file magic, then
-    /// per sampled system (in id order) one header record and its events
-    /// in recording order. Empty when sampling is off.
-    pub journal: JournalBytes,
-    /// Event and header records in the aggregate journal.
+    /// Aggregate JSON-Lines journal of the sampled systems: per sampled
+    /// system (in id order) one `{"system":N,"seed":N}` header line and
+    /// its events in recording order. Empty when sampling is off.
+    pub journal: String,
+    /// Event and header lines in the aggregate journal.
     pub journal_events: u64,
 }
 
@@ -386,17 +385,30 @@ struct Cell {
     next_event: usize,
     fast_frames: u64,
     full_frames: u64,
-    /// The encoded journal section, present only on sampled cells.
+    /// The journal section, present only on sampled cells.
     journal: Option<Section>,
 }
 
-/// A sampled cell's share of the fleet journal: its events as
-/// binary-codec records (no magic, no section header), in recording
-/// order.
+/// A sampled cell's share of the fleet journal: its header line, then
+/// its events in recording order, as JSON Lines.
 #[derive(Default)]
 struct Section {
-    bytes: Vec<u8>,
-    events: u64,
+    text: String,
+    lines: u64,
+}
+
+impl Section {
+    /// A section holding only its `{"system":N,"seed":N}` header line.
+    fn new(system: u64, seed: u64) -> Section {
+        let mut section = Section::default();
+        section.push(JournalLine::Header { system, seed });
+        section
+    }
+
+    fn push(&mut self, line: JournalLine) {
+        line.write(&mut self.text);
+        self.lines += 1;
+    }
 }
 
 impl Cell {
@@ -436,8 +448,7 @@ impl Cell {
                 }
             });
             for event in events {
-                codec::encode_event(&mut section.bytes, &event);
-                section.events += 1;
+                section.push(JournalLine::Event(event));
             }
         }
     }
@@ -527,7 +538,7 @@ impl Fleet {
                 next_event: 0,
                 fast_frames: 0,
                 full_frames: 0,
-                journal: sampled.then(Section::default),
+                journal: sampled.then(|| Section::new(id as u64, seed)),
             });
         }
 
@@ -626,34 +637,27 @@ impl Fleet {
         .expect("fleet worker panicked");
     }
 
-    /// Assembles the aggregate journal: the file magic, then each
-    /// sampled cell's header and section in system-id order. Returns the
-    /// bytes and their record count (headers included); empty when
-    /// sampling is off.
-    fn finish_journal(&self) -> (JournalBytes, u64) {
-        let mut sampled: Vec<(&Cell, &Section)> = self
+    /// Assembles the aggregate journal by moving each sampled cell's
+    /// section out of its cell, in system-id order: the first section's
+    /// buffer becomes the journal, and each later one is freed once
+    /// appended. Returns the text and its line count (headers included);
+    /// empty when sampling is off.
+    fn finish_journal(&mut self) -> (String, u64) {
+        let mut sections: Vec<(usize, Section)> = self
             .shards
-            .iter()
-            .flat_map(|shard| &shard.cells)
-            .filter_map(|cell| Some((cell, cell.journal.as_ref()?)))
+            .iter_mut()
+            .flat_map(|shard| &mut shard.cells)
+            .filter_map(|cell| Some((cell.id, std::mem::take(cell.journal.as_mut()?))))
             .collect();
-        sampled.sort_by_key(|(cell, _)| cell.id);
-        let mut bytes = Vec::new();
-        let mut records = 0u64;
-        if !sampled.is_empty() {
-            codec::encode_magic(&mut bytes);
-            for (cell, section) in sampled {
-                codec::encode_system_header(&mut bytes, cell.id as u64, cell.seed);
-                bytes.extend_from_slice(&section.bytes);
-                records += section.events + 1;
-            }
-        }
-        (JournalBytes(bytes), records)
+        sections.sort_by_key(|(id, _)| *id);
+        let lines = sections.iter().map(|(_, s)| s.lines).sum();
+        let journal = sections.into_iter().map(|(_, s)| s.text).collect();
+        (journal, lines)
     }
 
     /// Folds per-cell results into the deterministic report, iterating
     /// cells in global system-id order regardless of sharding.
-    fn aggregate(&mut self, journal: JournalBytes, journal_events: u64) -> FleetReport {
+    fn aggregate(&mut self, journal: String, journal_events: u64) -> FleetReport {
         let legend = RingLegend::for_spec(&self.spec);
 
         let mut cells: Vec<&mut Cell> = self
@@ -785,7 +789,6 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::app::NullApp;
-    use crate::obs::{BinaryJournalReader, BinaryRecord};
     use crate::prelude::*;
     use crate::system::SystemBuilder;
     use arfs_rtos::Ticks;
@@ -890,21 +893,20 @@ mod tests {
             report.metrics.histograms["fleet.reconfig_latency_cycles"].count, report.reconfigs,
             "one latency per completed reconfiguration"
         );
-        // The binary journal decodes: headers in ascending id order,
-        // total record count matching the report.
-        let mut records = 0u64;
+        // The journal reads back: headers in ascending id order, total
+        // line count matching the report.
+        let mut lines = 0u64;
         let mut last_header: i64 = -1;
-        for record in BinaryJournalReader::new(report.journal.as_slice()) {
-            match record.expect("aggregate journal decodes") {
-                BinaryRecord::System { system, .. } => {
-                    assert!((system as i64) > last_header, "sections out of id order");
-                    last_header = system as i64;
-                    records += 1;
-                }
-                BinaryRecord::Event(_) => records += 1,
+        for line in report.journal.lines() {
+            lines += 1;
+            if let JournalLine::Header { system, .. } =
+                JournalLine::parse(line).expect("aggregate journal reads")
+            {
+                assert!((system as i64) > last_header, "sections out of id order");
+                last_header = system as i64;
             }
         }
-        assert_eq!(records, report.journal_events);
+        assert_eq!(lines, report.journal_events);
         assert!(last_header >= 0, "at least one section header expected");
     }
 
@@ -1132,9 +1134,9 @@ mod tests {
 
     #[test]
     fn fleet_journal_sections_equal_standalone_journals() {
-        // Each sampled cell encodes its own section. Decoded, the
-        // section must be exactly the journal the same system keeps when
-        // it runs alone, event for event.
+        // Each sampled cell writes its own section. Header excluded, the
+        // section must be byte for byte the JSON Lines of the journal the
+        // same system keeps when it runs alone.
         for spec in [small_spec(), crate::assure::tests::two_app_spec()] {
             let spec = Arc::new(spec);
             let config = FleetConfig {
@@ -1149,19 +1151,21 @@ mod tests {
                 .run()
                 .expect("an in-memory journal never fails");
 
-            let mut sections: BTreeMap<usize, Vec<JournalEvent>> = BTreeMap::new();
+            let mut sections: BTreeMap<usize, String> = BTreeMap::new();
             let mut current = None;
-            for record in BinaryJournalReader::new(report.journal.as_slice()) {
-                match record.expect("aggregate journal decodes") {
-                    BinaryRecord::System { system, seed } => {
+            for line in report.journal.lines() {
+                match JournalLine::parse(line).expect("aggregate journal reads") {
+                    JournalLine::Header { system, seed } => {
                         let id = system as usize;
                         assert_eq!(seed, mix_seed(config.seed, system));
-                        assert!(sections.insert(id, Vec::new()).is_none());
+                        assert!(sections.insert(id, String::new()).is_none());
                         current = Some(id);
                     }
-                    BinaryRecord::Event(event) => {
+                    JournalLine::Event(_) => {
                         let id = current.expect("events follow a section header");
-                        sections.get_mut(&id).unwrap().push(event);
+                        let section = sections.get_mut(&id).unwrap();
+                        section.push_str(line);
+                        section.push('\n');
                     }
                 }
             }
@@ -1175,7 +1179,7 @@ mod tests {
                     system.advance_frame();
                 });
                 assert!(!section.is_empty(), "system {id}");
-                assert_eq!(section, alone.journal().events(), "system {id}");
+                assert_eq!(section, alone.journal().to_json_lines(), "system {id}");
             }
         }
     }

@@ -12,7 +12,7 @@
 //! a schema enforcer.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use serde_json::Value;
 
@@ -130,27 +130,88 @@ impl JournalEvent {
         })
     }
 
-    /// Serializes the event as one compact JSON line (no trailing
-    /// newline).
+    /// Appends the event to `out` as one compact JSON line (no trailing
+    /// newline): the object [`to_value`](JournalEvent::to_value)
+    /// describes, written straight from the fields. `kind` and `payload`
+    /// go through `serde_json`'s own renderer.
     ///
     /// Infallible by construction
     /// ([`serde_json::to_string_infallible`]): journaling runs inside
     /// the frame hot path, and no payload — non-finite floats,
     /// non-string map keys, control characters — may ever abort a
     /// model-check run through a serialization panic.
-    pub fn to_json_line(&self) -> String {
-        serde_json::to_string_infallible(&self.to_value())
+    pub fn write_json_line(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"frame\":{},\"subsystem\":\"{}\",\"kind\":",
+            self.frame, self.subsystem
+        );
+        out.push_str(&serde_json::to_string_infallible(self.kind.as_str()));
+        out.push_str(",\"payload\":");
+        out.push_str(&serde_json::to_string_infallible(&self.payload));
+        out.push('}');
     }
 
-    /// Parses one JSON line back into an event.
+    /// The event as one compact JSON line (no trailing newline); see
+    /// [`write_json_line`](JournalEvent::write_json_line).
+    pub fn to_json_line(&self) -> String {
+        let mut line = String::new();
+        self.write_json_line(&mut line);
+        line
+    }
+}
+
+/// One line of a sectioned JSON-Lines journal. A fleet journal puts a
+/// `{"system":N,"seed":N}` header before each sampled system's events;
+/// a single system's journal is events only.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JournalLine {
+    /// A section header: the events that follow, up to the next
+    /// header, belong to this system.
+    Header {
+        /// Fleet-wide system index.
+        system: u64,
+        /// The system's derived seed.
+        seed: u64,
+    },
+    /// One journal event.
+    Event(JournalEvent),
+}
+
+impl JournalLine {
+    /// Parses one line: an object with a `system` and no `kind` is a
+    /// section header, anything else must be an event.
     ///
     /// # Errors
     ///
-    /// Returns a description of the malformed field if the line is not
-    /// a journal event.
-    pub fn from_json_line(line: &str) -> Result<JournalEvent, String> {
+    /// Returns a description of the malformed field.
+    pub fn parse(line: &str) -> Result<JournalLine, String> {
         let value: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        JournalEvent::from_value(&value)
+        match value.get("system") {
+            Some(system) if value.get("kind").is_none() => Ok(JournalLine::Header {
+                system: system
+                    .as_u64()
+                    .ok_or("section header without a numeric `system`")?,
+                seed: value
+                    .get("seed")
+                    .and_then(Value::as_u64)
+                    .ok_or("section header without a numeric `seed`")?,
+            }),
+            _ => JournalEvent::from_value(&value).map(JournalLine::Event),
+        }
+    }
+
+    /// Appends the line to `out`, trailing newline included.
+    pub fn write(&self, out: &mut String) {
+        match self {
+            JournalLine::Header { system, seed } => {
+                let _ = writeln!(out, "{{\"system\":{system},\"seed\":{seed}}}");
+            }
+            JournalLine::Event(event) => {
+                event.write_json_line(out);
+                out.push('\n');
+            }
+        }
     }
 }
 
@@ -264,26 +325,30 @@ impl Journal {
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
         for event in &self.events {
-            out.push_str(&event.to_json_line());
+            event.write_json_line(&mut out);
             out.push('\n');
         }
         out
     }
 
-    /// Parses a JSON-Lines journal. Blank lines are skipped.
+    /// Parses a one-system JSON-Lines journal. Blank lines are skipped.
     ///
     /// # Errors
     ///
     /// Returns `(line_number, description)` for the first malformed
-    /// line (1-based).
+    /// line or section header (1-based).
     pub fn from_json_lines(text: &str) -> Result<Journal, (usize, String)> {
         let mut journal = Journal::new();
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let event = JournalEvent::from_json_line(line).map_err(|e| (i + 1, e))?;
-            journal.push(event);
+            match JournalLine::parse(line).map_err(|e| (i + 1, e))? {
+                JournalLine::Event(event) => journal.push(event),
+                JournalLine::Header { .. } => {
+                    return Err((i + 1, "section header in a one-system journal".into()))
+                }
+            }
         }
         Ok(journal)
     }
@@ -431,6 +496,16 @@ mod tests {
         j
     }
 
+    /// The one writer against the generic `to_value` rendering it must
+    /// equal byte for byte.
+    fn assert_writer_matches_value_rendering(event: &JournalEvent) {
+        assert_eq!(
+            event.to_json_line(),
+            serde_json::to_string_infallible(&event.to_value()),
+            "{event:?}"
+        );
+    }
+
     #[test]
     fn json_lines_round_trip() {
         let j = sample();
@@ -438,6 +513,27 @@ mod tests {
         assert_eq!(text.lines().count(), 3);
         let back = Journal::from_json_lines(&text).unwrap();
         assert_eq!(back, j);
+        j.events()
+            .iter()
+            .for_each(assert_writer_matches_value_rendering);
+
+        // A sectioned journal reads back line by line and re-emits
+        // byte-identical.
+        let mut sectioned = String::new();
+        for (system, seed) in [(0, 61415), (4, u64::MAX)] {
+            JournalLine::Header { system, seed }.write(&mut sectioned);
+            sectioned.push_str(&text);
+        }
+        let mut rewritten = String::new();
+        for line in sectioned.lines() {
+            JournalLine::parse(line).unwrap().write(&mut rewritten);
+        }
+        assert_eq!(rewritten, sectioned);
+        assert!(sectioned.starts_with("{\"system\":0,\"seed\":61415}\n"));
+        assert_eq!(
+            JournalLine::parse(text.lines().next().unwrap()).unwrap(),
+            JournalLine::Event(j.events()[0].clone())
+        );
     }
 
     #[test]
@@ -451,6 +547,13 @@ mod tests {
         let err = Journal::from_json_lines("{}").unwrap_err();
         assert!(err.1.contains("frame"));
         assert!(Journal::from_json_lines("not json").is_err());
+        // A truncated line or a header without its seed fails loudly.
+        let line = j.events()[1].to_json_line();
+        assert!(JournalLine::parse(&line[..line.len() - 3]).is_err());
+        let err = JournalLine::parse("{\"system\":3}").unwrap_err();
+        assert!(err.contains("seed"));
+        let err = Journal::from_json_lines("{\"system\":3,\"seed\":1}").unwrap_err();
+        assert_eq!(err, (1, "section header in a one-system journal".into()));
     }
 
     #[test]
@@ -471,15 +574,16 @@ mod tests {
             (0..64).fold(Value::Null, |inner, _| Value::Seq(vec![inner])),
         ];
         for payload in payloads {
-            let event = JournalEvent {
-                frame: 3,
-                subsystem: Subsystem::App,
-                kind: "pathological".into(),
-                payload,
-            };
-            let line = event.to_json_line();
-            assert!(!line.is_empty());
-            let _ = event.to_string(); // Display takes the same path.
+            for kind in ["pathological", "needs \"escaping\" \\ \u{7}\n"] {
+                let event = JournalEvent {
+                    frame: 3,
+                    subsystem: Subsystem::App,
+                    kind: kind.into(),
+                    payload: payload.clone(),
+                };
+                assert_writer_matches_value_rendering(&event);
+                let _ = event.to_string(); // Display takes the same path.
+            }
         }
         // Non-finite floats render as null, so the line still parses.
         let nan = JournalEvent {
@@ -488,8 +592,8 @@ mod tests {
             kind: "nan".into(),
             payload: Value::F64(f64::NAN),
         };
-        let back = JournalEvent::from_json_line(&nan.to_json_line()).unwrap();
-        assert_eq!(back.payload, Value::Null);
+        let back = Journal::from_json_lines(&nan.to_json_line()).unwrap();
+        assert_eq!(back.events()[0].payload, Value::Null);
     }
 
     #[test]

@@ -16,15 +16,20 @@
 //!   stable-storage commit, a bus membership change, a deadline miss, a
 //!   fault injection) is one [`JournalEvent`] carrying
 //!   `(frame, subsystem, kind, payload)` and serializing as one JSON
-//!   line. Journals round-trip through
+//!   line through one writer, [`JournalEvent::write_json_line`].
+//!   Journals round-trip through
 //!   [`Journal::to_json_lines`]/[`Journal::from_json_lines`], summarize
 //!   ([`Journal::summary`]), and diff ([`Journal::diff`]); the
 //!   `arfs-trace` CLI in `arfs-bench` drives all three from the shell.
+//!   JSON Lines is the journal's only encoding: the fleet writes each
+//!   sampled system's section behind a `{"system":N,"seed":N}` header,
+//!   and [`JournalLine::parse`] is the one reader of such sectioned
+//!   journals.
 //! - [`metrics`] — the one metrics type: a registry of counters,
 //!   gauges, and fixed-size log₂ histograms (reconfiguration latency in
 //!   cycles, SCRAM decision time, restricted-frame ratio) snapshot-able
-//!   as a JSON artifact. A system, a model-check report, a fleet report
-//!   and a triage bundle all carry the same [`MetricsSnapshot`].
+//!   as a JSON artifact. A system, a model-check report and a fleet
+//!   report all carry the same [`MetricsSnapshot`].
 //!   Histograms [merge](Log2Histogram::merge), so a fleet folds each
 //!   cell's latency histogram at aggregation; triage bundles and
 //!   committed artifacts keep
@@ -41,14 +46,10 @@
 //!   heap-preallocated rings of compact 16-byte events written on the
 //!   steady-state fast path with zero allocations, decoded via a
 //!   spec-derived [`RingLegend`].
-//! - [`codec`] — the length-prefixed binary journal encoding the fleet
-//!   emits: each sampled fleet cell encodes its own section after every
-//!   frame (JSON-Lines stays the interchange format; `arfs-trace fleet
-//!   decode` converts back).
 //! - [`triage`] — the [`TriageBundle`] evidence package (ring + seed +
-//!   the replaying [`Scenario`](crate::scenario::Scenario) + metrics +
-//!   causal chain) a fleet emits when a streaming verifier violation or
-//!   chaos defense fires.
+//!   the replaying [`Scenario`](crate::scenario::Scenario) + causal
+//!   chain) a fleet emits when a streaming verifier violation or chaos
+//!   defense fires.
 //!
 //! [`System`] exposes the sinks via
 //! [`System::journal`](crate::system::System::journal),
@@ -61,7 +62,6 @@
 //!
 //! [`System`]: crate::system::System
 
-pub mod codec;
 pub mod counterexample;
 mod event;
 pub mod journal;
@@ -69,10 +69,9 @@ pub mod metrics;
 pub mod ring;
 pub mod triage;
 
-pub use codec::{BinaryJournalReader, BinaryRecord, JournalBytes};
 pub use counterexample::{CausalLink, Counterexample, FrameVerdict, ShrinkAction, ShrinkStep};
 pub(crate) use event::{Event, Recorder};
-pub use journal::{Journal, JournalDiff, JournalEvent, JournalSummary, Subsystem};
+pub use journal::{Journal, JournalDiff, JournalEvent, JournalLine, JournalSummary, Subsystem};
 pub use metrics::{
     Log2Bucket, Log2Histogram, Log2HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };

@@ -71,19 +71,6 @@ pub enum StableValue {
     Str(String),
 }
 
-impl StableValue {
-    /// Short name of the value's representation (`"u64"`, `"str"`, ...),
-    /// useful in diagnostics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            StableValue::U64(_) => "u64",
-            StableValue::F64(_) => "f64",
-            StableValue::Bool(_) => "bool",
-            StableValue::Str(_) => "str",
-        }
-    }
-}
-
 macro_rules! typed_accessors {
     ($get:ident, $stage:ident, $variant:ident, $ty:ty) => {
         /// Reads a committed value of the given type.
@@ -191,14 +178,6 @@ impl StableStorage {
     /// Iterates over committed keys in sorted order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.committed.keys().map(String::as_str)
-    }
-
-    /// Returns the number of writes staged but not yet committed.
-    pub fn staged_len(&self) -> usize {
-        self.staged
-            .values()
-            .filter(|s| **s != StagedSlot::Clean)
-            .count()
     }
 
     /// Writes `slot` into the retained staging slot for `key`, allocating
@@ -388,11 +367,9 @@ mod tests {
         let mut s = StableStorage::new();
         s.stage_u64("x", 5);
         assert_eq!(s.get_u64("x"), None);
-        assert_eq!(s.staged_len(), 1);
         let v = s.commit();
         assert_eq!(v, Version(1));
         assert_eq!(s.get_u64("x"), Some(5));
-        assert_eq!(s.staged_len(), 0);
     }
 
     #[test]
@@ -458,14 +435,13 @@ mod tests {
         // A typed read of another representation is absent.
         assert_eq!(s.get_u64("s"), None);
         let tagged = [
-            ("u", StableValue::U64(42), "u64"),
-            ("f", StableValue::F64(1.5), "f64"),
-            ("b", StableValue::Bool(true), "bool"),
-            ("s", StableValue::Str("hello".into()), "str"),
+            ("u", StableValue::U64(42)),
+            ("f", StableValue::F64(1.5)),
+            ("b", StableValue::Bool(true)),
+            ("s", StableValue::Str("hello".into())),
         ];
-        for (key, value, kind) in &tagged {
+        for (key, value) in &tagged {
             assert_eq!(s.get(key), Some(value));
-            assert_eq!(value.kind(), *kind);
         }
     }
 

@@ -18,7 +18,7 @@ use arfs_avionics::{avionics_spec, three_level_spec};
 use arfs_core::chaos::{ChaosDefense, FaultKind, FaultPlan};
 use arfs_core::fleet::{Fleet, FleetConfig};
 use arfs_core::model::ModelChecker;
-use arfs_core::obs::{BinaryJournalReader, BinaryRecord};
+use arfs_core::obs::JournalLine;
 use arfs_core::scenario::Scenario;
 use arfs_core::system::System;
 use arfs_core::AppId;
@@ -65,10 +65,10 @@ fn skipped_journal_append_drops_one_frame_of_evidence_only() {
     let frame_zero_of_system_zero = |report: &arfs_core::fleet::FleetReport| {
         let mut system = None;
         let mut count = 0u64;
-        for record in BinaryJournalReader::new(report.journal.as_slice()) {
-            match record.expect("aggregate journal decodes") {
-                BinaryRecord::System { system: id, .. } => system = Some(id),
-                BinaryRecord::Event(e) => count += u64::from(system == Some(0) && e.frame == 0),
+        for line in report.journal.lines() {
+            match JournalLine::parse(line).expect("aggregate journal reads") {
+                JournalLine::Header { system: id, .. } => system = Some(id),
+                JournalLine::Event(e) => count += u64::from(system == Some(0) && e.frame == 0),
             }
         }
         count

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use arfs_avionics::avionics_spec;
 use arfs_core::chaos::ChaosProfile;
 use arfs_core::fleet::{Fleet, FleetConfig, FleetReport};
-use arfs_core::obs::{BinaryJournalReader, BinaryRecord};
+use arfs_core::obs::JournalLine;
 
 fn run(shards: usize, threads: usize, chaos: bool) -> FleetReport {
     let spec = Arc::new(avionics_spec().expect("avionics spec builds"));
@@ -72,23 +72,23 @@ fn sampled_journal_sections_are_ordered_by_system_id() {
     let report = run(4, 2, false);
     assert!(report.journal_events > 0, "sampling must journal something");
     let mut last_id: i64 = -1;
-    let mut records = 0u64;
-    for record in BinaryJournalReader::new(report.journal.as_slice()) {
-        match record.expect("aggregate journal decodes") {
-            BinaryRecord::System { system, .. } => {
+    let mut lines = 0u64;
+    for line in report.journal.lines() {
+        match JournalLine::parse(line).expect("aggregate journal reads") {
+            JournalLine::Header { system, .. } => {
                 let id = i64::try_from(system).expect("small fleet id");
                 assert!(id > last_id, "journal sections out of id order");
                 last_id = id;
             }
-            BinaryRecord::Event(_) => {
+            JournalLine::Event(_) => {
                 assert!(last_id >= 0, "events must follow a section header");
             }
         }
-        records += 1;
+        lines += 1;
     }
     assert!(last_id >= 0, "at least one section header expected");
     assert_eq!(
-        records, report.journal_events,
-        "journal_events must count every record in the aggregate"
+        lines, report.journal_events,
+        "journal_events must count every line in the aggregate"
     );
 }

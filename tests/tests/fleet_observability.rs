@@ -1,5 +1,5 @@
-//! The fleet observability plane, end to end: the binary journal codec
-//! against its JSON-Lines interchange form on a golden fixture, triage
+//! The fleet observability plane, end to end: the golden fleet journal
+//! through the shared JSON-Lines reader and writer, triage
 //! bundles for forced violations, and the byte-identity of the fleet
 //! metrics (folded from the cells at aggregation) across shard and
 //! thread counts.
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use arfs_avionics::avionics_spec;
 use arfs_core::fleet::{Fleet, FleetConfig};
 use arfs_core::obs::triage::trigger;
-use arfs_core::obs::{codec, BinaryJournalReader, BinaryRecord, JournalEvent, TriageBundle};
+use arfs_core::obs::{JournalLine, TriageBundle};
 use arfs_core::scram::ScramMutation;
 
 const FLEET_SEED: u64 = 0xF1EE7;
@@ -19,67 +19,22 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("data/golden_fleet.journal.jsonl")
 }
 
-/// Parses the golden JSON-Lines fixture into the record stream shape
-/// the binary codec encodes: `(header, events)` sections.
-fn parse_golden() -> Vec<((u64, u64), Vec<JournalEvent>)> {
-    let text = std::fs::read_to_string(golden_path()).expect("golden fixture reads");
-    let mut sections: Vec<((u64, u64), Vec<JournalEvent>)> = Vec::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        if line.starts_with("{\"system\"") {
-            let value: serde_json::Value = serde_json::from_str(line).expect("header parses");
-            let system = value.get("system").and_then(|v| v.as_u64()).unwrap();
-            let seed = value.get("seed").and_then(|v| v.as_u64()).unwrap();
-            sections.push(((system, seed), Vec::new()));
-        } else {
-            let event = JournalEvent::from_json_line(line).expect("event parses");
-            sections
-                .last_mut()
-                .expect("events follow a header")
-                .1
-                .push(event);
-        }
-    }
-    sections
-}
-
-/// The CI agreement gate in test form: encoding the golden JSON-Lines
-/// fixture through the binary codec and decoding it back must agree
-/// with the JSON decode path record for record, and the re-emitted
-/// JSON-Lines must be byte-identical to the fixture.
+/// The golden fleet journal goes through the shared line reader and
+/// is re-emitted byte-identical: every header and event line survives
+/// [`JournalLine::parse`] and [`JournalLine::write`] unchanged.
 #[test]
-fn binary_codec_agrees_with_json_on_the_golden_fixture() {
-    let sections = parse_golden();
-    assert!(sections.len() >= 2, "fixture should cover several systems");
-
-    let mut bytes = Vec::new();
-    codec::encode_magic(&mut bytes);
-    for ((system, seed), events) in &sections {
-        codec::encode_system_header(&mut bytes, *system, *seed);
-        for event in events {
-            codec::encode_event(&mut bytes, event);
-        }
+fn golden_fleet_journal_round_trips_through_the_shared_reader() {
+    let golden = std::fs::read_to_string(golden_path()).expect("golden fixture reads");
+    let mut rewritten = String::new();
+    let mut headers = 0usize;
+    for line in golden.lines() {
+        let line = JournalLine::parse(line).expect("golden line reads");
+        headers += usize::from(matches!(line, JournalLine::Header { .. }));
+        line.write(&mut rewritten);
     }
-    assert!(codec::looks_binary(&bytes));
-
-    let mut decoded_lines = String::new();
-    let mut decoded: Vec<((u64, u64), Vec<JournalEvent>)> = Vec::new();
-    for record in BinaryJournalReader::new(bytes.as_slice()) {
-        match record.expect("binary journal decodes") {
-            BinaryRecord::System { system, seed } => {
-                decoded_lines.push_str(&format!("{{\"system\":{system},\"seed\":{seed}}}\n"));
-                decoded.push(((system, seed), Vec::new()));
-            }
-            BinaryRecord::Event(event) => {
-                decoded_lines.push_str(&event.to_json_line());
-                decoded_lines.push('\n');
-                decoded.last_mut().expect("header first").1.push(event);
-            }
-        }
-    }
-    assert_eq!(decoded, sections, "binary and JSON decode paths disagree");
+    assert!(headers >= 2, "fixture should cover several systems");
     assert_eq!(
-        decoded_lines,
-        std::fs::read_to_string(golden_path()).expect("golden fixture reads"),
+        rewritten, golden,
         "re-emitted JSON-Lines must be byte-identical to the fixture"
     );
 }
