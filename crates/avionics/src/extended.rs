@@ -21,7 +21,7 @@
 use std::sync::{Arc, Mutex};
 
 use arfs_core::app::{AppContext, ReconfigurableApp};
-use arfs_core::scram::{MidReconfigPolicy, SyncPolicy};
+use arfs_core::scram::{KernelConfig, SyncPolicy};
 use arfs_core::spec::{AppDecl, ChooseRule, Configuration, FunctionalSpec, ReconfigSpec};
 use arfs_core::system::System;
 use arfs_core::{AppId, SpecError, SpecId, SystemError};
@@ -468,8 +468,10 @@ impl ExtendedUavSystem {
         });
 
         let system = System::builder(spec)
-            .mid_policy(MidReconfigPolicy::BufferUntilComplete)
-            .sync_policy(SyncPolicy::PhaseChecked)
+            .kernel(KernelConfig {
+                sync: SyncPolicy::PhaseChecked,
+                ..KernelConfig::default()
+            })
             .monitor(Box::new(monitor))
             .app(Box::new(FlightControl::new(world.clone())))
             .app(Box::new(Autopilot::new(world.clone(), ap_controls.clone())))
@@ -713,7 +715,10 @@ mod tests {
         use arfs_core::system::System;
         let spec = extended_uav_spec().unwrap();
         let mut system = System::builder(spec)
-            .stage_policy(StagePolicy::CompressedPrepareInit)
+            .kernel(KernelConfig {
+                stage: StagePolicy::CompressedPrepareInit,
+                ..KernelConfig::default()
+            })
             .build()
             .unwrap();
         system.run_frames(10);

@@ -454,11 +454,15 @@ mod tests {
     #[test]
     fn known_bad_mutations_are_caught_at_the_canonical_horizon() {
         use arfs_core::model::ModelChecker;
+        use arfs_core::scram::KernelConfig;
         let spec = avionics_spec().unwrap();
         for (slug, mutation) in known_bad_mutations() {
             let report = ModelChecker::new(spec.clone(), KNOWN_BAD_HORIZON, 1)
                 .with_flight_recorder(false)
-                .with_mutation(mutation)
+                .with_kernel(KernelConfig {
+                    mutation: Some(mutation),
+                    ..KernelConfig::default()
+                })
                 .run();
             assert!(!report.all_passed(), "{slug} not caught: {report}");
         }

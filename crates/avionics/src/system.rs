@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use arfs_core::scram::{MidReconfigPolicy, SyncPolicy};
+use arfs_core::scram::{KernelConfig, SyncPolicy};
 use arfs_core::system::System;
 use arfs_core::SystemError;
 
@@ -57,22 +57,26 @@ impl std::fmt::Debug for AvionicsSystem {
 }
 
 impl AvionicsSystem {
-    /// Builds the system with default policies, cruising at 5,000 ft on
-    /// heading 090.
+    /// Builds the system with the §6.3 phase-checked kernel (the
+    /// autopilot initializes only after the FCS), cruising at 5,000 ft
+    /// on heading 090.
     ///
     /// # Errors
     ///
     /// Propagates [`SystemError`] from system assembly.
     pub fn new() -> Result<Self, SystemError> {
-        AvionicsSystem::with_policies(MidReconfigPolicy::default(), SyncPolicy::PhaseChecked)
+        AvionicsSystem::with_kernel(KernelConfig {
+            sync: SyncPolicy::PhaseChecked,
+            ..KernelConfig::default()
+        })
     }
 
-    /// Builds the system with explicit SCRAM policies.
+    /// Builds the system with an explicit SCRAM configuration.
     ///
     /// # Errors
     ///
     /// Propagates [`SystemError`] from system assembly.
-    pub fn with_policies(mid: MidReconfigPolicy, sync: SyncPolicy) -> Result<Self, SystemError> {
+    pub fn with_kernel(kernel: KernelConfig) -> Result<Self, SystemError> {
         let spec = avionics_spec().expect("avionics specification is valid");
         let dt_s = spec.frame_len().raw() as f64 / 1000.0; // 1 tick = 1 ms
         let world: SharedWorld = Arc::new(Mutex::new(SimWorld {
@@ -106,8 +110,7 @@ impl AvionicsSystem {
             });
 
         let system = System::builder(spec)
-            .mid_policy(mid)
-            .sync_policy(sync)
+            .kernel(kernel)
             .monitor(Box::new(electrical_monitor))
             .app(Box::new(FlightControl::new(world.clone())))
             .app(Box::new(Autopilot::new(world.clone(), ap_controls.clone())))
@@ -388,11 +391,7 @@ mod tests {
 
     #[test]
     fn simultaneous_policy_gives_table1_four_cycle_reconfig() {
-        let mut av = AvionicsSystem::with_policies(
-            MidReconfigPolicy::BufferUntilComplete,
-            SyncPolicy::Simultaneous,
-        )
-        .unwrap();
+        let mut av = AvionicsSystem::with_kernel(KernelConfig::default()).unwrap();
         av.run_frames(10);
         av.fail_alternator(1);
         av.run_frames(10);

@@ -7,7 +7,6 @@
 //! cargo run -p arfs-bench --bin arfs-trace -- explain results/counterexample_skip-init.json
 //! cargo run -p arfs-bench --bin arfs-trace -- fleet top results/exp_fleet.journal.jsonl
 //! cargo run -p arfs-bench --bin arfs-trace -- fleet triage results/triage_forced.json
-//! cargo run -p arfs-bench --bin arfs-trace -- fleet overhead results/a.json results/b.json
 //! ```
 //!
 //! Journals are JSON Lines, as `Journal::to_json_lines` writes them,
@@ -51,9 +50,7 @@ usage: arfs-trace <command> [args]
   fleet top <journal> [--limit N]      slowest-reconfiguring and most-restricted
                                        systems of a fleet journal
   fleet triage <bundle.json>           render a fleet triage bundle: its case,
-                                       flight-ring timeline with causal markers
-  fleet overhead <a.json> <b.json>     compare two BENCH_fleet.json artifacts
-                                       case by case";
+                                       flight-ring timeline with causal markers";
 
 /// Streams a journal line by line without materializing the file;
 /// blank lines are skipped.
@@ -431,76 +428,12 @@ fn fleet_triage(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn artifact_cases(artifact: &serde_json::Value) -> Vec<(String, f64)> {
-    artifact
-        .get("cases")
-        .and_then(|v| v.as_seq())
-        .map(|cases| {
-            cases
-                .iter()
-                .filter_map(|c| {
-                    Some((
-                        c.get("case")?.as_str()?.to_owned(),
-                        c.get("frames_per_sec")?.as_f64()?,
-                    ))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-fn fleet_overhead(args: &[String]) -> Result<ExitCode, String> {
-    let [a, b] = args else {
-        return Err("fleet overhead expects exactly two BENCH_fleet.json paths".into());
-    };
-    let parse = |path: &str| -> Result<serde_json::Value, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("`{path}`: {e}"))
-    };
-    let (art_a, art_b) = (parse(a)?, parse(b)?);
-    let cases_a = artifact_cases(&art_a);
-    let cases_b: BTreeMap<String, f64> = artifact_cases(&art_b).into_iter().collect();
-
-    println!("throughput: {a} vs {b}");
-    let mut table = TextTable::new(["case", "A frames/s", "B frames/s", "delta"]);
-    let mut compared = 0usize;
-    for (name, fps_a) in &cases_a {
-        let Some(fps_b) = cases_b.get(name) else {
-            continue;
-        };
-        compared += 1;
-        table.row([
-            name.clone(),
-            format!("{fps_a:.0}"),
-            format!("{fps_b:.0}"),
-            format!("{:+.1}%", 100.0 * (fps_b - fps_a) / fps_a.max(1e-9)),
-        ]);
-    }
-    if compared == 0 {
-        return Err("the two artifacts share no cases to compare".into());
-    }
-    println!("{table}");
-
-    for (label, art) in [("A", &art_a), ("B", &art_b)] {
-        if let Some(frac) = art
-            .get("obs")
-            .and_then(|o| o.get("overhead_fraction"))
-            .and_then(|v| v.as_f64())
-        {
-            println!("{label}: observability overhead {:.1}%", 100.0 * frac);
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn fleet(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
         Some("top") => fleet_top(&args[1..]),
         Some("triage") => fleet_triage(&args[1..]),
-        Some("overhead") => fleet_overhead(&args[1..]),
         Some(other) => Err(format!("unknown fleet subcommand `{other}`")),
-        None => Err("fleet expects a subcommand: top, triage, overhead".into()),
+        None => Err("fleet expects a subcommand: top, triage".into()),
     }
 }
 

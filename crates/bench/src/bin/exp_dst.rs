@@ -47,6 +47,7 @@ use arfs_core::fleet::{Fleet, FleetConfig};
 use arfs_core::model::ModelChecker;
 use arfs_core::properties::PropertyReport;
 use arfs_core::scenario::Scenario;
+use arfs_core::scram::KernelConfig;
 use arfs_core::spec::ReconfigSpec;
 use arfs_core::stats::trace_stats;
 use arfs_core::system::{System, SystemBuilder};
@@ -189,7 +190,12 @@ fn failpoint_campaigns(smoke: bool) -> bool {
     }
 
     let spec = three_level_spec(2);
-    let builder = || System::builder(spec.clone()).chaos_defense(DST_DEFENSE);
+    let builder = || {
+        System::builder(spec.clone()).kernel(KernelConfig {
+            defense: DST_DEFENSE,
+            ..KernelConfig::default()
+        })
+    };
     let seeds: u64 = if smoke { 16 } else { 96 };
     let oracle = InvariantOracle::new(Arc::new(spec.clone()), OracleProfile::Soak);
     let menu_owned = dst_menu();
@@ -385,12 +391,8 @@ fn chaos_campaigns(smoke: bool) -> (bool, bool) {
     let spec = three_level_spec(1);
     let horizon = 12u64;
     let seeds = if smoke { 6u64 } else { 30u64 };
-    let defense = ChaosDefense::default();
-    let builder = || {
-        System::builder(spec.clone())
-            .chaos_defense(defense)
-            .observability(true)
-    };
+    // The default kernel, so the default defense.
+    let builder = || System::builder(spec.clone()).observability(true);
     // Torn writes and jitter only: random bus-silence runs on this
     // single-processor spec could quarantine the sole host, which is a
     // hardware-exhaustion scenario, not a protocol one. Bus silence
@@ -497,11 +499,7 @@ fn chaos_campaigns(smoke: bool) -> (bool, bool) {
     );
     let qsystem = Scenario::new("quarantine", 12)
         .with_faults(qplan)
-        .run_with(
-            System::builder(quarantine_spec())
-                .chaos_defense(defense)
-                .observability(true),
-        )
+        .run_with(System::builder(quarantine_spec()).observability(true))
         .expect("validated spec builds");
     let quarantined = qsystem.journal().of_kind("quarantined").count() == 1;
     let landed_solo = qsystem.current_config().to_string() == "solo";
@@ -524,13 +522,15 @@ fn chaos_campaigns(smoke: bool) -> (bool, bool) {
             app: AppId::new("a"),
         },
     );
-    let bad_defense = ChaosDefense {
-        retry_budget_frames: 0,
-        ..ChaosDefense::default()
-    };
     let mc = ModelChecker::new(spec.clone(), horizon, 1)
         .with_fault_plan(bad_plan)
-        .with_chaos_defense(bad_defense);
+        .with_kernel(KernelConfig {
+            defense: ChaosDefense {
+                retry_budget_frames: 0,
+                ..ChaosDefense::default()
+            },
+            ..KernelConfig::default()
+        });
     let serial = mc.run();
     let parallel = mc.run_parallel(3);
     let serial_ce = serial.counterexample.as_ref();

@@ -55,7 +55,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use arfs_avionics::avionics_spec;
-use arfs_bench::{banner, median_iqr, verdict, write_full_run_artifact, TextTable};
+use arfs_bench::{
+    banner, median_iqr, prior_artifact, prior_case_f64, verdict, write_full_run_artifact, TextTable,
+};
 use arfs_core::fleet::{Fleet, FleetConfig, FleetReport, FleetTimings};
 use arfs_core::scram::ScramMutation;
 use arfs_core::spec::ReconfigSpec;
@@ -103,23 +105,6 @@ const OBS_PAIRS: usize = 5;
 /// The system seeded with the SCRAM defect in the forced-violation
 /// triage sweep (arbitrary mid-fleet id; determinism pins its seed).
 const MUTATED_SYSTEM: usize = 4_242;
-
-/// The previous run's artifact, if one exists and still parses.
-fn prior_artifact() -> Option<serde_json::Value> {
-    let path = arfs_bench::results_dir().join("BENCH_fleet.json");
-    let text = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-fn prior_case_f64(prior: &serde_json::Value, case: &str, key: &str) -> Option<f64> {
-    prior
-        .get("cases")?
-        .as_seq()?
-        .iter()
-        .find(|c| c.get("case").and_then(|v| v.as_str()) == Some(case))?
-        .get(key)?
-        .as_f64()
-}
 
 fn fleet_config(systems: usize, threads: usize) -> FleetConfig {
     FleetConfig {
@@ -191,7 +176,7 @@ fn main() {
     println!("host cores: {cores}");
 
     let spec = Arc::new(avionics_spec().expect("valid spec"));
-    let prior = prior_artifact();
+    let prior = prior_artifact("BENCH_fleet.json");
 
     // Untimed warm-up: grow the allocator arena past a 10⁴-system
     // footprint (systems, rings, journals) so the timed sweeps measure

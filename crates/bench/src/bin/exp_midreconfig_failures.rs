@@ -13,7 +13,7 @@
 
 use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
 use arfs_core::properties;
-use arfs_core::scram::MidReconfigPolicy;
+use arfs_core::scram::{KernelConfig, MidReconfigPolicy};
 use arfs_core::system::System;
 
 fn main() {
@@ -40,7 +40,10 @@ fn main() {
         ] {
             let spec = arfs_avionics::avionics_spec().expect("valid spec");
             let mut system = System::builder(spec)
-                .mid_policy(policy)
+                .kernel(KernelConfig {
+                    mid: policy,
+                    ..KernelConfig::default()
+                })
                 .build()
                 .expect("builds");
             system.run_frames(8);

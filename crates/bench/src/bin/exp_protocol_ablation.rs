@@ -18,28 +18,29 @@
 use arfs_bench::{banner, verdict, write_json, TextTable};
 use arfs_core::model::ModelChecker;
 use arfs_core::properties;
-use arfs_core::scenario::Scenario;
-use arfs_core::scram::{StagePolicy, SyncPolicy};
+use arfs_core::scram::{KernelConfig, StagePolicy, SyncPolicy};
 use arfs_core::system::System;
 
 fn main() {
     banner("Experiment E5: protocol ablation (§6.3 variations of Table 1)");
 
-    let variants: Vec<(&str, SyncPolicy, StagePolicy)> = vec![
+    let kernel = |sync, stage| KernelConfig {
+        sync,
+        stage,
+        ..KernelConfig::default()
+    };
+    let variants = [
         (
             "compressed (§6.3 no-signal stages)",
-            SyncPolicy::Simultaneous,
-            StagePolicy::CompressedPrepareInit,
+            kernel(SyncPolicy::Simultaneous, StagePolicy::CompressedPrepareInit),
         ),
         (
             "simultaneous (Table 1)",
-            SyncPolicy::Simultaneous,
-            StagePolicy::Signalled,
+            kernel(SyncPolicy::Simultaneous, StagePolicy::Signalled),
         ),
         (
             "phase-checked (§6.3 dependency waves)",
-            SyncPolicy::PhaseChecked,
-            StagePolicy::Signalled,
+            kernel(SyncPolicy::PhaseChecked, StagePolicy::Signalled),
         ),
     ];
 
@@ -53,11 +54,10 @@ fn main() {
     let mut points = Vec::new();
     let mut cycles_seen = Vec::new();
 
-    for (label, sync, stage) in &variants {
+    for (label, kernel) in &variants {
         let spec = arfs_avionics::avionics_spec().expect("valid spec");
         let mut system = System::builder(spec)
-            .sync_policy(*sync)
-            .stage_policy(*stage)
+            .kernel(kernel.clone())
             .build()
             .expect("builds");
         system.run_frames(8);
@@ -100,39 +100,19 @@ fn main() {
         cycles_seen == vec![3, 4, 5],
     );
 
-    // Exhaustive confirmation for the compressed variant — the protocol
-    // least like the paper's proofs deserves the strongest check. The
-    // checker's default-built systems use the signalled protocol, so
-    // drive the compressed systems directly across all single-event
-    // schedules.
-    banner("exhaustive check of the compressed protocol");
-    let mut failures = 0usize;
-    let mut cases = 0usize;
-    for frame in 1..=16u64 {
-        for value in ["both", "one", "battery"] {
-            let spec = arfs_avionics::avionics_spec().expect("valid spec");
-            let system = Scenario::new("compressed", 26)
-                .set_env(frame, "electrical", value)
-                .run_with(System::builder(spec).stage_policy(StagePolicy::CompressedPrepareInit))
-                .expect("valid");
-            let report = properties::check_all(system.trace(), system.spec());
-            cases += 1;
-            if !report.is_ok() {
-                failures += 1;
-                eprintln!("frame {frame} value {value}: {report}");
-            }
-        }
+    // Exhaustive confirmation: the checker explores each variant's own
+    // kernel over every single-event schedule.
+    banner("exhaustive check of every protocol variant");
+    for (label, kernel) in variants {
+        let report = ModelChecker::new(arfs_avionics::avionics_spec().expect("valid spec"), 26, 1)
+            .with_kernel(kernel)
+            .run_parallel(4);
+        println!("{label}: {report}");
+        verdict(
+            &format!("{label} is exhaustively clean"),
+            report.all_passed(),
+        );
     }
-    println!("{cases} single-event schedules explored, {failures} failures");
-    verdict("compressed protocol is exhaustively clean", failures == 0);
-
-    // And the signalled baseline via the standard model checker.
-    let report = ModelChecker::new(arfs_avionics::avionics_spec().expect("valid spec"), 26, 1)
-        .run_parallel(4);
-    verdict(
-        "signalled baseline is exhaustively clean",
-        report.all_passed(),
-    );
 
     let path = write_json("exp_protocol_ablation.json", &points);
     println!("\nartifact: {}", path.display());

@@ -54,10 +54,12 @@ use std::time::Instant;
 
 use arfs_avionics::{known_bad_mutations, KNOWN_BAD_HORIZON};
 use arfs_bench::{
-    banner, median_iqr, verdict, write_full_run_artifact, write_json, write_text, TextTable,
+    banner, median_iqr, prior_artifact, prior_case_f64, verdict, write_full_run_artifact,
+    write_json, write_text, TextTable,
 };
 use arfs_core::lint::IndependenceCertificate;
 use arfs_core::model::ModelChecker;
+use arfs_core::scram::KernelConfig;
 use arfs_core::spec::ReconfigSpec;
 use arfs_core::system::System;
 
@@ -85,27 +87,6 @@ fn timed<T>(samples: &mut Vec<f64>, f: impl FnOnce() -> T) -> T {
     let value = f();
     samples.push(t0.elapsed().as_secs_f64());
     value
-}
-
-/// The previous run's artifact, if one exists and still parses. Absent
-/// or stale-format files are simply "no baseline yet" — the gate only
-/// fires when it has a genuine prior number to compare against.
-fn prior_artifact() -> Option<serde_json::Value> {
-    let path = arfs_bench::results_dir().join("BENCH_model_check.json");
-    let text = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-/// A numeric field of a named case in a previous artifact's `cases`
-/// array, tolerating any missing level of the structure.
-fn prior_case_f64(prior: &serde_json::Value, case: &str, key: &str) -> Option<f64> {
-    prior
-        .get("cases")?
-        .as_seq()?
-        .iter()
-        .find(|c| c.get("case").and_then(|v| v.as_str()) == Some(case))?
-        .get(key)?
-        .as_f64()
 }
 
 /// Measures the substrate fork cost the walk pays at every branch
@@ -366,8 +347,11 @@ fn main() {
     let mut mutants = Vec::new();
     let mut all_caught = true;
     for (slug, mutation) in known_bad_mutations() {
-        let mc = ModelChecker::new(avionics.clone(), KNOWN_BAD_HORIZON, 1)
-            .with_mutation(mutation.clone());
+        let mc =
+            ModelChecker::new(avionics.clone(), KNOWN_BAD_HORIZON, 1).with_kernel(KernelConfig {
+                mutation: Some(mutation.clone()),
+                ..KernelConfig::default()
+            });
         let t0 = Instant::now();
         let report = mc.run_parallel(threads);
         let secs = t0.elapsed().as_secs_f64();
@@ -414,7 +398,7 @@ fn main() {
     // recorded, never an exit code: the artifact may have been recorded
     // on another host.
     banner("previous-artifact comparison (informational)");
-    let prior = prior_artifact();
+    let prior = prior_artifact("BENCH_model_check.json");
     let fork_cost_ns = measure_fork_cost_ns();
     println!("substrate fork: {fork_cost_ns:.0} ns (200-frame history, observability off)");
     let fork_vs_prior = prior

@@ -10,17 +10,14 @@
 use arfs_avionics::AvionicsSystem;
 use arfs_bench::{banner, verdict, write_json, TextTable};
 use arfs_core::app::ConfigStatus;
-use arfs_core::scram::{MidReconfigPolicy, SyncPolicy};
+use arfs_core::scram::KernelConfig;
 use arfs_core::AppId;
 
 fn main() {
     banner("Table 1: SFTA phases (frame-by-frame reconfiguration protocol)");
 
-    let mut av = AvionicsSystem::with_policies(
-        MidReconfigPolicy::BufferUntilComplete,
-        SyncPolicy::Simultaneous,
-    )
-    .expect("avionics system builds");
+    let mut av =
+        AvionicsSystem::with_kernel(KernelConfig::default()).expect("avionics system builds");
     av.engage_autopilot();
     av.run_frames(10);
     av.fail_alternator(1);

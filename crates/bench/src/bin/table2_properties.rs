@@ -15,7 +15,7 @@ use arfs_avionics::AvionicsSystem;
 use arfs_bench::{banner, verdict, write_json, TextTable};
 use arfs_core::model::ModelChecker;
 use arfs_core::properties::{self, PropertyId};
-use arfs_core::scram::ScramMutation;
+use arfs_core::scram::{KernelConfig, ScramMutation};
 use arfs_core::system::System;
 use arfs_core::AppId;
 use rand::rngs::StdRng;
@@ -111,7 +111,10 @@ fn main() {
     for (mutation, property, description) in mutations {
         let spec = arfs_avionics::avionics_spec().expect("valid spec");
         let mut system = System::builder(spec)
-            .mutation(mutation.clone())
+            .kernel(KernelConfig {
+                mutation: Some(mutation.clone()),
+                ..KernelConfig::default()
+            })
             .build()
             .expect("builds");
         system.run_frames(8);

@@ -326,6 +326,7 @@ pub(crate) mod tests {
 
     #[test]
     fn profiles_report_exact_violations_on_mutated_traces() {
+        use crate::scram::tests::mutated;
         use crate::scram::ScramMutation;
         const OPEN: &str = "OPEN-RECONFIG @frame 3: reconfiguration open since frame 3 has run 2700t, exceeding every declared bound (max 500t)";
         const LIVELOCK: &str =
@@ -436,7 +437,7 @@ pub(crate) mod tests {
         for (spec, mutation, stimuli, reconfigs, extended, soak_extra) in cases {
             let spec = Arc::new(spec);
             let mut system = System::builder_arc(Arc::clone(&spec))
-                .mutation(mutation.clone())
+                .kernel(mutated(mutation.clone()))
                 .build()
                 .unwrap();
             for frame in 0..30 {

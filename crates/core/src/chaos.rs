@@ -275,9 +275,10 @@ impl ChaosProfile {
 /// a compile-time-auditable bound.
 pub const MAX_RETRY_BACKOFF_FRAMES: u64 = 8;
 
-/// The defenses' tuning knobs, threaded from
-/// [`SystemBuilder::chaos_defense`](crate::system::SystemBuilder::chaos_defense)
-/// into the SCRAM and the bus-membership watchdog.
+/// The defenses' tuning knobs: the [`KernelConfig::defense`] of the
+/// SCRAM, which also sets the system's bus-membership watchdog.
+///
+/// [`KernelConfig::defense`]: crate::scram::KernelConfig::defense
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ChaosDefense {
     /// How many disrupted frames an in-flight reconfiguration absorbs
@@ -335,8 +336,6 @@ impl Default for ChaosDefense {
 pub struct ChaosState {
     /// The installed fault plan (empty = chaos off).
     pub plan: FaultPlan,
-    /// Defense knobs (also mirrored into the SCRAM at build time).
-    pub defense: ChaosDefense,
     /// For each silenced processor: the first frame its slots speak
     /// again (exclusive end of the silent run).
     pub silenced_until: BTreeMap<ProcessorId, u64>,

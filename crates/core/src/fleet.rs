@@ -91,7 +91,7 @@ use crate::obs::{
 };
 use crate::properties::{self, Monitors, PropertyViolation};
 use crate::scenario::{Scenario, ScenarioEvent};
-use crate::scram::ScramMutation;
+use crate::scram::{KernelConfig, ScramMutation};
 use crate::spec::ReconfigSpec;
 use crate::system::System;
 use crate::trace::SysState;
@@ -129,6 +129,19 @@ fn system_case(spec: &ReconfigSpec, config: &FleetConfig, id: usize) -> (u64, Sc
         case = case.with_faults(FaultPlan::random(mix_seed(seed, 1), profile));
     }
     (seed, case)
+}
+
+/// System `id`'s kernel: the default one, with the fleet's seeded
+/// mutation if `id` is its target.
+fn kernel_of(config: &FleetConfig, id: usize) -> KernelConfig {
+    let mutation = config
+        .mutate_system
+        .as_ref()
+        .filter(|(target, _)| *target == id);
+    KernelConfig {
+        mutation: mutation.map(|(_, mutation)| mutation.clone()),
+        ..KernelConfig::default()
+    }
 }
 
 /// Configuration of one fleet run.
@@ -513,16 +526,12 @@ impl Fleet {
             let (seed, case) = system_case(&spec, &config, id);
             let sampled = config.journal_sample > 0 && id % config.journal_sample == 0;
 
-            let mut builder = System::builder_arc(Arc::clone(&spec))
+            let mut system = System::builder_arc(Arc::clone(&spec))
+                .kernel(kernel_of(&config, id))
                 .observability(sampled)
                 .flight_recorder(config.ring_capacity)
-                .fault_plan(case.faults().clone());
-            if let Some((target, mutation)) = &config.mutate_system {
-                if *target == id {
-                    builder = builder.mutation(mutation.clone());
-                }
-            }
-            let mut system = builder.build()?;
+                .fault_plan(case.faults().clone())
+                .build()?;
             system.set_trace_recording(false);
 
             let mut events = case.events().to_vec();
@@ -1105,13 +1114,11 @@ mod tests {
         step: impl Fn(&mut System),
     ) -> System {
         let (_, case) = system_case(spec, config, id);
-        let mut builder = builder.fault_plan(case.faults().clone());
-        if let Some((target, mutation)) = &config.mutate_system {
-            if *target == id {
-                builder = builder.mutation(mutation.clone());
-            }
-        }
-        let mut system = builder.build().unwrap();
+        let mut system = builder
+            .kernel(kernel_of(config, id))
+            .fault_plan(case.faults().clone())
+            .build()
+            .unwrap();
         let mut events = case.events().to_vec();
         events.sort_by_key(|e| e.frame);
         let mut next = events.iter().peekable();

@@ -150,7 +150,7 @@ pub mod prelude {
     pub use crate::environment::{EnvModel, EnvState, FnMonitor};
     pub use crate::obs::{Journal, JournalEvent, MetricsRegistry, Subsystem};
     pub use crate::scenario::Scenario;
-    pub use crate::scram::{MidReconfigPolicy, Scram, StagePolicy, SyncPolicy};
+    pub use crate::scram::{KernelConfig, MidReconfigPolicy, Scram, StagePolicy, SyncPolicy};
     pub use crate::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
     pub use crate::system::System;
     pub use crate::trace::SysTrace;

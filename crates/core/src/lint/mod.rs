@@ -121,23 +121,6 @@ pub mod codes {
     /// waves — timing-infeasible for the dependency structure declared.
     pub const W110: &str = "ARFS-W110";
 
-    /// The retired pre-registry warning code: early artifacts tagged
-    /// every specification smell `ARFS-W1`. It redirects to the first
-    /// stable warning code of the registry scheme (see DESIGN.md,
-    /// "Legacy `ARFS-W1` redirect").
-    pub const LEGACY_W1: &str = "ARFS-W1";
-
-    /// Canonicalizes a diagnostic code: stable codes map to themselves,
-    /// the retired [`LEGACY_W1`] maps into the `ARFS-W1xx` scheme, so
-    /// old JSON artifacts remain interpretable.
-    pub fn canonical(code: &str) -> &str {
-        if code == LEGACY_W1 {
-            W101
-        } else {
-            code
-        }
-    }
-
     /// Every code in the catalog, in report order.
     pub const ALL: &[&str] = &[
         E001, E002, E003, E004, E005, E006, E007, E008, E009, E010, E011, W101, W102, W103, W104,
@@ -385,15 +368,9 @@ impl LintReport {
         self.diagnostics.is_empty()
     }
 
-    /// Diagnostics carrying the given code. Retired codes are matched
-    /// through [`codes::canonical`], so reports deserialized from old
-    /// artifacts (which used the ad-hoc `ARFS-W1` tag) are still found
-    /// under their stable registry code.
+    /// Diagnostics carrying the given code.
     pub fn of_code(&self, code: &str) -> Vec<&Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| codes::canonical(&d.code) == codes::canonical(code))
-            .collect()
+        self.diagnostics.iter().filter(|d| d.code == code).collect()
     }
 
     /// The distinct codes present, in first-appearance order.
@@ -527,29 +504,6 @@ mod tests {
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: LintReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
-    }
-
-    #[test]
-    fn legacy_w1_artifacts_resolve_to_the_registry_scheme() {
-        // Pre-registry JSON artifacts carry the ad-hoc `ARFS-W1` tag;
-        // they must still be interpretable through the stable-code API.
-        let json = r#"{
-            "diagnostics": [{
-                "code": "ARFS-W1",
-                "severity": "Warning",
-                "pass": "choose-image",
-                "span": "Spec",
-                "message": "legacy specification smell",
-                "notes": []
-            }],
-            "passes": ["choose-image"]
-        }"#;
-        let report: LintReport = serde_json::from_str(json).unwrap();
-        assert_eq!(codes::canonical("ARFS-W1"), codes::W101);
-        assert_eq!(report.of_code(codes::W101).len(), 1);
-        assert_eq!(report.of_code(codes::LEGACY_W1).len(), 1);
-        // Stable codes are untouched by canonicalization.
-        assert_eq!(codes::canonical(codes::E010), codes::E010);
     }
 
     #[test]

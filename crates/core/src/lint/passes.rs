@@ -31,6 +31,7 @@ use super::assembly::{Assembly, ENV_NODE, SCRAM_NODE};
 use super::{codes, Diagnostic, LintPass, LintTarget, Span};
 use crate::analysis::coverage::{self, GapReason};
 use crate::analysis::{resources, schedulability, timing};
+use crate::scram::{KernelConfig, Protocol};
 use crate::ConfigId;
 
 /// The full built-in pass catalog, in report order.
@@ -141,7 +142,7 @@ impl LintPass for TransitionBoundPass {
 
     fn run(&self, target: &LintTarget<'_>) -> Vec<Diagnostic> {
         let spec = target.spec;
-        let frames = spec.reconfig_frames();
+        let frames = Protocol::new(spec, &KernelConfig::default()).protocol_frames();
         let needed = spec.frame_len() * frames;
         spec.transitions()
             .iter()
@@ -730,7 +731,7 @@ impl LintPass for ThrashDwellPass {
     fn run(&self, target: &LintTarget<'_>) -> Vec<Diagnostic> {
         let spec = target.spec;
         let dwell = spec.min_dwell_frames();
-        let frames = spec.reconfig_frames();
+        let frames = Protocol::new(spec, &KernelConfig::default()).protocol_frames();
         if dwell == 0 || dwell >= frames {
             // dwell == 0 with cycles is ARFS-E005's error.
             return Vec::new();

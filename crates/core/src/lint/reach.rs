@@ -34,7 +34,8 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use super::{codes, Diagnostic, LintPass, LintTarget, Span};
-use crate::spec::{dependency_depths, ReconfigSpec};
+use crate::scram::{KernelConfig, Protocol, SyncPolicy};
+use crate::spec::ReconfigSpec;
 use crate::ConfigId;
 
 /// The computed reachability structure (also rendered by `arfs-lint
@@ -280,15 +281,18 @@ impl LintPass for WaveTimingPass {
 
     fn run(&self, target: &LintTarget<'_>) -> Vec<Diagnostic> {
         let spec = target.spec;
-        let depths = dependency_depths(spec.apps());
-        let wave_count = depths.values().copied().max().map_or(1, |d| d + 1);
-        if wave_count <= 1 {
+        let staged = Protocol::new(
+            spec,
+            &KernelConfig {
+                sync: SyncPolicy::PhaseChecked,
+                ..KernelConfig::default()
+            },
+        );
+        if staged.wave_count <= 1 {
             return Vec::new();
         }
-        let phases = spec.phase_frames();
-        let bare_frames = 1 + phases.total_frames();
-        let staged_frames =
-            1 + phases.halt_frames + phases.prepare_frames + phases.init_frames * wave_count;
+        let bare_frames = Protocol::new(spec, &KernelConfig::default()).protocol_frames();
+        let staged_frames = staged.protocol_frames();
         let bare_needed = spec.frame_len() * bare_frames;
         let staged_needed = spec.frame_len() * staged_frames;
         let mut out = Vec::new();
@@ -308,16 +312,17 @@ impl LintPass for WaveTimingPass {
                         format!(
                             "T({from}, {to}) = {bound} admits one bare {bare_frames}-frame \
                              protocol run but not the staged {staged_frames}-frame run forced \
-                             by {wave_count} initialization wave(s)"
+                             by {} initialization wave(s)",
+                            staged.wave_count
                         ),
                     )
                     .note(format!(
                         "staged minimum: (1 trigger + {} halt + {} prepare + {} init x {} \
                          wave(s)) frames x {} = {staged_needed}",
-                        phases.halt_frames,
-                        phases.prepare_frames,
-                        phases.init_frames,
-                        wave_count,
+                        staged.phase_frames.halt_frames,
+                        staged.phase_frames.prepare_frames,
+                        staged.phase_frames.init_frames,
+                        staged.wave_count,
                         spec.frame_len(),
                     )),
                 );
@@ -497,5 +502,33 @@ mod tests {
             &diags[0].span,
             Span::Transition { from, to } if from.as_str() == "full" && to.as_str() == "safe"
         ));
+        // The lint's figures are the kernel's: the bare run is the
+        // default kernel's protocol, the staged run the phase-checked
+        // one's, in the message and in the note.
+        let frames = |sync| {
+            Protocol::new(
+                &spec,
+                &KernelConfig {
+                    sync,
+                    ..KernelConfig::default()
+                },
+            )
+            .protocol_frames()
+        };
+        let (bare, staged) = (
+            frames(SyncPolicy::Simultaneous),
+            frames(SyncPolicy::PhaseChecked),
+        );
+        assert_eq!((bare, staged), (4, 5));
+        let (message, note) = (&diags[0].message, &diags[0].notes[0]);
+        assert!(message.contains(&format!("bare {bare}-frame")), "{message}");
+        assert!(
+            message.contains(&format!("staged {staged}-frame")),
+            "{message}"
+        );
+        assert!(
+            note.ends_with(&format!("= {}", spec.frame_len() * staged)),
+            "{note}"
+        );
     }
 }

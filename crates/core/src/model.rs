@@ -19,6 +19,13 @@
 //! fault plan. Enumeration, counting, the walk, the canonical sort and
 //! the reports all read that one list.
 //!
+//! Every explored system runs the checker's kernel
+//! ([`ModelChecker::with_kernel`], the default [`KernelConfig`]
+//! otherwise), and the last frame an event may land on leaves that
+//! kernel's [`Protocol::protocol_frames`] plus the dwell and one steady
+//! frame before the horizon, so every enumerated reconfiguration
+//! completes inside the trace the properties judge.
+//!
 //! Schedules form a trie: every prefix of an enumerated schedule is
 //! itself an enumerated schedule, so the set of schedules is exactly the
 //! set of nodes of a tree rooted at the quiescent (empty) schedule,
@@ -117,12 +124,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::assure::{InvariantOracle, OracleProfile};
-use crate::chaos::{ChaosDefense, FaultPlan};
+use crate::chaos::FaultPlan;
 use crate::lint::independence::IndependenceCertificate;
 use crate::obs::counterexample::{Counterexample, ShrinkStep};
 use crate::obs::{MetricsRegistry, MetricsSnapshot};
 use crate::properties::PropertyViolation;
 use crate::scenario::{Scenario, ScenarioAction};
+use crate::scram::{KernelConfig, Protocol};
 use crate::spec::ReconfigSpec;
 use crate::system::{System, SystemBuilder};
 
@@ -464,21 +472,23 @@ pub struct ModelChecker {
     alphabet: Vec<ScenarioAction>,
     horizon: u64,
     max_events: usize,
-    mid_policy: crate::scram::MidReconfigPolicy,
-    sync_policy: crate::scram::SyncPolicy,
-    stage_policy: crate::scram::StagePolicy,
-    mutation: Option<crate::scram::ScramMutation>,
+    /// The kernel every explored system runs.
+    kernel: KernelConfig,
+    /// Frames one reconfiguration of that kernel takes
+    /// ([`Protocol::protocol_frames`]): the event tail the enumeration
+    /// leaves before the horizon. Derived once with the kernel, since
+    /// the walk reads it on every subtree count.
+    protocol_frames: u64,
     observability: bool,
     flight_recorder: bool,
     fault_plan: FaultPlan,
-    chaos_defense: ChaosDefense,
     por: Option<Arc<IndependenceCertificate>>,
 }
 
 impl ModelChecker {
     /// Creates a checker exploring traces of `horizon` frames with at
     /// most `max_events` environment changes each, under the default
-    /// kernel policies.
+    /// [`KernelConfig`].
     ///
     /// # Example
     ///
@@ -524,19 +534,17 @@ impl ModelChecker {
                 })
             })
             .collect();
+        let kernel = KernelConfig::default();
         ModelChecker {
+            protocol_frames: Protocol::new(&spec, &kernel).protocol_frames(),
             spec: Arc::new(spec),
             alphabet,
             horizon,
             max_events,
-            mid_policy: crate::scram::MidReconfigPolicy::default(),
-            sync_policy: crate::scram::SyncPolicy::default(),
-            stage_policy: crate::scram::StagePolicy::default(),
-            mutation: None,
+            kernel,
             observability: false,
             flight_recorder: true,
             fault_plan: FaultPlan::new(),
-            chaos_defense: ChaosDefense::default(),
             por: None,
         }
     }
@@ -562,27 +570,18 @@ impl ModelChecker {
         self
     }
 
-    /// Explores systems running under the given kernel policies — every
-    /// protocol variant deserves the same exhaustive treatment.
+    /// Explores systems whose kernel runs under `config`: every
+    /// protocol variant deserves the same exhaustive treatment, and a
+    /// seeded [`mutation`](KernelConfig::mutation) is the
+    /// verification-of-the-verifier experiment (a mutated kernel must
+    /// fail the exhaustive check). The enumeration leaves each event the
+    /// tail this kernel's protocol needs; an invalid config panics on
+    /// the first system build, as [`Scram::new`](crate::scram::Scram::new)
+    /// does.
     #[must_use]
-    pub fn with_policies(
-        mut self,
-        mid: crate::scram::MidReconfigPolicy,
-        sync: crate::scram::SyncPolicy,
-        stage: crate::scram::StagePolicy,
-    ) -> Self {
-        self.mid_policy = mid;
-        self.sync_policy = sync;
-        self.stage_policy = stage;
-        self
-    }
-
-    /// Seeds a SCRAM protocol mutation into every explored system —
-    /// the verification-of-the-verifier experiment: a mutated kernel
-    /// must fail the exhaustive check.
-    #[must_use]
-    pub fn with_mutation(mut self, mutation: crate::scram::ScramMutation) -> Self {
-        self.mutation = Some(mutation);
+    pub fn with_kernel(mut self, config: KernelConfig) -> Self {
+        self.protocol_frames = Protocol::new(&self.spec, &config).protocol_frames();
+        self.kernel = config;
         self
     }
 
@@ -592,14 +591,6 @@ impl ModelChecker {
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Configures the chaos defenses (retry budget, backoff,
-    /// quarantine window) of every explored system.
-    #[must_use]
-    pub fn with_chaos_defense(mut self, defense: ChaosDefense) -> Self {
-        self.chaos_defense = defense;
         self
     }
 
@@ -661,13 +652,12 @@ impl ModelChecker {
         &self.alphabet
     }
 
-    /// The last frame an event may land on: a triggered protocol
-    /// (reconfig frames plus dwell) plus one steady frame must fit
-    /// within the horizon. Zero means only the quiescent schedule is
-    /// enumerable.
+    /// The last frame an event may land on: the kernel's triggered
+    /// protocol plus the dwell plus one steady frame must fit within the
+    /// horizon. Zero means only the quiescent schedule is enumerable.
     fn last_event_frame(&self) -> u64 {
-        let protocol = self.spec.reconfig_frames() + self.spec.min_dwell_frames();
-        self.horizon.saturating_sub(protocol + 1)
+        let tail = self.protocol_frames + self.spec.min_dwell_frames();
+        self.horizon.saturating_sub(tail + 1)
     }
 
     /// Number of schedules in the subtree rooted at a node whose last
@@ -768,21 +758,14 @@ impl ModelChecker {
         )
     }
 
-    /// A builder under the checker's policies and no fault plan (a
+    /// A builder under the checker's kernel and no fault plan (a
     /// case installs its own). `observed` forces the observability
     /// layer on (counterexample replays); otherwise the checker-level
     /// knob decides, defaulting to off for the hot exhaustive loop.
     fn builder(&self, observed: bool) -> SystemBuilder {
-        let mut builder = System::builder_arc(Arc::clone(&self.spec))
-            .mid_policy(self.mid_policy)
-            .sync_policy(self.sync_policy)
-            .stage_policy(self.stage_policy)
-            .chaos_defense(self.chaos_defense)
-            .observability(observed || self.observability);
-        if let Some(mutation) = self.mutation.clone() {
-            builder = builder.mutation(mutation);
-        }
-        builder
+        System::builder_arc(Arc::clone(&self.spec))
+            .kernel(self.kernel.clone())
+            .observability(observed || self.observability)
     }
 
     /// The walk's root task: the empty schedule's system at frame 0
@@ -1406,7 +1389,9 @@ fn checked_binomial(n: usize, k: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scram::ScramMutation;
+    use crate::chaos::ChaosDefense;
+    use crate::scram::tests::{mutated, policy_grid};
+    use crate::scram::ScramMutation::{PanicOnTrigger, SkipInitPhase};
     use crate::spec::{AppDecl, Configuration, FunctionalSpec};
     use arfs_failstop::ProcessorId;
     use arfs_rtos::Ticks;
@@ -1623,7 +1608,7 @@ mod tests {
     fn parallel_failure_order_matches_sequential() {
         // A mutated kernel fails many schedules; work-stealing
         // exploration must reassemble them in enumeration order.
-        let mc = ModelChecker::new(small_spec(), 12, 2).with_mutation(ScramMutation::SkipInitPhase);
+        let mc = ModelChecker::new(small_spec(), 12, 2).with_kernel(mutated(SkipInitPhase));
         let seq = mc.run();
         assert!(!seq.all_passed());
         assert!(seq.failures.len() > 1);
@@ -1632,28 +1617,72 @@ mod tests {
         }
     }
 
+    /// Three applications in a dependency chain, so the phase-checked
+    /// kernel initializes in three waves, and no dwell: nothing but the
+    /// protocol separates an event from the horizon.
+    fn three_wave_spec() -> ReconfigSpec {
+        let app = |id: &str| {
+            AppDecl::new(id)
+                .spec(FunctionalSpec::new("full"))
+                .spec(FunctionalSpec::new("deg"))
+        };
+        let config = |name: &str, spec: &str| {
+            ["a", "b", "c"]
+                .iter()
+                .fold(Configuration::new(name), |c, app| {
+                    c.assign(*app, spec).place(*app, ProcessorId::new(0))
+                })
+        };
+        ReconfigSpec::builder()
+            .frame_len(Ticks::new(100))
+            .env_factor("power", ["good", "bad"])
+            .app(app("a"))
+            .app(app("b").depends_on("a"))
+            .app(app("c").depends_on("b"))
+            .config(config("full", "full"))
+            .config(config("safe", "deg").safe())
+            .transition("full", "safe", Ticks::new(900))
+            .transition("safe", "full", Ticks::new(900))
+            .choose_when("power", "bad", "safe")
+            .choose_when("power", "good", "full")
+            .initial_config("full")
+            .initial_env([("power", "good")])
+            .min_dwell_frames(0)
+            .build()
+            .unwrap()
+    }
+
     #[test]
-    fn every_policy_combination_passes_exhaustively() {
-        use crate::scram::{MidReconfigPolicy, StagePolicy, SyncPolicy};
-        for mid in [
-            MidReconfigPolicy::BufferUntilComplete,
-            MidReconfigPolicy::ImmediateRetarget,
-        ] {
-            for (sync, stage) in [
-                (SyncPolicy::Simultaneous, StagePolicy::Signalled),
-                (SyncPolicy::Simultaneous, StagePolicy::CompressedPrepareInit),
-                (SyncPolicy::PhaseChecked, StagePolicy::Signalled),
-            ] {
-                let mc = ModelChecker::new(small_spec(), 14, 1).with_policies(mid, sync, stage);
-                let report = mc.run();
-                assert!(report.all_passed(), "{mid:?}/{sync:?}/{stage:?}: {report}");
+    fn every_enumerated_case_completes_its_reconfiguration_within_the_horizon() {
+        // The event tail is the explored kernel's protocol, not the
+        // Table 1 default: a phase-checked reconfiguration on this spec
+        // takes 6 frames, not 4, so one triggered at frame 7 of 12
+        // would still be open at the horizon, unjudged by SP1–SP4.
+        for kernel in policy_grid() {
+            let label = format!("{kernel:?}");
+            let mc = ModelChecker::new(three_wave_spec(), 12, 1).with_kernel(kernel);
+            for case in mc.schedule_iter() {
+                let events: Vec<String> = case.events().iter().map(ToString::to_string).collect();
+                let open = mc.replay(&case, false).trace().open_reconfiguration();
+                assert_eq!(open, None, "{label}: [{}]", events.join(", "));
             }
         }
     }
 
     #[test]
+    fn every_policy_combination_passes_exhaustively() {
+        for kernel in policy_grid() {
+            let label = format!("{kernel:?}");
+            let report = ModelChecker::new(small_spec(), 14, 1)
+                .with_kernel(kernel)
+                .run();
+            assert!(report.all_passed(), "{label}: {report}");
+        }
+    }
+
+    #[test]
     fn mutated_kernel_fails_model_check() {
-        let mc = ModelChecker::new(small_spec(), 12, 1).with_mutation(ScramMutation::SkipInitPhase);
+        let mc = ModelChecker::new(small_spec(), 12, 1).with_kernel(mutated(SkipInitPhase));
         let report = mc.run();
         assert!(!report.all_passed());
         // Each failure is named by its case's stimuli in the one line
@@ -1676,8 +1705,7 @@ mod tests {
         // actually triggers a reconfiguration; the parallel engine must
         // attribute the crash to that schedule instead of losing it in a
         // bare join error.
-        let mc =
-            ModelChecker::new(small_spec(), 12, 1).with_mutation(ScramMutation::PanicOnTrigger);
+        let mc = ModelChecker::new(small_spec(), 12, 1).with_kernel(mutated(PanicOnTrigger));
         let result = std::panic::catch_unwind(|| mc.run_parallel(2));
         let payload = result.expect_err("a triggering schedule must panic the worker");
         let message = payload
@@ -1693,7 +1721,7 @@ mod tests {
 
     #[test]
     fn flight_recorder_packages_a_counterexample() {
-        let mc = ModelChecker::new(small_spec(), 12, 2).with_mutation(ScramMutation::SkipInitPhase);
+        let mc = ModelChecker::new(small_spec(), 12, 2).with_kernel(mutated(SkipInitPhase));
         let report = mc.run();
         assert!(!report.all_passed());
         let ce = report.counterexample.as_ref().expect("recorder is on");
@@ -1729,7 +1757,7 @@ mod tests {
         // skipped that reconfiguration violates SP4, so the failure is
         // the case's one essential event.
         let spec = crate::system::tests::processor_status_spec();
-        let mc = ModelChecker::new(spec, 12, 1).with_mutation(ScramMutation::SkipInitPhase);
+        let mc = ModelChecker::new(spec, 12, 1).with_kernel(mutated(SkipInitPhase));
         let quiescent = mc.schedule_iter().next().expect("the empty case");
         let case = quiescent.fail_processor(3, ProcessorId::new(1));
         let ce = mc.record_counterexample(case.clone());
@@ -1746,7 +1774,7 @@ mod tests {
     #[test]
     fn flight_recorder_can_be_disabled() {
         let mc = ModelChecker::new(small_spec(), 12, 1)
-            .with_mutation(ScramMutation::SkipInitPhase)
+            .with_kernel(mutated(SkipInitPhase))
             .with_flight_recorder(false);
         let report = mc.run();
         assert!(!report.all_passed());
@@ -1791,8 +1819,7 @@ mod tests {
         // always completes first: the partial report deterministically
         // carries at least that case, and the per-worker accumulators
         // merge into its metrics instead of being discarded.
-        let mc =
-            ModelChecker::new(small_spec(), 12, 1).with_mutation(ScramMutation::PanicOnTrigger);
+        let mc = ModelChecker::new(small_spec(), 12, 1).with_kernel(mutated(PanicOnTrigger));
         let err = mc
             .try_run_parallel(2)
             .expect_err("a triggering schedule must panic the worker");
@@ -1818,7 +1845,7 @@ mod tests {
 
     #[test]
     fn counterexample_is_deterministic_across_engines() {
-        let mc = ModelChecker::new(small_spec(), 12, 2).with_mutation(ScramMutation::SkipInitPhase);
+        let mc = ModelChecker::new(small_spec(), 12, 2).with_kernel(mutated(SkipInitPhase));
         let serial = mc.run().counterexample.expect("serial counterexample");
         let parallel = mc
             .run_parallel(4)
@@ -1969,7 +1996,10 @@ mod tests {
         };
         let mc = ModelChecker::new(three_level_spec(), 12, 1)
             .with_fault_plan(torn_write_plan(3))
-            .with_chaos_defense(defense);
+            .with_kernel(KernelConfig {
+                defense,
+                ..KernelConfig::default()
+            });
         let report = mc.run();
         assert!(!report.all_passed());
         let ce = report.counterexample.as_ref().expect("recorder is on");
@@ -2067,10 +2097,10 @@ mod tests {
         // must fail identically with reduction on — same first failure
         // in canonical order, every reduced failure present unreduced.
         let plain = ModelChecker::new(small_spec(), 12, 2)
-            .with_mutation(ScramMutation::SkipInitPhase)
+            .with_kernel(mutated(SkipInitPhase))
             .with_flight_recorder(false);
         let reduced = ModelChecker::new(small_spec(), 12, 2)
-            .with_mutation(ScramMutation::SkipInitPhase)
+            .with_kernel(mutated(SkipInitPhase))
             .with_flight_recorder(false)
             .with_por();
         let full = plain.run();
@@ -2149,7 +2179,10 @@ mod tests {
         };
         let mc = ModelChecker::new(three_level_spec(), 12, 1)
             .with_fault_plan(torn_write_plan(3))
-            .with_chaos_defense(defense);
+            .with_kernel(KernelConfig {
+                defense,
+                ..KernelConfig::default()
+            });
         let serial = mc.run().counterexample.expect("serial counterexample");
         let parallel = mc
             .run_parallel(3)

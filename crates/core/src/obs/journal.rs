@@ -133,22 +133,23 @@ impl JournalEvent {
     /// Appends the event to `out` as one compact JSON line (no trailing
     /// newline): the object [`to_value`](JournalEvent::to_value)
     /// describes, written straight from the fields. `kind` and `payload`
-    /// go through `serde_json`'s own renderer.
+    /// go through `serde_json`'s own renderer, straight into `out`
+    /// ([`serde_json::write_str_into`], [`serde_json::write_value_into`]):
+    /// no copy of the payload and no temporary string.
     ///
-    /// Infallible by construction
-    /// ([`serde_json::to_string_infallible`]): journaling runs inside
-    /// the frame hot path, and no payload — non-finite floats,
-    /// non-string map keys, control characters — may ever abort a
-    /// model-check run through a serialization panic.
+    /// Infallible by construction: journaling runs inside the frame hot
+    /// path, and no payload — non-finite floats, non-string map keys,
+    /// control characters — may ever abort a model-check run through a
+    /// serialization panic.
     pub fn write_json_line(&self, out: &mut String) {
         let _ = write!(
             out,
             "{{\"frame\":{},\"subsystem\":\"{}\",\"kind\":",
             self.frame, self.subsystem
         );
-        out.push_str(&serde_json::to_string_infallible(self.kind.as_str()));
+        serde_json::write_str_into(out, &self.kind);
         out.push_str(",\"payload\":");
-        out.push_str(&serde_json::to_string_infallible(&self.payload));
+        serde_json::write_value_into(out, &self.payload);
         out.push('}');
     }
 

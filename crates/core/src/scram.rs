@@ -43,6 +43,18 @@
 //! Their bounded domains are small enough to enumerate, so the kernel
 //! obligations in `tests/tests/kernel_obligations.rs` check each of
 //! them over every input in its bounds (bounded proofs by enumeration).
+//!
+//! # Configuration
+//!
+//! The kernel's parameters beyond the spec — the §5.3
+//! mid-reconfiguration policy, the §6.3 sync and stage policies, the
+//! chaos defense and the verification-only mutation — travel as one
+//! [`KernelConfig`]. [`Scram::new`] validates it whole and derives the
+//! phase transition's static inputs, a [`Protocol`], and each
+//! application's row inputs once. [`Protocol::new`] is the one
+//! constructor of a protocol, and [`Protocol::protocol_frames`] the one
+//! protocol length: the kernel's, the lint passes', the model checker's
+//! event tail and the mutation screen's all come from it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -324,8 +336,35 @@ pub struct InFlight {
     pub announced: bool,
 }
 
+/// The kernel's parameters beyond the specification: the §5.3
+/// mid-reconfiguration policy, the two §6.3 relaxations, the
+/// substrate-fault defense and the verification-only mutation. The
+/// default is the Table 1 protocol under the default defense.
+///
+/// This is the only way the five values reach a kernel: [`Scram::new`]
+/// takes one, and [`SystemBuilder::kernel`](crate::system::SystemBuilder::kernel)
+/// and [`ModelChecker::with_kernel`](crate::model::ModelChecker::with_kernel)
+/// keep one for every kernel they build.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct KernelConfig {
+    /// Triggers arriving while a reconfiguration is in flight.
+    pub mid: MidReconfigPolicy,
+    /// How initialize windows are staged across dependency waves.
+    pub sync: SyncPolicy,
+    /// How many signals drive the post-halt stages.
+    pub stage: StagePolicy,
+    /// Retry budget, backoff and quarantine window under substrate
+    /// faults. Only consulted on frames a fault disrupts, so kernels
+    /// stepped without faults behave identically under every setting.
+    pub defense: ChaosDefense,
+    /// A seeded protocol defect. Production systems never set one; it
+    /// exists so the property checkers can be shown to catch real
+    /// violations.
+    pub mutation: Option<ScramMutation>,
+}
+
 /// The static parameters of the phase transition, fixed when the
-/// kernel is built.
+/// kernel is built ([`Protocol::new`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Protocol {
     /// Each phase's length: the longest bound any application declares
@@ -347,6 +386,52 @@ pub struct Protocol {
 }
 
 impl Protocol {
+    /// The protocol a kernel built from `spec` under `config` runs.
+    /// Every protocol length — the kernel's, the lint passes', the
+    /// model checker's event tail — is this protocol's
+    /// [`protocol_frames`](Protocol::protocol_frames).
+    pub fn new(spec: &ReconfigSpec, config: &KernelConfig) -> Self {
+        let depths = dependency_depths(spec.apps());
+        Protocol {
+            phase_frames: spec.phase_frames(),
+            wave_count: depths.values().copied().max().unwrap_or(0) + 1,
+            sync: config.sync,
+            stage: config.stage,
+            defense: config.defense,
+            safe: spec
+                .safe_configs()
+                .first()
+                .map(|c| (*c).clone())
+                .expect("validated specs declare a safe configuration"),
+            skip_init: config.mutation == Some(ScramMutation::SkipInitPhase),
+        }
+    }
+
+    /// Each application's Table 1 row inputs under this protocol and
+    /// `config`'s mutation.
+    fn roles(&self, spec: &ReconfigSpec, config: &KernelConfig) -> Vec<(AppId, AppRole)> {
+        // Only phase-checked init windows open by dependency depth.
+        let depths =
+            (self.sync == SyncPolicy::PhaseChecked).then(|| dependency_depths(spec.apps()));
+        let skip_halt = config.mutation == Some(ScramMutation::SkipHaltPhase);
+        spec.apps()
+            .iter()
+            .map(|app| {
+                let id = app.id();
+                let mut bounds = app.bounds();
+                if skip_halt {
+                    bounds.halt_frames = 0;
+                }
+                let role = AppRole {
+                    bounds,
+                    init_start: self.init_start(depths.as_ref().map_or(0, |depths| depths[id])),
+                    exempt: matches!(&config.mutation, Some(ScramMutation::LeaveAppRunning(a)) if a == id),
+                };
+                (id.clone(), role)
+            })
+            .collect()
+    }
+
     /// Frames of the initialize phase: one init window per dependency
     /// wave under [`SyncPolicy::PhaseChecked`].
     pub fn init_len(&self) -> u64 {
@@ -718,23 +803,32 @@ pub struct Scram {
 }
 
 impl Scram {
-    /// Creates a kernel in the specification's initial configuration with
-    /// default policies.
-    pub fn new(spec: Arc<ReconfigSpec>) -> Self {
-        let depths = dependency_depths(spec.apps());
-        let protocol = Protocol {
-            phase_frames: spec.phase_frames(),
-            wave_count: depths.values().copied().max().unwrap_or(0) + 1,
-            sync: SyncPolicy::default(),
-            stage: StagePolicy::default(),
-            defense: ChaosDefense::default(),
-            safe: spec
-                .safe_configs()
-                .first()
-                .map(|c| (*c).clone())
-                .expect("validated specs declare a safe configuration"),
-            skip_init: false,
-        };
+    /// Creates a kernel in the specification's initial configuration,
+    /// running the protocol `config` states.
+    ///
+    /// # Panics
+    ///
+    /// [`StagePolicy::CompressedPrepareInit`] requires the
+    /// [`SyncPolicy::Simultaneous`] synchronization policy and one-frame
+    /// prepare and initialize bounds for every application; other
+    /// combinations panic, because a compressed stage cannot be split
+    /// across waves or frames.
+    pub fn new(spec: Arc<ReconfigSpec>, config: KernelConfig) -> Self {
+        if config.stage == StagePolicy::CompressedPrepareInit {
+            assert_eq!(
+                config.sync,
+                SyncPolicy::Simultaneous,
+                "compressed stages require simultaneous synchronization"
+            );
+            assert!(
+                spec.apps()
+                    .iter()
+                    .all(|a| a.bounds().prepare_frames == 1 && a.bounds().init_frames == 1),
+                "compressed stages require one-frame prepare/initialize bounds"
+            );
+        }
+        let protocol = Protocol::new(&spec, &config);
+        let roles = protocol.roles(&spec, &config);
         Scram {
             current: spec.initial_config().clone(),
             decision: FrameDecision {
@@ -745,100 +839,12 @@ impl Scram {
                 events: Vec::new(),
             },
             state: KernelState::Steady { since: 0 },
-            mid_policy: MidReconfigPolicy::default(),
+            mid_policy: config.mid,
             protocol,
-            mutation: None,
-            roles: Vec::new(),
+            mutation: config.mutation,
+            roles,
             spec,
         }
-        .with_roles()
-    }
-
-    /// Recomputes every application's row inputs from the spec, the sync
-    /// policy and the mutation.
-    fn with_roles(mut self) -> Self {
-        // Only phase-checked init windows open by dependency depth.
-        let depths = (self.protocol.sync == SyncPolicy::PhaseChecked)
-            .then(|| dependency_depths(self.spec.apps()));
-        let skip_halt = matches!(self.mutation, Some(ScramMutation::SkipHaltPhase));
-        self.roles.clear();
-        for app in self.spec.apps() {
-            let id = app.id();
-            let mut bounds = app.bounds();
-            if skip_halt {
-                bounds.halt_frames = 0;
-            }
-            let depth = depths.as_ref().map_or(0, |depths| depths[id]);
-            let role = AppRole {
-                bounds,
-                init_start: self.protocol.init_start(depth),
-                exempt: matches!(&self.mutation, Some(ScramMutation::LeaveAppRunning(a)) if a == id),
-            };
-            self.roles.push((id.clone(), role));
-        }
-        self
-    }
-
-    /// Sets the mid-reconfiguration trigger policy.
-    #[must_use]
-    pub fn with_mid_policy(mut self, policy: MidReconfigPolicy) -> Self {
-        self.mid_policy = policy;
-        self
-    }
-
-    /// Sets the dependency synchronization policy.
-    #[must_use]
-    pub fn with_sync_policy(mut self, policy: SyncPolicy) -> Self {
-        self.protocol.sync = policy;
-        self.with_roles()
-    }
-
-    /// Sets the stage-signalling policy.
-    ///
-    /// # Panics
-    ///
-    /// [`StagePolicy::CompressedPrepareInit`] requires one-frame prepare
-    /// and initialize bounds for every application and the
-    /// [`SyncPolicy::Simultaneous`] synchronization policy; other
-    /// combinations panic, because a compressed stage cannot be split
-    /// across frames or waves.
-    #[must_use]
-    pub fn with_stage_policy(mut self, policy: StagePolicy) -> Self {
-        if policy == StagePolicy::CompressedPrepareInit {
-            assert_eq!(
-                self.protocol.sync,
-                SyncPolicy::Simultaneous,
-                "compressed stages require simultaneous synchronization"
-            );
-            assert!(
-                self.spec
-                    .apps()
-                    .iter()
-                    .all(|a| { a.bounds().prepare_frames == 1 && a.bounds().init_frames == 1 }),
-                "compressed stages require one-frame prepare/initialize bounds"
-            );
-        }
-        self.protocol.stage = policy;
-        self
-    }
-
-    /// Seeds a protocol defect for verification experiments. Production
-    /// systems never call this; it exists so the property checkers can be
-    /// shown to catch real violations.
-    #[must_use]
-    pub fn with_mutation(mut self, mutation: ScramMutation) -> Self {
-        self.protocol.skip_init = mutation == ScramMutation::SkipInitPhase;
-        self.mutation = Some(mutation);
-        self.with_roles()
-    }
-
-    /// Tunes the substrate-fault defenses (retry budget and backoff).
-    /// Only consulted on frames a fault actually disrupts, so kernels
-    /// stepped without faults behave identically under every setting.
-    #[must_use]
-    pub fn with_chaos_defense(mut self, defense: ChaosDefense) -> Self {
-        self.protocol.defense = defense;
-        self
     }
 
     /// The configuration the system currently operates in (the service
@@ -891,10 +897,9 @@ impl Scram {
         }
     }
 
-    /// The number of frames one complete reconfiguration takes under the
-    /// active policies, from trigger frame to completion frame inclusive.
-    pub fn protocol_frames(&self) -> u64 {
-        self.protocol.protocol_frames()
+    /// The protocol this kernel runs.
+    pub fn protocol(&self) -> &Protocol {
+        &self.protocol
     }
 
     fn interrupted_apps(&self, from: &ConfigId, to: &ConfigId) -> Vec<AppId> {
@@ -1068,9 +1073,11 @@ impl Scram {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::model::ModelChecker;
     use crate::spec::{AppDecl, Configuration, FunctionalSpec};
+    use crate::system::System;
     use arfs_failstop::ProcessorId;
     use arfs_rtos::Ticks;
 
@@ -1127,6 +1134,46 @@ mod tests {
         )
     }
 
+    /// The default config seeded with `mutation`.
+    pub(crate) fn mutated(mutation: ScramMutation) -> KernelConfig {
+        KernelConfig {
+            mutation: Some(mutation),
+            ..KernelConfig::default()
+        }
+    }
+
+    /// Every valid policy combination: both mid-reconfiguration
+    /// policies under each (sync, stage) pair the kernel accepts.
+    pub(crate) fn policy_grid() -> Vec<KernelConfig> {
+        let mut grid = Vec::new();
+        for mid in [
+            MidReconfigPolicy::BufferUntilComplete,
+            MidReconfigPolicy::ImmediateRetarget,
+        ] {
+            for (sync, stage) in [
+                (SyncPolicy::Simultaneous, StagePolicy::Signalled),
+                (SyncPolicy::Simultaneous, StagePolicy::CompressedPrepareInit),
+                (SyncPolicy::PhaseChecked, StagePolicy::Signalled),
+            ] {
+                grid.push(KernelConfig {
+                    mid,
+                    sync,
+                    stage,
+                    ..KernelConfig::default()
+                });
+            }
+        }
+        grid
+    }
+
+    /// A kernel over `two_app_spec(0)` whose default config `edit`
+    /// adjusts.
+    fn kernel(edit: impl FnOnce(&mut KernelConfig)) -> Scram {
+        let mut config = KernelConfig::default();
+        edit(&mut config);
+        Scram::new(two_app_spec(0), config)
+    }
+
     fn env(v: &str) -> EnvState {
         EnvState::new([("power", v)])
     }
@@ -1140,7 +1187,7 @@ mod tests {
 
     #[test]
     fn steady_state_issues_normal_commands() {
-        let mut scram = Scram::new(two_app_spec(0));
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
         let d = scram.step(0, &env("good"));
         assert!(!scram.is_reconfiguring());
         assert!(d
@@ -1154,7 +1201,7 @@ mod tests {
 
     #[test]
     fn table1_protocol_sequence() {
-        let mut scram = Scram::new(two_app_spec(0));
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
         scram.step(0, &env("good"));
 
         // Frame 1: trigger. Commands still Normal; affected apps
@@ -1248,7 +1295,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let mut scram = Scram::new(spec);
+        let mut scram = Scram::new(spec, KernelConfig::default());
         scram.step(0, &EnvState::new([("site", "a")]));
         let d = scram.step(1, &EnvState::new([("site", "b")]));
         // The migrating application is interrupted even though its
@@ -1262,13 +1309,13 @@ mod tests {
 
     #[test]
     fn protocol_frames_matches_walkthrough() {
-        let scram = Scram::new(two_app_spec(0));
-        assert_eq!(scram.protocol_frames(), 4);
+        let scram = Scram::new(two_app_spec(0), KernelConfig::default());
+        assert_eq!(scram.protocol().protocol_frames(), 4);
     }
 
     #[test]
     fn off_assignment_is_a_valid_target_spec() {
-        let mut scram = Scram::new(two_app_spec(0));
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
         scram.step(0, &env("good"));
         scram.step(1, &env("critical"));
         scram.step(2, &env("critical"));
@@ -1283,7 +1330,7 @@ mod tests {
 
     #[test]
     fn dwell_guard_suppresses_early_retrigger() {
-        let mut scram = Scram::new(two_app_spec(10));
+        let mut scram = Scram::new(two_app_spec(10), KernelConfig::default());
         scram.step(0, &env("good"));
         // Trigger at frame 1 is suppressed: steady since 0, dwell 10.
         let d = scram.step(1, &env("low"));
@@ -1302,7 +1349,7 @@ mod tests {
 
     #[test]
     fn buffer_policy_chains_reconfigurations() {
-        let mut scram = Scram::new(two_app_spec(0));
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
         scram.step(0, &env("good"));
         scram.step(1, &env("low")); // trigger -> reduced
         scram.step(2, &env("critical")); // halt; env worsens mid-flight
@@ -1324,8 +1371,7 @@ mod tests {
 
     #[test]
     fn immediate_retarget_switches_target_during_prepare() {
-        let mut scram =
-            Scram::new(two_app_spec(0)).with_mid_policy(MidReconfigPolicy::ImmediateRetarget);
+        let mut scram = kernel(|c| c.mid = MidReconfigPolicy::ImmediateRetarget);
         let mut log = Vec::new();
         step(&mut scram, &mut log, 0, &env("good"), &[]);
         step(&mut scram, &mut log, 1, &env("low"), &[]); // trigger -> reduced
@@ -1346,8 +1392,7 @@ mod tests {
 
     #[test]
     fn immediate_retarget_during_halt_needs_no_replay() {
-        let mut scram =
-            Scram::new(two_app_spec(0)).with_mid_policy(MidReconfigPolicy::ImmediateRetarget);
+        let mut scram = kernel(|c| c.mid = MidReconfigPolicy::ImmediateRetarget);
         scram.step(0, &env("good"));
         scram.step(1, &env("low"));
         // Env worsens during the halt frame: target flips to minimal
@@ -1365,8 +1410,7 @@ mod tests {
 
     #[test]
     fn retarget_back_to_source_stays_the_course() {
-        let mut scram =
-            Scram::new(two_app_spec(0)).with_mid_policy(MidReconfigPolicy::ImmediateRetarget);
+        let mut scram = kernel(|c| c.mid = MidReconfigPolicy::ImmediateRetarget);
         scram.step(0, &env("good"));
         scram.step(1, &env("low")); // trigger -> reduced
         scram.step(2, &env("low")); // halt
@@ -1386,8 +1430,8 @@ mod tests {
 
     #[test]
     fn phase_checked_policy_staggers_init_by_dependency() {
-        let mut scram = Scram::new(two_app_spec(0)).with_sync_policy(SyncPolicy::PhaseChecked);
-        assert_eq!(scram.protocol_frames(), 5); // 1 + 1 + 1 + 2 waves
+        let mut scram = kernel(|c| c.sync = SyncPolicy::PhaseChecked);
+        assert_eq!(scram.protocol().protocol_frames(), 5); // 1 + 1 + 1 + 2 waves
         scram.step(0, &env("good"));
         scram.step(1, &env("low"));
         scram.step(2, &env("low")); // halt
@@ -1418,7 +1462,7 @@ mod tests {
 
     #[test]
     fn wrong_target_mutation_changes_destination() {
-        let mut scram = Scram::new(two_app_spec(0)).with_mutation(ScramMutation::WrongTarget);
+        let mut scram = kernel(|c| c.mutation = Some(ScramMutation::WrongTarget));
         scram.step(0, &env("good"));
         scram.step(1, &env("low")); // chosen: reduced; mutated to minimal
         for f in 2..=4 {
@@ -1429,8 +1473,7 @@ mod tests {
 
     #[test]
     fn extra_delay_mutation_stalls_between_prepare_and_init() {
-        let mut scram =
-            Scram::new(two_app_spec(0)).with_mutation(ScramMutation::ExtraDelayFrames(3));
+        let mut scram = kernel(|c| c.mutation = Some(ScramMutation::ExtraDelayFrames(3)));
         scram.step(0, &env("good"));
         scram.step(1, &env("low"));
         scram.step(2, &env("low")); // halt
@@ -1446,7 +1489,7 @@ mod tests {
 
     #[test]
     fn skip_init_mutation_completes_without_initialize() {
-        let mut scram = Scram::new(two_app_spec(0)).with_mutation(ScramMutation::SkipInitPhase);
+        let mut scram = kernel(|c| c.mutation = Some(ScramMutation::SkipInitPhase));
         let mut log = Vec::new();
         step(&mut scram, &mut log, 0, &env("good"), &[]);
         step(&mut scram, &mut log, 1, &env("low"), &[]);
@@ -1467,8 +1510,8 @@ mod tests {
 
     #[test]
     fn leave_app_running_mutation_exempts_one_app() {
-        let mut scram = Scram::new(two_app_spec(0))
-            .with_mutation(ScramMutation::LeaveAppRunning(AppId::new("autopilot")));
+        let mut scram =
+            kernel(|c| c.mutation = Some(ScramMutation::LeaveAppRunning(AppId::new("autopilot"))));
         scram.step(0, &env("good"));
         scram.step(1, &env("low"));
         let d2 = scram.step(2, &env("low"));
@@ -1483,7 +1526,7 @@ mod tests {
 
     #[test]
     fn event_log_accumulates_in_order() {
-        let mut scram = Scram::new(two_app_spec(0));
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
         let mut log = Vec::new();
         step(&mut scram, &mut log, 0, &env("good"), &[]);
         for f in 1..=4 {
@@ -1522,9 +1565,8 @@ mod tests {
 
     #[test]
     fn compressed_stage_policy_shortens_protocol_to_three_cycles() {
-        let mut scram =
-            Scram::new(two_app_spec(0)).with_stage_policy(StagePolicy::CompressedPrepareInit);
-        assert_eq!(scram.protocol_frames(), 3);
+        let mut scram = kernel(|c| c.stage = StagePolicy::CompressedPrepareInit);
+        assert_eq!(scram.protocol().protocol_frames(), 3);
         scram.step(0, &env("good"));
         let d1 = scram.step(1, &env("low")); // trigger
         assert_eq!(d1.reconf_st[&AppId::new("fcs")], ReconfSt::Interrupted);
@@ -1546,9 +1588,10 @@ mod tests {
 
     #[test]
     fn compressed_policy_with_stall_mutation_falls_back_to_signalled() {
-        let mut scram = Scram::new(two_app_spec(0))
-            .with_stage_policy(StagePolicy::CompressedPrepareInit)
-            .with_mutation(ScramMutation::ExtraDelayFrames(2));
+        let mut scram = kernel(|c| {
+            c.stage = StagePolicy::CompressedPrepareInit;
+            c.mutation = Some(ScramMutation::ExtraDelayFrames(2));
+        });
         scram.step(0, &env("good"));
         scram.step(1, &env("low"));
         scram.step(2, &env("low")); // halt
@@ -1566,9 +1609,40 @@ mod tests {
     #[test]
     #[should_panic(expected = "simultaneous")]
     fn compressed_policy_rejects_phase_checked_sync() {
-        let _ = Scram::new(two_app_spec(0))
-            .with_sync_policy(SyncPolicy::PhaseChecked)
-            .with_stage_policy(StagePolicy::CompressedPrepareInit);
+        // The config is validated whole, so the field order it was
+        // written in cannot matter, and every kernel entry point
+        // rejects it the same way: the kernel, the system builder, and
+        // (on its run) the model checker.
+        let config = KernelConfig {
+            stage: StagePolicy::CompressedPrepareInit,
+            sync: SyncPolicy::PhaseChecked,
+            ..KernelConfig::default()
+        };
+        let spec = two_app_spec(0);
+        for message in [
+            panic_message(|| drop(Scram::new(Arc::clone(&spec), config.clone()))),
+            panic_message(|| {
+                drop(
+                    System::builder_arc(Arc::clone(&spec))
+                        .kernel(config.clone())
+                        .build(),
+                )
+            }),
+        ] {
+            assert!(message.contains("simultaneous"), "{message}");
+        }
+        ModelChecker::new((*spec).clone(), 12, 1)
+            .with_kernel(config)
+            .run();
+    }
+
+    /// The formatted message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("panics");
+        *payload
+            .downcast::<String>()
+            .expect("a formatted panic message")
     }
 
     #[test]
@@ -1608,7 +1682,12 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let _ = Scram::new(spec).with_stage_policy(StagePolicy::CompressedPrepareInit);
+        let _ = System::builder_arc(spec)
+            .kernel(KernelConfig {
+                stage: StagePolicy::CompressedPrepareInit,
+                ..KernelConfig::default()
+            })
+            .build();
     }
 
     fn fault(names: &[&str]) -> BTreeSet<AppId> {
@@ -1631,8 +1710,8 @@ mod tests {
 
     #[test]
     fn step_chaos_with_empty_fault_set_is_plain_step() {
-        let mut a = Scram::new(two_app_spec(0));
-        let mut b = Scram::new(two_app_spec(0));
+        let mut a = Scram::new(two_app_spec(0), KernelConfig::default());
+        let mut b = Scram::new(two_app_spec(0), KernelConfig::default());
         let (mut log_a, mut log_b) = (Vec::new(), Vec::new());
         for f in 0..=5 {
             let e = if f == 1 { env("low") } else { env("good") };
@@ -1647,10 +1726,12 @@ mod tests {
 
     #[test]
     fn torn_commit_retries_the_stage_and_stretches_the_protocol() {
-        let mut scram = Scram::new(two_app_spec(0)).with_chaos_defense(ChaosDefense {
-            retry_budget_frames: 2,
-            retry_backoff_frames: 0,
-            quarantine_window_frames: 3,
+        let mut scram = kernel(|c| {
+            c.defense = ChaosDefense {
+                retry_budget_frames: 2,
+                retry_backoff_frames: 0,
+                quarantine_window_frames: 3,
+            }
         });
         let mut log = Vec::new();
         step(&mut scram, &mut log, 0, &env("good"), &[]);
@@ -1696,7 +1777,7 @@ mod tests {
 
     #[test]
     fn voided_completion_frame_keeps_the_window_restricted() {
-        let mut scram = Scram::new(two_app_spec(0));
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
         let mut log = Vec::new();
         step(&mut scram, &mut log, 0, &env("good"), &[]);
         step(&mut scram, &mut log, 1, &env("low"), &[]);
@@ -1719,10 +1800,12 @@ mod tests {
 
     #[test]
     fn exhausted_retry_budget_falls_back_to_the_safe_configuration() {
-        let mut scram = Scram::new(two_app_spec(0)).with_chaos_defense(ChaosDefense {
-            retry_budget_frames: 0,
-            retry_backoff_frames: 0,
-            quarantine_window_frames: 3,
+        let mut scram = kernel(|c| {
+            c.defense = ChaosDefense {
+                retry_budget_frames: 0,
+                retry_backoff_frames: 0,
+                quarantine_window_frames: 3,
+            }
         });
         let mut log = Vec::new();
         step(&mut scram, &mut log, 0, &env("good"), &[]);
@@ -1747,10 +1830,12 @@ mod tests {
 
     #[test]
     fn retry_backoff_inserts_hold_frames_between_attempts() {
-        let mut scram = Scram::new(two_app_spec(0)).with_chaos_defense(ChaosDefense {
-            retry_budget_frames: 2,
-            retry_backoff_frames: 2,
-            quarantine_window_frames: 3,
+        let mut scram = kernel(|c| {
+            c.defense = ChaosDefense {
+                retry_budget_frames: 2,
+                retry_backoff_frames: 2,
+                quarantine_window_frames: 3,
+            }
         });
         scram.step(0, &env("good"));
         scram.step(1, &env("low"));
@@ -1781,7 +1866,7 @@ mod tests {
             retry_backoff_frames: u64::MAX,
             quarantine_window_frames: 3,
         };
-        let mut scram = Scram::new(two_app_spec(0)).with_chaos_defense(defense);
+        let mut scram = kernel(|c| c.defense = defense);
         scram.step(0, &env("good"));
         scram.step(1, &env("low"));
         scram.step_chaos(2, &env("low"), &fault(&["fcs"])); // halt torn
@@ -1821,7 +1906,7 @@ mod tests {
 
     #[test]
     fn steady_frame_faults_do_not_disturb_the_kernel() {
-        let mut scram = Scram::new(two_app_spec(0));
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
         let mut log = Vec::new();
         let d = step(&mut scram, &mut log, 0, &env("good"), &["fcs", "autopilot"]);
         assert!(d
@@ -1840,8 +1925,8 @@ mod tests {
 
     #[test]
     fn fault_on_exempted_app_costs_no_budget() {
-        let mut scram = Scram::new(two_app_spec(0))
-            .with_mutation(ScramMutation::LeaveAppRunning(AppId::new("autopilot")));
+        let mut scram =
+            kernel(|c| c.mutation = Some(ScramMutation::LeaveAppRunning(AppId::new("autopilot"))));
         let mut log = Vec::new();
         step(&mut scram, &mut log, 0, &env("good"), &[]);
         step(&mut scram, &mut log, 1, &env("low"), &[]);

@@ -158,13 +158,6 @@ impl Default for StageBounds {
     }
 }
 
-impl StageBounds {
-    /// Total frames for a full halt/prepare/initialize sequence.
-    pub fn total_frames(&self) -> u64 {
-        self.halt_frames + self.prepare_frames + self.init_frames
-    }
-}
-
 /// Declaration of one reconfigurable application.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct AppDecl {
@@ -628,14 +621,6 @@ impl ReconfigSpec {
                 .max()
                 .unwrap_or(1),
         }
-    }
-
-    /// Total frames of one reconfiguration, from the trigger frame to the
-    /// frame in which all applications operate normally under the target
-    /// configuration, inclusive (Table 1: trigger + halt + prepare +
-    /// initialize).
-    pub fn reconfig_frames(&self) -> u64 {
-        1 + self.phase_frames().total_frames()
     }
 
     /// The ids of safe configurations.
@@ -1102,8 +1087,7 @@ mod tests {
             Some(ProcessorId::new(0))
         );
         assert!(!cfg.is_safe());
-        assert_eq!(spec.reconfig_frames(), 4);
-        assert_eq!(spec.phase_frames().total_frames(), 3);
+        assert_eq!(spec.phase_frames(), StageBounds::default());
     }
 
     #[test]
@@ -1510,6 +1494,5 @@ mod tests {
         assert_eq!(p.halt_frames, 2);
         assert_eq!(p.prepare_frames, 3);
         assert_eq!(p.init_frames, 1);
-        assert_eq!(spec.reconfig_frames(), 7);
     }
 }

@@ -65,41 +65,37 @@ use crate::app::{
     AppContext, Blackboard, ConfigStatus, NullApp, ReconfigurableApp, CONFIG_STATUS_KEY,
     TARGET_SPEC_KEY,
 };
-use crate::chaos::{ChaosDefense, ChaosState, FaultKind, FaultPlan};
+use crate::chaos::{ChaosState, FaultKind, FaultPlan};
 use crate::environment::Environment;
 use crate::lint::assembly::{Assembly, ENV_NODE, PROC_NODE_BASE, SCRAM_NODE};
 use crate::obs::{
     Event, FlightRing, Journal, JournalEvent, MetricsRegistry, MetricsSnapshot, Recorder,
 };
-use crate::scram::{
-    FrameDecision, MidReconfigPolicy, Scram, ScramEvent, ScramMutation, StagePolicy, SyncPolicy,
-};
+use crate::scram::{FrameDecision, KernelConfig, Scram, ScramEvent};
 use crate::snapshot::{Fnv, ForkSnapshot};
 use crate::spec::{dependency_order, ReconfigSpec};
 use crate::trace::{AppFrameRecord, SysState, SysTrace};
 use crate::{AppId, ConfigId, SpecId, SystemError};
 
-/// Builder for [`System`].
+/// Builder for [`System`]: the specification, the applications and
+/// environment monitors, the SCRAM's [`KernelConfig`]
+/// ([`kernel`](Self::kernel)), and the system's stimuli and sinks — the
+/// fault plan, observability and the flight-recorder ring.
 pub struct SystemBuilder {
     spec: Arc<ReconfigSpec>,
     apps: Vec<Box<dyn ReconfigurableApp>>,
     monitors: Vec<Box<dyn crate::environment::EnvMonitor>>,
-    mid_policy: MidReconfigPolicy,
-    sync_policy: SyncPolicy,
-    stage_policy: StagePolicy,
-    mutation: Option<ScramMutation>,
+    kernel: KernelConfig,
     observability: bool,
     ring_capacity: usize,
     fault_plan: FaultPlan,
-    chaos_defense: ChaosDefense,
 }
 
 impl std::fmt::Debug for SystemBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SystemBuilder")
             .field("apps", &self.apps.len())
-            .field("mid_policy", &self.mid_policy)
-            .field("sync_policy", &self.sync_policy)
+            .field("kernel", &self.kernel)
             .finish_non_exhaustive()
     }
 }
@@ -125,32 +121,13 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets the mid-reconfiguration trigger policy.
+    /// Sets the SCRAM's parameters: its mid-reconfiguration, sync and
+    /// stage policies, its chaos defense (which also sets the
+    /// bus-silence quarantine window) and any seeded mutation. The
+    /// default is [`KernelConfig::default`].
     #[must_use]
-    pub fn mid_policy(mut self, policy: MidReconfigPolicy) -> Self {
-        self.mid_policy = policy;
-        self
-    }
-
-    /// Sets the dependency synchronization policy.
-    #[must_use]
-    pub fn sync_policy(mut self, policy: SyncPolicy) -> Self {
-        self.sync_policy = policy;
-        self
-    }
-
-    /// Sets the stage-signalling policy (see
-    /// [`StagePolicy::CompressedPrepareInit`] for the §6.3 relaxation).
-    #[must_use]
-    pub fn stage_policy(mut self, policy: StagePolicy) -> Self {
-        self.stage_policy = policy;
-        self
-    }
-
-    /// Seeds a SCRAM protocol mutation (verification experiments only).
-    #[must_use]
-    pub fn mutation(mut self, mutation: ScramMutation) -> Self {
-        self.mutation = Some(mutation);
+    pub fn kernel(mut self, config: KernelConfig) -> Self {
+        self.kernel = config;
         self
     }
 
@@ -184,14 +161,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Configures the chaos defenses (commit retry budget, backoff,
-    /// bus-silence quarantine window).
-    #[must_use]
-    pub fn chaos_defense(mut self, defense: ChaosDefense) -> Self {
-        self.chaos_defense = defense;
-        self
-    }
-
     /// Builds the system.
     ///
     /// # Errors
@@ -200,6 +169,10 @@ impl SystemBuilder {
     /// is not in the specification, or [`SystemError::UnregisteredApp`]
     /// if applications were registered but some declared application is
     /// missing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel config is one [`Scram::new`] rejects.
     pub fn build(self) -> Result<System, SystemError> {
         let spec = self.spec;
         let mut apps = self.apps;
@@ -244,15 +217,7 @@ impl SystemBuilder {
 
         let environment = Environment::new(spec.env_model().clone(), spec.initial_env().clone())?;
 
-        let scram = Scram::new(Arc::clone(&spec))
-            .with_mid_policy(self.mid_policy)
-            .with_sync_policy(self.sync_policy)
-            .with_stage_policy(self.stage_policy)
-            .with_chaos_defense(self.chaos_defense);
-        let scram = match self.mutation {
-            Some(m) => scram.with_mutation(m),
-            None => scram,
-        };
+        let scram = Scram::new(Arc::clone(&spec), self.kernel);
 
         let mut slots: Vec<AppSlot> = apps
             .iter()
@@ -287,7 +252,6 @@ impl SystemBuilder {
             reconfig_started_at: None,
             chaos: ChaosState {
                 plan: self.fault_plan,
-                defense: self.chaos_defense,
                 ..ChaosState::default()
             },
             trace_recording: true,
@@ -461,14 +425,10 @@ impl System {
             spec,
             apps: Vec::new(),
             monitors: Vec::new(),
-            mid_policy: MidReconfigPolicy::default(),
-            sync_policy: SyncPolicy::default(),
-            stage_policy: StagePolicy::default(),
-            mutation: None,
+            kernel: KernelConfig::default(),
             observability: true,
             ring_capacity: 0,
             fault_plan: FaultPlan::new(),
-            chaos_defense: ChaosDefense::default(),
         }
     }
 
@@ -965,7 +925,7 @@ impl System {
                 let streak = self.chaos.silent_streak.entry(p).or_insert(0);
                 *streak += 1;
                 let silent_frames = *streak;
-                if silent_frames >= self.chaos.defense.quarantine_window_frames {
+                if silent_frames >= self.scram.protocol().defense.quarantine_window_frames {
                     quarantined.push(p);
                     self.obs.emit(
                         frame,
@@ -1313,7 +1273,8 @@ impl System {
 pub(crate) mod tests {
     use super::*;
     use crate::properties;
-    use crate::scram::ScramMutation;
+    use crate::scram::tests::mutated;
+    use crate::scram::{ScramMutation, StagePolicy};
     use crate::spec::{AppDecl, Configuration, FunctionalSpec};
     use crate::trace::ReconfSt;
     use crate::SpecId;
@@ -1649,7 +1610,7 @@ pub(crate) mod tests {
     #[test]
     fn wrong_target_mutation_caught_by_sp2() {
         let mut system = System::builder(spec())
-            .mutation(ScramMutation::WrongTarget)
+            .kernel(mutated(ScramMutation::WrongTarget))
             .build()
             .unwrap();
         system.run_frames(2);
@@ -1662,7 +1623,7 @@ pub(crate) mod tests {
     #[test]
     fn extra_delay_mutation_caught_by_sp3() {
         let mut system = System::builder(spec())
-            .mutation(ScramMutation::ExtraDelayFrames(10))
+            .kernel(mutated(ScramMutation::ExtraDelayFrames(10)))
             .build()
             .unwrap();
         system.run_frames(2);
@@ -1675,7 +1636,7 @@ pub(crate) mod tests {
     #[test]
     fn skip_init_mutation_caught_by_sp4() {
         let mut system = System::builder(spec())
-            .mutation(ScramMutation::SkipInitPhase)
+            .kernel(mutated(ScramMutation::SkipInitPhase))
             .build()
             .unwrap();
         system.run_frames(2);
@@ -1688,7 +1649,9 @@ pub(crate) mod tests {
     #[test]
     fn leave_app_running_mutation_caught_by_sp1() {
         let mut system = System::builder(spec())
-            .mutation(ScramMutation::LeaveAppRunning(AppId::new("autopilot")))
+            .kernel(mutated(ScramMutation::LeaveAppRunning(AppId::new(
+                "autopilot",
+            ))))
             .build()
             .unwrap();
         system.run_frames(2);
@@ -1810,7 +1773,10 @@ pub(crate) mod tests {
     #[test]
     fn compressed_stages_reconfigure_in_three_cycles_with_properties_intact() {
         let mut system = System::builder(spec())
-            .stage_policy(StagePolicy::CompressedPrepareInit)
+            .kernel(KernelConfig {
+                stage: StagePolicy::CompressedPrepareInit,
+                ..KernelConfig::default()
+            })
             .build()
             .unwrap();
         system.run_frames(3);
@@ -1830,7 +1796,7 @@ pub(crate) mod tests {
     #[test]
     fn skip_halt_mutation_evades_sp_properties_but_not_conformance() {
         let mut system = System::builder(spec())
-            .mutation(ScramMutation::SkipHaltPhase)
+            .kernel(mutated(ScramMutation::SkipHaltPhase))
             .build()
             .unwrap();
         system.run_frames(2);
@@ -1988,7 +1954,10 @@ pub(crate) mod tests {
         };
         let mut system = System::builder(spec())
             .fault_plan(plan)
-            .chaos_defense(defense)
+            .kernel(KernelConfig {
+                defense,
+                ..KernelConfig::default()
+            })
             .build()
             .unwrap();
         system.run_frames(2);

@@ -14,6 +14,9 @@
 //!    schedule up to the bound;
 //! 3. **mutation screening** (optional) — seeded protocol defects must
 //!    be detected, guarding the checkers themselves against vacuity.
+//!    Each mutated system is built from a [`KernelConfig`] carrying the
+//!    defect, and the screen's stall and run lengths are sized from the
+//!    default kernel's [`Protocol::protocol_frames`].
 //!
 //! A passing [`VerificationReport`] is the strongest statement this
 //! implementation can make about a specification short of a mechanized
@@ -27,7 +30,7 @@ use crate::lint::{obligations_from, Assembly, LintEngine, LintReport, LintTarget
 use crate::model::{ModelCheckReport, ModelChecker};
 use crate::properties::PropertyId;
 use crate::scenario::{Scenario, ScenarioEvent};
-use crate::scram::ScramMutation;
+use crate::scram::{KernelConfig, Protocol, ScramMutation};
 use crate::spec::ReconfigSpec;
 use crate::system::System;
 
@@ -73,11 +76,8 @@ pub struct VerificationReport {
     pub obligations: ObligationReport,
     /// The full lint report (the obligations are derived from its error
     /// half; it additionally carries assembly-level errors and
-    /// `ARFS-W1xx` warnings). Diagnostics always carry codes from the
-    /// [`crate::lint::codes`] registry; the pre-registry ad-hoc
-    /// `ARFS-W1` code survives only as a deserialization alias that
-    /// [`crate::lint::codes::canonical`] folds into `ARFS-W101`.
-    #[serde(default)]
+    /// `ARFS-W1xx` warnings), with codes from the
+    /// [`crate::lint::codes`] registry.
     pub lint: LintReport,
     /// Exhaustive bounded exploration results.
     pub model_check: ModelCheckReport,
@@ -202,15 +202,18 @@ pub fn verify_spec(spec: &ReconfigSpec, options: &VerifyOptions) -> Verification
         if spec.configs().len() >= 3 {
             cases.push((ScramMutation::WrongTarget, PropertyId::Sp2));
         }
-        // SP3's defect must stall past the largest declared bound.
+        // SP3's defect must stall past the largest declared bound plus
+        // one default-kernel reconfiguration; every mutated run gets
+        // that much slack past the horizon too.
         let max_bound_frames = spec
             .transitions()
             .iter()
             .map(|(_, _, b)| b.raw().div_ceil(spec.frame_len().raw().max(1)))
             .max()
             .unwrap_or(0);
-        let delay = max_bound_frames + spec.reconfig_frames() + 2;
-        cases.push((ScramMutation::ExtraDelayFrames(delay), PropertyId::Sp3));
+        let slack =
+            max_bound_frames + Protocol::new(spec, &KernelConfig::default()).protocol_frames();
+        cases.push((ScramMutation::ExtraDelayFrames(slack + 2), PropertyId::Sp3));
         cases.push((ScramMutation::SkipInitPhase, PropertyId::Sp4));
         cases.push((
             ScramMutation::SkipHaltPhase,
@@ -221,7 +224,7 @@ pub fn verify_spec(spec: &ReconfigSpec, options: &VerifyOptions) -> Verification
             mutations.push(MutationResult {
                 mutation: format!("{mutation:?}"),
                 property,
-                caught: mutation_caught(spec, mutation, property, options.horizon),
+                caught: mutation_caught(spec, mutation, property, options.horizon, slack),
             });
         }
     }
@@ -234,13 +237,15 @@ pub fn verify_spec(spec: &ReconfigSpec, options: &VerifyOptions) -> Verification
     }
 }
 
-/// Runs one mutated system over every single-event case and reports
-/// whether the target property flagged at least one trace.
+/// Runs one mutated system over every single-event case, each `slack`
+/// frames (and a few more) past the horizon, and reports whether the
+/// target property flagged at least one trace.
 fn mutation_caught(
     spec: &ReconfigSpec,
     mutation: ScramMutation,
     property: PropertyId,
     horizon: u64,
+    slack: u64,
 ) -> bool {
     // A trigger must actually fire for the defect to surface: sweep the
     // model checker's single-event cases (the empty case triggers
@@ -265,18 +270,16 @@ fn mutation_caught(
     // Mutations need generous slack (ExtraDelayFrames stalls past the
     // largest transition bound), so each case runs well past the
     // horizon.
-    let max_bound_frames = spec
-        .transitions()
-        .iter()
-        .map(|(_, _, b)| b.raw().div_ceil(spec.frame_len().raw().max(1)))
-        .max()
-        .unwrap_or(0);
-    let run_frames = horizon + max_bound_frames + spec.reconfig_frames() + 16;
+    let run_frames = horizon + slack + 16;
+    let kernel = KernelConfig {
+        mutation: Some(mutation),
+        ..KernelConfig::default()
+    };
     let oracle = InvariantOracle::new(std::sync::Arc::new(spec.clone()), OracleProfile::Extended);
     events.into_iter().any(|event| {
         let system = Scenario::new("mutation-screen", run_frames)
             .at(event.frame, event.action)
-            .run_with(System::builder(spec.clone()).mutation(mutation.clone()))
+            .run_with(System::builder(spec.clone()).kernel(kernel.clone()))
             .expect("alphabet actions are valid for the spec");
         !oracle.report(system.trace()).of(property).is_empty()
     })

@@ -18,7 +18,7 @@
 use arfs::core::model::ModelChecker;
 use arfs::core::prelude::*;
 use arfs::core::properties;
-use arfs::core::scram::SyncPolicy;
+use arfs::core::scram::{KernelConfig, SyncPolicy};
 
 fn pipeline_spec() -> Result<ReconfigSpec, SpecError> {
     ReconfigSpec::builder()
@@ -73,7 +73,12 @@ fn pipeline_spec() -> Result<ReconfigSpec, SpecError> {
 fn run_with(policy: SyncPolicy) -> Result<(), Box<dyn std::error::Error>> {
     println!("--- policy: {policy:?} ---");
     let spec = pipeline_spec()?;
-    let mut system = System::builder(spec).sync_policy(policy).build()?;
+    let mut system = System::builder(spec)
+        .kernel(KernelConfig {
+            sync: policy,
+            ..KernelConfig::default()
+        })
+        .build()?;
     system.run_frames(5);
     system.set_env("load", "high")?;
     system.run_frames(14);
@@ -102,14 +107,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Both policies are exhaustively correct, not just on this schedule.
     for policy in [SyncPolicy::Simultaneous, SyncPolicy::PhaseChecked] {
-        let spec = pipeline_spec()?;
-        // The model checker builds its own systems; wrap in a System per
-        // schedule via the default policy by re-validating with the
-        // property suite over the policy-specific system above. For the
-        // exhaustive pass we use the default-policy checker on the same
-        // spec.
-        let report = ModelChecker::new(spec, 18, 1).run();
-        println!("exhaustive ({policy:?} spec): {report}");
+        let kernel = KernelConfig {
+            sync: policy,
+            ..KernelConfig::default()
+        };
+        let report = ModelChecker::new(pipeline_spec()?, 18, 1)
+            .with_kernel(kernel)
+            .run();
+        println!("exhaustive ({policy:?}): {report}");
         assert!(report.all_passed());
     }
     Ok(())

@@ -211,7 +211,7 @@ fn fast_path_resumes_after_a_short_bus_silence() {
     };
     let (mut fast, mut full) = (build(), build());
     assert!(
-        2 < full.chaos().defense.quarantine_window_frames,
+        2 < full.scram().protocol().defense.quarantine_window_frames,
         "the silence must end before a quarantine"
     );
     let mut fast_after_silence = 0;

@@ -8,11 +8,14 @@
 use arfs_avionics::{avionics_spec, known_bad_mutations, KNOWN_BAD_HORIZON};
 use arfs_core::model::ModelChecker;
 use arfs_core::obs::Counterexample;
-use arfs_core::scram::ScramMutation;
+use arfs_core::scram::{KernelConfig, ScramMutation};
 
 fn checker_for(mutation: ScramMutation) -> ModelChecker {
     let spec = avionics_spec().expect("avionics spec builds");
-    ModelChecker::new(spec, KNOWN_BAD_HORIZON, 1).with_mutation(mutation)
+    ModelChecker::new(spec, KNOWN_BAD_HORIZON, 1).with_kernel(KernelConfig {
+        mutation: Some(mutation),
+        ..KernelConfig::default()
+    })
 }
 
 #[test]

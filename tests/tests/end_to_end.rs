@@ -7,7 +7,7 @@ use arfs_avionics::{AutopilotMode, AvionicsSystem, PilotInput};
 use arfs_core::analysis::{self, resources, timing};
 use arfs_core::model::ModelChecker;
 use arfs_core::properties::{self, PropertyId};
-use arfs_core::scram::{MidReconfigPolicy, SyncPolicy};
+use arfs_core::scram::{KernelConfig, MidReconfigPolicy, SyncPolicy};
 use arfs_core::sfta::{extract_sftas, SftaClass};
 use arfs_core::{AppId, ConfigId};
 
@@ -62,11 +62,7 @@ fn spec_analysis_is_consistent_with_measured_behavior() {
     // The measured reconfiguration duration fits within every declared
     // transition bound (the transition_bounds_feasible obligation,
     // checked against reality).
-    let mut av = AvionicsSystem::with_policies(
-        MidReconfigPolicy::BufferUntilComplete,
-        SyncPolicy::Simultaneous,
-    )
-    .unwrap();
+    let mut av = AvionicsSystem::with_kernel(KernelConfig::default()).unwrap();
     av.run_frames(10);
     av.fail_alternator(1);
     av.run_frames(10);
@@ -164,7 +160,12 @@ fn every_policy_combination_is_property_clean() {
         MidReconfigPolicy::ImmediateRetarget,
     ] {
         for sync in [SyncPolicy::Simultaneous, SyncPolicy::PhaseChecked] {
-            let mut av = AvionicsSystem::with_policies(mid, sync).unwrap();
+            let mut av = AvionicsSystem::with_kernel(KernelConfig {
+                mid,
+                sync,
+                ..KernelConfig::default()
+            })
+            .unwrap();
             av.engage_autopilot();
             av.run_frames(10);
             av.fail_alternator(1);
@@ -198,7 +199,10 @@ fn mutation_matrix_is_fully_detected() {
     for (mutation, property) in cases {
         let spec = arfs_avionics::avionics_spec().unwrap();
         let mut system = System::builder(spec)
-            .mutation(mutation.clone())
+            .kernel(KernelConfig {
+                mutation: Some(mutation.clone()),
+                ..KernelConfig::default()
+            })
             .build()
             .unwrap();
         system.run_frames(8);

@@ -11,7 +11,7 @@
 use arfs_avionics::three_level_spec;
 use arfs_core::chaos::{ChaosProfile, FaultPlan};
 use arfs_core::model::ModelChecker;
-use arfs_core::scram::{MidReconfigPolicy, ScramMutation, StagePolicy, SyncPolicy};
+use arfs_core::scram::{KernelConfig, MidReconfigPolicy, ScramMutation, StagePolicy, SyncPolicy};
 use arfs_core::system::System;
 
 /// Asserts all three engines agree on the full verification outcome,
@@ -71,9 +71,10 @@ fn engines_agree_under_seeded_chaos() {
     }
 }
 
-#[test]
-fn engines_agree_under_every_policy_combination() {
-    let spec = three_level_spec(1);
+/// Every valid kernel policy combination: both mid-reconfiguration
+/// policies under each (sync, stage) pair the kernel accepts.
+fn policy_grid() -> Vec<KernelConfig> {
+    let mut grid = Vec::new();
     for mid in [
         MidReconfigPolicy::BufferUntilComplete,
         MidReconfigPolicy::ImmediateRetarget,
@@ -83,9 +84,23 @@ fn engines_agree_under_every_policy_combination() {
             (SyncPolicy::Simultaneous, StagePolicy::CompressedPrepareInit),
             (SyncPolicy::PhaseChecked, StagePolicy::Signalled),
         ] {
-            let mc = ModelChecker::new(spec.clone(), 12, 1).with_policies(mid, sync, stage);
-            assert_engines_agree(&mc, &format!("{mid:?}/{sync:?}/{stage:?}"));
+            grid.push(KernelConfig {
+                mid,
+                sync,
+                stage,
+                ..KernelConfig::default()
+            });
         }
+    }
+    grid
+}
+
+#[test]
+fn engines_agree_under_every_policy_combination() {
+    for kernel in policy_grid() {
+        let label = format!("{kernel:?}");
+        let mc = ModelChecker::new(three_level_spec(1), 12, 1).with_kernel(kernel);
+        assert_engines_agree(&mc, &label);
     }
 }
 
@@ -93,8 +108,10 @@ fn engines_agree_under_every_policy_combination() {
 fn engines_agree_on_a_mutated_kernel() {
     // A broken protocol produces many failures; the engines must agree
     // on all of them, in order — not just on the happy path.
-    let mc =
-        ModelChecker::new(three_level_spec(1), 12, 2).with_mutation(ScramMutation::SkipInitPhase);
+    let mc = ModelChecker::new(three_level_spec(1), 12, 2).with_kernel(KernelConfig {
+        mutation: Some(ScramMutation::SkipInitPhase),
+        ..KernelConfig::default()
+    });
     let reference = mc.run_reference();
     assert!(
         !reference.all_passed(),
@@ -176,21 +193,12 @@ fn por_matches_the_reference_outcome_across_horizons_and_event_bounds() {
 
 #[test]
 fn por_matches_the_reference_outcome_under_every_policy_combination() {
-    let spec = three_level_spec(1);
-    for mid in [
-        MidReconfigPolicy::BufferUntilComplete,
-        MidReconfigPolicy::ImmediateRetarget,
-    ] {
-        for (sync, stage) in [
-            (SyncPolicy::Simultaneous, StagePolicy::Signalled),
-            (SyncPolicy::Simultaneous, StagePolicy::CompressedPrepareInit),
-            (SyncPolicy::PhaseChecked, StagePolicy::Signalled),
-        ] {
-            assert_por_agrees(
-                ModelChecker::new(spec.clone(), 12, 1).with_policies(mid, sync, stage),
-                &format!("POR {mid:?}/{sync:?}/{stage:?}"),
-            );
-        }
+    for kernel in policy_grid() {
+        let label = format!("POR {kernel:?}");
+        assert_por_agrees(
+            ModelChecker::new(three_level_spec(1), 12, 1).with_kernel(kernel),
+            &label,
+        );
     }
 }
 
@@ -205,7 +213,10 @@ fn por_matches_the_reference_outcome_on_mutated_kernels() {
     ] {
         let label = format!("POR {mutation:?} h12 e2");
         assert_por_agrees(
-            ModelChecker::new(spec.clone(), 12, 2).with_mutation(mutation),
+            ModelChecker::new(spec.clone(), 12, 2).with_kernel(KernelConfig {
+                mutation: Some(mutation),
+                ..KernelConfig::default()
+            }),
             &label,
         );
     }
@@ -308,7 +319,10 @@ fn model_checking_does_not_depend_on_the_observability_knob() {
             let (_, _, _, _, failures) = assert_observability_blind(
                 ModelChecker::new(spec.clone(), 24, 2)
                     .with_por()
-                    .with_mutation(mutation)
+                    .with_kernel(KernelConfig {
+                        mutation: Some(mutation),
+                        ..KernelConfig::default()
+                    })
                     .with_flight_recorder(false),
                 &format!("{slug} POR h24 e2"),
             );

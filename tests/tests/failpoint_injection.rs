@@ -20,6 +20,7 @@ use arfs_core::fleet::{Fleet, FleetConfig};
 use arfs_core::model::ModelChecker;
 use arfs_core::obs::JournalLine;
 use arfs_core::scenario::Scenario;
+use arfs_core::scram::KernelConfig;
 use arfs_core::system::System;
 use arfs_core::AppId;
 
@@ -149,9 +150,12 @@ fn skipped_trigger_defers_one_frame_without_violating_properties() {
 /// profile on the three-level spec with no commit retry budget, so one
 /// torn commit mid-reconfiguration falls back to the safe state.
 fn budget0_checker() -> ModelChecker {
-    ModelChecker::new(three_level_spec(1), 12, 1).with_chaos_defense(ChaosDefense {
-        retry_budget_frames: 0,
-        ..ChaosDefense::default()
+    ModelChecker::new(three_level_spec(1), 12, 1).with_kernel(KernelConfig {
+        defense: ChaosDefense {
+            retry_budget_frames: 0,
+            ..ChaosDefense::default()
+        },
+        ..KernelConfig::default()
     })
 }
 

@@ -72,7 +72,7 @@ fn golden_trace_still_satisfies_all_properties() {
 use arfs_core::app::{AppContext, NullApp, ReconfigurableApp};
 use arfs_core::chaos::{ChaosDefense, FaultKind, FaultPlan};
 use arfs_core::obs::RingLegend;
-use arfs_core::scram::MidReconfigPolicy;
+use arfs_core::scram::{KernelConfig, MidReconfigPolicy};
 use arfs_core::system::System;
 use arfs_core::{AppId, SpecId};
 use arfs_failstop::ProcessorId;
@@ -238,10 +238,13 @@ fn golden_runs() -> Vec<(&'static str, System)> {
             fail_frames: vec![1],
         }))
         .app(Box::new(NullApp::new("autopilot", "ap-primary")))
-        .mid_policy(MidReconfigPolicy::ImmediateRetarget)
-        .chaos_defense(ChaosDefense {
-            retry_budget_frames: 0,
-            ..ChaosDefense::default()
+        .kernel(KernelConfig {
+            mid: MidReconfigPolicy::ImmediateRetarget,
+            defense: ChaosDefense {
+                retry_budget_frames: 0,
+                ..ChaosDefense::default()
+            },
+            ..KernelConfig::default()
         })
         .flight_recorder(4096)
         .fault_plan(plan)

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use arfs_avionics::AvionicsSystem;
 use arfs_core::environment::EnvState;
 use arfs_core::scenario::Scenario;
-use arfs_core::scram::Scram;
+use arfs_core::scram::{KernelConfig, Scram};
 use arfs_ttbus::{BusSchedule, Message, NodeId, TtBus};
 use proptest::prelude::*;
 
@@ -45,8 +45,8 @@ proptest! {
     #[test]
     fn scram_is_deterministic(values in proptest::collection::vec(0usize..3, 1..30)) {
         let spec = Arc::new(arfs_avionics::avionics_spec().unwrap());
-        let mut a = Scram::new(Arc::clone(&spec));
-        let mut b = Scram::new(Arc::clone(&spec));
+        let mut a = Scram::new(Arc::clone(&spec), KernelConfig::default());
+        let mut b = Scram::new(Arc::clone(&spec), KernelConfig::default());
         let domain = ["both", "one", "battery"];
         let (mut log_a, mut log_b) = (Vec::new(), Vec::new());
         for (frame, v) in values.iter().enumerate() {

@@ -12,7 +12,7 @@
 
 use arfs_core::model::ModelChecker;
 use arfs_core::properties;
-use arfs_core::scram::ScramMutation;
+use arfs_core::scram::{KernelConfig, ScramMutation};
 use arfs_core::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
 use arfs_core::workload::{random_scenario, WorkloadConfig};
 use arfs_failstop::ProcessorId;
@@ -93,10 +93,10 @@ proptest! {
         mutation_index in 0usize..5,
     ) {
         let spec = small_spec(levels, dwell, bound, inert);
-        let mut mc = ModelChecker::new(spec, horizon, max_events);
-        if let Some(mutation) = mutation_for(mutation_index) {
-            mc = mc.with_mutation(mutation);
-        }
+        let mc = ModelChecker::new(spec, horizon, max_events).with_kernel(KernelConfig {
+            mutation: mutation_for(mutation_index),
+            ..KernelConfig::default()
+        });
         let reference = mc.run_reference();
         let por = mc.with_por();
         let report = por.run();

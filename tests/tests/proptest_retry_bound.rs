@@ -13,6 +13,7 @@
 //! checks the end-to-end bound on the real trace.
 
 use arfs_core::chaos::{ChaosDefense, FaultKind, FaultPlan, MAX_RETRY_BACKOFF_FRAMES};
+use arfs_core::scram::KernelConfig;
 use arfs_core::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
 use arfs_core::system::System;
 use arfs_core::AppId;
@@ -74,7 +75,10 @@ fn last_restricted_frame(
     }
     let mut system = System::builder(two_level_spec())
         .fault_plan(plan)
-        .chaos_defense(defense)
+        .kernel(KernelConfig {
+            defense,
+            ..KernelConfig::default()
+        })
         .build()
         .expect("validated spec builds");
     for frame in 0..horizon {
