@@ -463,6 +463,7 @@ mod tests {
                     mutation: Some(mutation),
                     ..KernelConfig::default()
                 })
+                .unwrap()
                 .run();
             assert!(!report.all_passed(), "{slug} not caught: {report}");
         }

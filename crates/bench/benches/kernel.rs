@@ -16,7 +16,7 @@ fn bench_scram_step(c: &mut Criterion) {
     let spec = Arc::new(avionics_spec().unwrap());
 
     group.bench_function("steady_step", |b| {
-        let mut scram = Scram::new(Arc::clone(&spec), KernelConfig::default());
+        let mut scram = Scram::new(Arc::clone(&spec), KernelConfig::default()).unwrap();
         let env = EnvState::new([("electrical", "both")]);
         let mut frame = 0u64;
         b.iter(|| {
@@ -29,7 +29,7 @@ fn bench_scram_step(c: &mut Criterion) {
         let good = EnvState::new([("electrical", "both")]);
         let bad = EnvState::new([("electrical", "one")]);
         b.iter(|| {
-            let mut scram = Scram::new(Arc::clone(&spec), KernelConfig::default());
+            let mut scram = Scram::new(Arc::clone(&spec), KernelConfig::default()).unwrap();
             scram.step(0, &good);
             let mut frame = 6; // past the dwell guard
             scram.step(frame, &bad);

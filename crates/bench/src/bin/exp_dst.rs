@@ -11,8 +11,8 @@
 //! 1. **Failpoint campaigns** (`BENCH_dst.json`, `failpoints` builds
 //!    only): stimuli × [`FaultPlan::random`] × [`FailpointPlan::random`]
 //!    over [`dst_menu`], the (site, action) pairs the defenses claim to
-//!    absorb, under the soak oracle; plus an armed fleet journal drop, a
-//!    deferred bus drain, and menu coverage.
+//!    absorb, under the soak oracle; plus an armed fleet journal drop and
+//!    menu coverage.
 //! 2. **Chaos campaigns** (E8, `BENCH_chaos_soak.json`): each seed's
 //!    [`FaultPlan::random`] × every bounded case the model checker
 //!    enumerates ([`ModelChecker::schedule_iter`]) and does not elide
@@ -54,7 +54,6 @@ use arfs_core::system::{System, SystemBuilder};
 use arfs_core::workload::{scenario_batch, WorkloadConfig};
 use arfs_core::AppId;
 use arfs_failstop::ProcessorId;
-use arfs_ttbus::{BusSchedule, Message, NodeId, TtBus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::Value;
@@ -287,34 +286,6 @@ fn failpoint_campaigns(smoke: bool) -> bool {
         fleet_clean,
     );
 
-    // --- Bus-drain deferral is lossless. ---
-    // `drain_inbox` sits below the kernel's broadcast read path; a
-    // deferred drain must deliver late, never lose.
-    banner("bus pathway: deferred drain re-delivers everything");
-    let mut drain_plan = FailpointPlan::new();
-    drain_plan.push("ttbus.bus.drain", 1, FpAction::Delay(1));
-    let drain_clean = armed(&drain_plan, &mut hits, || {
-        let reader = NodeId::new(1);
-        let schedule = BusSchedule::builder()
-            .slot(NodeId::new(0), 64)
-            .slot(reader, 64)
-            .build()
-            .expect("static schedule is valid");
-        let mut bus = TtBus::new(schedule);
-        bus.submit(NodeId::new(0), Message::new("cmd", vec![7u8]))
-            .expect("slot owner may submit");
-        bus.run_round();
-        let deferred = bus.drain_inbox(reader);
-        bus.mark_present(reader);
-        bus.run_round();
-        let late = bus.drain_inbox(reader);
-        deferred.is_empty() && late.len() == 1 && late[0].message.topic() == "cmd"
-    });
-    verdict(
-        "armed drain returned empty, next drain delivered late",
-        drain_clean,
-    );
-
     // --- Coverage: every menu site must actually have fired. ---
     banner("failpoint coverage");
     let mut coverage = TextTable::new(["site", "hits"]);
@@ -337,7 +308,7 @@ fn failpoint_campaigns(smoke: bool) -> bool {
         covered,
     );
 
-    let all_ok = campaigns_clean && fleet_clean && drain_clean && covered;
+    let all_ok = campaigns_clean && fleet_clean && covered;
     let artifact = serde_json::json!({
         "smoke": smoke,
         "horizon": HORIZON,
@@ -356,7 +327,6 @@ fn failpoint_campaigns(smoke: bool) -> bool {
         "campaigns": campaigns,
         "failing_seeds": failures,
         "fleet_journal_drop_clean": fleet_clean,
-        "bus_drain_deferral_clean": drain_clean,
         "site_hits": hits,
         "all_ok": all_ok,
     });
@@ -530,7 +500,8 @@ fn chaos_campaigns(smoke: bool) -> (bool, bool) {
                 ..ChaosDefense::default()
             },
             ..KernelConfig::default()
-        });
+        })
+        .expect("valid kernel config");
     let serial = mc.run();
     let parallel = mc.run_parallel(3);
     let serial_ce = serial.counterexample.as_ref();

@@ -106,6 +106,7 @@ fn main() {
     for (label, kernel) in variants {
         let report = ModelChecker::new(arfs_avionics::avionics_spec().expect("valid spec"), 26, 1)
             .with_kernel(kernel)
+            .expect("valid kernel config")
             .run_parallel(4);
         println!("{label}: {report}");
         verdict(

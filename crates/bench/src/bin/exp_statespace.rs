@@ -347,11 +347,12 @@ fn main() {
     let mut mutants = Vec::new();
     let mut all_caught = true;
     for (slug, mutation) in known_bad_mutations() {
-        let mc =
-            ModelChecker::new(avionics.clone(), KNOWN_BAD_HORIZON, 1).with_kernel(KernelConfig {
+        let mc = ModelChecker::new(avionics.clone(), KNOWN_BAD_HORIZON, 1)
+            .with_kernel(KernelConfig {
                 mutation: Some(mutation.clone()),
                 ..KernelConfig::default()
-            });
+            })
+            .expect("valid kernel config");
         let t0 = Instant::now();
         let report = mc.run_parallel(threads);
         let secs = t0.elapsed().as_secs_f64();

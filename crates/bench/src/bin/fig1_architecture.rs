@@ -9,10 +9,16 @@
 //! frame-scoped observability journal (`arfs_core::obs`): every signal
 //! that crossed an architecture edge is a journal event, so the table,
 //! the edge verdicts, and the SFTA protocol walk all come from the same
-//! JSON-Lines record that ships as an artifact.
+//! JSON-Lines record that ships as an artifact. The bus verdict is
+//! static: lint's bus-sufficiency pass (`ARFS-E008`) finds every signal
+//! kind's worst-case traffic within its node's TDMA slot on the assembly
+//! the system runs on.
+//!
+//! Exits 1 if any verdict fails.
 
 use arfs_avionics::AvionicsSystem;
 use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
+use arfs_core::lint::{Assembly, BusSufficiencyPass, LintPass, LintTarget};
 use arfs_core::obs::JournalEvent;
 
 /// A payload field rendered for the table: strings verbatim, anything
@@ -58,27 +64,36 @@ fn main() {
     println!("{rows} signals logged");
 
     // --- Figure 1 edges. ---
+    let mut all_ok = true;
+    let mut check = |label: &str, ok: bool| {
+        verdict(label, ok);
+        all_ok &= ok;
+    };
     let fault_edge = journal.of_kind("fault-signal").count() > 0;
     let reconfig_edge = journal.of_kind("reconfig-signal").count() > 0;
     let status_edge = journal.of_kind("status-signal").count() > 0;
-    verdict("fault signals: environment monitor -> SCRAM", fault_edge);
-    verdict(
+    check("fault signals: environment monitor -> SCRAM", fault_edge);
+    check(
         "reconfiguration signals: SCRAM -> applications",
         reconfig_edge,
     );
-    verdict(
+    check(
         "application status signals: applications -> SCRAM",
         status_edge,
     );
 
-    // Everything rode the simulated time-triggered bus.
-    let bus_log = av.system().bus().log();
-    let bus_topics: Vec<&str> = bus_log.iter().map(|d| d.message.topic()).collect();
-    verdict(
-        "all three signal kinds appear on the real-time data bus",
-        ["fault", "reconfig", "status"]
-            .iter()
-            .all(|t| bus_topics.contains(t)),
+    // The TDMA schedule carries all three signal kinds every round:
+    // the synchrony and bounded latency the protocol assumes.
+    let spec = av.system().spec();
+    let assembly = Assembly::derive(spec).expect("the avionics assembly derives");
+    let bus_diagnostics = BusSufficiencyPass.run(&LintTarget::assembled(spec, &assembly));
+    for diagnostic in &bus_diagnostics {
+        println!("{}", diagnostic.render());
+    }
+    let bus_sufficient = bus_diagnostics.is_empty();
+    check(
+        "all three signal kinds fit the TDMA bus schedule (ARFS-E008 clean)",
+        bus_sufficient,
     );
 
     // --- The SFTA protocol walk (Table 1), also from the journal. ---
@@ -86,17 +101,17 @@ fn main() {
         .of_kind("phase-entered")
         .map(|e| field(e, "phase"))
         .collect();
-    verdict(
+    check(
         "SCRAM walked halt -> prepare -> initialize",
         phases == ["halt", "prepare", "initialize"],
     );
-    verdict(
+    check(
         "trigger, stable-storage commits, and completion journaled",
         journal.of_kind("trigger-accepted").count() == 1
             && journal.of_kind("stable-commit").count() > 0
             && journal.of_kind("completed").count() == 1,
     );
-    verdict(
+    check(
         "reconfiguration completed over the architecture",
         av.system().current_config().as_str() == "reduced-service",
     );
@@ -111,7 +126,8 @@ fn main() {
         &serde_json::json!({
             "signals_logged": rows,
             "journal_events": journal.len(),
-            "bus_transmissions": av.system().bus().log().len(),
+            "bus_slots": assembly.bus.len(),
+            "bus_sufficient": bus_sufficient,
             "edges": {
                 "fault": fault_edge,
                 "reconfig": reconfig_edge,
@@ -122,4 +138,7 @@ fn main() {
     println!("\nartifact: {}", path.display());
     println!("journal:  {}", journal_path.display());
     println!("metrics:  {}", metrics_path.display());
+    if !all_ok {
+        std::process::exit(1);
+    }
 }

@@ -161,15 +161,6 @@ pub fn dst_menu() -> Vec<(&'static str, Vec<FpAction>)> {
         // same `faulted_apps` path as a scheduled CommitFault, which the
         // SCRAM absorbs within its retry budget.
         ("system.stable.commit", vec![FpAction::Err, FpAction::Skip]),
-        // The SCRAM reads the environment directly; the bus "fault"
-        // signal is a modeled artifact, so dropping it is benign.
-        ("system.env.submit", vec![FpAction::Skip]),
-        // A dropped bus delivery is an omission fault on a modeled
-        // signal (same argument as above).
-        ("ttbus.bus.deliver", vec![FpAction::Skip]),
-        // A deferred inbox drain holds the cursor: the messages are
-        // delivered next round, not lost.
-        ("ttbus.bus.drain", vec![FpAction::Skip, FpAction::Delay(1)]),
         // A deferred trigger acceptance: the environment change
         // persists, so the kernel re-chooses next frame and SP4's clock
         // starts at the (later) acceptance.
@@ -544,14 +535,11 @@ pub(crate) mod tests {
             "failstop.stable.stage",
             "failstop.stable.commit",
             "failstop.pool.fail",
-            "ttbus.bus.deliver",
-            "ttbus.bus.drain",
             "rtos.clock.advance",
             "scram.trigger",
             "scram.phase",
             "scram.retarget",
             "system.stable.commit",
-            "system.env.submit",
             "fleet.shard",
             "fleet.journal.append",
         ];

@@ -43,6 +43,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use arfs_failstop::ProcessorId;
+use arfs_ttbus::TtBus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -327,11 +328,12 @@ impl Default for ChaosDefense {
     }
 }
 
-/// Per-system chaos bookkeeping: the installed plan plus the
-/// bus-silence watchdog's counters. Cloned verbatim by
+/// Per-system chaos bookkeeping: the installed plan plus the open
+/// bus-silence windows. Cloned verbatim by
 /// [`System::fork`](crate::system::System::fork), so a fork continues
-/// an in-progress silent run or quarantine count exactly where the
-/// parent left it.
+/// an in-progress silent run exactly where the parent left it; the
+/// watchdog's count of silent frames is the bus's own
+/// ([`TtBus::silent_rounds`]), which the fork carries too.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosState {
     /// The installed fault plan (empty = chaos off).
@@ -339,8 +341,6 @@ pub struct ChaosState {
     /// For each silenced processor: the first frame its slots speak
     /// again (exclusive end of the silent run).
     pub silenced_until: BTreeMap<ProcessorId, u64>,
-    /// Consecutive silent frames observed per live processor.
-    pub silent_streak: BTreeMap<ProcessorId, u64>,
 }
 
 impl ChaosState {
@@ -352,12 +352,14 @@ impl ChaosState {
     }
 
     /// Whether the bus-silence watchdog is idle at `frame`: no
-    /// processor is silenced at or after it and no silent streak is
-    /// counting. An expired window lingers in
+    /// processor is silenced at or after it, and no node of `bus` was
+    /// silent in its latest round. A silence that just ended keeps a
+    /// count on the bus until the next round, so its first frame back
+    /// runs in full. An expired window lingers in
     /// [`silenced_until`](ChaosState::silenced_until) until a quarantine
     /// clears it, but affects no frame, so it does not count.
-    pub fn quiet_at(&self, frame: u64) -> bool {
-        self.silent_streak.is_empty() && self.silenced_until.values().all(|&until| until <= frame)
+    pub fn quiet_at(&self, frame: u64, bus: &TtBus) -> bool {
+        bus.silent_nodes() == 0 && self.silenced_until.values().all(|&until| until <= frame)
     }
 }
 

@@ -165,8 +165,11 @@ pub enum SystemError {
     Env(SpecError),
     /// A processor failure named a processor the platform does not have.
     UnknownProcessor(ProcessorId),
-    /// The bus rejected a message or schedule.
+    /// The bus schedule is ill-formed.
     Bus(String),
+    /// The kernel configuration cannot run on the specification (see
+    /// [`KernelConfig::check`](crate::scram::KernelConfig::check)).
+    InvalidKernelConfig(&'static str),
     /// A fleet's workload generates cases over a different horizon
     /// than the fleet runs.
     HorizonMismatch {
@@ -191,6 +194,9 @@ impl fmt::Display for SystemError {
                 write!(f, "processor {p} is not part of the platform")
             }
             SystemError::Bus(e) => write!(f, "bus error: {e}"),
+            SystemError::InvalidKernelConfig(reason) => {
+                write!(f, "invalid kernel configuration: {reason}")
+            }
             SystemError::HorizonMismatch { fleet, workload } => {
                 write!(
                     f,

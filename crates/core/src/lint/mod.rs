@@ -36,7 +36,7 @@ pub mod reach;
 pub use assembly::Assembly;
 pub use independence::{IndependenceCertificate, IndependencePass};
 pub use obligations::{obligations_from, Obligation, ObligationReport, ObligationResult};
-pub use passes::all_passes;
+pub use passes::{all_passes, BusSufficiencyPass};
 pub use reach::{ReachAnalysis, ReachPass, WaveTimingPass};
 
 use std::fmt;

@@ -133,6 +133,7 @@ use crate::scenario::{Scenario, ScenarioAction};
 use crate::scram::{KernelConfig, Protocol};
 use crate::spec::ReconfigSpec;
 use crate::system::{System, SystemBuilder};
+use crate::SystemError;
 
 /// One event of a trie path: `(frame, alphabet index)`. A path's events
 /// compared lexicographically are its canonical enumeration-order key
@@ -575,14 +576,18 @@ impl ModelChecker {
     /// seeded [`mutation`](KernelConfig::mutation) is the
     /// verification-of-the-verifier experiment (a mutated kernel must
     /// fail the exhaustive check). The enumeration leaves each event the
-    /// tail this kernel's protocol needs; an invalid config panics on
-    /// the first system build, as [`Scram::new`](crate::scram::Scram::new)
-    /// does.
-    #[must_use]
-    pub fn with_kernel(mut self, config: KernelConfig) -> Self {
+    /// tail this kernel's protocol needs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError::InvalidKernelConfig`] if `config` cannot
+    /// run on the checker's spec ([`KernelConfig::check`]), before any
+    /// system is built.
+    pub fn with_kernel(mut self, config: KernelConfig) -> Result<Self, SystemError> {
+        config.check(&self.spec)?;
         self.protocol_frames = Protocol::new(&self.spec, &config).protocol_frames();
         self.kernel = config;
-        self
+        Ok(self)
     }
 
     /// Installs a substrate fault plan into every explored system: the
@@ -1608,7 +1613,9 @@ mod tests {
     fn parallel_failure_order_matches_sequential() {
         // A mutated kernel fails many schedules; work-stealing
         // exploration must reassemble them in enumeration order.
-        let mc = ModelChecker::new(small_spec(), 12, 2).with_kernel(mutated(SkipInitPhase));
+        let mc = ModelChecker::new(small_spec(), 12, 2)
+            .with_kernel(mutated(SkipInitPhase))
+            .unwrap();
         let seq = mc.run();
         assert!(!seq.all_passed());
         assert!(seq.failures.len() > 1);
@@ -1660,7 +1667,9 @@ mod tests {
         // would still be open at the horizon, unjudged by SP1–SP4.
         for kernel in policy_grid() {
             let label = format!("{kernel:?}");
-            let mc = ModelChecker::new(three_wave_spec(), 12, 1).with_kernel(kernel);
+            let mc = ModelChecker::new(three_wave_spec(), 12, 1)
+                .with_kernel(kernel)
+                .unwrap();
             for case in mc.schedule_iter() {
                 let events: Vec<String> = case.events().iter().map(ToString::to_string).collect();
                 let open = mc.replay(&case, false).trace().open_reconfiguration();
@@ -1675,6 +1684,7 @@ mod tests {
             let label = format!("{kernel:?}");
             let report = ModelChecker::new(small_spec(), 14, 1)
                 .with_kernel(kernel)
+                .unwrap()
                 .run();
             assert!(report.all_passed(), "{label}: {report}");
         }
@@ -1682,7 +1692,9 @@ mod tests {
 
     #[test]
     fn mutated_kernel_fails_model_check() {
-        let mc = ModelChecker::new(small_spec(), 12, 1).with_kernel(mutated(SkipInitPhase));
+        let mc = ModelChecker::new(small_spec(), 12, 1)
+            .with_kernel(mutated(SkipInitPhase))
+            .unwrap();
         let report = mc.run();
         assert!(!report.all_passed());
         // Each failure is named by its case's stimuli in the one line
@@ -1705,7 +1717,9 @@ mod tests {
         // actually triggers a reconfiguration; the parallel engine must
         // attribute the crash to that schedule instead of losing it in a
         // bare join error.
-        let mc = ModelChecker::new(small_spec(), 12, 1).with_kernel(mutated(PanicOnTrigger));
+        let mc = ModelChecker::new(small_spec(), 12, 1)
+            .with_kernel(mutated(PanicOnTrigger))
+            .unwrap();
         let result = std::panic::catch_unwind(|| mc.run_parallel(2));
         let payload = result.expect_err("a triggering schedule must panic the worker");
         let message = payload
@@ -1721,7 +1735,9 @@ mod tests {
 
     #[test]
     fn flight_recorder_packages_a_counterexample() {
-        let mc = ModelChecker::new(small_spec(), 12, 2).with_kernel(mutated(SkipInitPhase));
+        let mc = ModelChecker::new(small_spec(), 12, 2)
+            .with_kernel(mutated(SkipInitPhase))
+            .unwrap();
         let report = mc.run();
         assert!(!report.all_passed());
         let ce = report.counterexample.as_ref().expect("recorder is on");
@@ -1757,7 +1773,9 @@ mod tests {
         // skipped that reconfiguration violates SP4, so the failure is
         // the case's one essential event.
         let spec = crate::system::tests::processor_status_spec();
-        let mc = ModelChecker::new(spec, 12, 1).with_kernel(mutated(SkipInitPhase));
+        let mc = ModelChecker::new(spec, 12, 1)
+            .with_kernel(mutated(SkipInitPhase))
+            .unwrap();
         let quiescent = mc.schedule_iter().next().expect("the empty case");
         let case = quiescent.fail_processor(3, ProcessorId::new(1));
         let ce = mc.record_counterexample(case.clone());
@@ -1775,6 +1793,7 @@ mod tests {
     fn flight_recorder_can_be_disabled() {
         let mc = ModelChecker::new(small_spec(), 12, 1)
             .with_kernel(mutated(SkipInitPhase))
+            .unwrap()
             .with_flight_recorder(false);
         let report = mc.run();
         assert!(!report.all_passed());
@@ -1819,7 +1838,9 @@ mod tests {
         // always completes first: the partial report deterministically
         // carries at least that case, and the per-worker accumulators
         // merge into its metrics instead of being discarded.
-        let mc = ModelChecker::new(small_spec(), 12, 1).with_kernel(mutated(PanicOnTrigger));
+        let mc = ModelChecker::new(small_spec(), 12, 1)
+            .with_kernel(mutated(PanicOnTrigger))
+            .unwrap();
         let err = mc
             .try_run_parallel(2)
             .expect_err("a triggering schedule must panic the worker");
@@ -1845,7 +1866,9 @@ mod tests {
 
     #[test]
     fn counterexample_is_deterministic_across_engines() {
-        let mc = ModelChecker::new(small_spec(), 12, 2).with_kernel(mutated(SkipInitPhase));
+        let mc = ModelChecker::new(small_spec(), 12, 2)
+            .with_kernel(mutated(SkipInitPhase))
+            .unwrap();
         let serial = mc.run().counterexample.expect("serial counterexample");
         let parallel = mc
             .run_parallel(4)
@@ -1999,7 +2022,8 @@ mod tests {
             .with_kernel(KernelConfig {
                 defense,
                 ..KernelConfig::default()
-            });
+            })
+            .unwrap();
         let report = mc.run();
         assert!(!report.all_passed());
         let ce = report.counterexample.as_ref().expect("recorder is on");
@@ -2098,9 +2122,11 @@ mod tests {
         // in canonical order, every reduced failure present unreduced.
         let plain = ModelChecker::new(small_spec(), 12, 2)
             .with_kernel(mutated(SkipInitPhase))
+            .unwrap()
             .with_flight_recorder(false);
         let reduced = ModelChecker::new(small_spec(), 12, 2)
             .with_kernel(mutated(SkipInitPhase))
+            .unwrap()
             .with_flight_recorder(false)
             .with_por();
         let full = plain.run();
@@ -2182,7 +2208,8 @@ mod tests {
             .with_kernel(KernelConfig {
                 defense,
                 ..KernelConfig::default()
-            });
+            })
+            .unwrap();
         let serial = mc.run().counterexample.expect("serial counterexample");
         let parallel = mc
             .run_parallel(3)

@@ -67,7 +67,7 @@ use crate::chaos::ChaosDefense;
 use crate::environment::EnvState;
 use crate::spec::{dependency_depths, ReconfigSpec, StageBounds};
 use crate::trace::ReconfSt;
-use crate::{AppId, ConfigId, SpecId};
+use crate::{AppId, ConfigId, SpecId, SystemError};
 
 /// The phase of an in-flight reconfiguration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -361,6 +361,36 @@ pub struct KernelConfig {
     /// exists so the property checkers can be shown to catch real
     /// violations.
     pub mutation: Option<ScramMutation>,
+}
+
+impl KernelConfig {
+    /// Checks that a kernel can run this config on `spec`: a
+    /// [`StagePolicy::CompressedPrepareInit`] stage cannot be split
+    /// across waves or frames, so it needs the
+    /// [`SyncPolicy::Simultaneous`] synchronization policy and one-frame
+    /// prepare and initialize bounds for every application.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemError::InvalidKernelConfig`] naming the broken
+    /// requirement.
+    pub fn check(&self, spec: &ReconfigSpec) -> Result<(), SystemError> {
+        if self.stage != StagePolicy::CompressedPrepareInit {
+            return Ok(());
+        }
+        if self.sync != SyncPolicy::Simultaneous {
+            return Err(SystemError::InvalidKernelConfig(
+                "compressed stages require simultaneous synchronization",
+            ));
+        }
+        let multi_frame = |b: StageBounds| b.prepare_frames != 1 || b.init_frames != 1;
+        if spec.apps().iter().any(|a| multi_frame(a.bounds())) {
+            return Err(SystemError::InvalidKernelConfig(
+                "compressed stages require one-frame prepare/initialize bounds",
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The static parameters of the phase transition, fixed when the
@@ -806,30 +836,15 @@ impl Scram {
     /// Creates a kernel in the specification's initial configuration,
     /// running the protocol `config` states.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// [`StagePolicy::CompressedPrepareInit`] requires the
-    /// [`SyncPolicy::Simultaneous`] synchronization policy and one-frame
-    /// prepare and initialize bounds for every application; other
-    /// combinations panic, because a compressed stage cannot be split
-    /// across waves or frames.
-    pub fn new(spec: Arc<ReconfigSpec>, config: KernelConfig) -> Self {
-        if config.stage == StagePolicy::CompressedPrepareInit {
-            assert_eq!(
-                config.sync,
-                SyncPolicy::Simultaneous,
-                "compressed stages require simultaneous synchronization"
-            );
-            assert!(
-                spec.apps()
-                    .iter()
-                    .all(|a| a.bounds().prepare_frames == 1 && a.bounds().init_frames == 1),
-                "compressed stages require one-frame prepare/initialize bounds"
-            );
-        }
+    /// Returns [`SystemError::InvalidKernelConfig`] if `config` cannot
+    /// run on `spec` ([`KernelConfig::check`]).
+    pub fn new(spec: Arc<ReconfigSpec>, config: KernelConfig) -> Result<Self, SystemError> {
+        config.check(&spec)?;
         let protocol = Protocol::new(&spec, &config);
         let roles = protocol.roles(&spec, &config);
-        Scram {
+        Ok(Scram {
             current: spec.initial_config().clone(),
             decision: FrameDecision {
                 frame: 0,
@@ -844,7 +859,7 @@ impl Scram {
             mutation: config.mutation,
             roles,
             spec,
-        }
+        })
     }
 
     /// The configuration the system currently operates in (the service
@@ -1171,7 +1186,7 @@ pub(crate) mod tests {
     fn kernel(edit: impl FnOnce(&mut KernelConfig)) -> Scram {
         let mut config = KernelConfig::default();
         edit(&mut config);
-        Scram::new(two_app_spec(0), config)
+        Scram::new(two_app_spec(0), config).unwrap()
     }
 
     fn env(v: &str) -> EnvState {
@@ -1187,7 +1202,7 @@ pub(crate) mod tests {
 
     #[test]
     fn steady_state_issues_normal_commands() {
-        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default()).unwrap();
         let d = scram.step(0, &env("good"));
         assert!(!scram.is_reconfiguring());
         assert!(d
@@ -1201,7 +1216,7 @@ pub(crate) mod tests {
 
     #[test]
     fn table1_protocol_sequence() {
-        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default()).unwrap();
         scram.step(0, &env("good"));
 
         // Frame 1: trigger. Commands still Normal; affected apps
@@ -1295,7 +1310,7 @@ pub(crate) mod tests {
                 .build()
                 .unwrap(),
         );
-        let mut scram = Scram::new(spec, KernelConfig::default());
+        let mut scram = Scram::new(spec, KernelConfig::default()).unwrap();
         scram.step(0, &EnvState::new([("site", "a")]));
         let d = scram.step(1, &EnvState::new([("site", "b")]));
         // The migrating application is interrupted even though its
@@ -1309,13 +1324,13 @@ pub(crate) mod tests {
 
     #[test]
     fn protocol_frames_matches_walkthrough() {
-        let scram = Scram::new(two_app_spec(0), KernelConfig::default());
+        let scram = Scram::new(two_app_spec(0), KernelConfig::default()).unwrap();
         assert_eq!(scram.protocol().protocol_frames(), 4);
     }
 
     #[test]
     fn off_assignment_is_a_valid_target_spec() {
-        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default()).unwrap();
         scram.step(0, &env("good"));
         scram.step(1, &env("critical"));
         scram.step(2, &env("critical"));
@@ -1330,7 +1345,7 @@ pub(crate) mod tests {
 
     #[test]
     fn dwell_guard_suppresses_early_retrigger() {
-        let mut scram = Scram::new(two_app_spec(10), KernelConfig::default());
+        let mut scram = Scram::new(two_app_spec(10), KernelConfig::default()).unwrap();
         scram.step(0, &env("good"));
         // Trigger at frame 1 is suppressed: steady since 0, dwell 10.
         let d = scram.step(1, &env("low"));
@@ -1349,7 +1364,7 @@ pub(crate) mod tests {
 
     #[test]
     fn buffer_policy_chains_reconfigurations() {
-        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default()).unwrap();
         scram.step(0, &env("good"));
         scram.step(1, &env("low")); // trigger -> reduced
         scram.step(2, &env("critical")); // halt; env worsens mid-flight
@@ -1526,7 +1541,7 @@ pub(crate) mod tests {
 
     #[test]
     fn event_log_accumulates_in_order() {
-        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default()).unwrap();
         let mut log = Vec::new();
         step(&mut scram, &mut log, 0, &env("good"), &[]);
         for f in 1..=4 {
@@ -1607,46 +1622,43 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "simultaneous")]
     fn compressed_policy_rejects_phase_checked_sync() {
         // The config is validated whole, so the field order it was
         // written in cannot matter, and every kernel entry point
-        // rejects it the same way: the kernel, the system builder, and
-        // (on its run) the model checker.
+        // rejects it with the same error before any kernel runs.
         let config = KernelConfig {
             stage: StagePolicy::CompressedPrepareInit,
             sync: SyncPolicy::PhaseChecked,
             ..KernelConfig::default()
         };
-        let spec = two_app_spec(0);
-        for message in [
-            panic_message(|| drop(Scram::new(Arc::clone(&spec), config.clone()))),
-            panic_message(|| {
-                drop(
-                    System::builder_arc(Arc::clone(&spec))
-                        .kernel(config.clone())
-                        .build(),
-                )
-            }),
-        ] {
-            assert!(message.contains("simultaneous"), "{message}");
-        }
-        ModelChecker::new((*spec).clone(), 12, 1)
-            .with_kernel(config)
-            .run();
+        assert_rejected_everywhere(two_app_spec(0), config, "simultaneous");
     }
 
-    /// The formatted message of the panic `f` raises.
-    fn panic_message(f: impl FnOnce()) -> String {
-        let payload =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("panics");
-        *payload
-            .downcast::<String>()
-            .expect("a formatted panic message")
+    /// Asserts that the kernel, the system builder and the model checker
+    /// all reject `config` on `spec` with the same
+    /// [`SystemError::InvalidKernelConfig`], whose reason names `needle`.
+    fn assert_rejected_everywhere(spec: Arc<ReconfigSpec>, config: KernelConfig, needle: &str) {
+        let errors = [
+            Scram::new(Arc::clone(&spec), config.clone()).err(),
+            System::builder_arc(Arc::clone(&spec))
+                .kernel(config.clone())
+                .build()
+                .err(),
+            ModelChecker::new((*spec).clone(), 12, 1)
+                .with_kernel(config)
+                .err(),
+        ];
+        for error in errors {
+            match error {
+                Some(SystemError::InvalidKernelConfig(reason)) => {
+                    assert!(reason.contains(needle), "{reason}");
+                }
+                other => panic!("expected an invalid kernel config, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "one-frame")]
     fn compressed_policy_rejects_multi_frame_stages() {
         use crate::spec::StageBounds;
         let spec = Arc::new(
@@ -1682,12 +1694,11 @@ pub(crate) mod tests {
                 .build()
                 .unwrap(),
         );
-        let _ = System::builder_arc(spec)
-            .kernel(KernelConfig {
-                stage: StagePolicy::CompressedPrepareInit,
-                ..KernelConfig::default()
-            })
-            .build();
+        let config = KernelConfig {
+            stage: StagePolicy::CompressedPrepareInit,
+            ..KernelConfig::default()
+        };
+        assert_rejected_everywhere(spec, config, "one-frame");
     }
 
     fn fault(names: &[&str]) -> BTreeSet<AppId> {
@@ -1710,8 +1721,8 @@ pub(crate) mod tests {
 
     #[test]
     fn step_chaos_with_empty_fault_set_is_plain_step() {
-        let mut a = Scram::new(two_app_spec(0), KernelConfig::default());
-        let mut b = Scram::new(two_app_spec(0), KernelConfig::default());
+        let mut a = Scram::new(two_app_spec(0), KernelConfig::default()).unwrap();
+        let mut b = Scram::new(two_app_spec(0), KernelConfig::default()).unwrap();
         let (mut log_a, mut log_b) = (Vec::new(), Vec::new());
         for f in 0..=5 {
             let e = if f == 1 { env("low") } else { env("good") };
@@ -1777,7 +1788,7 @@ pub(crate) mod tests {
 
     #[test]
     fn voided_completion_frame_keeps_the_window_restricted() {
-        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default()).unwrap();
         let mut log = Vec::new();
         step(&mut scram, &mut log, 0, &env("good"), &[]);
         step(&mut scram, &mut log, 1, &env("low"), &[]);
@@ -1906,7 +1917,7 @@ pub(crate) mod tests {
 
     #[test]
     fn steady_frame_faults_do_not_disturb_the_kernel() {
-        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default());
+        let mut scram = Scram::new(two_app_spec(0), KernelConfig::default()).unwrap();
         let mut log = Vec::new();
         let d = step(&mut scram, &mut log, 0, &env("good"), &["fcs", "autopilot"]);
         assert!(d

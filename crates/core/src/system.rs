@@ -7,11 +7,10 @@
 //!   [`ReconfigurableApp`]), each with its own stable-storage region on
 //!   the simulated fail-stop platform;
 //! - the **SCRAM kernel**, stepped once per frame;
-//! - the **time-triggered bus**, which carries the architecture's three
-//!   signal kinds — fault signals from the environment monitor to the
-//!   SCRAM, reconfiguration signals from the SCRAM to the applications,
-//!   and status signals back — and whose membership service observes
-//!   processor failures;
+//! - the **time-triggered bus**, whose rounds give the frame its
+//!   synchrony and whose membership service observes processor failures
+//!   (a silent processor's count of silent rounds is what the
+//!   bus-silence quarantine reads);
 //! - the **fail-stop processor pool** hosting the applications per the
 //!   statically determined placement;
 //! - the **environment**, whose changes are the reconfiguration triggers;
@@ -21,10 +20,15 @@
 //! `System` is the frame-synchronous executive of §6.1. Each call to
 //! [`System::run_frame`] executes one synchronous real-time frame:
 //! environment sampling, SCRAM decision, signal delivery through
-//! stable-storage variables and the bus, one unit of work per
-//! application in a fixed window order and within its budget (an overrun
-//! is a `deadline-miss` health event), frame-end stable-storage commits,
-//! and trace recording.
+//! stable-storage variables, one unit of work per application in a fixed
+//! window order and within its budget (an overrun is a `deadline-miss`
+//! health event), frame-end stable-storage commits, trace recording and
+//! one bus round. The architecture's three signal
+//! kinds — fault signals from the environment monitor to the SCRAM,
+//! reconfiguration signals from the SCRAM to the applications, and status
+//! signals back — are journaled as `fault-signal`, `reconfig-signal` and
+//! `status-signal` events; their readers take them from the environment
+//! and stable storage directly.
 //!
 //! # Processor-status environment factors
 //!
@@ -59,7 +63,7 @@ use std::sync::Arc;
 
 use arfs_failstop::{ProcessorId, ProcessorPool, StableSnapshot, StableStorage};
 use arfs_rtos::{Ticks, VirtualClock};
-use arfs_ttbus::{Message, NodeId, TtBus};
+use arfs_ttbus::TtBus;
 
 use crate::app::{
     AppContext, Blackboard, ConfigStatus, NullApp, ReconfigurableApp, CONFIG_STATUS_KEY,
@@ -67,7 +71,7 @@ use crate::app::{
 };
 use crate::chaos::{ChaosState, FaultKind, FaultPlan};
 use crate::environment::Environment;
-use crate::lint::assembly::{Assembly, ENV_NODE, PROC_NODE_BASE, SCRAM_NODE};
+use crate::lint::assembly::{Assembly, ENV_NODE, SCRAM_NODE};
 use crate::obs::{
     Event, FlightRing, Journal, JournalEvent, MetricsRegistry, MetricsSnapshot, Recorder,
 };
@@ -212,12 +216,11 @@ impl SystemBuilder {
         for &p in &assembly.platform {
             pool.add(p);
         }
-        let mut bus = TtBus::new(assembly.bus);
-        bus.enable_log();
+        let bus = TtBus::new(assembly.bus);
 
         let environment = Environment::new(spec.env_model().clone(), spec.initial_env().clone())?;
 
-        let scram = Scram::new(Arc::clone(&spec), self.kernel);
+        let scram = Scram::new(Arc::clone(&spec), self.kernel)?;
 
         let mut slots: Vec<AppSlot> = apps
             .iter()
@@ -486,7 +489,8 @@ impl System {
         &self.environment
     }
 
-    /// The time-triggered bus (its log carries every signal).
+    /// The time-triggered bus: its membership log and each node's
+    /// silent-round count.
     pub fn bus(&self) -> &TtBus {
         &self.bus
     }
@@ -496,7 +500,7 @@ impl System {
         &self.pool
     }
 
-    /// The chaos plan and its live state (silence windows, streaks).
+    /// The chaos plan and its live state (silence windows).
     pub fn chaos(&self) -> &ChaosState {
         &self.chaos
     }
@@ -575,7 +579,7 @@ impl System {
             || !self.pending_env.is_empty()
             || !self.pending_failures.is_empty()
             || !self.pool.all_alive()
-            || !self.chaos.quiet_at(frame)
+            || !self.chaos.quiet_at(frame, &self.bus)
             || (!plan.is_empty() && plan.last_frame() >= frame)
         {
             return None;
@@ -640,8 +644,7 @@ impl System {
     /// prefixes instead of replaying every schedule from frame 0.
     ///
     /// Independence does **not** mean deep copies. Every log — the
-    /// trace, the bus delivery log (what the audit log and unread
-    /// inboxes still hold), the bus membership log, the pool audit log —
+    /// trace, the bus membership log, the pool audit log —
     /// is a [`CowLog`](arfs_failstop::CowLog) whose sealed past is
     /// shared behind `Arc`s (which is why forking takes `&mut self`: the
     /// open tails are sealed into shared segments), and the slots are
@@ -717,14 +720,11 @@ impl System {
         }
     }
 
-    /// Enables or disables trace recording, and the bus audit log with
-    /// it.
+    /// Enables or disables trace recording.
     ///
     /// With recording off, executed frames do not append [`SysState`]s to
     /// the trace; the most recent full frame's state is kept in
-    /// [`last_state`](System::last_state) instead. The bus audit log is
-    /// off too ([`TtBus::log`] is empty), so the bus releases each
-    /// round's deliveries once every node has read them. Fleet-scale
+    /// [`last_state`](System::last_state) instead. Fleet-scale
     /// callers turn this off so memory stays flat over millions of
     /// frames and run their property checks on a streaming window.
     ///
@@ -733,11 +733,6 @@ impl System {
     /// re-enabling recording mid-run would corrupt it.
     pub fn set_trace_recording(&mut self, enabled: bool) {
         self.trace_recording = enabled;
-        if enabled {
-            self.bus.enable_log();
-        } else {
-            self.bus.disable_log();
-        }
     }
 
     /// Whether executed frames are appended to the trace.
@@ -794,7 +789,7 @@ impl System {
             && self.pending_env.is_empty()
             && self.pending_failures.is_empty()
             && !self.scram.has_mutation()
-            && self.chaos.quiet_at(frame)
+            && self.chaos.quiet_at(frame, &self.bus)
             && self.chaos.plan.events_at(frame).next().is_none()
             && self.pool.all_alive()
             && self
@@ -918,29 +913,27 @@ impl System {
         // processor skips its slot without halting; past the detection
         // window the defense converts it into an explicit fail-stop
         // quarantine (the membership-by-silence contract restored by
-        // force). ---
+        // force). The watchdog counts the bus's silent rounds, plus this
+        // frame's, whose round runs at the end of the frame. ---
         let mut quarantined = Vec::new();
         for p in self.pool.alive() {
-            if self.chaos.is_silenced(p, frame) {
-                let streak = self.chaos.silent_streak.entry(p).or_insert(0);
-                *streak += 1;
-                let silent_frames = *streak;
-                if silent_frames >= self.scram.protocol().defense.quarantine_window_frames {
-                    quarantined.push(p);
-                    self.obs.emit(
-                        frame,
-                        &Event::Quarantined {
-                            processor: p,
-                            silent_frames,
-                        },
-                    );
-                    self.chaos.silent_streak.remove(&p);
-                    self.chaos.silenced_until.remove(&p);
-                }
+            let node = Assembly::proc_node(p);
+            if !self.chaos.is_silenced(p, frame) {
+                self.bus.mark_present(node);
                 continue;
             }
-            self.chaos.silent_streak.remove(&p);
-            self.bus.mark_present(NodeId::new(PROC_NODE_BASE + p.raw()));
+            let silent_frames = self.bus.silent_rounds(node).unwrap_or(0) + 1;
+            if silent_frames >= self.scram.protocol().defense.quarantine_window_frames {
+                quarantined.push(p);
+                self.obs.emit(
+                    frame,
+                    &Event::Quarantined {
+                        processor: p,
+                        silent_frames,
+                    },
+                );
+                self.chaos.silenced_until.remove(&p);
+            }
         }
         for p in quarantined {
             let _ = self.pool.fail(p);
@@ -960,15 +953,8 @@ impl System {
             if self.environment.set(&factor, &value) == Ok(true) {
                 let (factor, value) = (factor.as_str(), value.as_str());
                 self.obs.emit(frame, &Event::EnvChanged { factor, value });
-                // Fault signal: environment monitor -> SCRAM over the bus.
-                // Failpoint: counted for coverage (the SCRAM reads the
-                // environment directly, so a lost modeled signal is
-                // property-benign); Panic models a monitor crash.
-                arfs_assure::fp!("system.env.submit");
-                let payload = format!("{factor}={value}");
-                let _ = self
-                    .bus
-                    .submit(ENV_NODE, Message::new("fault", payload.into_bytes()));
+                // Fault signal: environment monitor -> SCRAM, which reads
+                // the environment directly.
                 self.obs.emit(frame, &Event::FaultSignal { factor, value });
             }
         }
@@ -1002,7 +988,7 @@ impl System {
         }
 
         // --- Reconfiguration signals: SCRAM -> each application, via the
-        // configuration_status variable in stable storage and the bus.
+        // configuration_status variable in stable storage.
         // An unchanged variable is not re-staged; the commit still bumps
         // the version. ---
         for slot in &mut self.slots {
@@ -1030,10 +1016,6 @@ impl System {
                         target: command.target.as_ref(),
                     },
                 );
-                let payload = format!("{app}:{status}");
-                let _ = self
-                    .bus
-                    .submit(SCRAM_NODE, Message::new("reconfig", payload.into_bytes()));
                 self.obs.emit(frame, &Event::ReconfigSignal { app, status });
             }
         }
@@ -1144,13 +1126,6 @@ impl System {
 
             // Status signal: application -> SCRAM.
             if command.status != ConfigStatus::Normal && command.status != ConfigStatus::Hold {
-                let node = placed
-                    .map(|p| NodeId::new(PROC_NODE_BASE + p.raw()))
-                    .unwrap_or(SCRAM_NODE);
-                let payload = format!("{}:{}:done", slot.id, command.status);
-                let _ = self
-                    .bus
-                    .submit(node, Message::new("status", payload.into_bytes()));
                 self.obs.emit(
                     frame,
                     &Event::StatusSignal {
@@ -1221,13 +1196,8 @@ impl System {
             self.last_state = Some(state);
         }
 
-        // --- One bus round per frame. ---
-        let round = self.bus.run_round();
-        // The nodes act on their signals within the frame (the SCRAM
-        // and the applications read the environment and stable storage
-        // directly), so every inbox is read once the round is done.
-        // Unless the audit log holds them, the deliveries are released.
-        self.bus.mark_all_read();
+        // --- One bus round per frame: membership and silent rounds. ---
+        self.bus.run_round();
 
         if self.obs.enabled {
             // Tail the substrate audit logs into the journal. The
@@ -1254,7 +1224,6 @@ impl System {
                 },
             );
             let metrics = &mut self.obs.metrics;
-            metrics.add("bus.deliveries", round.delivered as u64);
             let frames = self.trace.len() as f64;
             if frames > 0.0 {
                 metrics.set_gauge(
@@ -1445,23 +1414,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn fault_and_reconfig_signals_flow_over_the_bus() {
-        let mut system = System::builder(spec()).build().unwrap();
-        system.run_frames(2);
-        system.set_env("power", "critical").unwrap();
-        system.run_frames(6);
-        let log = system.bus().log();
-        let topics: Vec<&str> = log.iter().map(|d| d.message.topic()).collect();
-        assert!(topics.contains(&"fault"));
-        assert!(topics.contains(&"reconfig"));
-        assert!(topics.contains(&"status"));
-        // And the journal mirrors the Figure 1 edges.
-        assert!(journaled(&system, "fault-signal", "from", "environment"));
-        assert!(journaled(&system, "fault-signal", "to", "scram"));
-        assert!(journaled(&system, "reconfig-signal", "from", "scram"));
-    }
-
-    #[test]
     fn journal_captures_every_figure1_edge() {
         let mut system = System::builder(spec()).build().unwrap();
         system.run_frames(2);
@@ -1482,6 +1434,10 @@ pub(crate) mod tests {
         assert!(journal.of_kind("reconfig-signal").count() >= 3);
         assert!(journal.of_kind("status-signal").count() >= 3);
         assert!(journal.of_kind("stable-commit").count() >= 3);
+        // Each signal names the Figure 1 edge it crossed.
+        assert!(journaled(&system, "fault-signal", "from", "environment"));
+        assert!(journaled(&system, "fault-signal", "to", "scram"));
+        assert!(journaled(&system, "reconfig-signal", "from", "scram"));
 
         // The protocol's causal order holds in the journal.
         let pos = |kind: &str| {
@@ -2008,7 +1964,8 @@ pub(crate) mod tests {
     #[test]
     fn single_membership_flap_is_harmless() {
         // A one-frame silence never reaches the quarantine window; the
-        // streak resets and the processor stays in service.
+        // bus's silent-round count resets and the processor stays in
+        // service.
         let mut plan = FaultPlan::new();
         plan.push(
             2,
@@ -2022,7 +1979,12 @@ pub(crate) mod tests {
 
         assert!(system.pool().is_alive(ProcessorId::new(1)));
         assert_eq!(system.journal().of_kind("quarantined").count(), 0);
-        assert!(system.chaos().silent_streak.is_empty());
+        assert_eq!(
+            system
+                .bus()
+                .silent_rounds(Assembly::proc_node(ProcessorId::new(1))),
+            Some(0)
+        );
         assert!(system.trace().states().all(SysState::all_normal));
         let report = properties::check_all(system.trace(), system.spec());
         assert!(report.is_ok(), "{report}");

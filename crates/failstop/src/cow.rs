@@ -3,7 +3,7 @@
 //! The bounded model checker shares simulation prefixes by forking a
 //! whole system at every schedule branch point. With plain deep copies
 //! the fork cost is proportional to the accumulated history (traces,
-//! event logs, bus deliveries), which comes to dominate the walk long
+//! event logs, bus membership changes), which comes to dominate the walk long
 //! before the horizon does. The structures here make a fork a handful
 //! of `Arc` pointer bumps instead:
 //!

@@ -3,30 +3,33 @@
 //! The architecture of *Strunk, Knight & Aiello (DSN 2005)* assumes a
 //! distributed platform whose processing elements "communicate via an
 //! ultra-dependable, real-time data bus", for example "one based on the
-//! time-triggered architecture" (Kopetz & Bauer). This crate simulates
-//! such a bus:
+//! time-triggered architecture" (Kopetz & Bauer). This crate models the
+//! two things the reconfiguration layer takes from such a bus:
 //!
-//! - Communication is organized in **TDMA rounds**; each round consists of
-//!   a statically scheduled sequence of **slots**, each owned by exactly
-//!   one node ([`BusSchedule`]).
-//! - A node transmits only in its own slots; every transmission is a
-//!   **broadcast** received by all nodes by the end of the round.
-//! - Transmission is the node's *activity sign*: a node that stays silent
-//!   in its slot for a round is observed as absent by the **membership**
-//!   service. This is the conventional activity-monitor failure detection
-//!   the paper relies on ("component failures are detected by conventional
-//!   means such as activity, timing, and signal monitors").
-//! - Latency is bounded and computable from the schedule alone
-//!   ([`BusSchedule::worst_case_rounds`]).
+//! - **Timing.** Communication is organized in **TDMA rounds**; each
+//!   round consists of a statically scheduled sequence of **slots**, each
+//!   owned by exactly one node ([`BusSchedule`]). The schedule fixes each
+//!   node's slot capacity at design time, so whether a node's worst-case
+//!   traffic fits one round is a static question (the reconfiguration
+//!   layer's lint answers it).
+//! - **Membership.** Transmission is a node's *activity sign*: a node that
+//!   stays silent in its slots for a round is observed as absent by the
+//!   **membership** service, and the bus counts each node's consecutive
+//!   silent rounds ([`TtBus::silent_rounds`]). This is the conventional
+//!   activity-monitor failure detection the paper relies on ("component
+//!   failures are detected by conventional means such as activity,
+//!   timing, and signal monitors").
 //!
 //! The higher layers couple one bus round to one real-time frame of the
 //! synchronous executive, which yields the system-level synchrony that the
-//! paper's formal model assumes.
+//! paper's formal model assumes. The signals themselves reach their
+//! readers through stable storage and the environment, so the bus carries
+//! no payloads.
 //!
 //! # Example
 //!
 //! ```
-//! use arfs_ttbus::{BusSchedule, Message, NodeId, TtBus};
+//! use arfs_ttbus::{BusSchedule, NodeId, TtBus};
 //!
 //! let scram = NodeId::new(0);
 //! let fcs = NodeId::new(1);
@@ -35,12 +38,14 @@
 //!     .slot(fcs, 64)
 //!     .build()?;
 //! let mut bus = TtBus::new(schedule);
-//! bus.submit(scram, Message::new("reconfig", b"halt".to_vec()))?;
+//! bus.mark_present(scram);
 //! bus.mark_present(fcs);
 //! let report = bus.run_round();
 //! assert!(report.membership[&scram] && report.membership[&fcs]);
-//! let inbox = bus.drain_inbox(fcs);
-//! assert_eq!(inbox[0].message.topic(), "reconfig");
+//! // The next round fcs stays silent.
+//! bus.mark_present(scram);
+//! bus.run_round();
+//! assert_eq!(bus.silent_rounds(fcs), Some(1));
 //! # Ok::<(), arfs_ttbus::BusError>(())
 //! ```
 
@@ -51,7 +56,7 @@ mod bus;
 mod error;
 mod schedule;
 
-pub use bus::{Delivery, MembershipChange, Message, RoundReport, TtBus};
+pub use bus::{MembershipChange, RoundReport, TtBus};
 pub use error::BusError;
 pub use schedule::{BusSchedule, BusScheduleBuilder, Slot};
 

@@ -1,4 +1,4 @@
-//! Static TDMA schedules: slots, ownership, and latency bounds.
+//! Static TDMA schedules: slots, ownership, and capacities.
 
 use std::collections::BTreeSet;
 
@@ -90,36 +90,6 @@ impl BusSchedule {
             .map(|s| s.capacity)
             .sum()
     }
-
-    /// Worst-case number of rounds for a node to transmit `backlog_bytes`
-    /// of queued messages, assuming no message is split across slots and
-    /// all messages are at most `max_message` bytes.
-    ///
-    /// This is the static latency bound time-triggered designs are prized
-    /// for: it depends only on the schedule, never on runtime behavior.
-    /// Returns `None` if the node has no slot or `max_message` exceeds
-    /// its largest slot.
-    pub fn worst_case_rounds(
-        &self,
-        node: NodeId,
-        backlog_bytes: usize,
-        max_message: usize,
-    ) -> Option<u64> {
-        let largest = self.max_capacity(node)?;
-        if max_message > largest {
-            return None;
-        }
-        if backlog_bytes == 0 {
-            return Some(0);
-        }
-        // Conservative: assume every slot carries at least one maximal
-        // message when the backlog is nonempty, i.e. per round the node
-        // clears at least (slots it owns) messages but no fewer than
-        // `largest` bytes; bound by message count with maximal size.
-        let msgs = backlog_bytes.div_ceil(max_message.max(1)) as u64;
-        let slots_per_round = self.slots.iter().filter(|s| s.owner == node).count() as u64;
-        Some(msgs.div_ceil(slots_per_round.max(1)))
-    }
 }
 
 /// Builder for [`BusSchedule`].
@@ -204,31 +174,5 @@ mod tests {
             .unwrap();
         assert_eq!(s.bytes_per_round(n(0)), 96);
         assert_eq!(s.max_capacity(n(0)), Some(64));
-    }
-
-    #[test]
-    fn worst_case_rounds_is_static_and_sane() {
-        let s = BusSchedule::round_robin([n(0), n(1)], 64).unwrap();
-        assert_eq!(s.worst_case_rounds(n(0), 0, 64), Some(0));
-        assert_eq!(s.worst_case_rounds(n(0), 64, 64), Some(1));
-        assert_eq!(s.worst_case_rounds(n(0), 65, 64), Some(2));
-        assert_eq!(s.worst_case_rounds(n(0), 640, 64), Some(10));
-        // Oversized messages can never be transmitted.
-        assert_eq!(s.worst_case_rounds(n(0), 10, 65), None);
-        // Unknown node has no bound.
-        assert_eq!(s.worst_case_rounds(n(9), 10, 10), None);
-    }
-
-    #[test]
-    fn worst_case_rounds_improves_with_extra_slots() {
-        let one = BusSchedule::builder().slot(n(0), 64).build().unwrap();
-        let two = BusSchedule::builder()
-            .slot(n(0), 64)
-            .slot(n(0), 64)
-            .build()
-            .unwrap();
-        let slow = one.worst_case_rounds(n(0), 64 * 8, 64).unwrap();
-        let fast = two.worst_case_rounds(n(0), 64 * 8, 64).unwrap();
-        assert!(fast < slow, "fast={fast} slow={slow}");
     }
 }

@@ -113,6 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let report = ModelChecker::new(pipeline_spec()?, 18, 1)
             .with_kernel(kernel)
+            .unwrap()
             .run();
         println!("exhaustive ({policy:?}): {report}");
         assert!(report.all_passed());

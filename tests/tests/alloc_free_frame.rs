@@ -263,14 +263,14 @@ fn stream_verifier_allocates_nothing_per_frame() {
 #[test]
 fn metrics_registry_allocates_a_name_only_once() {
     let mut metrics = arfs_core::obs::MetricsRegistry::new();
-    metrics.add("bus.deliveries", 1);
+    metrics.add("bus.membership_changes", 1);
     metrics.incr("frames");
     metrics.set_gauge("frames.restricted_ratio", 0.0);
     metrics.observe("reconfig.latency_cycles", 4);
 
     let before = allocs();
     for i in 0..100u32 {
-        metrics.add("bus.deliveries", 3);
+        metrics.add("bus.membership_changes", 3);
         metrics.incr("frames");
         metrics.set_gauge("frames.restricted_ratio", f64::from(i) / 100.0);
         metrics.observe("reconfig.latency_cycles", u64::from(i));
@@ -282,7 +282,7 @@ fn metrics_registry_allocates_a_name_only_once() {
         "updating existing metrics must not touch the heap ({} allocations)",
         after - before
     );
-    assert_eq!(metrics.counter("bus.deliveries"), 301);
+    assert_eq!(metrics.counter("bus.membership_changes"), 301);
     assert_eq!(metrics.counter("frames"), 101);
     assert_eq!(
         metrics.snapshot().histograms["reconfig.latency_cycles"].count,

@@ -7,6 +7,7 @@
 
 use arfs_avionics::{quarantine_spec, three_level_spec};
 use arfs_core::chaos::{ChaosProfile, FaultKind, FaultPlan};
+use arfs_core::lint::Assembly;
 use arfs_core::model::ModelChecker;
 use arfs_core::scenario::Scenario;
 use arfs_core::spec::ReconfigSpec;
@@ -84,7 +85,7 @@ fn campaign_reports_are_deterministic_per_seed() {
 fn fork_preserves_pending_chaos_state() {
     // A bus-silence window opens at frame 2 and runs four frames; the
     // quarantine defense (window 3) will convict at frame 4. Fork at
-    // the end of frame 3 — mid-silence, streak at 2, one frame short of
+    // the end of frame 3 — mid-silence, two silent bus rounds, one frame short of
     // conviction — and both timelines must independently complete the
     // quarantine on the very next frame.
     let spec = quarantine_spec();
@@ -104,13 +105,11 @@ fn fork_preserves_pending_chaos_state() {
     for _ in 0..4 {
         parent.run_frame();
     }
-    // The silence window is open and the streak is pending but below
+    // The silence window is open and the silent-round count is below
     // the conviction threshold.
     assert!(parent.chaos().is_silenced(ProcessorId::new(1), 4));
-    assert_eq!(
-        parent.chaos().silent_streak.get(&ProcessorId::new(1)),
-        Some(&2)
-    );
+    let silenced = Assembly::proc_node(ProcessorId::new(1));
+    assert_eq!(parent.bus().silent_rounds(silenced), Some(2));
     assert_eq!(parent.journal().of_kind("quarantined").count(), 0);
 
     let mut child = parent.fork();
@@ -120,9 +119,9 @@ fn fork_preserves_pending_chaos_state() {
         "fork must carry the open silence window"
     );
     assert_eq!(
-        parent.chaos().silent_streak,
-        child.chaos().silent_streak,
-        "fork must carry the accumulated silent streak"
+        parent.bus().silent_rounds(silenced),
+        child.bus().silent_rounds(silenced),
+        "fork must carry the accumulated silent-round count"
     );
 
     // Run the child first and to completion; the parent afterwards. If

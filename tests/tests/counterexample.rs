@@ -12,10 +12,12 @@ use arfs_core::scram::{KernelConfig, ScramMutation};
 
 fn checker_for(mutation: ScramMutation) -> ModelChecker {
     let spec = avionics_spec().expect("avionics spec builds");
-    ModelChecker::new(spec, KNOWN_BAD_HORIZON, 1).with_kernel(KernelConfig {
-        mutation: Some(mutation),
-        ..KernelConfig::default()
-    })
+    ModelChecker::new(spec, KNOWN_BAD_HORIZON, 1)
+        .with_kernel(KernelConfig {
+            mutation: Some(mutation),
+            ..KernelConfig::default()
+        })
+        .unwrap()
 }
 
 #[test]

@@ -99,7 +99,9 @@ fn policy_grid() -> Vec<KernelConfig> {
 fn engines_agree_under_every_policy_combination() {
     for kernel in policy_grid() {
         let label = format!("{kernel:?}");
-        let mc = ModelChecker::new(three_level_spec(1), 12, 1).with_kernel(kernel);
+        let mc = ModelChecker::new(three_level_spec(1), 12, 1)
+            .with_kernel(kernel)
+            .unwrap();
         assert_engines_agree(&mc, &label);
     }
 }
@@ -108,10 +110,12 @@ fn engines_agree_under_every_policy_combination() {
 fn engines_agree_on_a_mutated_kernel() {
     // A broken protocol produces many failures; the engines must agree
     // on all of them, in order — not just on the happy path.
-    let mc = ModelChecker::new(three_level_spec(1), 12, 2).with_kernel(KernelConfig {
-        mutation: Some(ScramMutation::SkipInitPhase),
-        ..KernelConfig::default()
-    });
+    let mc = ModelChecker::new(three_level_spec(1), 12, 2)
+        .with_kernel(KernelConfig {
+            mutation: Some(ScramMutation::SkipInitPhase),
+            ..KernelConfig::default()
+        })
+        .unwrap();
     let reference = mc.run_reference();
     assert!(
         !reference.all_passed(),
@@ -196,7 +200,9 @@ fn por_matches_the_reference_outcome_under_every_policy_combination() {
     for kernel in policy_grid() {
         let label = format!("POR {kernel:?}");
         assert_por_agrees(
-            ModelChecker::new(three_level_spec(1), 12, 1).with_kernel(kernel),
+            ModelChecker::new(three_level_spec(1), 12, 1)
+                .with_kernel(kernel)
+                .unwrap(),
             &label,
         );
     }
@@ -213,10 +219,12 @@ fn por_matches_the_reference_outcome_on_mutated_kernels() {
     ] {
         let label = format!("POR {mutation:?} h12 e2");
         assert_por_agrees(
-            ModelChecker::new(spec.clone(), 12, 2).with_kernel(KernelConfig {
-                mutation: Some(mutation),
-                ..KernelConfig::default()
-            }),
+            ModelChecker::new(spec.clone(), 12, 2)
+                .with_kernel(KernelConfig {
+                    mutation: Some(mutation),
+                    ..KernelConfig::default()
+                })
+                .unwrap(),
             &label,
         );
     }
@@ -323,6 +331,7 @@ fn model_checking_does_not_depend_on_the_observability_knob() {
                         mutation: Some(mutation),
                         ..KernelConfig::default()
                     })
+                    .unwrap()
                     .with_flight_recorder(false),
                 &format!("{slug} POR h24 e2"),
             );

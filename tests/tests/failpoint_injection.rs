@@ -110,7 +110,6 @@ fn unarmed_runs_are_unaffected_and_sites_count_hits() {
         "rtos.clock.advance",
         "system.stable.commit",
         "failstop.stable.commit",
-        "ttbus.bus.deliver",
     ] {
         assert!(
             hits.get(site).copied().unwrap_or(0) > 0,
@@ -150,13 +149,15 @@ fn skipped_trigger_defers_one_frame_without_violating_properties() {
 /// profile on the three-level spec with no commit retry budget, so one
 /// torn commit mid-reconfiguration falls back to the safe state.
 fn budget0_checker() -> ModelChecker {
-    ModelChecker::new(three_level_spec(1), 12, 1).with_kernel(KernelConfig {
-        defense: ChaosDefense {
-            retry_budget_frames: 0,
-            ..ChaosDefense::default()
-        },
-        ..KernelConfig::default()
-    })
+    ModelChecker::new(three_level_spec(1), 12, 1)
+        .with_kernel(KernelConfig {
+            defense: ChaosDefense {
+                retry_budget_frames: 0,
+                ..ChaosDefense::default()
+            },
+            ..KernelConfig::default()
+        })
+        .unwrap()
 }
 
 /// `power=degraded` at frame 1 and the third `system.stable.commit`

@@ -19,7 +19,7 @@ type Stimulus = (u64, usize);
 
 /// Runs a fresh avionics system (observability on) through `schedule`
 /// up to `horizon`, returning its journal as JSON lines, its trace,
-/// and its bus log debug rendering — three independent byte-level
+/// and its bus membership log's debug rendering — three independent byte-level
 /// views of the behavior.
 fn replay_from_scratch(schedule: &[Stimulus], horizon: u64) -> (String, SysTrace, String) {
     let spec = arfs_avionics::avionics_spec().unwrap();
@@ -45,7 +45,7 @@ fn fingerprints(system: &System) -> (String, SysTrace, String) {
     (
         system.journal().to_json_lines(),
         system.trace().clone(),
-        format!("{:?}", system.bus().log()),
+        format!("{:?}", system.bus().membership_changes()),
     )
 }
 
@@ -92,18 +92,18 @@ proptest! {
         }
 
         // Each side must be byte-identical to a system that never
-        // forked at all: same journal JSON, same trace, same bus log.
+        // forked at all: same journal JSON, same trace, same bus membership log.
         let (pj, pt, pe) = fingerprints(&parent);
         let (oj, ot, oe) = replay_from_scratch(&parent_schedule, horizon);
         prop_assert_eq!(pj, oj, "parent journal diverged from deep replay");
         prop_assert_eq!(pt, ot, "parent trace diverged from deep replay");
-        prop_assert_eq!(pe, oe, "parent bus log diverged from deep replay");
+        prop_assert_eq!(pe, oe, "parent bus membership log diverged from deep replay");
 
         let (cj, ct, ce) = fingerprints(&child);
         let (oj, ot, oe) = replay_from_scratch(&child_schedule, horizon);
         prop_assert_eq!(cj, oj, "child journal diverged from deep replay");
         prop_assert_eq!(ct, ot, "child trace diverged from deep replay");
-        prop_assert_eq!(ce, oe, "child bus log diverged from deep replay");
+        prop_assert_eq!(ce, oe, "child bus membership log diverged from deep replay");
     }
 
     /// Stacked forks: fork the fork, diverge all three, and check the

@@ -8,36 +8,35 @@ use arfs_avionics::AvionicsSystem;
 use arfs_core::environment::EnvState;
 use arfs_core::scenario::Scenario;
 use arfs_core::scram::{KernelConfig, Scram};
-use arfs_ttbus::{BusSchedule, Message, NodeId, TtBus};
+use arfs_ttbus::{BusSchedule, NodeId, TtBus};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Two buses fed the same submissions produce identical rounds and
-    /// inboxes.
+    /// Two buses fed the same presence produce identical rounds,
+    /// silent-round counts and membership logs.
     #[test]
     fn bus_is_deterministic(
-        submissions in proptest::collection::vec((0u32..3, 0usize..32), 0..40),
-        rounds in 1u64..6,
+        present_sets in proptest::collection::vec(
+            proptest::collection::btree_set(0u32..3, 0..4),
+            1..12
+        ),
     ) {
         let schedule = BusSchedule::round_robin((0..3).map(NodeId::new), 64).unwrap();
         let mut a = TtBus::new(schedule.clone());
         let mut b = TtBus::new(schedule);
-        let per_round = submissions.len() / rounds as usize + 1;
-        for (chunk, batch) in submissions.chunks(per_round.max(1)).enumerate() {
-            for (node, len) in batch {
-                let msg = Message::new(format!("t{chunk}"), vec![0u8; *len]);
-                a.submit(NodeId::new(*node), msg.clone()).unwrap();
-                b.submit(NodeId::new(*node), msg).unwrap();
+        for set in &present_sets {
+            for &node in set {
+                a.mark_present(NodeId::new(node));
+                b.mark_present(NodeId::new(node));
             }
-            let ra = a.run_round();
-            let rb = b.run_round();
-            prop_assert_eq!(ra, rb);
+            prop_assert_eq!(a.run_round(), b.run_round());
             for n in 0..3 {
-                prop_assert_eq!(a.drain_inbox(NodeId::new(n)), b.drain_inbox(NodeId::new(n)));
+                prop_assert_eq!(a.silent_rounds(NodeId::new(n)), b.silent_rounds(NodeId::new(n)));
             }
         }
+        prop_assert_eq!(a.membership_changes(), b.membership_changes());
     }
 
     /// Two SCRAM kernels stepped with the same environment sequence make
@@ -45,8 +44,8 @@ proptest! {
     #[test]
     fn scram_is_deterministic(values in proptest::collection::vec(0usize..3, 1..30)) {
         let spec = Arc::new(arfs_avionics::avionics_spec().unwrap());
-        let mut a = Scram::new(Arc::clone(&spec), KernelConfig::default());
-        let mut b = Scram::new(Arc::clone(&spec), KernelConfig::default());
+        let mut a = Scram::new(Arc::clone(&spec), KernelConfig::default()).unwrap();
+        let mut b = Scram::new(Arc::clone(&spec), KernelConfig::default()).unwrap();
         let domain = ["both", "one", "battery"];
         let (mut log_a, mut log_b) = (Vec::new(), Vec::new());
         for (frame, v) in values.iter().enumerate() {

@@ -96,7 +96,7 @@ proptest! {
         let mc = ModelChecker::new(spec, horizon, max_events).with_kernel(KernelConfig {
             mutation: mutation_for(mutation_index),
             ..KernelConfig::default()
-        });
+        }).unwrap();
         let reference = mc.run_reference();
         let por = mc.with_por();
         let report = por.run();
