@@ -117,28 +117,29 @@ fn bench_model_check(c: &mut Criterion) {
     // The substrate snapshot the prefix-sharing walk takes at every
     // branch point — forking must stay far cheaper than replaying the
     // prefix (horizon x per-frame cost). Mirrors the walk's fork
-    // conditions: observability off, as the checker builds its systems.
+    // conditions: observability and trace recording off, as the
+    // checker builds its systems.
     group.bench_function("fork_system", |b| {
         let mut system = System::builder(spec.clone())
             .observability(false)
             .build()
             .unwrap();
+        system.set_trace_recording(false);
         for _ in 0..10 {
             system.run_frame();
         }
         b.iter(|| black_box(system.fork()));
     });
     // The same fork after 200 frames of history including several
-    // reconfigurations. With copy-on-write substrate state the cost
-    // must stay flat as history accumulates (the accumulated trace,
-    // event logs, and bus history are shared, not copied); deep-copy
-    // forks scale linearly with the prefix length and regress here
-    // first.
+    // reconfigurations. With no trace recorded, the history a fork
+    // copies is the bus membership changes and pool events, so the
+    // cost must stay flat as frames accumulate.
     group.bench_function("fork_system_deep_history", |b| {
         let mut system = System::builder(spec.clone())
             .observability(false)
             .build()
             .unwrap();
+        system.set_trace_recording(false);
         let values = ["both", "one", "battery", "one"];
         let mut level = 0;
         for f in 0..200u64 {

@@ -91,16 +91,17 @@ fn timed<T>(samples: &mut Vec<f64>, f: impl FnOnce() -> T) -> T {
 
 /// Measures the substrate fork cost the walk pays at every branch
 /// point, in nanoseconds: a system built the way the checker builds
-/// them (observability off) carrying 200 frames of history including
-/// several reconfigurations. With copy-on-write substrate state this
-/// must stay flat as history accumulates; a deep-copy regression shows
-/// up here first and linearly.
+/// them (observability and trace recording off) carrying 200 frames of
+/// history including several reconfigurations. With no trace recorded
+/// this must stay flat as history accumulates; a fork that copied
+/// per-frame history would show up here first and linearly.
 fn measure_fork_cost_ns() -> f64 {
     let spec = arfs_avionics::avionics_spec().expect("valid spec");
     let mut system = System::builder(spec)
         .observability(false)
         .build()
         .expect("builds");
+    system.set_trace_recording(false);
     let values = ["both", "one", "battery", "one"];
     let mut level = 0;
     for f in 0..200u64 {
@@ -393,15 +394,16 @@ fn main() {
     );
 
     // --- Comparison with the previous artifact. ---
-    // Two wallclock numbers the COW substrate is responsible for: the
-    // per-branch fork cost, and the headline case's end-to-end POR
-    // time. Their ratios to the last recorded run are printed and
+    // Two wallclock numbers the walk's cost rests on: the per-branch
+    // fork cost, and the headline case's end-to-end POR time. Their ratios to the last recorded run are printed and
     // recorded, never an exit code: the artifact may have been recorded
     // on another host.
     banner("previous-artifact comparison (informational)");
     let prior = prior_artifact("BENCH_model_check.json");
     let fork_cost_ns = measure_fork_cost_ns();
-    println!("substrate fork: {fork_cost_ns:.0} ns (200-frame history, observability off)");
+    println!(
+        "substrate fork: {fork_cost_ns:.0} ns (200-frame history, observability and trace off)"
+    );
     let fork_vs_prior = prior
         .as_ref()
         .and_then(|p| p.get("fork_cost_ns")?.as_f64())

@@ -45,7 +45,7 @@ pub enum OracleProfile {
 
 impl OracleProfile {
     /// The profile's checks, in report order.
-    fn checks(self) -> &'static [PropertyId] {
+    pub(crate) fn checks(self) -> &'static [PropertyId] {
         use PropertyId::*;
         match self {
             OracleProfile::Exhaustive => &[Sp1, Sp2, Sp3, Sp4, OpenReconfiguration],

@@ -18,19 +18,22 @@
 //! a worker that steals a shard owns it until it finishes — no
 //! barriers, no shard locks. The serial path drains the same queue on
 //! the caller's thread. Within a shard, each cell applies its scenario
-//! stimuli and calls [`System::advance_frame`] — the allocation-free
-//! steady-state fast path when eligible, the full frame otherwise.
+//! stimuli and steps its system through its verifier, which calls
+//! [`System::advance_frame`] — the allocation-free steady-state fast
+//! path when eligible, the full frame otherwise.
 //!
 //! # Streaming verification
 //!
 //! Traces are **not** recorded (memory would grow with
-//! `systems × horizon`). Instead a per-system [`StreamVerifier`] feeds
-//! each frame to the same [`properties`] monitors the batch checkers
-//! fold over a trace: steady fast frames only reset a counter; while a
-//! reconfiguration is open the cell runs full frames so the monitors
-//! see every restricted state. Violations carry the offending system's
-//! seed and case — its stimuli, chaos fault plan and the fleet's
-//! horizon — so any report line replays through
+//! `systems × horizon`). Instead each cell steps its system through its
+//! own [`StreamVerifier`] ([`StreamVerifier::step`], the frame driver
+//! the model checker's walk shares), which feeds each frame to the same
+//! [`properties`](crate::properties) monitors the batch checkers fold
+//! over a trace: steady fast frames only reset a counter; while a
+//! reconfiguration is open the verifier forces full frames so the
+//! monitors see every restricted state. Violations carry the offending
+//! system's seed and case — its stimuli, chaos fault plan and the
+//! fleet's horizon — so any report line replays through
 //! [`Scenario::run_with`]. Cells keep no copy of their case:
 //! aggregation re-derives it from the seed for the cells a report
 //! names.
@@ -83,13 +86,14 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::assure::OracleProfile;
 use crate::chaos::{ChaosProfile, FaultPlan};
 use crate::obs::triage::trigger;
 use crate::obs::{
     FlightRing, JournalLine, Log2Histogram, MetricsRegistry, MetricsSnapshot, RingLegend,
     TriageBundle,
 };
-use crate::properties::{self, Monitors, PropertyViolation};
+use crate::properties::{Monitors, PropertyViolation};
 use crate::scenario::{Scenario, ScenarioEvent};
 use crate::scram::{KernelConfig, ScramMutation};
 use crate::spec::ReconfigSpec;
@@ -316,14 +320,19 @@ impl FleetReport {
 }
 
 /// Streams one system's frames past the SP1–SP4 (and extension)
-/// checkers without retaining its trace: the property monitors of the
-/// `Extended` oracle profile, fed live.
+/// checkers without retaining its trace: the property monitors of an
+/// oracle profile's check list, fed live. The fleet's cells use the
+/// `Extended` list ([`new`](StreamVerifier::new)); the model checker's
+/// walk nodes use the `Exhaustive` one and fork the verifier along with
+/// their system.
 ///
 /// Steady fast frames cannot change the verified state (the fast path's
 /// eligibility proof covers exactly the checkers' premises). While a
-/// reconfiguration interval is open the verifier asks the fleet to force
-/// full frames ([`needs_full_state`](StreamVerifier::needs_full_state))
-/// so every restricted state is observed.
+/// reconfiguration interval is open the verifier forces full frames
+/// ([`needs_full_state`](StreamVerifier::needs_full_state)) so every
+/// restricted state is observed; [`step`](StreamVerifier::step) is the
+/// one frame driver that applies that rule.
+#[derive(Clone)]
 pub struct StreamVerifier {
     spec: Arc<ReconfigSpec>,
     monitors: Monitors,
@@ -341,17 +350,23 @@ impl std::fmt::Debug for StreamVerifier {
             .field("spec", &self.spec)
             .field("monitors", &self.monitors)
             .field("latencies", &self.latencies)
-            .field("reconfigs", &self.latencies.count())
+            .field("reconfigs", &self.reconfigs())
             .field("violations", &self.violations)
             .finish()
     }
 }
 
 impl StreamVerifier {
-    /// Creates a verifier for one system running under `spec`.
+    /// Creates a verifier for one system running under `spec`, over
+    /// SP1–SP4 and the three extension checks.
     pub fn new(spec: Arc<ReconfigSpec>) -> Self {
+        Self::for_profile(spec, OracleProfile::Extended)
+    }
+
+    /// Creates a verifier over `profile`'s check list.
+    pub(crate) fn for_profile(spec: Arc<ReconfigSpec>, profile: OracleProfile) -> Self {
         StreamVerifier {
-            monitors: Monitors::new(&spec, properties::EXTENDED),
+            monitors: Monitors::new(&spec, profile.checks()),
             spec,
             latencies: Log2Histogram::new(),
             violations: Vec::new(),
@@ -362,6 +377,28 @@ impl StreamVerifier {
     /// must be a full frame so its state can be observed.
     pub fn needs_full_state(&self) -> bool {
         self.monitors.open().is_some()
+    }
+
+    /// Advances `system` one frame and observes it: a forced full frame
+    /// while an interval is open, [`System::advance_frame`] otherwise.
+    /// Returns `true` when the frame took the steady fast path. The
+    /// system must run with trace recording off, so that a full frame
+    /// leaves its state in [`System::last_state`].
+    #[inline]
+    pub fn step(&mut self, system: &mut System) -> bool {
+        let fast = if self.needs_full_state() {
+            system.run_frame();
+            false
+        } else {
+            system.advance_frame()
+        };
+        if fast {
+            self.observe_fast();
+        } else {
+            let state = system.last_state().expect("full frame records state");
+            self.observe_full(state);
+        }
+        fast
     }
 
     /// Observes a steady fast frame (no state recorded; eligibility
@@ -384,6 +421,24 @@ impl StreamVerifier {
     /// still open is judged by the open-reconfiguration rule.
     pub fn finish(&mut self) {
         self.monitors.finish(&self.spec, &mut self.violations);
+    }
+
+    /// Reconfigurations completed so far.
+    pub fn reconfigs(&self) -> u64 {
+        self.latencies.count()
+    }
+
+    /// Violations settled so far, in the order the monitors settled
+    /// them (every one, after [`finish`](StreamVerifier::finish)).
+    pub fn violations(&self) -> &[PropertyViolation] {
+        &self.violations
+    }
+
+    /// Feeds `h` the monitors' open-interval state (nothing while no
+    /// interval is open): the verifier's share of a model-checker merge
+    /// key.
+    pub(crate) fn hash_open_state(&self, h: &mut impl std::hash::Hasher) {
+        self.monitors.hash_open_state(h);
     }
 }
 
@@ -435,20 +490,10 @@ impl Cell {
             self.next_event += 1;
         }
 
-        if self.verifier.needs_full_state() {
-            // The verifier must observe every frame of an open
-            // restricted window; force the full path.
-            self.system.run_frame();
-            self.full_frames += 1;
-            let state = self.system.last_state().expect("full frame records state");
-            self.verifier.observe_full(state);
-        } else if self.system.advance_frame() {
+        if self.verifier.step(&mut self.system) {
             self.fast_frames += 1;
-            self.verifier.observe_fast();
         } else {
             self.full_frames += 1;
-            let state = self.system.last_state().expect("full frame records state");
-            self.verifier.observe_full(state);
         }
 
         if let Some(section) = &mut self.journal {
@@ -690,7 +735,7 @@ impl Fleet {
 
             fast_frames += cell.fast_frames;
             full_frames += cell.full_frames;
-            reconfigs += cell.verifier.latencies.count();
+            reconfigs += cell.verifier.reconfigs();
             metrics.merge_histogram("fleet.reconfig_latency_cycles", &cell.verifier.latencies);
             defenses += cell.system.defense_events();
             let cell_restricted = cell.verifier.monitors.restricted_frames();
@@ -700,9 +745,9 @@ impl Fleet {
                 metrics.observe("fleet.restricted_frame_bp", bp);
             }
 
-            if !cell.verifier.violations.is_empty() {
+            if !cell.verifier.violations().is_empty() {
                 let case = Arc::new(system_case(&self.spec, &self.config, cell.id).1);
-                for v in &cell.verifier.violations {
+                for v in cell.verifier.violations() {
                     violations.push(FleetViolation {
                         system: cell.id,
                         seed: cell.seed,
@@ -755,7 +800,7 @@ impl Fleet {
     ) -> Option<TriageBundle> {
         let ring: &FlightRing = cell.system.flight_ring()?;
         let (trigger, property, frame, reconfig, detail) =
-            if let Some(v) = cell.verifier.violations.first() {
+            if let Some(v) = cell.verifier.violations().first() {
                 (
                     trigger::STREAM_VERIFIER,
                     v.property.to_string(),
@@ -799,6 +844,7 @@ mod tests {
     use super::*;
     use crate::app::NullApp;
     use crate::prelude::*;
+    use crate::properties;
     use crate::system::SystemBuilder;
     use arfs_rtos::Ticks;
     use std::collections::BTreeMap;
@@ -982,22 +1028,19 @@ mod tests {
                 streamed.set_env("power", value).unwrap();
             }
             recorded.run_frame();
-            if verifier.needs_full_state() {
-                streamed.run_frame();
-                verifier.observe_full(streamed.last_state().unwrap());
-            } else if streamed.advance_frame() {
-                verifier.observe_fast();
-            } else {
-                verifier.observe_full(streamed.last_state().unwrap());
-            }
+            verifier.step(&mut streamed);
         }
         verifier.finish();
 
         let batch = properties::check_extended(recorded.trace(), &spec);
         assert!(batch.is_ok(), "{batch}");
-        assert!(verifier.violations.is_empty(), "{:?}", verifier.violations);
+        assert!(
+            verifier.violations().is_empty(),
+            "{:?}",
+            verifier.violations()
+        );
         assert_eq!(
-            verifier.latencies.count(),
+            verifier.reconfigs(),
             recorded.trace().get_reconfigs().len() as u64
         );
         assert_eq!(
@@ -1033,11 +1076,11 @@ mod tests {
         }
         verifier.finish();
         let responsiveness: Vec<_> = verifier
-            .violations
+            .violations()
             .iter()
             .filter(|v| v.property == properties::PropertyId::Responsiveness)
             .collect();
-        assert_eq!(responsiveness.len(), 1, "{:?}", verifier.violations);
+        assert_eq!(responsiveness.len(), 1, "{:?}", verifier.violations());
     }
 
     #[test]
@@ -1274,6 +1317,39 @@ mod tests {
     }
 
     #[test]
+    fn debug_form_keeps_the_lines_perfbench_reads() {
+        // One completed reconfiguration, then an interval that never
+        // closes: one open-reconfiguration violation at `finish`.
+        let spec = Arc::new(small_spec());
+        let mut system = System::builder_arc(Arc::clone(&spec)).build().unwrap();
+        let mut verifier = StreamVerifier::new(Arc::clone(&spec));
+        for frame in 0..100u64 {
+            if frame == 5 {
+                system.set_env("power", "bad").unwrap();
+            }
+            system.run_frame();
+            let mut state = system.trace().states().last().unwrap().clone();
+            if frame >= 40 {
+                for rec in state.apps.values_mut() {
+                    rec.reconf_st = crate::trace::ReconfSt::Halted;
+                }
+            }
+            verifier.observe_full(&state);
+        }
+        verifier.finish();
+        assert_eq!(verifier.reconfigs(), 1);
+        assert_eq!(verifier.violations().len(), 1);
+        // perfbench's traced replica reads these two top-level lines of
+        // the pretty form, and counts the entries under the second.
+        let text = format!("{verifier:#?}");
+        assert!(text.contains("\n    reconfigs: 1,\n"), "{text}");
+        assert!(
+            text.contains("\n    violations: [\n        PropertyViolation {\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn forged_open_reconfiguration_reports_real_frames() {
         // 40 all-normal frames, then halted to the horizon: the stream
         // and the batch checkers both date the open reconfiguration at
@@ -1296,7 +1372,7 @@ mod tests {
             trace.push(state);
         }
         verifier.finish();
-        let streamed: Vec<Key> = verifier.violations.iter().map(key).collect();
+        let streamed: Vec<Key> = verifier.violations().iter().map(key).collect();
         let batch: Vec<Key> = properties::check_extended(&trace, &spec)
             .violations
             .iter()

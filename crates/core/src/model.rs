@@ -6,7 +6,11 @@
 //! to a bounded horizon and event count, runs the full system (with
 //! [`NullApp`](crate::app::NullApp)s standing in for application
 //! functionality, exactly the abstraction level of the PVS model), and
-//! checks the four properties on every resulting trace.
+//! checks the four properties on every resulting trace. The walk drives
+//! each system the way the fleet drives a cell: through
+//! [`StreamVerifier::step`], which takes the steady fast path on settled
+//! frames and feeds the SP1–SP4 monitors as the frames run, so no trace
+//! is recorded.
 //!
 //! # The alphabet and the schedule trie
 //!
@@ -39,10 +43,11 @@
 //! - **Prefix-sharing replay** — schedules sharing a prefix share the
 //!   simulation of that prefix. The tree walk runs each trie *node*
 //!   once: while advancing a node's own run toward the horizon it
-//!   [forks](crate::system::System::fork) the system at every branch
-//!   frame, seeds the child's event, and recurses after the node's own
-//!   trace has been checked. Total work drops from
-//!   O(schedules × horizon) simulated frames to one spine per node.
+//!   [forks](crate::system::System::fork) the system and clones its
+//!   verifier at every branch frame, seeds the child's event, and
+//!   recurses after the node's own verifier has finished. Total work
+//!   drops from O(schedules × horizon) simulated frames to one spine
+//!   per node.
 //! - **No-op elision** — an event that sets a factor to the value it
 //!   already holds at that point in the prefix leaves the environment,
 //!   and therefore the trace, untouched ([`Environment::set`] returns
@@ -71,9 +76,10 @@
 //!   quiet; the kernel steady with no pending trigger, or mid-protocol),
 //!   the child subtree's future is a function of the parent's canonical
 //!   fingerprint ([`System::state_fingerprint`]), the branch frame, the
-//!   seeded event, and the remaining event budget alone. A subtree
-//!   whose identity was already explored is merged instead of
-//!   re-walked.
+//!   seeded event, and the remaining event budget alone, and its
+//!   verdict also of the parent verifier's open-interval state, which
+//!   the key hashes in. A subtree whose identity was already explored
+//!   is merged instead of re-walked.
 //!
 //! The accounting invariant `cases_run + cases_elided + cases_merged =
 //! total_schedule_count` always holds. Reduction is *opt-in* because a
@@ -97,8 +103,8 @@
 //! with the offending schedule named and the progress made before it
 //! ([`ParallelPanic`]).
 //! [`ModelChecker::run_reference`] keeps the seed replay-from-frame-0
-//! engine as the executable specification the optimized engines are
-//! tested against.
+//! engine, which records each trace and folds the monitors over it, as
+//! the executable specification the streamed walk is tested against.
 //!
 //! # The flight recorder and the walk profiler
 //!
@@ -117,14 +123,17 @@
 //!
 //! [`Environment::set`]: crate::environment::Environment::set
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::assure::{InvariantOracle, OracleProfile};
 use crate::chaos::FaultPlan;
+use crate::fleet::StreamVerifier;
 use crate::lint::independence::IndependenceCertificate;
 use crate::obs::counterexample::{Counterexample, ShrinkStep};
 use crate::obs::{MetricsRegistry, MetricsSnapshot};
@@ -356,6 +365,8 @@ impl Iterator for ScheduleIter<'_> {
 /// pending) plus the path that identifies it.
 struct NodeTask {
     system: System,
+    /// The node's SP1–SP4 monitors, fed every frame its system has run.
+    verifier: StreamVerifier,
     events: Vec<PathEvent>,
     depth: usize,
 }
@@ -370,13 +381,17 @@ struct WalkAccum {
     cases_merged: usize,
     count_overflowed: bool,
     frames_simulated: u64,
+    /// Simulated frames that took the steady fast path.
+    frames_fast: u64,
     /// Failures keyed by their trie path, the canonical sort key.
     failures: Vec<(Vec<PathEvent>, CaseFailure)>,
-    /// Nanoseconds spent forking child systems at branch frames.
+    /// Nanoseconds spent forking child systems (and cloning their
+    /// verifiers) at branch frames.
     fork_ns: u64,
     /// Nanoseconds spent advancing systems frame by frame.
     advance_ns: u64,
-    /// Nanoseconds spent checking SP1–SP4 on completed traces.
+    /// Nanoseconds spent finishing each node's verifier and sorting its
+    /// violations.
     check_ns: u64,
     /// Tasks this worker stole from a sibling's deque.
     steals: u64,
@@ -390,6 +405,7 @@ impl WalkAccum {
         self.cases_merged += other.cases_merged;
         self.count_overflowed |= other.count_overflowed;
         self.frames_simulated += other.frames_simulated;
+        self.frames_fast += other.frames_fast;
         self.failures.extend(other.failures);
         self.fork_ns += other.fork_ns;
         self.advance_ns += other.advance_ns;
@@ -427,10 +443,10 @@ impl fmt::Display for ParallelPanic {
 pub const SERIAL_CUTOVER: usize = 256;
 
 /// Identity of one fork subtree for canonical-state deduplication:
-/// `(parent state fingerprint, branch frame, alphabet index, events
-/// left)`. The fingerprint covers quiescent *and* mid-reconfiguration
-/// ("busy") parents — see
-/// [`System::state_fingerprint`].
+/// `(parent node fingerprint, branch frame, alphabet index, events
+/// left)`. The node fingerprint is [`System::state_fingerprint`], which
+/// covers quiescent *and* mid-reconfiguration ("busy") parents, extended
+/// by the verifier's open-interval state (see [`node_fingerprint`]).
 type SubtreeKey = (u64, u64, usize, usize);
 
 /// Per-run state of the certified partial-order reduction: the
@@ -777,22 +793,28 @@ impl ModelChecker {
     /// under the checker's policies, installed fault plan and
     /// observability knob.
     fn root_task(&self) -> NodeTask {
-        let system = self
+        let mut system = self
             .builder(false)
             .fault_plan(self.fault_plan.clone())
             .build()
             .expect("validated spec builds");
+        // The node's verifier judges every frame as it runs.
+        system.set_trace_recording(false);
         NodeTask {
             system,
+            verifier: StreamVerifier::for_profile(
+                Arc::clone(&self.spec),
+                OracleProfile::Exhaustive,
+            ),
             events: Vec::new(),
             depth: 0,
         }
     }
 
-    /// Processes one trie node: advances its system through the branch
-    /// frames (forking a child per non-elided event), continues the
-    /// spine to the horizon — the node's own complete run — and checks
-    /// the properties on its trace. Returns the children in canonical
+    /// Processes one trie node: steps its system and verifier through
+    /// the branch frames (forking a child per non-elided event),
+    /// continues the spine to the horizon — the node's own complete run
+    /// — and finishes its verifier. Returns the children in canonical
     /// sibling order. With `por` set, subtrees the certificate proves
     /// verdict-equivalent to an explored representative are merged
     /// instead of forked. The task keeps its event prefix, so a caller
@@ -805,6 +827,7 @@ impl ModelChecker {
     ) -> Vec<NodeTask> {
         let NodeTask {
             system,
+            verifier,
             events,
             depth,
         } = task;
@@ -816,7 +839,7 @@ impl ModelChecker {
         if depth < self.max_events {
             while system.frame() < last_event_frame {
                 let advance_started = Instant::now();
-                system.run_frame();
+                acc.frames_fast += u64::from(verifier.step(system));
                 acc.advance_ns += span_ns(advance_started);
                 let frame = system.frame();
                 let remaining = self.max_events - depth - 1;
@@ -826,7 +849,9 @@ impl ModelChecker {
                 // (mid-reconfiguration) states fingerprint too, so
                 // schedules converging inside a reconfiguration window
                 // also merge.
-                let parent_fp = por.and_then(|_| system.state_fingerprint());
+                let parent_fp = por
+                    .and_then(|_| system.state_fingerprint())
+                    .map(|fp| node_fingerprint(fp, verifier));
                 // Choice-equivalence classes already forked at this
                 // branch point: `(factor, class, representative value)`.
                 let mut covered: Vec<(&str, usize, &str)> = Vec::new();
@@ -875,9 +900,9 @@ impl ModelChecker {
                         }
                     }
                     if let (Some(fp), Some(run)) = (parent_fp, por) {
-                        // Fingerprinted parent: this fork's future is a
-                        // function of (fingerprint, frame, event,
-                        // budget). Walk each identity once.
+                        // Fingerprinted parent: this fork's future, and
+                        // its verdict, are a function of (fingerprint,
+                        // frame, event, budget). Walk each identity once.
                         let key = (fp, frame, index, remaining);
                         let claimed = run.visited.lock().expect("POR visited set").insert(key);
                         if !claimed {
@@ -888,6 +913,7 @@ impl ModelChecker {
                     }
                     let fork_started = Instant::now();
                     let mut child = system.fork();
+                    let child_verifier = verifier.clone();
                     acc.fork_ns += span_ns(fork_started);
                     action
                         .apply(&mut child)
@@ -896,6 +922,7 @@ impl ModelChecker {
                     child_events.push((frame, index));
                     children.push(NodeTask {
                         system: child,
+                        verifier: child_verifier,
                         events: child_events,
                         depth: depth + 1,
                     });
@@ -904,14 +931,18 @@ impl ModelChecker {
         }
         let advance_started = Instant::now();
         while system.frame() < self.horizon {
-            system.run_frame();
+            acc.frames_fast += u64::from(verifier.step(system));
         }
         acc.advance_ns += span_ns(advance_started);
         acc.frames_simulated += self.horizon - start_frame;
         acc.cases_run += 1;
 
         let check_started = Instant::now();
-        let violations = collect_violations(system);
+        verifier.finish();
+        // Property-major, as the batch fold reports them.
+        let checks = OracleProfile::Exhaustive.checks();
+        let mut violations = verifier.violations().to_vec();
+        violations.sort_by_key(|v| checks.iter().position(|&c| c == v.property));
         acc.check_ns += span_ns(check_started);
         if !violations.is_empty() {
             let case = self.case_of(events);
@@ -1046,6 +1077,7 @@ impl ModelChecker {
         metrics.add("walk.cases_elided", total.cases_elided as u64);
         metrics.add("walk.cases_merged", total.cases_merged as u64);
         metrics.add("walk.frames_simulated", total.frames_simulated);
+        metrics.add("walk.frames_fast", total.frames_fast);
         metrics.add("walk.span.fork_ns", total.fork_ns);
         metrics.add("walk.span.advance_ns", total.advance_ns);
         metrics.add("walk.span.check_ns", total.check_ns);
@@ -1340,8 +1372,26 @@ fn span_ns(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// A walk node's fingerprint: the system's, extended by its verifier's
+/// open-interval state. Two nodes whose systems agree can still carry
+/// different open-interval verdicts (SP2's chosen set reflects the
+/// environments the interval has seen so far), and a subtree's verdict
+/// depends on both. Outside an interval the verifier adds nothing, so a
+/// steady node's fingerprint is its system's.
+fn node_fingerprint(system_fp: u64, verifier: &StreamVerifier) -> u64 {
+    if !verifier.needs_full_state() {
+        return system_fp;
+    }
+    let mut h = DefaultHasher::new();
+    h.write_u64(system_fp);
+    verifier.hash_open_state(&mut h);
+    h.finish()
+}
+
 /// Checks SP1–SP4 plus the open-reconfiguration property on a finished
-/// system's trace, through the unified oracle's exhaustive profile.
+/// system's trace, through the unified oracle's exhaustive profile: the
+/// batch fold behind [`ModelChecker::check_case`], which the reference
+/// engine and the shrinker call.
 fn collect_violations(system: &System) -> Vec<PropertyViolation> {
     InvariantOracle::new(system.spec_arc(), OracleProfile::Exhaustive).check(system.trace())
 }
@@ -1829,6 +1879,68 @@ mod tests {
             .map(|w| par.metrics.counters[&format!("walk.worker.{w}.runs")])
             .sum();
         assert_eq!(runs, par.cases_run as u64);
+    }
+
+    #[test]
+    fn walk_takes_the_fast_path_on_settled_frames() {
+        let mc = ModelChecker::new(small_spec(), 30, 1);
+        let report = mc.run();
+        let fast = report.metrics.counters["walk.frames_fast"];
+        assert!(fast > 0, "no settled frame took the fast path");
+        assert!(fast < report.frames_simulated);
+
+        // Observability makes every frame a full frame; the verdict and
+        // the counts stay.
+        let observed = mc.clone().with_observability(true).run();
+        assert_eq!(observed.metrics.counters["walk.frames_fast"], 0);
+        assert_eq!(observed, report);
+        assert_eq!(observed.frames_simulated, report.frames_simulated);
+        assert!(report.all_passed());
+    }
+
+    #[test]
+    fn merge_key_covers_the_open_interval_verdict_state() {
+        // Two nodes whose systems fingerprint alike can differ in what
+        // their open interval has already seen: here one interval saw
+        // `power=bad` (choose names `safe`) before `degraded`, the other
+        // only `degraded`. SP2's verdict at the interval's end depends
+        // on that, so the two must not share a merge key.
+        let spec = Arc::new(three_level_spec());
+        let steady = {
+            let mut system = System::builder_arc(Arc::clone(&spec)).build().unwrap();
+            system.run_frame();
+            system.trace().states().last().unwrap().clone()
+        };
+        let node = |powers: [&str; 2]| {
+            let mut verifier =
+                StreamVerifier::for_profile(Arc::clone(&spec), OracleProfile::Exhaustive);
+            verifier.observe_full(&steady);
+            for (frame, power) in (1..).zip(powers) {
+                let mut state = steady.clone();
+                state.frame = frame;
+                state.env = state.env.with("power", power);
+                for rec in state.apps.values_mut() {
+                    rec.reconf_st = crate::trace::ReconfSt::Interrupted;
+                }
+                verifier.observe_full(&state);
+            }
+            verifier
+        };
+        let saw_bad = node(["bad", "degraded"]);
+        let saw_degraded = node(["degraded", "degraded"]);
+        assert!(saw_bad.needs_full_state() && saw_degraded.needs_full_state());
+        let fp = 0x5eed;
+        assert_ne!(
+            node_fingerprint(fp, &saw_bad),
+            node_fingerprint(fp, &saw_degraded)
+        );
+        assert_eq!(
+            node_fingerprint(fp, &saw_bad),
+            node_fingerprint(fp, &node(["bad", "degraded"]))
+        );
+        // A steady verifier adds nothing: steady keys are the system's.
+        let settled = StreamVerifier::for_profile(Arc::clone(&spec), OracleProfile::Exhaustive);
+        assert_eq!(node_fingerprint(fp, &settled), fp);
     }
 
     #[test]

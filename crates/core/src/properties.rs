@@ -26,10 +26,12 @@
 //!
 //! Each property, and each extension check, is implemented once, as an
 //! online monitor over a trace's states (`Monitors`): the batch checks
-//! fold the monitors over a recorded trace, and the fleet's
-//! [`StreamVerifier`](crate::fleet::StreamVerifier) feeds them live.
+//! fold the monitors over a recorded trace, and a
+//! [`StreamVerifier`](crate::fleet::StreamVerifier) feeds them live to
+//! each fleet cell and each model-checker walk node.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::app::ConfigStatus;
 use crate::spec::ReconfigSpec;
@@ -88,7 +90,7 @@ impl fmt::Display for PropertyId {
 }
 
 /// One property violation, with enough context to debug it.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct PropertyViolation {
     /// The violated property.
     pub property: PropertyId,
@@ -212,14 +214,15 @@ pub(crate) fn check_trace(
 
 /// A check list as online monitors over one trace, fed one state at a
 /// time: the single implementation of every trace property, behind the
-/// batch checks, the fleet's stream verifier and the model checker.
+/// batch checks and the stream verifier the fleet and the model
+/// checker's walk share.
 ///
 /// A monitor reports a violation once its verdict is final: SP1–SP4 and
 /// protocol conformance when an interval closes, responsiveness at its
 /// frame, open-reconfiguration and the livelock bound at
 /// [`finish`](Self::finish). Monitor state is fixed in size and
 /// allocated up front, so a violation-free frame allocates nothing.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Monitors {
     cut: IntervalCut,
     /// The configuration the open interval started from.
@@ -351,6 +354,21 @@ impl Monitors {
         self.cut.open()
     }
 
+    /// Feeds `h` the state the open interval's verdicts still depend
+    /// on: its start, its origin and every monitor's per-interval state
+    /// (SP1's pending violations, SP2's chosen set, the conformance
+    /// stages). Feeds nothing while no interval is open: then SP1–SP4
+    /// and the open-reconfiguration rule hold no state a later verdict
+    /// reads.
+    pub fn hash_open_state(&self, h: &mut impl Hasher) {
+        let Some(start) = self.cut.open() else {
+            return;
+        };
+        start.hash(h);
+        self.origin.hash(h);
+        self.monitors.hash(h);
+    }
+
     /// Frames observed with some application not normal.
     pub fn restricted_frames(&self) -> u64 {
         self.restricted
@@ -360,7 +378,7 @@ impl Monitors {
 /// The configuration an interval starts from: its index in the spec's
 /// declaration order, or — only in a forged trace — the name of one the
 /// spec does not declare.
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 enum Origin {
     Declared(usize),
     Undeclared(ConfigId),
@@ -400,7 +418,7 @@ fn flag(
 }
 
 /// The Table 1 stages one application went through in an interval.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, Hash)]
 struct Stages {
     halted: bool,
     prepared: bool,
@@ -408,7 +426,7 @@ struct Stages {
 }
 
 /// One property's monitor and its state.
-#[derive(Debug)]
+#[derive(Debug, Clone, Hash)]
 enum Monitor {
     /// SP1 violations of the open interval, reported if it completes.
     Sp1(Vec<PropertyViolation>),

@@ -260,6 +260,7 @@ impl SystemBuilder {
             trace_recording: true,
             last_state: None,
             apps_auto_null,
+            signals_unsettled: true,
             board: Blackboard::new(),
         })
     }
@@ -322,6 +323,26 @@ impl AppSlot {
 /// The position of application `id` in id-ordered `slots`.
 fn slot_index(slots: &[AppSlot], id: &AppId) -> Option<usize> {
     slots.binary_search_by(|s| s.id.cmp(id)).ok()
+}
+
+/// Writes the SCRAM's reconfiguration signals for one application into
+/// its region and commits them: its `configuration_status` and its
+/// `target_spec` (removed when the command names none). An unchanged
+/// variable is not re-staged; the commit still bumps the version. Both
+/// frame paths call it, so a fast frame leaves the region a full frame
+/// would.
+fn write_signals(s: &mut StableStorage, status: ConfigStatus, target: Option<&str>) {
+    if s.get_str(CONFIG_STATUS_KEY) != Some(status.as_str()) {
+        s.stage_str(CONFIG_STATUS_KEY, status.as_str());
+    }
+    match target {
+        Some(t) if s.get_str(TARGET_SPEC_KEY) != Some(t) => {
+            s.stage_str(TARGET_SPEC_KEY, t);
+        }
+        None if s.contains(TARGET_SPEC_KEY) => s.stage_remove(TARGET_SPEC_KEY),
+        _ => {}
+    }
+    s.commit();
 }
 
 /// Reports one application stage: its error, if it failed, then the
@@ -396,6 +417,11 @@ pub struct System {
     /// All applications are auto-filled [`NullApp`]s (they ignore their
     /// blackboard inputs), a precondition of the steady-state fast path.
     apps_auto_null: bool,
+    /// Some region's SCRAM-owned signals may differ from the steady
+    /// `Normal` command: before the first frame, and after a frame that
+    /// commanded another status or named a target. The next frame
+    /// rewrites them, the fast path included.
+    signals_unsettled: bool,
     /// The frame-start blackboard: filled while a full frame's stages
     /// run, empty otherwise.
     board: Blackboard,
@@ -643,32 +669,25 @@ impl System {
     /// bounded model checker share the simulation of common schedule
     /// prefixes instead of replaying every schedule from frame 0.
     ///
-    /// Independence does **not** mean deep copies. Every log — the
-    /// trace, the bus membership log, the pool audit log —
-    /// is a [`CowLog`](arfs_failstop::CowLog) whose sealed past is
-    /// shared behind `Arc`s (which is why forking takes `&mut self`: the
-    /// open tails are sealed into shared segments), and the slots are
-    /// cloned as they are: each stable-storage region is an `Arc` the
-    /// fork shares until either side's next write copies it
-    /// (`Arc::make_mut`). The cost of a fork is therefore
-    /// O(components + prior forks), independent of how much history has
-    /// accumulated. Bounded live state (clock, queues, pending inputs,
-    /// chaos ledger, the environment's current state) is cloned; the
-    /// boxed applications and monitors are duplicated through the
-    /// explicit [`ForkSnapshot`] protocol.
-    pub fn fork(&mut self) -> System {
+    /// State is cloned, except that each stable-storage region is an
+    /// `Arc` the fork shares until either side's next write copies it
+    /// (`Arc::make_mut`), and the boxed applications and monitors are
+    /// duplicated through the explicit [`ForkSnapshot`] protocol. A
+    /// recorded trace is cloned whole; the model checker's walk records
+    /// none, so its forks copy no per-frame history.
+    pub fn fork(&self) -> System {
         System {
             spec: Arc::clone(&self.spec),
             clock: self.clock.fork(),
             apps: self.apps.fork_snapshot(),
             slots: self.slots.clone(),
             order: Arc::clone(&self.order),
-            pool: self.pool.fork(),
-            bus: self.bus.fork(),
+            pool: self.pool.clone(),
+            bus: self.bus.clone(),
             environment: self.environment.clone(),
             scram: self.scram.clone(),
             monitors: self.monitors.fork_snapshot(),
-            trace: self.trace.fork(),
+            trace: self.trace.clone(),
             pending_env: self.pending_env.clone(),
             pending_failures: self.pending_failures.clone(),
             obs: self.obs.clone(),
@@ -679,6 +698,7 @@ impl System {
             trace_recording: self.trace_recording,
             last_state: self.last_state.clone(),
             apps_auto_null: self.apps_auto_null,
+            signals_unsettled: self.signals_unsettled,
             board: Blackboard::new(),
         }
     }
@@ -806,6 +826,14 @@ impl System {
         // Coalesced into the ring's current run in place: zero
         // allocations (proven ring-enabled by tests/alloc_free_frame.rs).
         self.obs.emit(frame, &Event::FastFrame);
+        // The steady kernel commands `Normal` with no target: write it
+        // where a full frame would, once after any other command.
+        if self.signals_unsettled {
+            self.signals_unsettled = false;
+            for slot in &mut self.slots {
+                write_signals(Arc::make_mut(&mut slot.region), ConfigStatus::Normal, None);
+            }
+        }
         for &at in self.order.iter() {
             let slot = &mut self.slots[at];
             let app = &mut self.apps[slot.app];
@@ -988,24 +1016,13 @@ impl System {
         }
 
         // --- Reconfiguration signals: SCRAM -> each application, via the
-        // configuration_status variable in stable storage.
-        // An unchanged variable is not re-staged; the commit still bumps
-        // the version. ---
+        // configuration_status variable in stable storage. ---
+        self.signals_unsettled = false;
         for slot in &mut self.slots {
             let command = &decision.commands[&slot.id];
             let target = command.target.as_ref().map(SpecId::as_str);
-            let s = Arc::make_mut(&mut slot.region);
-            if s.get_str(CONFIG_STATUS_KEY) != Some(command.status.as_str()) {
-                s.stage_str(CONFIG_STATUS_KEY, command.status.as_str());
-            }
-            match target {
-                Some(t) if s.get_str(TARGET_SPEC_KEY) != Some(t) => {
-                    s.stage_str(TARGET_SPEC_KEY, t);
-                }
-                None if s.contains(TARGET_SPEC_KEY) => s.stage_remove(TARGET_SPEC_KEY),
-                _ => {}
-            }
-            s.commit();
+            self.signals_unsettled |= command.status != ConfigStatus::Normal || target.is_some();
+            write_signals(Arc::make_mut(&mut slot.region), command.status, target);
             if command.status != ConfigStatus::Normal {
                 let (app, status) = (&slot.id, command.status);
                 self.obs.emit(
@@ -1340,6 +1357,49 @@ pub(crate) mod tests {
         assert_eq!(mine.get_u64("frames_run"), Some(2));
         assert_eq!(theirs.get_u64("frames_run"), Some(3));
         assert_eq!(mine.version().raw() + 1, theirs.version().raw());
+    }
+
+    #[test]
+    fn fast_frames_leave_the_state_a_full_frame_leaves() {
+        // One drive takes the fast path wherever it may, the other runs
+        // every frame in full. From the first frame, and on the first
+        // steady frame after a completion (where the kernel's command
+        // goes back to `normal` with no target), both leave the same
+        // fingerprint and the same committed SCRAM signals.
+        let build = || {
+            let mut system = System::builder(spec())
+                .observability(false)
+                .build()
+                .unwrap();
+            system.set_trace_recording(false);
+            system
+        };
+        let (mut fast, mut full) = (build(), build());
+        let mut fast_frames = 0;
+        for frame in 0..30 {
+            if frame == 4 {
+                fast.set_env("power", "low").unwrap();
+                full.set_env("power", "low").unwrap();
+            }
+            fast_frames += u32::from(fast.advance_frame());
+            full.run_frame();
+            assert_eq!(
+                fast.state_fingerprint(),
+                full.state_fingerprint(),
+                "frame {frame}"
+            );
+            for slot in &full.slots {
+                let (mine, theirs) = (fast.app_stable(&slot.id), full.app_stable(&slot.id));
+                let signals = |s: Option<StableSnapshot>| {
+                    let s = s.unwrap();
+                    let status = s.get_str(CONFIG_STATUS_KEY).map(str::to_owned);
+                    (status, s.get_str(TARGET_SPEC_KEY).map(str::to_owned))
+                };
+                assert_eq!(signals(mine), signals(theirs), "frame {frame}, {}", slot.id);
+            }
+        }
+        assert_eq!(fast.current_config(), &ConfigId::new("reduced"));
+        assert!(fast_frames > 20, "{fast_frames} fast frames");
     }
 
     #[test]

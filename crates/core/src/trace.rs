@@ -26,8 +26,6 @@
 
 use std::collections::BTreeMap;
 
-use arfs_failstop::CowLog;
-
 use crate::app::ConfigStatus;
 use crate::environment::EnvState;
 use crate::{AppId, ConfigId, SpecId};
@@ -112,7 +110,7 @@ impl SysState {
 /// `start_c` is the first cycle in which some application is no longer
 /// operating normally (the trigger cycle); `end_c` is the first
 /// subsequent cycle in which all applications operate normally again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Reconfiguration {
     /// Cycle in which the reconfiguration starts.
     pub start_c: u64,
@@ -178,15 +176,10 @@ impl IntervalCut {
     }
 }
 
-/// A recorded system trace.
-///
-/// States are held in a [`CowLog`] so that [`SysTrace::fork`] shares
-/// the entire recorded history with the fork instead of deep-copying
-/// it — the schedule-trie walk forks a system (and hence its trace) at
-/// every branch frame, and the trace grows linearly with the horizon.
+/// A recorded system trace: one [`SysState`] per frame from frame 0.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SysTrace {
-    states: CowLog<SysState>,
+    states: Vec<SysState>,
 }
 
 impl SysTrace {
@@ -218,15 +211,7 @@ impl SysTrace {
 
     /// Collects all recorded states into a fresh vector.
     pub fn states_vec(&self) -> Vec<SysState> {
-        self.states.to_vec()
-    }
-
-    /// Forks the trace: both sides keep the (shared, never copied)
-    /// history recorded so far and append independently from here on.
-    pub fn fork(&mut self) -> SysTrace {
-        SysTrace {
-            states: self.states.fork(),
-        }
+        self.states.clone()
     }
 
     /// The state at a frame, if recorded.

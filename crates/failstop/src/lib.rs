@@ -18,8 +18,7 @@
 //! - [`StableStorage`] with atomic commits, polled by other processors
 //!   through immutable [`StableSnapshot`]s;
 //! - [`ProcessorPool`], the platform's processors and whether each has
-//!   failed, with an audit log of [`PoolEvent`]s;
-//! - [`CowLog`], the append-only log whose sealed history forks share.
+//!   failed, with an audit log of [`PoolEvent`]s.
 //!
 //! The executive in `arfs-core` enforces the axioms for the applications
 //! it runs. It owns each application's region, so a region has one
@@ -55,12 +54,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cow;
 mod error;
 mod pool;
 mod stable;
 
-pub use cow::CowLog;
 pub use error::FailStopError;
 pub use pool::{PoolEvent, ProcessorPool};
 pub use stable::{StableSnapshot, StableStorage, StableValue, Version};

@@ -13,7 +13,6 @@ use std::collections::BTreeMap;
 
 use arfs_assure::fp;
 
-use crate::cow::CowLog;
 use crate::{FailStopError, ProcessorId};
 
 /// An auditable event in the life of a [`ProcessorPool`].
@@ -42,11 +41,11 @@ impl PoolEvent {
 
 /// The platform's fail-stop processors and their status, with an audit
 /// log of every addition and failure.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ProcessorPool {
     /// Every processor, mapped to `true` while it is running.
     running: BTreeMap<ProcessorId, bool>,
-    events: CowLog<PoolEvent>,
+    events: Vec<PoolEvent>,
 }
 
 impl ProcessorPool {
@@ -140,17 +139,7 @@ impl ProcessorPool {
     /// observers can drain incrementally: read, then advance the cursor
     /// to [`events_len`](ProcessorPool::events_len).
     pub fn events_since(&self, cursor: usize) -> Vec<PoolEvent> {
-        self.events.iter_from(cursor).cloned().collect()
-    }
-
-    /// Forks the pool: the status map is cloned and the audit log's
-    /// history is sealed and shared. The fork and the original evolve
-    /// independently.
-    pub fn fork(&mut self) -> ProcessorPool {
-        ProcessorPool {
-            running: self.running.clone(),
-            events: self.events.fork(),
-        }
+        self.events.get(cursor..).unwrap_or_default().to_vec()
     }
 }
 
@@ -241,12 +230,12 @@ mod tests {
     #[test]
     fn forked_pool_diverges_independently() {
         let mut parent = pool(2);
-        let mut child = parent.fork();
+        let mut child = parent.clone();
         child.fail(ProcessorId::new(0)).unwrap();
         parent.fail(ProcessorId::new(1)).unwrap();
         assert_eq!(parent.failed_ids(), [ProcessorId::new(1)]);
         assert_eq!(child.failed_ids(), [ProcessorId::new(0)]);
-        // Shared history, divergent tails.
+        // Common history, divergent tails.
         let shared = 2; // 2 × Added
         assert_eq!(
             parent.events_since(0)[..shared],

@@ -3,8 +3,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use arfs_failstop::CowLog;
-
 use crate::schedule::BusSchedule;
 use crate::NodeId;
 
@@ -41,11 +39,9 @@ pub struct RoundReport {
 ///
 /// See the [crate documentation](crate) for the model. Typical use couples
 /// one [`run_round`](TtBus::run_round) to one real-time frame. The bus
-/// holds no shared mutable state, so a [`fork`](TtBus::fork) diverges
-/// independently: presence, membership observations, silent-round counts
-/// and the membership log are all private to each side. The membership
-/// log is a [`CowLog`], so forking shares its history by pointer instead
-/// of copying it.
+/// holds no shared mutable state, so a clone diverges independently:
+/// presence, membership observations, silent-round counts and the
+/// membership log are all private to each side.
 #[derive(Debug, Clone)]
 pub struct TtBus {
     schedule: BusSchedule,
@@ -61,7 +57,7 @@ pub struct TtBus {
     silent_rounds: BTreeMap<NodeId, u64>,
     /// Nodes whose count in `silent_rounds` is non-zero.
     silent_nodes: usize,
-    membership_log: CowLog<MembershipChange>,
+    membership_log: Vec<MembershipChange>,
 }
 
 impl TtBus {
@@ -76,7 +72,7 @@ impl TtBus {
             membership: Arc::new(nodes.iter().map(|&n| (n, false)).collect()),
             silent_rounds: nodes.iter().map(|&n| (n, 0)).collect(),
             silent_nodes: 0,
-            membership_log: CowLog::new(),
+            membership_log: Vec::new(),
         }
     }
 
@@ -90,30 +86,11 @@ impl TtBus {
         self.round
     }
 
-    /// Forks the bus mid-round-sequence: the fork carries the same
-    /// presence marks, membership view, silent-round counts and log,
-    /// and thereafter evolves independently — the independence
-    /// guarantee prefix-sharing exploration relies on. The membership
-    /// log seals and shares its history ([`CowLog::fork`]), so fork cost
-    /// does not grow with rounds run.
-    pub fn fork(&mut self) -> TtBus {
-        TtBus {
-            schedule: self.schedule.clone(),
-            round: self.round,
-            present: self.present.clone(),
-            last_membership: self.last_membership.clone(),
-            membership: Arc::clone(&self.membership),
-            silent_rounds: self.silent_rounds.clone(),
-            silent_nodes: self.silent_nodes,
-            membership_log: self.membership_log.fork(),
-        }
-    }
-
-    /// All observed membership transitions, oldest first (cloned out of
-    /// the copy-on-write log). Only *changes* are stored, so the log
-    /// stays proportional to joins and failures, not to rounds.
+    /// All observed membership transitions, oldest first. Only
+    /// *changes* are stored, so the log stays proportional to joins and
+    /// failures, not to rounds.
     pub fn membership_changes(&self) -> Vec<MembershipChange> {
-        self.membership_log.to_vec()
+        self.membership_log.clone()
     }
 
     /// Number of membership transitions recorded so far — the cursor
@@ -131,7 +108,7 @@ impl TtBus {
         &self,
         cursor: usize,
     ) -> impl Iterator<Item = &MembershipChange> {
-        self.membership_log.iter_from(cursor)
+        self.membership_log.get(cursor..).unwrap_or_default().iter()
     }
 
     /// How many rounds in a row, up to the latest, the node has stayed
@@ -257,8 +234,8 @@ mod tests {
             assert_eq!(bus.silent_rounds(n(1)), Some(expected));
             assert_eq!(bus.silent_nodes(), 1);
         }
-        // A fork carries the count, then each side counts on its own.
-        let mut child = bus.fork();
+        // A clone carries the count, then each side counts on its own.
+        let mut child = bus.clone();
         assert_eq!(child.silent_rounds(n(1)), Some(3));
         child.mark_present(n(0));
         child.run_round();
@@ -325,7 +302,7 @@ mod tests {
         parent.mark_present(n(0));
         parent.mark_present(n(1));
         parent.run_round();
-        let mut child = parent.fork();
+        let mut child = parent.clone();
         assert_eq!(parent.round(), child.round());
         assert_eq!(parent.membership_changes(), child.membership_changes());
 

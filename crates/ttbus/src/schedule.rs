@@ -67,11 +67,6 @@ impl BusSchedule {
         self.slots.iter().map(|s| s.owner).collect()
     }
 
-    /// Returns `true` if the node owns at least one slot.
-    pub fn has_slot(&self, node: NodeId) -> bool {
-        self.slots.iter().any(|s| s.owner == node)
-    }
-
     /// The largest slot capacity available to a node, or `None` if it has
     /// no slot.
     pub fn max_capacity(&self, node: NodeId) -> Option<usize> {
@@ -80,15 +75,6 @@ impl BusSchedule {
             .filter(|s| s.owner == node)
             .map(|s| s.capacity)
             .max()
-    }
-
-    /// Total payload bytes a node can transmit per round.
-    pub fn bytes_per_round(&self, node: NodeId) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.owner == node)
-            .map(|s| s.capacity)
-            .sum()
     }
 }
 
@@ -156,11 +142,8 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.nodes().len(), 3);
         for node in [n(0), n(1), n(2)] {
-            assert!(s.has_slot(node));
             assert_eq!(s.max_capacity(node), Some(128));
-            assert_eq!(s.bytes_per_round(node), 128);
         }
-        assert!(!s.has_slot(n(3)));
         assert_eq!(s.max_capacity(n(3)), None);
     }
 
@@ -172,7 +155,11 @@ mod tests {
             .slot(n(1), 16)
             .build()
             .unwrap();
-        assert_eq!(s.bytes_per_round(n(0)), 96);
+        // Two slots for one node: one round, two owners, and the larger
+        // slot bounds a single transmission.
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.nodes().len(), 2);
         assert_eq!(s.max_capacity(n(0)), Some(64));
+        assert_eq!(s.max_capacity(n(1)), Some(16));
     }
 }

@@ -198,9 +198,9 @@ fn stream_verifier_allocates_nothing_per_frame() {
     let spec = Arc::new(avionics_spec().expect("avionics spec builds"));
     let stimuli = [(10, "one"), (40, "battery"), (70, "both"), (100, "one")];
 
-    // Record a reconfiguring run the way the fleet drives it: full
-    // frames while an interval is open, the fast path otherwise. `None`
-    // marks a fast frame.
+    // Record a reconfiguring run the way the fleet drives it, through
+    // `StreamVerifier::step`: full frames while an interval is open,
+    // the fast path otherwise. `None` marks a fast frame.
     let mut system = System::builder_arc(Arc::clone(&spec))
         .observability(false)
         .build()
@@ -212,19 +212,8 @@ fn stream_verifier_allocates_nothing_per_frame() {
         if let Some((_, value)) = stimuli.iter().find(|(f, _)| *f == frame) {
             system.set_env("electrical", value).expect("declared value");
         }
-        let state = if driver.needs_full_state() {
-            system.run_frame();
-            system.last_state().cloned()
-        } else if system.advance_frame() {
-            None
-        } else {
-            system.last_state().cloned()
-        };
-        match &state {
-            Some(state) => driver.observe_full(state),
-            None => driver.observe_fast(),
-        }
-        frames.push(state);
+        let fast = driver.step(&mut system);
+        frames.push((!fast).then(|| system.last_state().cloned().expect("full frame")));
     }
 
     // The same run with its trace recorded is violation-free.

@@ -4,9 +4,13 @@
 //! same explored/elided counts, same failures, same failure order — on
 //! every horizon, event bound, policy combination, and mutated kernel.
 //!
-//! The seed engine ([`ModelChecker::run_reference`]) replays each
-//! schedule independently from frame 0; it is the executable
-//! specification the optimized engines are diffed against here.
+//! The two sides judge traces differently. The walk advances each node
+//! with the fleet's frame driver (`StreamVerifier::step`: the fast path
+//! on settled frames) and feeds its SP1–SP4 monitors live. The seed
+//! engine ([`ModelChecker::run_reference`]) replays each schedule
+//! independently from frame 0 with its trace recorded, then folds the
+//! same monitors over the whole trace. So every agreement here is a
+//! differential check of the streamed walk against the batch fold.
 
 use arfs_avionics::three_level_spec;
 use arfs_core::chaos::{ChaosProfile, FaultPlan};
@@ -251,6 +255,26 @@ fn busy_state_fingerprints_merge_mid_reconfiguration_schedules() {
         report.cases_run + report.cases_elided + report.cases_merged,
         mc.total_schedule_count(),
         "merging must never lose accounting of the schedule space"
+    );
+}
+
+#[test]
+fn merge_counts_on_the_extended_uav_h30_e3_space_are_pinned() {
+    // The walk's merge key is the system fingerprint extended by the
+    // node verifier's open-interval state (SP1's pending list, SP2's
+    // chosen set). No pair of enumerated nodes on the shipped or test
+    // specs shares a fingerprint but differs in that state, so the
+    // extension merges exactly what the fingerprint alone merged:
+    // these are the trace-fold walk's counts. They also need a fast
+    // frame to leave the fingerprint a full frame leaves, the SCRAM's
+    // stage signals in stable storage included: a stale signal splits
+    // one state into two fingerprints (90 fewer merges here).
+    let spec = arfs_avionics::extended::extended_uav_spec().expect("valid spec");
+    let report = ModelChecker::new(spec, 30, 3).with_por().run();
+    assert!(report.all_passed());
+    assert_eq!(
+        (report.cases_run, report.cases_elided, report.cases_merged),
+        (4_411, 83_626, 63_842)
     );
 }
 
